@@ -2,12 +2,18 @@
 
 GO ?= go
 
-.PHONY: check vet build test race bench-engine bench bench-ingest bench-predict bench-predict-smoke bench-replicate bench-replicate-smoke bench-replay bench-replay-smoke bench-snapshot bench-snapshot-smoke bench-smoke fmt
+.PHONY: check vet vet-orfbench build test race bench bench-ingest bench-predict bench-predict-smoke bench-replicate bench-replicate-smoke bench-replay bench-replay-smoke bench-snapshot bench-snapshot-smoke bench-smoke fmt
 
-check: vet build test race bench-engine bench-predict-smoke bench-replicate-smoke bench-replay-smoke bench-snapshot-smoke
+check: vet vet-orfbench build test race bench-predict-smoke bench-replicate-smoke bench-replay-smoke bench-snapshot-smoke
 
 vet:
 	$(GO) vet ./...
+
+# cmd/orfbench is its own module (the benchmark must build from a bare
+# checkout), so ./... above never type-checks it against the product: an
+# API break would first show up as a failed benchmark run. Vet it here.
+vet-orfbench:
+	$(GO) vet -C cmd/orfbench .
 
 build:
 	$(GO) build ./...
@@ -17,12 +23,6 @@ test:
 
 race:
 	$(GO) test -race ./...
-
-# Smoke-run the mutex-vs-shards ingest comparison (one iteration per
-# sub-benchmark). Run with a larger -benchtime on multi-core hardware to
-# see the shard scaling; a single-core machine can only show overhead.
-bench-engine:
-	$(GO) test -run=NONE -bench=BenchmarkEngineIngest -benchtime=1x .
 
 # Ingest/serving perf baseline: run the allocation-sensitive hot-path
 # benchmarks 5x and record the per-benchmark minimum in
@@ -109,13 +109,13 @@ bench-replay-smoke:
 		| $(GO) run ./cmd/benchjson -check BENCH_replay.json -match '/smoke$$' -tol 0.25
 
 # Snapshot-codec perf baseline: one full serialize/parse of a trained
-# forest per op, across the three on-disk codecs — orf2-flate (the
-# parallel-compressed production format), orf2-raw (same framing,
-# passthrough codec) and orf1-legacy (the single-threaded uncompressed
-# baseline). snap_bytes in the JSON records the encoded sizes the
-# compression is accepted against (>= 2x smaller than legacy). Records
-# BOTH forest regimes — full (headline) and smoke (what
-# bench-snapshot-smoke gates against) — into BENCH_snapshot.json.
+# forest per op, across the two on-disk codecs — orf2-flate (the
+# parallel-compressed production format) and orf2-raw (same framing,
+# passthrough codec: the uncompressed baseline). snap_bytes in the JSON
+# records the encoded sizes the compression is accepted against (>= 2x
+# smaller than raw). Records BOTH forest regimes — full (headline) and
+# smoke (what bench-snapshot-smoke gates against) — into
+# BENCH_snapshot.json.
 SNAPSHOT_BENCH = BenchmarkSnapshotEncode|BenchmarkSnapshotDecode
 
 bench-snapshot:

@@ -86,11 +86,9 @@ type bfState struct {
 	// observes it.
 	pendingLow uint64
 
-	// Framing scratch for IngestBackfill (single in-flight call by
+	// enc is IngestBackfill's framing scratch (single in-flight call by
 	// contract — the loader is one goroutine).
-	enc     []byte
-	offs    []int
-	payload [][]byte
+	enc recordBatch
 }
 
 // BackfillState returns the durable backfill resume point: the last
@@ -132,59 +130,38 @@ func (e *Engine) IngestBackfill(batch []FleetObservation, cur *BackfillCursor) e
 		}
 	}
 
-	var first uint64
+	var first, last uint64
 	if e.wal != nil {
 		bf := &e.bf
 		bf.mu.Lock()
 		bf.pendingLow = e.wal.NextSeq() // lower bound: concurrent appends only raise NextSeq
 		bf.mu.Unlock()
-		bf.enc, bf.offs, bf.payload = bf.enc[:0], bf.offs[:0], bf.payload[:0]
+		bf.enc.reset()
 		for i := range batch {
-			bf.offs = append(bf.offs, len(bf.enc))
-			bf.enc = appendObserveRecordKind(bf.enc, batch[i], recObserveBF)
+			bf.enc.addObserve(batch[i], recObserveBF)
 		}
 		if cur != nil {
-			bf.offs = append(bf.offs, len(bf.enc))
-			bf.enc = appendCursorRecord(bf.enc, *cur)
+			bf.enc.addCursor(*cur)
 		}
-		for j, off := range bf.offs {
-			end := len(bf.enc)
-			if j+1 < len(bf.offs) {
-				end = bf.offs[j+1]
-			}
-			bf.payload = append(bf.payload, bf.enc[off:end])
-		}
+		payloads := bf.enc.payloads()
 		var err error
-		if first, err = e.wal.AppendBatch(bf.payload); err != nil {
+		if first, err = e.wal.AppendBatch(payloads); err != nil {
 			e.met.ingestErrors.Add(uint64(len(batch)))
 			return err
 		}
-		last := first + uint64(len(bf.payload)) - 1
-		e.noteBackfillBatch(last, uint64(len(batch)), cur)
-	} else {
-		e.noteBackfillBatch(0, uint64(len(batch)), cur)
+		last = first + uint64(len(payloads)) - 1
 	}
+	e.noteBackfill(last, uint64(len(batch)), cur)
 
 	// Fan the durable rows out to their shards. Group in batch order so
 	// per-model slices stay chronological; distinct models absorb in
 	// parallel.
 	sc := e.getScratch()
 	for i := range batch {
-		m := batch[i].Model
-		k, ok := sc.groups[m]
-		if !ok {
-			k = len(sc.order)
-			sc.groups[m] = k
-			sc.order = append(sc.order, m)
-			if k == len(sc.idxs) {
-				sc.idxs = append(sc.idxs, nil)
-			}
-		}
-		sc.idxs[k] = append(sc.idxs[k], i)
+		sc.add(batch[i].Model, i)
 	}
 	var (
 		wg     sync.WaitGroup
-		errMu  sync.Mutex
 		subErr error
 	)
 	for k, model := range sc.order {
@@ -192,15 +169,13 @@ func (e *Engine) IngestBackfill(batch []FleetObservation, cur *BackfillCursor) e
 		wg.Add(1)
 		err := e.submitBlocking(model, func(s *shardState) {
 			defer wg.Done()
-			e.applyBackfill(s, batch, idxs, first)
+			e.absorbSlice(s, batch, idxs, first)
 		})
 		if err != nil {
 			wg.Done()
-			errMu.Lock()
 			if subErr == nil {
 				subErr = err
 			}
-			errMu.Unlock()
 		}
 	}
 	wg.Wait()
@@ -230,65 +205,45 @@ func (e *Engine) submitBlocking(model string, fn func(*shardState)) error {
 			return err
 		}
 		time.Sleep(backoff)
-		if backoff < 50*time.Millisecond {
-			backoff *= 2
-			if backoff > 50*time.Millisecond {
-				backoff = 50 * time.Millisecond
-			}
-		}
+		backoff = min(2*backoff, 50*time.Millisecond)
 	}
 }
 
-// applyBackfill absorbs one shard's slice of a backfill batch on the
-// shard's worker. Mirrors applyBatch minus per-row results and scoring;
-// seq bookkeeping keeps snapshots and WAL truncation exact.
-func (e *Engine) applyBackfill(s *shardState, batch []FleetObservation, idxs []int, first uint64) {
-	e.mu.Lock()
-	for _, i := range idxs {
-		e.modelOf[batch[i].Serial] = batch[i].Model
-	}
-	e.mu.Unlock()
+// absorbSlice applies one shard's slice of a backfill batch on the
+// shard's worker: ingestSlice minus scoring, per-row results and the WAL
+// append (IngestBackfill logged the whole batch, so row i is first+i).
+func (e *Engine) absorbSlice(s *shardState, batch []FleetObservation, idxs []int, first uint64) {
 	e.met.ingests.Add(uint64(len(idxs)))
 	applied := 0
 	for _, i := range idxs {
-		obs := batch[i]
-		if e.wal != nil {
-			seq := first + uint64(i)
-			s.lastSeq = seq
-			if s.firstUnsnapped == 0 {
-				s.firstUnsnapped = seq
-			}
-		}
-		if err := s.p.Absorb(obs.Observation); err != nil {
-			// Validated upfront, so this is a poison pill; skip it the
-			// way recovery replay would, keeping live and replayed state
-			// identical.
+		if _, err := e.applyRow(s, first+uint64(i), &batch[i], false); err != nil {
+			// Only a predictor/engine catalog mismatch gets past
+			// IngestBackfill's validation; replay would skip the record.
 			e.met.ingestErrors.Inc()
-			e.log.Warn("backfill: predictor rejected row; skipping",
-				"model", obs.Model, "serial", obs.Serial, "err", err)
+			e.log.Warn("backfill: predictor rejected row",
+				"model", batch[i].Model, "serial", batch[i].Serial, "err", err)
 			continue
 		}
 		applied++
-		if obs.Failed {
-			e.mu.Lock()
-			delete(e.modelOf, obs.Serial)
-			e.mu.Unlock()
-		}
 	}
 	if applied > 0 {
 		e.noteApplied(s, applied)
 	}
 }
 
-// noteBackfillBatch advances the in-memory cursor accounting after a
-// batch is durable: a checkpointing batch resets rowsAfter to zero, a
-// plain batch adds its rows.
-func (e *Engine) noteBackfillBatch(lastSeq uint64, rows uint64, cur *BackfillCursor) {
+// noteBackfill advances the cursor accounting by what the WAL records up
+// to seq add: a cursor resets rowsAfter to zero, rows without one add to
+// it. IngestBackfill calls it per durable batch (seq is the batch's last
+// record, 0 on a memory-only engine), applyRecord per replayed or
+// replicated record — where anything at or below bf.seq is not news: the
+// cursor file or an earlier delivery already accounted for it.
+func (e *Engine) noteBackfill(seq, rows uint64, cur *BackfillCursor) {
 	e.bf.mu.Lock()
 	defer e.bf.mu.Unlock()
-	if lastSeq > e.bf.seq {
-		e.bf.seq = lastSeq
+	if seq != 0 && seq <= e.bf.seq {
+		return
 	}
+	e.bf.seq = seq
 	e.bf.valid = true
 	if cur != nil {
 		e.bf.cur = cur.clone()
@@ -296,33 +251,6 @@ func (e *Engine) noteBackfillBatch(lastSeq uint64, rows uint64, cur *BackfillCur
 	} else {
 		e.bf.rowsAfter += rows
 	}
-}
-
-// noteBackfillRecord accounts one replayed/replicated backfill row
-// record. Records the cursor state already covers (seq <= bf.seq) are
-// not news.
-func (e *Engine) noteBackfillRecord(seq uint64) {
-	e.bf.mu.Lock()
-	defer e.bf.mu.Unlock()
-	if seq <= e.bf.seq {
-		return
-	}
-	e.bf.seq = seq
-	e.bf.rowsAfter++
-	e.bf.valid = true
-}
-
-// noteCursorRecord accounts one replayed/replicated cursor record.
-func (e *Engine) noteCursorRecord(seq uint64, cur *BackfillCursor) {
-	e.bf.mu.Lock()
-	defer e.bf.mu.Unlock()
-	if seq <= e.bf.seq {
-		return
-	}
-	e.bf.seq = seq
-	e.bf.cur = cur.clone()
-	e.bf.rowsAfter = 0
-	e.bf.valid = true
 }
 
 // DumpModel streams the named model's complete predictor state
@@ -338,69 +266,6 @@ func (e *Engine) DumpModel(model string, w io.Writer) error {
 		return err
 	}
 	return serr
-}
-
-// --- cursor record encoding ---
-
-func appendCursorRecord(buf []byte, c BackfillCursor) []byte {
-	buf = append(buf, recCursor)
-	buf = binary.AppendVarint(buf, int64(c.Day))
-	buf = binary.AppendVarint(buf, c.Rows)
-	buf = binary.AppendUvarint(buf, uint64(len(c.Files)))
-	for _, f := range c.Files {
-		buf = binary.AppendUvarint(buf, uint64(len(f.Name)))
-		buf = append(buf, f.Name...)
-		buf = binary.AppendVarint(buf, f.Rows)
-		buf = binary.AppendVarint(buf, f.Off)
-	}
-	return buf
-}
-
-// decodeCursorRecord parses the body written by appendCursorRecord (b
-// excludes the kind byte).
-func decodeCursorRecord(b []byte) (*BackfillCursor, error) {
-	bad := errors.New("orfdisk: truncated cursor WAL record")
-	var c BackfillCursor
-	day, n := binary.Varint(b)
-	if n <= 0 {
-		return nil, bad
-	}
-	c.Day = int(day)
-	b = b[n:]
-	rows, n := binary.Varint(b)
-	if n <= 0 {
-		return nil, bad
-	}
-	c.Rows = rows
-	b = b[n:]
-	nf, n := binary.Uvarint(b)
-	if n <= 0 || nf > uint64(len(b)) {
-		return nil, bad
-	}
-	b = b[n:]
-	c.Files = make([]BackfillFilePos, 0, nf)
-	for i := uint64(0); i < nf; i++ {
-		var f BackfillFilePos
-		ln, n := binary.Uvarint(b)
-		if n <= 0 || ln > uint64(len(b)-n) {
-			return nil, bad
-		}
-		f.Name = string(b[n : n+int(ln)])
-		b = b[n+int(ln):]
-		if f.Rows, n = binary.Varint(b); n <= 0 {
-			return nil, bad
-		}
-		b = b[n:]
-		if f.Off, n = binary.Varint(b); n <= 0 {
-			return nil, bad
-		}
-		b = b[n:]
-		c.Files = append(c.Files, f)
-	}
-	if len(b) != 0 {
-		return nil, fmt.Errorf("orfdisk: %d trailing bytes in cursor WAL record", len(b))
-	}
-	return &c, nil
 }
 
 // --- cursor file (snapshot-side persistence) ---

@@ -12,8 +12,6 @@ package orfdisk
 import (
 	"fmt"
 	"sort"
-	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -357,74 +355,6 @@ func BenchmarkUpdateBatch(b *testing.B) {
 			}
 		})
 	}
-}
-
-// BenchmarkEngineIngest contrasts the serving engine's per-model shard
-// workers against the single global mutex they replaced, on a parallel
-// multi-model ingest load (the production shape: collectors for many
-// drive models POSTing concurrently). The mutex serializes every
-// observation; the engine only serializes observations of the same
-// model, so the shard variant should scale with the model count.
-func BenchmarkEngineIngest(b *testing.B) {
-	const nModels = 4
-	// A realistic SMART stream (fault signatures, failures, tree
-	// growth), as in BenchmarkPredictorIngest: the per-observation
-	// model work must be the real thing for the contention comparison
-	// to mean anything.
-	g, err := dataset.New(benchProfile(6), 17)
-	if err != nil {
-		b.Fatal(err)
-	}
-	var obs []Observation
-	for _, m := range g.Disks()[:100] {
-		for _, s := range g.DiskSamples(m) {
-			obs = append(obs, Observation{
-				Serial: s.Serial, Day: s.Day, Failed: s.Failure, Values: s.Values,
-			})
-		}
-	}
-	cfg := Config{ORF: ORFConfig{Trees: 30, Seed: 1}}
-	runParallelIngest := func(b *testing.B, ingest func(FleetObservation) error) {
-		var gid atomic.Int64
-		b.RunParallel(func(pb *testing.PB) {
-			id := gid.Add(1)
-			// Per-goroutine serial namespace: streams stay disjoint, so
-			// a serial never crosses models.
-			suffix := fmt.Sprintf("-g%d", id)
-			model := fmt.Sprintf("MODEL-%d", id%nModels)
-			i := 0
-			for pb.Next() {
-				o := obs[i%len(obs)]
-				o.Serial += suffix
-				err := ingest(FleetObservation{Model: model, Observation: o})
-				if err != nil {
-					b.Fatal(err)
-				}
-				i++
-			}
-		})
-	}
-	b.Run("mutex-4models", func(b *testing.B) {
-		fleet := NewFleet(cfg)
-		var mu sync.Mutex
-		runParallelIngest(b, func(obs FleetObservation) error {
-			mu.Lock()
-			_, err := fleet.Ingest(obs)
-			mu.Unlock()
-			return err
-		})
-	})
-	b.Run("shards-4models", func(b *testing.B) {
-		eng, err := NewEngine(EngineConfig{Predictor: cfg})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Cleanup(func() { eng.Close() })
-		runParallelIngest(b, func(obs FleetObservation) error {
-			_, err := eng.Ingest(obs)
-			return err
-		})
-	})
 }
 
 // BenchmarkEngineIngestBatch contrasts per-observation Engine.Ingest

@@ -24,6 +24,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"regexp"
 	"sort"
@@ -141,7 +142,7 @@ func main() {
 	}
 
 	if *check != "" {
-		os.Exit(gate(merged, *check, *match, *tol))
+		os.Exit(gate(os.Stderr, merged, *check, *match, *tol))
 	}
 
 	buf, err := json.MarshalIndent(merged, "", "  ")
@@ -161,43 +162,47 @@ func main() {
 	fmt.Fprintf(os.Stderr, "benchjson: wrote %d benchmarks to %s\n", len(merged), *out)
 }
 
-// gate compares fresh results against a committed baseline and returns
-// the process exit code: 1 on any ns/op regression beyond tol, any
-// allocs/op increase, or an empty comparison (a renamed benchmark or a
-// too-narrow -match must fail loudly, not gate nothing). Benchmarks
-// present on one side only are warned about but don't fail the gate —
-// the baseline legitimately lags when a benchmark is first added.
-func gate(fresh map[string]result, baselinePath, match string, tol float64) int {
+// gate compares fresh results against a committed baseline, reports to
+// w and returns the process exit code: 1 on any ns/op regression beyond
+// tol, any allocs/op increase, or an empty comparison (a renamed
+// benchmark or a too-narrow -match must fail loudly, not gate nothing).
+// Benchmarks present on one side only are warned about but don't fail
+// the gate — the baseline legitimately lags when a benchmark is first
+// added, and a deleted benchmark's entry must be seen to be removed.
+func gate(w io.Writer, fresh map[string]result, baselinePath, match string, tol float64) int {
 	buf, err := os.ReadFile(baselinePath)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "benchjson:", err)
+		fmt.Fprintln(w, "benchjson:", err)
 		return 1
 	}
 	baseline := map[string]result{}
 	if err := json.Unmarshal(buf, &baseline); err != nil {
-		fmt.Fprintf(os.Stderr, "benchjson: %s: %v\n", baselinePath, err)
+		fmt.Fprintf(w, "benchjson: %s: %v\n", baselinePath, err)
 		return 1
 	}
 	var sel *regexp.Regexp
 	if match != "" {
 		if sel, err = regexp.Compile(match); err != nil {
-			fmt.Fprintln(os.Stderr, "benchjson:", err)
+			fmt.Fprintln(w, "benchjson:", err)
 			return 1
 		}
 	}
-	names := make([]string, 0, len(fresh))
-	for name := range fresh {
-		if sel == nil || sel.MatchString(name) {
-			names = append(names, name)
+	selected := func(all map[string]result) []string {
+		names := make([]string, 0, len(all))
+		for name := range all {
+			if sel == nil || sel.MatchString(name) {
+				names = append(names, name)
+			}
 		}
+		sort.Strings(names)
+		return names
 	}
-	sort.Strings(names)
 	compared, failed := 0, 0
-	for _, name := range names {
+	for _, name := range selected(fresh) {
 		got := fresh[name]
 		base, ok := baseline[name]
 		if !ok {
-			fmt.Fprintf(os.Stderr, "benchjson: %s: not in baseline %s (record it with make bench-predict)\n",
+			fmt.Fprintf(w, "benchjson: %s: not in baseline %s (re-record that file to gate it)\n",
 				name, baselinePath)
 			continue
 		}
@@ -205,27 +210,33 @@ func gate(fresh map[string]result, baselinePath, match string, tol float64) int 
 		limit := base.NsPerOp * (1 + tol)
 		switch {
 		case got.NsPerOp > limit:
-			fmt.Fprintf(os.Stderr, "benchjson: FAIL %s: %.0f ns/op, baseline %.0f (limit %.0f at tol %.2f)\n",
+			fmt.Fprintf(w, "benchjson: FAIL %s: %.0f ns/op, baseline %.0f (limit %.0f at tol %.2f)\n",
 				name, got.NsPerOp, base.NsPerOp, limit, tol)
 			failed++
 		case got.AllocsPerOp > base.AllocsPerOp:
-			fmt.Fprintf(os.Stderr, "benchjson: FAIL %s: %.0f allocs/op, baseline %.0f\n",
+			fmt.Fprintf(w, "benchjson: FAIL %s: %.0f allocs/op, baseline %.0f\n",
 				name, got.AllocsPerOp, base.AllocsPerOp)
 			failed++
 		default:
-			fmt.Fprintf(os.Stderr, "benchjson: ok   %s: %.0f ns/op vs baseline %.0f\n",
+			fmt.Fprintf(w, "benchjson: ok   %s: %.0f ns/op vs baseline %.0f\n",
 				name, got.NsPerOp, base.NsPerOp)
 		}
 	}
+	for _, name := range selected(baseline) {
+		if _, ok := fresh[name]; !ok {
+			fmt.Fprintf(w, "benchjson: %s: in baseline %s but not in this run (deleted or renamed? drop the entry)\n",
+				name, baselinePath)
+		}
+	}
 	if compared == 0 {
-		fmt.Fprintf(os.Stderr, "benchjson: nothing compared against %s (match %q)\n", baselinePath, match)
+		fmt.Fprintf(w, "benchjson: nothing compared against %s (match %q)\n", baselinePath, match)
 		return 1
 	}
 	if failed > 0 {
-		fmt.Fprintf(os.Stderr, "benchjson: %d of %d compared benchmarks regressed\n", failed, compared)
+		fmt.Fprintf(w, "benchjson: %d of %d compared benchmarks regressed\n", failed, compared)
 		return 1
 	}
-	fmt.Fprintf(os.Stderr, "benchjson: %d benchmarks within %.0f%% of %s\n", compared, tol*100, baselinePath)
+	fmt.Fprintf(w, "benchjson: %d benchmarks within %.0f%% of %s\n", compared, tol*100, baselinePath)
 	return 0
 }
 

@@ -8,8 +8,6 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
-	"math"
-	"math/bits"
 	"os"
 	"path/filepath"
 	"strings"
@@ -192,12 +190,22 @@ type shardState struct {
 	// covered by a snapshot). It is the shard's contribution to the WAL
 	// truncation cutoff. Only the shard's worker touches it.
 	firstUnsnapped uint64
-	// WAL-encoding scratch, reused across ingests so the steady-state
-	// path does not allocate a fresh record buffer per observation.
-	// Only the shard's worker touches these.
-	encBuf  []byte
-	offs    []int
-	payload [][]byte
+	// enc is the WAL-encoding scratch, reused so steady-state ingest
+	// allocates no record buffers. Only the shard's worker touches it.
+	enc recordBatch
+}
+
+// noteSeq records that WAL record seq has reached shard s: it becomes
+// the shard's lastSeq and, if nothing older awaits a snapshot, its
+// firstUnsnapped. A memory-only engine has no records and ignores seq.
+func (e *Engine) noteSeq(s *shardState, seq uint64) {
+	if e.wal == nil {
+		return
+	}
+	s.lastSeq = seq
+	if s.firstUnsnapped == 0 {
+		s.firstUnsnapped = seq
+	}
 }
 
 // engineMetrics is the engine-level instrument set (the pool and WAL
@@ -395,12 +403,9 @@ func (e *Engine) snapshotLoop(every time.Duration) {
 }
 
 // resolveModel fills in obs.Model from the engine's routing memory,
-// mirroring Fleet.Ingest's rules. It only reads: a first-seen route is
-// committed by apply once the observation is durably applied, so a shed
-// or failed observation leaves no phantom route behind (recovery could
-// never reconstruct one — the WAL has no record of it). pending holds
-// routes earlier in the same batch that have not been applied yet; nil
-// for single-observation paths.
+// mirroring Fleet.Ingest's rules. It only reads — applyRow commits a
+// first-seen route once the observation is durably applied. pending
+// holds routes earlier in the same batch that have not been applied yet.
 func (e *Engine) resolveModel(obs *FleetObservation, pending map[string]string) error {
 	e.mu.RLock()
 	known, ok := e.modelOf[obs.Serial]
@@ -430,150 +435,100 @@ func (e *Engine) validate(obs FleetObservation) error {
 	return nil
 }
 
-// apply logs and applies one observation on its shard's worker.
-func (e *Engine) apply(s *shardState, obs FleetObservation) (Prediction, error) {
-	if e.wal != nil {
-		s.encBuf = appendObserveRecord(s.encBuf[:0], obs)
-		seq, err := e.wal.Append(s.encBuf)
-		if err != nil {
-			e.met.ingestErrors.Inc()
-			return Prediction{}, err
-		}
-		s.lastSeq = seq
-		if s.firstUnsnapped == 0 {
-			s.firstUnsnapped = seq
-		}
+// applyRow applies one observation on its shard's worker. Every door a
+// row can come in by (Ingest, IngestBatch, IngestBackfill, a follower's
+// ApplyReplicated, recovery replay) ends here, so model state and
+// routing memory are a function of the ordered record stream alone. The
+// row is already durable at WAL sequence number seq, which is what lets
+// its route be committed: any earlier and a shed or failed request would
+// leave a phantom route recovery cannot reconstruct. score selects
+// Ingest (live prediction) or Absorb (same state, no tree walk).
+//
+// Routes follow the labeling queues row by row — an accepted
+// observation routes its serial, a failure forgets it, a row the
+// predictor rejects touches neither — so a serial is routed exactly when
+// its shard's labeler tracks it, the property recovery rebuilds routes
+// from.
+func (e *Engine) applyRow(s *shardState, seq uint64, obs *FleetObservation, score bool) (pred Prediction, err error) {
+	e.noteSeq(s, seq)
+	if score {
+		pred, err = s.p.Ingest(obs.Observation)
+	} else {
+		err = s.p.Absorb(obs.Observation)
 	}
-	return e.applyLogged(s, obs)
-}
-
-// applyLogged applies an already-durable (or memory-only) observation:
-// it commits the serial->model route, updates the predictor and, on a
-// failure observation, forgets the disk's route. Committing the route
-// any earlier would leave phantom routes behind shed or failed requests
-// that recovery cannot reconstruct.
-func (e *Engine) applyLogged(s *shardState, obs FleetObservation) (Prediction, error) {
-	e.mu.Lock()
-	e.modelOf[obs.Serial] = obs.Model
-	e.mu.Unlock()
-	e.met.ingests.Inc()
-	pred, err := s.p.Ingest(obs.Observation)
 	if err != nil {
-		e.met.ingestErrors.Inc()
 		return pred, err
 	}
-	e.noteApplied(s, 1)
+	e.mu.Lock()
 	if obs.Failed {
-		e.mu.Lock()
 		delete(e.modelOf, obs.Serial)
-		e.mu.Unlock()
+	} else {
+		e.modelOf[obs.Serial] = obs.Model
 	}
+	e.mu.Unlock()
 	return pred, nil
 }
 
-// applyBatch logs and applies one shard's slice of an IngestBatch on the
-// shard's worker: every record is framed into the shard's reused scratch
-// and made durable with a single wal.AppendBatch (one write, one
+// applyRetire is applyRow's counterpart for a retire record.
+func (e *Engine) applyRetire(s *shardState, seq uint64, serial string) {
+	e.noteSeq(s, seq)
+	s.p.Retire(serial)
+	e.mu.Lock()
+	delete(e.modelOf, serial)
+	e.mu.Unlock()
+}
+
+// ingestSlice logs and applies one shard's slice of an IngestBatch on
+// the shard's worker: every record is framed into the shard's reused
+// scratch and made durable with a single wal.AppendBatch (one write, one
 // group-commit check), then each observation is applied individually so
 // per-item results are preserved. A WAL failure fails the whole slice —
-// none of it is durable; predictor errors stay per-item, matching the
-// single-observation path (whose records also persist before Ingest can
-// reject them).
-func (e *Engine) applyBatch(s *shardState, batch []FleetObservation, idxs []int, res []BatchResult) {
-	if e.wal != nil && len(idxs) > 1 {
-		s.encBuf, s.offs = s.encBuf[:0], s.offs[:0]
+// none of it is durable; predictor errors stay per-item (their records
+// persisted before the predictor could reject them, and replay skips
+// them the same deterministic way). It returns the sequence number of
+// the slice's last record, or 0 if no row was applied.
+func (e *Engine) ingestSlice(s *shardState, batch []FleetObservation, idxs []int, res []BatchResult) uint64 {
+	var first uint64
+	if e.wal != nil {
+		s.enc.reset()
 		for _, i := range idxs {
-			s.offs = append(s.offs, len(s.encBuf))
-			s.encBuf = appendObserveRecord(s.encBuf, batch[i])
+			s.enc.addObserve(batch[i], recObserveV2)
 		}
-		s.payload = s.payload[:0]
-		for j, off := range s.offs {
-			end := len(s.encBuf)
-			if j+1 < len(s.offs) {
-				end = s.offs[j+1]
-			}
-			s.payload = append(s.payload, s.encBuf[off:end])
-		}
-		first, err := e.wal.AppendBatch(s.payload)
-		if err != nil {
+		var err error
+		if first, err = e.wal.AppendBatch(s.enc.payloads()); err != nil {
 			e.met.ingestErrors.Add(uint64(len(idxs)))
 			for _, i := range idxs {
 				res[i].Err = err
 			}
-			return
+			return 0
 		}
-		s.lastSeq = first + uint64(len(idxs)) - 1
-		if s.firstUnsnapped == 0 {
-			s.firstUnsnapped = first
-		}
-		// Every record in the group is durable: commit all routes under
-		// one lock (recovery would reconstruct exactly these), then apply
-		// each observation.
-		e.mu.Lock()
-		for _, i := range idxs {
-			e.modelOf[batch[i].Serial] = batch[i].Model
-		}
-		e.mu.Unlock()
-		e.met.ingests.Add(uint64(len(idxs)))
-		applied := 0
-		for _, i := range idxs {
-			obs := batch[i]
-			pred, err := s.p.Ingest(obs.Observation)
-			res[i].Prediction, res[i].Err = pred, err
-			if err != nil {
-				e.met.ingestErrors.Inc()
-				continue
-			}
-			applied++
-			if obs.Failed {
-				e.mu.Lock()
-				delete(e.modelOf, obs.Serial)
-				e.mu.Unlock()
-			}
-		}
-		if applied > 0 {
-			// One cadence check per batch: snapshots publish at most once
-			// per shard slice, which is exactly the "every K updates"
-			// granularity the read path promises.
-			e.noteApplied(s, applied)
-		}
-		return
 	}
-	for _, i := range idxs {
-		res[i].Prediction, res[i].Err = e.apply(s, batch[i])
+	e.met.ingests.Add(uint64(len(idxs)))
+	applied := 0
+	for j, i := range idxs {
+		res[i].Prediction, res[i].Err = e.applyRow(s, first+uint64(j), &batch[i], true)
+		if res[i].Err != nil {
+			e.met.ingestErrors.Inc()
+			continue
+		}
+		applied++
 	}
+	if applied == 0 {
+		return 0
+	}
+	// One cadence check per slice: snapshots publish at most once per
+	// shard slice, which is exactly the "every K updates" granularity the
+	// read path promises.
+	e.noteApplied(s, applied)
+	return s.lastSeq
 }
 
 // Ingest routes one observation to its model's shard and returns the
 // live prediction. It blocks until the shard has processed the
 // observation; under overload it fails fast with ErrBusy.
 func (e *Engine) Ingest(obs FleetObservation) (Prediction, error) {
-	if e.follower.Load() {
-		return Prediction{}, ErrNotLeader
-	}
-	if err := e.validate(obs); err != nil {
-		return Prediction{}, err
-	}
-	if err := e.resolveModel(&obs, nil); err != nil {
-		return Prediction{}, err
-	}
-	var (
-		pred Prediction
-		ierr error
-		seq  uint64
-	)
-	if err := e.pool.Do(obs.Model, func(s *shardState) {
-		pred, ierr = e.apply(s, obs)
-		seq = s.lastSeq
-	}); err != nil {
-		return Prediction{}, err
-	}
-	if ierr == nil {
-		if err := e.waitSyncAcks(seq); err != nil {
-			return pred, err
-		}
-	}
-	return pred, ierr
+	res := e.IngestBatch([]FleetObservation{obs})
+	return res[0].Prediction, res[0].Err
 }
 
 // BatchResult is one observation's outcome in IngestBatch.
@@ -607,6 +562,21 @@ func (e *Engine) getScratch() *batchScratch {
 	}
 }
 
+// add appends batch index i to model's group, so each model's indexes
+// stay in slice order.
+func (sc *batchScratch) add(model string, i int) {
+	k, ok := sc.groups[model]
+	if !ok {
+		k = len(sc.order)
+		sc.groups[model] = k
+		sc.order = append(sc.order, model)
+		if k == len(sc.idxs) {
+			sc.idxs = append(sc.idxs, nil)
+		}
+	}
+	sc.idxs[k] = append(sc.idxs[k], i)
+}
+
 // IngestBatch fans a slice of observations out to their model shards
 // and gathers the replies. Observations for the same model are applied
 // in slice order; distinct models proceed in parallel. Each entry
@@ -633,34 +603,24 @@ func (e *Engine) IngestBatch(batch []FleetObservation) []BatchResult {
 			continue
 		}
 		sc.pending[batch[i].Serial] = batch[i].Model
-		m := batch[i].Model
-		k, ok := sc.groups[m]
-		if !ok {
-			k = len(sc.order)
-			sc.groups[m] = k
-			sc.order = append(sc.order, m)
-			if k == len(sc.idxs) {
-				sc.idxs = append(sc.idxs, nil)
-			}
-		}
-		sc.idxs[k] = append(sc.idxs[k], i)
+		sc.add(batch[i].Model, i)
 	}
 	// Synchronous commit waits once per batch, on the highest sequence
-	// number any group logged; the slice is only allocated when the
-	// mode is on so the async path stays allocation-free here.
+	// number of any group that applied a row; the slice is only allocated
+	// when the mode is on so the async path stays allocation-free here.
 	var maxSeqs []uint64
 	if e.syncAcks > 0 {
 		maxSeqs = make([]uint64, len(sc.order))
 	}
 	var wg sync.WaitGroup
 	for k, model := range sc.order {
-		k, idxs := k, sc.idxs[k]
+		idxs := sc.idxs[k]
 		wg.Add(1)
 		err := e.pool.Submit(model, func(s *shardState) {
 			defer wg.Done()
-			e.applyBatch(s, batch, idxs, res)
+			last := e.ingestSlice(s, batch, idxs, res)
 			if maxSeqs != nil {
-				maxSeqs[k] = s.lastSeq
+				maxSeqs[k] = last
 			}
 		})
 		if err != nil {
@@ -674,19 +634,10 @@ func (e *Engine) IngestBatch(batch []FleetObservation) []BatchResult {
 	e.scratch.Put(sc)
 	if maxSeqs != nil {
 		var maxSeq uint64
-		anyOK := false
-		for i := range res {
-			if res[i].Err == nil {
-				anyOK = true
-				break
-			}
-		}
 		for _, s := range maxSeqs {
-			if s > maxSeq {
-				maxSeq = s
-			}
+			maxSeq = max(maxSeq, s)
 		}
-		if anyOK && maxSeq > 0 {
+		if maxSeq > 0 {
 			if err := e.waitSyncAcks(maxSeq); err != nil {
 				// Every record IS durable locally; the acknowledged-
 				// replication guarantee is what failed, so every item
@@ -720,21 +671,11 @@ func (e *Engine) Retire(serial string) error {
 	)
 	if err := e.pool.Do(model, func(s *shardState) {
 		if e.wal != nil {
-			sq, err := e.wal.Append(encodeRetireRecord(model, serial))
-			if err != nil {
-				ierr = err
+			if seq, ierr = e.wal.Append(encodeRetireRecord(model, serial)); ierr != nil {
 				return
 			}
-			s.lastSeq = sq
-			if s.firstUnsnapped == 0 {
-				s.firstUnsnapped = sq
-			}
-			seq = sq
 		}
-		s.p.Retire(serial)
-		e.mu.Lock()
-		delete(e.modelOf, serial)
-		e.mu.Unlock()
+		e.applyRetire(s, seq, serial)
 	}); err != nil {
 		return err
 	}
@@ -931,7 +872,6 @@ func (e *Engine) recover() error {
 	if err != nil {
 		return err
 	}
-	snapSeq := make(map[string]uint64)
 	var maxSnap uint64
 	for _, ent := range entries {
 		name := ent.Name()
@@ -943,11 +883,8 @@ func (e *Engine) recover() error {
 			return fmt.Errorf("orfdisk: loading snapshot %s: %w", name, err)
 		}
 		e.recovered[model] = st
-		snapSeq[model] = st.lastSeq
 		e.snapped[model] = st.lastSeq
-		if st.lastSeq > maxSnap {
-			maxSnap = st.lastSeq
-		}
+		maxSnap = max(maxSnap, st.lastSeq)
 	}
 	w, err := wal.Open(wal.Options{
 		Dir:          filepath.Join(dir, "wal"),
@@ -981,92 +918,11 @@ func (e *Engine) recover() error {
 		return err
 	}
 
-	// Replay the WAL suffix. Records at or below a model's snapshot
-	// sequence are already captured by that snapshot. Backfill cursor
-	// accounting runs FIRST, before the snapshot skip: a backfill row a
-	// model snapshot covers still counts toward rowsAfter when the
-	// cursor file predates that snapshot (crash between the two writes).
-	err = w.Replay(func(seq uint64, payload []byte) error {
-		rec, err := decodeRecord(payload)
-		if err != nil {
-			return err
-		}
-		switch rec.kind {
-		case recCursor:
-			e.noteCursorRecord(seq, rec.cur)
-			e.met.replayed.Inc()
-			return nil
-		case recObserveBF:
-			e.noteBackfillRecord(seq)
-		}
-		if seq <= snapSeq[rec.obs.Model] {
-			return nil
-		}
-		switch rec.kind {
-		case recObserve, recObserveV2, recObserveBF:
-			e.mu.Lock()
-			e.modelOf[rec.obs.Serial] = rec.obs.Model
-			e.mu.Unlock()
-			var ierr error
-			if err := e.pool.Do(rec.obs.Model, func(s *shardState) {
-				if rec.kind == recObserveBF {
-					// Backfill rows were absorbed without scoring on the
-					// live path; replay the same way (identical state,
-					// and recovery skips the tree walk too).
-					ierr = s.p.Absorb(rec.obs.Observation)
-				} else {
-					_, ierr = s.p.Ingest(rec.obs.Observation)
-				}
-				s.lastSeq = seq
-				if s.firstUnsnapped == 0 {
-					s.firstUnsnapped = seq
-				}
-				if ierr == nil {
-					e.noteApplied(s, 1)
-				}
-			}); err != nil {
-				return err
-			}
-			if ierr != nil {
-				// A record the predictor rejects is a poison pill, not
-				// a reason to refuse to start: the live path already
-				// surfaced this exact error to the client (apply
-				// appends before Ingest, so the record persisted), and
-				// replaying it fails the same deterministic way.
-				// Aborting here would brick the deployment — every
-				// restart replays the same record and dies. Count it,
-				// log it, move on; state matches the live run exactly.
-				e.met.replaySkipped.Inc()
-				e.log.Warn("wal replay: predictor rejected record; skipping",
-					"seq", seq, "model", rec.obs.Model, "serial", rec.obs.Serial, "err", ierr)
-				return nil
-			}
-			e.met.replayed.Inc()
-			if rec.obs.Failed {
-				e.mu.Lock()
-				delete(e.modelOf, rec.obs.Serial)
-				e.mu.Unlock()
-			}
-		case recRetire:
-			if err := e.pool.Do(rec.obs.Model, func(s *shardState) {
-				s.p.Retire(rec.obs.Serial)
-				s.lastSeq = seq
-				if s.firstUnsnapped == 0 {
-					s.firstUnsnapped = seq
-				}
-			}); err != nil {
-				return err
-			}
-			e.mu.Lock()
-			delete(e.modelOf, rec.obs.Serial)
-			e.mu.Unlock()
-			e.met.replayed.Inc()
-		default:
-			return fmt.Errorf("orfdisk: unknown WAL record kind %d at seq %d", rec.kind, seq)
-		}
-		return nil
-	})
-	if err != nil {
+	// Replay the WAL suffix through the same function a follower applies
+	// leader records with (see applyRecord).
+	if err := w.Replay(func(seq uint64, payload []byte) error {
+		return e.applyRecord(seq, payload, applyRecovering)
+	}); err != nil {
 		return err
 	}
 	// Never reuse sequence numbers a snapshot already accounts for.
@@ -1075,6 +931,79 @@ func (e *Engine) recover() error {
 		"snapshots", len(e.recovered),
 		"replayed", e.met.replayed.Value(),
 		"skipped", e.met.replaySkipped.Value())
+	return nil
+}
+
+// applyMode says which door an already-durable record came in by; the
+// doors differ in bookkeeping only, never in what reaches the shard.
+type applyMode uint8
+
+const (
+	// applyRecovering replays the local WAL (startup, seed install):
+	// records a model's snapshot covers are skipped, the rest count as
+	// engine_recovery_replayed_records.
+	applyRecovering applyMode = iota
+	// applyReplicated applies a leader record on a follower: nothing is
+	// skipped (ApplyReplicated drops duplicates by sequence number) and
+	// observations count as engine_ingests, as they did on the leader.
+	applyReplicated
+)
+
+// applyRecord decodes one durable record and applies it to its shard: it
+// is the whole of recovery replay and of follower apply, so a recovered
+// engine and a follower walk the same code over the leader's bytes.
+func (e *Engine) applyRecord(seq uint64, payload []byte, mode applyMode) error {
+	rec, err := decodeRecord(payload)
+	if err != nil {
+		return fmt.Errorf("orfdisk: record at seq %d: %w", seq, err)
+	}
+	// Backfill resume accounting runs before the snapshot skip: a row a
+	// model snapshot covers still counts toward rowsAfter when the cursor
+	// file predates that snapshot (crash between the two writes). A
+	// follower keeps it too, so that once promoted it can continue an
+	// interrupted backfill exactly like a restarted leader.
+	if rec.kind == recCursor || rec.kind == recObserveBF {
+		e.noteBackfill(seq, 1, rec.cur)
+	}
+	var rejected error
+	if rec.kind != recCursor { // cursor records carry no model state
+		// e.snapped is stable here: recovery runs before the snapshot loop
+		// starts, or under snapMu during a seed install.
+		if mode == applyRecovering && seq <= e.snapped[rec.obs.Model] {
+			return nil
+		}
+		if err := e.pool.Do(rec.obs.Model, func(s *shardState) {
+			if rec.kind == recRetire {
+				e.applyRetire(s, seq, rec.obs.Serial)
+				return
+			}
+			// Backfill rows were absorbed without scoring when first
+			// applied; repeat that (identical state, no tree walk).
+			if _, rejected = e.applyRow(s, seq, &rec.obs, rec.kind != recObserveBF); rejected == nil {
+				e.noteApplied(s, 1)
+			}
+		}); err != nil {
+			return err
+		}
+	}
+	if rejected != nil {
+		// A poison pill, not a reason to refuse to start or to stop
+		// following: the record was appended before the predictor saw it,
+		// the door it came in by surfaced this same deterministic error
+		// to its client, and aborting would brick the deployment — every
+		// restart or reconnect meets the record again. Count it, log it,
+		// move on; state matches the first apply exactly.
+		e.met.replaySkipped.Inc()
+		e.log.Warn("predictor rejected durable record; skipping",
+			"seq", seq, "model", rec.obs.Model, "serial", rec.obs.Serial, "err", rejected)
+		return nil
+	}
+	switch {
+	case mode == applyRecovering:
+		e.met.replayed.Inc()
+	case rec.kind == recObserveV2 || rec.kind == recObserveBF:
+		e.met.ingests.Inc()
+	}
 	return nil
 }
 
@@ -1173,224 +1102,4 @@ func loadSnapshot(path string) (model string, st *shardState, err error) {
 		return "", nil, err
 	}
 	return string(nameBuf), &shardState{p: p, lastSeq: lastSeq}, nil
-}
-
-// --- WAL record encoding ---
-
-const (
-	recObserve   = 1 // legacy fixed-width observe record (decode only)
-	recRetire    = 2
-	recObserveV2 = 3 // varint-packed observe record (current writer)
-	recObserveBF = 4 // backfill observe: v2 body, applied via Absorb and counted by the resume cursor
-	recCursor    = 5 // backfill progress cursor (see backfill_engine.go)
-)
-
-type walRecord struct {
-	kind byte
-	obs  FleetObservation
-	cur  *BackfillCursor // recCursor records only
-}
-
-func encodeObserveRecord(obs FleetObservation) []byte {
-	n := 1 + 4 + len(obs.Model) + 4 + len(obs.Serial) + 8 + 1 + 4 + 8*len(obs.Values)
-	return appendObserveRecord(make([]byte, 0, n), obs)
-}
-
-// appendObserveRecord frames an observe record onto buf, letting hot
-// paths reuse one scratch buffer instead of allocating per record. It
-// writes the v2 format: varint header fields, then each value as a
-// length byte (0-8) plus that many significant bytes of the value's
-// byte-reversed float bits. The reversal moves the near-universal
-// small-integer SMART values' zero mantissa bytes to the top, so most
-// values pack into 1-4 bytes instead of 8: typical records shrink
-// >2x, which halves WAL volume, write() time and replay I/O. Unlike a
-// varint the payload is written with one 8-byte store per value (the
-// oversized store lands in reserved scratch and is overwritten by the
-// next field), keeping the encoder off the record's critical path.
-func appendObserveRecord(buf []byte, obs FleetObservation) []byte {
-	return appendObserveRecordKind(buf, obs, recObserveV2)
-}
-
-// appendObserveRecordKind writes the v2 observe body under an explicit
-// kind byte: recObserveV2 for the live path, recObserveBF for backfill
-// rows (same wire format, distinct kind so the resume cursor counts
-// only its own rows).
-func appendObserveRecordKind(buf []byte, obs FleetObservation, kind byte) []byte {
-	// Worst case per value: 1 length byte + 8 payload; +8 slack so the
-	// last value's full-width store stays in bounds.
-	worst := 2 + 3*binary.MaxVarintLen64 + len(obs.Model) + len(obs.Serial) +
-		9*len(obs.Values) + 8
-	n := len(buf)
-	if cap(buf)-n < worst {
-		buf = append(buf[:n], make([]byte, worst)...)
-	}
-	b := buf[n : n+worst]
-	b[0] = kind
-	i := 1
-	i += binary.PutUvarint(b[i:], uint64(len(obs.Model)))
-	i += copy(b[i:], obs.Model)
-	i += binary.PutUvarint(b[i:], uint64(len(obs.Serial)))
-	i += copy(b[i:], obs.Serial)
-	i += binary.PutVarint(b[i:], int64(obs.Day))
-	if obs.Failed {
-		b[i] = 1
-	} else {
-		b[i] = 0
-	}
-	i++
-	i += binary.PutUvarint(b[i:], uint64(len(obs.Values)))
-	for _, v := range obs.Values {
-		u := bits.ReverseBytes64(math.Float64bits(v))
-		w := (bits.Len64(u) + 7) / 8
-		b[i] = byte(w)
-		binary.LittleEndian.PutUint64(b[i+1:], u)
-		i += 1 + w
-	}
-	return buf[:n+i]
-}
-
-func encodeRetireRecord(model, serial string) []byte {
-	buf := make([]byte, 0, 1+4+len(model)+4+len(serial))
-	buf = append(buf, recRetire)
-	buf = appendString(buf, model)
-	buf = appendString(buf, serial)
-	return buf
-}
-
-func appendString(buf []byte, s string) []byte {
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(s)))
-	return append(buf, s...)
-}
-
-func decodeRecord(b []byte) (walRecord, error) {
-	var rec walRecord
-	if len(b) < 1 {
-		return rec, fmt.Errorf("orfdisk: empty WAL record")
-	}
-	rec.kind = b[0]
-	if rec.kind == recObserveV2 || rec.kind == recObserveBF {
-		out, err := decodeObserveV2(b[1:])
-		out.kind = rec.kind
-		return out, err
-	}
-	if rec.kind == recCursor {
-		cur, err := decodeCursorRecord(b[1:])
-		rec.cur = cur
-		return rec, err
-	}
-	b = b[1:]
-	var err error
-	if rec.obs.Model, b, err = takeString(b); err != nil {
-		return rec, err
-	}
-	if rec.obs.Serial, b, err = takeString(b); err != nil {
-		return rec, err
-	}
-	if rec.kind == recRetire {
-		return rec, nil
-	}
-	if len(b) < 8+1+4 {
-		return rec, fmt.Errorf("orfdisk: truncated WAL record")
-	}
-	rec.obs.Day = int(int64(binary.LittleEndian.Uint64(b)))
-	rec.obs.Failed = b[8] == 1
-	nv := binary.LittleEndian.Uint32(b[9:])
-	b = b[13:]
-	if uint64(len(b)) != uint64(nv)*8 {
-		return rec, fmt.Errorf("orfdisk: WAL record carries %d bytes for %d values", len(b), nv)
-	}
-	rec.obs.Values = make([]float64, nv)
-	for i := range rec.obs.Values {
-		rec.obs.Values[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
-	}
-	return rec, nil
-}
-
-// decodeObserveV2 parses the varint-packed observe body written by
-// appendObserveRecord (b excludes the kind byte).
-func decodeObserveV2(b []byte) (walRecord, error) {
-	rec := walRecord{kind: recObserveV2}
-	bad := func() (walRecord, error) {
-		return rec, fmt.Errorf("orfdisk: truncated v2 WAL record")
-	}
-	var err error
-	if rec.obs.Model, b, err = takeVarString(b); err != nil {
-		return rec, err
-	}
-	if rec.obs.Serial, b, err = takeVarString(b); err != nil {
-		return rec, err
-	}
-	day, n := binary.Varint(b)
-	if n <= 0 {
-		return bad()
-	}
-	rec.obs.Day = int(day)
-	b = b[n:]
-	if len(b) < 1 {
-		return bad()
-	}
-	rec.obs.Failed = b[0] == 1
-	b = b[1:]
-	nv, n := binary.Uvarint(b)
-	if n <= 0 {
-		return bad()
-	}
-	b = b[n:]
-	// Every packed value is at least one byte, so nv is bounded by the
-	// remaining body; checking before the make keeps a corrupt count
-	// from forcing a huge allocation.
-	if nv > uint64(len(b)) {
-		return bad()
-	}
-	rec.obs.Values = make([]float64, nv)
-	for i := range rec.obs.Values {
-		if len(b) < 1 {
-			return bad()
-		}
-		w := int(b[0])
-		if w > 8 || len(b) < 1+w {
-			return bad()
-		}
-		var u uint64
-		if len(b) >= 9 {
-			u = binary.LittleEndian.Uint64(b[1:]) & valueMask[w]
-		} else {
-			for k := 0; k < w; k++ {
-				u |= uint64(b[1+k]) << (8 * k)
-			}
-		}
-		rec.obs.Values[i] = math.Float64frombits(bits.ReverseBytes64(u))
-		b = b[1+w:]
-	}
-	if len(b) != 0 {
-		return rec, fmt.Errorf("orfdisk: %d trailing bytes in v2 WAL record", len(b))
-	}
-	return rec, nil
-}
-
-// valueMask[w] keeps the low w bytes of a full-width little-endian
-// load, so the decoder can mirror the encoder's single-store trick
-// whenever at least 8 payload bytes remain.
-var valueMask = [9]uint64{
-	0, 0xFF, 0xFFFF, 0xFFFFFF, 0xFFFFFFFF,
-	0xFF_FFFFFFFF, 0xFFFF_FFFFFFFF, 0xFFFFFF_FFFFFFFF, ^uint64(0),
-}
-
-func takeVarString(b []byte) (string, []byte, error) {
-	n, sz := binary.Uvarint(b)
-	if sz <= 0 || n > uint64(len(b)-sz) {
-		return "", nil, fmt.Errorf("orfdisk: truncated v2 WAL record")
-	}
-	return string(b[sz : sz+int(n)]), b[sz+int(n):], nil
-}
-
-func takeString(b []byte) (string, []byte, error) {
-	if len(b) < 4 {
-		return "", nil, fmt.Errorf("orfdisk: truncated WAL record")
-	}
-	n := binary.LittleEndian.Uint32(b)
-	if uint64(len(b)) < 4+uint64(n) {
-		return "", nil, fmt.Errorf("orfdisk: truncated WAL record")
-	}
-	return string(b[4 : 4+n]), b[4+n:], nil
 }

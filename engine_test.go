@@ -1,6 +1,7 @@
 package orfdisk
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/fnv"
@@ -8,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -52,6 +54,12 @@ func modelForSerial(serial string, nModels int) string {
 
 func engineTestConfig() Config {
 	return Config{Horizon: 4, ORF: ORFConfig{Trees: 5, MinParentSize: 50, Seed: 9}}
+}
+
+// encodeObserveRecord frames obs the way the live ingest path does, for
+// tests that plant or decode raw WAL records.
+func encodeObserveRecord(obs FleetObservation) []byte {
+	return appendObserveRecordKind(nil, obs, recObserveV2)
 }
 
 func samePrediction(a, b Prediction) bool {
@@ -906,12 +914,13 @@ func TestObserveRecordRoundTrip(t *testing.T) {
 	}
 }
 
-// TestObserveRecordDecodesLegacyV1 keeps recovery working for WALs
-// written before the varint format: the fixed-width v1 layout must
-// still decode (the kind-1 writer is gone, so the frame is hand-built
-// the way encodeObserveRecord used to build it).
-func TestObserveRecordDecodesLegacyV1(t *testing.T) {
-	want := FleetObservation{
+// TestObserveRecordRejectsLegacyV1 pins what happens to the fixed-width
+// v1 observe layout now that its decoder is gone: kind byte 1 stays
+// reserved and a well-formed v1 frame (hand-built, the writer left long
+// ago) is refused with an error that names it, instead of being misread
+// as some other kind.
+func TestObserveRecordRejectsLegacyV1(t *testing.T) {
+	obs := FleetObservation{
 		Model: "HGST HMS5C4040BLE640",
 		Observation: Observation{
 			Serial: "PL1331LAHG1S4H", Day: 214, Failed: false,
@@ -919,23 +928,23 @@ func TestObserveRecordDecodesLegacyV1(t *testing.T) {
 		},
 	}
 	var buf []byte
-	buf = append(buf, recObserve)
-	for _, s := range []string{want.Model, want.Serial} {
+	buf = append(buf, recObserveV1)
+	for _, s := range []string{obs.Model, obs.Serial} {
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(s)))
 		buf = append(buf, s...)
 	}
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(int64(want.Day)))
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(int64(obs.Day)))
 	buf = append(buf, 0)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(want.Values)))
-	for _, v := range want.Values {
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(obs.Values)))
+	for _, v := range obs.Values {
 		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
 	}
-	rec, err := decodeRecord(buf)
-	if err != nil {
-		t.Fatal(err)
+	_, err := decodeRecord(buf)
+	if err == nil || !strings.Contains(err.Error(), "unsupported v1 observe record") {
+		t.Fatalf("v1 decode: err = %v, want an unsupported-v1 rejection", err)
 	}
-	if rec.kind != recObserve || !reflect.DeepEqual(rec.obs, want) {
-		t.Fatalf("v1 decode: got kind %d obs %+v, want %+v", rec.kind, rec.obs, want)
+	if _, err := decodeRecord([]byte{0x7F, 1, 2, 3}); err == nil {
+		t.Fatal("decode of an unknown record kind succeeded")
 	}
 }
 
@@ -953,5 +962,238 @@ func TestObserveRecordRejectsCorruptV2(t *testing.T) {
 	}
 	if _, err := decodeRecord(append(append([]byte(nil), good...), 0xAA)); err == nil {
 		t.Error("decode with trailing garbage succeeded")
+	}
+}
+
+// pathStep is one step of a TestApplyPathsAgree sequence: an observation
+// (poison marks one the predictor rejects), or a retire.
+type pathStep struct {
+	obs    FleetObservation
+	retire string
+	poison bool
+}
+
+// pathRuns cuts steps into the maximal runs of observations between
+// retires — what a batching client would send as one call each. A retire
+// is a nil run with its serial at the same index of retires.
+func pathRuns(steps []pathStep, keepPoison bool) (runs [][]FleetObservation, retires []string) {
+	var run []FleetObservation
+	flush := func() {
+		if len(run) > 0 {
+			runs, retires = append(runs, run), append(retires, "")
+			run = nil
+		}
+	}
+	for _, st := range steps {
+		switch {
+		case st.retire != "":
+			flush()
+			runs, retires = append(runs, nil), append(retires, st.retire)
+		case !st.poison || keepPoison:
+			run = append(run, st.obs)
+		}
+	}
+	flush()
+	return runs, retires
+}
+
+// routesAndQueues returns the engine's routing memory next to the
+// serial->model map its shards' labeling queues imply.
+func routesAndQueues(t *testing.T, e *Engine) (routes, queues map[string]string) {
+	t.Helper()
+	routes, queues = map[string]string{}, map[string]string{}
+	e.mu.RLock()
+	for serial, model := range e.modelOf {
+		routes[serial] = model
+	}
+	e.mu.RUnlock()
+	for _, model := range e.Models() {
+		if err := e.pool.Query(model, func(s *shardState) {
+			for _, serial := range s.p.TrackedSerials() {
+				queues[serial] = model
+			}
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return routes, queues
+}
+
+// TestApplyPathsAgree drives short hostile sequences through every door
+// a record can reach a shard by — Ingest, IngestBatch, IngestBackfill,
+// crash recovery of the WAL and a follower's ApplyReplicated — and
+// demands one outcome: the same routes, the same Stats and byte-equal
+// model state, with a serial routed exactly when its shard's labeler
+// tracks it (the property recovery rebuilds routes from). Before the
+// doors shared applyRow/applyRecord the batch doors committed every
+// route up front and only deleted afterwards, so a disk observed again
+// after its failure inside one batch ended up unroutable, and replay
+// routed poison-pill serials no queue ever held.
+func TestApplyPathsAgree(t *testing.T) {
+	row := func(serial, model string, day int, failed bool) pathStep {
+		v := make([]float64, CatalogSize())
+		for i := range v {
+			v[i] = float64((day*7 + i) % 11)
+		}
+		return pathStep{obs: FleetObservation{Model: model,
+			Observation: Observation{Serial: serial, Day: day, Failed: failed, Values: v}}}
+	}
+	// A row the predictor rejects (wrong vector width — e.g. written by a
+	// binary with a different feature catalog). The validating doors
+	// refuse it before the WAL; replay and replication meet it raw.
+	poison := func(serial, model string, day int) pathStep {
+		return pathStep{poison: true, obs: FleetObservation{Model: model,
+			Observation: Observation{Serial: serial, Day: day, Values: []float64{1, 2, 3}}}}
+	}
+	retire := func(serial string) pathStep { return pathStep{retire: serial} }
+
+	cases := []struct {
+		name  string
+		steps []pathStep
+	}{
+		{"observed, failed, observed again in one batch", []pathStep{
+			row("X", "M", 1, false), row("Y", "N", 1, false),
+			row("X", "M", 2, true), row("X", "M", 3, false), row("Y", "N", 2, false),
+		}},
+		{"failed row last", []pathStep{
+			row("X", "M", 1, false), row("Y", "M", 1, false), row("Z", "N", 1, false),
+			row("Y", "M", 2, false), row("X", "M", 2, true),
+		}},
+		{"retire between observes", []pathStep{
+			row("X", "M", 1, false), row("Y", "N", 1, false), retire("X"),
+			row("X", "M", 2, false), row("Y", "N", 2, false), retire("Y"), retire("ghost"),
+		}},
+		{"poison pills", []pathStep{
+			row("X", "M", 1, false), poison("px", "M", 1), poison("X", "M", 2),
+			row("X", "M", 3, false), poison("py", "M", 3),
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := engineTestConfig()
+			open := func(ec EngineConfig) *Engine {
+				t.Helper()
+				ec.Predictor = cfg
+				e, err := NewEngine(ec)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return e
+			}
+			// byRuns replays the sequence as one call per run of
+			// observations, retires in between.
+			byRuns := func(e *Engine, keepPoison bool, send func([]FleetObservation)) {
+				t.Helper()
+				runs, retires := pathRuns(tc.steps, keepPoison)
+				for k, run := range runs {
+					if run == nil {
+						if err := e.Retire(retires[k]); err != nil {
+							t.Fatal(err)
+						}
+						continue
+					}
+					send(run)
+				}
+			}
+
+			doors := map[string]*Engine{}
+
+			// Door 1: one Ingest per row. The writer is durable and its
+			// WAL — with the poison rows planted raw, as a binary with
+			// another catalog would have logged them — feeds doors 4 and 5.
+			writer := open(EngineConfig{DataDir: t.TempDir()})
+			doors["Ingest"] = writer
+			for _, st := range tc.steps {
+				switch {
+				case st.retire != "":
+					if err := writer.Retire(st.retire); err != nil {
+						t.Fatal(err)
+					}
+				case st.poison:
+					if _, err := writer.Ingest(st.obs); err == nil {
+						t.Fatal("Ingest accepted a poison row")
+					}
+					if _, err := writer.wal.Append(encodeObserveRecord(st.obs)); err != nil {
+						t.Fatal(err)
+					}
+				default:
+					if _, err := writer.Ingest(st.obs); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+
+			// Door 2: IngestBatch, durable so the slice's WAL bookkeeping
+			// runs too. Poison rows fail per item.
+			batch := open(EngineConfig{DataDir: t.TempDir()})
+			defer batch.Close()
+			doors["IngestBatch"] = batch
+			byRuns(batch, true, func(run []FleetObservation) {
+				for i, r := range batch.IngestBatch(append([]FleetObservation(nil), run...)) {
+					if want := len(run[i].Values) != CatalogSize(); (r.Err != nil) != want {
+						t.Fatalf("IngestBatch row %d: err = %v, want failure = %v", i, r.Err, want)
+					}
+				}
+			})
+
+			// Door 3: IngestBackfill. The loader only ever hands over
+			// full-width rows (one bad row fails the whole call), so the
+			// poison rows are dropped the way the CSV decoder would.
+			backfill := open(EngineConfig{DataDir: t.TempDir()})
+			defer backfill.Close()
+			doors["IngestBackfill"] = backfill
+			byRuns(backfill, false, func(run []FleetObservation) {
+				if err := backfill.IngestBackfill(run, nil); err != nil {
+					t.Fatal(err)
+				}
+			})
+
+			// Door 5 (before 4: it reads the writer's WAL through a cursor).
+			follower := open(EngineConfig{DataDir: t.TempDir(), Follower: true})
+			defer follower.Close()
+			doors["ApplyReplicated"] = follower
+			if err := follower.ApplyReplicated(leaderRecords(t, writer, nil)); err != nil {
+				t.Fatal(err)
+			}
+
+			// Door 4: kill the writer (no Close, no snapshot) and recover
+			// its directory.
+			recovered := open(EngineConfig{DataDir: writer.cfg.DataDir})
+			defer recovered.Close()
+			doors["recover"] = recovered
+
+			serials := map[string]bool{}
+			for _, st := range tc.steps {
+				serials[st.obs.Serial+st.retire] = true
+			}
+			dump := func(e *Engine, model string) []byte {
+				var buf bytes.Buffer
+				if err := e.DumpModel(model, &buf); err != nil {
+					t.Fatal(err)
+				}
+				return buf.Bytes()
+			}
+			for name, e := range doors {
+				routes, queues := routesAndQueues(t, e)
+				if !reflect.DeepEqual(routes, queues) {
+					t.Errorf("%s: routes %v, labeling queues %v", name, routes, queues)
+				}
+				for serial := range serials {
+					wm, wok := writer.ModelOf(serial)
+					if gm, gok := e.ModelOf(serial); gm != wm || gok != wok {
+						t.Errorf("%s: ModelOf(%q) = %q, %v; Ingest door has %q, %v",
+							name, serial, gm, gok, wm, wok)
+					}
+				}
+				if got, want := e.Stats(), writer.Stats(); !reflect.DeepEqual(got, want) {
+					t.Errorf("%s: Stats\ngot  %+v\nwant %+v", name, got, want)
+				}
+				for _, model := range writer.Models() {
+					if !bytes.Equal(dump(e, model), dump(writer, model)) {
+						t.Errorf("%s: model %s state differs from the Ingest door's", name, model)
+					}
+				}
+			}
+		})
 	}
 }

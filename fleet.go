@@ -12,7 +12,10 @@ import (
 // model. Fleet creates predictors lazily as new models appear in the
 // stream — exactly the situation of a growing data center.
 //
-// Not safe for concurrent use, like Predictor.
+// Not safe for concurrent use, like Predictor. The serving stack runs on
+// Engine; Fleet stays as the single-threaded reference the engine's
+// tests compare against (and as the simplest library entry point), so
+// its routing rules are the ones Engine must reproduce.
 type Fleet struct {
 	cfg        Config
 	predictors map[string]*Predictor

@@ -589,7 +589,9 @@ func (m *merger) cursor() *orfdisk.BackfillCursor {
 // order, driven row-by-row through Engine.Ingest (full scoring path, no
 // batching, no cursor). It exists for two reasons: the benchmark's
 // speedup denominator, and a correctness cross-check — Ingest and the
-// pipeline's Absorb must leave bit-identical predictor state.
+// pipeline's Absorb must leave bit-identical predictor state. No
+// command calls it: it stays exported only because the equivalence test
+// and BenchmarkBackfillNaive use it as their reference.
 func RunNaive(eng Ingester, files []string, opts Options) (Stats, error) {
 	opts = opts.withDefaults()
 	stats := Stats{FirstDay: -1, LastDay: -1}

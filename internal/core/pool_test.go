@@ -134,10 +134,11 @@ func TestCloseBeforeFirstUpdate(t *testing.T) {
 	}
 }
 
-// TestSequentialConfigStartsNoWorkers: Workers <= 1 (or a single tree)
+// TestSequentialConfigStartsNoWorkers: Workers == 1 (or a single tree)
 // must never spawn pool goroutines.
 func TestSequentialConfigStartsNoWorkers(t *testing.T) {
-	cfg := balancedCfg(6) // Workers defaults to 1
+	cfg := balancedCfg(6)
+	cfg.Workers = 1 // explicit: 0 defaults to GOMAXPROCS, not 1
 	f := New(3, cfg)
 	defer f.Close()
 	f.Update([]float64{0.1, 0.2, 0.3}, 0)

@@ -27,11 +27,11 @@ import (
 // blocks are encoded and decoded in parallel on the forest worker
 // pool. Block contents reuse the exact v1 field layout, so v1 and v2
 // carry identical state and a restored forest round-trips
-// bit-identically under either. ReadForest accepts both; v1 is kept
-// writable (WriteToLegacy) for compatibility tests and as the raw
-// single-threaded baseline in benchmarks. The format is internal and
-// versioned by the magic; there is no cross-version compatibility
-// promise beyond reading v1.
+// bit-identically under either. ReadForest accepts both, but nothing
+// outside the tests writes v1 any more (serialize_test.go assembles v1
+// bytes from writeHeader/writeTree for the migration test). The format
+// is internal and versioned by the magic; there is no cross-version
+// compatibility promise beyond reading v1.
 
 const (
 	magicV1 = "ORF1"
@@ -213,24 +213,6 @@ func (f *Forest) writeToV2(dst io.Writer, codec frame.Codec) (int64, error) {
 	return total, nil
 }
 
-// WriteToLegacy serializes the forest in the original v1 format: one
-// raw, uncompressed, single-threaded byte stream. Kept for migration
-// tests and as the benchmark baseline; new snapshots use WriteTo.
-func (f *Forest) WriteToLegacy(dst io.Writer) (int64, error) {
-	var buf bytes.Buffer
-	w := &writer{w: &buf}
-	buf.WriteString(magicV1)
-	f.writeHeader(w)
-	for _, t := range f.trees {
-		writeTree(w, t)
-	}
-	if w.err != nil {
-		return 0, w.err
-	}
-	n, err := dst.Write(buf.Bytes())
-	return int64(n), err
-}
-
 func writeTree(w *writer, t *onlineTree) {
 	w.i64(int64(t.age))
 	w.f64(t.oobErrNeg)
@@ -267,8 +249,9 @@ func writeTree(w *writer, t *onlineTree) {
 	}
 }
 
-// ReadForest deserializes a forest written by WriteTo (v2), WriteToRaw,
-// or WriteToLegacy (v1). v1 snapshots load byte-for-byte as before.
+// ReadForest deserializes a forest written by WriteTo or WriteToRaw
+// (v2), or a v1 snapshot from before the framed format; v1 snapshots
+// load byte-for-byte as before.
 func ReadForest(src io.Reader) (*Forest, error) {
 	head := make([]byte, len(magicV1))
 	if _, err := io.ReadFull(src, head); err != nil {

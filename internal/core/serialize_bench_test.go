@@ -49,11 +49,10 @@ func snapForest(b *testing.B, reg snapRegime) *Forest {
 	return f
 }
 
-// snapVariants are the three on-disk codecs under comparison:
-// orf2-flate (parallel per-tree compression, the production format),
-// orf2-raw (same parallel framing, passthrough codec — isolates the
-// flate cost), and orf1-legacy (the single-threaded uncompressed v1
-// baseline the speedup is accepted against).
+// snapVariants are the two on-disk codecs under comparison: orf2-flate
+// (parallel per-tree compression, the production format) and orf2-raw
+// (same parallel framing, passthrough codec — isolates the flate cost
+// and is the uncompressed size the ratio is read against).
 func snapVariants(f *Forest) []struct {
 	name string
 	fn   func(io.Writer) (int64, error)
@@ -64,7 +63,6 @@ func snapVariants(f *Forest) []struct {
 	}{
 		{"orf2-flate", f.WriteTo},
 		{"orf2-raw", f.WriteToRaw},
-		{"orf1-legacy", f.WriteToLegacy},
 	}
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"io"
 	"testing"
 
 	"orfdisk/internal/rng"
@@ -111,6 +112,24 @@ func TestSnapshotRejectsCorruptCounts(t *testing.T) {
 	if _, err := ReadForest(bytes.NewReader(data)); err == nil {
 		t.Fatal("corrupt tree count accepted")
 	}
+}
+
+// WriteToLegacy serializes the forest in the original v1 format: one
+// raw, uncompressed, single-threaded byte stream. Test-only — the
+// product stopped writing ORF1 when ORF2 landed and only reads it.
+func (f *Forest) WriteToLegacy(dst io.Writer) (int64, error) {
+	var buf bytes.Buffer
+	w := &writer{w: &buf}
+	buf.WriteString(magicV1)
+	f.writeHeader(w)
+	for _, t := range f.trees {
+		writeTree(w, t)
+	}
+	if w.err != nil {
+		return 0, w.err
+	}
+	n, err := dst.Write(buf.Bytes())
+	return int64(n), err
 }
 
 // TestSnapshotLegacyMigration proves the ORF1 → ORF2 path: a legacy

@@ -14,7 +14,7 @@ import (
 // ErrNotLeader), and instead implements replica.Applier: records shipped
 // from the leader are appended to the follower's own WAL *at the
 // leader's sequence numbers* (wal.AppendAt), then applied to the shard
-// workers exactly like recovery replay. Because the follower mirrors
+// workers by the function recovery replay uses (applyRecord). Because the follower mirrors
 // leader numbering, its snapshots, crash recovery and replication-resume
 // position all speak leader offsets — and after Promote, appends simply
 // continue the leader's sequence, so a promoted follower's saved state
@@ -141,85 +141,13 @@ func (e *Engine) ApplyReplicated(recs []replica.Record) error {
 				return err
 			}
 		}
-		if err := e.applyReplicatedRecord(r.Seq, r.Payload); err != nil {
+		if err := e.applyRecord(r.Seq, r.Payload, applyReplicated); err != nil {
 			return err
 		}
 		applied = r.Seq
 		e.replApplied.Store(applied)
 	}
 	return e.wal.Sync()
-}
-
-// applyReplicatedRecord routes one already-durable leader record to its
-// shard, mirroring recovery replay: routes commit, the predictor
-// updates, a rejected record is skipped (the leader surfaced that same
-// deterministic error to its client, so skipping keeps state identical).
-func (e *Engine) applyReplicatedRecord(seq uint64, payload []byte) error {
-	rec, err := decodeRecord(payload)
-	if err != nil {
-		return err
-	}
-	switch rec.kind {
-	case recCursor:
-		// Backfill cursor records carry no model state; the follower just
-		// tracks the resume point so a promoted follower can continue an
-		// interrupted backfill exactly like a restarted leader.
-		e.noteCursorRecord(seq, rec.cur)
-		return nil
-	case recObserve, recObserveV2, recObserveBF:
-		if rec.kind == recObserveBF {
-			e.noteBackfillRecord(seq)
-		}
-		e.mu.Lock()
-		e.modelOf[rec.obs.Serial] = rec.obs.Model
-		e.mu.Unlock()
-		var ierr error
-		if err := e.pool.Do(rec.obs.Model, func(s *shardState) {
-			if rec.kind == recObserveBF {
-				// Mirror the leader's scoring-free apply (identical state).
-				ierr = s.p.Absorb(rec.obs.Observation)
-			} else {
-				_, ierr = s.p.Ingest(rec.obs.Observation)
-			}
-			s.lastSeq = seq
-			if s.firstUnsnapped == 0 {
-				s.firstUnsnapped = seq
-			}
-			if ierr == nil {
-				e.noteApplied(s, 1)
-			}
-		}); err != nil {
-			return err
-		}
-		if ierr != nil {
-			e.met.replaySkipped.Inc()
-			e.log.Warn("replication: predictor rejected record; skipping",
-				"seq", seq, "model", rec.obs.Model, "serial", rec.obs.Serial, "err", ierr)
-			return nil
-		}
-		e.met.ingests.Inc()
-		if rec.obs.Failed {
-			e.mu.Lock()
-			delete(e.modelOf, rec.obs.Serial)
-			e.mu.Unlock()
-		}
-	case recRetire:
-		if err := e.pool.Do(rec.obs.Model, func(s *shardState) {
-			s.p.Retire(rec.obs.Serial)
-			s.lastSeq = seq
-			if s.firstUnsnapped == 0 {
-				s.firstUnsnapped = seq
-			}
-		}); err != nil {
-			return err
-		}
-		e.mu.Lock()
-		delete(e.modelOf, rec.obs.Serial)
-		e.mu.Unlock()
-	default:
-		return fmt.Errorf("orfdisk: unknown replicated record kind %d at seq %d", rec.kind, seq)
-	}
-	return nil
 }
 
 // lagRecords returns how many leader records the follower has yet to
