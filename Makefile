@@ -2,9 +2,9 @@
 
 GO ?= go
 
-.PHONY: check vet vet-orfbench build test race bench bench-ingest bench-predict bench-predict-smoke bench-replicate bench-replicate-smoke bench-replay bench-replay-smoke bench-snapshot bench-snapshot-smoke bench-smoke fmt
+.PHONY: check vet vet-orfbench e2e-smoke build test race bench bench-ingest bench-predict bench-predict-smoke bench-replicate bench-replicate-smoke bench-replay bench-replay-smoke bench-snapshot bench-snapshot-smoke bench-smoke fmt
 
-check: vet vet-orfbench build test race bench-predict-smoke bench-replicate-smoke bench-replay-smoke bench-snapshot-smoke
+check: vet vet-orfbench e2e-smoke build test race bench-predict-smoke bench-replicate-smoke bench-replay-smoke bench-snapshot-smoke
 
 vet:
 	$(GO) vet ./...
@@ -14,6 +14,13 @@ vet:
 # API break would first show up as a failed benchmark run. Vet it here.
 vet-orfbench:
 	$(GO) vet -C cmd/orfbench .
+
+# The only end-to-end check: builds the five binaries, drives the four
+# orfbench workloads untraced and traced on ~20k rows through the real
+# processes, and fails on a failed operation or an oracle mismatch
+# (under a minute; measures nothing).
+e2e-smoke:
+	bash bench/run.sh -all -short
 
 build:
 	$(GO) build ./...

@@ -234,7 +234,7 @@ func (e *Engine) absorbSlice(s *shardState, batch []FleetObservation, idxs []int
 // noteBackfill advances the cursor accounting by what the WAL records up
 // to seq add: a cursor resets rowsAfter to zero, rows without one add to
 // it. IngestBackfill calls it per durable batch (seq is the batch's last
-// record, 0 on a memory-only engine), applyRecord per replayed or
+// record, 0 on a memory-only engine), applyRecords per replayed or
 // replicated record — where anything at or below bf.seq is not news: the
 // cursor file or an earlier delivery already accounted for it.
 func (e *Engine) noteBackfill(seq, rows uint64, cur *BackfillCursor) {

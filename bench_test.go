@@ -11,6 +11,7 @@ package orfdisk
 
 import (
 	"fmt"
+	"runtime"
 	"sort"
 	"testing"
 	"time"
@@ -320,13 +321,27 @@ func BenchmarkLabelerSteadyState(b *testing.B) {
 	}
 }
 
-// BenchmarkUpdateBatch contrasts per-sample Forest.Update (one worker
-// pool wake-up per sample) with Forest.UpdateBatch at batch size 64
-// (one wake-up per batch). Per-op cost is per sample in both variants.
+// BenchmarkUpdateBatch measures Forest.UpdateBatch per sample at the
+// chunk lengths that decide who does the work: 1 (what Update is, and
+// what every batch degenerates to once a healthy forest sits past its
+// replacement cooldown) and 16 (below core's poolMinChunk: the caller's
+// goroutine whatever Workers says), then 64 (the constant itself: the
+// worker pool, at break-even for lambda_n = 0.02) and 256 (well above).
+// Replacement is off so that a chunk stays the length the case names;
+// the replace=on cases feed the same 256-sample batches with replacement
+// on, as every product forest has it. A batch then stays whole only
+// inside a cooldown window (the ReplaceCooldown samples after a tree was
+// replaced); past it updateChunked cuts it into single samples. On this
+// stream some tree always qualifies, so 70% of the samples at lambda_n =
+// 0.02 and 99% at lambda_n = 1 sit inside a window; a forest with no
+// tree to replace has none. lambda_n = 0.02 is the paper's default,
+// where a negative sample is an out-of-bag leaf walk; lambda_n = 1
+// trains on every sample, roughly ten times the work, and is the only
+// regime earlier baselines recorded.
 func BenchmarkUpdateBatch(b *testing.B) {
-	const batch = 64
-	X := make([][]float64, batch)
-	Y := make([]int, batch)
+	const maxChunk = 256
+	X := make([][]float64, maxChunk)
+	Y := make([]int, maxChunk)
 	for i := range X {
 		v := smartVector()
 		for j := range v {
@@ -334,26 +349,33 @@ func BenchmarkUpdateBatch(b *testing.B) {
 		}
 		X[i], Y[i] = v, i%20/19
 	}
-	for _, workers := range []int{1, 4} {
-		cfg := core.Config{Trees: 32, Workers: workers, Seed: 1, LambdaNeg: 1}
-		b.Run("update/workers="+itoa(workers), func(b *testing.B) {
+	// "max" rather than the number, so that the baseline's keys do not
+	// depend on the host that recorded it.
+	workers := []struct {
+		name string
+		n    int
+	}{{"1", 1}, {"max", runtime.GOMAXPROCS(0)}}
+	run := func(name string, cfg core.Config, chunk int) {
+		b.Run(name, func(b *testing.B) {
 			f := core.New(19, cfg)
 			defer f.Close()
 			b.ReportAllocs()
 			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				f.Update(X[i%batch], Y[i%batch])
+			for i := 0; i < b.N; i += chunk {
+				o := i % maxChunk // every case cycles through the same samples
+				f.UpdateBatch(X[o:o+chunk], Y[o:o+chunk])
 			}
 		})
-		b.Run("batch64/workers="+itoa(workers), func(b *testing.B) {
-			f := core.New(19, cfg)
-			defer f.Close()
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i += batch {
-				f.UpdateBatch(X, Y)
+	}
+	for _, lambdaNeg := range []float64{0.02, 1} {
+		for _, w := range workers {
+			cfg := core.Config{Trees: 32, Workers: w.n, Seed: 1, LambdaNeg: lambdaNeg, DisableReplacement: true}
+			for _, chunk := range []int{1, 16, 64, maxChunk} {
+				run(fmt.Sprintf("lambdan=%v/chunk=%d/workers=%s", lambdaNeg, chunk, w.name), cfg, chunk)
 			}
-		})
+			cfg.DisableReplacement = false
+			run(fmt.Sprintf("lambdan=%v/chunk=%d/replace=on/workers=%s", lambdaNeg, maxChunk, w.name), cfg, maxChunk)
+		}
 	}
 }
 
@@ -492,21 +514,6 @@ func BenchmarkAblationForestVsGBDT(b *testing.B) {
 	})
 }
 
-// BenchmarkAblationWorkers measures update fan-out across worker counts
-// (tree-parallelism is the paper's argument for forests over boosting).
-func BenchmarkAblationWorkers(b *testing.B) {
-	r := smartVector()
-	for _, workers := range []int{1, 2, 4} {
-		b.Run("workers="+itoa(workers), func(b *testing.B) {
-			f := core.New(19, core.Config{Trees: 32, Workers: workers, Seed: 1, LambdaNeg: 1})
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				f.Update(r, i%20/19)
-			}
-		})
-	}
-}
-
 func smartVector() []float64 {
 	v := make([]float64, 19)
 	for i := range v {
@@ -524,11 +531,4 @@ func formatFloat(f float64) string {
 	default:
 		return "1.0"
 	}
-}
-
-func itoa(n int) string {
-	if n < 10 {
-		return string(rune('0' + n))
-	}
-	return string(rune('0'+n/10)) + string(rune('0'+n%10))
 }

@@ -17,16 +17,24 @@
 // entries recorded on the same forest size the smoke run uses):
 //
 //	go test ... -short -bench ... | benchjson -check BENCH_predict.json -match '/smoke/' -tol 0.25
+//
+// A recorded file also says where its numbers come from: the reserved
+// "_host" key keeps the goos/goarch/cpu header lines `go test` prints,
+// the GOMAXPROCS the "-N" name suffix gave away (stripped from the
+// names, so baselines diff across machines) and the Go version. -check
+// never compares it.
 package main
 
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 	"regexp"
+	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -41,6 +49,19 @@ type result struct {
 	// so domain numbers land in the baseline next to the timings. They
 	// are recorded, never gated.
 	Extra map[string]float64 `json:"extra,omitempty"`
+}
+
+// hostKey is the one baseline key that is not a benchmark.
+const hostKey = "_host"
+
+// hostStamp is what a baseline file records about the machine and
+// toolchain that produced it.
+type hostStamp struct {
+	GOOS       string `json:"goos,omitempty"`
+	GOARCH     string `json:"goarch,omitempty"`
+	CPU        string `json:"cpu,omitempty"`
+	GOMAXPROCS int    `json:"gomaxprocs"`
+	Go         string `json:"go"`
 }
 
 // benchLine matches one result line: name, iteration count, then
@@ -58,12 +79,57 @@ func main() {
 	tol := flag.Float64("tol", 0.25, "allowed fractional ns/op regression in -check mode")
 	flag.Parse()
 
+	merged, host, err := read(os.Stdin, os.Stdout)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "benchjson:", err)
+		os.Exit(1)
+	}
+
+	if *check != "" {
+		os.Exit(gate(os.Stderr, merged, *check, *match, *tol))
+	}
+
+	file := map[string]any{hostKey: host}
+	for name, r := range merged {
+		file[name] = r
+	}
+	buf, err := json.MarshalIndent(file, "", "  ")
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "benchjson:", err)
+		os.Exit(1)
+	}
+	buf = append(buf, '\n')
+	if *out == "" {
+		os.Stdout.Write(buf)
+		return
+	}
+	if err := os.WriteFile(*out, buf, 0o644); err != nil {
+		fmt.Fprintln(os.Stderr, "benchjson:", err)
+		os.Exit(1)
+	}
+	fmt.Fprintf(os.Stderr, "benchjson: wrote %d benchmarks to %s\n", len(merged), *out)
+}
+
+// read parses `go test -bench` output from in (echoing it to echo so
+// progress stays visible) into per-benchmark minima and the host stamp.
+func read(in io.Reader, echo io.Writer) (map[string]result, hostStamp, error) {
+	host := hostStamp{GOMAXPROCS: 1, Go: runtime.Version()}
 	raw := map[string][]result{}
-	sc := bufio.NewScanner(os.Stdin)
+	sc := bufio.NewScanner(in)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	for sc.Scan() {
 		line := sc.Text()
-		fmt.Println(line) // pass the stream through so progress stays visible
+		fmt.Fprintln(echo, line)
+		if key, v, ok := strings.Cut(line, ": "); ok {
+			switch key {
+			case "goos":
+				host.GOOS = v
+			case "goarch":
+				host.GOARCH = v
+			case "cpu":
+				host.CPU = v
+			}
+		}
 		m := benchLine.FindStringSubmatch(line)
 		if m == nil {
 			continue
@@ -97,12 +163,10 @@ func main() {
 		raw[m[1]] = append(raw[m[1]], r)
 	}
 	if err := sc.Err(); err != nil {
-		fmt.Fprintln(os.Stderr, "benchjson:", err)
-		os.Exit(1)
+		return nil, host, err
 	}
 	if len(raw) == 0 {
-		fmt.Fprintln(os.Stderr, "benchjson: no benchmark lines on stdin")
-		os.Exit(1)
+		return nil, host, errors.New("no benchmark lines on stdin")
 	}
 
 	merged := map[string]result{}
@@ -138,28 +202,13 @@ func main() {
 		if min.AllocsPerOp < 0 {
 			min.AllocsPerOp = 0
 		}
-		merged[stripCPU(name, raw)] = min
+		stripped := stripCPU(name, raw)
+		if n, err := strconv.Atoi(strings.TrimPrefix(name, stripped+"-")); err == nil && stripped != name {
+			host.GOMAXPROCS = n
+		}
+		merged[stripped] = min
 	}
-
-	if *check != "" {
-		os.Exit(gate(os.Stderr, merged, *check, *match, *tol))
-	}
-
-	buf, err := json.MarshalIndent(merged, "", "  ")
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "benchjson:", err)
-		os.Exit(1)
-	}
-	buf = append(buf, '\n')
-	if *out == "" {
-		os.Stdout.Write(buf)
-		return
-	}
-	if err := os.WriteFile(*out, buf, 0o644); err != nil {
-		fmt.Fprintln(os.Stderr, "benchjson:", err)
-		os.Exit(1)
-	}
-	fmt.Fprintf(os.Stderr, "benchjson: wrote %d benchmarks to %s\n", len(merged), *out)
+	return merged, host, nil
 }
 
 // gate compares fresh results against a committed baseline, reports to
@@ -180,6 +229,7 @@ func gate(w io.Writer, fresh map[string]result, baselinePath, match string, tol 
 		fmt.Fprintf(w, "benchjson: %s: %v\n", baselinePath, err)
 		return 1
 	}
+	delete(baseline, hostKey) // where the baseline was recorded, not a benchmark
 	var sel *regexp.Regexp
 	if match != "" {
 		if sel, err = regexp.Compile(match); err != nil {

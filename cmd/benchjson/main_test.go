@@ -63,3 +63,51 @@ func TestGateReportsBothSidesOfABaselineMismatch(t *testing.T) {
 		t.Fatalf("gate = %d on a 2x regression, want 1", code)
 	}
 }
+
+// TestHostStampRecordedAndSkipped covers both directions of the reserved
+// "_host" key: recording keeps the header lines `go test` prints and the
+// GOMAXPROCS suffix it strips from the names, and a baseline that
+// carries the key gates exactly like one that does not.
+func TestHostStampRecordedAndSkipped(t *testing.T) {
+	const run = `goos: linux
+goarch: amd64
+pkg: orfdisk
+cpu: Intel(R) Xeon(R) Processor @ 2.10GHz
+BenchmarkKept/smoke-2         	 1000000	      1405 ns/op	       1 B/op	       0 allocs/op
+BenchmarkKept/smoke-2         	 1000000	      1300 ns/op	       1 B/op	       0 allocs/op
+BenchmarkKept/batch64-2       	  500000	      2405 ns/op
+PASS
+`
+	var echo bytes.Buffer
+	merged, host, err := read(strings.NewReader(run), &echo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if echo.String() != run {
+		t.Errorf("input not passed through:\n%s", echo.String())
+	}
+	if got := merged["BenchmarkKept/smoke"]; got.NsPerOp != 1300 || got.Runs != 2 || len(merged) != 2 {
+		t.Errorf("merged = %+v", merged)
+	}
+	want := hostStamp{GOOS: "linux", GOARCH: "amd64", CPU: "Intel(R) Xeon(R) Processor @ 2.10GHz", GOMAXPROCS: 2, Go: host.Go}
+	if host != want || !strings.HasPrefix(host.Go, "go") {
+		t.Errorf("host stamp %+v, want %+v with a Go version", host, want)
+	}
+	// One core: testing appends no suffix, and names ending in digits stay whole.
+	if _, host, err := read(strings.NewReader("BenchmarkKept/batch64 \t 5\t 10 ns/op\n"), &echo); err != nil || host.GOMAXPROCS != 1 {
+		t.Errorf("suffix-less run: GOMAXPROCS %d, err %v", host.GOMAXPROCS, err)
+	}
+
+	path := filepath.Join(t.TempDir(), "BENCH.json")
+	buf, err := json.Marshal(map[string]any{hostKey: host, "BenchmarkKept/smoke": result{NsPerOp: 1300}, "BenchmarkKept/batch64": result{NsPerOp: 2405}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, buf, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	if code := gate(&out, merged, path, "", 0.25); code != 0 || strings.Contains(out.String(), hostKey) {
+		t.Errorf("gate against a stamped baseline = %d, want 0 and no word about %s:\n%s", code, hostKey, out.String())
+	}
+}

@@ -77,8 +77,15 @@ type Engine struct {
 	// (clock-skew-free, for silence detection). readyMaxLag bounds the
 	// catch-up lag /readyz accepts; readyMaxSilence bounds how long a
 	// follower may hear nothing from its leader and still claim ready.
-	follower        atomic.Bool
-	replApplied     atomic.Uint64
+	follower    atomic.Bool
+	replApplied atomic.Uint64
+	// replPendingLow is bfState.pendingLow's twin for ApplyReplicated,
+	// which appends off the shard workers too: the lowest leader record in
+	// the follower's log that no shard has applied yet (0 = none). Set
+	// before the records exist, cleared once all are on their shards, left
+	// standing when a shard sheds its run (ErrBusy): until the leader
+	// redelivers, the log is the only place those records live.
+	replPendingLow  atomic.Uint64
 	leaderHead      atomic.Uint64
 	leaderSent      atomic.Int64
 	lastFrame       atomic.Int64
@@ -220,6 +227,7 @@ type engineMetrics struct {
 	snapshotBytes   *metrics.GaugeVec
 	replayed        *metrics.Counter
 	replaySkipped   *metrics.Counter
+	recoverySeconds *metrics.Gauge
 	freezes         *metrics.Counter
 	predictRequests *metrics.Counter
 	predictSeconds  *metrics.Histogram
@@ -236,6 +244,7 @@ func newEngineMetrics(reg *metrics.Registry) engineMetrics {
 		snapshotBytes:   reg.GaugeVec("engine_snapshot_bytes", "Bytes written by the most recent snapshot pass, by on-disk format.", "format"),
 		replayed:        reg.Counter("engine_recovery_replayed_records_total", "WAL records replayed during crash recovery."),
 		replaySkipped:   reg.Counter("engine_recovery_skipped_records_total", "WAL records skipped during recovery because the predictor rejected them (poison pills)."),
+		recoverySeconds: reg.Gauge("engine_recovery_seconds", "Wall time of the most recent recovery: snapshot load, WAL open and replay (set when it completes)."),
 		freezes:         reg.Counter("engine_frozen_publishes_total", "Frozen scoring snapshots published for the lock-free read path."),
 		predictRequests: reg.Counter("predict_requests_total", "Read-path scoring requests served from frozen snapshots (Score and ScoreBatch calls)."),
 		predictSeconds:  reg.Histogram("predict_seconds", "Wall time of one read-path scoring request (single or batch)."),
@@ -723,7 +732,13 @@ func (e *Engine) Importance(model string) (imp []FeatureImportance, ok bool) {
 
 // Snapshot atomically persists every shard's full state (model +
 // labeling queues) and truncates the WAL up to the lowest sequence
-// number not covered by a snapshot. A no-op without a DataDir.
+// number not covered by a snapshot — applied to a shard since, or
+// appended by a backfill or replicated batch that has yet to reach one —
+// or still needed by an attached follower (the WAL's retain floor). When
+// that covers every record — nothing was appended while the pass ran, as
+// on shutdown — the log is sealed: what remains is one empty segment
+// named after the next sequence number, and a restart replays nothing.
+// A no-op without a DataDir.
 func (e *Engine) Snapshot() error {
 	if e.wal == nil {
 		return nil
@@ -777,7 +792,24 @@ func (e *Engine) Snapshot() error {
 	// carries a sequence number at or above the fallback, keeping the
 	// cutoff conservative.
 	cutoff := e.wal.NextSeq()
-	for _, model := range models {
+	// A backfill batch, or a follower's delivered batch, between its WAL
+	// append and its shard applies is durable but covered by nothing; its
+	// floor caps the cutoff (bfState.pendingLow, Engine.replPendingLow).
+	// Read after the capture and before the sweep: a floor not yet set
+	// means its batch is appended after the capture, one already cleared
+	// that every row reached its shard before the shard is read below.
+	e.bf.mu.Lock()
+	bfLow := e.bf.pendingLow
+	e.bf.mu.Unlock()
+	for _, low := range [...]uint64{bfLow, e.replPendingLow.Load()} {
+		if low != 0 && low < cutoff {
+			cutoff = low
+		}
+	}
+	// The sweep reads the shard set afresh: a model whose first records
+	// arrived while the pass above was writing has no snapshot yet, and a
+	// sealing truncation would otherwise take its records for covered.
+	for _, model := range e.pool.Keys() {
 		if err := e.pool.Query(model, func(s *shardState) {
 			if s.firstUnsnapped != 0 && s.firstUnsnapped < cutoff {
 				cutoff = s.firstUnsnapped
@@ -787,14 +819,6 @@ func (e *Engine) Snapshot() error {
 			return err
 		}
 	}
-	// A backfill batch between its WAL append and its shard applies is
-	// durable but covered by nothing; its floor caps the cutoff (see
-	// bfState.pendingLow).
-	e.bf.mu.Lock()
-	if e.bf.pendingLow != 0 && e.bf.pendingLow < cutoff {
-		cutoff = e.bf.pendingLow
-	}
-	e.bf.mu.Unlock()
 	if err := e.wal.Sync(); err != nil {
 		e.met.snapshotErrors.Inc()
 		return err
@@ -858,6 +882,7 @@ const (
 )
 
 func (e *Engine) recover() error {
+	start, replayedBefore := time.Now(), e.met.replayed.Value()
 	dir := e.cfg.DataDir
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
@@ -919,18 +944,21 @@ func (e *Engine) recover() error {
 	}
 
 	// Replay the WAL suffix through the same function a follower applies
-	// leader records with (see applyRecord).
-	if err := w.Replay(func(seq uint64, payload []byte) error {
-		return e.applyRecord(seq, payload, applyRecovering)
-	}); err != nil {
+	// leader records with (see applyRecords).
+	if _, err := e.applyRecords(applyRecovering, w.Replay); err != nil {
 		return err
 	}
 	// Never reuse sequence numbers a snapshot already accounts for.
 	w.SkipTo(maxSnap + 1)
+	elapsed := time.Since(start)
+	e.met.recoverySeconds.Set(elapsed.Seconds())
+	replayed := e.met.replayed.Value() - replayedBefore // a seed install recovers again
 	e.log.Info("recovery complete",
 		"snapshots", len(e.recovered),
-		"replayed", e.met.replayed.Value(),
-		"skipped", e.met.replaySkipped.Value())
+		"replayed", replayed,
+		"skipped", e.met.replaySkipped.Value(),
+		"elapsed", elapsed,
+		"records_per_s", float64(replayed)/elapsed.Seconds())
 	return nil
 }
 
@@ -941,7 +969,9 @@ type applyMode uint8
 const (
 	// applyRecovering replays the local WAL (startup, seed install):
 	// records a model's snapshot covers are skipped, the rest count as
-	// engine_recovery_replayed_records.
+	// engine_recovery_replayed_records, and no frozen snapshot is
+	// published on the way (the caller republishes every shard once
+	// replay ends).
 	applyRecovering applyMode = iota
 	// applyReplicated applies a leader record on a follower: nothing is
 	// skipped (ApplyReplicated drops duplicates by sequence number) and
@@ -949,62 +979,121 @@ const (
 	applyReplicated
 )
 
-// applyRecord decodes one durable record and applies it to its shard: it
-// is the whole of recovery replay and of follower apply, so a recovered
-// engine and a follower walk the same code over the leader's bytes.
-func (e *Engine) applyRecord(seq uint64, payload []byte, mode applyMode) error {
-	rec, err := decodeRecord(payload)
-	if err != nil {
-		return fmt.Errorf("orfdisk: record at seq %d: %w", seq, err)
+// applyRunCap bounds how many decoded records wait for one crossing to
+// their shard: long enough that the crossing (a channel send, a closure,
+// two goroutine wake-ups) vanishes beside the rows, short enough that a
+// run's decoded vectors stay a few hundred kilobytes.
+const applyRunCap = 1024
+
+// applyRecords decodes durable records and applies them to their shards.
+// It is the whole of recovery replay and of follower apply, so a
+// recovered engine and a follower walk the same code over the leader's
+// bytes. feed pushes the records in log order (wal.Replay has exactly
+// its shape).
+//
+// Consecutive records of one model cross to the shard together, as one
+// run, and rows are absorbed without scoring: replay and replication
+// rebuild state, the alarms were raised where the row first arrived, and
+// Absorb leaves the state Ingest leaves. A run never reorders anything —
+// a record of another model ends it — because routing memory is shared
+// between shards.
+//
+// last is the sequence number through which every fed record has been
+// dealt with (applied, skipped as covered, or counted as a poison pill);
+// on an error, records after it have not reached their shard.
+func (e *Engine) applyRecords(mode applyMode, feed func(func(seq uint64, payload []byte) error) error) (last uint64, err error) {
+	type runRecord struct {
+		walRecord
+		seq      uint64
+		rejected error
 	}
-	// Backfill resume accounting runs before the snapshot skip: a row a
-	// model snapshot covers still counts toward rowsAfter when the cursor
-	// file predates that snapshot (crash between the two writes). A
-	// follower keeps it too, so that once promoted it can continue an
-	// interrupted backfill exactly like a restarted leader.
-	if rec.kind == recCursor || rec.kind == recObserveBF {
-		e.noteBackfill(seq, 1, rec.cur)
-	}
-	var rejected error
-	if rec.kind != recCursor { // cursor records carry no model state
-		// e.snapped is stable here: recovery runs before the snapshot loop
-		// starts, or under snapMu during a seed install.
-		if mode == applyRecovering && seq <= e.snapped[rec.obs.Model] {
-			return nil
-		}
-		if err := e.pool.Do(rec.obs.Model, func(s *shardState) {
-			if rec.kind == recRetire {
-				e.applyRetire(s, seq, rec.obs.Serial)
-				return
+	var (
+		model   string
+		run     []runRecord
+		pending uint64 // newest record fed, possibly still waiting in the run
+	)
+	flush := func() error {
+		if err := e.pool.Do(model, func(s *shardState) {
+			applied := 0
+			for i := range run {
+				r := &run[i]
+				if r.kind == recRetire {
+					e.applyRetire(s, r.seq, r.obs.Serial)
+				} else if _, r.rejected = e.applyRow(s, r.seq, &r.obs, false); r.rejected == nil {
+					applied++
+				}
 			}
-			// Backfill rows were absorbed without scoring when first
-			// applied; repeat that (identical state, no tree walk).
-			if _, rejected = e.applyRow(s, seq, &rec.obs, rec.kind != recObserveBF); rejected == nil {
-				e.noteApplied(s, 1)
+			if mode == applyRecovering {
+				s.slot.applied.Add(int64(applied))
+			} else if applied > 0 {
+				e.noteApplied(s, applied)
 			}
 		}); err != nil {
 			return err
 		}
-	}
-	if rejected != nil {
-		// A poison pill, not a reason to refuse to start or to stop
-		// following: the record was appended before the predictor saw it,
-		// the door it came in by surfaced this same deterministic error
-		// to its client, and aborting would brick the deployment — every
-		// restart or reconnect meets the record again. Count it, log it,
-		// move on; state matches the first apply exactly.
-		e.met.replaySkipped.Inc()
-		e.log.Warn("predictor rejected durable record; skipping",
-			"seq", seq, "model", rec.obs.Model, "serial", rec.obs.Serial, "err", rejected)
+		for i := range run {
+			switch r := &run[i]; {
+			case r.rejected != nil:
+				// A poison pill, not a reason to refuse to start or to stop
+				// following: the record was appended before the predictor saw
+				// it, the door it came in by surfaced this same deterministic
+				// error to its client, and aborting would brick the deployment
+				// — every restart or reconnect meets the record again. Count
+				// it, log it, move on; state matches the first apply exactly.
+				e.met.replaySkipped.Inc()
+				e.log.Warn("predictor rejected durable record; skipping",
+					"seq", r.seq, "model", model, "serial", r.obs.Serial, "err", r.rejected)
+			case mode == applyRecovering:
+				e.met.replayed.Inc()
+			case r.kind != recRetire:
+				e.met.ingests.Inc()
+			}
+		}
+		run, last = run[:0], pending
 		return nil
 	}
-	switch {
-	case mode == applyRecovering:
-		e.met.replayed.Inc()
-	case rec.kind == recObserveV2 || rec.kind == recObserveBF:
-		e.met.ingests.Inc()
+	err = feed(func(seq uint64, payload []byte) error {
+		rec, err := decodeRecord(payload)
+		if err != nil {
+			return fmt.Errorf("orfdisk: record at seq %d: %w", seq, err)
+		}
+		// Backfill resume accounting runs before the snapshot skip: a row a
+		// model snapshot covers still counts toward rowsAfter when the cursor
+		// file predates that snapshot (crash between the two writes). A
+		// follower keeps it too, so that once promoted it can continue an
+		// interrupted backfill exactly like a restarted leader.
+		if rec.kind == recCursor || rec.kind == recObserveBF {
+			e.noteBackfill(seq, 1, rec.cur)
+		}
+		switch {
+		case rec.kind == recCursor:
+			// Cursor records carry no model state and end no run.
+			if mode == applyRecovering {
+				e.met.replayed.Inc()
+			}
+		case mode == applyRecovering && seq <= e.snapped[rec.obs.Model]:
+			// Covered by the model's snapshot. e.snapped is stable here:
+			// recovery runs before the snapshot loop starts, or under snapMu
+			// during a seed install.
+		default:
+			if len(run) > 0 && (rec.obs.Model != model || len(run) == applyRunCap) {
+				if err := flush(); err != nil {
+					return err
+				}
+			}
+			model = rec.obs.Model
+			run = append(run, runRecord{walRecord: rec, seq: seq})
+		}
+		pending = seq
+		return nil
+	})
+	if err == nil && len(run) > 0 {
+		err = flush()
 	}
-	return nil
+	if err == nil {
+		last = pending
+	}
+	return last, err
 }
 
 func snapName(model string) string {

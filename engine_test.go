@@ -3,12 +3,15 @@ package orfdisk
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/json"
 	"fmt"
 	"hash/fnv"
 	"math"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -432,6 +435,90 @@ func TestEngineBatch(t *testing.T) {
 	}
 	if got := eng.Models(); len(got) != 2 {
 		t.Fatalf("models after batch: %v", got)
+	}
+}
+
+// TestRecoveryPublishesOncePerModel: replay advances the applied count
+// but publishes nothing — refreezeAll republishes every shard the moment
+// replay ends, so a snapshot frozen mid-replay is thrown away unread. A
+// recovered engine has therefore published twice per model (shard
+// construction, post-replay), whatever the suffix length, and serves the
+// scores of an engine that never crashed.
+func TestRecoveryPublishesOncePerModel(t *testing.T) {
+	obs := engineStream(t, 61, 2)
+	if len(obs) > 3000 {
+		obs = obs[:3000]
+	}
+	cfg := engineTestConfig()
+	dir := t.TempDir()
+	crashed, err := NewEngine(EngineConfig{Predictor: cfg, DataDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := NewEngine(EngineConfig{Predictor: cfg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ref.Close()
+	for i := 0; i < len(obs); i += 256 {
+		batch := obs[i:min(i+256, len(obs))]
+		for _, e := range []*Engine{crashed, ref} {
+			for _, r := range e.IngestBatch(append([]FleetObservation(nil), batch...)) {
+				if r.Err != nil {
+					t.Fatal(r.Err)
+				}
+			}
+		}
+	}
+	if err := crashed.wal.Sync(); err != nil { // crash: no Close, no snapshot
+		t.Fatal(err)
+	}
+	if err := ref.refreezeAll(); err != nil {
+		t.Fatal(err)
+	}
+
+	rec, err := NewEngine(EngineConfig{Predictor: cfg, DataDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rec.Close()
+	models := rec.Models()
+	if len(models) != 2 || rec.met.replayed.Value() < 2000 {
+		t.Fatalf("recovered %d models from %d replayed records; want 2 models, >= 2000 records",
+			len(models), rec.met.replayed.Value())
+	}
+	if got := rec.met.freezes.Value(); got > uint64(2*len(models)) {
+		t.Fatalf("engine_frozen_publishes_total = %d after recovering %d models, want at most two each", got, len(models))
+	}
+	if got := rec.met.recoverySeconds.Value(); got <= 0 {
+		t.Fatalf("engine_recovery_seconds = %v, want the recovery's wall time", got)
+	}
+
+	scores := func(e *Engine, model string) []uint64 {
+		ts := httptest.NewServer(NewServerWithEngine(e).Handler())
+		defer ts.Close()
+		req := PredictBatchRequest{Model: model}
+		for _, o := range obs[len(obs)-64:] {
+			req.Items = append(req.Items, PredictItem{Values: o.Values})
+		}
+		var out PredictBatchResponse
+		resp := postJSON(t, ts.URL+"/v1/predict/batch", req)
+		if err := json.NewDecoder(resp.Body).Decode(&out); err != nil || len(out.Results) != len(req.Items) {
+			t.Fatalf("predict/batch on %s: status %d, %d results, err %v", model, resp.StatusCode, len(out.Results), err)
+		}
+		if out.UpdatesBehind != 0 {
+			t.Fatalf("%s: published snapshot is %d updates behind", model, out.UpdatesBehind)
+		}
+		bits := make([]uint64, len(out.Results))
+		for i, r := range out.Results {
+			bits[i] = math.Float64bits(r.Score)
+		}
+		return bits
+	}
+	for _, model := range models {
+		if got, want := scores(rec, model), scores(ref, model); !slices.Equal(got, want) {
+			t.Fatalf("%s: recovered engine's scores differ from the never-crashed engine's", model)
+		}
 	}
 }
 
@@ -966,11 +1053,14 @@ func TestObserveRecordRejectsCorruptV2(t *testing.T) {
 }
 
 // pathStep is one step of a TestApplyPathsAgree sequence: an observation
-// (poison marks one the predictor rejects), or a retire.
+// (poison marks one the predictor rejects), a retire, or a backfill
+// cursor record planted raw in the log doors 4 and 5 read (it carries no
+// model state, so the other doors have nothing to do for it).
 type pathStep struct {
 	obs    FleetObservation
 	retire string
 	poison bool
+	cursor *BackfillCursor
 }
 
 // pathRuns cuts steps into the maximal runs of observations between
@@ -986,6 +1076,7 @@ func pathRuns(steps []pathStep, keepPoison bool) (runs [][]FleetObservation, ret
 	}
 	for _, st := range steps {
 		switch {
+		case st.cursor != nil:
 		case st.retire != "":
 			flush()
 			runs, retires = append(runs, nil), append(retires, st.retire)
@@ -1025,7 +1116,7 @@ func routesAndQueues(t *testing.T, e *Engine) (routes, queues map[string]string)
 // demands one outcome: the same routes, the same Stats and byte-equal
 // model state, with a serial routed exactly when its shard's labeler
 // tracks it (the property recovery rebuilds routes from). Before the
-// doors shared applyRow/applyRecord the batch doors committed every
+// doors shared applyRow/applyRecords the batch doors committed every
 // route up front and only deleted afterwards, so a disk observed again
 // after its failure inside one batch ended up unroutable, and replay
 // routed poison-pill serials no queue ever held.
@@ -1046,6 +1137,28 @@ func TestApplyPathsAgree(t *testing.T) {
 			Observation: Observation{Serial: serial, Day: day, Values: []float64{1, 2, 3}}}}
 	}
 	retire := func(serial string) pathStep { return pathStep{retire: serial} }
+	// rows is n rows of one model over 40 of its disks, days advancing:
+	// what one shard's slice of the log looks like. interleaved alternates
+	// such blocks between two models, so that replay and follower apply
+	// (which cross to a shard once per run of same-model records, at most
+	// applyRunCap at a time) meet run boundaries at every k.
+	rows := func(model string, from, n int) []pathStep {
+		out := make([]pathStep, n)
+		for i := range out {
+			j := from + i
+			out[i] = row(fmt.Sprintf("%s-%d", model, j%40), model, j/40, false)
+		}
+		return out
+	}
+	interleaved := func(k, blocks int) []pathStep {
+		var out []pathStep
+		for b := 0; b < blocks; b++ {
+			out = append(out, rows([]string{"M", "N"}[b%2], b/2*k, k)...)
+		}
+		return out
+	}
+	join := func(parts ...[]pathStep) []pathStep { return slices.Concat(parts...) }
+	const runCap = applyRunCap
 
 	cases := []struct {
 		name  string
@@ -1067,6 +1180,19 @@ func TestApplyPathsAgree(t *testing.T) {
 			row("X", "M", 1, false), poison("px", "M", 1), poison("X", "M", 2),
 			row("X", "M", 3, false), poison("py", "M", 3),
 		}},
+		{"two models interleaved every row", interleaved(1, 12)},
+		{"two models interleaved every 3 rows", interleaved(3, 8)},
+		{"two models interleaved every cap-1 rows", interleaved(runCap-1, 4)},
+		{"two models interleaved every cap rows", interleaved(runCap, 4)},
+		{"two models interleaved every cap+1 rows", interleaved(runCap+1, 4)},
+		{"more rows of one model than the cap", rows("M", 0, 2*runCap+10)},
+		{"retire in the middle of a run", join(
+			rows("M", 0, 90), []pathStep{retire("M-7")}, rows("M", 90, 90))},
+		{"poison pill in the middle of a run", join(
+			rows("M", 0, 90), []pathStep{poison("M-7", "M", 3), poison("pz", "M", 3)}, rows("M", 90, 90))},
+		{"cursor record between rows of one model", join(
+			rows("M", 0, 50), []pathStep{{cursor: &BackfillCursor{Day: 2, Rows: 50,
+				Files: []BackfillFilePos{{Name: "a.csv", Rows: 50, Off: 4096}}}}}, rows("M", 50, 50))},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -1105,6 +1231,10 @@ func TestApplyPathsAgree(t *testing.T) {
 			doors["Ingest"] = writer
 			for _, st := range tc.steps {
 				switch {
+				case st.cursor != nil:
+					if _, err := writer.wal.Append(appendCursorRecord(nil, *st.cursor)); err != nil {
+						t.Fatal(err)
+					}
 				case st.retire != "":
 					if err := writer.Retire(st.retire); err != nil {
 						t.Fatal(err)
@@ -1165,6 +1295,18 @@ func TestApplyPathsAgree(t *testing.T) {
 			serials := map[string]bool{}
 			for _, st := range tc.steps {
 				serials[st.obs.Serial+st.retire] = true
+				if st.cursor == nil {
+					continue
+				}
+				// The planted cursor is the resume point on both doors that
+				// read the log; the v2 rows after it are not backfill rows.
+				for _, name := range []string{"recover", "ApplyReplicated"} {
+					cur, rowsAfter, ok := doors[name].BackfillState()
+					if !ok || rowsAfter != 0 || !reflect.DeepEqual(cur, *st.cursor) {
+						t.Errorf("%s: BackfillState = %+v, %d, %v; want the planted cursor, 0, true",
+							name, cur, rowsAfter, ok)
+					}
+				}
 			}
 			dump := func(e *Engine, model string) []byte {
 				var buf bytes.Buffer

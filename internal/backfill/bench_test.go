@@ -48,6 +48,11 @@ type corpusInfo struct {
 	// backfilled and the engine abandoned un-Closed — the recovery
 	// benchmark's replay source. Built on first use.
 	loadedDir string
+	// liveDir is the same corpus as a live stream left behind: a data
+	// directory whose WAL holds v2 observe records written by IngestBatch
+	// in 256-row batches over the two drive models, engine abandoned
+	// un-Closed. Built on first use.
+	liveDir string
 	// gzDir/gzFiles are the same corpus recompressed as .csv.gz — the
 	// inline-decompression benchmark's input. Built on first use.
 	gzDir   string
@@ -62,6 +67,9 @@ func TestMain(m *testing.M) {
 		os.RemoveAll(c.dir)
 		if c.loadedDir != "" {
 			os.RemoveAll(c.loadedDir)
+		}
+		if c.liveDir != "" {
+			os.RemoveAll(c.liveDir)
 		}
 		if c.gzDir != "" {
 			os.RemoveAll(c.gzDir)
@@ -81,25 +89,13 @@ func getCorpus(b *testing.B, reg regime) *corpusInfo {
 	}
 	c := &corpusInfo{dir: dir}
 
-	pa := dataset.STA(reg.scale)
-	pa.Months = reg.months
-	pb := dataset.STB(reg.scale)
-	pb.Months = reg.months
-	ga, err := dataset.New(pa, 21)
-	if err != nil {
-		b.Fatal(err)
-	}
-	gb, err := dataset.New(pb, 22)
-	if err != nil {
-		b.Fatal(err)
-	}
 	type sink struct {
 		f  *os.File
 		bw *bufio.Writer
 		cw *smart.Writer
 	}
 	sinks := map[string]*sink{}
-	err = dataset.StreamMerged([]*dataset.Generator{ga, gb}, func(s smart.Sample) error {
+	err = dataset.StreamMerged(benchGenerators(b, reg), func(s smart.Sample) error {
 		h := fnv.New32a()
 		h.Write([]byte(s.Serial))
 		name := fmt.Sprintf("fleet-q%03d-s%02d.csv", s.Day/90, int(h.Sum32()%uint32(reg.stripes)))
@@ -140,6 +136,25 @@ func getCorpus(b *testing.B, reg regime) *corpusInfo {
 	sort.Strings(c.files)
 	corpora[reg.name] = c
 	return c
+}
+
+// benchGenerators are the regime's two fleets (drive models STA and
+// STB), merged by day into the corpus.
+func benchGenerators(b *testing.B, reg regime) []*dataset.Generator {
+	b.Helper()
+	pa := dataset.STA(reg.scale)
+	pa.Months = reg.months
+	pb := dataset.STB(reg.scale)
+	pb.Months = reg.months
+	ga, err := dataset.New(pa, 21)
+	if err != nil {
+		b.Fatal(err)
+	}
+	gb, err := dataset.New(pb, 22)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return []*dataset.Generator{ga, gb}
 }
 
 func benchConfig() orfdisk.Config {
@@ -279,11 +294,19 @@ func BenchmarkBackfillNaive(b *testing.B) {
 
 // BenchmarkBackfillRecovery measures the post-kill cost: how long a
 // fresh engine takes to recover a data directory whose WAL holds the
-// whole backfilled corpus (the worst case — no snapshot ever ran).
+// whole corpus (the worst case — no snapshot ever ran). Two logs of the
+// same rows: the one a backfill leaves (backfill records from one
+// loader, cursor records between them) and, as "live", the one a serving
+// node leaves (v2 observe records, each IngestBatch of 256 rows appended
+// shard slice by shard slice, so same-model runs are as long as a
+// collector's batches make them).
 func BenchmarkBackfillRecovery(b *testing.B) {
 	reg := benchRegime()
 	c := getCorpus(b, reg)
-	if c.loadedDir == "" {
+	// Both engines are abandoned without Close: no final snapshot, so
+	// recovery must replay every record. (The engine's WAL writes are
+	// unbuffered; everything acknowledged is on disk.)
+	abandon := func(fill func(eng *orfdisk.Engine)) string {
 		dir, err := os.MkdirTemp("", "orfload-bench-recover-")
 		if err != nil {
 			b.Fatal(err)
@@ -292,30 +315,59 @@ func BenchmarkBackfillRecovery(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := backfill.Run(context.Background(), eng, c.files, backfill.Options{}); err != nil {
-			b.Fatal(err)
-		}
-		// Abandon without Close: no final snapshot, so recovery must
-		// replay every backfill record. (The engine's WAL writes are
-		// unbuffered; everything acknowledged is on disk.)
-		c.loadedDir = dir
+		fill(eng)
+		return dir
 	}
-	b.Run(reg.name, func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			eng, err := orfdisk.NewEngine(orfdisk.EngineConfig{Predictor: benchConfig(), DataDir: c.loadedDir})
+	if c.loadedDir == "" {
+		c.loadedDir = abandon(func(eng *orfdisk.Engine) {
+			if _, err := backfill.Run(context.Background(), eng, c.files, backfill.Options{}); err != nil {
+				b.Fatal(err)
+			}
+		})
+	}
+	if c.liveDir == "" {
+		c.liveDir = abandon(func(eng *orfdisk.Engine) {
+			batch := make([]orfdisk.FleetObservation, 0, 256)
+			send := func() {
+				for _, r := range eng.IngestBatch(batch) {
+					if r.Err != nil {
+						b.Fatal(r.Err)
+					}
+				}
+				batch = batch[:0]
+			}
+			err := dataset.StreamMerged(benchGenerators(b, reg), func(s smart.Sample) error {
+				batch = append(batch, orfdisk.FleetObservation{Model: s.Model, Observation: orfdisk.Observation{
+					Serial: s.Serial, Day: s.Day, Failed: s.Failure, Values: s.Values}})
+				if len(batch) == cap(batch) {
+					send()
+				}
+				return nil
+			})
 			if err != nil {
 				b.Fatal(err)
 			}
-			b.StopTimer()
-			if _, _, ok := eng.BackfillState(); !ok {
-				b.Fatal("recovered engine has no backfill cursor")
+			send()
+		})
+	}
+	for _, src := range []struct{ name, dir string }{{reg.name, c.loadedDir}, {"live/" + reg.name, c.liveDir}} {
+		b.Run(src.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				eng, err := orfdisk.NewEngine(orfdisk.EngineConfig{Predictor: benchConfig(), DataDir: src.dir})
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.StopTimer()
+				if _, _, ok := eng.BackfillState(); ok != (src.dir == c.loadedDir) || len(eng.Models()) != 2 {
+					b.Fatalf("recovered %d models, backfill cursor %v", len(eng.Models()), ok)
+				}
+				// Abandon without Close so the WAL stays untruncated for
+				// the next iteration.
+				b.StartTimer()
 			}
-			// Abandon without Close so the WAL stays untruncated for
-			// the next iteration.
-			b.StartTimer()
-		}
-		reportRates(b, c)
-	})
+			reportRates(b, c)
+		})
+	}
 }
 
 // reportRates annotates the benchmark with corpus-relative throughput.

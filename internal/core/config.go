@@ -21,10 +21,10 @@
 //     which is how the forest tracks distribution drift and defeats
 //     model aging.
 //
-// Update and Predict fan out across trees with a bounded worker pool;
-// each tree owns an independent deterministic RNG stream, so results are
-// reproducible regardless of scheduling. Update and Predict must not be
-// called concurrently with each other.
+// Long update chunks and batch predictions fan out over a bounded worker
+// pool; each tree owns an independent deterministic RNG stream, so
+// results are reproducible regardless of scheduling. Update and Predict
+// must not be called concurrently with each other.
 package core
 
 import "runtime"
@@ -73,8 +73,11 @@ type Config struct {
 	// DisableReplacement turns tree discarding off (ablation switch).
 	DisableReplacement bool
 
-	// Workers bounds goroutines in Update/Predict fan-out; 0 selects
-	// GOMAXPROCS.
+	// Workers bounds the goroutines UpdateBatch (for a replacement-free
+	// chunk of at least poolMinChunk samples) and PredictProbaBatch fan
+	// out over; 0 selects GOMAXPROCS. Update and shorter chunks always
+	// run on the caller's goroutine: waking the pool costs more than the
+	// out-of-bag walk it would spread. The result never depends on it.
 	Workers int
 	// Seed drives every stochastic choice in the forest.
 	Seed uint64

@@ -13,11 +13,13 @@ import (
 // feed labeled samples with Update/UpdateBatch, query with
 // PredictProba/Predict.
 //
-// Update and Predict each parallelize internally across trees (via a
-// persistent worker pool started lazily when Workers > 1), but the two
-// must not run concurrently with each other: Update mutates tree
-// structure. A forest that started workers releases them on Close; a
-// finalizer covers forests that are dropped without Close.
+// UpdateBatch and PredictProbaBatch parallelize internally (via a
+// persistent worker pool, started lazily when Workers > 1 by the first
+// update chunk of poolMinChunk samples or the first batch prediction);
+// Update and short chunks run on the caller's goroutine. Updates must
+// not run concurrently with predictions: they mutate tree structure. A
+// forest that started workers releases them on Close; a finalizer covers
+// forests that are dropped without Close.
 type Forest struct {
 	cfg   Config
 	dim   int
@@ -82,8 +84,8 @@ func (f *Forest) Update(x []float64, y int) {
 	f.x1[0] = nil
 }
 
-// UpdateBatch absorbs a batch of labeled samples with one worker-pool
-// wake-up per replacement-free run, instead of one per sample. The
+// UpdateBatch absorbs a batch of labeled samples, waking the worker pool
+// once per replacement-free run of at least poolMinChunk samples. The
 // result is bit-identical to calling Update(X[i], Y[i]) in order: each
 // tree sees the samples in the same order on the same RNG stream, and
 // the tree-replacement check fires at exactly the same sample positions
@@ -105,8 +107,9 @@ func (f *Forest) UpdateBatch(X [][]float64, Y []int) {
 // (sinceReplace reaching ReplaceCooldown), so scans — and therefore
 // replacements — happen at identical sample positions to sequential
 // Update calls. Once sinceReplace sits at/above the cooldown (scans
-// firing every sample until one replaces), chunks degrade to single
-// samples, which is precisely the sequential behavior.
+// firing every sample until one replaces — the steady state of a forest
+// with no tree bad enough to replace), chunks degrade to single samples,
+// which is precisely the sequential behavior.
 func (f *Forest) updateChunked(X [][]float64, Y []int) {
 	for i := 0; i < len(X); {
 		c := len(X) - i
@@ -123,8 +126,24 @@ func (f *Forest) updateChunked(X [][]float64, Y []int) {
 	}
 }
 
+// poolMinChunk is the shortest update chunk handed to the worker pool. A
+// dispatch costs two goroutine wake-ups per worker (about 12 us on the
+// 2-core bench host) whatever the chunk holds, and at the paper's
+// lambda_n = 0.02 a sample is a 1.2 us out-of-bag walk over all trees.
+// Measured there per sample, pool vs caller's goroutine: 1.56 vs 1.20 us
+// at 32 samples, 1.12 vs 1.13 at 64, 0.89 vs 1.16 at 128, 0.75 vs 1.12
+// at 256; at lambda_n = 1 (every sample trains every tree) 7.9 vs 10.6
+// at 64. So 64 is where the pool stops losing at the default rate.
+// BenchmarkUpdateBatch has a case on each side. No caller in this module
+// forms such a chunk today — the longest is a failed disk's queue, one
+// prediction horizon (7) of samples — so the pool's side is reached by
+// direct UpdateBatch callers only (DESIGN section 5 has the count).
+const poolMinChunk = 64
+
 // applyChunk feeds one replacement-free run of samples to every tree and
 // then performs the sequential path's post-sample replacement check.
+// Both branches run updateTrees over every tree with the samples in
+// order, so which goroutine does it never shows in the result.
 func (f *Forest) applyChunk(X [][]float64, Y []int) {
 	f.updates += int64(len(X))
 	for _, y := range Y {
@@ -134,7 +153,11 @@ func (f *Forest) applyChunk(X [][]float64, Y []int) {
 			f.negSeen++
 		}
 	}
-	if p := f.workerPool(); p != nil {
+	var p *forestPool
+	if len(X) >= poolMinChunk {
+		p = f.workerPool()
+	}
+	if p != nil {
 		p.updateBatch(X, Y)
 	} else {
 		updateTrees(f.trees, X, Y, f.cfg)

@@ -2,6 +2,8 @@ package core
 
 import (
 	"sync"
+
+	"orfdisk/internal/rng"
 )
 
 // forestPool is the forest's persistent worker pool. The previous
@@ -101,15 +103,19 @@ func (p *forestPool) runUpdate(w int) {
 }
 
 // updateTrees is the shared per-tree update kernel (Algorithm 1's inner
-// loop) used by both the pool workers and the sequential fallback.
+// loop) used by both the pool workers and the caller's goroutine. The
+// two Poisson thresholds are worked out once per call: at the paper's
+// lambda_n = 0.02 the exponential inside a fresh draw costs more than
+// the out-of-bag leaf walk that follows it.
 func updateTrees(trees []*onlineTree, X [][]float64, Y []int, cfg Config) {
+	pos, neg := rng.NewPoissonDist(cfg.LambdaPos), rng.NewPoissonDist(cfg.LambdaNeg)
 	for _, t := range trees {
 		for i, x := range X {
-			lambda := cfg.LambdaNeg
+			d := neg
 			if Y[i] == 1 {
-				lambda = cfg.LambdaPos
+				d = pos
 			}
-			k := t.r.Poisson(lambda)
+			k := d.Draw(t.r)
 			if k > 0 {
 				for j := 0; j < k; j++ {
 					t.update(x, Y[i])

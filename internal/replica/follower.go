@@ -15,7 +15,8 @@ import (
 // implemented by the engine's follower mode.
 type Applier interface {
 	// ApplyReplicated durably applies a batch of leader records in
-	// order. When it returns, the records must survive a follower crash
+	// order (sequence numbers ascend strictly, as the leader's log has
+	// them). When it returns, the records must survive a follower crash
 	// (they are acknowledged to the leader, which may then truncate).
 	ApplyReplicated(recs []Record) error
 	// ReplicationResume returns the last durably applied leader

@@ -145,18 +145,41 @@ func (r *Source) ExpFloat64() float64 {
 // lambda = lambda_p for positive and lambda_n for negative samples in the
 // paper's imbalance-aware variant (Eq. 3).
 func (r *Source) Poisson(lambda float64) int {
+	return NewPoissonDist(lambda).Draw(r)
+}
+
+// PoissonDist is Poisson(lambda) with Knuth's stopping threshold
+// e^-lambda worked out once, for callers that draw from one rate many
+// times: at small lambda the exponential costs more than the draw.
+// Draw(r) returns what r.Poisson(lambda) returns, from the same uniforms.
+type PoissonDist struct {
+	lambda float64
+	limit  float64 // e^-lambda; unused on the PA branch
+}
+
+// NewPoissonDist prepares draws from Poisson(lambda).
+func NewPoissonDist(lambda float64) PoissonDist {
+	d := PoissonDist{lambda: lambda}
+	if lambda > 0 && lambda < 30 {
+		d.limit = math.Exp(-lambda)
+	}
+	return d
+}
+
+// Draw returns a Poisson variate drawn from r.
+func (d PoissonDist) Draw(r *Source) int {
+	lambda := d.lambda
 	switch {
 	case lambda <= 0:
 		return 0
 	case lambda < 30:
 		// Knuth: count multiplications until the product drops below
 		// e^-lambda.
-		l := math.Exp(-lambda)
 		k := 0
 		p := 1.0
 		for {
 			p *= r.Float64()
-			if p <= l {
+			if p <= d.limit {
 				return k
 			}
 			k++

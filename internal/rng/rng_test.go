@@ -176,6 +176,63 @@ func TestPoissonSmallLambdaZeroFraction(t *testing.T) {
 	}
 }
 
+// knuthPoisson is the textbook draw, threshold recomputed every call:
+// the reference PoissonDist's hoisted threshold must reproduce.
+func knuthPoisson(r *Source, lambda float64) int {
+	l := math.Exp(-lambda)
+	k, p := 0, 1.0
+	for {
+		p *= r.Float64()
+		if p <= l {
+			return k
+		}
+		k++
+	}
+}
+
+// TestPoissonDistMatchesPerDrawThreshold: a PoissonDist built once
+// returns what a per-draw e^-lambda returns and leaves the generator in
+// the same state, i.e. it consumed the same uniforms.
+func TestPoissonDistMatchesPerDrawThreshold(t *testing.T) {
+	for _, lambda := range []float64{0.02, 1, 5} {
+		a, b, c := New(91), New(91), New(91)
+		d := NewPoissonDist(lambda)
+		for i := 0; i < 1_000_000; i++ {
+			want := knuthPoisson(a, lambda)
+			if got := d.Draw(b); got != want {
+				t.Fatalf("lambda %v draw %d: PoissonDist %d, reference %d", lambda, i, got, want)
+			}
+			if got := c.Poisson(lambda); got != want {
+				t.Fatalf("lambda %v draw %d: Poisson %d, reference %d", lambda, i, got, want)
+			}
+		}
+		if *a != *b || *a != *c {
+			t.Fatalf("lambda %v: generator states diverged after equal draws", lambda)
+		}
+	}
+}
+
+// TestPoissonDistLargeLambdaTakesPA: from lambda = 30 the draw is
+// Atkinson's rejection method, a handful of uniforms per variate where
+// Knuth's product would burn lambda+1 of them.
+func TestPoissonDistLargeLambdaTakesPA(t *testing.T) {
+	for _, lambda := range []float64{30, 100} {
+		const draws = 1000
+		r, ref := New(5), New(5)
+		d := NewPoissonDist(lambda)
+		for i := 0; i < draws; i++ {
+			d.Draw(r)
+		}
+		used := 0
+		for *ref != *r {
+			ref.Uint64()
+			if used++; used > draws*10 {
+				t.Fatalf("lambda %v: more than %d uniforms for %d draws (Knuth branch?)", lambda, used, draws)
+			}
+		}
+	}
+}
+
 func TestNormFloat64Moments(t *testing.T) {
 	r := New(21)
 	const n = 200000

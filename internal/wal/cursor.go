@@ -1,11 +1,8 @@
 package wal
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
-	"io"
 	"os"
 	"path/filepath"
 )
@@ -31,15 +28,14 @@ var ErrNoMore = errors.New("wal: no more records")
 //
 // A Cursor takes no locks against the writer: it reads with ReadAt at
 // its own offset and only trusts length/CRC-framed, strictly increasing
-// records, exactly like crash recovery. It is not safe for concurrent
-// use by multiple goroutines.
+// records, through the record parser crash recovery uses. It is not safe
+// for concurrent use by multiple goroutines.
 type Cursor struct {
 	dir      string
 	after    uint64 // last sequence number returned (records <= after are skipped)
 	f        *os.File
 	segFirst uint64
-	offset   int64
-	buf      []byte
+	rd       recordReader
 }
 
 // OpenCursor opens a cursor over the log directory dir positioned just
@@ -85,7 +81,7 @@ func (c *Cursor) Next() (seq uint64, payload []byte, err error) {
 				return 0, nil, ErrNoMore
 			}
 		}
-		seq, payload, ok, err := c.readAt()
+		seq, payload, ok, err := c.rd.next()
 		if err != nil {
 			return 0, nil, err
 		}
@@ -109,7 +105,7 @@ func (c *Cursor) Next() (seq uint64, payload []byte, err error) {
 		// and closes a segment before creating its successor. Retry once
 		// to pick up records written between our first read and the
 		// rotation, then advance.
-		seq, payload, ok, err = c.readAt()
+		seq, payload, ok, err = c.rd.next()
 		if err != nil {
 			return 0, nil, err
 		}
@@ -124,9 +120,9 @@ func (c *Cursor) Next() (seq uint64, payload []byte, err error) {
 		if err != nil {
 			return 0, nil, err
 		}
-		if c.offset < fi.Size() {
+		if c.rd.off < fi.Size() {
 			return 0, nil, fmt.Errorf("wal: corrupt record in sealed segment %s at offset %d",
-				segName(c.segFirst), c.offset)
+				segName(c.segFirst), c.rd.off)
 		}
 		if err := c.openAt(next); err != nil {
 			return 0, nil, err
@@ -163,7 +159,8 @@ func (c *Cursor) seek() (ok bool, err error) {
 		if err != nil {
 			return false, err
 		}
-		c.f, c.segFirst, c.offset = f, segs[idx].firstSeq, 0
+		c.f, c.segFirst = f, segs[idx].firstSeq
+		c.rd.reset(f)
 		return true, nil
 	}
 }
@@ -183,7 +180,8 @@ func (c *Cursor) openAt(firstSeq uint64) error {
 	if err != nil {
 		return err
 	}
-	c.f, c.segFirst, c.offset = f, firstSeq, 0
+	c.f, c.segFirst = f, firstSeq
+	c.rd.reset(f)
 	return nil
 }
 
@@ -200,39 +198,4 @@ func (c *Cursor) nextSegment() (firstSeq uint64, exists bool, err error) {
 		}
 	}
 	return 0, false, nil
-}
-
-// readAt tries to read one framed record at the cursor's offset.
-// ok=false means the bytes there do not (yet) form a complete valid
-// record — the torn-tail condition; only real I/O failures are errors.
-func (c *Cursor) readAt() (seq uint64, payload []byte, ok bool, err error) {
-	var head [headerSize]byte
-	if _, err := c.f.ReadAt(head[:], c.offset); err != nil {
-		if err == io.EOF || err == io.ErrUnexpectedEOF {
-			return 0, nil, false, nil
-		}
-		return 0, nil, false, err
-	}
-	n := binary.LittleEndian.Uint32(head[0:4])
-	crc := binary.LittleEndian.Uint32(head[4:8])
-	if n > maxRecord {
-		return 0, nil, false, nil
-	}
-	need := int(n) + 8
-	if cap(c.buf) < need {
-		c.buf = make([]byte, need)
-	}
-	body := c.buf[:need]
-	copy(body[:8], head[8:16])
-	if _, err := c.f.ReadAt(body[8:], c.offset+headerSize); err != nil {
-		if err == io.EOF || err == io.ErrUnexpectedEOF {
-			return 0, nil, false, nil
-		}
-		return 0, nil, false, err
-	}
-	if crc32.ChecksumIEEE(body) != crc {
-		return 0, nil, false, nil
-	}
-	c.offset += int64(headerSize) + int64(n)
-	return binary.LittleEndian.Uint64(head[8:16]), body[8:], true, nil
 }

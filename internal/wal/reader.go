@@ -1,0 +1,85 @@
+package wal
+
+import (
+	"encoding/binary"
+	"hash/crc32"
+	"io"
+	"os"
+)
+
+// readBlock is how much of a segment one read brings in. Records are a
+// couple of hundred bytes, so a block carries a few hundred of them for
+// the one syscall that two reads per record used to cost.
+const readBlock = 64 << 10
+
+// recordReader parses framed records out of one segment file through a
+// buffered block. It is the single record parser: crash recovery
+// (scanSegment) and live tailing (Cursor) differ only in what they do
+// with a record, never in what they accept as one.
+//
+// It reads with ReadAt at its own offset, so it takes no lock against
+// the writer and may sit on a file that is still growing: bytes past the
+// last whole record are never trusted beyond the call that saw them.
+type recordReader struct {
+	f     *os.File
+	off   int64  // file offset of the next unparsed record
+	buf   []byte // bytes read ahead from off, not yet parsed
+	block []byte // backing array of buf, reused across segments
+}
+
+// reset points the reader at the start of f.
+func (r *recordReader) reset(f *os.File) {
+	r.f, r.off, r.buf = f, 0, r.buf[:0]
+}
+
+// next returns the record at the reader's offset and steps past it. The
+// payload aliases the block and is valid until the following call.
+// ok=false means the bytes there do not (yet) form a complete record
+// with a matching CRC — the torn-tail condition; the offset stays put
+// and the read-ahead is dropped, so a retry sees the file afresh. Only
+// real I/O failures are errors.
+func (r *recordReader) next() (seq uint64, payload []byte, ok bool, err error) {
+	for {
+		need := headerSize
+		if len(r.buf) >= headerSize {
+			n := binary.LittleEndian.Uint32(r.buf[0:4])
+			if n > maxRecord {
+				break
+			}
+			need = headerSize + int(n)
+			if len(r.buf) >= need {
+				rec := r.buf[:need]
+				if crc32.ChecksumIEEE(rec[8:]) != binary.LittleEndian.Uint32(rec[4:8]) {
+					break
+				}
+				r.buf = r.buf[need:]
+				r.off += int64(need)
+				return binary.LittleEndian.Uint64(rec[8:16]), rec[headerSize:], true, nil
+			}
+		}
+		if err := r.fill(need); err != nil {
+			return 0, nil, false, err
+		}
+		if len(r.buf) < need {
+			break // the file ends inside this record
+		}
+	}
+	r.buf = r.buf[:0]
+	return 0, nil, false, nil
+}
+
+// fill moves the unparsed bytes to the front of the block and reads on
+// from where they end, leaving at least need bytes buffered unless the
+// file ends first.
+func (r *recordReader) fill(need int) error {
+	if size := max(need, readBlock); cap(r.block) < size {
+		r.block = make([]byte, size)
+	}
+	have := copy(r.block[:cap(r.block)], r.buf)
+	n, err := r.f.ReadAt(r.block[have:cap(r.block)], r.off+int64(have))
+	r.buf = r.block[:have+n]
+	if err == io.EOF {
+		return nil
+	}
+	return err
+}

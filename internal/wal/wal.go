@@ -29,7 +29,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -241,21 +240,7 @@ func (w *WAL) flusher() {
 // has reached the OS when Append returns; it is fsync-durable within
 // one group-commit batch (SyncEvery / SyncInterval).
 func (w *WAL) Append(payload []byte) (uint64, error) {
-	if len(payload) > maxRecord {
-		return 0, fmt.Errorf("wal: record of %d bytes exceeds cap", len(payload))
-	}
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.closed {
-		return 0, ErrClosed
-	}
-	seq := w.nextSeq
-	if err := w.appendLocked(seq, payload); err != nil {
-		return 0, err
-	}
-	w.nextSeq = seq + 1
-	w.notifyLocked()
-	return seq, nil
+	return w.appendBatch(nil, [][]byte{payload})
 }
 
 // AppendAt writes one record with a caller-chosen sequence number, which
@@ -264,55 +249,7 @@ func (w *WAL) Append(payload []byte) (uint64, error) {
 // sequence numbering into their own log, so a follower's snapshots, WAL
 // replay, and replication-resume position all speak leader offsets.
 func (w *WAL) AppendAt(seq uint64, payload []byte) error {
-	if len(payload) > maxRecord {
-		return fmt.Errorf("wal: record of %d bytes exceeds cap", len(payload))
-	}
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.closed {
-		return ErrClosed
-	}
-	if seq < w.nextSeq {
-		return fmt.Errorf("wal: AppendAt(%d) behind next sequence %d", seq, w.nextSeq)
-	}
-	w.nextSeq = seq // segment rotation names the new file after nextSeq
-	if err := w.appendLocked(seq, payload); err != nil {
-		return err
-	}
-	w.nextSeq = seq + 1
-	w.notifyLocked()
-	return nil
-}
-
-// appendLocked frames and writes one record with the given sequence
-// number. The caller holds w.mu, has checked closed/size caps, and has
-// set w.nextSeq == seq (rotation uses it to name a fresh segment).
-func (w *WAL) appendLocked(seq uint64, payload []byte) error {
-	rec := headerSize + len(payload)
-	if w.size > 0 && w.size+int64(rec) > w.opts.SegmentBytes {
-		if err := w.rotateLocked(); err != nil {
-			return err
-		}
-	}
-	if cap(w.scratch) < rec {
-		w.scratch = make([]byte, rec)
-	}
-	buf := w.scratch[:rec]
-	binary.LittleEndian.PutUint32(buf[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint64(buf[8:16], seq)
-	copy(buf[16:], payload)
-	binary.LittleEndian.PutUint32(buf[4:8], crc32.ChecksumIEEE(buf[8:]))
-	if _, err := w.f.Write(buf); err != nil {
-		return err
-	}
-	w.size += int64(rec)
-	w.dirty++
-	w.met.appendRecords.Inc()
-	w.met.appendBytes.Add(uint64(rec))
-	if w.dirty >= w.opts.SyncEvery {
-		return w.syncLocked()
-	}
-	return nil
+	return w.AppendBatchAt([]uint64{seq}, [][]byte{payload})
 }
 
 // AppendBatch writes len(payloads) records with consecutive sequence
@@ -323,6 +260,26 @@ func (w *WAL) appendLocked(seq uint64, payload []byte) error {
 // split across segments: at most one rotation happens, before the batch.
 // Replay of an AppendBatch is indistinguishable from N single Appends.
 func (w *WAL) AppendBatch(payloads [][]byte) (first uint64, err error) {
+	return w.appendBatch(nil, payloads)
+}
+
+// AppendBatchAt is AppendBatch with caller-chosen sequence numbers:
+// strictly increasing, the first at or above the next unused one (gaps
+// are legal). A follower makes one delivered batch of leader records
+// durable with it — one write, one group-commit check — where AppendAt
+// in a loop paid both per record. A rotation names the new segment after
+// seqs[0].
+func (w *WAL) AppendBatchAt(seqs []uint64, payloads [][]byte) error {
+	if len(seqs) != len(payloads) {
+		return fmt.Errorf("wal: AppendBatchAt with %d sequence numbers, %d payloads", len(seqs), len(payloads))
+	}
+	_, err := w.appendBatch(seqs, payloads)
+	return err
+}
+
+// appendBatch frames and writes one batch. seqs == nil numbers the
+// records consecutively from the next unused sequence number.
+func (w *WAL) appendBatch(seqs []uint64, payloads [][]byte) (first uint64, err error) {
 	if len(payloads) == 0 {
 		return 0, errors.New("wal: empty batch")
 	}
@@ -338,6 +295,17 @@ func (w *WAL) AppendBatch(payloads [][]byte) (first uint64, err error) {
 	if w.closed {
 		return 0, ErrClosed
 	}
+	if seqs != nil {
+		if seqs[0] < w.nextSeq {
+			return 0, fmt.Errorf("wal: append at %d behind next sequence %d", seqs[0], w.nextSeq)
+		}
+		for i := 1; i < len(seqs); i++ {
+			if seqs[i] <= seqs[i-1] {
+				return 0, fmt.Errorf("wal: append at %d after %d in one batch", seqs[i], seqs[i-1])
+			}
+		}
+		w.nextSeq = seqs[0] // segment rotation names the new file after nextSeq
+	}
 	if w.size > 0 && w.size+int64(total) > w.opts.SegmentBytes {
 		if err := w.rotateLocked(); err != nil {
 			return 0, err
@@ -348,12 +316,17 @@ func (w *WAL) AppendBatch(payloads [][]byte) (first uint64, err error) {
 		w.scratch = make([]byte, total)
 	}
 	buf := w.scratch[:0]
+	last := first
 	for i, p := range payloads {
+		last = first + uint64(i)
+		if seqs != nil {
+			last = seqs[i]
+		}
 		off := len(buf)
 		buf = buf[:off+headerSize+len(p)]
 		rec := buf[off:]
 		binary.LittleEndian.PutUint32(rec[0:4], uint32(len(p)))
-		binary.LittleEndian.PutUint64(rec[8:16], first+uint64(i))
+		binary.LittleEndian.PutUint64(rec[8:16], last)
 		copy(rec[16:], p)
 		binary.LittleEndian.PutUint32(rec[4:8], crc32.ChecksumIEEE(rec[8:]))
 	}
@@ -361,7 +334,7 @@ func (w *WAL) AppendBatch(payloads [][]byte) (first uint64, err error) {
 		return 0, err
 	}
 	w.size += int64(total)
-	w.nextSeq += uint64(len(payloads))
+	w.nextSeq = last + 1
 	w.dirty += len(payloads)
 	w.met.appendRecords.Add(uint64(len(payloads)))
 	w.met.appendBytes.Add(uint64(total))
@@ -534,10 +507,18 @@ func (w *WAL) SkipTo(seq uint64) {
 }
 
 // TruncateBefore deletes whole segments all of whose records have
-// sequence numbers < seq (typically seq = snapshot cutoff + 1). The
-// active segment is never deleted, so truncation is approximate in the
-// conservative direction. A retain floor (SetRetainFloor) caps the
-// effective cutoff.
+// sequence numbers < seq (the snapshot cutoff: the lowest sequence number
+// no snapshot covers). A retain floor (SetRetainFloor) caps the effective
+// cutoff. A segment holding any record at or above the cutoff is kept
+// whole, so truncation is approximate in the conservative direction —
+// except that when the cutoff covers every record in the log, the
+// non-empty active segment is sealed (rotated: fsynced, closed, an empty
+// successor named after the next sequence number created) and deleted
+// with the rest, leaving that one empty segment: a process that shuts
+// down clean leaves nothing for the next start to re-read, decode and
+// skip. A crash between the rotation and the deletions leaves covered
+// segments behind an empty tail, which is what a crash after any other
+// rotation leaves; the next truncation removes them.
 func (w *WAL) TruncateBefore(seq uint64) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -546,6 +527,19 @@ func (w *WAL) TruncateBefore(seq uint64) error {
 	}
 	if w.retainFloor != 0 && w.retainFloor < seq {
 		seq = w.retainFloor
+	}
+	if seq >= w.nextSeq && w.size > 0 {
+		if err := w.rotateLocked(); err != nil {
+			return err
+		}
+		// Once the covered segments are gone the successor's name is all
+		// that records the next sequence number: get its directory entry
+		// to disk before any of them is unlinked (best effort; not all
+		// filesystems support directory fsync).
+		if d, err := os.Open(w.opts.Dir); err == nil {
+			d.Sync() //nolint:errcheck
+			d.Close()
+		}
 	}
 	segs, err := listSegments(w.opts.Dir)
 	if err != nil {
@@ -632,45 +626,24 @@ func scanSegment(s segment, fn func(uint64, []byte) error) (scanResult, error) {
 		return scanResult{}, err
 	}
 	res := scanResult{fileSize: fi.Size()}
-	var (
-		head [headerSize]byte
-		prev uint64
-		buf  []byte
-	)
+	var rd recordReader
+	rd.reset(f)
 	for {
-		if _, err := io.ReadFull(f, head[:]); err != nil {
-			// Clean EOF or a partial header: end of valid data.
-			return res, nil
+		seq, payload, ok, err := rd.next()
+		if err != nil {
+			return res, err
 		}
-		n := binary.LittleEndian.Uint32(head[0:4])
-		crc := binary.LittleEndian.Uint32(head[4:8])
-		seq := binary.LittleEndian.Uint64(head[8:16])
-		if n > maxRecord {
-			return res, nil
-		}
-		if cap(buf) < int(n)+8 {
-			buf = make([]byte, int(n)+8)
-		}
-		body := buf[:int(n)+8]
-		copy(body[:8], head[8:16])
-		if _, err := io.ReadFull(f, body[8:]); err != nil {
-			return res, nil
-		}
-		if crc32.ChecksumIEEE(body) != crc {
-			return res, nil
-		}
-		if res.count > 0 && seq <= prev {
+		if !ok || (res.count > 0 && seq <= res.lastSeq) {
 			return res, nil
 		}
 		if fn != nil {
-			if err := fn(seq, body[8:]); err != nil {
+			if err := fn(seq, payload); err != nil {
 				return res, err
 			}
 		}
-		prev = seq
 		res.count++
 		res.lastSeq = seq
-		res.validEnd += int64(headerSize) + int64(n)
+		res.validEnd = rd.off
 	}
 }
 

@@ -13,13 +13,13 @@ import (
 // replica. It refuses writes (Ingest/IngestBatch/Retire fail with
 // ErrNotLeader), and instead implements replica.Applier: records shipped
 // from the leader are appended to the follower's own WAL *at the
-// leader's sequence numbers* (wal.AppendAt), then applied to the shard
-// workers by the function recovery replay uses (applyRecord). Because the follower mirrors
-// leader numbering, its snapshots, crash recovery and replication-resume
-// position all speak leader offsets — and after Promote, appends simply
-// continue the leader's sequence, so a promoted follower's saved state
-// is byte-identical to the state an uninterrupted leader would have
-// saved.
+// leader's sequence numbers* (wal.AppendBatchAt), then applied to the
+// shard workers by the function recovery replay uses (applyRecords).
+// Because the follower mirrors leader numbering, its snapshots, crash
+// recovery and replication-resume position all speak leader offsets —
+// and after Promote, appends simply continue the leader's sequence, so a
+// promoted follower's saved state is byte-identical to the state an
+// uninterrupted leader would have saved.
 //
 // The read path is fully live on a follower: shards publish frozen
 // snapshots as replicated records are applied, so /v1/predict serves
@@ -114,39 +114,69 @@ func (e *Engine) ObserveLeaderHead(head uint64, sentAt time.Time) {
 	e.lastFrame.Store(time.Now().UnixNano())
 }
 
-// ApplyReplicated durably applies a batch of leader records: each is
-// appended to the follower's WAL at the leader's sequence number, then
-// applied to its model's shard; the batch is fsynced before return, so
-// the ack that follows only ever covers crash-safe state. Part of
-// replica.Applier.
+// ApplyReplicated durably applies a batch of leader records: the batch
+// is appended to the follower's WAL at the leader's sequence numbers with
+// one write, applied to the model shards run by run (applyRecords), and
+// fsynced before return, so the ack that follows only ever covers
+// crash-safe state. Part of replica.Applier.
 func (e *Engine) ApplyReplicated(recs []replica.Record) error {
 	if !e.follower.Load() {
 		// A promoted (or misconfigured) engine must not mix a replication
 		// stream into its own appends.
 		return ErrNotLeader
 	}
-	applied := e.replApplied.Load()
-	for _, r := range recs {
-		if r.Seq <= applied {
-			continue // duplicate delivery after a reconnect
+	// Drop duplicate deliveries (a reconnect resends from the last ack),
+	// and pick out what the log still lacks. recs ascends strictly, as the
+	// leader's cursor emits it, so both are suffixes of it. A record below
+	// the WAL tail is already durable here from an earlier delivery whose
+	// in-memory apply failed transiently (ErrBusy on a full shard mailbox
+	// tore the stream down after the append succeeded). Redelivery then
+	// only needs the apply: re-appending would fail the log's monotonicity
+	// check forever and wedge replication on reconnect.
+	applied, tail := e.replApplied.Load(), e.wal.NextSeq()
+	for len(recs) > 0 && recs[0].Seq <= applied {
+		recs = recs[1:]
+	}
+	missing := recs
+	for len(missing) > 0 && missing[0].Seq < tail {
+		missing = missing[1:]
+	}
+	if len(recs) > 0 {
+		// Until a shard has them these records live in the log alone; the
+		// floor is in place before they are (one an earlier ErrBusy left
+		// standing is at or below this one, and stays).
+		e.replPendingLow.CompareAndSwap(0, recs[0].Seq)
+	}
+	if len(missing) > 0 {
+		seqs, payloads := make([]uint64, len(missing)), make([][]byte, len(missing))
+		for i, r := range missing {
+			seqs[i], payloads[i] = r.Seq, r.Payload
 		}
-		// A record below the WAL tail is already durable here from an
-		// earlier delivery whose in-memory apply failed transiently
-		// (e.g. ErrBusy on a full shard mailbox tore the stream down
-		// after AppendAt succeeded). Redelivery then only needs the
-		// apply: re-appending would fail AppendAt's monotonicity check
-		// forever and permanently wedge replication on reconnect.
-		if r.Seq >= e.wal.NextSeq() {
-			if err := e.wal.AppendAt(r.Seq, r.Payload); err != nil {
+		if err := e.wal.AppendBatchAt(seqs, payloads); err != nil {
+			return err
+		}
+	}
+	last, err := e.applyRecords(applyReplicated, func(apply func(uint64, []byte) error) error {
+		for _, r := range recs {
+			if err := apply(r.Seq, r.Payload); err != nil {
 				return err
 			}
 		}
-		if err := e.applyRecord(r.Seq, r.Payload, applyReplicated); err != nil {
-			return err
-		}
-		applied = r.Seq
-		e.replApplied.Store(applied)
+		return nil
+	})
+	// Only what has reached its shard counts as applied: the next
+	// handshake resumes after it, and the rest is redelivered — and until
+	// then stays pinned, so no snapshot in the gap seals it away.
+	if last > applied {
+		e.replApplied.Store(last)
 	}
+	if err != nil {
+		if last >= e.replPendingLow.Load() {
+			e.replPendingLow.Store(last + 1)
+		}
+		return err
+	}
+	e.replPendingLow.Store(0)
 	return e.wal.Sync()
 }
 
@@ -282,7 +312,11 @@ func (e *Engine) Promote() {
 	if !e.follower.CompareAndSwap(true, false) {
 		return
 	}
-	e.log.Info("promoted to leader", "applied_seq", e.replApplied.Load())
+	// A floor an ErrBusy left standing stays (non-zero unapplied_from_seq):
+	// no redelivery will come to clear it, and holding the log until a
+	// restart costs space, never a record.
+	e.log.Info("promoted to leader", "applied_seq", e.replApplied.Load(),
+		"unapplied_from_seq", e.replPendingLow.Load())
 	e.promoteMu.Lock()
 	hooks := e.onPromote
 	e.onPromote = nil

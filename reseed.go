@@ -245,6 +245,7 @@ func (e *Engine) CommitSeed(dir string) error {
 	e.bf.valid, e.bf.cur, e.bf.rowsAfter, e.bf.seq, e.bf.pendingLow =
 		false, BackfillCursor{}, 0, 0, 0
 	e.bf.mu.Unlock()
+	e.replPendingLow.Store(0) // the log it pinned is gone with the rest
 	if err := e.recover(); err != nil {
 		return err
 	}
