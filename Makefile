@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: check vet vet-orfbench e2e-smoke build test race bench bench-ingest bench-predict bench-predict-smoke bench-replicate bench-replicate-smoke bench-replay bench-replay-smoke bench-snapshot bench-snapshot-smoke bench-smoke fmt
+.PHONY: check vet vet-orfbench e2e-smoke fuzz-smoke build test race bench bench-ingest bench-predict bench-predict-smoke bench-replicate bench-replicate-smoke bench-replay bench-replay-smoke bench-snapshot bench-snapshot-smoke bench-smoke fmt
 
 check: vet vet-orfbench e2e-smoke build test race bench-predict-smoke bench-replicate-smoke bench-replay-smoke bench-snapshot-smoke
 
@@ -22,6 +22,19 @@ vet-orfbench:
 e2e-smoke:
 	bash bench/run.sh -all -short
 
+# Every Fuzz* target in the repo for a few seconds each, one go test
+# invocation apiece (-fuzz takes a single target). The seed corpora
+# already run under plain `go test`; this is the part that mutates.
+FUZZTIME ?= 5s
+
+fuzz-smoke:
+	@set -e; for pkg in $$($(GO) list ./...); do \
+		for target in $$($(GO) test $$pkg -list '^Fuzz' | grep '^Fuzz' || true); do \
+			echo "fuzz $$pkg $$target"; \
+			$(GO) test $$pkg -run '^$$' -fuzz "^$$target\$$" -fuzztime $(FUZZTIME); \
+		done; \
+	done
+
 build:
 	$(GO) build ./...
 
@@ -34,8 +47,10 @@ race:
 # Ingest/serving perf baseline: run the allocation-sensitive hot-path
 # benchmarks 5x and record the per-benchmark minimum in
 # BENCH_ingest.json (see cmd/benchjson). Commit the refreshed file when
-# a PR moves these numbers so the perf trajectory stays reviewable.
-INGEST_BENCH = BenchmarkPredictorIngest$$|BenchmarkPredictorIngestBatch|BenchmarkLabelerSteadyState|BenchmarkUpdateBatch|BenchmarkEngineIngestBatch
+# a PR moves these numbers so the perf trajectory stays reviewable. The
+# two codec benchmarks also record the exact sizes a row and a saved
+# state take (B/row, state_bytes).
+INGEST_BENCH = BenchmarkPredictorIngest$$|BenchmarkPredictorIngestBatch|BenchmarkLabelerSteadyState|BenchmarkUpdateBatch|BenchmarkEngineIngestBatch|BenchmarkRecordCodec|BenchmarkStateCodec
 
 bench: bench-ingest bench-predict bench-replicate bench-snapshot
 

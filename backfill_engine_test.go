@@ -48,7 +48,7 @@ func TestCursorRecordRoundTrip(t *testing.T) {
 	}
 }
 
-// TestBackfillObserveRecordKind: backfill rows share the v2 observe
+// TestBackfillObserveRecordKind: backfill rows share the live observe
 // body under their own kind byte, so recovery can count them against
 // the cursor without confusing them with live traffic.
 func TestBackfillObserveRecordKind(t *testing.T) {

@@ -10,6 +10,7 @@
 package orfdisk
 
 import (
+	"bytes"
 	"fmt"
 	"runtime"
 	"sort"
@@ -23,6 +24,7 @@ import (
 	"orfdisk/internal/forest"
 	"orfdisk/internal/gbdt"
 	"orfdisk/internal/labeling"
+	"orfdisk/internal/smart"
 	"orfdisk/internal/svm"
 )
 
@@ -450,6 +452,99 @@ func BenchmarkEngineIngestBatch(b *testing.B) {
 				}
 			}
 		}
+	})
+}
+
+// BenchmarkRecordCodec measures the observe-record codec per row over a
+// simulated fleet's stream: encode is appendObserveRecordKind into a
+// reused buffer (what recordBatch.addObserve does), decode is
+// decodeRecord of the same payloads. B/row is the mean payload — what a
+// row costs in the WAL (plus its 16-byte frame header) and on the
+// replication wire.
+func BenchmarkRecordCodec(b *testing.B) {
+	g, err := dataset.New(benchProfile(6), 17)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var (
+		obs      []FleetObservation
+		payloads [][]byte
+		total    int
+	)
+	for _, m := range g.Disks()[:100] {
+		for _, s := range g.DiskSamples(m) {
+			o := FleetObservation{Model: "ST4000DM000", Observation: Observation{
+				Serial: s.Serial, Day: s.Day, Failed: s.Failure, Values: s.Values,
+			}}
+			obs = append(obs, o)
+			payloads = append(payloads, appendObserveRecordKind(nil, o, recObserve))
+			total += len(payloads[len(payloads)-1])
+		}
+	}
+	bytesPerRow := float64(total) / float64(len(obs))
+	b.Run("encode", func(b *testing.B) {
+		var buf []byte
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			buf = appendObserveRecordKind(buf[:0], obs[i%len(obs)], recObserve)
+		}
+		b.ReportMetric(bytesPerRow, "B/row")
+	})
+	b.Run("decode", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := decodeRecord(payloads[i%len(payloads)]); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportMetric(bytesPerRow, "B/row")
+	})
+}
+
+// BenchmarkStateCodec measures SaveState and LoadPredictorState on what
+// dominates a snapshot: the labeling queues of a 2,000-disk fleet, full
+// (7 days of the paper's 19 features each), beside a young forest.
+// state_bytes is the size of the saved state.
+func BenchmarkStateCodec(b *testing.B) {
+	prof := dataset.STA(1)
+	prof.GoodDisks, prof.FailedDisks, prof.Months = 2050, 0, 1 // a few enter service after the month ends
+	g, err := dataset.New(prof, 23)
+	if err != nil {
+		b.Fatal(err)
+	}
+	p := NewPredictor(Config{ORF: ORFConfig{Seed: 1}})
+	err = g.Stream(func(s smart.Sample) error {
+		return p.Absorb(Observation{Serial: s.Serial, Day: s.Day, Failed: s.Failure, Values: s.Values})
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if p.TrackedDisks() < 2000 || p.PendingSamples() < 7*2000 {
+		b.Fatalf("%d disks, %d queued samples: want 2000 full queues", p.TrackedDisks(), p.PendingSamples())
+	}
+	var state bytes.Buffer
+	if err := p.SaveState(&state); err != nil {
+		b.Fatal(err)
+	}
+	b.Run("save", func(b *testing.B) {
+		var buf bytes.Buffer
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			buf.Reset()
+			if err := p.SaveState(&buf); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportMetric(float64(state.Len()), "state_bytes")
+	})
+	b.Run("load", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := LoadPredictorState(bytes.NewReader(state.Bytes())); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportMetric(float64(state.Len()), "state_bytes")
 	})
 }
 

@@ -501,7 +501,7 @@ func (e *Engine) ingestSlice(s *shardState, batch []FleetObservation, idxs []int
 	if e.wal != nil {
 		s.enc.reset()
 		for _, i := range idxs {
-			s.enc.addObserve(batch[i], recObserveV2)
+			s.enc.addObserve(batch[i], recObserve)
 		}
 		var err error
 		if first, err = e.wal.AppendBatch(s.enc.payloads()); err != nil {

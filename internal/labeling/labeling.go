@@ -76,8 +76,9 @@ func (q *Queue) Dequeue() (x []float64, day int) {
 // slot maps a logical offset from the oldest sample to an array index.
 func (q *Queue) slot(off int) int { return (q.head + off) % len(q.x) }
 
-// at returns the sample at logical position i (0 = oldest).
-func (q *Queue) at(i int) (x []float64, day int) {
+// At returns the sample at logical position i (0 = oldest). The vector
+// is the queue's own, not a copy.
+func (q *Queue) At(i int) (x []float64, day int) {
 	j := q.slot(i)
 	return q.x[j], q.days[j]
 }
@@ -203,6 +204,11 @@ func (l *Labeler) Disks() []string {
 	return out
 }
 
+// Queue returns disk's live queue, nil when the disk is not tracked: the
+// read-only view a serializer walks (Disks, then Len and At) without the
+// per-sample copies Export makes.
+func (l *Labeler) Queue(disk string) *Queue { return l.queues[disk] }
+
 // QueueState is the serializable content of one disk's queue, oldest
 // sample first. Export/Import exist so a snapshotting deployment can
 // capture the labeler exactly: replaying the post-snapshot stream then
@@ -228,7 +234,7 @@ func (l *Labeler) Export() []QueueState {
 			X:    make([][]float64, q.Len()),
 		}
 		for i := 0; i < q.Len(); i++ {
-			x, day := q.at(i)
+			x, day := q.At(i)
 			st.Days[i] = day
 			st.X[i] = append([]float64(nil), x...)
 		}

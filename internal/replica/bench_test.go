@@ -1,11 +1,18 @@
-package replica
+// An external test package: the payloads come from the root package's
+// engine, which imports this one.
+package replica_test
 
 import (
+	"errors"
 	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"orfdisk"
+	"orfdisk/internal/dataset"
+	"orfdisk/internal/replica"
+	"orfdisk/internal/smart"
 	"orfdisk/internal/wal"
 )
 
@@ -16,7 +23,7 @@ type countApplier struct {
 	applied atomic.Uint64
 }
 
-func (c *countApplier) ApplyReplicated(recs []Record) error {
+func (c *countApplier) ApplyReplicated(recs []replica.Record) error {
 	c.applied.Store(recs[len(recs)-1].Seq)
 	return nil
 }
@@ -37,6 +44,59 @@ func benchWAL(b *testing.B, dir string, syncInterval time.Duration) *wal.WAL {
 	return w
 }
 
+// benchPayloads returns the records production ships: what a leader
+// engine logged for the first n observations of a simulated fleet,
+// written by the engine's own record writer and read back from its WAL.
+func benchPayloads(b *testing.B, n int) (payloads [][]byte, meanBytes int) {
+	b.Helper()
+	eng, err := orfdisk.NewEngine(orfdisk.EngineConfig{
+		Predictor: orfdisk.Config{ORF: orfdisk.ORFConfig{Trees: 2, Seed: 1}}, DataDir: b.TempDir(),
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer eng.Close()
+	prof := dataset.STA(1)
+	prof.GoodDisks, prof.FailedDisks, prof.Months = 60, 20, 6
+	g, err := dataset.New(prof, 17)
+	if err != nil {
+		b.Fatal(err)
+	}
+	enough := errors.New("enough")
+	err = g.Stream(func(s smart.Sample) error {
+		if n--; n < 0 {
+			return enough
+		}
+		_, err := eng.Ingest(orfdisk.FleetObservation{Model: prof.Model, Observation: orfdisk.Observation{
+			Serial: s.Serial, Day: s.Day, Failed: s.Failure, Values: s.Values,
+		}})
+		return err
+	})
+	if err != nil && err != enough {
+		b.Fatal(err)
+	}
+	if err := eng.WAL().Sync(); err != nil {
+		b.Fatal(err)
+	}
+	cur, err := wal.OpenCursor(eng.WAL().Dir(), 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer cur.Close()
+	total := 0
+	for {
+		_, p, err := cur.Next()
+		if errors.Is(err, wal.ErrNoMore) {
+			return payloads, total / len(payloads)
+		}
+		if err != nil {
+			b.Fatal(err)
+		}
+		payloads = append(payloads, append([]byte(nil), p...)) // the cursor reuses its buffer
+		total += len(p)
+	}
+}
+
 // benchMode names the regime a benchmark ran in ("smoke" under -short)
 // so BENCH_replicate.json can hold both and the smoke gate
 // (make bench-replicate-smoke) compares like for like.
@@ -49,8 +109,9 @@ func benchMode() string {
 
 // BenchmarkReplicationShip measures steady-state live-tail throughput:
 // records appended on the leader, streamed over TCP, and delivered to a
-// connected follower. bytes/op is the record payload, so the reported
-// MB/s is the replicated-payload rate. The async variant drains the
+// connected follower. bytes/op is the mean record payload (real observe
+// records, see benchPayloads), so the reported MB/s is the
+// replicated-payload rate. The async variant drains the
 // stream after the timed loop (shipping overlaps appends); the sync1
 // variant commits synchronously — fsync, ship, follower fsync, ack —
 // per op, the floor a -sync-acks 1 deployment pays per write.
@@ -64,26 +125,23 @@ func benchShip(b *testing.B, syncAcks int) {
 	// A fast flusher keeps fsyncs off the timed append path while still
 	// making records durable (hence shippable) almost immediately.
 	w := benchWAL(b, b.TempDir(), 2*time.Millisecond)
-	src, err := NewSource("127.0.0.1:0", SourceConfig{WAL: w})
+	src, err := replica.NewSource("127.0.0.1:0", replica.SourceConfig{WAL: w})
 	if err != nil {
 		b.Fatal(err)
 	}
 	defer src.Close()
 	ca := &countApplier{}
-	fl, err := StartFollower(src.Addr(), FollowerConfig{Applier: ca})
+	fl, err := replica.StartFollower(src.Addr(), replica.FollowerConfig{Applier: ca})
 	if err != nil {
 		b.Fatal(err)
 	}
 	defer fl.Close()
 
-	payload := make([]byte, 256)
-	for i := range payload {
-		payload[i] = byte(i)
-	}
-	b.SetBytes(int64(len(payload)))
+	payloads, mean := benchPayloads(b, 1000)
+	b.SetBytes(int64(mean))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		seq, err := w.Append(payload)
+		seq, err := w.Append(payloads[i%len(payloads)])
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -124,9 +182,9 @@ func benchCatchup(b *testing.B) {
 		backlog = 1000
 	}
 	w := benchWAL(b, b.TempDir(), time.Hour)
-	payload := make([]byte, 256)
-	for i := 0; i < backlog; i++ {
-		if _, err := w.Append(payload); err != nil {
+	payloads, mean := benchPayloads(b, backlog)
+	for _, p := range payloads {
+		if _, err := w.Append(p); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -135,17 +193,17 @@ func benchCatchup(b *testing.B) {
 		b.Fatal(err)
 	}
 	last := w.NextSeq() - 1
-	src, err := NewSource("127.0.0.1:0", SourceConfig{WAL: w})
+	src, err := replica.NewSource("127.0.0.1:0", replica.SourceConfig{WAL: w})
 	if err != nil {
 		b.Fatal(err)
 	}
 	defer src.Close()
 
-	b.SetBytes(int64(backlog * len(payload)))
+	b.SetBytes(int64(backlog * mean))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ca := &countApplier{}
-		fl, err := StartFollower(src.Addr(), FollowerConfig{Applier: ca})
+		fl, err := replica.StartFollower(src.Addr(), replica.FollowerConfig{Applier: ca})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -24,7 +24,8 @@ type SourceConfig struct {
 	BatchRecords int
 	BatchBytes   int
 	// Heartbeat is the idle keep-alive cadence carrying the leader's
-	// head position to followers (default 500 ms).
+	// head position to followers (default 500 ms). A follower does not
+	// wait this long for its first status: one is sent as it attaches.
 	Heartbeat time.Duration
 	// WriteTimeout bounds one frame write to a stalled follower before
 	// the connection is torn down (default 30 s).
@@ -475,12 +476,19 @@ func (s *Source) serve(sc *srcConn) error {
 		return nil
 	}
 
+	// The follower learns where the head is as it attaches, not a
+	// heartbeat interval later: until a status reaches it, it cannot tell
+	// caught up from never connected and reports itself not ready.
+	frameBuf := appendStatus(nil, head(), time.Now())
+	if err := send(frameHeartbeat, frameBuf); err != nil {
+		return err
+	}
+
 	var (
-		data     []byte // flat payload arena for one batch
-		offs     []int
-		seqs     []uint64
-		recs     []Record
-		frameBuf []byte
+		data []byte // flat payload arena for one batch
+		offs []int
+		seqs []uint64
+		recs []Record
 		// Durability gate: a record read past the durable head is parked
 		// here (copied — cursor payloads alias its buffer) until an fsync
 		// covers it. The WAL notifies watchers on sync as well as append,

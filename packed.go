@@ -1,0 +1,118 @@
+package orfdisk
+
+import (
+	"encoding/binary"
+	"errors"
+	"fmt"
+	"math"
+	"math/bits"
+)
+
+// The packed value codec: how a SMART vector is laid out wherever it
+// becomes durable — observe records (record.go) and the labeling queues
+// of a saved state (persist.go). n values are ⌈n/2⌉ bytes of 4-bit codes
+// (value i in byte i/2, even i in the low nibble; the pad nibble of an
+// odd count is zero) followed by the payloads in order:
+//
+//	code 0      +0.0, no payload
+//	code 1-8    that many leading bytes of the IEEE-754 bits, most
+//	            significant first; the trailing bytes dropped are zero
+//	code 9-14   an integer in [1, 2^48) in code-8 little-endian bytes
+//	code 15     unassigned: a decode error
+//
+// SMART telemetry is a 1-byte normalized value and a 6-byte raw counter
+// per attribute, so nearly every value is a small non-negative integer:
+// the integer form holds it in the bytes the number needs, where the
+// float form also pays for the exponent. The float form holds everything
+// else bit for bit (-0, NaN payloads, infinities, subnormals).
+
+// packValues appends vals to buf. The encoding is canonical: the integer
+// form is used only when strictly shorter than the float form, and both
+// are decided from the float's bits alone. Each payload is written with
+// one 8-byte store (the excess lands in reserved scratch and is
+// overwritten by the next value), which keeps the encoder off an observe
+// record's critical path.
+func packValues(buf []byte, vals []float64) []byte {
+	// Worst case 8 bytes per value, +8 so the last full-width store stays
+	// in bounds.
+	i := (len(vals) + 1) / 2 // payloads start after the codes
+	worst := i + 8*len(vals) + 8
+	n := len(buf)
+	if cap(buf)-n < worst {
+		buf = append(buf[:n], make([]byte, worst)...)
+	}
+	b := buf[n : n+worst]
+	for k, v := range vals {
+		u := math.Float64bits(v)
+		code := 0
+		if u != 0 {
+			tz := bits.TrailingZeros64(u)
+			w := 8 - tz/8
+			code = w
+			p := bits.ReverseBytes64(u)
+			// A positive integer below 2^48 has exponent e in [0, 48) and no
+			// mantissa bit below 2^(52-e); a sign bit puts e out of range.
+			if e := int(u>>52) - 1023; uint(e) < 48 && tz >= 52-e && e/8+1 < w {
+				w = e/8 + 1
+				code = 8 + w
+				p = (u&(1<<52-1) | 1<<52) >> (52 - e)
+			}
+			binary.LittleEndian.PutUint64(b[i:], p)
+			i += w
+		}
+		if k&1 == 0 {
+			b[k/2] = byte(code)
+		} else {
+			b[k/2] |= byte(code) << 4
+		}
+	}
+	return buf[:n+i]
+}
+
+// unpackValues decodes nv values from the front of b and returns them
+// with the bytes that follow. nv comes from the input: it is bounded by
+// what b could hold (a value takes at least its half-byte code) before
+// anything is allocated for it. Errors carry no package prefix: both
+// callers wrap them.
+func unpackValues(b []byte, nv uint64) ([]float64, []byte, error) {
+	if nv > 2*uint64(len(b)) {
+		return nil, nil, fmt.Errorf("%d packed values in %d bytes", nv, len(b))
+	}
+	nc := int(nv+1) / 2
+	codes, b := b[:nc], b[nc:]
+	if nv&1 == 1 && codes[nc-1]>>4 != 0 {
+		return nil, nil, errors.New("packed values: non-zero pad code")
+	}
+	vals := make([]float64, nv)
+	for i := range vals {
+		code := int(codes[i/2] >> (4 * (i & 1)) & 15)
+		w := code
+		if code > 8 {
+			w = code - 8
+		}
+		if code == 15 || len(b) < w {
+			return nil, nil, fmt.Errorf("packed value %d: code %d with %d bytes left", i, code, len(b))
+		}
+		if u := loadBytes(b, w); code > 8 {
+			vals[i] = float64(u) // below 2^48: exact
+		} else {
+			vals[i] = math.Float64frombits(bits.ReverseBytes64(u))
+		}
+		b = b[w:]
+	}
+	return vals, b, nil
+}
+
+// loadBytes reads the first w (0-8) bytes of b as a little-endian
+// integer; len(b) >= w. With 8 bytes in reach it mirrors the encoders'
+// single-store trick: one full-width load, masked.
+func loadBytes(b []byte, w int) uint64 {
+	if len(b) >= 8 {
+		return binary.LittleEndian.Uint64(b) & (1<<(8*uint(w)) - 1)
+	}
+	var u uint64
+	for k := 0; k < w; k++ {
+		u |= uint64(b[k]) << (8 * k)
+	}
+	return u
+}

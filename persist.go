@@ -2,7 +2,9 @@ package orfdisk
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"math"
 
@@ -24,7 +26,8 @@ import (
 
 const (
 	predictorMagic = "ODP1"
-	stateMagic     = "ODS1"
+	stateMagic     = "ODS2"
+	stateMagicV1   = "ODS1" // read, never written
 )
 
 // SaveModel serializes the predictor's model state to w.
@@ -87,6 +90,11 @@ func LoadPredictor(r io.Reader) (*Predictor, error) {
 	horizon, err := readU64()
 	if err != nil {
 		return nil, fmt.Errorf("orfdisk: reading model: %w", err)
+	}
+	// The horizon sizes every disk's queue, so an absurd one must fail
+	// here, not in an allocation: 2^16 days is far past any disk's life.
+	if horizon == 0 || horizon > 1<<16 {
+		return nil, fmt.Errorf("orfdisk: corrupt model (horizon %d)", horizon)
 	}
 	thBits, err := readU64()
 	if err != nil {
@@ -155,6 +163,14 @@ func LoadPredictor(r io.Reader) (*Predictor, error) {
 // predictor restored from SaveState and fed the post-snapshot stream
 // reproduces an uninterrupted run bit for bit — the property the
 // serving engine's crash recovery relies on.
+//
+// The queue section ("ODS2") is a uvarint disk count, then per tracked
+// disk, in serial order, the serial (uvarint length, bytes), a uvarint
+// sample count, a uvarint block length and the block — per sample,
+// oldest first, a varint day and the queued features as packValues
+// lays them out — and last a little-endian CRC-32 (IEEE) of the section
+// before it. Each disk is built in a reused buffer and written with one
+// Write.
 func (p *Predictor) SaveState(w io.Writer) error {
 	if _, err := io.WriteString(w, stateMagic); err != nil {
 		return err
@@ -162,122 +178,170 @@ func (p *Predictor) SaveState(w io.Writer) error {
 	if err := p.SaveModel(w); err != nil {
 		return err
 	}
-	writeU64 := func(v uint64) error {
-		var buf [8]byte
-		binary.LittleEndian.PutUint64(buf[:], v)
-		_, err := w.Write(buf[:])
+	var sum uint32
+	write := func(b []byte) error {
+		sum = crc32.Update(sum, crc32.IEEETable, b)
+		_, err := w.Write(b)
 		return err
 	}
-	writeString := func(s string) error {
-		if err := writeU64(uint64(len(s))); err != nil {
-			return err
-		}
-		_, err := io.WriteString(w, s)
+	disks := p.labeler.Disks()
+	buf := binary.AppendUvarint(nil, uint64(len(disks)))
+	if err := write(buf); err != nil {
 		return err
 	}
-	queues := p.labeler.Export()
-	if err := writeU64(uint64(len(queues))); err != nil {
-		return err
-	}
-	for _, q := range queues {
-		if err := writeString(q.Disk); err != nil {
-			return err
-		}
-		if err := writeU64(uint64(len(q.Days))); err != nil {
-			return err
-		}
-		for i := range q.Days {
-			if err := writeU64(uint64(int64(q.Days[i]))); err != nil {
-				return err
-			}
-			if len(q.X[i]) != len(p.features) {
+	var block []byte
+	for _, disk := range disks {
+		q := p.labeler.Queue(disk)
+		block = block[:0]
+		for i := 0; i < q.Len(); i++ {
+			x, day := q.At(i)
+			if len(x) != len(p.features) {
 				return fmt.Errorf("orfdisk: queued sample of disk %q has %d features, want %d",
-					q.Disk, len(q.X[i]), len(p.features))
+					disk, len(x), len(p.features))
 			}
-			for _, v := range q.X[i] {
-				if err := writeU64(math.Float64bits(v)); err != nil {
-					return err
-				}
-			}
+			block = packValues(binary.AppendVarint(block, int64(day)), x)
+		}
+		buf = binary.AppendUvarint(buf[:0], uint64(len(disk)))
+		buf = append(buf, disk...)
+		buf = binary.AppendUvarint(buf, uint64(q.Len()))
+		buf = binary.AppendUvarint(buf, uint64(len(block)))
+		buf = append(buf, block...)
+		if err := write(buf); err != nil {
+			return err
 		}
 	}
-	return nil
+	_, err := w.Write(binary.LittleEndian.AppendUint32(buf[:0], sum))
+	return err
 }
 
-// LoadPredictorState reconstructs a predictor saved with SaveState.
+// LoadPredictorState reconstructs a predictor saved with SaveState, or
+// with the "ODS1" layout older releases wrote (fixed 8-byte words, no
+// checksum). It reads r to its end: a state is the last thing in
+// whatever holds it. Damaged input of either layout is an "orfdisk:
+// corrupt state" error, never a panic, and every count and length in it
+// is held against the bytes that are there before anything is sized by
+// it.
 func LoadPredictorState(r io.Reader) (*Predictor, error) {
 	head := make([]byte, len(stateMagic))
 	if _, err := io.ReadFull(r, head); err != nil {
 		return nil, fmt.Errorf("orfdisk: reading state header: %w", err)
 	}
-	if string(head) != stateMagic {
+	if string(head) != stateMagic && string(head) != stateMagicV1 {
 		return nil, fmt.Errorf("orfdisk: bad state magic %q", head)
 	}
 	p, err := LoadPredictor(r)
 	if err != nil {
 		return nil, err
 	}
-	readU64 := func() (uint64, error) {
-		var buf [8]byte
-		if _, err := io.ReadFull(r, buf[:]); err != nil {
-			return 0, err
-		}
-		return binary.LittleEndian.Uint64(buf[:]), nil
-	}
-	readString := func() (string, error) {
-		n, err := readU64()
-		if err != nil {
-			return "", err
-		}
-		if n > 1<<20 {
-			return "", fmt.Errorf("orfdisk: corrupt state (string of %d bytes)", n)
-		}
-		buf := make([]byte, n)
-		if _, err := io.ReadFull(r, buf); err != nil {
-			return "", err
-		}
-		return string(buf), nil
-	}
-	nDisks, err := readU64()
+	section, err := io.ReadAll(r)
 	if err != nil {
-		return nil, fmt.Errorf("orfdisk: reading queue count: %w", err)
+		return nil, fmt.Errorf("orfdisk: reading queues: %w", err)
 	}
-	states := make([]labeling.QueueState, 0, nDisks)
-	for d := uint64(0); d < nDisks; d++ {
-		disk, err := readString()
-		if err != nil {
-			return nil, fmt.Errorf("orfdisk: reading queue disk: %w", err)
+	fixed := string(head) == stateMagicV1
+	if !fixed {
+		n := len(section) - 4
+		if n < 0 {
+			return nil, errors.New("orfdisk: corrupt state (no queue checksum)")
 		}
-		n, err := readU64()
-		if err != nil {
-			return nil, fmt.Errorf("orfdisk: reading queue length: %w", err)
+		sum, stored := crc32.ChecksumIEEE(section[:n]), binary.LittleEndian.Uint32(section[n:])
+		if sum != stored {
+			return nil, fmt.Errorf("orfdisk: corrupt state (queue section CRC %08x, stored %08x)", sum, stored)
 		}
-		if n > uint64(p.horizon) {
-			return nil, fmt.Errorf("orfdisk: corrupt state (queue of %d > horizon %d)", n, p.horizon)
-		}
-		st := labeling.QueueState{Disk: disk}
-		for i := uint64(0); i < n; i++ {
-			day, err := readU64()
-			if err != nil {
-				return nil, fmt.Errorf("orfdisk: reading queued sample: %w", err)
-			}
-			x := make([]float64, len(p.features))
-			for j := range x {
-				bits, err := readU64()
-				if err != nil {
-					return nil, fmt.Errorf("orfdisk: reading queued sample: %w", err)
-				}
-				x[j] = math.Float64frombits(bits)
-			}
-			st.Days = append(st.Days, int(int64(day)))
-			st.X = append(st.X, x)
-		}
-		states = append(states, st)
+		section = section[:n]
+	}
+	states, err := decodeQueues(section, fixed, uint64(p.horizon), uint64(len(p.features)))
+	if err != nil {
+		return nil, fmt.Errorf("orfdisk: corrupt state (%w)", err)
 	}
 	if err := p.labeler.Import(states); err != nil {
 		return nil, err
 	}
 	return p, nil
+}
+
+// decodeQueues parses a queue section (its CRC verified and removed) of
+// disks with up to horizon samples of f features each; fixed selects the
+// ODS1 layout, in which every integer is an 8-byte word and every value
+// a float64's bits.
+func decodeQueues(b []byte, fixed bool, horizon, f uint64) ([]labeling.QueueState, error) {
+	short := errors.New("queue section cut short")
+	uint := func() (uint64, error) {
+		v, n := binary.Uvarint(b)
+		if fixed {
+			if n = 8; len(b) >= 8 {
+				v = binary.LittleEndian.Uint64(b)
+			}
+		}
+		if n <= 0 || n > len(b) {
+			return 0, short
+		}
+		b = b[n:]
+		return v, nil
+	}
+	nDisks, err := uint()
+	if err != nil {
+		return nil, err
+	}
+	var states []labeling.QueueState // grown by append: nDisks is only a claim
+	for d := uint64(0); d < nDisks; d++ {
+		n, err := uint()
+		if err != nil || n > uint64(len(b)) {
+			return nil, short
+		}
+		st := labeling.QueueState{Disk: string(b[:n])}
+		b = b[n:]
+		if n, err = uint(); err != nil {
+			return nil, err
+		}
+		if n > horizon {
+			return nil, fmt.Errorf("queue of %d > horizon %d", n, horizon)
+		}
+		size := n * (8 + 8*f)
+		if !fixed {
+			if size, err = uint(); err != nil {
+				return nil, err
+			}
+			// A sample is a day of 1 to MaxVarintLen64 bytes, a code per
+			// feature and at most 8 bytes of each.
+			if size < n*(1+(f+1)/2) || size > n*(binary.MaxVarintLen64+(f+1)/2+8*f) {
+				return nil, fmt.Errorf("%d-byte block for %d queued samples", size, n)
+			}
+		}
+		if size > uint64(len(b)) {
+			return nil, short
+		}
+		// The block is there, so n is backed by bytes and may size these.
+		st.Days, st.X = make([]int, n), make([][]float64, n)
+		block := b[:size]
+		b = b[size:]
+		for i := range st.X {
+			if fixed {
+				st.Days[i] = int(int64(binary.LittleEndian.Uint64(block)))
+				st.X[i] = make([]float64, f)
+				for j := range st.X[i] {
+					st.X[i][j] = math.Float64frombits(binary.LittleEndian.Uint64(block[8+8*j:]))
+				}
+				block = block[8+8*f:]
+				continue
+			}
+			day, sz := binary.Varint(block)
+			if sz <= 0 {
+				return nil, errors.New("queued sample day")
+			}
+			st.Days[i] = int(day)
+			if st.X[i], block, err = unpackValues(block[sz:], f); err != nil {
+				return nil, err
+			}
+		}
+		if len(block) != 0 {
+			return nil, fmt.Errorf("%d trailing bytes in a queue block", len(block))
+		}
+		states = append(states, st)
+	}
+	if len(b) != 0 {
+		return nil, fmt.Errorf("%d trailing bytes after the queues", len(b))
+	}
+	return states, nil
 }
 
 // TrackedSerials returns the serials of all disks with live labeling

@@ -2,6 +2,12 @@ package orfdisk
 
 import (
 	"bytes"
+	"encoding/binary"
+	"fmt"
+	"hash/crc32"
+	"math"
+	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -191,4 +197,285 @@ func TestLoadPredictorStateRejectsGarbage(t *testing.T) {
 			t.Errorf("%s state accepted", name)
 		}
 	}
+}
+
+// saveStateODS1 is the writer the "ODS1" state layout had — every count,
+// day and queued feature a fixed 8-byte word, no checksum — kept as the
+// reference encoder for the fixtures that prove old snapshots still load.
+func saveStateODS1(t testing.TB, p *Predictor) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	buf.WriteString(stateMagicV1)
+	if err := p.SaveModel(&buf); err != nil {
+		t.Fatal(err)
+	}
+	u64 := func(v uint64) { buf.Write(binary.LittleEndian.AppendUint64(nil, v)) }
+	queues := p.labeler.Export()
+	u64(uint64(len(queues)))
+	for _, q := range queues {
+		u64(uint64(len(q.Disk)))
+		buf.WriteString(q.Disk)
+		u64(uint64(len(q.Days)))
+		for i := range q.Days {
+			u64(uint64(int64(q.Days[i])))
+			for _, v := range q.X[i] {
+				u64(math.Float64bits(v))
+			}
+		}
+	}
+	return buf.Bytes()
+}
+
+func saveState(t testing.TB, p *Predictor) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := p.SaveState(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// statePredictor is a trained predictor with live queues, and the number
+// of bytes the model part of its saved state takes (the queue section
+// starts right after).
+func statePredictor(t testing.TB, seed uint64, cfg Config) (p *Predictor, modelLen int) {
+	t.Helper()
+	p = NewPredictor(cfg)
+	err := smallFleet(t, seed).Stream(func(s smart.Sample) error {
+		// The fleet's last month stays queued: stop short of its end so
+		// failed and live disks are both on file.
+		if s.Day >= 200 {
+			return nil
+		}
+		_, err := p.Ingest(Observation{Serial: s.Serial, Day: s.Day, Failed: s.Failure, Values: s.Values})
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p, queueOffset(t, p)
+}
+
+// queueOffset is where the queue section starts in p's saved state:
+// after the magic and the model.
+func queueOffset(t testing.TB, p *Predictor) int {
+	t.Helper()
+	var model bytes.Buffer
+	if err := p.SaveModel(&model); err != nil {
+		t.Fatal(err)
+	}
+	return len(stateMagic) + model.Len()
+}
+
+// TestLoadPredictorStateReadsODS1 is the old-format fixture for
+// snapshots: an ODS1 state loads to a predictor that saves the very ODS2
+// bytes the original does, and those reload to the same bytes again.
+func TestLoadPredictorStateReadsODS1(t *testing.T) {
+	p, _ := statePredictor(t, 7, Config{Horizon: 4, ORF: ORFConfig{Trees: 8, MinParentSize: 50, Seed: 21}})
+	if p.TrackedDisks() == 0 || p.PendingSamples() == 0 {
+		t.Fatal("fixture predictor has empty queues")
+	}
+	q, err := LoadPredictorState(bytes.NewReader(saveStateODS1(t, p)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resaved := saveState(t, q)
+	if !bytes.HasPrefix(resaved, []byte(stateMagic)) {
+		t.Fatalf("re-saved state starts %q, want %q", resaved[:4], stateMagic)
+	}
+	if !bytes.Equal(resaved, saveState(t, p)) {
+		t.Fatal("a predictor loaded from ODS1 saves different bytes than the one that wrote it")
+	}
+	r, err := LoadPredictorState(bytes.NewReader(resaved))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(saveState(t, r), resaved) {
+		t.Fatal("ODS1 -> ODS2 -> ODS2 is not bit-identical")
+	}
+}
+
+// allocatedBy reports the bytes fn allocates (process-wide: the tests of
+// this package do not run in parallel).
+func allocatedBy(fn func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestLoadPredictorStateRejectsDamage: a damaged queue section, in
+// either layout, fails the load with a corrupt-state error. It never
+// panics, and no count or length in it buys an allocation: a damaged
+// load allocates at most what the intact one does plus 16x the input (a
+// packed value of half a byte decodes to 8).
+func TestLoadPredictorStateRejectsDamage(t *testing.T) {
+	p, q0 := statePredictor(t, 9, Config{ORF: ORFConfig{Trees: 5, MinParentSize: 50, Seed: 3}})
+	good, goodV1 := saveState(t, p), saveStateODS1(t, p)
+
+	// Offsets of the first disk's fields in the ODS2 queue section.
+	uvarint := func(off int) (v uint64, next int) {
+		v, n := binary.Uvarint(good[off:])
+		if n <= 0 {
+			t.Fatalf("no uvarint at %d", off)
+		}
+		return v, off + n
+	}
+	_, serialAt := uvarint(q0)
+	serialLen, serial := uvarint(serialAt)
+	nAt := serial + int(serialLen)
+	n, sizeAt := uvarint(nAt)
+	size, block := uvarint(sizeAt)
+	_, dayLen := binary.Varint(good[block:])
+	codes := block + dayLen
+	if len(p.features)%2 != 1 || n == 0 || size == 0 {
+		t.Fatalf("fixture: %d features, first queue %d samples in %d bytes", len(p.features), n, size)
+	}
+
+	splice := func(b []byte, from, to int, with []byte) []byte {
+		return slices.Concat(b[:from], with, b[to:])
+	}
+	// seal gives an ODS2 file cut before its checksum the checksum its
+	// queue section deserves, so that the damage under test is what the
+	// loader trips over, not the CRC.
+	seal := func(b []byte) []byte {
+		return binary.LittleEndian.AppendUint32(slices.Clip(b), crc32.ChecksumIEEE(b[q0:]))
+	}
+	body := good[:len(good)-4]
+	set := func(off int, v byte) []byte {
+		b := slices.Clone(body)
+		b[off] = v
+		return seal(b)
+	}
+	flip := func(off int) []byte {
+		b := slices.Clone(good)
+		b[off] ^= 1
+		return b
+	}
+	u64 := func(v uint64) []byte { return binary.LittleEndian.AppendUint64(nil, v) }
+	uv := func(v uint64) []byte { return binary.AppendUvarint(nil, v) }
+	cases := []struct {
+		name, want string
+		data       []byte
+	}{
+		{"ODS2 disk count 2^62", "cut short", seal(splice(body, q0, serialAt, uv(1<<62)))},
+		{"ODS1 disk count 2^62", "cut short", splice(goodV1, q0, q0+8, u64(1<<62))},
+		{"ODS1 disk count 2^33", "cut short", splice(goodV1, q0, q0+8, u64(1<<33))},
+		{"truncated file", "CRC", good[:block+int(size)/2]},
+		{"truncated block", "cut short", seal(body[:block+int(size)/2])},
+		{"truncated ODS1 block", "cut short", goodV1[:q0+8+8+int(serialLen)+8+20]},
+		{"block length 2^40", "-byte block for", seal(splice(body, sizeAt, block, uv(1<<40)))},
+		{"block length one short", "packed value", seal(splice(body, sizeAt, block, uv(size-1)))},
+		{"block length one over", "trailing bytes in a queue block", seal(splice(body, sizeAt, block, uv(size+1)))},
+		{"queue longer than the horizon", "> horizon", seal(splice(body, nAt, sizeAt, uv(1<<20)))},
+		{"serial of 2^40 bytes", "cut short", seal(splice(body, serialAt, serial, uv(1<<40)))},
+		{"code 15", "code 15", set(codes, body[codes]|0x0F)},
+		{"non-zero pad nibble", "pad", set(codes+len(p.features)/2, body[codes+len(p.features)/2]|0x10)},
+		{"bytes after the last queue", "trailing bytes after", seal(append(slices.Clone(body), 0))},
+		{"ODS1 bytes after the last queue", "trailing bytes after", append(slices.Clone(goodV1), 0)},
+		{"flipped payload bit", "CRC", flip(block + int(size) - 1)},
+		{"flipped checksum bit", "CRC", flip(len(good) - 1)},
+		{"checksum missing", "CRC", body},
+		{"queue section missing", "no queue checksum", good[:q0+2]},
+		{"horizon 2^40", "corrupt model (horizon", splice(good, 8, 16, u64(1<<40))},
+	}
+	load := func(data []byte) (err error) {
+		_, err = LoadPredictorState(bytes.NewReader(data))
+		return err
+	}
+	if err := load(good); err != nil {
+		t.Fatal(err)
+	}
+	intact := allocatedBy(func() { load(good) })
+	for _, tc := range cases {
+		var err error
+		got := allocatedBy(func() { err = load(tc.data) })
+		switch {
+		case err == nil:
+			t.Errorf("%s: accepted", tc.name)
+		case !strings.HasPrefix(err.Error(), "orfdisk: corrupt "):
+			t.Errorf("%s: error %q, want an \"orfdisk: corrupt state (...)\" one", tc.name, err)
+		case !strings.Contains(err.Error(), tc.want):
+			t.Errorf("%s: error %q, want one about %q", tc.name, err, tc.want)
+		}
+		if limit := intact + 16*uint64(len(tc.data)); got > limit {
+			t.Errorf("%s: allocated %d bytes loading %d, limit %d", tc.name, got, len(tc.data), limit)
+		}
+	}
+}
+
+// TestStateBytesPerDisk pins the other exact counter the packed codec
+// was sized by: queue-section bytes per tracked disk of a saved state,
+// paper configuration (19 features, 7-day queues), seeded fleet. The
+// ODS1 layout took 1146.0 B/disk here.
+func TestStateBytesPerDisk(t *testing.T) {
+	const maxPerDisk = 218.0 // this implementation: 217.2
+	p, modelLen := statePredictor(t, 11, Config{ORF: ORFConfig{Trees: 5, MinParentSize: 50, Seed: 3}})
+	disks := float64(p.TrackedDisks())
+	perDisk := float64(len(saveState(t, p))-modelLen) / disks
+	t.Logf("%v disks: %.1f B/disk ODS2, %.1f B/disk ODS1", disks, perDisk,
+		float64(len(saveStateODS1(t, p))-modelLen)/disks)
+	if perDisk > maxPerDisk {
+		t.Errorf("queue section is %.1f B per tracked disk, want <= %.1f", perDisk, maxPerDisk)
+	}
+}
+
+// FuzzLoadPredictorState: no input makes the loader panic. Mode 0 feeds
+// it the bytes as a whole file; modes 1 and 2 put them behind an intact
+// model as the ODS1 and the ODS2 queue section (mode 2 with the CRC the
+// bytes deserve, so the fuzzer gets past the checksum), where allocation
+// must stay linear in the input: no count or length in it is believed
+// before the bytes it stands for arrive.
+func FuzzLoadPredictorState(f *testing.F) {
+	// A few disks and two young trees: seeds of ~2 kB, which the fuzzer
+	// mutates and minimizes a hundred times faster than a fleet's.
+	p := NewPredictor(Config{Horizon: 3, ORF: ORFConfig{Trees: 2, Seed: 1}})
+	for day := 0; day < 5; day++ {
+		for d := 0; d < 4; d++ {
+			v := make([]float64, CatalogSize())
+			for i := range v {
+				v[i] = float64((day*(d+3) + i*i) % 23 * (i%5 + d))
+			}
+			v[d] = 415.3
+			if _, err := p.Ingest(Observation{Serial: fmt.Sprintf("d%d", d), Day: day, Failed: d == 3 && day == 3, Values: v}); err != nil {
+				f.Fatal(err)
+			}
+		}
+	}
+	q0 := queueOffset(f, p)
+	v2, v1 := saveState(f, p), saveStateODS1(f, p)
+	f.Add(v2, uint8(0))
+	f.Add(v1, uint8(0))
+	f.Add(v1[q0:], uint8(1))
+	f.Add(v2[q0:len(v2)-4], uint8(2))
+	f.Add([]byte{}, uint8(2))
+	var intact uint64
+	for _, b := range [][]byte{v1, v2} {
+		intact = max(intact, allocatedBy(func() { LoadPredictorState(bytes.NewReader(b)) }))
+	}
+	f.Fuzz(func(t *testing.T, data []byte, mode uint8) {
+		input := data
+		switch mode % 3 {
+		case 1:
+			input = slices.Concat(v1[:q0], data)
+		case 2:
+			input = binary.LittleEndian.AppendUint32(slices.Concat(v2[:q0], data), crc32.ChecksumIEEE(data))
+		}
+		var q *Predictor
+		var err error
+		got := allocatedBy(func() { q, err = LoadPredictorState(bytes.NewReader(input)) })
+		if err == nil {
+			// What loads must be usable: it saves, and the save loads.
+			if _, err := LoadPredictorState(bytes.NewReader(saveState(t, q))); err != nil {
+				t.Fatalf("re-saved state: %v", err)
+			}
+		}
+		// Linear with a generous factor: an empty queue of a disk with a
+		// one-byte serial is 3 bytes on file and a ring, a map entry and a
+		// string in memory.
+		if limit := 2*intact + 1024*uint64(len(data)); mode%3 != 0 && got > limit {
+			t.Fatalf("allocated %d bytes for a %d-byte queue section (limit %d)", got, len(data), limit)
+		}
+	})
 }

@@ -15,9 +15,16 @@ import (
 const (
 	recObserveV1 = 1 // fixed-width observe record of the first WAL format: reserved, rejected
 	recRetire    = 2
-	recObserveV2 = 3 // varint-packed observe record (the live writer)
-	recObserveBF = 4 // backfill observe: v2 body, applied via Absorb and counted by the resume cursor
 	recCursor    = 5 // backfill progress cursor (see backfill_engine.go)
+	recObserve   = 6 // observe record (the live writer)
+	recObserveBF = 7 // backfill observe: same body, applied via Absorb and counted by the resume cursor
+
+	// The v2 observe layout (a length byte before every value): what
+	// recObserve and recObserveBF were written as before the packed value
+	// codec. Nothing writes them; decodeRecord reads them, as the kind
+	// above, so a log left by a crashed older binary still replays.
+	recObserveV2   = 3
+	recObserveBFV2 = 4
 )
 
 type walRecord struct {
@@ -63,23 +70,15 @@ func (b *recordBatch) payloads() [][]byte {
 }
 
 // appendObserveRecordKind frames an observe record onto buf under an
-// explicit kind byte: recObserveV2 for the live path, recObserveBF for
+// explicit kind byte: recObserve for the live path, recObserveBF for
 // backfill rows (same wire format, distinct kind so the resume cursor
-// counts only its own rows). The body is varint header fields, then
-// each value as a length byte (0-8) plus that many significant bytes of
-// the value's byte-reversed float bits. The reversal moves the
-// near-universal small-integer SMART values' zero mantissa bytes to the
-// top, so most values pack into 1-4 bytes instead of 8: typical records
-// shrink >2x against a fixed-width layout, which halves WAL volume,
-// write() time and replay I/O. Unlike a varint the payload is written
-// with one 8-byte store per value (the oversized store lands in
-// reserved scratch and is overwritten by the next field), keeping the
-// encoder off the record's critical path.
+// counts only its own rows). The body is the header fields as varints
+// and length-prefixed strings, the value count, then the values as
+// packValues lays them out. The same bytes are the WAL payload on a
+// leader, the record a replication frame carries and what a follower
+// appends to its own log.
 func appendObserveRecordKind(buf []byte, obs FleetObservation, kind byte) []byte {
-	// Worst case per value: 1 length byte + 8 payload; +8 slack so the
-	// last value's full-width store stays in bounds.
-	worst := 2 + 3*binary.MaxVarintLen64 + len(obs.Model) + len(obs.Serial) +
-		9*len(obs.Values) + 8
+	worst := 2 + 4*binary.MaxVarintLen64 + len(obs.Model) + len(obs.Serial)
 	n := len(buf)
 	if cap(buf)-n < worst {
 		buf = append(buf[:n], make([]byte, worst)...)
@@ -99,14 +98,7 @@ func appendObserveRecordKind(buf []byte, obs FleetObservation, kind byte) []byte
 	}
 	i++
 	i += binary.PutUvarint(b[i:], uint64(len(obs.Values)))
-	for _, v := range obs.Values {
-		u := bits.ReverseBytes64(math.Float64bits(v))
-		w := (bits.Len64(u) + 7) / 8
-		b[i] = byte(w)
-		binary.LittleEndian.PutUint64(b[i+1:], u)
-		i += 1 + w
-	}
-	return buf[:n+i]
+	return packValues(buf[:n+i], obs.Values)
 }
 
 func encodeRetireRecord(model, serial string) []byte {
@@ -130,8 +122,11 @@ func decodeRecord(b []byte) (walRecord, error) {
 	b = b[1:]
 	var err error
 	switch rec.kind {
-	case recObserveV2, recObserveBF:
-		rec.obs, err = decodeObserveV2(b)
+	case recObserve, recObserveBF:
+		rec.obs, err = decodeObserve(b, true)
+	case recObserveV2, recObserveBFV2:
+		rec.kind += recObserve - recObserveV2 // 3 is 6 and 4 is 7 to every caller
+		rec.obs, err = decodeObserve(b, false)
 	case recCursor:
 		rec.cur, err = decodeCursorRecord(b)
 	case recRetire:
@@ -146,12 +141,13 @@ func decodeRecord(b []byte) (walRecord, error) {
 	return rec, err
 }
 
-// decodeObserveV2 parses the varint-packed observe body written by
-// appendObserveRecordKind (b excludes the kind byte).
-func decodeObserveV2(b []byte) (FleetObservation, error) {
+// decodeObserve parses an observe body (b excludes the kind byte):
+// the one appendObserveRecordKind writes when packed, else the v2 layout
+// with its length byte per value.
+func decodeObserve(b []byte, packed bool) (FleetObservation, error) {
 	var obs FleetObservation
 	bad := func() (FleetObservation, error) {
-		return obs, fmt.Errorf("orfdisk: truncated v2 WAL record")
+		return obs, fmt.Errorf("orfdisk: truncated observe WAL record")
 	}
 	var err error
 	if obs.Model, b, err = takeVarString(b); err != nil {
@@ -176,50 +172,40 @@ func decodeObserveV2(b []byte) (FleetObservation, error) {
 		return bad()
 	}
 	b = b[n:]
-	// Every packed value is at least one byte, so nv is bounded by the
-	// remaining body; checking before the make keeps a corrupt count
-	// from forcing a huge allocation.
-	if nv > uint64(len(b)) {
-		return bad()
-	}
-	obs.Values = make([]float64, nv)
-	for i := range obs.Values {
-		if len(b) < 1 {
+	if packed {
+		if obs.Values, b, err = unpackValues(b, nv); err != nil {
+			return obs, fmt.Errorf("orfdisk: observe WAL record: %w", err)
+		}
+	} else {
+		// Every v2 value is at least its length byte, so nv is bounded by
+		// the remaining body; checking before the make keeps a corrupt
+		// count from forcing a huge allocation.
+		if nv > uint64(len(b)) {
 			return bad()
 		}
-		w := int(b[0])
-		if w > 8 || len(b) < 1+w {
-			return bad()
-		}
-		var u uint64
-		if len(b) >= 9 {
-			u = binary.LittleEndian.Uint64(b[1:]) & valueMask[w]
-		} else {
-			for k := 0; k < w; k++ {
-				u |= uint64(b[1+k]) << (8 * k)
+		obs.Values = make([]float64, nv)
+		for i := range obs.Values {
+			if len(b) < 1 {
+				return bad()
 			}
+			w := int(b[0])
+			if w > 8 || len(b) < 1+w {
+				return bad()
+			}
+			obs.Values[i] = math.Float64frombits(bits.ReverseBytes64(loadBytes(b[1:], w)))
+			b = b[1+w:]
 		}
-		obs.Values[i] = math.Float64frombits(bits.ReverseBytes64(u))
-		b = b[1+w:]
 	}
 	if len(b) != 0 {
-		return obs, fmt.Errorf("orfdisk: %d trailing bytes in v2 WAL record", len(b))
+		return obs, fmt.Errorf("orfdisk: %d trailing bytes in observe WAL record", len(b))
 	}
 	return obs, nil
-}
-
-// valueMask[w] keeps the low w bytes of a full-width little-endian
-// load, so the decoder can mirror the encoder's single-store trick
-// whenever at least 8 payload bytes remain.
-var valueMask = [9]uint64{
-	0, 0xFF, 0xFFFF, 0xFFFFFF, 0xFFFFFFFF,
-	0xFF_FFFFFFFF, 0xFFFF_FFFFFFFF, 0xFFFFFF_FFFFFFFF, ^uint64(0),
 }
 
 func takeVarString(b []byte) (string, []byte, error) {
 	n, sz := binary.Uvarint(b)
 	if sz <= 0 || n > uint64(len(b)-sz) {
-		return "", nil, fmt.Errorf("orfdisk: truncated v2 WAL record")
+		return "", nil, fmt.Errorf("orfdisk: truncated observe WAL record")
 	}
 	return string(b[sz : sz+int(n)]), b[sz+int(n):], nil
 }

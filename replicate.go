@@ -273,9 +273,11 @@ func (e *Engine) wallessApplied() uint64 {
 
 // Ready reports whether the engine should receive traffic: a leader is
 // ready once NewEngine has returned (recovery complete); a follower is
-// ready once it has heard from its leader, its lag is at most
-// EngineConfig.ReadyMaxLag records, and a leader frame has arrived
-// within EngineConfig.ReadyMaxSilence. The reason is empty when ready.
+// ready once it has heard from its leader (a replica.Source sends its
+// status as the follower attaches, so a caught-up one is ready then,
+// not a heartbeat later), its lag is at most EngineConfig.ReadyMaxLag
+// records, and a leader frame has arrived within
+// EngineConfig.ReadyMaxSilence. The reason is empty when ready.
 func (e *Engine) Ready() (bool, string) {
 	if !e.follower.Load() {
 		return true, ""

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -434,6 +435,84 @@ func TestFollowerNotReadyOnSilence(t *testing.T) {
 	if ok, reason := eng.Ready(); !ok {
 		t.Fatalf("not ready after stream resumed: %s", reason)
 	}
+}
+
+// TestFollowerReadyOnAttach: the leader sends its status as a follower
+// attaches, so a caught-up replica is ready at once — with the heartbeat
+// ticker out of the picture (1 h) nothing else could tell it — and one
+// that attaches behind says it lags, not that it has heard nothing.
+func TestFollowerReadyOnAttach(t *testing.T) {
+	leader, err := NewEngine(EngineConfig{Predictor: engineTestConfig(), DataDir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer leader.Close()
+	src, err := replica.NewSource("127.0.0.1:0", replica.SourceConfig{WAL: leader.WAL(), Heartbeat: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer src.Close()
+	obs := engineStream(t, 5, 1)[:40]
+	recs := leaderRecords(t, leader, obs)
+
+	follow := func(a replica.Applier) *replica.Follower {
+		t.Helper()
+		fl, err := replica.StartFollower(src.Addr(), replica.FollowerConfig{Applier: a})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fl
+	}
+	newReplica := func() *Engine {
+		t.Helper()
+		e, err := NewEngine(EngineConfig{
+			Predictor: engineTestConfig(), DataDir: t.TempDir(), Follower: true, ReadyMaxLag: 8,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return e
+	}
+
+	// Caught up before it attaches: only the attach-time status can make
+	// it ready.
+	current := newReplica()
+	defer current.Close()
+	if err := current.ApplyReplicated(recs); err != nil {
+		t.Fatal(err)
+	}
+	if ok, _ := current.Ready(); ok {
+		t.Fatal("follower ready before it ever attached")
+	}
+	fl := follow(current)
+	defer fl.Close()
+	waitUntil(t, 2*time.Second, "caught-up follower to turn ready on attach", func() bool {
+		ok, _ := current.Ready()
+		return ok
+	})
+
+	// Behind, and held there: the records frame cannot be applied, so what
+	// the follower knows of the leader's head is the attach-time status.
+	behind := &heldApplier{Engine: newReplica()}
+	defer behind.Engine.Close()
+	behind.hold.Lock()
+	release := sync.OnceFunc(behind.hold.Unlock)
+	fl2 := follow(behind)
+	defer fl2.Close()
+	defer release() // first: Close waits for the apply the lock holds up
+	var reason string
+	waitUntil(t, 2*time.Second, "lagging follower to hear from its leader", func() bool {
+		_, reason = behind.Ready()
+		return !strings.Contains(reason, "not heard")
+	})
+	if !strings.Contains(reason, "replication lag") {
+		t.Fatalf("follower attached %d records behind reports %q, want the lag", len(recs), reason)
+	}
+	release()
+	waitUntil(t, 10*time.Second, "held follower to catch up", func() bool {
+		ok, _ := behind.Ready()
+		return ok
+	})
 }
 
 // TestDemoteFencesWrites: Demote is the fencing half of failover — an
