@@ -12,7 +12,6 @@ package orfdisk
 import (
 	"bytes"
 	"fmt"
-	"runtime"
 	"sort"
 	"testing"
 	"time"
@@ -323,23 +322,13 @@ func BenchmarkLabelerSteadyState(b *testing.B) {
 	}
 }
 
-// BenchmarkUpdateBatch measures Forest.UpdateBatch per sample at the
-// chunk lengths that decide who does the work: 1 (what Update is, and
-// what every batch degenerates to once a healthy forest sits past its
-// replacement cooldown) and 16 (below core's poolMinChunk: the caller's
-// goroutine whatever Workers says), then 64 (the constant itself: the
-// worker pool, at break-even for lambda_n = 0.02) and 256 (well above).
-// Replacement is off so that a chunk stays the length the case names;
-// the replace=on cases feed the same 256-sample batches with replacement
-// on, as every product forest has it. A batch then stays whole only
-// inside a cooldown window (the ReplaceCooldown samples after a tree was
-// replaced); past it updateChunked cuts it into single samples. On this
-// stream some tree always qualifies, so 70% of the samples at lambda_n =
-// 0.02 and 99% at lambda_n = 1 sit inside a window; a forest with no
-// tree to replace has none. lambda_n = 0.02 is the paper's default,
-// where a negative sample is an out-of-bag leaf walk; lambda_n = 1
-// trains on every sample, roughly ten times the work, and is the only
-// regime earlier baselines recorded.
+// BenchmarkUpdateBatch measures the forest update per sample, fed one
+// sample at a time and in 256-sample batches (UpdateBatch is a loop over
+// Update, so the two should agree). lambda_n = 0.02 is the paper's
+// default, where a negative sample is an out-of-bag leaf walk; lambda_n
+// = 1 trains on every sample, roughly ten times the work, and is the
+// only regime earlier baselines recorded. Replacement is off so that
+// the cost does not depend on when a tree was last regrown.
 func BenchmarkUpdateBatch(b *testing.B) {
 	const maxChunk = 256
 	X := make([][]float64, maxChunk)
@@ -351,32 +340,17 @@ func BenchmarkUpdateBatch(b *testing.B) {
 		}
 		X[i], Y[i] = v, i%20/19
 	}
-	// "max" rather than the number, so that the baseline's keys do not
-	// depend on the host that recorded it.
-	workers := []struct {
-		name string
-		n    int
-	}{{"1", 1}, {"max", runtime.GOMAXPROCS(0)}}
-	run := func(name string, cfg core.Config, chunk int) {
-		b.Run(name, func(b *testing.B) {
-			f := core.New(19, cfg)
-			defer f.Close()
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i += chunk {
-				o := i % maxChunk // every case cycles through the same samples
-				f.UpdateBatch(X[o:o+chunk], Y[o:o+chunk])
-			}
-		})
-	}
 	for _, lambdaNeg := range []float64{0.02, 1} {
-		for _, w := range workers {
-			cfg := core.Config{Trees: 32, Workers: w.n, Seed: 1, LambdaNeg: lambdaNeg, DisableReplacement: true}
-			for _, chunk := range []int{1, 16, 64, maxChunk} {
-				run(fmt.Sprintf("lambdan=%v/chunk=%d/workers=%s", lambdaNeg, chunk, w.name), cfg, chunk)
-			}
-			cfg.DisableReplacement = false
-			run(fmt.Sprintf("lambdan=%v/chunk=%d/replace=on/workers=%s", lambdaNeg, maxChunk, w.name), cfg, maxChunk)
+		for _, chunk := range []int{1, maxChunk} {
+			b.Run(fmt.Sprintf("lambdan=%v/chunk=%d", lambdaNeg, chunk), func(b *testing.B) {
+				f := core.New(19, core.Config{Trees: 32, Seed: 1, LambdaNeg: lambdaNeg, DisableReplacement: true})
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i += chunk {
+					o := i % maxChunk // every case cycles through the same samples
+					f.UpdateBatch(X[o:o+chunk], Y[o:o+chunk])
+				}
+			})
 		}
 	}
 }

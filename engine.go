@@ -414,16 +414,19 @@ func (e *Engine) snapshotLoop(every time.Duration) {
 // resolveModel fills in obs.Model from the engine's routing memory,
 // mirroring Fleet.Ingest's rules. It only reads — applyRow commits a
 // first-seen route once the observation is durably applied. pending
-// holds routes earlier in the same batch that have not been applied yet.
-func (e *Engine) resolveModel(obs *FleetObservation, pending map[string]string) error {
+// holds what earlier rows of the same batch, not applied yet, say about
+// a serial; a failure row among them outranks the route it is about to
+// delete, so an omitted model after it is refused as Ingest would.
+func (e *Engine) resolveModel(obs *FleetObservation, pending map[string]batchRoute) error {
 	e.mu.RLock()
 	known, ok := e.modelOf[obs.Serial]
 	e.mu.RUnlock()
+	earlier, inBatch := pending[obs.Serial]
 	if !ok {
-		known, ok = pending[obs.Serial]
+		known, ok = earlier.model, inBatch
 	}
 	if obs.Model == "" {
-		if !ok {
+		if !ok || earlier.failed {
 			return fmt.Errorf("orfdisk: observation for %q has no model", obs.Serial)
 		}
 		obs.Model = known
@@ -552,7 +555,14 @@ type batchScratch struct {
 	groups  map[string]int
 	order   []string
 	idxs    [][]int
-	pending map[string]string
+	pending map[string]batchRoute
+}
+
+// batchRoute is the latest row of a batch to name a serial: the model it
+// resolved to, and whether it was the disk's failure row.
+type batchRoute struct {
+	model  string
+	failed bool
 }
 
 func (e *Engine) getScratch() *batchScratch {
@@ -567,7 +577,7 @@ func (e *Engine) getScratch() *batchScratch {
 	}
 	return &batchScratch{
 		groups:  make(map[string]int),
-		pending: make(map[string]string),
+		pending: make(map[string]batchRoute),
 	}
 }
 
@@ -589,7 +599,14 @@ func (sc *batchScratch) add(model string, i int) {
 // IngestBatch fans a slice of observations out to their model shards
 // and gathers the replies. Observations for the same model are applied
 // in slice order; distinct models proceed in parallel. Each entry
-// succeeds or fails independently.
+// succeeds or fails independently, as the same rows sent one Ingest at
+// a time would — with one exception: after a serial's failure row, a
+// later row of the same batch that names a different model is refused
+// ("changed model") where Ingest would re-route the disk. Every model is
+// resolved before any row is applied, and the failure row's slice can
+// still be shed with ErrBusy or fail its WAL append; accepting the new
+// model then would route the serial to one shard while the old shard's
+// labeler still tracks it.
 func (e *Engine) IngestBatch(batch []FleetObservation) []BatchResult {
 	res := make([]BatchResult, len(batch))
 	if e.follower.Load() {
@@ -599,9 +616,10 @@ func (e *Engine) IngestBatch(batch []FleetObservation) []BatchResult {
 		return res
 	}
 	sc := e.getScratch()
-	// sc.pending carries first-seen routes from earlier entries of this
-	// batch so a later entry can omit the model, without committing
-	// anything to routing memory before the observations are applied.
+	// sc.pending carries first-seen routes and failures from earlier
+	// entries of this batch so a later entry can omit the model (or be
+	// refused for it), without committing anything to routing memory
+	// before the observations are applied.
 	for i := range batch {
 		if err := e.validate(batch[i]); err != nil {
 			res[i].Err = err
@@ -611,7 +629,7 @@ func (e *Engine) IngestBatch(batch []FleetObservation) []BatchResult {
 			res[i].Err = err
 			continue
 		}
-		sc.pending[batch[i].Serial] = batch[i].Model
+		sc.pending[batch[i].Serial] = batchRoute{batch[i].Model, batch[i].Failed}
 		sc.add(batch[i].Model, i)
 	}
 	// Synchronous commit waits once per batch, on the highest sequence

@@ -13,6 +13,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"slices"
 	"strings"
 	"sync"
@@ -719,6 +720,52 @@ func TestEngineShedRequestLeavesNoRoute(t *testing.T) {
 	}
 }
 
+// TestEngineCloseLeavesNoGoroutines: everything an engine starts — shard
+// workers, the WAL syncer, and on a multi-core host the goroutines that
+// encode and decode a snapshot's tree blocks — is gone once Close
+// returns, without waiting for a garbage collection. (Forests used to
+// park one worker per core, per model and per snapshot or restore, until
+// a finalizer ran: 12 goroutines after this sequence on two cores.)
+func TestEngineCloseLeavesNoGoroutines(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	obs := engineStream(t, 31, 3)[:200]
+	dir := t.TempDir()
+	before := runtime.NumGoroutine()
+	for pass := 0; pass < 2; pass++ { // the second pass recovers from the first's snapshots
+		eng, err := NewEngine(EngineConfig{Predictor: engineTestConfig(), DataDir: dir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if pass == 0 {
+			for _, r := range eng.IngestBatch(obs) {
+				if r.Err != nil {
+					t.Fatal(r.Err)
+				}
+			}
+			if err := eng.Snapshot(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if len(eng.Models()) != 3 {
+			t.Fatalf("pass %d: models %v, want 3", pass, eng.Models())
+		}
+		if err := eng.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Close waits for its goroutines' loops to return; their teardown is
+	// asynchronous, so poll briefly.
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > before {
+		buf := make([]byte, 1<<16)
+		t.Fatalf("%d goroutines before, %d after two open/close cycles:\n%s",
+			before, n, buf[:runtime.Stack(buf, true)])
+	}
+}
+
 // TestEngineBatchResolvesWithinBatch guards the batch-local routing
 // rule: a later entry may omit the model because an earlier entry of
 // the same batch names it, without committing routes before apply.
@@ -1058,14 +1105,17 @@ func TestObserveRecordRejectsCorruptV2(t *testing.T) {
 }
 
 // pathStep is one step of a TestApplyPathsAgree sequence: an observation
-// (poison marks one the predictor rejects), a retire, or a backfill
-// cursor record planted raw in the log doors 4 and 5 read (it carries no
-// model state, so the other doors have nothing to do for it).
+// (poison marks one the predictor rejects; refused one that Ingest and
+// IngestBatch turn away for its routing, so it never reaches a log), a
+// retire, or a backfill cursor record planted raw in the log doors 4 and
+// 5 read (it carries no model state, so the other doors have nothing to
+// do for it).
 type pathStep struct {
-	obs    FleetObservation
-	retire string
-	poison bool
-	cursor *BackfillCursor
+	obs     FleetObservation
+	retire  string
+	poison  bool
+	refused bool
+	cursor  *BackfillCursor
 }
 
 // pathRuns cuts steps into the maximal runs of observations between
@@ -1085,7 +1135,7 @@ func pathRuns(steps []pathStep, keepPoison bool) (runs [][]FleetObservation, ret
 		case st.retire != "":
 			flush()
 			runs, retires = append(runs, nil), append(retires, st.retire)
-		case !st.poison || keepPoison:
+		case !st.poison && !st.refused || keepPoison:
 			run = append(run, st.obs)
 		}
 	}
@@ -1173,6 +1223,11 @@ func TestApplyPathsAgree(t *testing.T) {
 			row("X", "M", 1, false), row("Y", "N", 1, false),
 			row("X", "M", 2, true), row("X", "M", 3, false), row("Y", "N", 2, false),
 		}},
+		{"model omitted after a failure row", []pathStep{
+			row("X", "M", 1, false), row("Y", "N", 1, false), row("X", "M", 2, true),
+			{refused: true, obs: row("X", "", 3, false).obs}, row("Y", "", 2, false),
+			row("Z", "M", 3, false), row("Z", "M", 4, true), row("Z", "M", 5, false), row("Z", "", 6, false),
+		}},
 		{"failed row last", []pathStep{
 			row("X", "M", 1, false), row("Y", "M", 1, false), row("Z", "N", 1, false),
 			row("Y", "M", 2, false), row("X", "M", 2, true),
@@ -1234,6 +1289,7 @@ func TestApplyPathsAgree(t *testing.T) {
 			// another catalog would have logged them — feeds doors 4 and 5.
 			writer := open(EngineConfig{DataDir: t.TempDir()})
 			doors["Ingest"] = writer
+			var ingestErrs, batchErrs []string // per observation, "" = accepted
 			for _, st := range tc.steps {
 				switch {
 				case st.cursor != nil:
@@ -1244,32 +1300,34 @@ func TestApplyPathsAgree(t *testing.T) {
 					if err := writer.Retire(st.retire); err != nil {
 						t.Fatal(err)
 					}
-				case st.poison:
-					if _, err := writer.Ingest(st.obs); err == nil {
-						t.Fatal("Ingest accepted a poison row")
-					}
-					if _, err := writer.wal.Append(encodeObserveRecord(st.obs)); err != nil {
-						t.Fatal(err)
-					}
 				default:
-					if _, err := writer.Ingest(st.obs); err != nil {
-						t.Fatal(err)
+					_, err := writer.Ingest(st.obs)
+					if want := st.poison || st.refused; (err != nil) != want {
+						t.Fatalf("Ingest of %q day %d: err = %v, want failure = %v",
+							st.obs.Serial, st.obs.Day, err, want)
+					}
+					ingestErrs = append(ingestErrs, fmt.Sprint(err))
+					if st.poison {
+						if _, err := writer.wal.Append(encodeObserveRecord(st.obs)); err != nil {
+							t.Fatal(err)
+						}
 					}
 				}
 			}
 
 			// Door 2: IngestBatch, durable so the slice's WAL bookkeeping
-			// runs too. Poison rows fail per item.
+			// runs too. Row by row it must say what Ingest said.
 			batch := open(EngineConfig{DataDir: t.TempDir()})
 			defer batch.Close()
 			doors["IngestBatch"] = batch
 			byRuns(batch, true, func(run []FleetObservation) {
-				for i, r := range batch.IngestBatch(append([]FleetObservation(nil), run...)) {
-					if want := len(run[i].Values) != CatalogSize(); (r.Err != nil) != want {
-						t.Fatalf("IngestBatch row %d: err = %v, want failure = %v", i, r.Err, want)
-					}
+				for _, r := range batch.IngestBatch(append([]FleetObservation(nil), run...)) {
+					batchErrs = append(batchErrs, fmt.Sprint(r.Err))
 				}
 			})
+			if !reflect.DeepEqual(batchErrs, ingestErrs) {
+				t.Errorf("per-row errors\nIngestBatch %q\nIngest      %q", batchErrs, ingestErrs)
+			}
 
 			// Door 3: IngestBackfill. The loader only ever hands over
 			// full-width rows (one bad row fails the whole call), so the
@@ -1278,6 +1336,11 @@ func TestApplyPathsAgree(t *testing.T) {
 			defer backfill.Close()
 			doors["IngestBackfill"] = backfill
 			byRuns(backfill, false, func(run []FleetObservation) {
+				for i := range run {
+					if run[i].Model == "" { // the loader names every row's model
+						run[i].Model, _ = writer.ModelOf(run[i].Serial)
+					}
+				}
 				if err := backfill.IngestBackfill(run, nil); err != nil {
 					t.Fatal(err)
 				}

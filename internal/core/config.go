@@ -21,13 +21,12 @@
 //     which is how the forest tracks distribution drift and defeats
 //     model aging.
 //
-// Long update chunks and batch predictions fan out over a bounded worker
-// pool; each tree owns an independent deterministic RNG stream, so
-// results are reproducible regardless of scheduling. Update and Predict
-// must not be called concurrently with each other.
+// A forest runs on its caller's goroutine: one sample is a microsecond
+// of out-of-bag walks, less than waking a second goroutine costs. Each
+// tree owns an independent deterministic RNG stream, so a seed fixes the
+// result. Update and Predict must not be called concurrently with each
+// other.
 package core
-
-import "runtime"
 
 // Config holds the ORF hyper-parameters. Zero values select the paper's
 // defaults (section 4.4).
@@ -73,12 +72,6 @@ type Config struct {
 	// DisableReplacement turns tree discarding off (ablation switch).
 	DisableReplacement bool
 
-	// Workers bounds the goroutines UpdateBatch (for a replacement-free
-	// chunk of at least poolMinChunk samples) and PredictProbaBatch fan
-	// out over; 0 selects GOMAXPROCS. Update and shorter chunks always
-	// run on the caller's goroutine: waking the pool costs more than the
-	// out-of-bag walk it would spread. The result never depends on it.
-	Workers int
 	// Seed drives every stochastic choice in the forest.
 	Seed uint64
 }
@@ -116,9 +109,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.ReplaceCooldown <= 0 {
 		c.ReplaceCooldown = 2000
-	}
-	if c.Workers <= 0 {
-		c.Workers = runtime.GOMAXPROCS(0)
 	}
 	return c
 }

@@ -7,8 +7,7 @@ import (
 )
 
 // frozenGrid is the config grid the freeze/score property tests sweep:
-// deep and shallow trees, balanced and two-Poisson weighting, single-
-// and multi-worker update paths.
+// deep and shallow trees, balanced and two-Poisson weighting.
 func frozenGrid() []Config {
 	return []Config{
 		{Trees: 1, NumTests: 10, MinParentSize: 30, MinGain: 0.05,
@@ -20,8 +19,7 @@ func frozenGrid() []Config {
 		{Trees: 8, NumTests: 20, MinParentSize: 60, MinGain: 0.05,
 			LambdaPos: 1, LambdaNeg: 0.2, Seed: 13, AgeThreshold: 400},
 		{Trees: 6, NumTests: 20, MinParentSize: 40, MinGain: 0.05,
-			LambdaPos: 1, LambdaNeg: 1, Seed: 17, AgeThreshold: 1 << 30,
-			Workers: 4},
+			LambdaPos: 1, LambdaNeg: 1, Seed: 17, AgeThreshold: 1 << 30},
 	}
 }
 
@@ -105,9 +103,8 @@ func TestFrozenImmutableAfterUpdates(t *testing.T) {
 	}
 }
 
-// TestFrozenScoreBatchIntoParity checks both batch-into paths (live and
-// frozen) against their scalar counterparts and the dst grow/truncate
-// contract.
+// TestFrozenScoreBatchIntoParity checks the frozen batch-into path
+// against the live scalar PredictProba and the dst grow/recycle contract.
 func TestFrozenScoreBatchIntoParity(t *testing.T) {
 	f := New(3, balancedCfg(31))
 	defer f.Close()
@@ -130,14 +127,9 @@ func TestFrozenScoreBatchIntoParity(t *testing.T) {
 	if len(dst) != len(X) {
 		t.Fatalf("ScoreBatchInto returned %d results for %d vectors", len(dst), len(X))
 	}
-	live := f.PredictProbaBatchInto(make([]float64, 128), X) // too long: must truncate
-	if len(live) != len(X) {
-		t.Fatalf("PredictProbaBatchInto returned %d results for %d vectors", len(live), len(X))
-	}
 	for i := range X {
-		want := f.PredictProba(X[i])
-		if dst[i] != want || live[i] != want {
-			t.Fatalf("vector %d: frozen batch %v, live batch %v, scalar %v", i, dst[i], live[i], want)
+		if want := f.PredictProba(X[i]); dst[i] != want {
+			t.Fatalf("vector %d: frozen batch %v, scalar %v", i, dst[i], want)
 		}
 	}
 

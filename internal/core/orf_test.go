@@ -1,7 +1,11 @@
 package core
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -112,29 +116,6 @@ func TestImbalanceHandlingViaLambdaN(t *testing.T) {
 	}
 	if farBal > 0.2 {
 		t.Fatalf("two-Poisson FAR %v unreasonably high", farBal)
-	}
-}
-
-func TestDeterministicAcrossWorkerCounts(t *testing.T) {
-	mk := func(workers int) *Forest {
-		cfg := balancedCfg(11)
-		cfg.Workers = workers
-		f := New(3, cfg)
-		r := rng.New(12)
-		for i := 0; i < 2000; i++ {
-			x, y := streamSample(r, 0.5, 0.4)
-			f.Update(x, y)
-		}
-		return f
-	}
-	f1 := mk(1)
-	f4 := mk(4)
-	r := rng.New(13)
-	for i := 0; i < 100; i++ {
-		x, _ := streamSample(r, 0.5, 0.4)
-		if f1.PredictProba(x) != f4.PredictProba(x) {
-			t.Fatal("forest state depends on worker count")
-		}
 	}
 }
 
@@ -290,25 +271,6 @@ func TestStatsAccounting(t *testing.T) {
 	}
 	if s.Nodes < s.Leaves || s.Leaves < f.cfg.Trees {
 		t.Fatalf("implausible node counts: %+v", s)
-	}
-}
-
-func TestPredictProbaBatchMatchesScalar(t *testing.T) {
-	f := New(3, balancedCfg(15))
-	r := rng.New(16)
-	for i := 0; i < 1500; i++ {
-		x, y := streamSample(r, 0.5, 0.5)
-		f.Update(x, y)
-	}
-	X := make([][]float64, 200)
-	for i := range X {
-		X[i], _ = streamSample(r, 0.5, 0.5)
-	}
-	batch := f.PredictProbaBatch(X)
-	for i := range X {
-		if batch[i] != f.PredictProba(X[i]) {
-			t.Fatalf("batch prediction %d differs", i)
-		}
 	}
 }
 
@@ -479,5 +441,157 @@ func TestReplaceCooldownLimitsRate(t *testing.T) {
 	maxAllowed := int64(updates/cfg.ReplaceCooldown) + 1
 	if got := f.Stats().Replaced; got == 0 || got > maxAllowed {
 		t.Fatalf("replacements %d, want in (0, %d]", got, maxAllowed)
+	}
+}
+
+// replacementCfg forces frequent tree replacement: low age threshold,
+// zero OOBE bar, and the given cooldown between replacements.
+func replacementCfg(seed uint64, cooldown int) Config {
+	cfg := balancedCfg(seed)
+	cfg.ReplaceCooldown = cooldown
+	cfg.AgeThreshold = 5
+	cfg.OOBEThreshold = 0.0
+	return cfg
+}
+
+// forestBytes serializes a forest's complete state for bit-level
+// comparison.
+func forestBytes(t *testing.T, f *Forest) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if _, err := f.WriteToRaw(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestUpdateBatchBitIdentical proves UpdateBatch(X, Y) leaves the forest
+// in exactly the state sequential Update calls would — same RNG draws,
+// same tree replacements at the same sample positions, same scores —
+// in both Poisson regimes, with replacement off and on, and for batch
+// sizes on both sides of the replacement cooldown.
+func TestUpdateBatchBitIdentical(t *testing.T) {
+	const samples = 600
+	r := rng.New(21)
+	X := make([][]float64, samples)
+	Y := make([]int, samples)
+	for i := range X {
+		X[i], Y[i] = streamSample(r, 0.3, 0.4)
+	}
+	scoreBits := func(f *Forest) []uint64 {
+		out := make([]uint64, 64)
+		for i := range out {
+			out[i] = math.Float64bits(f.PredictProba(X[i]))
+		}
+		return out
+	}
+
+	for _, base := range []Config{balancedCfg(7), replacementCfg(7, 3), replacementCfg(7, 96)} {
+		for _, lambdaNeg := range []float64{0.02, 1} {
+			cfg := base
+			cfg.LambdaNeg = lambdaNeg
+			seq := New(3, cfg)
+			for i := range X {
+				seq.Update(X[i], Y[i])
+			}
+			want, wantScores := forestBytes(t, seq), scoreBits(seq)
+			if base.ReplaceCooldown != 0 && seq.Stats().Replaced == 0 {
+				t.Fatalf("cooldown %d: reference run replaced no tree", cfg.ReplaceCooldown)
+			}
+
+			for _, batch := range []int{1, 2, 5, 7, 63, 64, 65, 256, samples} {
+				f := New(3, cfg)
+				for i := 0; i < samples; i += batch {
+					end := min(i+batch, samples)
+					f.UpdateBatch(X[i:end], Y[i:end])
+				}
+				got, gotScores := forestBytes(t, f), scoreBits(f)
+				if !bytes.Equal(got, want) || !slices.Equal(gotScores, wantScores) {
+					t.Fatalf("lambda_n %v, cooldown %d, batch size %d: differs from sequential Update",
+						lambdaNeg, cfg.ReplaceCooldown, batch)
+				}
+			}
+		}
+	}
+}
+
+// TestUpdateBatchValidation covers the panic paths.
+func TestUpdateBatchValidation(t *testing.T) {
+	f := New(3, balancedCfg(1))
+	mustPanic := func(name string, fn func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Fatalf("%s did not panic", name)
+			}
+		}()
+		fn()
+	}
+	mustPanic("length mismatch", func() {
+		f.UpdateBatch([][]float64{{1, 2, 3}}, []int{0, 1})
+	})
+	mustPanic("dim mismatch", func() {
+		f.UpdateBatch([][]float64{{1, 2}}, []int{0})
+	})
+}
+
+// TestForestPinned pins Algorithm 1's output across refactors of the
+// update path: a seeded stream fed through alternating runs of Update
+// and UpdateBatch (1-9 samples each) must leave every tree, the update
+// and replacement counters and the cooldown position at the digests
+// recorded from the code before the worker pool was deleted (PR 20). A
+// changed constant means the forest learns differently from every
+// snapshot and WAL already on disk.
+func TestForestPinned(t *testing.T) {
+	const samples = 3000
+	off := balancedCfg(7)
+	off.DisableReplacement = true
+	for _, c := range []struct {
+		name      string
+		cfg       Config
+		lambdaNeg float64
+		want      string
+	}{
+		{"replacement-off/0.02", off, 0.02, "9f83a2752e07aec4c9b1e4aa9126d97456197ab77d3f767cef0f5915515459f2"},
+		{"replacement-off/1", off, 1, "00c83af87c40d8b60f41bb8e2bb27576db0654464b15477dc6a69fa5ee88a518"},
+		{"cooldown-3/0.02", replacementCfg(7, 3), 0.02, "2b05a57a83fa042c370b00489e29f576c71a39ffe4a39e72b75ab80c18a3c588"},
+		{"cooldown-3/1", replacementCfg(7, 3), 1, "d65b8136b5661ad4445ef9b5b86e383a4437e12a3d13b58ec5f0b5aec79a8d67"},
+		{"cooldown-96/0.02", replacementCfg(7, 96), 0.02, "0ec7738619a7a5208ad981333005da0740e851dc3b636b0770d6fc3d8d0c47c4"},
+		{"cooldown-96/1", replacementCfg(7, 96), 1, "efb5248a42fc99d43542da868e0072c533f3ac99467244fd0ce8eb00245af079"},
+	} {
+		cfg := c.cfg
+		cfg.LambdaNeg = c.lambdaNeg
+		f := New(3, cfg)
+		stream, runs := rng.New(41), rng.New(42)
+		batch := false
+		for fed := 0; fed < samples; batch = !batch {
+			n := min(1+runs.Intn(9), samples-fed)
+			X, Y := make([][]float64, n), make([]int, n)
+			for i := range X {
+				X[i], Y[i] = streamSample(stream, 0.3, 0.4)
+			}
+			if batch {
+				f.UpdateBatch(X, Y)
+			} else {
+				for i := range X {
+					f.Update(X[i], Y[i])
+				}
+			}
+			fed += n
+		}
+		if !cfg.DisableReplacement && f.Stats().Replaced == 0 {
+			t.Fatalf("%s: no tree was replaced; the case pins nothing about replacement", c.name)
+		}
+		h := sha256.New()
+		w := &writer{w: h}
+		for _, tr := range f.trees {
+			writeTree(w, tr)
+		}
+		w.i64(f.updates)
+		w.i64(f.replaced.Load())
+		w.i64(f.sinceReplace)
+		if got := hex.EncodeToString(h.Sum(nil)); got != c.want {
+			t.Errorf("%s: digest %s, want %s (%d replaced)", c.name, got, c.want, f.Stats().Replaced)
+		}
 	}
 }

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"runtime"
+	"sync"
 
 	"orfdisk/internal/frame"
 	"orfdisk/internal/rng"
@@ -24,14 +26,15 @@ import (
 // v2 is the current write format: the header and each tree are
 // independent frame blocks (CRC-checked, flate-compressed at BestSpeed
 // unless the codec byte selects raw passthrough), and the per-tree
-// blocks are encoded and decoded in parallel on the forest worker
-// pool. Block contents reuse the exact v1 field layout, so v1 and v2
-// carry identical state and a restored forest round-trips
-// bit-identically under either. ReadForest accepts both, but nothing
-// outside the tests writes v1 any more (serialize_test.go assembles v1
-// bytes from writeHeader/writeTree for the migration test). The format
-// is internal and versioned by the magic; there is no cross-version
-// compatibility promise beyond reading v1.
+// blocks are encoded and decoded by forEachTree, on as many goroutines
+// as the host has cores at the time of the call. Block contents reuse
+// the exact v1 field layout, so v1 and v2 carry identical state and a
+// restored forest round-trips bit-identically under either. ReadForest
+// accepts both, but nothing outside the tests writes v1 any more
+// (serialize_test.go assembles v1 bytes from writeHeader/writeTree for
+// the migration test). The format is internal and versioned by the
+// magic; there is no cross-version compatibility promise beyond reading
+// v1.
 
 const (
 	magicV1 = "ORF1"
@@ -103,7 +106,11 @@ func (f *Forest) writeHeader(w *writer) {
 	w.f64(c.OOBEDecay)
 	w.i64(int64(c.ReplaceCooldown))
 	w.b(c.DisableReplacement)
-	w.i64(int64(c.Workers))
+	// Reserved, always zero: the slot held a worker count until forests
+	// stopped owning goroutines. It stays so that the layout does: older
+	// snapshots load here (readHeader skips the value) and ours load in
+	// older binaries.
+	w.i64(0)
 	w.u64(c.Seed)
 }
 
@@ -130,7 +137,7 @@ func (f *Forest) readHeader(r *reader) (Config, error) {
 	c.OOBEDecay = r.f64()
 	c.ReplaceCooldown = int(r.i64())
 	c.DisableReplacement = r.b()
-	c.Workers = int(r.i64())
+	r.i64() // reserved, see writeHeader
 	c.Seed = r.u64()
 	f.cfg = c
 
@@ -144,8 +151,8 @@ func (f *Forest) readHeader(r *reader) (Config, error) {
 }
 
 // WriteTo serializes the forest in the current v2 format: per-tree
-// blocks encoded in parallel on the worker pool, each flate-compressed
-// and CRC-framed. It must not run concurrently with Update.
+// blocks encoded by forEachTree, each flate-compressed and CRC-framed.
+// It must not run concurrently with Update.
 func (f *Forest) WriteTo(dst io.Writer) (int64, error) {
 	return f.writeToV2(dst, frame.Flate)
 }
@@ -169,25 +176,17 @@ func (f *Forest) writeToV2(dst io.Writer, codec frame.Codec) (int64, error) {
 	// Encode every tree into its own framed block. Flate at a fixed
 	// level is deterministic and each block starts from a fresh encoder
 	// state, so the concatenation in tree order is byte-identical no
-	// matter how the work is scheduled across workers.
+	// matter how many goroutines forEachTree spreads it over.
 	blocks := make([][]byte, len(f.trees))
-	encode := func(i int) {
+	err := forEachTree(len(f.trees), func(i int) error {
 		var buf bytes.Buffer
 		tw := &writer{w: &buf}
 		writeTree(tw, f.trees[i])
 		blocks[i] = frame.AppendBlock(nil, buf.Bytes(), codec)
-	}
-	if p := f.workerPool(); p != nil {
-		p.run(func(w int) {
-			lo, hi := p.treeRange(w)
-			for i := lo; i < hi; i++ {
-				encode(i)
-			}
-		})
-	} else {
-		for i := range f.trees {
-			encode(i)
-		}
+		return tw.err
+	})
+	if err != nil {
+		return 0, err
 	}
 
 	var total int64
@@ -308,8 +307,8 @@ func readForestV2(src io.Reader) (*Forest, error) {
 	}
 
 	// Pull every tree's framed block off the stream sequentially (cheap
-	// I/O), then CRC-check, inflate, and parse them in parallel on the
-	// worker pool — the expensive part of recovery.
+	// I/O), then CRC-check, inflate, and parse them with forEachTree —
+	// the expensive part of recovery, spread over this host's cores.
 	blocks := make([][]byte, c.Trees)
 	for i := range blocks {
 		if blocks[i], err = frame.ReadBlockRaw(src, nil); err != nil {
@@ -317,38 +316,53 @@ func readForestV2(src io.Reader) (*Forest, error) {
 		}
 	}
 	f.trees = make([]*onlineTree, c.Trees)
-	decode := func(i int) error {
+	err = forEachTree(c.Trees, func(i int) error {
 		t, err := decodeTreeBlock(blocks[i], c, f.dim)
 		if err != nil {
 			return fmt.Errorf("core: tree block %d: %w", i, err)
 		}
 		f.trees[i] = t
 		return nil
-	}
-	if p := f.workerPool(); p != nil {
-		errs := make([]error, p.workers)
-		p.run(func(w int) {
-			lo, hi := p.treeRange(w)
-			for i := lo; i < hi; i++ {
-				if err := decode(i); err != nil {
-					errs[w] = err
-					return
-				}
-			}
-		})
-		for _, err := range errs {
-			if err != nil {
-				return nil, err
-			}
-		}
-	} else {
-		for i := range f.trees {
-			if err := decode(i); err != nil {
-				return nil, err
-			}
-		}
+	})
+	if err != nil {
+		return nil, err
 	}
 	return f, nil
+}
+
+// forEachTree runs fn(i) for every i in [0, n) and returns the error of
+// the lowest i that failed. The work is cut into min(GOMAXPROCS, n)
+// contiguous ranges; the caller runs the first and one goroutine each
+// the rest, all of which have exited when forEachTree returns — so the
+// parallelism is this host's at this call, nothing a forest carries or a
+// snapshot records, and with one core it is a plain loop. A range stops
+// at its first error, which makes the first error in range order the
+// lowest failing i overall.
+func forEachTree(n int, fn func(i int) error) error {
+	workers := min(runtime.GOMAXPROCS(0), n)
+	chunk := (n + workers - 1) / workers
+	errs := make([]error, workers)
+	run := func(w int) {
+		for i := w * chunk; i < min((w+1)*chunk, n) && errs[w] == nil; i++ {
+			errs[w] = fn(i)
+		}
+	}
+	var wg sync.WaitGroup
+	for w := 1; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			run(w)
+		}()
+	}
+	run(0)
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // decodeTreeBlock verifies and parses one framed tree block.

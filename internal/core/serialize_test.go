@@ -3,8 +3,12 @@ package core
 import (
 	"bytes"
 	"io"
+	"math"
+	"os"
+	"runtime"
 	"testing"
 
+	"orfdisk/internal/frame"
 	"orfdisk/internal/rng"
 )
 
@@ -192,23 +196,28 @@ func TestSnapshotV2Deterministic(t *testing.T) {
 	}
 }
 
-// TestSnapshotV2ParallelWorkers forces the worker pool on (Workers > 1
-// never happens by default on a single-core machine) and requires the
-// parallel encode to be deterministic, the parallel decode (the header
-// carries Workers, so the restored forest decodes in parallel too) to
+// setGOMAXPROCS sets GOMAXPROCS for the rest of the test: forEachTree
+// reads it per call, so this is how a test picks the codec's parallel
+// (n > 1) or sequential (n == 1) path whatever the host has.
+func setGOMAXPROCS(t *testing.T, n int) {
+	prev := runtime.GOMAXPROCS(n)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+}
+
+// TestSnapshotV2ParallelWorkers forces the codec's parallel path (a
+// single-core machine would otherwise never take it) and requires the
+// parallel encode to be deterministic, the parallel decode to
 // round-trip bit-identically, and block corruption to surface through
-// the per-worker error path.
+// the per-range error path.
 func TestSnapshotV2ParallelWorkers(t *testing.T) {
+	setGOMAXPROCS(t, 4)
 	cfg := Config{Trees: 8, NumTests: 15, MinParentSize: 30, MinGain: 0.03,
-		LambdaPos: 1, LambdaNeg: 1, Seed: 14, Workers: 4}
+		LambdaPos: 1, LambdaNeg: 1, Seed: 14}
 	f := New(3, cfg)
 	r := rng.New(15)
 	for i := 0; i < 2000; i++ {
 		x, y := streamSample(r, 0.3, 0.5)
 		f.Update(x, y)
-	}
-	if f.workerPool() == nil {
-		t.Fatal("worker pool not engaged at Workers=4")
 	}
 
 	var a, b bytes.Buffer
@@ -226,9 +235,6 @@ func TestSnapshotV2ParallelWorkers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if g.workerPool() == nil {
-		t.Fatal("restored forest lost its worker pool (Workers not carried in the header)")
-	}
 	var c bytes.Buffer
 	if _, err := g.WriteTo(&c); err != nil {
 		t.Fatal(err)
@@ -238,11 +244,77 @@ func TestSnapshotV2ParallelWorkers(t *testing.T) {
 	}
 
 	// Corruption inside a tree block must surface through the parallel
-	// decode's per-worker error slice, not panic or pass.
+	// decode's per-range error slice, not panic or pass.
 	bad := append([]byte(nil), a.Bytes()...)
 	bad[len(bad)-9] ^= 0x40
 	if _, err := ReadForest(bytes.NewReader(bad)); err == nil {
 		t.Fatal("parallel decode accepted a corrupted tree block")
+	}
+}
+
+// TestSnapshotBytesIgnoreHostCores: the same records must give the same
+// snapshot bytes on a 1-core and a 4-core host, or a leader and a
+// follower that was not seeded from it disagree on DumpModel. (They did
+// while the header carried a worker count defaulted from GOMAXPROCS.)
+func TestSnapshotBytesIgnoreHostCores(t *testing.T) {
+	var got [2][]byte
+	for i, procs := range []int{1, 4} {
+		setGOMAXPROCS(t, procs)
+		var buf bytes.Buffer
+		if _, err := trainForest(t, 16, 1500).WriteTo(&buf); err != nil {
+			t.Fatal(err)
+		}
+		got[i] = buf.Bytes()
+	}
+	if !bytes.Equal(got[0], got[1]) {
+		t.Fatal("snapshot bytes differ between GOMAXPROCS 1 and 4")
+	}
+}
+
+// TestSnapshotFromBeforeReservedSlot loads testdata written by the last
+// binary whose header carried a worker count (Workers: 4, PR 19; the
+// forest is Trees 3, NumTests 4, seed 20 after 400 samples): it must
+// score the recorded probe bit for bit and re-encode to the same bytes
+// except inside the header block, where the slot is now zero.
+func TestSnapshotFromBeforeReservedSlot(t *testing.T) {
+	for _, c := range []struct {
+		file  string
+		write func(*Forest, io.Writer) (int64, error)
+	}{
+		{"testdata/pr19_workers4.orf2-flate", (*Forest).WriteTo},
+		{"testdata/pr19_workers4.orf2-raw", (*Forest).WriteToRaw},
+	} {
+		old, err := os.ReadFile(c.file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f, err := ReadForest(bytes.NewReader(old))
+		if err != nil {
+			t.Fatalf("%s: %v", c.file, err)
+		}
+		const wantBits = 0x3fe7c8bc8bc8bc8c
+		if got := math.Float64bits(f.PredictProba([]float64{0.62, 0.58, 0.4})); got != wantBits {
+			t.Fatalf("%s: probe scores %#x, recorded %#x", c.file, got, uint64(wantBits))
+		}
+		var buf bytes.Buffer
+		if _, err := c.write(f, &buf); err != nil {
+			t.Fatal(err)
+		}
+		// Layout: magic, codec byte, header block, tree blocks.
+		afterHeader := func(snap []byte) []byte {
+			r := bytes.NewReader(snap[len(magicV2)+1:])
+			if _, err := frame.ReadBlockRaw(r, nil); err != nil {
+				t.Fatalf("%s: header block: %v", c.file, err)
+			}
+			return snap[len(snap)-r.Len():]
+		}
+		if !bytes.Equal(buf.Bytes()[:len(magicV2)+1], old[:len(magicV2)+1]) ||
+			!bytes.Equal(afterHeader(buf.Bytes()), afterHeader(old)) {
+			t.Fatalf("%s: re-encoded tree blocks differ from the fixture's", c.file)
+		}
+		if bytes.Equal(buf.Bytes(), old) {
+			t.Fatalf("%s: header re-encoded unchanged; the fixture does not carry a worker count", c.file)
+		}
 	}
 }
 

@@ -30,10 +30,6 @@ type Config struct {
 	MaxDepth    int
 	MinLeafSize int
 	MinGain     float64
-	// Workers bounds the goroutines used to grow and query trees;
-	// 0 selects GOMAXPROCS. Tree growth is embarrassingly parallel — the
-	// property the paper cites for choosing forests over boosting.
-	Workers int
 	// Seed drives all bootstrap and feature sampling.
 	Seed uint64
 }
@@ -51,16 +47,12 @@ func (c Config) withDefaults(nFeatures int) Config {
 	if c.MinLeafSize <= 0 {
 		c.MinLeafSize = 1
 	}
-	if c.Workers <= 0 {
-		c.Workers = runtime.GOMAXPROCS(0)
-	}
 	return c
 }
 
 // Forest is a trained random forest.
 type Forest struct {
 	trees    []*dtree.Tree
-	cfg      Config
 	nFeature int
 	oobErr   float64
 }
@@ -73,7 +65,7 @@ func Train(X [][]float64, y []int, cfg Config) *Forest {
 	}
 	n := len(X)
 	cfg = cfg.withDefaults(len(X[0]))
-	f := &Forest{cfg: cfg, nFeature: len(X[0]), trees: make([]*dtree.Tree, cfg.Trees)}
+	f := &Forest{nFeature: len(X[0]), trees: make([]*dtree.Tree, cfg.Trees)}
 
 	// Derive one independent stream per tree up front so the parallel
 	// growth is deterministic regardless of scheduling.
@@ -89,8 +81,11 @@ func Train(X [][]float64, y []int, cfg Config) *Forest {
 	oobTot := make([]int32, n)
 	var oobMu sync.Mutex
 
+	// Tree growth is embarrassingly parallel (the property the paper
+	// cites for choosing forests over boosting): one goroutine per tree,
+	// as many at a time as the host has cores.
 	var wg sync.WaitGroup
-	sem := make(chan struct{}, cfg.Workers)
+	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
 	for t := 0; t < cfg.Trees; t++ {
 		wg.Add(1)
 		sem <- struct{}{}
@@ -175,36 +170,6 @@ func (f *Forest) PredictProba(x []float64) float64 {
 // threshold (0.5 = plain majority).
 func (f *Forest) Predict(x []float64, threshold float64) bool {
 	return f.PredictProba(x) >= threshold
-}
-
-// PredictProbaBatch scores many vectors in parallel, preserving order.
-func (f *Forest) PredictProbaBatch(X [][]float64) []float64 {
-	out := make([]float64, len(X))
-	workers := f.cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	var wg sync.WaitGroup
-	chunk := (len(X) + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		if lo >= len(X) {
-			break
-		}
-		hi := lo + chunk
-		if hi > len(X) {
-			hi = len(X)
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			for i := lo; i < hi; i++ {
-				out[i] = f.PredictProba(X[i])
-			}
-		}(lo, hi)
-	}
-	wg.Wait()
-	return out
 }
 
 // OOBError returns the out-of-bag misclassification rate measured during

@@ -2,6 +2,7 @@ package forest
 
 import (
 	"math"
+	"runtime"
 	"testing"
 
 	"orfdisk/internal/rng"
@@ -66,17 +67,20 @@ func TestOOBErrorReasonable(t *testing.T) {
 
 func TestDeterministicAcrossRuns(t *testing.T) {
 	X, y := gaussData(7, 80, 160, 2)
-	f1 := Train(X, y, Config{Trees: 10, Seed: 42, Workers: 4})
-	f2 := Train(X, y, Config{Trees: 10, Seed: 42, Workers: 1})
+	train := func(procs int) *Forest {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		return Train(X, y, Config{Trees: 10, Seed: 42})
+	}
+	f1, f2 := train(4), train(1)
 	r := rng.New(8)
 	for i := 0; i < 50; i++ {
 		x := []float64{r.NormFloat64(), r.NormFloat64(), r.Float64()}
 		if f1.PredictProba(x) != f2.PredictProba(x) {
-			t.Fatal("forest not deterministic across worker counts")
+			t.Fatal("forest not deterministic across core counts")
 		}
 	}
 	if f1.OOBError() != f2.OOBError() {
-		t.Fatalf("OOB differs across worker counts: %v vs %v", f1.OOBError(), f2.OOBError())
+		t.Fatalf("OOB differs across core counts: %v vs %v", f1.OOBError(), f2.OOBError())
 	}
 }
 
@@ -95,17 +99,6 @@ func TestSeedChangesForest(t *testing.T) {
 	}
 	if same == trials {
 		t.Fatal("different seeds produced identical forests")
-	}
-}
-
-func TestPredictProbaBatchMatchesScalar(t *testing.T) {
-	X, y := gaussData(11, 60, 120, 2)
-	f := Train(X, y, Config{Trees: 8, Seed: 3})
-	batch := f.PredictProbaBatch(X)
-	for i := range X {
-		if batch[i] != f.PredictProba(X[i]) {
-			t.Fatalf("batch prediction %d differs", i)
-		}
 	}
 }
 
@@ -256,18 +249,4 @@ func BenchmarkTrain30Trees(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		Train(X, y, Config{Trees: 30, Seed: uint64(i)})
 	}
-}
-
-func BenchmarkTrainSequentialVsParallel(b *testing.B) {
-	X, y := gaussData(31, 200, 600, 2)
-	b.Run("workers=1", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			Train(X, y, Config{Trees: 30, Seed: 1, Workers: 1})
-		}
-	})
-	b.Run("workers=max", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			Train(X, y, Config{Trees: 30, Seed: 1})
-		}
-	})
 }

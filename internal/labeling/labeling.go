@@ -117,7 +117,9 @@ type Labeler struct {
 	// disk's whole queue) as one ordered slice instead of per-sample
 	// Update calls, letting the model apply them with one batch update.
 	// The slice is scratch owned by the labeler: use it only within the
-	// call. Single-sample releases always go through Update.
+	// call. Single-sample releases always go through Update. Only
+	// cmd/orfbench's twin still sets it; the predictor releases through
+	// Update alone.
 	UpdateBatch func([]Labeled)
 }
 

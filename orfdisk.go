@@ -100,14 +100,6 @@ type Predictor struct {
 	// queue, and the clone comes back here when its sample is released,
 	// so the steady-state path allocates no projection buffers.
 	free [][]float64
-	// Batch-release scratch (disk failures release up to horizon queued
-	// samples at once; scaling state is constant across one release, so
-	// they can be transformed upfront and applied with one
-	// Forest.UpdateBatch wake-up).
-	relScaled [][]float64
-	relX      [][]float64
-	relY      []int
-
 	// Read-path snapshot state (see Freeze/Frozen): the last published
 	// FrozenModel and the scratch pools its snapshots share. The pools
 	// are rebuilt whenever scorePoolDim disagrees with len(features), so
@@ -157,27 +149,6 @@ func (p *Predictor) bindLabeler() {
 		p.forest.Update(p.scaler.Transform(s.X, p.scaled), y)
 		p.free = append(p.free, s.X)
 	})
-	// Disk failures release a whole queue at once. The scaler only moves
-	// on Ingest (never during releases), so the batch can be transformed
-	// upfront and fed to the forest with one UpdateBatch — bit-identical
-	// to releasing the samples one by one.
-	p.labeler.UpdateBatch = func(batch []labeling.Labeled) {
-		for len(p.relScaled) < len(batch) {
-			p.relScaled = append(p.relScaled, make([]float64, len(p.features)))
-		}
-		p.relX, p.relY = p.relX[:0], p.relY[:0]
-		for i, s := range batch {
-			p.scaler.Transform(s.X, p.relScaled[i])
-			y := 0
-			if s.Y == smart.Positive {
-				y = 1
-			}
-			p.relX = append(p.relX, p.relScaled[i])
-			p.relY = append(p.relY, y)
-			p.free = append(p.free, s.X)
-		}
-		p.forest.UpdateBatch(p.relX, p.relY)
-	}
 }
 
 // project clones the selected features out of a raw catalog vector,
