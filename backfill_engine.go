@@ -25,15 +25,19 @@ import (
 //     describing the loader's (file, row, offset) frontier AFTER those
 //     rows — are framed into a single wal.AppendBatch, so they occupy
 //     one contiguous, atomically-ordered seq range appended by the one
-//     loader goroutine. The WAL loses only suffixes, which makes the
-//     durable state always "some prefix of the submitted batches":
+//     loader goroutine. The rows are framed in batch order, one run
+//     record per stretch of consecutive rows of one model (not one per
+//     model: grouping would put a later row of one model ahead of an
+//     earlier row of another). The WAL loses only suffixes, so the
+//     durable state is always "some prefix of the submitted rows", even
+//     when a power failure tears a batch between two of its records:
 //     recovery re-reads the newest cursor (from the WAL suffix or from
-//     the cursor file a snapshot persisted) and counts the backfill row
-//     records after it. The pair (cursor, rowsAfter) is an exact resume
-//     point — the loader seeks its readers to the cursor and discards
-//     exactly rowsAfter merged rows before submitting again.
+//     the cursor file a snapshot persisted) and counts the rows of the
+//     backfill records after it. The pair (cursor, rowsAfter) is an exact
+//     resume point — the loader seeks its readers to the cursor and
+//     discards exactly rowsAfter merged rows before submitting again.
 //
-// Backfill rows use their own record kind so live Ingest traffic can
+// Backfill runs use their own record kind so live Ingest traffic can
 // never perturb the rowsAfter count.
 
 // BackfillFilePos is one source file's position inside a BackfillCursor.
@@ -87,8 +91,10 @@ type bfState struct {
 	pendingLow uint64
 
 	// enc is IngestBackfill's framing scratch (single in-flight call by
-	// contract — the loader is one goroutine).
-	enc recordBatch
+	// contract — the loader is one goroutine), and recOf[i] the position in
+	// the framed batch of the record that holds row i.
+	enc   recordBatch
+	recOf []uint32
 }
 
 // BackfillState returns the durable backfill resume point: the last
@@ -137,8 +143,16 @@ func (e *Engine) IngestBackfill(batch []FleetObservation, cur *BackfillCursor) e
 		bf.pendingLow = e.wal.NextSeq() // lower bound: concurrent appends only raise NextSeq
 		bf.mu.Unlock()
 		bf.enc.reset()
-		for i := range batch {
-			bf.enc.addObserve(batch[i], recObserveBF)
+		bf.recOf = bf.recOf[:0]
+		for lo, hi := 0, 0; lo < len(batch); lo = hi {
+			for hi = lo + 1; hi < len(batch) && hi-lo < applyRunCap && batch[hi].Model == batch[lo].Model; hi++ {
+			}
+			rec := uint32(len(bf.enc.offs))
+			bf.enc.beginRun(recObserveBFRun, &batch[lo], hi-lo)
+			for i := lo; i < hi; i++ {
+				bf.enc.addRow(&batch[i])
+				bf.recOf = append(bf.recOf, rec)
+			}
 		}
 		if cur != nil {
 			bf.enc.addCursor(*cur)
@@ -211,12 +225,19 @@ func (e *Engine) submitBlocking(model string, fn func(*shardState)) error {
 
 // absorbSlice applies one shard's slice of a backfill batch on the
 // shard's worker: ingestSlice minus scoring, per-row results and the WAL
-// append (IngestBackfill logged the whole batch, so row i is first+i).
+// append (IngestBackfill logged the whole batch from first on, so row i
+// sits in record first+recOf[i]; a memory-only engine has no records).
+// The slice is the unit a snapshot sees, as in ingestSlice, however many
+// runs its rows were framed as.
 func (e *Engine) absorbSlice(s *shardState, batch []FleetObservation, idxs []int, first uint64) {
 	e.met.ingests.Add(uint64(len(idxs)))
 	applied := 0
 	for _, i := range idxs {
-		if _, err := e.applyRow(s, first+uint64(i), &batch[i], false); err != nil {
+		seq := first
+		if e.wal != nil {
+			seq += uint64(e.bf.recOf[i])
+		}
+		if _, err := e.applyRow(s, seq, &batch[i], false); err != nil {
 			// Only a predictor/engine catalog mismatch gets past
 			// IngestBackfill's validation; replay would skip the record.
 			e.met.ingestErrors.Inc()

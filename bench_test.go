@@ -12,6 +12,7 @@ package orfdisk
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"sort"
 	"testing"
 	"time"
@@ -396,7 +397,7 @@ func BenchmarkEngineIngestBatch(b *testing.B) {
 		// actually changes (write syscalls, mailbox round trips, routing).
 		eng, err := NewEngine(EngineConfig{
 			Predictor: cfg, DataDir: b.TempDir(),
-			SyncEvery: 1 << 20, SyncInterval: time.Hour,
+			SyncBytes: math.MaxInt, SyncInterval: time.Hour,
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -429,50 +430,89 @@ func BenchmarkEngineIngestBatch(b *testing.B) {
 	})
 }
 
-// BenchmarkRecordCodec measures the observe-record codec per row over a
-// simulated fleet's stream: encode is appendObserveRecordKind into a
-// reused buffer (what recordBatch.addObserve does), decode is
-// decodeRecord of the same payloads. B/row is the mean payload — what a
-// row costs in the WAL (plus its 16-byte frame header) and on the
-// replication wire.
+// BenchmarkRecordCodec measures the observe-record codec per row (an op
+// is a row, whatever the record holds) over a simulated fleet's stream in
+// day order: run256 is the run record a shard slice of a batch becomes,
+// run1 the run of one a single Ingest writes, row6 the one-row record
+// runs replaced (its writer is the reference in record_test.go). Encode
+// frames into reused scratch, as the engine does; decode is decodeRecord
+// of the same payloads. B/row is the mean payload per row — what a row
+// costs on the replication wire and, with the log's 16-byte frame header
+// per record (wal_B/row), in the WAL.
 func BenchmarkRecordCodec(b *testing.B) {
-	g, err := dataset.New(benchProfile(6), 17)
+	g, err := dataset.New(benchProfile(2), 17)
 	if err != nil {
 		b.Fatal(err)
 	}
-	var (
-		obs      []FleetObservation
-		payloads [][]byte
-		total    int
-	)
-	for _, m := range g.Disks()[:100] {
-		for _, s := range g.DiskSamples(m) {
-			o := FleetObservation{Model: "ST4000DM000", Observation: Observation{
-				Serial: s.Serial, Day: s.Day, Failed: s.Failure, Values: s.Values,
-			}}
-			obs = append(obs, o)
-			payloads = append(payloads, appendObserveRecordKind(nil, o, recObserve))
-			total += len(payloads[len(payloads)-1])
-		}
+	var obs []FleetObservation
+	err = g.Stream(func(s smart.Sample) error {
+		obs = append(obs, FleetObservation{Model: "ST4000DM000", Observation: Observation{
+			Serial: s.Serial, Day: s.Day, Failed: s.Failure, Values: s.Values,
+		}})
+		return nil
+	})
+	if err != nil {
+		b.Fatal(err)
 	}
-	bytesPerRow := float64(total) / float64(len(obs))
-	b.Run("encode", func(b *testing.B) {
-		var buf []byte
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			buf = appendObserveRecordKind(buf[:0], obs[i%len(obs)], recObserve)
-		}
-		b.ReportMetric(bytesPerRow, "B/row")
-	})
-	b.Run("decode", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := decodeRecord(payloads[i%len(payloads)]); err != nil {
-				b.Fatal(err)
+	obs = obs[:len(obs)/256*256]
+	for _, tc := range []struct {
+		name  string
+		rows  int // per record
+		frame func(enc *recordBatch, rows []FleetObservation)
+	}{
+		{"run256", 256, func(enc *recordBatch, rows []FleetObservation) {
+			enc.beginRun(recObserveRun, &rows[0], len(rows))
+			for i := range rows {
+				enc.addRow(&rows[i])
 			}
+		}},
+		{"run1", 1, func(enc *recordBatch, rows []FleetObservation) {
+			enc.beginRun(recObserveRun, &rows[0], 1)
+			enc.addRow(&rows[0])
+		}},
+		{"row6", 1, func(enc *recordBatch, rows []FleetObservation) {
+			enc.buf = appendObserveRecordKind(enc.buf, rows[0], recObserve)
+		}},
+	} {
+		var (
+			payloads [][]byte
+			total    int
+			enc      recordBatch
+		)
+		for lo := 0; lo < len(obs); lo += tc.rows {
+			enc.reset()
+			tc.frame(&enc, obs[lo:lo+tc.rows])
+			payloads = append(payloads, append([]byte(nil), enc.buf...))
+			total += len(enc.buf)
 		}
-		b.ReportMetric(bytesPerRow, "B/row")
-	})
+		report := func(b *testing.B) {
+			b.ReportMetric(float64(total)/float64(len(obs)), "B/row")
+			b.ReportMetric(float64(total+16*len(payloads))/float64(len(obs)), "wal_B/row")
+		}
+		b.Run(tc.name+"/encode", func(b *testing.B) {
+			b.ReportAllocs()
+			for n := 0; n < b.N; n += tc.rows {
+				lo := n % len(obs)
+				enc.reset()
+				tc.frame(&enc, obs[lo:lo+tc.rows])
+			}
+			report(b)
+		})
+		b.Run(tc.name+"/decode", func(b *testing.B) {
+			b.ReportAllocs()
+			for n := 0; n < b.N; n += tc.rows {
+				if _, err := decodeRecord(payloads[n/tc.rows%len(payloads)]); err != nil {
+					b.Fatal(err)
+				}
+			}
+			report(b)
+			// One values slab a run, not one slice a row: the rows, the slab
+			// and the model, then a serial per row.
+			if allocs := testing.AllocsPerRun(10, func() { decodeRecord(payloads[0]) }); allocs > float64(tc.rows+3) {
+				b.Fatalf("decoding a %d-row record allocates %v times, want at most %d", tc.rows, allocs, tc.rows+3)
+			}
+		})
+	}
 }
 
 // BenchmarkStateCodec measures SaveState and LoadPredictorState on what

@@ -51,62 +51,28 @@ func main() {
 		os.Exit(2)
 	}
 
-	var profs []dataset.Profile
-	switch *profile {
-	case "STA":
-		profs = []dataset.Profile{dataset.STA(*scale)}
-	case "STB":
-		profs = []dataset.Profile{dataset.STB(*scale)}
-	case "ALL":
-		profs = []dataset.Profile{dataset.STA(*scale), dataset.STB(*scale)}
-	default:
-		fmt.Fprintf(os.Stderr, "orfgen: unknown profile %q (want STA, STB, or ALL)\n", *profile)
+	fl, err := newFleet(*profile, *scale, *months, *seed)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "orfgen:", err) // the flags name no fleet
 		os.Exit(2)
-	}
-	if *months > 0 {
-		for i := range profs {
-			profs[i] = profs[i].WithMonths(*months)
-		}
-	}
-
-	gens := make([]*dataset.Generator, len(profs))
-	capacities := make(map[string]int64, len(profs))
-	disks := 0
-	for i, p := range profs {
-		// Offset seeds so the merged fleets draw independent streams.
-		g, err := dataset.New(p, *seed+uint64(i))
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "orfgen:", err)
-			os.Exit(1)
-		}
-		gens[i] = g
-		capacities[p.Model] = int64(p.CapacityTB) * 1_000_000_000_000
-		disks += p.TotalDisks()
-	}
-	stream := func(fn func(smart.Sample) error) error {
-		if len(gens) == 1 {
-			return gens[0].Stream(fn)
-		}
-		return dataset.StreamMerged(gens, fn)
 	}
 
 	var n int
-	var err error
 	if *history != "" {
-		n, err = writeHistory(*history, *stripes, *gzipOut, capacities, stream)
+		n, err = writeHistory(*history, *stripes, *gzipOut, fl.capacities, fl.stream)
 	} else {
-		n, err = writeSingle(*out, capacities, stream)
+		n, err = writeSingle(*out, fl.capacities, fl.stream)
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "orfgen:", err)
 		os.Exit(1)
 	}
 	fmt.Fprintf(os.Stderr, "orfgen: wrote %d samples for %d disks (%s, %d months)\n",
-		n, disks, *profile, profs[0].Months)
+		n, fl.disks, *profile, fl.months)
 
 	if *meta != "" {
 		var all []dataset.DiskMeta
-		for _, g := range gens {
+		for _, g := range fl.gens {
 			all = append(all, g.Disks()...)
 		}
 		if err := writeMeta(*meta, all); err != nil {
@@ -115,6 +81,54 @@ func main() {
 		}
 		fmt.Fprintf(os.Stderr, "orfgen: ground truth written to %s\n", *meta)
 	}
+}
+
+// fleet is what the -profile, -scale, -months and -seed flags select.
+type fleet struct {
+	gens       []*dataset.Generator
+	capacities map[string]int64 // bytes per drive model, for the capacity column
+	disks      int
+	months     int
+}
+
+func newFleet(profile string, scale float64, months int, seed uint64) (*fleet, error) {
+	var profs []dataset.Profile
+	switch profile {
+	case "STA":
+		profs = []dataset.Profile{dataset.STA(scale)}
+	case "STB":
+		profs = []dataset.Profile{dataset.STB(scale)}
+	case "ALL":
+		profs = []dataset.Profile{dataset.STA(scale), dataset.STB(scale)}
+	default:
+		return nil, fmt.Errorf("unknown profile %q (want STA, STB, or ALL)", profile)
+	}
+	fl := &fleet{capacities: make(map[string]int64, len(profs))}
+	for i, p := range profs {
+		if months > 0 {
+			p = p.WithMonths(months)
+		}
+		// Offset seeds so the merged fleets draw independent streams.
+		g, err := dataset.New(p, seed+uint64(i))
+		if err != nil {
+			return nil, err
+		}
+		fl.gens = append(fl.gens, g)
+		fl.capacities[p.Model] = int64(p.CapacityTB) * 1_000_000_000_000
+		fl.disks += p.TotalDisks()
+		if i == 0 {
+			fl.months = p.Months
+		}
+	}
+	return fl, nil
+}
+
+// stream emits the fleet's samples in day order, the fleets merged.
+func (fl *fleet) stream(fn func(smart.Sample) error) error {
+	if len(fl.gens) == 1 {
+		return fl.gens[0].Stream(fn)
+	}
+	return dataset.StreamMerged(fl.gens, fn)
 }
 
 // writeSingle streams the whole fleet into one CSV (stdout or -o).

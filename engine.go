@@ -141,10 +141,10 @@ type EngineConfig struct {
 	// snapshot is older than this and at least one observation has been
 	// applied since (default 1s; negative disables the time trigger).
 	FreezeInterval time.Duration
-	// SegmentBytes, SyncEvery and SyncInterval tune the WAL (see
+	// SegmentBytes, SyncBytes and SyncInterval tune the WAL (see
 	// internal/wal.Options); zero selects its defaults.
 	SegmentBytes int64
-	SyncEvery    int
+	SyncBytes    int
 	SyncInterval time.Duration
 	// Follower starts the engine as a read replica: writes fail with
 	// ErrNotLeader, and the engine implements replica.Applier so a
@@ -242,8 +242,8 @@ func newEngineMetrics(reg *metrics.Registry) engineMetrics {
 		snapshotSeconds: reg.Histogram("engine_snapshot_seconds", "Wall time of one snapshot pass (all models)."),
 		snapshotEncode:  reg.Histogram("engine_snapshot_encode_seconds", "Wall time of one model's snapshot encode+write (parallel-compressed ORF2)."),
 		snapshotBytes:   reg.GaugeVec("engine_snapshot_bytes", "Bytes written by the most recent snapshot pass, by on-disk format.", "format"),
-		replayed:        reg.Counter("engine_recovery_replayed_records_total", "WAL records replayed during crash recovery."),
-		replaySkipped:   reg.Counter("engine_recovery_skipped_records_total", "WAL records skipped during recovery because the predictor rejected them (poison pills)."),
+		replayed:        reg.Counter("engine_recovery_replayed_records_total", "Observations, retires and cursor records replayed from the WAL during crash recovery (a run record counts once per row)."),
+		replaySkipped:   reg.Counter("engine_recovery_skipped_records_total", "Durable observations skipped during recovery because the predictor rejected them (poison pills)."),
 		recoverySeconds: reg.Gauge("engine_recovery_seconds", "Wall time of the most recent recovery: snapshot load, WAL open and replay (set when it completes)."),
 		freezes:         reg.Counter("engine_frozen_publishes_total", "Frozen scoring snapshots published for the lock-free read path."),
 		predictRequests: reg.Counter("predict_requests_total", "Read-path scoring requests served from frozen snapshots (Score and ScoreBatch calls)."),
@@ -491,20 +491,29 @@ func (e *Engine) applyRetire(s *shardState, seq uint64, serial string) {
 }
 
 // ingestSlice logs and applies one shard's slice of an IngestBatch on
-// the shard's worker: every record is framed into the shard's reused
-// scratch and made durable with a single wal.AppendBatch (one write, one
-// group-commit check), then each observation is applied individually so
-// per-item results are preserved. A WAL failure fails the whole slice —
-// none of it is durable; predictor errors stay per-item (their records
-// persisted before the predictor could reject them, and replay skips
-// them the same deterministic way). It returns the sequence number of
-// the slice's last record, or 0 if no row was applied.
+// the shard's worker: the slice is framed into the shard's reused scratch
+// as one run record (one per applyRunCap rows, should a slice be longer)
+// and made durable with a single wal.AppendBatch (one write, one group-
+// commit check), then each observation is applied individually so
+// per-item results are preserved. Every row of a run carries the run's
+// sequence number; that is sound because the slice is applied here, in
+// one closure on the shard's worker, so a snapshot — another closure on
+// the same worker, its cutoff compared per record — sees all of a run or
+// none of it. A WAL failure fails the whole slice — none of it is
+// durable; predictor errors stay per-item (their rows persisted before
+// the predictor could reject them, and replay skips them the same
+// deterministic way). It returns the sequence number of the slice's last
+// record, or 0 if no row was applied.
 func (e *Engine) ingestSlice(s *shardState, batch []FleetObservation, idxs []int, res []BatchResult) uint64 {
 	var first uint64
 	if e.wal != nil {
 		s.enc.reset()
-		for _, i := range idxs {
-			s.enc.addObserve(batch[i], recObserve)
+		for lo := 0; lo < len(idxs); lo += applyRunCap {
+			run := idxs[lo:min(lo+applyRunCap, len(idxs))]
+			s.enc.beginRun(recObserveRun, &batch[run[0]], len(run))
+			for _, i := range run {
+				s.enc.addRow(&batch[i])
+			}
 		}
 		var err error
 		if first, err = e.wal.AppendBatch(s.enc.payloads()); err != nil {
@@ -518,7 +527,7 @@ func (e *Engine) ingestSlice(s *shardState, batch []FleetObservation, idxs []int
 	e.met.ingests.Add(uint64(len(idxs)))
 	applied := 0
 	for j, i := range idxs {
-		res[i].Prediction, res[i].Err = e.applyRow(s, first+uint64(j), &batch[i], true)
+		res[i].Prediction, res[i].Err = e.applyRow(s, first+uint64(j/applyRunCap), &batch[i], true)
 		if res[i].Err != nil {
 			e.met.ingestErrors.Inc()
 			continue
@@ -932,7 +941,7 @@ func (e *Engine) recover() error {
 	w, err := wal.Open(wal.Options{
 		Dir:          filepath.Join(dir, "wal"),
 		SegmentBytes: e.cfg.SegmentBytes,
-		SyncEvery:    e.cfg.SyncEvery,
+		SyncBytes:    e.cfg.SyncBytes,
 		SyncInterval: e.cfg.SyncInterval,
 		Metrics:      e.reg,
 	})
@@ -997,10 +1006,11 @@ const (
 	applyReplicated
 )
 
-// applyRunCap bounds how many decoded records wait for one crossing to
-// their shard: long enough that the crossing (a channel send, a closure,
-// two goroutine wake-ups) vanishes beside the rows, short enough that a
-// run's decoded vectors stay a few hundred kilobytes.
+// applyRunCap bounds how many decoded rows wait for one crossing to their
+// shard: long enough that the crossing (a channel send, a closure, two
+// goroutine wake-ups) vanishes beside the rows, short enough that a run's
+// decoded vectors stay a few hundred kilobytes. It is also the most rows
+// a writer frames as one run record, so a decoded record never exceeds it.
 const applyRunCap = 1024
 
 // applyRecords decodes durable records and applies them to their shards.
@@ -1014,7 +1024,9 @@ const applyRunCap = 1024
 // rebuild state, the alarms were raised where the row first arrived, and
 // Absorb leaves the state Ingest leaves. A run never reorders anything —
 // a record of another model ends it — because routing memory is shared
-// between shards.
+// between shards, and never splits a record: its rows share a sequence
+// number, so a snapshot taken between two crossings would cover half of
+// them and recovery skip the rest.
 //
 // last is the sequence number through which every fed record has been
 // dealt with (applied, skipped as covered, or counted as a poison pill);
@@ -1022,26 +1034,41 @@ const applyRunCap = 1024
 func (e *Engine) applyRecords(mode applyMode, feed func(func(seq uint64, payload []byte) error) error) (last uint64, err error) {
 	type runRecord struct {
 		walRecord
-		seq      uint64
-		rejected error
+		seq uint64
+	}
+	type rejection struct {
+		seq    uint64
+		serial string
+		err    error
 	}
 	var (
-		model   string
-		run     []runRecord
-		pending uint64 // newest record fed, possibly still waiting in the run
+		model    string
+		run      []runRecord
+		rows     int         // observations in run
+		retires  int         // retire records in run
+		rejected []rejection // observations of run the predictor refused
+		pending  uint64      // newest record fed, possibly still waiting in the run
 	)
 	flush := func() error {
 		if err := e.pool.Do(model, func(s *shardState) {
-			applied := 0
-			for i := range run {
-				r := &run[i]
-				if r.kind == recRetire {
-					e.applyRetire(s, r.seq, r.obs.Serial)
-				} else if _, r.rejected = e.applyRow(s, r.seq, &r.obs, false); r.rejected == nil {
-					applied++
+			absorb := func(seq uint64, obs *FleetObservation) {
+				if _, err := e.applyRow(s, seq, obs, false); err != nil {
+					rejected = append(rejected, rejection{seq, obs.Serial, err})
 				}
 			}
-			if mode == applyRecovering {
+			for i := range run {
+				switch r := &run[i]; {
+				case r.kind == recRetire:
+					e.applyRetire(s, r.seq, r.obs.Serial)
+				case r.run == nil:
+					absorb(r.seq, &r.obs)
+				default:
+					for j := range r.run {
+						absorb(r.seq, &r.run[j])
+					}
+				}
+			}
+			if applied := rows - len(rejected); mode == applyRecovering {
 				s.slot.applied.Add(int64(applied))
 			} else if applied > 0 {
 				e.noteApplied(s, applied)
@@ -1049,25 +1076,24 @@ func (e *Engine) applyRecords(mode applyMode, feed func(func(seq uint64, payload
 		}); err != nil {
 			return err
 		}
-		for i := range run {
-			switch r := &run[i]; {
-			case r.rejected != nil:
-				// A poison pill, not a reason to refuse to start or to stop
-				// following: the record was appended before the predictor saw
-				// it, the door it came in by surfaced this same deterministic
-				// error to its client, and aborting would brick the deployment
-				// — every restart or reconnect meets the record again. Count
-				// it, log it, move on; state matches the first apply exactly.
-				e.met.replaySkipped.Inc()
-				e.log.Warn("predictor rejected durable record; skipping",
-					"seq", r.seq, "model", model, "serial", r.obs.Serial, "err", r.rejected)
-			case mode == applyRecovering:
-				e.met.replayed.Inc()
-			case r.kind != recRetire:
-				e.met.ingests.Inc()
-			}
+		for _, r := range rejected {
+			// A poison pill, not a reason to refuse to start or to stop
+			// following: the row was appended before the predictor saw it,
+			// the door it came in by surfaced this same deterministic error
+			// to its client, and aborting would brick the deployment — every
+			// restart or reconnect meets the record again. Count it, log it,
+			// move on; state matches the first apply exactly.
+			e.met.replaySkipped.Inc()
+			e.log.Warn("predictor rejected durable row; skipping",
+				"seq", r.seq, "model", model, "serial", r.serial, "err", r.err)
 		}
-		run, last = run[:0], pending
+		// Both counters are in rows, as at the door a row first came in by.
+		if applied := uint64(rows - len(rejected)); mode == applyRecovering {
+			e.met.replayed.Add(applied + uint64(retires))
+		} else {
+			e.met.ingests.Add(applied)
+		}
+		run, rows, retires, rejected, last = run[:0], 0, 0, rejected[:0], pending
 		return nil
 	}
 	err = feed(func(seq uint64, payload []byte) error {
@@ -1081,7 +1107,7 @@ func (e *Engine) applyRecords(mode applyMode, feed func(func(seq uint64, payload
 		// follower keeps it too, so that once promoted it can continue an
 		// interrupted backfill exactly like a restarted leader.
 		if rec.kind == recCursor || rec.kind == recObserveBF {
-			e.noteBackfill(seq, 1, rec.cur)
+			e.noteBackfill(seq, uint64(rec.rows()), rec.cur)
 		}
 		switch {
 		case rec.kind == recCursor:
@@ -1094,13 +1120,17 @@ func (e *Engine) applyRecords(mode applyMode, feed func(func(seq uint64, payload
 			// recovery runs before the snapshot loop starts, or under snapMu
 			// during a seed install.
 		default:
-			if len(run) > 0 && (rec.obs.Model != model || len(run) == applyRunCap) {
+			if len(run) > 0 && (rec.obs.Model != model || rows+retires+max(rec.rows(), 1) > applyRunCap) {
 				if err := flush(); err != nil {
 					return err
 				}
 			}
 			model = rec.obs.Model
 			run = append(run, runRecord{walRecord: rec, seq: seq})
+			if rec.kind == recRetire {
+				retires++
+			}
+			rows += rec.rows()
 		}
 		pending = seq
 		return nil

@@ -1554,57 +1554,89 @@ func TestUnpackValuesRejectsCorrupt(t *testing.T) {
 	}
 }
 
-// TestRecordCodecAllocs: framing a record into warmed batch scratch
-// allocates nothing; decoding one allocates its two strings and its
+// TestRecordCodecAllocs: framing a run into warmed batch scratch
+// allocates nothing; decoding one allocates its rows, one values slab,
+// the model and a serial per row — not a values slice per row. A one-row
+// record of the retired layout decodes into its two strings and its
 // value slice.
 func TestRecordCodecAllocs(t *testing.T) {
-	obs := engineStream(t, 3, 1)[:64]
+	obs := engineStream(t, 3, 1)[:256]
 	var enc recordBatch
 	round := func() {
 		enc.reset()
+		enc.beginRun(recObserveRun, &obs[0], len(obs))
 		for i := range obs {
-			enc.addObserve(obs[i], recObserve)
+			enc.addRow(&obs[i])
 		}
 	}
 	round()
 	if allocs := testing.AllocsPerRun(50, round); allocs != 0 {
-		t.Errorf("recordBatch.addObserve allocates %v times per %d-row batch in steady state", allocs, len(obs))
+		t.Errorf("framing a %d-row run allocates %v times in steady state", len(obs), allocs)
 	}
-	payload := enc.payloads()[0]
-	if allocs := testing.AllocsPerRun(50, func() {
-		if _, err := decodeRecord(payload); err != nil {
-			t.Fatal(err)
+	for _, tc := range []struct {
+		payload []byte
+		want    int
+	}{
+		{enc.payloads()[0], len(obs) + 3},
+		{appendObserveRecordKind(nil, obs[0], recObserve), 3},
+	} {
+		if allocs := testing.AllocsPerRun(50, func() {
+			if _, err := decodeRecord(tc.payload); err != nil {
+				t.Fatal(err)
+			}
+		}); allocs != float64(tc.want) {
+			t.Errorf("decodeRecord of a kind-%d record allocates %v times, want %d", tc.payload[0], allocs, tc.want)
 		}
-	}); allocs != 3 {
-		t.Errorf("decodeRecord allocates %v times per record, want 3", allocs)
 	}
 }
 
-// TestRecordBytesPerRow pins the exact counter the packed codec was
-// sized by where go test sees it on any host: mean observe-record
-// payload over a seeded fleet (the WAL adds its 16-byte frame header to
-// each). The v2 layout took 194.71 B/row on this stream.
+// TestRecordBytesPerRow pins the exact counters the record formats were
+// sized by where go test sees them on any host: mean payload per row
+// over a seeded fleet framed the way IngestBatch frames it (a day's rows
+// of one model to a run), beside the one-row records of the reference
+// writer (the v2 layout took 194.71 B/row on this stream). The log adds
+// one 16-byte frame header per record to either.
 func TestRecordBytesPerRow(t *testing.T) {
-	const maxMean = 119.0 // this implementation: 118.48
+	const (
+		maxMean    = 108.0 // this implementation: 107.22
+		maxMeanOne = 119.0 // one-row records: 118.48
+	)
 	obs := engineStream(t, 7, 2)
-	var buf []byte
-	total, totalV2 := 0, 0
-	for _, o := range obs {
-		buf = appendObserveRecordKind(buf[:0], o, recObserve)
-		total += len(buf)
-		totalV2 += len(appendObserveRecordV2(buf[:0], o, recObserveV2))
+	oneRow, v2, runs, records := 0, 0, 0, 0
+	byModel := map[string][]FleetObservation{}
+	flush := func() {
+		for _, rows := range byModel {
+			runs += len(appendRunRecord(nil, recObserveRun, rows))
+			records++
+		}
+		clear(byModel)
 	}
-	mean, meanV2 := float64(total)/float64(len(obs)), float64(totalV2)/float64(len(obs))
-	t.Logf("%d rows: %.2f B/row packed, %.2f B/row v2", len(obs), mean, meanV2)
+	for i, o := range obs {
+		oneRow += len(appendObserveRecordKind(nil, o, recObserve))
+		v2 += len(appendObserveRecordV2(nil, o, recObserveV2))
+		if i > 0 && o.Day != obs[i-1].Day {
+			flush()
+		}
+		byModel[o.Model] = append(byModel[o.Model], o)
+	}
+	flush()
+	n := float64(len(obs))
+	mean, meanOne := float64(runs)/n, float64(oneRow)/n
+	t.Logf("%d rows in %d runs: %.2f B/row (+%.2f B/row of frame headers); one-row records %.2f B/row (+16), v2 %.2f",
+		len(obs), records, mean, 16*float64(records)/n, meanOne, float64(v2)/n)
 	if mean > maxMean {
-		t.Errorf("mean observe record is %.2f B, want <= %.1f", mean, maxMean)
+		t.Errorf("mean run payload is %.2f B/row, want <= %.1f", mean, maxMean)
+	}
+	if meanOne > maxMeanOne {
+		t.Errorf("mean one-row observe record is %.2f B, want <= %.1f", meanOne, maxMeanOne)
 	}
 }
 
 // TestRecoveryReadsV2Log is the old-format fixture for the log: the same
-// stream of backfill rows, a cursor, live rows and a retire, written once
-// with the v2 reference writer (kinds 3 and 4, as a crashed older binary
-// leaves it) and once by the current writer, recovers to the same bytes.
+// stream of backfill rows, a cursor, live rows and a retire, written with
+// the v2 reference writer (kinds 3 and 4) and the one-row packed one
+// (kinds 6 and 7), as a crashed older binary leaves it, and by the
+// current writer, recovers to the same bytes.
 func TestRecoveryReadsV2Log(t *testing.T) {
 	obs := engineStream(t, 31, 2)
 	bf := len(obs) / 3
@@ -1653,7 +1685,15 @@ func TestRecoveryReadsV2Log(t *testing.T) {
 		return e
 	}
 	old := open(write(appendObserveRecordV2, recObserveV2, recObserveBFV2))
-	now := open(write(appendObserveRecordKind, recObserve, recObserveBF))
+	now := open(write(func(b []byte, o FleetObservation, kind byte) []byte {
+		return appendRunRecord(b, kind, []FleetObservation{o})
+	}, recObserveRun, recObserveBFRun))
+	packed := open(write(appendObserveRecordKind, recObserve, recObserveBF))
+	for _, m := range now.Models() {
+		if !bytes.Equal(dumpModel(t, packed, m), dumpModel(t, now, m)) {
+			t.Errorf("model %s: state recovered from the one-row packed log (kinds 6 and 7) differs", m)
+		}
+	}
 	if len(old.Models()) != 2 || !reflect.DeepEqual(old.Models(), now.Models()) {
 		t.Fatalf("models: v2 log %v, current log %v", old.Models(), now.Models())
 	}
@@ -1719,6 +1759,13 @@ func FuzzDecodeRecord(f *testing.F) {
 		Files: []BackfillFilePos{{Name: "a.csv", Rows: 9, Off: 4096}}}))
 	f.Add(encodeRetireRecord(obs.Model, obs.Serial))
 	f.Add([]byte{recObserveV1, 0, 0, 0, 0})
+	// Run records, after the seeds that were there: one row, and three with
+	// every flag in use (a failure row on another day, a wider row).
+	next, wider := obs, obs
+	next.Day, next.Failed = obs.Day+1, false
+	wider.Values = append([]float64{7}, obs.Values...)
+	f.Add(appendRunRecord(nil, recObserveRun, []FleetObservation{obs}))
+	f.Add(appendRunRecord(nil, recObserveBFRun, []FleetObservation{next, obs, wider}))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		rec, err := decodeRecord(data)
 		if err != nil {
@@ -1727,7 +1774,11 @@ func FuzzDecodeRecord(f *testing.F) {
 		var again []byte
 		switch rec.kind {
 		case recObserve, recObserveBF:
-			again = appendObserveRecordKind(nil, rec.obs, rec.kind)
+			if rec.run != nil {
+				again = appendRunRecord(nil, rec.kind+recObserveRun-recObserve, rec.run)
+			} else {
+				again = appendObserveRecordKind(nil, rec.obs, rec.kind)
+			}
 		case recCursor:
 			again = appendCursorRecord(nil, *rec.cur)
 		case recRetire:
@@ -1740,15 +1791,15 @@ func FuzzDecodeRecord(f *testing.F) {
 			t.Fatalf("re-encoded record: %v", err)
 		}
 		// Values compare by bits (NaN != NaN), the rest structurally.
-		if len(rec2.obs.Values) != len(rec.obs.Values) {
-			t.Fatalf("%d values re-encode to %d", len(rec.obs.Values), len(rec2.obs.Values))
+		if rec2.rows() != rec.rows() || !sameObservation(rec.obs, rec2.obs) {
+			t.Fatalf("record %+v re-encodes to %+v", rec, rec2)
 		}
-		for i, v := range rec.obs.Values {
-			if math.Float64bits(rec2.obs.Values[i]) != math.Float64bits(v) {
-				t.Fatalf("value %d: %016x re-encodes to %016x", i, math.Float64bits(v), math.Float64bits(rec2.obs.Values[i]))
+		for i := range rec.run {
+			if !sameObservation(rec.run[i], rec2.run[i]) {
+				t.Fatalf("row %d: %+v re-encodes to %+v", i, rec.run[i], rec2.run[i])
 			}
 		}
-		rec.obs.Values, rec2.obs.Values = nil, nil
+		rec.obs.Values, rec2.obs.Values, rec.run, rec2.run = nil, nil, nil, nil
 		if !reflect.DeepEqual(rec, rec2) {
 			t.Fatalf("record %+v re-encodes to %+v", rec, rec2)
 		}

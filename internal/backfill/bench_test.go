@@ -297,8 +297,8 @@ func BenchmarkBackfillNaive(b *testing.B) {
 // whole corpus (the worst case — no snapshot ever ran). Two logs of the
 // same rows: the one a backfill leaves (backfill records from one
 // loader, cursor records between them) and, as "live", the one a serving
-// node leaves (v2 observe records, each IngestBatch of 256 rows appended
-// shard slice by shard slice, so same-model runs are as long as a
+// node leaves (each IngestBatch of 256 rows appended shard slice by shard
+// slice, one run record a slice, so same-model runs are as long as a
 // collector's batches make them).
 func BenchmarkBackfillRecovery(b *testing.B) {
 	reg := benchRegime()

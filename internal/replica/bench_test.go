@@ -4,6 +4,7 @@ package replica_test
 
 import (
 	"errors"
+	"math"
 	"runtime"
 	"sync/atomic"
 	"testing"
@@ -36,7 +37,7 @@ func benchWAL(b *testing.B, dir string, syncInterval time.Duration) *wal.WAL {
 	// leader's per-record fsync policy. The interval still matters —
 	// shipping is gated on durability, so the flusher's cadence is what
 	// publishes records to the stream.
-	w, err := wal.Open(wal.Options{Dir: dir, SyncEvery: 1 << 20, SyncInterval: syncInterval})
+	w, err := wal.Open(wal.Options{Dir: dir, SyncBytes: math.MaxInt, SyncInterval: syncInterval})
 	if err != nil {
 		b.Fatal(err)
 	}

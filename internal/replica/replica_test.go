@@ -369,7 +369,7 @@ func TestApplyFailureTearsStreamAndRetries(t *testing.T) {
 
 func TestOnlySyncedRecordsShip(t *testing.T) {
 	// Sync effectively disabled: appends land in the OS page cache only.
-	w, err := wal.Open(wal.Options{Dir: t.TempDir(), SyncEvery: 1 << 30, SyncInterval: time.Hour})
+	w, err := wal.Open(wal.Options{Dir: t.TempDir(), SyncBytes: 1 << 30, SyncInterval: time.Hour})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,9 +1,12 @@
 package smart
 
 import (
+	"bufio"
+	"bytes"
 	"encoding/csv"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"time"
 )
@@ -38,17 +41,22 @@ func DateToDay(s string) (int, error) {
 	return int((t.Unix() - epoch.Unix()) / 86400), nil
 }
 
-// Writer streams samples to w in Backblaze CSV format.
+// Writer streams samples to w in Backblaze CSV format: the bytes
+// encoding/csv would write for the same fields (its quoting rules, "\n"
+// line ends), built in one reused row buffer.
 type Writer struct {
-	cw      *csv.Writer
+	bw      *bufio.Writer
 	wrote   bool
 	capByte map[string]int64 // capacity per model, for the capacity column
+	row     []byte           // the row being built
+	day     int              // the day date holds, valid once wrote
+	date    []byte
 }
 
 // NewWriter returns a Writer targeting w. capacities maps drive model to
 // capacity in bytes (0 is written for unknown models).
 func NewWriter(w io.Writer, capacities map[string]int64) *Writer {
-	return &Writer{cw: csv.NewWriter(w), capByte: capacities}
+	return &Writer{bw: bufio.NewWriter(w), capByte: capacities}
 }
 
 func header() []string {
@@ -61,32 +69,81 @@ func header() []string {
 
 // Write emits one sample row (and the header before the first row).
 func (w *Writer) Write(s Sample) error {
+	if !w.wrote || s.Day != w.day {
+		w.day = s.Day
+		w.date = epoch.AddDate(0, 0, s.Day).AppendFormat(w.date[:0], "2006-01-02")
+	}
+	row := w.row[:0]
 	if !w.wrote {
-		if err := w.cw.Write(header()); err != nil {
-			return err
-		}
 		w.wrote = true
+		for i, name := range header() {
+			if i > 0 {
+				row = append(row, ',')
+			}
+			row = appendField(row, name)
+		}
+		row = append(row, '\n')
 	}
-	row := make([]string, 0, 5+len(s.Values))
-	row = append(row, DayToDate(s.Day), s.Serial, s.Model,
-		strconv.FormatInt(w.capByte[s.Model], 10), boolTo01(s.Failure))
+	row = append(row, w.date...)
+	row = append(row, ',')
+	row = appendField(row, s.Serial)
+	row = append(row, ',')
+	row = appendField(row, s.Model)
+	row = append(row, ',')
+	row = strconv.AppendInt(row, w.capByte[s.Model], 10)
+	if s.Failure {
+		row = append(row, ",1"...)
+	} else {
+		row = append(row, ",0"...)
+	}
 	for _, v := range s.Values {
-		row = append(row, strconv.FormatFloat(v, 'g', -1, 64))
+		row = append(row, ',')
+		row = appendValue(row, v)
 	}
-	return w.cw.Write(row)
+	row = append(row, '\n')
+	w.row = row
+	_, err := w.bw.Write(row)
+	return err
+}
+
+// appendValue appends v as strconv.FormatFloat(v, 'g', -1, 64) prints it.
+// Nearly every SMART value is a small non-negative integer, and below
+// 1e6 (where 'g' switches to an exponent) 'g' prints those as AppendUint
+// does, at a fraction of the cost. Everything else — fractions,
+// negatives, NaN, anything large, and -0, which compares equal to 0 but
+// prints as "-0" — goes to AppendFloat.
+func appendValue(b []byte, v float64) []byte {
+	if v >= 0 && v < 1e6 {
+		if u := uint64(v); float64(u) == v && (u != 0 || !math.Signbit(v)) {
+			return strconv.AppendUint(b, u, 10)
+		}
+	}
+	return strconv.AppendFloat(b, v, 'g', -1, 64)
+}
+
+// appendField appends one CSV field. A field of printable ASCII without
+// a space, comma or quote is what encoding/csv writes bare (and so is
+// the empty field beside others); any other field is handed to
+// encoding/csv itself, so its quoting rules are used, not restated.
+func appendField(b []byte, field string) []byte {
+	plain := field != `\.`
+	for i := 0; plain && i < len(field); i++ {
+		c := field[i]
+		plain = c > ' ' && c < 0x7f && c != ',' && c != '"'
+	}
+	if plain {
+		return append(b, field...)
+	}
+	var quoted bytes.Buffer
+	cw := csv.NewWriter(&quoted)
+	cw.Write([]string{field, ""}) //nolint:errcheck // a bytes.Buffer does not fail
+	cw.Flush()
+	return append(b, quoted.Bytes()[:quoted.Len()-len(",\n")]...)
 }
 
 // Flush flushes buffered rows and returns any write error.
 func (w *Writer) Flush() error {
-	w.cw.Flush()
-	return w.cw.Error()
-}
-
-func boolTo01(b bool) string {
-	if b {
-		return "1"
-	}
-	return "0"
+	return w.bw.Flush()
 }
 
 // colMap is the header resolution shared by Reader and FastReader:

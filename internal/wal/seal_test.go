@@ -231,7 +231,7 @@ func TestAppendBatchAtEqualsAppendAts(t *testing.T) {
 // written by a refused batch) and the name a rotation gives the segment.
 func TestAppendBatchAtRejectsAndRotates(t *testing.T) {
 	dir := t.TempDir()
-	w := openTest(t, dir, Options{SegmentBytes: 130, SyncEvery: 4})
+	w := openTest(t, dir, Options{SegmentBytes: 130, SyncBytes: 4 * (headerSize + 16)})
 	defer w.Close()
 	p := func(n int) [][]byte {
 		out := make([][]byte, n)
@@ -271,7 +271,7 @@ func TestAppendBatchAtRejectsAndRotates(t *testing.T) {
 		t.Fatalf("segments after a rotating batch: %v, want [1 20]", got)
 	}
 	// The rotation fsynced the sealed segment; the batch then ran the
-	// group-commit check once: 3 dirty records < SyncEvery 4, no fsync.
+	// group-commit check once: 3 dirty records < SyncBytes of 4, no fsync.
 	if got := w.met.fsyncs.Value(); got != fsyncs+1 {
 		t.Fatalf("fsyncs %d -> %d, want exactly the rotation's one", fsyncs, got)
 	}
@@ -279,7 +279,7 @@ func TestAppendBatchAtRejectsAndRotates(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got := w.met.fsyncs.Value(); got != fsyncs+2 {
-		t.Fatalf("group commit did not fire at SyncEvery: fsyncs %d -> %d", fsyncs, got)
+		t.Fatalf("group commit did not fire at SyncBytes: fsyncs %d -> %d", fsyncs, got)
 	}
 	if got := w.SyncedSeq(); got != 31 {
 		t.Fatalf("SyncedSeq %d, want 31", got)
@@ -353,7 +353,7 @@ func TestTornTailAtEveryOffset(t *testing.T) {
 // record must arrive whole, once, in order.
 func TestCursorTailsGrowingRotatingLog(t *testing.T) {
 	dir := t.TempDir()
-	w := openTest(t, dir, Options{SegmentBytes: 4 << 10, SyncEvery: 1 << 30})
+	w := openTest(t, dir, Options{SegmentBytes: 4 << 10, SyncBytes: 1 << 30})
 	defer w.Close()
 	const batches, perBatch = 400, 7
 	payloadFor := func(seq uint64) []byte {

@@ -14,8 +14,12 @@
 //
 // Durability is batched ("group commit"): Append issues the write
 // syscall immediately — a process crash loses nothing the OS accepted —
-// but fsync happens only every SyncEvery records or SyncInterval,
+// but fsync happens only every SyncBytes of log or SyncInterval,
 // whichever comes first, so a power failure can lose at most one batch.
+// The debt is counted in bytes, the unit the log owns: how many rows a
+// record stands for is its writer's business (the engine frames a whole
+// shard slice as one), and a count of records would let the fsync cadence
+// move with that framing.
 //
 // A torn tail (partial final write after a crash) is detected by the
 // length/CRC framing on Open and truncated away; everything before it
@@ -56,9 +60,11 @@ type Options struct {
 	// SegmentBytes rotates to a new segment file when the current one
 	// would exceed this size. Default 8 MiB.
 	SegmentBytes int64
-	// SyncEvery forces an fsync after this many appended records.
-	// Default 64.
-	SyncEvery int
+	// SyncBytes forces an fsync once this many bytes (record headers
+	// included) have been appended since the last one. Default 8 KiB —
+	// about 64 observe rows, so a batch of that size or more is on stable
+	// storage before its append returns.
+	SyncBytes int
 	// SyncInterval is the maximum time an appended record stays
 	// unsynced (enforced by a background flusher). Default 50 ms.
 	SyncInterval time.Duration
@@ -72,8 +78,8 @@ func (o *Options) fill() {
 	if o.SegmentBytes <= 0 {
 		o.SegmentBytes = 8 << 20
 	}
-	if o.SyncEvery <= 0 {
-		o.SyncEvery = 64
+	if o.SyncBytes <= 0 {
+		o.SyncBytes = 8 << 10
 	}
 	if o.SyncInterval <= 0 {
 		o.SyncInterval = 50 * time.Millisecond
@@ -116,7 +122,7 @@ type WAL struct {
 	segStart uint64   // name of the current segment
 	size     int64    // current segment size
 	nextSeq  uint64
-	dirty    int // records written since last fsync
+	dirty    int // bytes written since last fsync
 	closed   bool
 
 	// syncedSeq is the newest sequence number covered by an fsync.
@@ -238,7 +244,7 @@ func (w *WAL) flusher() {
 
 // Append writes one record and returns its sequence number. The record
 // has reached the OS when Append returns; it is fsync-durable within
-// one group-commit batch (SyncEvery / SyncInterval).
+// one group-commit batch (SyncBytes / SyncInterval).
 func (w *WAL) Append(payload []byte) (uint64, error) {
 	return w.appendBatch(nil, [][]byte{payload})
 }
@@ -335,10 +341,10 @@ func (w *WAL) appendBatch(seqs []uint64, payloads [][]byte) (first uint64, err e
 	}
 	w.size += int64(total)
 	w.nextSeq = last + 1
-	w.dirty += len(payloads)
+	w.dirty += total
 	w.met.appendRecords.Add(uint64(len(payloads)))
 	w.met.appendBytes.Add(uint64(total))
-	if w.dirty >= w.opts.SyncEvery {
+	if w.dirty >= w.opts.SyncBytes {
 		if err := w.syncLocked(); err != nil {
 			return 0, err
 		}

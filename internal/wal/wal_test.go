@@ -229,7 +229,8 @@ func TestSkipTo(t *testing.T) {
 
 func TestGroupCommitSyncEvery(t *testing.T) {
 	dir := t.TempDir()
-	w := openTest(t, dir, Options{SyncEvery: 4, SyncInterval: time.Hour})
+	const recBytes = headerSize + 1 // the debt is counted in bytes: four records' worth
+	w := openTest(t, dir, Options{SyncBytes: 4 * recBytes, SyncInterval: time.Hour})
 	for i := 0; i < 10; i++ {
 		if _, err := w.Append([]byte("r")); err != nil {
 			t.Fatal(err)
@@ -238,8 +239,8 @@ func TestGroupCommitSyncEvery(t *testing.T) {
 	w.mu.Lock()
 	dirty := w.dirty
 	w.mu.Unlock()
-	if dirty >= 4 {
-		t.Fatalf("dirty %d despite SyncEvery=4", dirty)
+	if dirty != 2*recBytes {
+		t.Fatalf("dirty %d bytes after 10 records with SyncBytes = 4 records, want 2 records (%d)", dirty, 2*recBytes)
 	}
 	if err := w.Sync(); err != nil {
 		t.Fatal(err)
@@ -261,7 +262,7 @@ func TestGroupCommitSyncEvery(t *testing.T) {
 // starts the watermark at everything recovery could see.
 func TestSyncedSeqTracksDurability(t *testing.T) {
 	dir := t.TempDir()
-	w := openTest(t, dir, Options{SyncEvery: 1 << 20, SyncInterval: time.Hour})
+	w := openTest(t, dir, Options{SyncBytes: 1 << 30, SyncInterval: time.Hour})
 	if got := w.SyncedSeq(); got != 0 {
 		t.Fatalf("fresh SyncedSeq = %d", got)
 	}
@@ -289,7 +290,7 @@ func TestSyncedSeqTracksDurability(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Reopen: recovery replays 6 records off disk, so all 6 are durable.
-	w2 := openTest(t, dir, Options{SyncEvery: 1 << 20, SyncInterval: time.Hour})
+	w2 := openTest(t, dir, Options{SyncBytes: 1 << 30, SyncInterval: time.Hour})
 	defer w2.Close()
 	if got := w2.SyncedSeq(); got != 6 {
 		t.Fatalf("reopened SyncedSeq = %d, want 6", got)
@@ -316,7 +317,7 @@ func TestEmptyDirOpen(t *testing.T) {
 // that Close routes through syncLocked.
 func TestCloseNoRedundantFsync(t *testing.T) {
 	dir := t.TempDir()
-	w := openTest(t, dir, Options{SyncEvery: 1 << 20, SyncInterval: time.Hour})
+	w := openTest(t, dir, Options{SyncBytes: 1 << 30, SyncInterval: time.Hour})
 	for i := 0; i < 3; i++ {
 		if _, err := w.Append([]byte("r")); err != nil {
 			t.Fatal(err)
@@ -341,7 +342,7 @@ func TestCloseNoRedundantFsync(t *testing.T) {
 // losing it behind the close.
 func TestClosePropagatesSyncError(t *testing.T) {
 	dir := t.TempDir()
-	w := openTest(t, dir, Options{SyncEvery: 1 << 20, SyncInterval: time.Hour})
+	w := openTest(t, dir, Options{SyncBytes: 1 << 30, SyncInterval: time.Hour})
 	if _, err := w.Append([]byte("r")); err != nil {
 		t.Fatal(err)
 	}
@@ -363,7 +364,7 @@ func TestClosePropagatesSyncError(t *testing.T) {
 // nothing dirty Close must not attempt (or report) a sync at all.
 func TestCloseIgnoresUnsyncableFileWhenClean(t *testing.T) {
 	dir := t.TempDir()
-	w := openTest(t, dir, Options{SyncEvery: 1 << 20, SyncInterval: time.Hour})
+	w := openTest(t, dir, Options{SyncBytes: 1 << 30, SyncInterval: time.Hour})
 	if _, err := w.Append([]byte("r")); err != nil {
 		t.Fatal(err)
 	}
@@ -388,12 +389,12 @@ func TestCloseIgnoresUnsyncableFileWhenClean(t *testing.T) {
 	}
 }
 
-// TestFsyncCounter covers the group-commit accounting: SyncEvery
+// TestFsyncCounter covers the group-commit accounting: SyncBytes
 // batches fsyncs, the counter reflects batches rather than records, and
 // latency observations accumulate alongside.
 func TestFsyncCounter(t *testing.T) {
 	dir := t.TempDir()
-	w := openTest(t, dir, Options{SyncEvery: 4, SyncInterval: time.Hour})
+	w := openTest(t, dir, Options{SyncBytes: 4 * (headerSize + len("abcdef")), SyncInterval: time.Hour})
 	defer w.Close()
 	for i := 0; i < 12; i++ {
 		if _, err := w.Append([]byte("abcdef")); err != nil {
@@ -401,7 +402,7 @@ func TestFsyncCounter(t *testing.T) {
 		}
 	}
 	if got := w.met.fsyncs.Value(); got != 3 {
-		t.Fatalf("fsyncs = %d, want 3 (12 records / SyncEvery 4)", got)
+		t.Fatalf("fsyncs = %d, want 3 (12 records / SyncBytes of 4 records)", got)
 	}
 	if got := w.met.fsyncSeconds.Count(); got != 3 {
 		t.Fatalf("fsync latency observations = %d, want 3", got)
@@ -543,10 +544,10 @@ func TestAppendBatchNeverSplitsSegments(t *testing.T) {
 }
 
 // TestAppendBatchGroupCommit checks the fsync policy treats a batch as
-// its record count, not as one append.
+// the bytes of all its records, not as one append.
 func TestAppendBatchGroupCommit(t *testing.T) {
 	dir := t.TempDir()
-	w := openTest(t, dir, Options{SyncEvery: 4, SyncInterval: time.Hour})
+	w := openTest(t, dir, Options{SyncBytes: 4 * (headerSize + 1), SyncInterval: time.Hour})
 	defer w.Close()
 	fsyncs := func() uint64 { return w.met.fsyncs.Value() }
 	if _, err := w.AppendBatch([][]byte{[]byte("a"), []byte("b"), []byte("c")}); err != nil {
@@ -559,7 +560,7 @@ func TestAppendBatchGroupCommit(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got := fsyncs(); got != 1 {
-		t.Fatalf("fsyncs after reaching SyncEvery: %d, want 1", got)
+		t.Fatalf("fsyncs after reaching SyncBytes: %d, want 1", got)
 	}
 }
 

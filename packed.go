@@ -72,18 +72,33 @@ func packValues(buf []byte, vals []float64) []byte {
 // unpackValues decodes nv values from the front of b and returns them
 // with the bytes that follow. nv comes from the input: it is bounded by
 // what b could hold (a value takes at least its half-byte code) before
-// anything is allocated for it. Errors carry no package prefix: both
-// callers wrap them.
+// anything is allocated for it. Errors carry no package prefix: every
+// caller wraps them.
 func unpackValues(b []byte, nv uint64) ([]float64, []byte, error) {
 	if nv > 2*uint64(len(b)) {
 		return nil, nil, fmt.Errorf("%d packed values in %d bytes", nv, len(b))
 	}
-	nc := int(nv+1) / 2
+	vals := make([]float64, nv)
+	b, err := unpackValuesInto(vals, b)
+	if err != nil {
+		return nil, nil, err
+	}
+	return vals, b, nil
+}
+
+// unpackValuesInto is unpackValues into storage the caller owns (a run
+// record decodes all its rows into one slab): it fills vals from the
+// front of b and returns the bytes that follow.
+func unpackValuesInto(vals []float64, b []byte) ([]byte, error) {
+	nv := len(vals)
+	if nv > 2*len(b) {
+		return nil, fmt.Errorf("%d packed values in %d bytes", nv, len(b))
+	}
+	nc := (nv + 1) / 2
 	codes, b := b[:nc], b[nc:]
 	if nv&1 == 1 && codes[nc-1]>>4 != 0 {
-		return nil, nil, errors.New("packed values: non-zero pad code")
+		return nil, errors.New("packed values: non-zero pad code")
 	}
-	vals := make([]float64, nv)
 	for i := range vals {
 		code := int(codes[i/2] >> (4 * (i & 1)) & 15)
 		w := code
@@ -91,7 +106,7 @@ func unpackValues(b []byte, nv uint64) ([]float64, []byte, error) {
 			w = code - 8
 		}
 		if code == 15 || len(b) < w {
-			return nil, nil, fmt.Errorf("packed value %d: code %d with %d bytes left", i, code, len(b))
+			return nil, fmt.Errorf("packed value %d: code %d with %d bytes left", i, code, len(b))
 		}
 		if u := loadBytes(b, w); code > 8 {
 			vals[i] = float64(u) // below 2^48: exact
@@ -100,7 +115,7 @@ func unpackValues(b []byte, nv uint64) ([]float64, []byte, error) {
 		}
 		b = b[w:]
 	}
-	return vals, b, nil
+	return b, nil
 }
 
 // loadBytes reads the first w (0-8) bytes of b as a little-endian

@@ -16,21 +16,56 @@ const (
 	recObserveV1 = 1 // fixed-width observe record of the first WAL format: reserved, rejected
 	recRetire    = 2
 	recCursor    = 5 // backfill progress cursor (see backfill_engine.go)
-	recObserve   = 6 // observe record (the live writer)
-	recObserveBF = 7 // backfill observe: same body, applied via Absorb and counted by the resume cursor
 
-	// The v2 observe layout (a length byte before every value): what
-	// recObserve and recObserveBF were written as before the packed value
-	// codec. Nothing writes them; decodeRecord reads them, as the kind
-	// above, so a log left by a crashed older binary still replays.
+	// A run: the rows of one model that one append made durable together —
+	// a shard's slice of an IngestBatch (Ingest is a run of one), or a
+	// stretch of an IngestBackfill batch — under one kind byte, one model,
+	// one base day and one value count. Backfill runs have their own kind
+	// so the resume cursor counts only its own rows; they are applied via
+	// Absorb. These are the observe records the engine writes.
+	recObserveRun   = 8
+	recObserveBFRun = 9
+
+	// One observe row per record: what a live and a backfill row were
+	// written as before runs (6/7, values as packValues lays them out) and
+	// before the packed value codec (3/4, a length byte before every
+	// value). Nothing writes them; decodeRecord reads them so a log left by
+	// a crashed older binary still replays. recObserve and recObserveBF are
+	// also what decodeRecord reports for every observe layout, runs
+	// included: 8 and 3 are 6, 9 and 4 are 7 to every caller.
+	recObserve     = 6
+	recObserveBF   = 7
 	recObserveV2   = 3
 	recObserveBFV2 = 4
 )
 
+// Per-row flags of a run record; any other bit is a decode error.
+const (
+	runRowFailed = 1 << iota // the disk's failure row
+	runRowDay                // a varint follows: this row's day minus the run's base day
+	runRowWidth              // a uvarint follows: this row's value count, not the run's
+)
+
 type walRecord struct {
 	kind byte
-	obs  FleetObservation
-	cur  *BackfillCursor // recCursor records only
+	// obs is the row of a one-row observe record, the model and serial of
+	// a retire, and the model of a run.
+	obs FleetObservation
+	// run holds a run record's rows (nil for every other layout); their
+	// Values share one slab.
+	run []FleetObservation
+	cur *BackfillCursor // recCursor records only
+}
+
+// rows is how many observations the record carries.
+func (r *walRecord) rows() int {
+	switch {
+	case r.run != nil:
+		return len(r.run)
+	case r.kind == recObserve || r.kind == recObserveBF:
+		return 1
+	}
+	return 0
 }
 
 // recordBatch frames several records into one reused buffer and slices
@@ -41,13 +76,55 @@ type recordBatch struct {
 	buf     []byte
 	offs    []int
 	payload [][]byte
+	// The open run's shared fields, which addRow encodes each row against.
+	baseDay, width int
 }
 
 func (b *recordBatch) reset() { b.buf, b.offs = b.buf[:0], b.offs[:0] }
 
-func (b *recordBatch) addObserve(obs FleetObservation, kind byte) {
+// beginRun opens a run record of rows observations (1 to applyRunCap;
+// the cap keeps a decoded run one crossing to its shard and the record
+// far below the log's size limit), all of first's model; the caller
+// follows with exactly that many addRow calls, first's included. The
+// body is the model as a length-prefixed string, the base day (first's)
+// as a varint, then the value count and the row count as uvarints. The
+// same bytes are the WAL payload on a leader, the record a replication
+// frame carries and what a follower appends to its own log.
+func (b *recordBatch) beginRun(kind byte, first *FleetObservation, rows int) {
 	b.offs = append(b.offs, len(b.buf))
-	b.buf = appendObserveRecordKind(b.buf, obs, kind)
+	b.baseDay, b.width = first.Day, len(first.Values)
+	b.buf = append(b.buf, kind)
+	b.buf = binary.AppendUvarint(b.buf, uint64(len(first.Model)))
+	b.buf = append(b.buf, first.Model...)
+	b.buf = binary.AppendVarint(b.buf, int64(b.baseDay))
+	b.buf = binary.AppendUvarint(b.buf, uint64(b.width))
+	b.buf = binary.AppendUvarint(b.buf, uint64(rows))
+}
+
+// addRow appends one row to the open run: a flags byte, the day and the
+// value count only where they differ from the run's, the serial as a
+// length-prefixed string, then the values as packValues lays them out.
+func (b *recordBatch) addRow(obs *FleetObservation) {
+	var flags byte
+	if obs.Failed {
+		flags |= runRowFailed
+	}
+	if obs.Day != b.baseDay {
+		flags |= runRowDay
+	}
+	if len(obs.Values) != b.width {
+		flags |= runRowWidth
+	}
+	b.buf = append(b.buf, flags)
+	if flags&runRowDay != 0 {
+		b.buf = binary.AppendVarint(b.buf, int64(obs.Day)-int64(b.baseDay))
+	}
+	if flags&runRowWidth != 0 {
+		b.buf = binary.AppendUvarint(b.buf, uint64(len(obs.Values)))
+	}
+	b.buf = binary.AppendUvarint(b.buf, uint64(len(obs.Serial)))
+	b.buf = append(b.buf, obs.Serial...)
+	b.buf = packValues(b.buf, obs.Values)
 }
 
 func (b *recordBatch) addCursor(c BackfillCursor) {
@@ -67,38 +144,6 @@ func (b *recordBatch) payloads() [][]byte {
 		b.payload = append(b.payload, b.buf[off:end])
 	}
 	return b.payload
-}
-
-// appendObserveRecordKind frames an observe record onto buf under an
-// explicit kind byte: recObserve for the live path, recObserveBF for
-// backfill rows (same wire format, distinct kind so the resume cursor
-// counts only its own rows). The body is the header fields as varints
-// and length-prefixed strings, the value count, then the values as
-// packValues lays them out. The same bytes are the WAL payload on a
-// leader, the record a replication frame carries and what a follower
-// appends to its own log.
-func appendObserveRecordKind(buf []byte, obs FleetObservation, kind byte) []byte {
-	worst := 2 + 4*binary.MaxVarintLen64 + len(obs.Model) + len(obs.Serial)
-	n := len(buf)
-	if cap(buf)-n < worst {
-		buf = append(buf[:n], make([]byte, worst)...)
-	}
-	b := buf[n : n+worst]
-	b[0] = kind
-	i := 1
-	i += binary.PutUvarint(b[i:], uint64(len(obs.Model)))
-	i += copy(b[i:], obs.Model)
-	i += binary.PutUvarint(b[i:], uint64(len(obs.Serial)))
-	i += copy(b[i:], obs.Serial)
-	i += binary.PutVarint(b[i:], int64(obs.Day))
-	if obs.Failed {
-		b[i] = 1
-	} else {
-		b[i] = 0
-	}
-	i++
-	i += binary.PutUvarint(b[i:], uint64(len(obs.Values)))
-	return packValues(buf[:n+i], obs.Values)
 }
 
 func encodeRetireRecord(model, serial string) []byte {
@@ -122,6 +167,9 @@ func decodeRecord(b []byte) (walRecord, error) {
 	b = b[1:]
 	var err error
 	switch rec.kind {
+	case recObserveRun, recObserveBFRun:
+		rec.kind -= recObserveRun - recObserve
+		rec.obs.Model, rec.run, err = decodeRun(b)
 	case recObserve, recObserveBF:
 		rec.obs, err = decodeObserve(b, true)
 	case recObserveV2, recObserveBFV2:
@@ -141,9 +189,100 @@ func decodeRecord(b []byte) (walRecord, error) {
 	return rec, err
 }
 
-// decodeObserve parses an observe body (b excludes the kind byte):
-// the one appendObserveRecordKind writes when packed, else the v2 layout
-// with its length byte per value.
+var errTruncatedRun = errors.New("orfdisk: truncated run WAL record")
+
+// decodeRun parses a run body (b excludes the kind byte; beginRun and
+// addRow give the layout). Every count comes from the input and is
+// bounded by what b could hold before anything is allocated for it. The
+// rows' Values are carved from one slab, so a decoded run costs one
+// allocation for its values, not one per row.
+func decodeRun(b []byte) (model string, rows []FleetObservation, err error) {
+	if model, b, err = takeVarString(b); err != nil {
+		return "", nil, err
+	}
+	base, n := binary.Varint(b)
+	if n <= 0 {
+		return "", nil, errTruncatedRun
+	}
+	b = b[n:]
+	width, n := binary.Uvarint(b)
+	if n <= 0 {
+		return "", nil, errTruncatedRun
+	}
+	b = b[n:]
+	nrows, n := binary.Uvarint(b)
+	if n <= 0 {
+		return "", nil, errTruncatedRun
+	}
+	b = b[n:]
+	// A row is at least its flags byte and its serial's length.
+	switch {
+	case nrows == 0:
+		return "", nil, errors.New("orfdisk: run WAL record with no rows")
+	case nrows > applyRunCap:
+		return "", nil, fmt.Errorf("orfdisk: run WAL record of %d rows, more than the %d a writer frames", nrows, applyRunCap)
+	case nrows > uint64(len(b))/2:
+		return "", nil, fmt.Errorf("orfdisk: run WAL record claims %d rows in %d bytes", nrows, len(b))
+	}
+	rows = make([]FleetObservation, nrows)
+	// A value is at least its half-byte code, which bounds the slab by the
+	// body however large the claimed width (capped before the product, which
+	// could overflow).
+	most := 2 * uint64(len(b))
+	slab := make([]float64, 0, min(min(width, most)*nrows, most))
+	for i := range rows {
+		obs := &rows[i]
+		obs.Model = model
+		if len(b) < 1 {
+			return "", nil, errTruncatedRun
+		}
+		flags := b[0]
+		b = b[1:]
+		if flags&^(runRowFailed|runRowDay|runRowWidth) != 0 {
+			return "", nil, fmt.Errorf("orfdisk: run WAL record: row %d has unknown flag bits %#x", i, flags)
+		}
+		obs.Failed = flags&runRowFailed != 0
+		day := base
+		if flags&runRowDay != 0 {
+			delta, n := binary.Varint(b)
+			if n <= 0 {
+				return "", nil, errTruncatedRun
+			}
+			day, b = base+delta, b[n:]
+		}
+		obs.Day = int(day)
+		nv := width
+		if flags&runRowWidth != 0 {
+			if nv, n = binary.Uvarint(b); n <= 0 {
+				return "", nil, errTruncatedRun
+			}
+			b = b[n:]
+		}
+		if obs.Serial, b, err = takeVarString(b); err != nil {
+			return "", nil, err
+		}
+		if nv > 2*uint64(len(b)) { // before nv sizes anything
+			return "", nil, fmt.Errorf("orfdisk: run WAL record: row %d: %d packed values in %d bytes", i, nv, len(b))
+		}
+		if off := len(slab); uint64(cap(slab)-off) >= nv {
+			slab = slab[:off+int(nv)]
+			obs.Values = slab[off:len(slab):len(slab)]
+		} else {
+			obs.Values = make([]float64, nv) // a row wider than the run said
+		}
+		if b, err = unpackValuesInto(obs.Values, b); err != nil {
+			return "", nil, fmt.Errorf("orfdisk: run WAL record: row %d: %w", i, err)
+		}
+	}
+	if len(b) != 0 {
+		return "", nil, fmt.Errorf("orfdisk: %d trailing bytes in run WAL record", len(b))
+	}
+	return model, rows, nil
+}
+
+// decodeObserve parses a one-row observe body (b excludes the kind
+// byte): kinds 6/7 when packed, else the v2 layout with its length byte
+// per value.
 func decodeObserve(b []byte, packed bool) (FleetObservation, error) {
 	var obs FleetObservation
 	bad := func() (FleetObservation, error) {
