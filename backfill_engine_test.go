@@ -48,9 +48,9 @@ func TestCursorRecordRoundTrip(t *testing.T) {
 	}
 }
 
-// TestBackfillObserveRecordKind: backfill rows share the live observe
-// body under their own kind byte, so recovery can count them against
-// the cursor without confusing them with live traffic.
+// TestBackfillObserveRecordKind: backfill rows share the live run body
+// under their own kind byte, so recovery can count them against the
+// cursor without confusing them with live traffic.
 func TestBackfillObserveRecordKind(t *testing.T) {
 	obs := FleetObservation{
 		Model: "ST4000DM000",
@@ -59,15 +59,15 @@ func TestBackfillObserveRecordKind(t *testing.T) {
 			Values: []float64{1, math.NaN(), -7.5},
 		},
 	}
-	rec, err := decodeRecord(appendObserveRecordKind(nil, obs, recObserveBF))
+	rec, err := decodeRecord(appendRunRecord(nil, recObserveBFRun, []FleetObservation{obs}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rec.kind != recObserveBF {
-		t.Fatalf("kind = %d, want %d", rec.kind, recObserveBF)
+	if rec.kind != recObserveBFRun {
+		t.Fatalf("kind = %d, want %d", rec.kind, recObserveBFRun)
 	}
-	if rec.obs.Serial != obs.Serial || rec.obs.Day != obs.Day || !rec.obs.Failed {
-		t.Fatalf("body round-trip: %+v", rec.obs)
+	if got := rec.run[0]; got.Serial != obs.Serial || got.Day != obs.Day || !got.Failed {
+		t.Fatalf("body round-trip: %+v", got)
 	}
 }
 

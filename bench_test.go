@@ -433,12 +433,11 @@ func BenchmarkEngineIngestBatch(b *testing.B) {
 // BenchmarkRecordCodec measures the observe-record codec per row (an op
 // is a row, whatever the record holds) over a simulated fleet's stream in
 // day order: run256 is the run record a shard slice of a batch becomes,
-// run1 the run of one a single Ingest writes, row6 the one-row record
-// runs replaced (its writer is the reference in record_test.go). Encode
-// frames into reused scratch, as the engine does; decode is decodeRecord
-// of the same payloads. B/row is the mean payload per row — what a row
-// costs on the replication wire and, with the log's 16-byte frame header
-// per record (wal_B/row), in the WAL.
+// run1 the run of one a single Ingest writes. Encode frames into reused
+// scratch, as the engine does; decode is decodeRecord of the same
+// payloads. B/row is the mean payload per row — what a row costs on the
+// replication wire and, with the log's 16-byte frame header per record
+// (wal_B/row), in the WAL.
 func BenchmarkRecordCodec(b *testing.B) {
 	g, err := dataset.New(benchProfile(2), 17)
 	if err != nil {
@@ -469,9 +468,6 @@ func BenchmarkRecordCodec(b *testing.B) {
 		{"run1", 1, func(enc *recordBatch, rows []FleetObservation) {
 			enc.beginRun(recObserveRun, &rows[0], 1)
 			enc.addRow(&rows[0])
-		}},
-		{"row6", 1, func(enc *recordBatch, rows []FleetObservation) {
-			enc.buf = appendObserveRecordKind(enc.buf, rows[0], recObserve)
 		}},
 	} {
 		var (

@@ -138,18 +138,16 @@ func main() {
 
 	if *savePath != "" {
 		f, err := os.Create(*savePath)
+		if err == nil {
+			bw := bufio.NewWriter(f)
+			if err = pred.SaveModel(bw); err == nil {
+				err = bw.Flush()
+			}
+			if cerr := f.Close(); err == nil {
+				err = cerr
+			}
+		}
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "orfmon:", err)
-			os.Exit(1)
-		}
-		bw := bufio.NewWriter(f)
-		if err := pred.SaveModel(bw); err == nil {
-			err = bw.Flush()
-		} else {
-			fmt.Fprintln(os.Stderr, "orfmon:", err)
-			os.Exit(1)
-		}
-		if err := f.Close(); err != nil {
 			fmt.Fprintln(os.Stderr, "orfmon:", err)
 			os.Exit(1)
 		}

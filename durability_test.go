@@ -2,12 +2,11 @@ package orfdisk
 
 import (
 	"bytes"
-	"crypto/sha256"
 	"encoding/binary"
-	"encoding/hex"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 )
@@ -76,95 +75,45 @@ func TestAcknowledgedBatchIsFsynced(t *testing.T) {
 	}
 }
 
-// TestRecoversPR20Log: testdata/pr20_wal is the log a PR 20 binary left
-// when it was killed — one-row observe records (kinds 6 and 7): 300 live
-// rows over two models, a failure row, the same serial observed again, a
-// retire, a backfill batch with its cursor record and one without. The
-// digests are each model's DumpModel as that binary recovered it. The
-// current code must recover the same state, then append its own records
-// on top, crash and recover both kinds from one log.
-func TestRecoversPR20Log(t *testing.T) {
-	want := map[string]string{
-		"MODEL-0": "2db79a0a07dc8c70451855ecc1cb45dc7d960c3c68d50304b6c3bb8552864114",
-		"MODEL-1": "3feb4ba010c274f84be7b8361ac4a4f3b71ae92f0e18c4ede51bcba7d27fc6f6",
+// readTree maps the path of every regular file under dir, relative to it,
+// to the file's bytes.
+func readTree(t *testing.T, dir string) map[string][]byte {
+	t.Helper()
+	files := map[string][]byte{}
+	err := filepath.WalkDir(dir, func(path string, d os.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			return err
+		}
+		rel, _ := filepath.Rel(dir, path)
+		files[rel], err = os.ReadFile(path)
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	wantCur := BackfillCursor{Day: 5, Rows: 64, Files: []BackfillFilePos{{Name: "fleet-q000-s00.csv", Rows: 64, Off: 12_345}}}
-	const wantRowsAfter, wantNextSeq = 16, 385
+	return files
+}
 
+// TestRefusesPR20Log: testdata/pr20_wal is the log a PR 20 binary left
+// when it was killed — one-row observe records (kinds 6 and 7), which
+// this release no longer reads. Starting on it must fail with the error
+// that names the remedy (a clean stop of the previous release seals the
+// log), and must leave the directory exactly as it found it — nothing
+// truncated, sealed or snapshotted — so that remedy still works.
+func TestRefusesPR20Log(t *testing.T) {
 	dir := t.TempDir()
 	copyTree(t, filepath.Join("testdata", "pr20_wal"), dir)
-	cfg := EngineConfig{Predictor: engineTestConfig(), DataDir: dir}
-	eng, err := NewEngine(cfg)
-	if err != nil {
-		t.Fatal(err)
+	before := readTree(t, dir)
+	eng, err := NewEngine(EngineConfig{Predictor: engineTestConfig(), DataDir: dir})
+	if err == nil {
+		eng.Close()
+		t.Fatal("NewEngine recovered a log of retired one-row records")
 	}
-	if got := eng.Models(); !reflect.DeepEqual(got, []string{"MODEL-0", "MODEL-1"}) {
-		t.Fatalf("models %v", got)
+	if !strings.Contains(err.Error(), "kind 6 is a retired one-row observe layout") || !strings.Contains(err.Error(), "stop it cleanly") {
+		t.Errorf("NewEngine: %v; want the retired-kind error naming the remedy", err)
 	}
-	for m, digest := range want {
-		if sum := sha256.Sum256(dumpModel(t, eng, m)); hex.EncodeToString(sum[:]) != digest {
-			t.Errorf("model %s recovers to %x, the PR 20 binary recovered %s", m, sum, digest)
-		}
-	}
-	cur, rowsAfter, ok := eng.BackfillState()
-	if !ok || rowsAfter != wantRowsAfter || !reflect.DeepEqual(cur, wantCur) {
-		t.Errorf("BackfillState %+v, %d, %v; want %+v, %d", cur, rowsAfter, ok, wantCur, wantRowsAfter)
-	}
-	if got := eng.WAL().NextSeq(); got != wantNextSeq {
-		t.Errorf("NextSeq %d, want %d", got, wantNextSeq)
-	}
-
-	// The same rows on top of both: the recovered engine logs them as runs
-	// after the one-row records, the reference never sees a log.
-	ref, err := NewEngine(EngineConfig{Predictor: engineTestConfig()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ref.Close()
-	obs := engineStream(t, 77, 2) // the stream the fixture was cut from
-	for _, o := range obs[:300] {
-		if _, err := ref.Ingest(o); err != nil {
-			t.Fatal(err)
-		}
-	}
-	fail, again := obs[10], obs[10]
-	fail.Day, fail.Failed, again.Day = obs[299].Day+1, true, obs[299].Day+2
-	for _, o := range []FleetObservation{fail, again} {
-		if _, err := ref.Ingest(o); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := ref.Retire(obs[11].Serial); err != nil {
-		t.Fatal(err)
-	}
-	if err := ref.IngestBackfill(obs[300:380], nil); err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range []*Engine{eng, ref} {
-		for i, r := range e.IngestBatch(obs[380:700]) {
-			if r.Err != nil {
-				t.Fatalf("row %d: %v", i, r.Err)
-			}
-		}
-		if err := e.IngestBackfill(obs[700:900], nil); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := eng.WAL().Sync(); err != nil { // crash: no Close, no snapshot
-		t.Fatal(err)
-	}
-	mixed, err := NewEngine(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer mixed.Close()
-	for _, m := range ref.Models() {
-		if !bytes.Equal(dumpModel(t, mixed, m), dumpModel(t, ref, m)) {
-			t.Errorf("model %s: a log of one-row records and runs recovers to a different state than the rows applied live", m)
-		}
-	}
-	if _, rowsAfter, _ := mixed.BackfillState(); rowsAfter != wantRowsAfter+200 {
-		t.Errorf("rowsAfter %d over both kinds, want %d", rowsAfter, wantRowsAfter+200)
+	if after := readTree(t, dir); !reflect.DeepEqual(after, before) {
+		t.Errorf("the refused directory changed: %d files before, %d after", len(before), len(after))
 	}
 }
 

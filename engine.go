@@ -153,7 +153,8 @@ type EngineConfig struct {
 	// engine to a leader at runtime.
 	Follower bool
 	// ReadyMaxLag is the replication lag (in records) beyond which a
-	// follower reports not-ready (default 256). Leaders ignore it.
+	// follower reports not-ready (default 256). A record is one append,
+	// up to 1024 rows (applyRunCap). Leaders ignore it.
 	ReadyMaxLag uint64
 	// ReadyMaxSilence is how long a follower may go without hearing any
 	// leader frame (records or heartbeat) before /readyz reports
@@ -1051,20 +1052,14 @@ func (e *Engine) applyRecords(mode applyMode, feed func(func(seq uint64, payload
 	)
 	flush := func() error {
 		if err := e.pool.Do(model, func(s *shardState) {
-			absorb := func(seq uint64, obs *FleetObservation) {
-				if _, err := e.applyRow(s, seq, obs, false); err != nil {
-					rejected = append(rejected, rejection{seq, obs.Serial, err})
-				}
-			}
 			for i := range run {
-				switch r := &run[i]; {
-				case r.kind == recRetire:
-					e.applyRetire(s, r.seq, r.obs.Serial)
-				case r.run == nil:
-					absorb(r.seq, &r.obs)
-				default:
-					for j := range r.run {
-						absorb(r.seq, &r.run[j])
+				r := &run[i]
+				if r.kind == recRetire {
+					e.applyRetire(s, r.seq, r.serial)
+				}
+				for j := range r.run {
+					if _, err := e.applyRow(s, r.seq, &r.run[j], false); err != nil {
+						rejected = append(rejected, rejection{r.seq, r.run[j].Serial, err})
 					}
 				}
 			}
@@ -1106,8 +1101,8 @@ func (e *Engine) applyRecords(mode applyMode, feed func(func(seq uint64, payload
 		// file predates that snapshot (crash between the two writes). A
 		// follower keeps it too, so that once promoted it can continue an
 		// interrupted backfill exactly like a restarted leader.
-		if rec.kind == recCursor || rec.kind == recObserveBF {
-			e.noteBackfill(seq, uint64(rec.rows()), rec.cur)
+		if rec.kind == recCursor || rec.kind == recObserveBFRun {
+			e.noteBackfill(seq, uint64(len(rec.run)), rec.cur)
 		}
 		switch {
 		case rec.kind == recCursor:
@@ -1115,22 +1110,22 @@ func (e *Engine) applyRecords(mode applyMode, feed func(func(seq uint64, payload
 			if mode == applyRecovering {
 				e.met.replayed.Inc()
 			}
-		case mode == applyRecovering && seq <= e.snapped[rec.obs.Model]:
+		case mode == applyRecovering && seq <= e.snapped[rec.model]:
 			// Covered by the model's snapshot. e.snapped is stable here:
 			// recovery runs before the snapshot loop starts, or under snapMu
 			// during a seed install.
 		default:
-			if len(run) > 0 && (rec.obs.Model != model || rows+retires+max(rec.rows(), 1) > applyRunCap) {
+			if len(run) > 0 && (rec.model != model || rows+retires+max(len(rec.run), 1) > applyRunCap) {
 				if err := flush(); err != nil {
 					return err
 				}
 			}
-			model = rec.obs.Model
+			model = rec.model
 			run = append(run, runRecord{walRecord: rec, seq: seq})
 			if rec.kind == recRetire {
 				retires++
 			}
-			rows += rec.rows()
+			rows += len(rec.run)
 		}
 		pending = seq
 		return nil

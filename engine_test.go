@@ -62,10 +62,10 @@ func engineTestConfig() Config {
 	return Config{Horizon: 4, ORF: ORFConfig{Trees: 5, MinParentSize: 50, Seed: 9}}
 }
 
-// encodeObserveRecord frames obs the way the live ingest path does, for
-// tests that plant or decode raw WAL records.
+// encodeObserveRecord frames obs the way a single Ingest does, as a live
+// run of one, for tests that plant or decode raw WAL records.
 func encodeObserveRecord(obs FleetObservation) []byte {
-	return appendObserveRecordKind(nil, obs, recObserve)
+	return appendRunRecord(nil, recObserveRun, []FleetObservation{obs})
 }
 
 func samePrediction(a, b Prediction) bool {
@@ -1026,35 +1026,37 @@ func TestObserveRecordRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rec.kind != recObserve {
-		t.Fatalf("kind = %d, want %d", rec.kind, recObserve)
+	if rec.kind != recObserveRun || rec.model != obs.Model || len(rec.run) != 1 {
+		t.Fatalf("kind %d, model %q, %d rows; want kind %d, %q, 1 row", rec.kind, rec.model, len(rec.run), recObserveRun, obs.Model)
 	}
-	if rec.obs.Model != obs.Model || rec.obs.Serial != obs.Serial ||
-		rec.obs.Day != obs.Day || rec.obs.Failed != obs.Failed {
-		t.Fatalf("header round-trip: got %+v", rec.obs)
+	got := rec.run[0]
+	if got.Model != obs.Model || got.Serial != obs.Serial ||
+		got.Day != obs.Day || got.Failed != obs.Failed {
+		t.Fatalf("header round-trip: got %+v", got)
 	}
-	if len(rec.obs.Values) != len(obs.Values) {
-		t.Fatalf("got %d values, want %d", len(rec.obs.Values), len(obs.Values))
+	if len(got.Values) != len(obs.Values) {
+		t.Fatalf("got %d values, want %d", len(got.Values), len(obs.Values))
 	}
 	for i, v := range obs.Values {
-		if math.Float64bits(rec.obs.Values[i]) != math.Float64bits(v) {
+		if math.Float64bits(got.Values[i]) != math.Float64bits(v) {
 			t.Errorf("value %d: bits %x -> %x", i,
-				math.Float64bits(v), math.Float64bits(rec.obs.Values[i]))
+				math.Float64bits(v), math.Float64bits(got.Values[i]))
 		}
 	}
 	// Negative days must survive the zig-zag encoding too.
 	neg := obs
 	neg.Day = -3
-	if rec, err = decodeRecord(encodeObserveRecord(neg)); err != nil || rec.obs.Day != -3 {
-		t.Fatalf("negative day: %+v, %v", rec.obs.Day, err)
+	if rec, err = decodeRecord(encodeObserveRecord(neg)); err != nil || rec.run[0].Day != -3 {
+		t.Fatalf("negative day: %+v, %v", rec.run, err)
 	}
 }
 
-// TestObserveRecordRejectsLegacyV1 pins what happens to the fixed-width
-// v1 observe layout now that its decoder is gone: kind byte 1 stays
-// reserved and a well-formed v1 frame (hand-built, the writer left long
-// ago) is refused with an error that names it, instead of being misread
-// as some other kind.
+// TestObserveRecordRejectsLegacyV1 pins what happens to the one-row
+// observe layouts now that their decoders are gone: a well-formed record
+// of each retired kind — the fixed-width v1 (hand-built, its writer left
+// long ago), v2 and one-row packed records from the reference writers —
+// is refused with an error that names the remedy, instead of being
+// misread as some other kind.
 func TestObserveRecordRejectsLegacyV1(t *testing.T) {
 	obs := FleetObservation{
 		Model: "HGST HMS5C4040BLE640",
@@ -1063,21 +1065,29 @@ func TestObserveRecordRejectsLegacyV1(t *testing.T) {
 			Values: []float64{100, 0.25, math.Inf(1), -7},
 		},
 	}
-	var buf []byte
-	buf = append(buf, recObserveV1)
+	var v1 []byte
+	v1 = append(v1, recObserveV1)
 	for _, s := range []string{obs.Model, obs.Serial} {
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(s)))
-		buf = append(buf, s...)
+		v1 = binary.LittleEndian.AppendUint32(v1, uint32(len(s)))
+		v1 = append(v1, s...)
 	}
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(int64(obs.Day)))
-	buf = append(buf, 0)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(obs.Values)))
+	v1 = binary.LittleEndian.AppendUint64(v1, uint64(int64(obs.Day)))
+	v1 = append(v1, 0)
+	v1 = binary.LittleEndian.AppendUint32(v1, uint32(len(obs.Values)))
 	for _, v := range obs.Values {
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
+		v1 = binary.LittleEndian.AppendUint64(v1, math.Float64bits(v))
 	}
-	_, err := decodeRecord(buf)
-	if err == nil || !strings.Contains(err.Error(), "unsupported v1 observe record") {
-		t.Fatalf("v1 decode: err = %v, want an unsupported-v1 rejection", err)
+	for _, b := range [][]byte{
+		v1,
+		appendObserveRecordV2(nil, obs, recObserveV2),
+		appendObserveRecordV2(nil, obs, recObserveBFV2),
+		appendObserveRecordKind(nil, obs, recObserve),
+		appendObserveRecordKind(nil, obs, recObserveBF),
+	} {
+		_, err := decodeRecord(b)
+		if err == nil || !strings.Contains(err.Error(), "retired one-row observe layout") || !strings.Contains(err.Error(), "stop it cleanly") {
+			t.Errorf("kind %d: err = %v, want a retired-layout refusal naming the remedy", b[0], err)
+		}
 	}
 	if _, err := decodeRecord([]byte{0x7F, 1, 2, 3}); err == nil {
 		t.Fatal("decode of an unknown record kind succeeded")
@@ -1085,22 +1095,21 @@ func TestObserveRecordRejectsLegacyV1(t *testing.T) {
 }
 
 // TestObserveRecordRejectsCorruptV2 exercises the truncation guards so
-// a torn or bit-flipped record fails decode instead of panicking.
+// a torn or bit-flipped observe record fails decode instead of
+// panicking.
 func TestObserveRecordRejectsCorruptV2(t *testing.T) {
 	obs := FleetObservation{
 		Model: "m", Observation: Observation{
 			Serial: "s", Day: 5, Values: []float64{1, 2, 3}},
 	}
-	// The layout written today and the v2 layout still read.
-	for _, good := range [][]byte{encodeObserveRecord(obs), appendObserveRecordV2(nil, obs, recObserveV2)} {
-		for cut := 1; cut < len(good); cut++ {
-			if _, err := decodeRecord(good[:cut]); err == nil {
-				t.Errorf("kind %d: decode of %d-byte prefix succeeded", good[0], cut)
-			}
+	good := encodeObserveRecord(obs)
+	for cut := 1; cut < len(good); cut++ {
+		if _, err := decodeRecord(good[:cut]); err == nil {
+			t.Errorf("decode of %d-byte prefix succeeded", cut)
 		}
-		if _, err := decodeRecord(append(append([]byte(nil), good...), 0xAA)); err == nil {
-			t.Errorf("kind %d: decode with trailing garbage succeeded", good[0])
-		}
+	}
+	if _, err := decodeRecord(append(append([]byte(nil), good...), 0xAA)); err == nil {
+		t.Error("decode with trailing garbage succeeded")
 	}
 }
 
@@ -1367,7 +1376,7 @@ func TestApplyPathsAgree(t *testing.T) {
 					continue
 				}
 				// The planted cursor is the resume point on both doors that
-				// read the log; the v2 rows after it are not backfill rows.
+				// read the log; the live rows after it are not backfill rows.
 				for _, name := range []string{"recover", "ApplyReplicated"} {
 					cur, rowsAfter, ok := doors[name].BackfillState()
 					if !ok || rowsAfter != 0 || !reflect.DeepEqual(cur, *st.cursor) {
@@ -1406,31 +1415,6 @@ func TestApplyPathsAgree(t *testing.T) {
 			}
 		})
 	}
-}
-
-// appendObserveRecordV2 is the writer the v2 observe layout had — per
-// value a length byte, then that many leading bytes of the float's bits —
-// kept as the reference encoder: decodeRecord must still read what it
-// wrote, and packValues must never do worse than it.
-func appendObserveRecordV2(buf []byte, obs FleetObservation, kind byte) []byte {
-	buf = append(buf, kind)
-	buf = binary.AppendUvarint(buf, uint64(len(obs.Model)))
-	buf = append(buf, obs.Model...)
-	buf = binary.AppendUvarint(buf, uint64(len(obs.Serial)))
-	buf = append(buf, obs.Serial...)
-	buf = binary.AppendVarint(buf, int64(obs.Day))
-	if obs.Failed {
-		buf = append(buf, 1)
-	} else {
-		buf = append(buf, 0)
-	}
-	buf = binary.AppendUvarint(buf, uint64(len(obs.Values)))
-	for _, v := range obs.Values {
-		w := v2Width(v)
-		buf = append(buf, byte(w))
-		buf = append(buf, binary.BigEndian.AppendUint64(nil, math.Float64bits(v))[:w]...)
-	}
-	return buf
 }
 
 // v2Width is the number of payload bytes the v2 layout spent on v, its
@@ -1556,9 +1540,7 @@ func TestUnpackValuesRejectsCorrupt(t *testing.T) {
 
 // TestRecordCodecAllocs: framing a run into warmed batch scratch
 // allocates nothing; decoding one allocates its rows, one values slab,
-// the model and a serial per row — not a values slice per row. A one-row
-// record of the retired layout decodes into its two strings and its
-// value slice.
+// the model and a serial per row — not a values slice per row.
 func TestRecordCodecAllocs(t *testing.T) {
 	obs := engineStream(t, 3, 1)[:256]
 	var enc recordBatch
@@ -1573,20 +1555,13 @@ func TestRecordCodecAllocs(t *testing.T) {
 	if allocs := testing.AllocsPerRun(50, round); allocs != 0 {
 		t.Errorf("framing a %d-row run allocates %v times in steady state", len(obs), allocs)
 	}
-	for _, tc := range []struct {
-		payload []byte
-		want    int
-	}{
-		{enc.payloads()[0], len(obs) + 3},
-		{appendObserveRecordKind(nil, obs[0], recObserve), 3},
-	} {
-		if allocs := testing.AllocsPerRun(50, func() {
-			if _, err := decodeRecord(tc.payload); err != nil {
-				t.Fatal(err)
-			}
-		}); allocs != float64(tc.want) {
-			t.Errorf("decodeRecord of a kind-%d record allocates %v times, want %d", tc.payload[0], allocs, tc.want)
+	payload := enc.payloads()[0]
+	if allocs := testing.AllocsPerRun(50, func() {
+		if _, err := decodeRecord(payload); err != nil {
+			t.Fatal(err)
 		}
+	}); allocs != float64(len(obs)+3) {
+		t.Errorf("decodeRecord of a %d-row run allocates %v times, want %d", len(obs), allocs, len(obs)+3)
 	}
 }
 
@@ -1632,89 +1607,6 @@ func TestRecordBytesPerRow(t *testing.T) {
 	}
 }
 
-// TestRecoveryReadsV2Log is the old-format fixture for the log: the same
-// stream of backfill rows, a cursor, live rows and a retire, written with
-// the v2 reference writer (kinds 3 and 4) and the one-row packed one
-// (kinds 6 and 7), as a crashed older binary leaves it, and by the
-// current writer, recovers to the same bytes.
-func TestRecoveryReadsV2Log(t *testing.T) {
-	obs := engineStream(t, 31, 2)
-	bf := len(obs) / 3
-	cur := BackfillCursor{Day: obs[bf/2].Day, Rows: int64(bf / 2),
-		Files: []BackfillFilePos{{Name: "2013.csv", Rows: int64(bf / 2), Off: 1 << 20}}}
-	last := len(obs) - 1
-	for obs[last].Failed {
-		last--
-	}
-	retired := obs[last] // on the stream's final day: nothing re-observes it
-	write := func(observe func([]byte, FleetObservation, byte) []byte, live, backfill byte) string {
-		dir := t.TempDir()
-		w, err := wal.Open(wal.Options{Dir: filepath.Join(dir, "wal")})
-		if err != nil {
-			t.Fatal(err)
-		}
-		add := func(p []byte) {
-			t.Helper()
-			if _, err := w.Append(p); err != nil {
-				t.Fatal(err)
-			}
-		}
-		for i, o := range obs {
-			switch {
-			case i < bf:
-				add(observe(nil, o, backfill))
-			default:
-				add(observe(nil, o, live))
-			}
-			if i == bf/2-1 {
-				add(appendCursorRecord(nil, cur))
-			}
-		}
-		add(encodeRetireRecord(retired.Model, retired.Serial))
-		if err := w.Close(); err != nil {
-			t.Fatal(err)
-		}
-		return dir
-	}
-	open := func(dir string) *Engine {
-		e, err := NewEngine(EngineConfig{Predictor: engineTestConfig(), DataDir: dir})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { e.Close() })
-		return e
-	}
-	old := open(write(appendObserveRecordV2, recObserveV2, recObserveBFV2))
-	now := open(write(func(b []byte, o FleetObservation, kind byte) []byte {
-		return appendRunRecord(b, kind, []FleetObservation{o})
-	}, recObserveRun, recObserveBFRun))
-	packed := open(write(appendObserveRecordKind, recObserve, recObserveBF))
-	for _, m := range now.Models() {
-		if !bytes.Equal(dumpModel(t, packed, m), dumpModel(t, now, m)) {
-			t.Errorf("model %s: state recovered from the one-row packed log (kinds 6 and 7) differs", m)
-		}
-	}
-	if len(old.Models()) != 2 || !reflect.DeepEqual(old.Models(), now.Models()) {
-		t.Fatalf("models: v2 log %v, current log %v", old.Models(), now.Models())
-	}
-	for _, m := range now.Models() {
-		if !bytes.Equal(dumpModel(t, old, m), dumpModel(t, now, m)) {
-			t.Errorf("model %s: state recovered from the v2 log differs", m)
-		}
-	}
-	if got, want := old.Stats(), now.Stats(); !reflect.DeepEqual(got, want) {
-		t.Errorf("Stats\nv2 log  %+v\ncurrent %+v", got, want)
-	}
-	oc, oRows, ook := old.BackfillState()
-	nc, nRows, nok := now.BackfillState()
-	if !ook || !nok || oRows != nRows || oRows != uint64(bf-bf/2) || !reflect.DeepEqual(oc, nc) || !reflect.DeepEqual(oc, cur) {
-		t.Errorf("BackfillState: v2 log %+v, %d, %v; current log %+v, %d, %v", oc, oRows, ook, nc, nRows, nok)
-	}
-	if _, ok := old.ModelOf(retired.Serial); ok {
-		t.Errorf("retired serial %s still routed after recovering the v2 log", retired.Serial)
-	}
-}
-
 // FuzzUnpackValues: arbitrary bytes under any claimed count decode or
 // fail, never panic, and what decodes re-encodes to values that decode
 // bit-equal.
@@ -1743,9 +1635,10 @@ func FuzzUnpackValues(f *testing.F) {
 	})
 }
 
-// FuzzDecodeRecord: no payload makes decodeRecord panic, and a record
-// that decodes re-encodes, through the current writer, to one that
-// decodes to the same record with bit-equal values.
+// FuzzDecodeRecord: no payload makes decodeRecord panic, none under a
+// retired kind decodes (five seeds are well-formed ones), and a
+// record that decodes re-encodes, through the current writer, to one
+// that decodes to the same record with bit-equal values.
 func FuzzDecodeRecord(f *testing.F) {
 	obs := FleetObservation{Model: "ST4000DM000", Observation: Observation{
 		Serial: "Z302T4N9", Day: 812, Failed: true,
@@ -1773,16 +1666,12 @@ func FuzzDecodeRecord(f *testing.F) {
 		}
 		var again []byte
 		switch rec.kind {
-		case recObserve, recObserveBF:
-			if rec.run != nil {
-				again = appendRunRecord(nil, rec.kind+recObserveRun-recObserve, rec.run)
-			} else {
-				again = appendObserveRecordKind(nil, rec.obs, rec.kind)
-			}
+		case recObserveRun, recObserveBFRun:
+			again = appendRunRecord(nil, rec.kind, rec.run)
 		case recCursor:
 			again = appendCursorRecord(nil, *rec.cur)
 		case recRetire:
-			again = encodeRetireRecord(rec.obs.Model, rec.obs.Serial)
+			again = encodeRetireRecord(rec.model, rec.serial)
 		default:
 			t.Fatalf("decoded kind %d from kind byte %d", rec.kind, data[0])
 		}
@@ -1791,7 +1680,7 @@ func FuzzDecodeRecord(f *testing.F) {
 			t.Fatalf("re-encoded record: %v", err)
 		}
 		// Values compare by bits (NaN != NaN), the rest structurally.
-		if rec2.rows() != rec.rows() || !sameObservation(rec.obs, rec2.obs) {
+		if len(rec2.run) != len(rec.run) {
 			t.Fatalf("record %+v re-encodes to %+v", rec, rec2)
 		}
 		for i := range rec.run {
@@ -1799,7 +1688,7 @@ func FuzzDecodeRecord(f *testing.F) {
 				t.Fatalf("row %d: %+v re-encodes to %+v", i, rec.run[i], rec2.run[i])
 			}
 		}
-		rec.obs.Values, rec2.obs.Values, rec.run, rec2.run = nil, nil, nil, nil
+		rec.run, rec2.run = nil, nil
 		if !reflect.DeepEqual(rec, rec2) {
 			t.Fatalf("record %+v re-encodes to %+v", rec, rec2)
 		}

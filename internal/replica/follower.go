@@ -53,12 +53,6 @@ type FollowerConfig struct {
 	// it, and streaming resumes from the new position. Nil preserves
 	// the old stop-and-wait-for-an-operator behavior.
 	Seeder SeedSink
-	// SeedUncompressed disables seed-chunk compression by handshaking
-	// protocol version 1 on seed sessions: the leader then streams raw
-	// seedchunk frames. An escape hatch for followers that cannot
-	// afford decompression CPU, and the compatibility mode old binaries
-	// land in automatically.
-	SeedUncompressed bool
 	// Metrics receives the replica_connection_* families. Nil registers
 	// into a private registry.
 	Metrics *metrics.Registry
@@ -241,11 +235,11 @@ func (f *Follower) run() error {
 	}()
 
 	resume := f.cfg.Applier.ReplicationResume()
-	if err := writeHandshake(conn, version, resume); err != nil {
+	if err := writeHandshake(conn, magicHello, resume); err != nil {
 		return err
 	}
 	conn.SetReadDeadline(time.Now().Add(10 * time.Second))
-	_, oldest, head, err := readHandshakeReply(conn)
+	oldest, head, err := readHandshakeReply(conn)
 	if err != nil {
 		return err
 	}

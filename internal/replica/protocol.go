@@ -17,27 +17,22 @@
 //	heartbeat (2, leader→follower): u64 head | i64 sentUnixNano
 //	ack       (3, follower→leader): u64 lastApplied
 //	seedfile   (4, leader→follower): uvarint nameLen | name | u64 size
-//	seedchunk  (5, leader→follower): raw file bytes (appended to the
-//	                                 announced file, in order)
 //	seeddone   (6, leader→follower): u64 head
 //	seedchunkz (7, leader→follower): one frame.AppendBlock flate block
 //	                                 (u32 rawLen | u32 storedLen | u32
 //	                                 crc | payload) that inflates to the
-//	                                 next raw file bytes
+//	                                 next bytes of the announced file
 //
-// The u16 version field in both handshakes is a capability flag: each
-// side advertises the newest protocol it speaks (currently 2), accepts
-// any peer in [1, 2], and the leader's reply carries min(leader,
-// follower) — the negotiated version for the session. Version 2 adds
-// seedchunkz: a v2 leader compresses seed chunks on the wire, while a
-// v1 follower (or one that opts out) still receives plain seedchunk
-// frames. The streaming path is identical in both versions.
+// The u16 version field in both handshakes is 2, and each side refuses
+// a peer that sends anything else before a frame moves. Version 1, whose
+// seed chunks shipped raw as frame type 5, is retired: the binaries that
+// spoke it cannot apply a single observe record a current leader ships.
 //
 // A diverged follower (one that would hit ErrResumeTooOld or
 // ErrFollowerAhead) may open a *seed* session instead of a streaming
 // one by sending the "ORFS" handshake magic. The leader replies with
 // the normal "ORFA" handshake, then streams its current durable state
-// as a sequence of seedfile/seedchunk frames — the snapshot set, the
+// as a sequence of seedfile/seedchunkz frames — the snapshot set, the
 // backfill cursor, and the WAL tail — ending with seeddone. The
 // follower installs the files into a staging directory, atomically
 // swaps them in, acks its new durable position, and reconnects as a
@@ -75,24 +70,19 @@ const (
 	magicHello = "ORFR"
 	magicSeed  = "ORFS"
 	magicReply = "ORFA"
-	// version is the newest protocol this build speaks; minVersion the
-	// oldest it accepts from a peer. v2 adds compressed seed chunks
-	// (frameSeedChunkZ), negotiated down to v1 raw chunks for old or
-	// opted-out followers.
-	version    = 2
-	minVersion = 1
+	// version is the only protocol this build speaks or accepts.
+	version = 2
 
 	frameRecords    = 1
 	frameHeartbeat  = 2
 	frameAck        = 3
 	frameSeedFile   = 4
-	frameSeedChunk  = 5
 	frameSeedDone   = 6
 	frameSeedChunkZ = 7
 
-	// seedChunkBytes bounds one seedchunk frame. Small enough that a
-	// slow link still makes steady per-frame progress against the read
-	// deadline, large enough to amortize framing.
+	// seedChunkBytes bounds the raw bytes of one seedchunkz frame. Small
+	// enough that a slow link still makes steady per-frame progress
+	// against the read deadline, large enough to amortize framing.
 	seedChunkBytes = 1 << 20
 
 	// maxFramePayload caps one frame (sanity bound; a records frame is
@@ -124,78 +114,66 @@ var ErrResumeTooOld = errors.New("replica: leader truncated past resume position
 // records, so the follower stops permanently and must be re-seeded.
 var ErrFollowerAhead = errors.New("replica: follower is ahead of the leader's durable head; logs have diverged — follower must be re-seeded")
 
-func writeHandshake(w io.Writer, ver uint16, resumeAfter uint64) error {
+// writeHandshake opens a session: a streaming one (magicHello) or a seed
+// session (magicSeed, same layout). resumeAfter is the follower's durable
+// position — for a seed session a stale one, for the leader's logs.
+func writeHandshake(w io.Writer, magic string, resumeAfter uint64) error {
 	var buf [4 + 2 + 8]byte
-	copy(buf[:4], magicHello)
-	binary.LittleEndian.PutUint16(buf[4:6], ver)
-	binary.LittleEndian.PutUint64(buf[6:14], resumeAfter)
-	_, err := w.Write(buf[:])
-	return err
-}
-
-// writeSeedHandshake opens a seed session: same layout as the
-// streaming handshake, distinguished by magic. resumeAfter carries the
-// follower's (stale) durable position for the leader's logs; ver the
-// newest protocol version the follower is willing to speak.
-func writeSeedHandshake(w io.Writer, ver uint16, resumeAfter uint64) error {
-	var buf [4 + 2 + 8]byte
-	copy(buf[:4], magicSeed)
-	binary.LittleEndian.PutUint16(buf[4:6], ver)
+	copy(buf[:4], magic)
+	binary.LittleEndian.PutUint16(buf[4:6], version)
 	binary.LittleEndian.PutUint64(buf[6:14], resumeAfter)
 	_, err := w.Write(buf[:])
 	return err
 }
 
 func checkVersion(v uint16) error {
-	if v < minVersion || v > version {
-		return fmt.Errorf("replica: protocol version %d outside supported range [%d, %d]",
-			v, minVersion, version)
+	if v != version {
+		return fmt.Errorf("replica: peer speaks protocol version %d, this build only %d; "+
+			"upgrade the group one release at a time", v, version)
 	}
 	return nil
 }
 
-func readHandshake(r io.Reader) (resumeAfter uint64, seed bool, peerVer uint16, err error) {
+func readHandshake(r io.Reader) (resumeAfter uint64, seed bool, err error) {
 	var buf [4 + 2 + 8]byte
 	if _, err := io.ReadFull(r, buf[:]); err != nil {
-		return 0, false, 0, err
+		return 0, false, err
 	}
 	switch string(buf[:4]) {
 	case magicHello:
 	case magicSeed:
 		seed = true
 	default:
-		return 0, false, 0, fmt.Errorf("replica: bad handshake magic %q", buf[:4])
+		return 0, false, fmt.Errorf("replica: bad handshake magic %q", buf[:4])
 	}
-	peerVer = binary.LittleEndian.Uint16(buf[4:6])
-	if err := checkVersion(peerVer); err != nil {
-		return 0, false, 0, err
+	if err := checkVersion(binary.LittleEndian.Uint16(buf[4:6])); err != nil {
+		return 0, false, err
 	}
-	return binary.LittleEndian.Uint64(buf[6:14]), seed, peerVer, nil
+	return binary.LittleEndian.Uint64(buf[6:14]), seed, nil
 }
 
-func writeHandshakeReply(w io.Writer, ver uint16, oldestSegment, head uint64) error {
+func writeHandshakeReply(w io.Writer, oldestSegment, head uint64) error {
 	var buf [4 + 2 + 8 + 8]byte
 	copy(buf[:4], magicReply)
-	binary.LittleEndian.PutUint16(buf[4:6], ver)
+	binary.LittleEndian.PutUint16(buf[4:6], version)
 	binary.LittleEndian.PutUint64(buf[6:14], oldestSegment)
 	binary.LittleEndian.PutUint64(buf[14:22], head)
 	_, err := w.Write(buf[:])
 	return err
 }
 
-func readHandshakeReply(r io.Reader) (ver uint16, oldestSegment, head uint64, err error) {
+func readHandshakeReply(r io.Reader) (oldestSegment, head uint64, err error) {
 	var buf [4 + 2 + 8 + 8]byte
 	if _, err := io.ReadFull(r, buf[:]); err != nil {
-		return 0, 0, 0, err
+		return 0, 0, err
 	}
 	if string(buf[:4]) != magicReply {
-		return 0, 0, 0, fmt.Errorf("replica: bad handshake reply magic %q", buf[:4])
+		return 0, 0, fmt.Errorf("replica: bad handshake reply magic %q", buf[:4])
 	}
-	ver = binary.LittleEndian.Uint16(buf[4:6])
-	if err := checkVersion(ver); err != nil {
-		return 0, 0, 0, err
+	if err := checkVersion(binary.LittleEndian.Uint16(buf[4:6])); err != nil {
+		return 0, 0, err
 	}
-	return ver, binary.LittleEndian.Uint64(buf[6:14]), binary.LittleEndian.Uint64(buf[14:22]), nil
+	return binary.LittleEndian.Uint64(buf[6:14]), binary.LittleEndian.Uint64(buf[14:22]), nil
 }
 
 // writeFrame frames one payload: type, length, CRC, body.

@@ -65,28 +65,28 @@ func TestFrameCRCDetectsCorruption(t *testing.T) {
 
 func TestHandshakeRoundTrip(t *testing.T) {
 	var wire bytes.Buffer
-	if err := writeHandshake(&wire, version, 77); err != nil {
+	if err := writeHandshake(&wire, magicHello, 77); err != nil {
 		t.Fatal(err)
 	}
-	resume, seed, ver, err := readHandshake(&wire)
-	if err != nil || resume != 77 || seed || ver != version {
-		t.Fatalf("resume=%d seed=%v ver=%d err=%v", resume, seed, ver, err)
+	resume, seed, err := readHandshake(&wire)
+	if err != nil || resume != 77 || seed {
+		t.Fatalf("resume=%d seed=%v err=%v", resume, seed, err)
 	}
 	wire.Reset()
-	if err := writeSeedHandshake(&wire, 1, 41); err != nil {
+	if err := writeHandshake(&wire, magicSeed, 41); err != nil {
 		t.Fatal(err)
 	}
-	resume, seed, ver, err = readHandshake(&wire)
-	if err != nil || resume != 41 || !seed || ver != 1 {
-		t.Fatalf("seed handshake: resume=%d seed=%v ver=%d err=%v", resume, seed, ver, err)
+	resume, seed, err = readHandshake(&wire)
+	if err != nil || resume != 41 || !seed {
+		t.Fatalf("seed handshake: resume=%d seed=%v err=%v", resume, seed, err)
 	}
 	wire.Reset()
-	if err := writeHandshakeReply(&wire, version, 3, 99); err != nil {
+	if err := writeHandshakeReply(&wire, 3, 99); err != nil {
 		t.Fatal(err)
 	}
-	rver, oldest, head, err := readHandshakeReply(&wire)
-	if err != nil || oldest != 3 || head != 99 || rver != version {
-		t.Fatalf("oldest=%d head=%d ver=%d err=%v", oldest, head, rver, err)
+	oldest, head, err := readHandshakeReply(&wire)
+	if err != nil || oldest != 3 || head != 99 {
+		t.Fatalf("oldest=%d head=%d err=%v", oldest, head, err)
 	}
 }
 
@@ -533,11 +533,11 @@ func TestSeedSessionDoesNotSatisfySyncQuorum(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	if err := writeSeedHandshake(conn, version, head+10_000); err != nil {
+	if err := writeHandshake(conn, magicSeed, head+10_000); err != nil {
 		t.Fatal(err)
 	}
 	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-	if _, _, _, err := readHandshakeReply(conn); err != nil {
+	if _, _, err := readHandshakeReply(conn); err != nil {
 		t.Fatal(err)
 	}
 

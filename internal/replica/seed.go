@@ -47,11 +47,9 @@ type SeedSink interface {
 
 // serveSeed streams the leader's current durable state to a diverged
 // follower, then waits for the follower's post-install ack so the new
-// position joins the retain floor before the connection drops. ver is
-// the negotiated protocol version: at v2 each chunk ships as a
-// flate-compressed seedchunkz frame, at v1 as a raw seedchunk — so an
-// uncompressed-only follower still re-seeds from a compressing leader.
-func (s *Source) serveSeed(sc *srcConn, resume uint64, ver uint16) error {
+// position joins the retain floor before the connection drops. Each
+// chunk ships as one flate-compressed seedchunkz frame.
+func (s *Source) serveSeed(sc *srcConn, resume uint64) error {
 	if s.cfg.SeedProvider == nil {
 		return errors.New("replica: follower requested a seed but no SeedProvider is configured")
 	}
@@ -106,18 +104,11 @@ func (s *Source) serveSeed(sc *srcConn, resume uint64, ver uint16) error {
 		for {
 			n, rerr := lr.Read(chunk)
 			if n > 0 {
-				if ver >= 2 {
-					zbuf = frame.AppendBlock(zbuf[:0], chunk[:n], frame.Flate)
-					if err := send(frameSeedChunkZ, zbuf); err != nil {
-						return err
-					}
-					sent += int64(len(zbuf))
-				} else {
-					if err := send(frameSeedChunk, chunk[:n]); err != nil {
-						return err
-					}
-					sent += int64(n)
+				zbuf = frame.AppendBlock(zbuf[:0], chunk[:n], frame.Flate)
+				if err := send(frameSeedChunkZ, zbuf); err != nil {
+					return err
 				}
+				sent += int64(len(zbuf))
 				raw += int64(n)
 			}
 			if rerr == io.EOF {
@@ -136,8 +127,7 @@ func (s *Source) serveSeed(sc *srcConn, resume uint64, ver uint16) error {
 	s.met.seedBytes.Add(uint64(sent))
 	s.met.seedRawBytes.Add(uint64(raw))
 	s.cfg.Logger.Info("seed streamed", "remote", sc.c.RemoteAddr(),
-		"files", len(files), "wire_bytes", sent, "raw_bytes", raw,
-		"version", ver, "head", head)
+		"files", len(files), "wire_bytes", sent, "raw_bytes", raw, "head", head)
 
 	// The follower installs the set (rename + fsync + engine reload)
 	// and acks its new durable position; allow it generous time.
@@ -194,17 +184,11 @@ func (f *Follower) reseed() error {
 		conn.Close()
 	}()
 
-	// Advertise v2 unless chunk compression is disabled, in which case
-	// handshaking v1 makes the leader stream raw seedchunk frames.
-	ver := uint16(version)
-	if f.cfg.SeedUncompressed {
-		ver = 1
-	}
-	if err := writeSeedHandshake(conn, ver, f.cfg.Applier.ReplicationResume()); err != nil {
+	if err := writeHandshake(conn, magicSeed, f.cfg.Applier.ReplicationResume()); err != nil {
 		return err
 	}
 	conn.SetReadDeadline(time.Now().Add(10 * time.Second))
-	if _, _, _, err := readHandshakeReply(conn); err != nil {
+	if _, _, err := readHandshakeReply(conn); err != nil {
 		return err
 	}
 
@@ -271,17 +255,14 @@ func (f *Follower) reseed() error {
 				return err
 			}
 			curName, remain = name, size
-		case frameSeedChunk, frameSeedChunkZ:
+		case frameSeedChunkZ:
 			if cur == nil {
 				return errors.New("replica: seed chunk before file announcement")
 			}
 			wire += int64(len(payload))
-			data := payload
-			if typ == frameSeedChunkZ {
-				var derr error
-				if data, _, derr = frame.DecodeBlock(payload); derr != nil {
-					return fmt.Errorf("replica: decoding seed chunk for %s: %w", curName, derr)
-				}
+			data, _, err := frame.DecodeBlock(payload)
+			if err != nil {
+				return fmt.Errorf("replica: decoding seed chunk for %s: %w", curName, err)
 			}
 			if int64(len(data)) > remain {
 				return fmt.Errorf("replica: seed file %s overflows announced size", curName)

@@ -197,8 +197,8 @@ func (s *Source) Addr() string { return s.ln.Addr().String() }
 
 // SeedStats reports cumulative seed-transfer counters: transfers
 // served, wire bytes sent (post-compression), and the raw bytes those
-// transfers represented. wire < raw when v2 chunk compression was in
-// effect; the serving layer surfaces the three in /v1/replication.
+// transfers represented (their ratio is the chunk compression's); the
+// serving layer surfaces the three in /v1/replication.
 func (s *Source) SeedStats() (seeds, wireBytes, rawBytes uint64) {
 	return s.met.seeds.Value(), s.met.seedBytes.Value(), s.met.seedRawBytes.Value()
 }
@@ -397,7 +397,7 @@ func (s *Source) serve(sc *srcConn) error {
 	// truncation has already passed (the follower must be re-seeded) and
 	// positions past our own durable head (the logs have diverged).
 	sc.c.SetReadDeadline(time.Now().Add(10 * time.Second))
-	resume, seed, peerVer, err := readHandshake(sc.c)
+	resume, seed, err := readHandshake(sc.c)
 	if err != nil {
 		return err
 	}
@@ -406,18 +406,11 @@ func (s *Source) serve(sc *srcConn) error {
 	if err != nil {
 		return err
 	}
-	// Capability negotiation: the session runs at the newest version
-	// both sides speak, so a v1 follower keeps getting the exact v1
-	// byte stream (raw seed chunks included).
-	ver := uint16(version)
-	if peerVer < ver {
-		ver = peerVer
-	}
-	if err := writeHandshakeReply(sc.c, ver, oldest, head()); err != nil {
+	if err := writeHandshakeReply(sc.c, oldest, head()); err != nil {
 		return err
 	}
 	if seed {
-		return s.serveSeed(sc, resume, ver)
+		return s.serveSeed(sc, resume)
 	}
 	if resume+1 < oldest {
 		return ErrResumeTooOld

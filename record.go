@@ -4,8 +4,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"math"
-	"math/bits"
 )
 
 // The record codec: the payloads the engine appends to its WAL, ships to
@@ -13,30 +11,19 @@ import (
 // number) belongs to internal/wal and internal/replica.
 
 const (
-	recObserveV1 = 1 // fixed-width observe record of the first WAL format: reserved, rejected
-	recRetire    = 2
-	recCursor    = 5 // backfill progress cursor (see backfill_engine.go)
+	recRetire = 2
+	recCursor = 5 // backfill progress cursor (see backfill_engine.go)
 
 	// A run: the rows of one model that one append made durable together —
 	// a shard's slice of an IngestBatch (Ingest is a run of one), or a
 	// stretch of an IngestBackfill batch — under one kind byte, one model,
 	// one base day and one value count. Backfill runs have their own kind
 	// so the resume cursor counts only its own rows; they are applied via
-	// Absorb. These are the observe records the engine writes.
+	// Absorb. These are the only observe records the engine writes or
+	// reads: kinds 1, 3, 4, 6 and 7 held one row each in layouts older
+	// releases wrote, and decodeRecord refuses them.
 	recObserveRun   = 8
 	recObserveBFRun = 9
-
-	// One observe row per record: what a live and a backfill row were
-	// written as before runs (6/7, values as packValues lays them out) and
-	// before the packed value codec (3/4, a length byte before every
-	// value). Nothing writes them; decodeRecord reads them so a log left by
-	// a crashed older binary still replays. recObserve and recObserveBF are
-	// also what decodeRecord reports for every observe layout, runs
-	// included: 8 and 3 are 6, 9 and 4 are 7 to every caller.
-	recObserve     = 6
-	recObserveBF   = 7
-	recObserveV2   = 3
-	recObserveBFV2 = 4
 )
 
 // Per-row flags of a run record; any other bit is a decode error.
@@ -46,26 +33,15 @@ const (
 	runRowWidth              // a uvarint follows: this row's value count, not the run's
 )
 
+// walRecord is one decoded record: a run, a retire or a cursor.
 type walRecord struct {
-	kind byte
-	// obs is the row of a one-row observe record, the model and serial of
-	// a retire, and the model of a run.
-	obs FleetObservation
-	// run holds a run record's rows (nil for every other layout); their
-	// Values share one slab.
+	kind   byte
+	model  string // a run's or a retire's
+	serial string // a retire's
+	// run holds a run's rows (nil for a retire or a cursor); their Values
+	// share one slab.
 	run []FleetObservation
-	cur *BackfillCursor // recCursor records only
-}
-
-// rows is how many observations the record carries.
-func (r *walRecord) rows() int {
-	switch {
-	case r.run != nil:
-		return len(r.run)
-	case r.kind == recObserve || r.kind == recObserveBF:
-		return 1
-	}
-	return 0
+	cur *BackfillCursor // a cursor's
 }
 
 // recordBatch frames several records into one reused buffer and slices
@@ -168,21 +144,19 @@ func decodeRecord(b []byte) (walRecord, error) {
 	var err error
 	switch rec.kind {
 	case recObserveRun, recObserveBFRun:
-		rec.kind -= recObserveRun - recObserve
-		rec.obs.Model, rec.run, err = decodeRun(b)
-	case recObserve, recObserveBF:
-		rec.obs, err = decodeObserve(b, true)
-	case recObserveV2, recObserveBFV2:
-		rec.kind += recObserve - recObserveV2 // 3 is 6 and 4 is 7 to every caller
-		rec.obs, err = decodeObserve(b, false)
+		rec.model, rec.run, err = decodeRun(b)
 	case recCursor:
 		rec.cur, err = decodeCursorRecord(b)
 	case recRetire:
-		if rec.obs.Model, b, err = takeString(b); err == nil {
-			rec.obs.Serial, _, err = takeString(b)
+		if rec.model, b, err = takeString(b); err == nil {
+			rec.serial, _, err = takeString(b)
 		}
-	case recObserveV1:
-		err = fmt.Errorf("orfdisk: unsupported v1 observe record (WAL written before the varint format; no release since has written one)")
+	case 1, 3, 4, 6, 7:
+		// A clean stop snapshots every model and seals the log, so the
+		// release before this one (which reads these and writes only runs)
+		// leaves a directory this one reads.
+		err = fmt.Errorf("orfdisk: WAL record kind %d is a retired one-row observe layout this release does not read; "+
+			"start the previous release on this data directory and stop it cleanly (that seals its log), then start this one", rec.kind)
 	default:
 		err = fmt.Errorf("orfdisk: unknown WAL record kind %d", rec.kind)
 	}
@@ -278,67 +252,6 @@ func decodeRun(b []byte) (model string, rows []FleetObservation, err error) {
 		return "", nil, fmt.Errorf("orfdisk: %d trailing bytes in run WAL record", len(b))
 	}
 	return model, rows, nil
-}
-
-// decodeObserve parses a one-row observe body (b excludes the kind
-// byte): kinds 6/7 when packed, else the v2 layout with its length byte
-// per value.
-func decodeObserve(b []byte, packed bool) (FleetObservation, error) {
-	var obs FleetObservation
-	bad := func() (FleetObservation, error) {
-		return obs, fmt.Errorf("orfdisk: truncated observe WAL record")
-	}
-	var err error
-	if obs.Model, b, err = takeVarString(b); err != nil {
-		return obs, err
-	}
-	if obs.Serial, b, err = takeVarString(b); err != nil {
-		return obs, err
-	}
-	day, n := binary.Varint(b)
-	if n <= 0 {
-		return bad()
-	}
-	obs.Day = int(day)
-	b = b[n:]
-	if len(b) < 1 {
-		return bad()
-	}
-	obs.Failed = b[0] == 1
-	b = b[1:]
-	nv, n := binary.Uvarint(b)
-	if n <= 0 {
-		return bad()
-	}
-	b = b[n:]
-	if packed {
-		if obs.Values, b, err = unpackValues(b, nv); err != nil {
-			return obs, fmt.Errorf("orfdisk: observe WAL record: %w", err)
-		}
-	} else {
-		// Every v2 value is at least its length byte, so nv is bounded by
-		// the remaining body; checking before the make keeps a corrupt
-		// count from forcing a huge allocation.
-		if nv > uint64(len(b)) {
-			return bad()
-		}
-		obs.Values = make([]float64, nv)
-		for i := range obs.Values {
-			if len(b) < 1 {
-				return bad()
-			}
-			w := int(b[0])
-			if w > 8 || len(b) < 1+w {
-				return bad()
-			}
-			obs.Values[i] = math.Float64frombits(bits.ReverseBytes64(loadBytes(b[1:], w)))
-			b = b[1+w:]
-		}
-	}
-	if len(b) != 0 {
-		return obs, fmt.Errorf("orfdisk: %d trailing bytes in observe WAL record", len(b))
-	}
-	return obs, nil
 }
 
 func takeVarString(b []byte) (string, []byte, error) {

@@ -8,13 +8,24 @@ import (
 	"testing"
 )
 
+// The kinds of the retired one-row observe layouts, which decodeRecord
+// refuses: the fixed-width first format (1), the v2 layout with a length
+// byte before every value (3 live, 4 backfill) and the packed one-row
+// record runs replaced (6 live, 7 backfill).
+const (
+	recObserveV1   = 1
+	recObserveV2   = 3
+	recObserveBFV2 = 4
+	recObserve     = 6
+	recObserveBF   = 7
+)
+
 // appendObserveRecordKind is the writer one-row observe records had
 // (recObserve live, recObserveBF backfill): the header fields as varints
 // and length-prefixed strings, the value count, then the values as
-// packValues lays them out. Nothing in the product writes them since run
-// records; it is kept as the reference encoder: decodeRecord must still
-// read what it wrote (a log left by a crashed older binary), and a run
-// must decode to what the same rows decode to through it.
+// packValues lays them out. Nothing reads them any more; the writer is
+// kept to build well-formed records decodeRecord must refuse, and as the
+// size runs are measured against in TestRecordBytesPerRow.
 func appendObserveRecordKind(buf []byte, obs FleetObservation, kind byte) []byte {
 	worst := 2 + 4*binary.MaxVarintLen64 + len(obs.Model) + len(obs.Serial)
 	n := len(buf)
@@ -37,6 +48,31 @@ func appendObserveRecordKind(buf []byte, obs FleetObservation, kind byte) []byte
 	i++
 	i += binary.PutUvarint(b[i:], uint64(len(obs.Values)))
 	return packValues(buf[:n+i], obs.Values)
+}
+
+// appendObserveRecordV2 is the writer the v2 observe layout had (kinds
+// recObserveV2 and recObserveBFV2) — appendObserveRecordKind's header,
+// then per value a length byte and that many leading bytes of the
+// float's bits — kept for the same two reasons.
+func appendObserveRecordV2(buf []byte, obs FleetObservation, kind byte) []byte {
+	buf = append(buf, kind)
+	buf = binary.AppendUvarint(buf, uint64(len(obs.Model)))
+	buf = append(buf, obs.Model...)
+	buf = binary.AppendUvarint(buf, uint64(len(obs.Serial)))
+	buf = append(buf, obs.Serial...)
+	buf = binary.AppendVarint(buf, int64(obs.Day))
+	if obs.Failed {
+		buf = append(buf, 1)
+	} else {
+		buf = append(buf, 0)
+	}
+	buf = binary.AppendUvarint(buf, uint64(len(obs.Values)))
+	for _, v := range obs.Values {
+		w := v2Width(v)
+		buf = append(buf, byte(w))
+		buf = append(buf, binary.BigEndian.AppendUint64(nil, math.Float64bits(v))[:w]...)
+	}
+	return buf
 }
 
 // appendRunRecord frames rows (one model, at most applyRunCap of them) as
@@ -98,8 +134,7 @@ func randomRun(rng *rand.Rand, n int) []FleetObservation {
 }
 
 // TestRunRecordRoundTrip: random runs decode to the rows that went in,
-// under both kinds, and row for row to what the same rows decode to as
-// one-row records from the reference writer.
+// under both kinds.
 func TestRunRecordRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(24))
 	for _, n := range []int{1, 1, 2, 3, 17, 64, 256, applyRunCap} {
@@ -109,24 +144,17 @@ func TestRunRecordRoundTrip(t *testing.T) {
 			rows[1].Failed, rows[1].Day = true, rows[0].Day+1
 			rows[2].Values = append(rows[2].Values, 42)
 		}
-		for _, kinds := range [][2]byte{{recObserveRun, recObserve}, {recObserveBFRun, recObserveBF}} {
-			rec, err := decodeRecord(appendRunRecord(nil, kinds[0], rows))
+		for _, kind := range []byte{recObserveRun, recObserveBFRun} {
+			rec, err := decodeRecord(appendRunRecord(nil, kind, rows))
 			if err != nil {
 				t.Fatalf("%d rows: %v", n, err)
 			}
-			if rec.kind != kinds[1] || rec.obs.Model != rows[0].Model || rec.rows() != n {
-				t.Fatalf("%d rows under kind %d decode as kind %d, model %q, %d rows", n, kinds[0], rec.kind, rec.obs.Model, rec.rows())
+			if rec.kind != kind || rec.model != rows[0].Model || len(rec.run) != n {
+				t.Fatalf("%d rows under kind %d decode as kind %d, model %q, %d rows", n, kind, rec.kind, rec.model, len(rec.run))
 			}
 			for i := range rows {
 				if !sameObservation(rec.run[i], rows[i]) {
 					t.Fatalf("row %d of %d: got %+v, want %+v", i, n, rec.run[i], rows[i])
-				}
-				one, err := decodeRecord(appendObserveRecordKind(nil, rows[i], kinds[1]))
-				if err != nil {
-					t.Fatal(err)
-				}
-				if one.kind != rec.kind || one.rows() != 1 || !sameObservation(one.obs, rec.run[i]) {
-					t.Fatalf("row %d of %d: as a one-row record %+v, in the run %+v", i, n, one.obs, rec.run[i])
 				}
 			}
 		}
