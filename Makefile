@@ -2,12 +2,26 @@
 
 GO ?= go
 
-.PHONY: check vet vet-orfbench e2e-smoke fuzz-smoke build test race bench bench-ingest bench-predict bench-predict-smoke bench-replicate bench-replicate-smoke bench-replay bench-replay-smoke bench-snapshot bench-snapshot-smoke bench-smoke fmt
+.PHONY: check vet vet-orfbench orphans e2e-smoke fuzz-smoke build test race bench bench-ingest bench-predict bench-predict-smoke bench-replicate bench-replicate-smoke bench-replay bench-replay-smoke bench-snapshot bench-snapshot-smoke bench-smoke fmt
 
-check: vet vet-orfbench e2e-smoke build test race bench-predict-smoke bench-replicate-smoke bench-replay-smoke bench-snapshot-smoke
+check: vet vet-orfbench orphans e2e-smoke build test race bench-predict-smoke bench-replicate-smoke bench-replay-smoke bench-snapshot-smoke
 
 vet:
 	$(GO) vet ./...
+
+# Every library package must be linked into some binary under cmd/; one
+# that no binary reaches is dead code however well it is tested. Prints
+# each orphan and fails. The one exemption, internal/gbdt, is reached
+# only by BenchmarkAblationForestVsGBDT, which produces the forest vs
+# GBDT row of EXPERIMENTS.md "Throughput" (the paper's section 3
+# time-efficiency argument).
+ORPHANS_EXEMPT = orfdisk/internal/gbdt
+
+orphans:
+	@pkgs=$$($(GO) list ./...) && deps=$$($(GO) list -deps ./cmd/...) || exit 1; \
+	orphans=$$(echo "$$pkgs" | grep -v -e '/cmd/' -e '/examples/' \
+		| grep -v -x -F -e '$(ORPHANS_EXEMPT)' | grep -v -x -F -e "$$deps"); \
+	if [ -n "$$orphans" ]; then echo "packages no binary under cmd/ links:"; echo "$$orphans"; exit 1; fi
 
 # cmd/orfbench is its own module (the benchmark must build from a bare
 # checkout), so ./... above never type-checks it against the product: an

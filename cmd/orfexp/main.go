@@ -7,11 +7,12 @@
 //	orfexp -exp all                    # everything
 //	orfexp -exp fig2 -goodscale 0.05   # bigger fleet
 //
-// Experiments: table1 table2 table3 table4 fig2 fig3 fig4 fig5 fig6 fig7.
-// Each prints the same rows/series the paper reports; absolute numbers
-// come from the simulator, so shapes (who wins, by how much, where the
-// curves bend) are the reproduction target, as recorded in
-// EXPERIMENTS.md.
+// Experiments: table1 table2 table3 table4 fig2 fig3 fig4 fig5 fig6 fig7
+// ablation drift horizon. Each prints the same rows/series the paper
+// reports; absolute numbers come from the simulator, so shapes (who wins,
+// by how much, where the curves bend) are the reproduction target, as
+// recorded in EXPERIMENTS.md. An unknown -exp id or a stray argument
+// exits 2 before any work; a -csvdir file that cannot be written exits 1.
 package main
 
 import (
@@ -22,6 +23,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -65,42 +67,56 @@ func main() {
 		cfg.goodScale, cfg.failScale, cfg.reps, cfg.trees = 0.008, 0.05, 1, 15
 	}
 
-	run := func(id string, fn func(config)) {
-		if cfg.exp != "all" && cfg.exp != id {
-			return
-		}
-		start := time.Now()
-		fmt.Printf("==================== %s ====================\n", strings.ToUpper(id))
-		fn(cfg)
-		fmt.Printf("[%s done in %v]\n\n", id, time.Since(start).Round(time.Millisecond))
-	}
-
-	run("table1", table1)
-	run("table2", table2)
-	run("table3", table3)
-	run("table4", table4)
-	run("fig2", func(c config) { figConvergence(c, profileSTA(c), "Figure 2: FDR of ORF vs offline models, STA") })
-	run("fig3", func(c config) { figConvergence(c, profileSTB(c), "Figure 3: FDR of ORF vs offline models, STB") })
-	run("fig4", func(c config) {
-		figLongTerm(c, profileSTA(c), 6, "FAR", "Figure 4: FARs of ORF and monthly updated RFs, STA")
-	})
-	run("fig5", func(c config) {
-		figLongTerm(c, profileSTB(c), 4, "FAR", "Figure 5: FARs of ORF and monthly updated RFs, STB")
-	})
-	run("fig6", func(c config) {
-		figLongTerm(c, profileSTA(c), 6, "FDR", "Figure 6: FDRs of ORF and monthly updated RFs, STA")
-	})
-	run("fig7", func(c config) {
-		figLongTerm(c, profileSTB(c), 4, "FDR", "Figure 7: FDRs of ORF and monthly updated RFs, STB")
-	})
-	run("ablation", ablation)
-	run("drift", drift)
-	run("horizon", horizon)
-
 	if flag.NArg() > 0 {
 		fmt.Fprintln(os.Stderr, "unexpected arguments:", flag.Args())
 		os.Exit(2)
 	}
+	ids := []string{"all"}
+	for _, e := range experiments {
+		ids = append(ids, e.id)
+	}
+	if !slices.Contains(ids, cfg.exp) {
+		fmt.Fprintf(os.Stderr, "unknown experiment %q; valid: %s\n", cfg.exp, strings.Join(ids, " "))
+		os.Exit(2)
+	}
+
+	for _, e := range experiments {
+		if cfg.exp != "all" && cfg.exp != e.id {
+			continue
+		}
+		start := time.Now()
+		fmt.Printf("==================== %s ====================\n", strings.ToUpper(e.id))
+		e.run(cfg)
+		fmt.Printf("[%s done in %v]\n\n", e.id, time.Since(start).Round(time.Millisecond))
+	}
+}
+
+// experiments lists every -exp id in the order -exp all runs them.
+var experiments = []struct {
+	id  string
+	run func(config)
+}{
+	{"table1", table1},
+	{"table2", table2},
+	{"table3", table3},
+	{"table4", table4},
+	{"fig2", func(c config) { figConvergence(c, profileSTA(c), "Figure 2: FDR of ORF vs offline models, STA") }},
+	{"fig3", func(c config) { figConvergence(c, profileSTB(c), "Figure 3: FDR of ORF vs offline models, STB") }},
+	{"fig4", func(c config) {
+		figLongTerm(c, profileSTA(c), 6, "FAR", "Figure 4: FARs of ORF and monthly updated RFs, STA")
+	}},
+	{"fig5", func(c config) {
+		figLongTerm(c, profileSTB(c), 4, "FAR", "Figure 5: FARs of ORF and monthly updated RFs, STB")
+	}},
+	{"fig6", func(c config) {
+		figLongTerm(c, profileSTA(c), 6, "FDR", "Figure 6: FDRs of ORF and monthly updated RFs, STA")
+	}},
+	{"fig7", func(c config) {
+		figLongTerm(c, profileSTB(c), 4, "FDR", "Figure 7: FDRs of ORF and monthly updated RFs, STB")
+	}},
+	{"ablation", ablation},
+	{"drift", drift},
+	{"horizon", horizon},
 }
 
 func profileSTA(c config) dataset.Profile {
@@ -337,35 +353,47 @@ func ablation(c config) {
 }
 
 // writeSeriesCSV writes a figure's series as a plot-ready CSV
-// (month,series,fdr,far) when -csvdir is set.
+// (month,series,fdr,far) when -csvdir is set, and exits 1 if the file
+// cannot be written in full.
 func writeSeriesCSV(c config, name string, series []eval.Series) {
 	if c.csvDir == "" {
 		return
 	}
-	if err := os.MkdirAll(c.csvDir, 0o755); err != nil {
-		fmt.Fprintln(os.Stderr, "csvdir:", err)
-		return
-	}
 	path := filepath.Join(c.csvDir, name+".csv")
+	if err := writeCSV(path, series); err != nil {
+		fmt.Fprintln(os.Stderr, "csvdir:", err)
+		os.Exit(1)
+	}
+	fmt.Printf("(series written to %s)\n", path)
+}
+
+func writeCSV(path string, series []eval.Series) error {
+	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+		return err
+	}
 	f, err := os.Create(path)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "csvdir:", err)
-		return
+		return err
 	}
-	defer f.Close()
 	w := csv.NewWriter(f)
-	defer w.Flush()
-	_ = w.Write([]string{"month", "series", "fdr_pct", "far_pct"})
+	// A failed Write leaves its error in the writer; Error reports it
+	// after the final Flush.
+	w.Write([]string{"month", "series", "fdr_pct", "far_pct"})
 	for _, s := range series {
 		for i, m := range s.Months {
-			_ = w.Write([]string{
+			w.Write([]string{
 				strconv.Itoa(m), s.Name,
 				strconv.FormatFloat(s.FDR[i], 'f', 4, 64),
 				strconv.FormatFloat(s.FAR[i], 'f', 4, 64),
 			})
 		}
 	}
-	fmt.Printf("(series written to %s)\n", path)
+	w.Flush()
+	if err := w.Error(); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 // printSeries renders per-month values, one model per row block.

@@ -71,9 +71,6 @@ func (r *Ring) Member(key string) string {
 	return r.members[r.points[i].member]
 }
 
-// Members returns the ring's member names in construction order.
-func (r *Ring) Members() []string { return r.members }
-
 // fnv64a is the 64-bit FNV-1a hash with a murmur-style finalizer,
 // inlined so placement never depends on hash/maphash process seeds.
 // Raw FNV-1a avalanches poorly on the short keys a ring hashes (member

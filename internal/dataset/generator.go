@@ -124,16 +124,6 @@ func (g *Generator) Profile() Profile { return g.prof }
 // Disks returns the fleet metadata. The slice is shared; do not modify.
 func (g *Generator) Disks() []DiskMeta { return g.disks }
 
-// DiskBySerial returns the metadata of one disk.
-func (g *Generator) DiskBySerial(serial string) (DiskMeta, bool) {
-	for _, m := range g.disks {
-		if m.Serial == serial {
-			return m, true
-		}
-	}
-	return DiskMeta{}, false
-}
-
 // DiskSamples materializes the full in-window trajectory of one disk.
 func (g *Generator) DiskSamples(m DiskMeta) []smart.Sample {
 	st := newDiskState(g.prof, m, g.diskSeed[m.Index])

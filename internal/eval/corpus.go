@@ -220,28 +220,6 @@ func (c *Corpus) offlineSetRangeH(minDay, maxDay, horizon int) (X [][]float64, y
 	return X, y
 }
 
-// CountTrainPositives returns the number of positive offline-labeled
-// samples (and the failed training disks contributing them) available
-// before maxDay — the statistic the paper quotes for month 6 of STA.
-func (c *Corpus) CountTrainPositives(maxDay int) (samples, disks int) {
-	seen := make(map[int32]bool)
-	for i := range c.TrainArrivals {
-		a := &c.TrainArrivals[i]
-		if int(a.Day) >= maxDay {
-			continue
-		}
-		m := &c.TrainDisks[a.DiskIdx]
-		if m.Failed && int(a.Day) > m.FailDay-smart.PredictionHorizonDays {
-			samples++
-			if !seen[a.DiskIdx] {
-				seen[a.DiskIdx] = true
-				disks++
-			}
-		}
-	}
-	return samples, len(seen)
-}
-
 // AllDiskViews returns per-disk trajectory views for the WHOLE fleet
 // (training disks reconstructed from the arrival stream, then the test
 // disks). The long-term protocol evaluates each month over all disks,

@@ -133,22 +133,6 @@ func TestOfflineTrainingSetLabeling(t *testing.T) {
 	}
 }
 
-func TestCountTrainPositives(t *testing.T) {
-	c := buildTestCorpus(t, 3)
-	days := c.Gen.Profile().Days()
-	samples, disks := c.CountTrainPositives(days)
-	if disks != dataset.CountFailed(c.TrainDisks) {
-		t.Fatalf("%d disks with positives, want %d", disks, dataset.CountFailed(c.TrainDisks))
-	}
-	if samples == 0 || samples > 7*disks {
-		t.Fatalf("%d positive samples for %d disks", samples, disks)
-	}
-	early, earlyDisks := c.CountTrainPositives(days / 4)
-	if early > samples || earlyDisks > disks {
-		t.Fatal("positives not monotone in the cutoff")
-	}
-}
-
 func TestScoreTestDisksWithOracle(t *testing.T) {
 	c := buildTestCorpus(t, 4)
 	// Oracle scorer: the scaled raw 187 counter (a strong signature) is

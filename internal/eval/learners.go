@@ -3,13 +3,10 @@ package eval
 import (
 	"fmt"
 
-	"orfdisk/internal/bayes"
 	"orfdisk/internal/core"
 	"orfdisk/internal/dtree"
 	"orfdisk/internal/forest"
-	"orfdisk/internal/gbdt"
 	"orfdisk/internal/labeling"
-	"orfdisk/internal/mahal"
 	"orfdisk/internal/rng"
 	"orfdisk/internal/smart"
 	"orfdisk/internal/svm"
@@ -142,95 +139,6 @@ func (l SVMLearner) Fit(X [][]float64, y []int, seed uint64) (Scorer, error) {
 	}
 	m := svm.Train(bx, by, l.Config)
 	return m.Decision, nil
-}
-
-// GBDTLearner is the gradient-boosting comparator. The paper's section 3
-// argues ORF beats gradient boosting on time efficiency (parallel,
-// independent trees vs sequential residual fitting); this learner makes
-// the accuracy side of that comparison available too.
-type GBDTLearner struct {
-	Lambda float64
-	Config gbdt.Config
-}
-
-// Name implements OfflineLearner.
-func (l GBDTLearner) Name() string { return "GBDT" }
-
-// Fit implements OfflineLearner.
-func (l GBDTLearner) Fit(X [][]float64, y []int, seed uint64) (Scorer, error) {
-	neg, pos := countClasses(y)
-	if pos == 0 || neg == 0 {
-		return nil, fmt.Errorf("gbdt: single-class training set (%d neg, %d pos)", neg, pos)
-	}
-	idx := forest.Downsample(y, l.Lambda, seed)
-	bx, by := forest.Gather(X, y, idx)
-	m := gbdt.Train(bx, by, l.Config)
-	return m.Margin, nil
-}
-
-// BayesLearner is the Gaussian naive Bayes comparator.
-type BayesLearner struct {
-	Lambda float64
-}
-
-// Name implements OfflineLearner.
-func (l BayesLearner) Name() string { return "NB" }
-
-// Fit implements OfflineLearner.
-func (l BayesLearner) Fit(X [][]float64, y []int, seed uint64) (Scorer, error) {
-	neg, pos := countClasses(y)
-	if pos == 0 || neg == 0 {
-		return nil, fmt.Errorf("bayes: single-class training set (%d neg, %d pos)", neg, pos)
-	}
-	idx := forest.Downsample(y, l.Lambda, seed)
-	bx, by := forest.Gather(X, y, idx)
-	m := bayes.Train(bx, by, 1e-4)
-	return m.LogOdds, nil
-}
-
-// MDLearner is the Mahalanobis-distance comparator (Wang et al. 2013,
-// section 2 of the paper): a one-class detector fitted on HEALTHY
-// samples only. Positives in the training set are ignored; the scorer is
-// the squared distance from the healthy population.
-type MDLearner struct {
-	// MaxRows caps the healthy sample count used for the covariance
-	// estimate (0 = 20000).
-	MaxRows int
-	// Eps is the ridge regularization (0 = 1e-6).
-	Eps float64
-}
-
-// Name implements OfflineLearner.
-func (l MDLearner) Name() string { return "MD" }
-
-// Fit implements OfflineLearner.
-func (l MDLearner) Fit(X [][]float64, y []int, seed uint64) (Scorer, error) {
-	var healthy [][]float64
-	for i, v := range y {
-		if v == 0 {
-			healthy = append(healthy, X[i])
-		}
-	}
-	if len(healthy) < 10 {
-		return nil, fmt.Errorf("md: only %d healthy samples", len(healthy))
-	}
-	maxRows := l.MaxRows
-	if maxRows <= 0 {
-		maxRows = 20000
-	}
-	if len(healthy) > maxRows {
-		keep := rng.New(seed^0x3d3d).Sample(len(healthy), maxRows)
-		sub := make([][]float64, len(keep))
-		for k, i := range keep {
-			sub[k] = healthy[i]
-		}
-		healthy = sub
-	}
-	m, err := mahal.Fit(healthy, l.Eps)
-	if err != nil {
-		return nil, err
-	}
-	return m.Distance, nil
 }
 
 // ORFRunner streams a corpus's training arrivals through the automatic

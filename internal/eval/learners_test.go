@@ -32,7 +32,6 @@ func allLearners() []OfflineLearner {
 		RFLearner{Lambda: 3, Config: forest.Config{Trees: 5}},
 		DTLearner{Lambda: 3, Config: dtree.Config{MaxSplits: 20}},
 		SVMLearner{Lambda: 3, Config: svm.Config{C: 1}},
-		BayesLearner{Lambda: 3},
 	}
 }
 
@@ -116,45 +115,5 @@ func TestORFRunnerConsumeIdempotentCursor(t *testing.T) {
 	end := runner.ConsumeThroughDay(c, cur3, 1<<30)
 	if end != len(c.TrainArrivals) {
 		t.Fatalf("final cursor %d, want %d", end, len(c.TrainArrivals))
-	}
-}
-
-func TestMDLearnerOneClass(t *testing.T) {
-	X, y := learnerData(9, 40, 2000)
-	l := MDLearner{}
-	scorer, err := l.Fit(X, y, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Positives live far from the healthy cloud: their distance must be
-	// larger.
-	if scorer([]float64{0.9, 0.5}) <= scorer([]float64{0.2, 0.5}) {
-		t.Fatal("MD failed to separate the anomalous region")
-	}
-	// Fitting requires healthy samples.
-	if _, err := (MDLearner{}).Fit(X[:5], []int{1, 1, 1, 1, 1}, 1); err == nil {
-		t.Fatal("MD accepted a positives-only set")
-	}
-}
-
-func TestGridSearchSVM(t *testing.T) {
-	if testing.Short() {
-		t.Skip("grid search")
-	}
-	c := buildTestCorpus(t, 40)
-	X, y := c.OfflineTrainingSet(c.Days)
-	res, err := GridSearchSVM(X, y, c.TestDisks,
-		[]float64{1, 10}, []float64{0.05, 0.5}, 1.0, 3, 600, 41)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.FDR <= 0 {
-		t.Fatalf("grid search found nothing useful: %+v", res)
-	}
-	if res.FAR > 1.0+1e-9 {
-		t.Fatalf("grid search violated the FAR budget: %+v", res)
-	}
-	if _, err := GridSearchSVM(X, y, c.TestDisks, nil, nil, 1, 3, 100, 1); err == nil {
-		t.Fatal("empty grid accepted")
 	}
 }

@@ -45,9 +45,6 @@ func NewQueue(capacity int) *Queue {
 // Len returns the number of buffered samples.
 func (q *Queue) Len() int { return q.n }
 
-// Cap returns the queue's fixed capacity.
-func (q *Queue) Cap() int { return len(q.x) }
-
 // Full reports whether the queue is at capacity.
 func (q *Queue) Full() bool { return q.n == len(q.x) }
 

@@ -32,11 +32,6 @@ func (s Sample) Value(attrID int, kind Kind) float64 {
 	return s.Values[i]
 }
 
-// Month returns the zero-based calendar month index of the sample,
-// approximating months as 30-day windows the way the experiment protocols
-// partition the stream.
-func (s Sample) Month() int { return MonthOfDay(s.Day) }
-
 // DaysPerMonth is the month length used to partition sample streams into
 // the monthly subsets of sections 4.4-4.5.
 const DaysPerMonth = 30

@@ -85,21 +85,3 @@ func Quantile(sorted []float64, q float64) float64 {
 	frac := pos - float64(lo)
 	return sorted[lo]*(1-frac) + sorted[hi]*frac
 }
-
-// MinMax returns the minimum and maximum of xs, skipping NaNs. If xs is
-// empty or all-NaN both returns are NaN.
-func MinMax(xs []float64) (min, max float64) {
-	min, max = math.NaN(), math.NaN()
-	for _, x := range xs {
-		if math.IsNaN(x) {
-			continue
-		}
-		if math.IsNaN(min) || x < min {
-			min = x
-		}
-		if math.IsNaN(max) || x > max {
-			max = x
-		}
-	}
-	return min, max
-}

@@ -84,9 +84,3 @@ func ksProb(lambda float64) float64 {
 	}
 	return p
 }
-
-// Drifted reports whether the test rejects distribution equality at
-// significance alpha.
-func (r KSResult) Drifted(alpha float64) bool {
-	return r.N1 > 0 && r.N2 > 0 && r.PValue < alpha
-}

@@ -16,8 +16,8 @@ func TestKSIdenticalDistributions(t *testing.T) {
 		y[i] = r.NormFloat64()
 	}
 	res := KolmogorovSmirnov(x, y)
-	if res.Drifted(0.001) {
-		t.Fatalf("identical distributions flagged drifted: %+v", res)
+	if res.PValue < 0.001 {
+		t.Fatalf("identical distributions rejected: %+v", res)
 	}
 	if res.D > 0.12 {
 		t.Fatalf("D = %v too large for identical samples", res.D)
@@ -33,7 +33,7 @@ func TestKSShiftedDistributions(t *testing.T) {
 		y[i] = r.NormFloat64() + 1
 	}
 	res := KolmogorovSmirnov(x, y)
-	if !res.Drifted(0.001) {
+	if res.PValue >= 0.001 {
 		t.Fatalf("unit shift not detected: %+v", res)
 	}
 	if res.D < 0.3 {
@@ -51,7 +51,7 @@ func TestKSScaleChangeDetected(t *testing.T) {
 		y[i] = 3 * r.NormFloat64()
 	}
 	ks := KolmogorovSmirnov(x, y)
-	if !ks.Drifted(0.001) {
+	if ks.PValue >= 0.001 {
 		t.Fatalf("variance change not detected by KS: %+v", ks)
 	}
 	rs := RankSum(x, y)
@@ -62,7 +62,7 @@ func TestKSScaleChangeDetected(t *testing.T) {
 
 func TestKSEmptyInput(t *testing.T) {
 	res := KolmogorovSmirnov(nil, []float64{1})
-	if res.Drifted(0.05) || res.PValue != 1 {
+	if res.PValue != 1 || res.D != 0 {
 		t.Fatalf("empty input should be inconclusive: %+v", res)
 	}
 }

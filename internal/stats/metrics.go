@@ -39,14 +39,6 @@ func (c *Confusion) Add(o DiskOutcome) {
 	}
 }
 
-// Merge adds the counts of other into c.
-func (c *Confusion) Merge(other Confusion) {
-	c.TP += other.TP
-	c.FN += other.FN
-	c.FP += other.FP
-	c.TN += other.TN
-}
-
 // FDR returns the failure detection rate TP/(TP+FN) in percent. It returns
 // NaN when no failed disks are present.
 func (c Confusion) FDR() float64 {

@@ -70,32 +70,3 @@ func AUC(pos, neg []float64) float64 {
 	}
 	return area
 }
-
-// TPRAtFPR interpolates the ROC to return the true positive rate
-// achievable at the given false positive rate budget (fractions).
-func TPRAtFPR(pos, neg []float64, fpr float64) float64 {
-	points := ROC(pos, neg)
-	if points == nil {
-		return 0
-	}
-	best := 0.0
-	for i := 1; i < len(points); i++ {
-		if points[i].FPR <= fpr {
-			if points[i].TPR > best {
-				best = points[i].TPR
-			}
-			continue
-		}
-		// Interpolate between i-1 and i.
-		p0, p1 := points[i-1], points[i]
-		if p1.FPR > p0.FPR {
-			frac := (fpr - p0.FPR) / (p1.FPR - p0.FPR)
-			v := p0.TPR + frac*(p1.TPR-p0.TPR)
-			if v > best {
-				best = v
-			}
-		}
-		break
-	}
-	return best
-}

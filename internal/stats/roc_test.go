@@ -14,8 +14,9 @@ func TestROCPerfectSeparation(t *testing.T) {
 	if auc := AUC(pos, neg); math.Abs(auc-1) > 1e-12 {
 		t.Fatalf("AUC = %v, want 1", auc)
 	}
-	if tpr := TPRAtFPR(pos, neg, 0); tpr != 1 {
-		t.Fatalf("TPR@FPR=0 = %v, want 1", tpr)
+	// Every failure is caught before the first false alarm.
+	if p := ROC(pos, neg)[len(pos)]; p.TPR != 1 || p.FPR != 0 {
+		t.Fatalf("point after the positives = %+v, want TPR 1 at FPR 0", p)
 	}
 }
 
@@ -54,9 +55,6 @@ func TestROCEmptyInput(t *testing.T) {
 	}
 	if auc := AUC(nil, nil); auc != 0.5 {
 		t.Fatalf("AUC(empty) = %v, want 0.5", auc)
-	}
-	if tpr := TPRAtFPR(nil, nil, 0.1); tpr != 0 {
-		t.Fatalf("TPRAtFPR(empty) = %v", tpr)
 	}
 }
 
@@ -116,23 +114,5 @@ func TestAUCMatchesMannWhitney(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestTPRAtFPRMonotone(t *testing.T) {
-	r := rng.New(3)
-	pos := make([]float64, 100)
-	neg := make([]float64, 100)
-	for i := range pos {
-		pos[i] = r.NormFloat64() + 0.8
-		neg[i] = r.NormFloat64()
-	}
-	prev := -1.0
-	for fpr := 0.0; fpr <= 1.0; fpr += 0.05 {
-		v := TPRAtFPR(pos, neg, fpr)
-		if v < prev-1e-12 {
-			t.Fatalf("TPRAtFPR not monotone at %v", fpr)
-		}
-		prev = v
 	}
 }

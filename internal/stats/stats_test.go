@@ -152,15 +152,6 @@ func TestConfusionEmptyRatesAreNaN(t *testing.T) {
 	}
 }
 
-func TestConfusionMerge(t *testing.T) {
-	a := Confusion{TP: 1, FN: 2, FP: 3, TN: 4}
-	b := Confusion{TP: 10, FN: 20, FP: 30, TN: 40}
-	a.Merge(b)
-	if a != (Confusion{TP: 11, FN: 22, FP: 33, TN: 44}) {
-		t.Fatalf("merge = %+v", a)
-	}
-}
-
 func TestSummarize(t *testing.T) {
 	m := Summarize([]float64{2, 4, 4, 4, 5, 5, 7, 9})
 	if math.Abs(m.Mean-5) > 1e-9 {
@@ -250,17 +241,6 @@ func TestQuantileMonotone(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestMinMax(t *testing.T) {
-	min, max := MinMax([]float64{3, math.NaN(), -1, 7})
-	if min != -1 || max != 7 {
-		t.Fatalf("MinMax = %v, %v", min, max)
-	}
-	min, max = MinMax(nil)
-	if !math.IsNaN(min) || !math.IsNaN(max) {
-		t.Fatalf("MinMax(empty) = %v, %v", min, max)
 	}
 }
 

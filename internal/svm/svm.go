@@ -101,7 +101,6 @@ type Model struct {
 	kernel Kernel
 	iters  int
 	nSV    int
-	nBound int
 }
 
 // Train fits a C-SVC on X and binary labels y (0/1). It panics on empty
@@ -248,9 +247,6 @@ func Train(X [][]float64, y []int, cfg Config) *Model {
 			m.svX = append(m.svX, X[t])
 			m.svCoef = append(m.svCoef, alpha[t]*ys[t])
 			m.nSV++
-			if alpha[t] >= cUp[t] {
-				m.nBound++
-			}
 		}
 	}
 	return m
@@ -275,9 +271,6 @@ func (m *Model) Predict(x []float64, offset float64) bool {
 
 // NumSV returns the support vector count.
 func (m *Model) NumSV() int { return m.nSV }
-
-// NumBoundSV returns the count of bound support vectors (alpha = C).
-func (m *Model) NumBoundSV() int { return m.nBound }
 
 // Iterations returns the SMO iterations performed.
 func (m *Model) Iterations() int { return m.iters }

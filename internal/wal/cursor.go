@@ -49,10 +49,6 @@ func OpenCursor(dir string, afterSeq uint64) (*Cursor, error) {
 	return &Cursor{dir: dir, after: afterSeq}, nil
 }
 
-// Position returns the sequence number of the last record Next returned
-// (or the initial afterSeq).
-func (c *Cursor) Position() uint64 { return c.after }
-
 // Segment returns the first-sequence name of the segment the cursor is
 // currently reading (0 before the first read).
 func (c *Cursor) Segment() uint64 { return c.segFirst }
