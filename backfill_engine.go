@@ -1,13 +1,12 @@
 package orfdisk
 
 import (
+	"bufio"
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
-	"io/fs"
-	"os"
-	"path/filepath"
 	"sync"
 	"time"
 )
@@ -68,15 +67,10 @@ func (c BackfillCursor) clone() BackfillCursor {
 	return c
 }
 
-// bfState is the engine's cursor bookkeeping, all guarded by mu. seq is
-// the highest WAL sequence number the (cur, rowsAfter) pair accounts
-// for; recovery uses it to know which replayed records are news.
+// bfState is the engine's cursor bookkeeping, all guarded by mu.
 type bfState struct {
-	mu        sync.Mutex
-	valid     bool
-	cur       BackfillCursor
-	rowsAfter uint64
-	seq       uint64
+	mu sync.Mutex
+	bfResume
 
 	// pendingLow pins the snapshot truncation cutoff while a backfill
 	// batch is between its WAL append and its shard applies. The live
@@ -95,6 +89,18 @@ type bfState struct {
 	// the framed batch of the record that holds row i.
 	enc   recordBatch
 	recOf []uint32
+}
+
+// bfResume is the durable resume point: the newest cursor and the count
+// of backfill rows after it, valid once any backfill has touched the
+// engine. seq is the highest WAL sequence number the pair accounts for;
+// recovery uses it to know which replayed records are news. It is what
+// the cursor file holds.
+type bfResume struct {
+	valid     bool
+	cur       BackfillCursor
+	rowsAfter uint64
+	seq       uint64
 }
 
 // BackfillState returns the durable backfill resume point: the last
@@ -296,77 +302,62 @@ func (e *Engine) DumpModel(model string, w io.Writer) error {
 // atomically-replaced file. Recovery seeds from the file, then replays
 // the WAL suffix on top; bf.seq keeps the two sources consistent.
 
-const (
-	cursorFileName = "backfill-cursor"
-	cursorMagic    = "OBC1"
-)
+const cursorMagic = "OBC1"
 
+// writeBackfillCursorFile persists the resume point, if there is one. It
+// is durable when this returns, before the truncation that relies on it.
 func (e *Engine) writeBackfillCursorFile() error {
 	e.bf.mu.Lock()
-	valid, cur, rowsAfter, seq := e.bf.valid, e.bf.cur.clone(), e.bf.rowsAfter, e.bf.seq
+	var b []byte
+	if e.bf.valid {
+		b = appendCursorFile(nil, e.bf.bfResume)
+	}
 	e.bf.mu.Unlock()
-	if !valid {
+	if b == nil {
 		return nil
 	}
-	buf := make([]byte, 0, 64+32*len(cur.Files))
-	buf = append(buf, cursorMagic...)
-	buf = binary.LittleEndian.AppendUint64(buf, seq)
-	buf = binary.AppendUvarint(buf, rowsAfter)
-	buf = appendCursorRecord(buf, cur)
-
-	final := filepath.Join(e.cfg.DataDir, cursorFileName)
-	tmp := final + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
-	if err != nil {
+	_, err := writeFileAtomic(e.cfg.DataDir, cursorFileName, func(w *bufio.Writer) error {
+		_, err := w.Write(b)
 		return err
-	}
-	_, werr := f.Write(buf)
-	if werr == nil {
-		werr = f.Sync()
-	}
-	if cerr := f.Close(); werr == nil {
-		werr = cerr
-	}
-	if werr != nil {
-		os.Remove(tmp)
-		return werr
-	}
-	return os.Rename(tmp, final)
+	})
+	return err
 }
 
-// loadBackfillCursorFile seeds the cursor state during recovery. A
-// missing file just means no snapshot has persisted one yet.
-func (e *Engine) loadBackfillCursorFile() error {
-	b, err := os.ReadFile(filepath.Join(e.cfg.DataDir, cursorFileName))
-	if errors.Is(err, fs.ErrNotExist) {
-		return nil
+// appendCursorFile encodes r as the cursor file holds it: the OBC1 magic,
+// seq as a u64 little endian, rowsAfter as a uvarint, then the cursor as
+// its WAL cursor record.
+func appendCursorFile(buf []byte, r bfResume) []byte {
+	buf = append(buf, cursorMagic...)
+	buf = binary.LittleEndian.AppendUint64(buf, r.seq)
+	buf = binary.AppendUvarint(buf, r.rowsAfter)
+	return appendCursorRecord(buf, r.cur)
+}
+
+// decodeCursorFile parses what appendCursorFile wrote.
+func decodeCursorFile(b []byte) (bfResume, error) {
+	corrupt := func(what any) (bfResume, error) {
+		return bfResume{}, fmt.Errorf("orfdisk: corrupt backfill cursor file (%v)", what)
 	}
+	rest, ok := bytes.CutPrefix(b, []byte(cursorMagic))
+	if !ok {
+		return corrupt("no " + cursorMagic + " magic")
+	}
+	if len(rest) < 8 {
+		return corrupt("truncated sequence number")
+	}
+	r := bfResume{valid: true, seq: binary.LittleEndian.Uint64(rest)}
+	var n int
+	if r.rowsAfter, n = binary.Uvarint(rest[8:]); n <= 0 {
+		return corrupt("truncated row count")
+	}
+	rest = rest[8+n:]
+	if len(rest) == 0 || rest[0] != recCursor {
+		return corrupt("no cursor record")
+	}
+	cur, err := decodeCursorRecord(rest[1:])
 	if err != nil {
-		return err
+		return corrupt(err)
 	}
-	if len(b) < len(cursorMagic)+8 || string(b[:len(cursorMagic)]) != cursorMagic {
-		return fmt.Errorf("orfdisk: bad backfill cursor file magic")
-	}
-	b = b[len(cursorMagic):]
-	seq := binary.LittleEndian.Uint64(b)
-	b = b[8:]
-	rowsAfter, n := binary.Uvarint(b)
-	if n <= 0 {
-		return fmt.Errorf("orfdisk: truncated backfill cursor file")
-	}
-	b = b[n:]
-	if len(b) < 1 || b[0] != recCursor {
-		return fmt.Errorf("orfdisk: backfill cursor file carries record kind %d", b[0])
-	}
-	cur, err := decodeCursorRecord(b[1:])
-	if err != nil {
-		return err
-	}
-	e.bf.mu.Lock()
-	e.bf.valid = true
-	e.bf.cur = *cur
-	e.bf.rowsAfter = rowsAfter
-	e.bf.seq = seq
-	e.bf.mu.Unlock()
-	return nil
+	r.cur = *cur
+	return r, nil
 }

@@ -4,13 +4,11 @@ import (
 	"bufio"
 	"context"
 	"encoding/binary"
-	"encoding/hex"
 	"fmt"
 	"io"
 	"log/slog"
 	"os"
 	"path/filepath"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -279,13 +277,11 @@ func NewEngine(cfg EngineConfig) (*Engine, error) {
 		logger = slog.New(noopLogHandler{})
 	}
 	e := &Engine{
-		cfg:       cfg,
-		reg:       reg,
-		met:       newEngineMetrics(reg),
-		log:       logger,
-		modelOf:   make(map[string]string),
-		recovered: make(map[string]*shardState),
-		snapped:   make(map[string]uint64),
+		cfg:     cfg,
+		reg:     reg,
+		met:     newEngineMetrics(reg),
+		log:     logger,
+		modelOf: make(map[string]string), // recover replaces it
 	}
 	e.freezeEvery = cfg.FreezeEvery
 	if e.freezeEvery == 0 {
@@ -900,9 +896,7 @@ func (e *Engine) Close() error {
 // --- recovery ---
 
 const (
-	snapMagic  = "OSN1"
-	snapSuffix = ".snap"
-	snapPrefix = "snap-"
+	snapMagic = "OSN1"
 	// snapshotFormat labels engine_snapshot_bytes with the forest
 	// serialization the snapshot pass currently writes (the OSN1
 	// envelope wraps an ORF2 flate-framed forest; see internal/core).
@@ -921,14 +915,35 @@ func (e *Engine) recover() error {
 	if err := e.completeSeedInstall(); err != nil {
 		return err
 	}
+	// Everything below rebuilds in-memory state from the files alone, so
+	// it starts from empty: a seed install recovers on a live engine.
+	e.mu.Lock()
+	e.modelOf = make(map[string]string)
+	e.mu.Unlock()
+	e.recovered = make(map[string]*shardState)
+	e.snapped = make(map[string]uint64)
+	e.replPendingLow.Store(0) // the log it pinned is gone or replayed
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return err
 	}
-	var maxSnap uint64
+	var (
+		maxSnap uint64
+		resume  bfResume // the cursor file's, if a snapshot persisted one
+	)
 	for _, ent := range entries {
 		name := ent.Name()
-		if ent.IsDir() || !strings.HasPrefix(name, snapPrefix) || !strings.HasSuffix(name, snapSuffix) {
+		if ent.IsDir() || !isStateFile(name) {
+			continue
+		}
+		if name == cursorFileName {
+			b, err := os.ReadFile(filepath.Join(dir, name))
+			if err == nil {
+				resume, err = decodeCursorFile(b)
+			}
+			if err != nil {
+				return err
+			}
 			continue
 		}
 		model, st, err := loadSnapshot(filepath.Join(dir, name))
@@ -940,7 +955,7 @@ func (e *Engine) recover() error {
 		maxSnap = max(maxSnap, st.lastSeq)
 	}
 	w, err := wal.Open(wal.Options{
-		Dir:          filepath.Join(dir, "wal"),
+		Dir:          filepath.Join(dir, walDirName),
 		SegmentBytes: e.cfg.SegmentBytes,
 		SyncBytes:    e.cfg.SyncBytes,
 		SyncInterval: e.cfg.SyncInterval,
@@ -964,12 +979,12 @@ func (e *Engine) recover() error {
 		}
 	}
 
-	// Seed the backfill cursor from the file the last snapshot persisted
-	// (if any); replayed backfill records with higher sequence numbers
-	// advance it below.
-	if err := e.loadBackfillCursorFile(); err != nil {
-		return err
-	}
+	// The backfill resume point starts at the cursor file's (zero without
+	// one); replayed backfill records with higher sequence numbers advance
+	// it below.
+	e.bf.mu.Lock()
+	e.bf.bfResume, e.bf.pendingLow = resume, 0
+	e.bf.mu.Unlock()
 
 	// Replay the WAL suffix through the same function a follower applies
 	// leader records with (see applyRecords).
@@ -1139,64 +1154,18 @@ func (e *Engine) applyRecords(mode applyMode, feed func(func(seq uint64, payload
 	return last, err
 }
 
-func snapName(model string) string {
-	return snapPrefix + hex.EncodeToString([]byte(model)) + snapSuffix
-}
-
+// writeSnapshot writes model's snapshot: the OSN1 magic, the shard's
+// lastSeq and the model name's length (u64 little endian each), the name,
+// then the predictor state.
 func writeSnapshot(dir, model string, s *shardState) (int64, error) {
-	final := filepath.Join(dir, snapName(model))
-	tmp := final + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
-	if err != nil {
-		return 0, err
-	}
-	bw := bufio.NewWriter(f)
-	var size int64
-	werr := func() error {
-		if _, err := io.WriteString(bw, snapMagic); err != nil {
+	return writeFileAtomic(dir, snapName(model), func(w *bufio.Writer) error {
+		hdr := binary.LittleEndian.AppendUint64([]byte(snapMagic), s.lastSeq)
+		hdr = binary.LittleEndian.AppendUint64(hdr, uint64(len(model)))
+		if _, err := w.Write(append(hdr, model...)); err != nil {
 			return err
 		}
-		var buf [8]byte
-		binary.LittleEndian.PutUint64(buf[:], s.lastSeq)
-		if _, err := bw.Write(buf[:]); err != nil {
-			return err
-		}
-		binary.LittleEndian.PutUint64(buf[:], uint64(len(model)))
-		if _, err := bw.Write(buf[:]); err != nil {
-			return err
-		}
-		if _, err := io.WriteString(bw, model); err != nil {
-			return err
-		}
-		if err := s.p.SaveState(bw); err != nil {
-			return err
-		}
-		if err := bw.Flush(); err != nil {
-			return err
-		}
-		size, err = f.Seek(0, io.SeekCurrent)
-		return err
-	}()
-	if werr == nil {
-		werr = f.Sync()
-	}
-	if cerr := f.Close(); werr == nil {
-		werr = cerr
-	}
-	if werr != nil {
-		os.Remove(tmp)
-		return 0, werr
-	}
-	if err := os.Rename(tmp, final); err != nil {
-		return 0, err
-	}
-	// Persist the rename itself (best effort; not all filesystems
-	// support directory fsync).
-	if d, err := os.Open(dir); err == nil {
-		d.Sync() //nolint:errcheck
-		d.Close()
-	}
-	return size, nil
+		return s.p.SaveState(w)
+	})
 }
 
 func loadSnapshot(path string) (model string, st *shardState, err error) {

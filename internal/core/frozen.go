@@ -235,8 +235,7 @@ func (fz *FrozenForest) ScoreBatchInto(dst []float64, X [][]float64) ([]float64,
 // flatRowMax is the widest feature vector the batch kernel stages into
 // its stack-resident flat matrix (rows padded to a power of two so the
 // sample index recovers with a shift). Wider inputs — nothing in this
-// repo, but the API allows them — take the indirect slice-of-slices
-// kernel instead.
+// repo, but the API allows them — are scored one by one with score.
 const flatRowMax = 64
 
 // scoreBlock is the batch kernel: it advances a whole block of samples
@@ -267,7 +266,9 @@ const flatRowMax = 64
 // and the destination index recovers with a shift.
 func (fz *FrozenForest) scoreBlock(dst []float64, X [][]float64) {
 	if fz.dim > flatRowMax {
-		fz.scoreBlockIndirect(dst, X)
+		for i, x := range X {
+			dst[i] = fz.score(x)
+		}
 		return
 	}
 	shift := 0
@@ -328,49 +329,6 @@ func (fz *FrozenForest) scoreBlock(dst []float64, X [][]float64) {
 				nd = walk[id]
 			}
 			dst[off>>shift] += nd.thresh
-		}
-	}
-	for i := range dst {
-		dst[i] /= fz.divisor
-	}
-}
-
-// scoreBlockIndirect is the fallback kernel for feature vectors too
-// wide for the stack-staged flat matrix: same tree-major
-// level-synchronous walk, but features load through the caller's
-// slice-of-slices.
-func (fz *FrozenForest) scoreBlockIndirect(dst []float64, X [][]float64) {
-	var idx [BatchBlock]int32 // per-sample node cursor
-	var act [BatchBlock]int32 // samples still descending the current tree
-	walk := fz.walk
-	n := len(X)
-	for i := range dst {
-		dst[i] = 0
-	}
-	for _, root := range fz.roots {
-		active := act[:n]
-		for i := range active {
-			idx[i] = root
-			active[i] = int32(i)
-		}
-		for len(active) > 0 {
-			w := 0
-			for _, s := range active {
-				id := idx[s]
-				nd := walk[id]
-				if nd.feature >= 0 {
-					kid := id + 1
-					if X[s][nd.feature] > nd.thresh {
-						kid = nd.right
-					}
-					idx[s] = kid
-					active[w] = s
-					w++
-				} else {
-					dst[s] += nd.thresh // leaf: thresh slot holds the probability
-				}
-			}
-			active = active[:w]
 		}
 	}
 	for i := range dst {

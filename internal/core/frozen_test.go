@@ -145,41 +145,53 @@ func TestFrozenScoreBatchIntoParity(t *testing.T) {
 // TestFrozenScoreBatchMatchesSequential is the batch-kernel bit-identity
 // property: for every grid config and a spread of batch sizes straddling
 // the kernel's block width (including empty), ScoreBatchInto must equal
-// a per-vector Score loop exactly.
+// a per-vector Score loop exactly — at dimension 3, which takes the block
+// kernel, and at flatRowMax+1, which takes its per-vector fallback.
 func TestFrozenScoreBatchMatchesSequential(t *testing.T) {
-	for ci, cfg := range frozenGrid() {
-		f := New(3, cfg)
-		r := rng.New(uint64(500 + ci))
-		for i := 0; i < 2500; i++ {
-			x, y := streamSample(r, 0.3, 0.4)
-			f.Update(x, y)
-		}
-		fz := f.Freeze()
-		var dst []float64
-		for _, n := range []int{0, 1, 7, BatchBlock - 1, BatchBlock, BatchBlock + 1, 3*BatchBlock + 5} {
-			X := make([][]float64, n)
-			for i := range X {
-				X[i] = []float64{r.Float64(), r.Float64(), r.Float64()}
+	for _, dim := range []int{3, flatRowMax + 1} {
+		for ci, cfg := range frozenGrid() {
+			f := New(dim, cfg)
+			r := rng.New(uint64(500 + ci))
+			for i := 0; i < 2500; i++ {
+				x, y := streamSample(r, 0.3, 0.4)
+				for len(x) < dim { // wider copies of the informative features
+					x = append(x, x[len(x)%3])
+				}
+				f.Update(x, y)
 			}
-			var err error
-			dst, err = fz.ScoreBatchInto(dst, X)
-			if err != nil {
-				t.Fatalf("cfg %d n=%d: %v", ci, n, err)
+			fz := f.Freeze()
+			if fz.Nodes() == fz.Trees() {
+				t.Fatalf("dim %d cfg %d: no tree split; the walk is untested", dim, ci)
 			}
-			if len(dst) != n {
-				t.Fatalf("cfg %d: batch of %d returned %d scores", ci, n, len(dst))
-			}
-			for i := range X {
-				want, err := fz.Score(X[i])
+			var dst []float64
+			for _, n := range []int{0, 1, 7, BatchBlock - 1, BatchBlock, BatchBlock + 1, 3*BatchBlock + 5} {
+				X := make([][]float64, n)
+				for i := range X {
+					X[i] = make([]float64, dim)
+					for j := range X[i] {
+						X[i][j] = r.Float64()
+					}
+				}
+				var err error
+				dst, err = fz.ScoreBatchInto(dst, X)
 				if err != nil {
-					t.Fatal(err)
+					t.Fatalf("dim %d cfg %d n=%d: %v", dim, ci, n, err)
 				}
-				if dst[i] != want {
-					t.Fatalf("cfg %d n=%d vector %d: batch %v, scalar %v", ci, n, i, dst[i], want)
+				if len(dst) != n {
+					t.Fatalf("dim %d cfg %d: batch of %d returned %d scores", dim, ci, n, len(dst))
+				}
+				for i := range X {
+					want, err := fz.Score(X[i])
+					if err != nil {
+						t.Fatal(err)
+					}
+					if dst[i] != want {
+						t.Fatalf("dim %d cfg %d n=%d vector %d: batch %v, scalar %v", dim, ci, n, i, dst[i], want)
+					}
 				}
 			}
+			f.Close()
 		}
-		f.Close()
 	}
 }
 

@@ -147,18 +147,21 @@ func (s *Source) serveSeed(sc *srcConn, resume uint64) error {
 	return nil
 }
 
-// seedName validates a leader-supplied seed file name before it touches
-// the follower's filesystem: relative, forward-slash, no traversal.
-func seedName(name string) (string, error) {
-	if name == "" || strings.HasPrefix(name, "/") || strings.Contains(name, "\\") {
-		return "", fmt.Errorf("replica: invalid seed file name %q", name)
+// CheckSeedName is the one rule for a seed file name, applied where a
+// leader-supplied name is about to touch the follower's filesystem and
+// where the engine reads the names back from its seed-commit marker:
+// relative and forward-slash, no empty, "." or ".." element, no
+// backslash, and no newline (the marker holds one name per line).
+func CheckSeedName(name string) error {
+	if name == "" || strings.ContainsAny(name, "\\\n") {
+		return fmt.Errorf("replica: invalid seed file name %q", name)
 	}
 	for _, part := range strings.Split(name, "/") {
 		if part == "" || part == "." || part == ".." {
-			return "", fmt.Errorf("replica: invalid seed file name %q", name)
+			return fmt.Errorf("replica: invalid seed file name %q", name)
 		}
 	}
-	return filepath.FromSlash(name), nil
+	return nil
 }
 
 // reseed downloads a full seed set from the leader into a staging
@@ -242,11 +245,10 @@ func (f *Follower) reseed() error {
 			if err != nil {
 				return err
 			}
-			rel, err := seedName(name)
-			if err != nil {
+			if err := CheckSeedName(name); err != nil {
 				return err
 			}
-			path := filepath.Join(dir, rel)
+			path := filepath.Join(dir, filepath.FromSlash(name))
 			if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 				return err
 			}

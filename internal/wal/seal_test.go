@@ -406,3 +406,50 @@ func TestCursorTailsGrowingRotatingLog(t *testing.T) {
 		t.Fatalf("after the last record: %v, want ErrNoMore", err)
 	}
 }
+
+// TestCutShipsExactlyThroughHead: the segments of a cut, each copied to
+// its Size, are a log that replays exactly the records through head —
+// though appends, rotations and a sealing truncation move the live log
+// on before a byte is copied.
+func TestCutShipsExactlyThroughHead(t *testing.T) {
+	dir := t.TempDir()
+	w := openTest(t, dir, Options{SegmentBytes: 200})
+	defer w.Close()
+	for i := 0; i < 18; i++ { // the active segment half full
+		if _, err := w.Append([]byte(fmt.Sprintf("%032d", i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cut, head, err := w.Cut()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if head != 18 || len(cut) < 3 {
+		t.Fatalf("cut of %d segments through %d; want several, through 18", len(cut), head)
+	}
+	for i := 18; i < 40; i++ {
+		if _, err := w.Append([]byte(fmt.Sprintf("%032d", i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.TruncateBefore(w.NextSeq()); err != nil {
+		t.Fatal(err)
+	}
+	shipped := t.TempDir()
+	for _, c := range cut {
+		b := make([]byte, c.Size)
+		if _, err := c.File.ReadAt(b, 0); err != nil {
+			t.Fatalf("%s: %v", c.Name, err)
+		}
+		c.File.Close()
+		if err := os.WriteFile(filepath.Join(shipped, c.Name), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	w2 := openTest(t, shipped, Options{SegmentBytes: 200})
+	defer w2.Close()
+	seqs, payloads := collect(t, w2)
+	if len(seqs) != 18 || seqs[17] != 18 || payloads[17] != fmt.Sprintf("%032d", 17) || w2.NextSeq() != 19 {
+		t.Fatalf("shipped cut replays %v, next %d; want 1..18, next 19", seqs, w2.NextSeq())
+	}
+}

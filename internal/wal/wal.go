@@ -441,22 +441,58 @@ func (w *WAL) syncLocked() error {
 	return nil
 }
 
-// SealTail fsyncs the active segment and reports a consistent cut of
-// the log for a state transfer: the active segment's first sequence
-// number, its durable byte size at the cut, and the newest durable
-// sequence number. A seed streamer that ships the non-tail segments in
-// full plus the first tailSize bytes of the tail transfers exactly the
-// records through head, even while appends continue past the cut.
-func (w *WAL) SealTail() (tailStart uint64, tailSize int64, head uint64, err error) {
+// CutSegment is one segment file of a cut (see Cut): its name in the log
+// directory, a handle open for reading, and its size through the cut.
+type CutSegment struct {
+	Name string
+	File *os.File
+	Size int64
+}
+
+// Cut fsyncs the active segment and hands out a consistent cut of the
+// log for a state transfer: every segment file, open, with its size at
+// the cut (the active segment's durable prefix, the others whole), and
+// head, the newest durable sequence number. Shipping Size bytes of each
+// transfers exactly the records through head, however far appends,
+// rotations and truncations move the log afterwards: an open handle
+// stays readable after its file is unlinked. The caller closes the
+// handles.
+func (w *WAL) Cut() (segs []CutSegment, head uint64, err error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.closed {
-		return 0, 0, 0, ErrClosed
+		return nil, 0, ErrClosed
 	}
 	if err := w.syncLocked(); err != nil {
-		return 0, 0, 0, err
+		return nil, 0, err
 	}
-	return w.segStart, w.size, w.syncedSeq, nil
+	all, err := listSegments(w.opts.Dir)
+	if err != nil {
+		return nil, 0, err
+	}
+	var cut []CutSegment
+	defer func() {
+		if err != nil {
+			for _, c := range cut {
+				c.File.Close()
+			}
+		}
+	}()
+	for _, s := range all {
+		f, err := os.Open(s.path)
+		if err != nil {
+			return nil, 0, err
+		}
+		cut = append(cut, CutSegment{Name: filepath.Base(s.path), File: f, Size: w.size})
+		if s.firstSeq != w.segStart {
+			st, err := f.Stat()
+			if err != nil {
+				return nil, 0, err
+			}
+			cut[len(cut)-1].Size = st.Size()
+		}
+	}
+	return cut, w.syncedSeq, nil
 }
 
 func (w *WAL) rotateLocked() error {
@@ -474,14 +510,34 @@ func (w *WAL) rotateLocked() error {
 	return nil
 }
 
+// createSegment creates the segment named after firstSeq and makes its
+// directory entry durable before a record can land in it: fsync(2) on
+// the file would not, and once truncation removes the segments before
+// it, the name is all that records the next sequence number.
 func (w *WAL) createSegment(firstSeq uint64) error {
 	path := filepath.Join(w.opts.Dir, segName(firstSeq))
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
 	if err != nil {
 		return err
 	}
+	if err := syncDir(w.opts.Dir); err != nil {
+		f.Close()
+		return err
+	}
 	w.f, w.segStart, w.size, w.dirty = f, firstSeq, 0, 0
 	return nil
+}
+
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // NextSeq returns the sequence number the next Append will use.
@@ -535,16 +591,10 @@ func (w *WAL) TruncateBefore(seq uint64) error {
 		seq = w.retainFloor
 	}
 	if seq >= w.nextSeq && w.size > 0 {
+		// The rotation makes the successor's name durable before any
+		// covered segment is unlinked (createSegment).
 		if err := w.rotateLocked(); err != nil {
 			return err
-		}
-		// Once the covered segments are gone the successor's name is all
-		// that records the next sequence number: get its directory entry
-		// to disk before any of them is unlinked (best effort; not all
-		// filesystems support directory fsync).
-		if d, err := os.Open(w.opts.Dir); err == nil {
-			d.Sync() //nolint:errcheck
-			d.Close()
 		}
 	}
 	segs, err := listSegments(w.opts.Dir)

@@ -1,14 +1,14 @@
 package orfdisk
 
 import (
-	"bytes"
+	"bufio"
 	"errors"
 	"fmt"
 	"io/fs"
 	"os"
+	"path"
 	"path/filepath"
 	"sort"
-	"strconv"
 	"strings"
 
 	"orfdisk/internal/replica"
@@ -21,9 +21,10 @@ import (
 // the data dir, the replication client asks the leader for a full
 // state transfer:
 //
-//	leader:   Engine.Seed (replica.SeedProvider) — snapshot, seal the
-//	          WAL tail, hand open handles on the snapshot set + cursor
-//	          file + WAL segments to the source, which streams them.
+//	leader:   Engine.Seed (replica.SeedProvider) — snapshot, take a cut
+//	          of the WAL, hand open handles on its segments + the
+//	          snapshot set + cursor file to the source, which streams
+//	          them.
 //	follower: Engine.BeginSeed / Engine.CommitSeed (replica.SeedSink) —
 //	          download into DataDir/seed-staging, then swap: write a
 //	          durable commit marker, close the WAL, retire every shard
@@ -38,22 +39,17 @@ import (
 // model briefly reports unknown); writes were already refused — this
 // is a follower.
 
-const (
-	seedStagingName = "seed-staging"
-	seedCommitName  = "seed-commit"
-	seedCommitMagic = "OSC1"
-	walDirName      = "wal"
-	walSuffix       = ".wal"
-)
+const seedCommitMagic = "OSC1"
 
 var errNotFollowerSeed = errors.New("orfdisk: only a follower installs seeds")
 
 // Seed implements replica.SeedProvider: it snapshots (shrinking the
 // WAL tail to ship), then collects open handles on every file a fresh
-// follower needs. The handles stay readable for the life of the
-// transfer even if a later snapshot unlinks a segment — truncation
-// uses os.Remove, which never disturbs an open descriptor — so the set
-// is consistent without holding any lock while it streams.
+// follower needs: the state files and a cut of the log. The handles stay
+// readable for the life of the transfer even if a later snapshot unlinks
+// a segment — truncation uses os.Remove, which never disturbs an open
+// descriptor — so the set is consistent without holding any lock while
+// it streams.
 func (e *Engine) Seed() (files []replica.SeedFile, head uint64, err error) {
 	if e.wal == nil {
 		return nil, 0, errors.New("orfdisk: seeding requires a DataDir")
@@ -62,87 +58,44 @@ func (e *Engine) Seed() (files []replica.SeedFile, head uint64, err error) {
 		return nil, 0, err
 	}
 	// Under snapMu no snapshot pass can rename or truncate between the
-	// tail seal and the opens below.
+	// log's cut and the opens below.
 	e.snapMu.Lock()
 	defer e.snapMu.Unlock()
-	tailStart, tailSize, head, err := e.wal.SealTail()
+	segs, head, err := e.wal.Cut()
 	if err != nil {
 		return nil, 0, err
 	}
+	var set []replica.SeedFile
 	defer func() {
 		if err != nil {
-			for _, sf := range files {
+			for _, sf := range set {
 				sf.File.Close()
 			}
-			files = nil
 		}
 	}()
-	add := func(name, path string, capSize int64) error {
-		f, oerr := os.Open(path)
-		if oerr != nil {
-			return oerr
-		}
-		st, serr := f.Stat()
-		if serr != nil {
-			f.Close()
-			return serr
-		}
-		size := st.Size()
-		if capSize >= 0 && capSize < size {
-			size = capSize
-		}
-		files = append(files, replica.SeedFile{Name: name, File: f, Size: size})
-		return nil
+	for _, s := range segs {
+		set = append(set, replica.SeedFile{Name: walDirName + "/" + s.Name, File: s.File, Size: s.Size})
 	}
 	entries, err := os.ReadDir(e.cfg.DataDir)
 	if err != nil {
 		return nil, 0, err
 	}
 	for _, ent := range entries {
-		name := ent.Name()
-		if ent.IsDir() || !strings.HasPrefix(name, snapPrefix) || !strings.HasSuffix(name, snapSuffix) {
+		if ent.IsDir() || !isStateFile(ent.Name()) {
 			continue
 		}
-		if err := add(name, filepath.Join(e.cfg.DataDir, name), -1); err != nil {
+		f, err := os.Open(filepath.Join(e.cfg.DataDir, ent.Name()))
+		if err != nil {
 			return nil, 0, err
 		}
-	}
-	cursorPath := filepath.Join(e.cfg.DataDir, cursorFileName)
-	if _, serr := os.Stat(cursorPath); serr == nil {
-		if err := add(cursorFileName, cursorPath, -1); err != nil {
+		set = append(set, replica.SeedFile{Name: ent.Name(), File: f})
+		st, err := f.Stat()
+		if err != nil {
 			return nil, 0, err
 		}
+		set[len(set)-1].Size = st.Size()
 	}
-	walDir := filepath.Join(e.cfg.DataDir, walDirName)
-	wents, err := os.ReadDir(walDir)
-	if err != nil {
-		return nil, 0, err
-	}
-	for _, ent := range wents {
-		name := ent.Name()
-		if ent.IsDir() || !strings.HasSuffix(name, walSuffix) {
-			continue
-		}
-		firstSeq, perr := strconv.ParseUint(strings.TrimSuffix(name, walSuffix), 10, 64)
-		if perr != nil {
-			continue
-		}
-		// Keep the sealed tail segment even when it holds no durable
-		// records yet (an empty or freshly-rotated leader): without it
-		// an empty leader produces a zero-file seed set that CommitSeed
-		// rejects, and a diverged follower retries the seed forever.
-		if firstSeq > head && firstSeq != tailStart {
-			continue // rotated in after the tail seal; past the cut
-		}
-		capSize := int64(-1)
-		if firstSeq == tailStart {
-			capSize = tailSize // only the sealed (durable) prefix
-		}
-		if err := add(walDirName+"/"+name, filepath.Join(walDir, name), capSize); err != nil {
-			return nil, 0, err
-		}
-	}
-	return files, head, nil
+	return set, head, nil
 }
 
 // BeginSeed implements replica.SeedSink: it provides a fresh staging
@@ -221,7 +174,10 @@ func (e *Engine) CommitSeed(dir string) error {
 
 	// Durable commit point. From here a crash finishes the install on
 	// restart instead of recovering half-swapped state.
-	if err := e.writeSeedMarker(manifest); err != nil {
+	if _, err := writeFileAtomic(e.cfg.DataDir, seedCommitName, func(w *bufio.Writer) error {
+		_, err := w.Write(appendSeedMarker(nil, manifest))
+		return err
+	}); err != nil {
 		return err
 	}
 	if err := e.wal.Close(); err != nil {
@@ -234,18 +190,8 @@ func (e *Engine) CommitSeed(dir string) error {
 		return err
 	}
 
-	// Drop every in-memory trace of the old state, then recover from
-	// the installed files.
-	e.mu.Lock()
-	e.modelOf = make(map[string]string)
-	e.mu.Unlock()
-	e.recovered = make(map[string]*shardState)
-	clear(e.snapped)
-	e.bf.mu.Lock()
-	e.bf.valid, e.bf.cur, e.bf.rowsAfter, e.bf.seq, e.bf.pendingLow =
-		false, BackfillCursor{}, 0, 0, 0
-	e.bf.mu.Unlock()
-	e.replPendingLow.Store(0) // the log it pinned is gone with the rest
+	// Recovery drops every in-memory trace of the old state as it rebuilds
+	// from the installed files.
 	if err := e.recover(); err != nil {
 		return err
 	}
@@ -271,38 +217,32 @@ func (e *Engine) CommitSeed(dir string) error {
 	return nil
 }
 
-// writeSeedMarker durably records the manifest of a staged seed set;
-// its existence means "the staged files are the state now" — recovery
-// finishes the swap from it after a crash.
-func (e *Engine) writeSeedMarker(manifest []string) error {
-	var buf bytes.Buffer
-	buf.WriteString(seedCommitMagic)
-	buf.WriteByte('\n')
+// appendSeedMarker encodes the seed-commit marker: the manifest of a
+// staged seed set, whose existence means "the staged files are the state
+// now" — recovery finishes the swap from it after a crash. It is the OSC1
+// magic line, then one name per line, each line ending in a newline.
+func appendSeedMarker(buf []byte, manifest []string) []byte {
+	buf = append(buf, seedCommitMagic+"\n"...)
 	for _, name := range manifest {
-		buf.WriteString(name)
-		buf.WriteByte('\n')
+		buf = append(append(buf, name...), '\n')
 	}
-	final := filepath.Join(e.cfg.DataDir, seedCommitName)
-	tmp := final + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
-	if err != nil {
-		return err
+	return buf
+}
+
+// decodeSeedMarker parses what appendSeedMarker wrote, holding every name
+// to the rule the follower applied when it staged the file.
+func decodeSeedMarker(b []byte) ([]string, error) {
+	body, ok := strings.CutSuffix(string(b), "\n")
+	lines := strings.Split(body, "\n")
+	if !ok || len(lines) < 2 || lines[0] != seedCommitMagic {
+		return nil, errors.New("orfdisk: corrupt seed commit marker")
 	}
-	_, werr := f.Write(buf.Bytes())
-	if werr == nil {
-		werr = f.Sync()
+	for _, name := range lines[1:] {
+		if err := replica.CheckSeedName(name); err != nil {
+			return nil, fmt.Errorf("orfdisk: corrupt seed commit marker: %w", err)
+		}
 	}
-	if cerr := f.Close(); werr == nil {
-		werr = cerr
-	}
-	if werr != nil {
-		os.Remove(tmp)
-		return werr
-	}
-	if err := os.Rename(tmp, final); err != nil {
-		return err
-	}
-	return syncDir(e.cfg.DataDir)
+	return lines[1:], nil
 }
 
 // installSeedFiles performs the on-disk swap: delete state files the
@@ -317,45 +257,26 @@ func (e *Engine) installSeedFiles(manifest []string) error {
 	for _, name := range manifest {
 		inSet[name] = struct{}{}
 	}
-	entries, err := os.ReadDir(dataDir)
-	if err != nil {
-		return err
-	}
-	for _, ent := range entries {
-		name := ent.Name()
-		if ent.IsDir() {
-			continue
-		}
-		isState := (strings.HasPrefix(name, snapPrefix) && strings.HasSuffix(name, snapSuffix)) ||
-			name == cursorFileName
-		if !isState {
-			continue
-		}
-		if _, ok := inSet[name]; ok {
-			continue
-		}
-		if err := os.Remove(filepath.Join(dataDir, name)); err != nil {
-			return err
-		}
-	}
+	// Delete what the seed does not replace: the state files beside the
+	// log, and every file of the log.
 	walDir := filepath.Join(dataDir, walDirName)
 	if err := os.MkdirAll(walDir, 0o755); err != nil {
 		return err
 	}
-	wents, err := os.ReadDir(walDir)
-	if err != nil {
-		return err
-	}
-	for _, ent := range wents {
-		name := ent.Name()
-		if ent.IsDir() || !strings.HasSuffix(name, walSuffix) {
-			continue
-		}
-		if _, ok := inSet[walDirName+"/"+name]; ok {
-			continue
-		}
-		if err := os.Remove(filepath.Join(walDir, name)); err != nil {
+	for _, sub := range [...]string{"", walDirName} {
+		entries, err := os.ReadDir(filepath.Join(dataDir, sub))
+		if err != nil {
 			return err
+		}
+		for _, ent := range entries {
+			name := path.Join(sub, ent.Name())
+			_, keep := inSet[name]
+			if keep || ent.IsDir() || sub == "" && !isStateFile(name) {
+				continue
+			}
+			if err := os.Remove(filepath.Join(dataDir, filepath.FromSlash(name))); err != nil {
+				return err
+			}
 		}
 	}
 	for _, name := range manifest {
@@ -399,28 +320,10 @@ func (e *Engine) completeSeedInstall() error {
 	if err != nil {
 		return err
 	}
-	lines := strings.Split(strings.TrimRight(string(b), "\n"), "\n")
-	if len(lines) < 2 || lines[0] != seedCommitMagic {
-		return fmt.Errorf("orfdisk: malformed seed commit marker")
-	}
-	manifest := lines[1:]
-	for _, name := range manifest {
-		if name == "" || strings.HasPrefix(name, "/") || strings.Contains(name, "..") {
-			return fmt.Errorf("orfdisk: seed commit marker names %q", name)
-		}
-	}
-	e.log.Warn("finishing interrupted seed install", "files", len(manifest))
-	return e.installSeedFiles(manifest)
-}
-
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
+	manifest, err := decodeSeedMarker(b)
 	if err != nil {
 		return err
 	}
-	err = d.Sync()
-	if cerr := d.Close(); err == nil {
-		err = cerr
-	}
-	return err
+	e.log.Warn("finishing interrupted seed install", "files", len(manifest))
+	return e.installSeedFiles(manifest)
 }
