@@ -115,7 +115,8 @@ func (e *Engine) BackfillState() (cur BackfillCursor, rowsAfter uint64, ok bool)
 
 // IngestBackfill applies one chronological slice of the backfill stream.
 // Rows must be pre-validated by the loader (serial, model and full-width
-// values present); any invalid row fails the whole batch before
+// values present); any invalid row — or one whose disk changes model, as
+// Ingest and IngestBatch refuse it — fails the whole batch before
 // anything is appended, keeping the WAL row count in lockstep with the
 // loader's. cur, when non-nil, is the loader's frontier after these
 // rows; it is framed into the same WAL batch, becoming the new durable
@@ -133,6 +134,9 @@ func (e *Engine) IngestBackfill(batch []FleetObservation, cur *BackfillCursor) e
 	if len(batch) == 0 && cur == nil {
 		return nil
 	}
+	// A disk that changes model fails the batch, as in IngestBatch.
+	sc := e.getScratch()
+	defer e.scratch.Put(sc)
 	for i := range batch {
 		if err := e.validate(batch[i]); err != nil {
 			return fmt.Errorf("orfdisk: backfill row %d: %w", i, err)
@@ -140,6 +144,11 @@ func (e *Engine) IngestBackfill(batch []FleetObservation, cur *BackfillCursor) e
 		if batch[i].Model == "" {
 			return fmt.Errorf("orfdisk: backfill row %d (serial %q) has no model", i, batch[i].Serial)
 		}
+		if err := e.resolveModel(&batch[i], sc.pending); err != nil {
+			return fmt.Errorf("orfdisk: backfill row %d: %w", i, err)
+		}
+		sc.pending[batch[i].Serial] = batchRoute{batch[i].Model, batch[i].Failed}
+		sc.add(batch[i].Model, i)
 	}
 
 	var first, last uint64
@@ -173,13 +182,9 @@ func (e *Engine) IngestBackfill(batch []FleetObservation, cur *BackfillCursor) e
 	}
 	e.noteBackfill(last, uint64(len(batch)), cur)
 
-	// Fan the durable rows out to their shards. Group in batch order so
-	// per-model slices stay chronological; distinct models absorb in
+	// Fan the durable rows out to their shards; grouped in batch order,
+	// per-model slices stay chronological. Distinct models absorb in
 	// parallel.
-	sc := e.getScratch()
-	for i := range batch {
-		sc.add(batch[i].Model, i)
-	}
 	var (
 		wg     sync.WaitGroup
 		subErr error
@@ -199,7 +204,6 @@ func (e *Engine) IngestBackfill(batch []FleetObservation, cur *BackfillCursor) e
 		}
 	}
 	wg.Wait()
-	e.scratch.Put(sc)
 	if subErr == nil && e.wal != nil {
 		// Every row is applied; snapshots may truncate past the batch
 		// again. On error the floor stays set — conservative: it pins

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 )
@@ -213,4 +214,70 @@ func TestBackfillReplicates(t *testing.T) {
 			t.Fatalf("model %s: follower state diverged from leader", m)
 		}
 	}
+}
+
+// TestBackfillRefusesModelChange: a disk that changes model fails its
+// backfill batch whole, before anything is appended, as Ingest and
+// IngestBatch refuse the row — whether the earlier model comes from the
+// same batch or from routing memory. Accepting it left the disk tracked
+// by both models' labelers, with a route that depended on which shard
+// won the race. After its failure row a disk is free to come back under
+// another model in a later batch.
+func TestBackfillRefusesModelChange(t *testing.T) {
+	row := func(serial, model string, day int, failed bool) FleetObservation {
+		return FleetObservation{Model: model, Observation: Observation{
+			Serial: serial, Day: day, Failed: failed, Values: make([]float64, CatalogSize()),
+		}}
+	}
+	open := func(t *testing.T) *Engine {
+		t.Helper()
+		eng, err := NewEngine(EngineConfig{Predictor: engineTestConfig(), DataDir: t.TempDir()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { eng.Close() })
+		return eng
+	}
+	backfill := func(t *testing.T, eng *Engine, batch ...FleetObservation) {
+		t.Helper()
+		if err := eng.IngestBackfill(batch, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	refused := func(t *testing.T, eng *Engine, batch ...FleetObservation) {
+		t.Helper()
+		next := eng.WAL().NextSeq()
+		if err := eng.IngestBackfill(batch, nil); err == nil || !strings.Contains(err.Error(), `disk "X" changed model`) {
+			t.Fatalf("IngestBackfill: %v, want disk X's model change refused", err)
+		}
+		if got := eng.WAL().NextSeq(); got != next {
+			t.Fatalf("a refused batch reached the log: NextSeq %d -> %d", next, got)
+		}
+	}
+	routed := func(t *testing.T, eng *Engine, want string) {
+		t.Helper()
+		if got, ok := eng.ModelOf("X"); !ok || got != want {
+			t.Fatalf("X routed to %q (known %v), want %q", got, ok, want)
+		}
+	}
+
+	t.Run("inside one batch", func(t *testing.T) {
+		eng := open(t)
+		refused(t, eng, row("X", "M", 1, false), row("Y", "N", 1, false), row("X", "N", 2, false))
+		if models := eng.Models(); len(models) != 0 {
+			t.Fatalf("a refused batch reached shards %v", models)
+		}
+	})
+	t.Run("across two batches", func(t *testing.T) {
+		eng := open(t)
+		backfill(t, eng, row("X", "M", 1, false))
+		refused(t, eng, row("Y", "N", 2, false), row("X", "N", 2, false))
+		routed(t, eng, "M")
+	})
+	t.Run("new model after a failure row", func(t *testing.T) {
+		eng := open(t)
+		backfill(t, eng, row("X", "M", 1, false), row("X", "M", 2, true))
+		backfill(t, eng, row("X", "N", 3, false))
+		routed(t, eng, "N")
+	})
 }

@@ -75,15 +75,8 @@ type Engine struct {
 	// (clock-skew-free, for silence detection). readyMaxLag bounds the
 	// catch-up lag /readyz accepts; readyMaxSilence bounds how long a
 	// follower may hear nothing from its leader and still claim ready.
-	follower    atomic.Bool
-	replApplied atomic.Uint64
-	// replPendingLow is bfState.pendingLow's twin for ApplyReplicated,
-	// which appends off the shard workers too: the lowest leader record in
-	// the follower's log that no shard has applied yet (0 = none). Set
-	// before the records exist, cleared once all are on their shards, left
-	// standing when a shard sheds its run (ErrBusy): until the leader
-	// redelivers, the log is the only place those records live.
-	replPendingLow  atomic.Uint64
+	follower        atomic.Bool
+	replApplied     atomic.Uint64
 	leaderHead      atomic.Uint64
 	leaderSent      atomic.Int64
 	lastFrame       atomic.Int64
@@ -757,8 +750,8 @@ func (e *Engine) Importance(model string) (imp []FeatureImportance, ok bool) {
 // Snapshot atomically persists every shard's full state (model +
 // labeling queues) and truncates the WAL up to the lowest sequence
 // number not covered by a snapshot — applied to a shard since, or
-// appended by a backfill or replicated batch that has yet to reach one —
-// or still needed by an attached follower (the WAL's retain floor). When
+// appended by a backfill batch that has yet to reach one — or still
+// needed by an attached follower (the WAL's retain floor). When
 // that covers every record — nothing was appended while the pass ran, as
 // on shutdown — the log is sealed: what remains is one empty segment
 // named after the next sequence number, and a restart replays nothing.
@@ -816,20 +809,16 @@ func (e *Engine) Snapshot() error {
 	// carries a sequence number at or above the fallback, keeping the
 	// cutoff conservative.
 	cutoff := e.wal.NextSeq()
-	// A backfill batch, or a follower's delivered batch, between its WAL
-	// append and its shard applies is durable but covered by nothing; its
-	// floor caps the cutoff (bfState.pendingLow, Engine.replPendingLow).
-	// Read after the capture and before the sweep: a floor not yet set
-	// means its batch is appended after the capture, one already cleared
+	// A backfill batch between its WAL append and its shard applies is
+	// durable but covered by nothing; its floor (bfState.pendingLow) caps
+	// the cutoff. Read after the capture and before the sweep: a floor not
+	// yet set means its batch is appended after the capture, one cleared
 	// that every row reached its shard before the shard is read below.
 	e.bf.mu.Lock()
-	bfLow := e.bf.pendingLow
-	e.bf.mu.Unlock()
-	for _, low := range [...]uint64{bfLow, e.replPendingLow.Load()} {
-		if low != 0 && low < cutoff {
-			cutoff = low
-		}
+	if low := e.bf.pendingLow; low != 0 && low < cutoff {
+		cutoff = low
 	}
+	e.bf.mu.Unlock()
 	// The sweep reads the shard set afresh: a model whose first records
 	// arrived while the pass above was writing has no snapshot yet, and a
 	// sealing truncation would otherwise take its records for covered.
@@ -922,7 +911,6 @@ func (e *Engine) recover() error {
 	e.mu.Unlock()
 	e.recovered = make(map[string]*shardState)
 	e.snapped = make(map[string]uint64)
-	e.replPendingLow.Store(0) // the log it pinned is gone or replayed
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return err
@@ -991,6 +979,13 @@ func (e *Engine) recover() error {
 	if _, err := e.applyRecords(applyRecovering, w.Replay); err != nil {
 		return err
 	}
+	// A pass skips a model whose seq has not moved; forgetting a retired
+	// layout's seq once replay is done makes the first pass rewrite it.
+	for model, st := range e.recovered {
+		if st.p.retiredLayout {
+			delete(e.snapped, model)
+		}
+	}
 	// Never reuse sequence numbers a snapshot already accounts for.
 	w.SkipTo(maxSnap + 1)
 	elapsed := time.Since(start)
@@ -1017,8 +1012,8 @@ const (
 	// replay ends).
 	applyRecovering applyMode = iota
 	// applyReplicated applies a leader record on a follower: nothing is
-	// skipped (ApplyReplicated drops duplicates by sequence number) and
-	// observations count as engine_ingests, as they did on the leader.
+	// skipped (ApplyReplicated drops duplicates by sequence number), it is
+	// logged as its run crosses, and observations count as engine_ingests.
 	applyReplicated
 )
 
@@ -1044,9 +1039,15 @@ const applyRunCap = 1024
 // number, so a snapshot taken between two crossings would cover half of
 // them and recovery skip the rest.
 //
+// In replicated mode a run's closure first logs every record fed since
+// the last crossing, as ingestSlice logs a leader's slice: the log keeps
+// the leader's order and never holds a model record its shard has not
+// applied. Cursor records after the last run are logged on the caller.
+//
 // last is the sequence number through which every fed record has been
 // dealt with (applied, skipped as covered, or counted as a poison pill);
-// on an error, records after it have not reached their shard.
+// on an error, records after it have not reached their shard or, in
+// replicated mode, the log.
 func (e *Engine) applyRecords(mode applyMode, feed func(func(seq uint64, payload []byte) error) error) (last uint64, err error) {
 	type runRecord struct {
 		walRecord
@@ -1064,9 +1065,18 @@ func (e *Engine) applyRecords(mode applyMode, feed func(func(seq uint64, payload
 		retires  int         // retire records in run
 		rejected []rejection // observations of run the predictor refused
 		pending  uint64      // newest record fed, possibly still waiting in the run
+		// Replicated mode: what was fed since the last crossing, to log.
+		logSeqs     []uint64
+		logPayloads [][]byte
+		logErr      error
 	)
 	flush := func() error {
 		if err := e.pool.Do(model, func(s *shardState) {
+			if len(logSeqs) > 0 {
+				if logErr = e.wal.AppendBatchAt(logSeqs, logPayloads); logErr != nil {
+					return
+				}
+			}
 			for i := range run {
 				r := &run[i]
 				if r.kind == recRetire {
@@ -1086,6 +1096,9 @@ func (e *Engine) applyRecords(mode applyMode, feed func(func(seq uint64, payload
 		}); err != nil {
 			return err
 		}
+		if logErr != nil {
+			return logErr
+		}
 		for _, r := range rejected {
 			// A poison pill, not a reason to refuse to start or to stop
 			// following: the row was appended before the predictor saw it,
@@ -1104,6 +1117,7 @@ func (e *Engine) applyRecords(mode applyMode, feed func(func(seq uint64, payload
 			e.met.ingests.Add(applied)
 		}
 		run, rows, retires, rejected, last = run[:0], 0, 0, rejected[:0], pending
+		logSeqs, logPayloads = logSeqs[:0], logPayloads[:0]
 		return nil
 	}
 	err = feed(func(seq uint64, payload []byte) error {
@@ -1142,11 +1156,17 @@ func (e *Engine) applyRecords(mode applyMode, feed func(func(seq uint64, payload
 			}
 			rows += len(rec.run)
 		}
+		if mode == applyReplicated { // after the flush: logged with its own run
+			logSeqs, logPayloads = append(logSeqs, seq), append(logPayloads, payload)
+		}
 		pending = seq
 		return nil
 	})
 	if err == nil && len(run) > 0 {
 		err = flush()
+	}
+	if err == nil && len(logSeqs) > 0 {
+		err = e.wal.AppendBatchAt(logSeqs, logPayloads)
 	}
 	if err == nil {
 		last = pending

@@ -34,12 +34,6 @@ type Config struct {
 	// FailAfter is how many consecutive failed leader probes trigger a
 	// follower promotion (default 3).
 	FailAfter int
-	// DemoteTimeout bounds each fencing call (POST /v1/demote) and each
-	// post-promotion re-point (POST /v1/follow) with its own context
-	// deadline (default 2 s). Without it a black-holed node would pin a
-	// fence for the Client's full timeout while the group runs
-	// leaderless.
-	DemoteTimeout time.Duration
 	// Client performs all upstream requests (default: 5 s timeout).
 	Client *http.Client
 	// Metrics receives route_requests_total and router_* families. Nil
@@ -49,15 +43,17 @@ type Config struct {
 	Logger *slog.Logger
 }
 
+// ctlTimeout bounds each fencing (POST /v1/demote) and re-point (POST
+// /v1/follow) call, so a black-holed node cannot pin a failover for the
+// Client's full timeout while the group runs leaderless.
+const ctlTimeout = 2 * time.Second
+
 func (c *Config) fill() {
 	if c.HealthInterval <= 0 {
 		c.HealthInterval = time.Second
 	}
 	if c.FailAfter <= 0 {
 		c.FailAfter = 3
-	}
-	if c.DemoteTimeout <= 0 {
-		c.DemoteTimeout = 2 * time.Second
 	}
 	if c.Client == nil {
 		c.Client = &http.Client{Timeout: 5 * time.Second}
@@ -283,11 +279,11 @@ func (rt *Router) roleOf(n *node) (string, bool) {
 }
 
 // postCtl issues one control-plane POST (fence, re-point) under its
-// own DemoteTimeout deadline, so a black-holed node cannot pin a
+// own ctlTimeout deadline, so a black-holed node cannot pin a
 // failover for the data-path Client's full timeout. Returns the status
 // and a nil error only when the request completed.
 func (rt *Router) postCtl(url string, body []byte) (int, error) {
-	ctx, cancel := context.WithTimeout(context.Background(), rt.cfg.DemoteTimeout)
+	ctx, cancel := context.WithTimeout(context.Background(), ctlTimeout)
 	defer cancel()
 	var rd io.Reader
 	if body != nil {

@@ -266,9 +266,13 @@ func ReadForest(src io.Reader) (*Forest, error) {
 	}
 }
 
+// RetiredLayout reports whether f was read from ORF1, which this release
+// reads but no longer writes: a caller that persists f should rewrite it.
+func (f *Forest) RetiredLayout() bool { return f.retiredLayout }
+
 func readForestV1(src io.Reader) (*Forest, error) {
 	r := &reader{r: src}
-	f := &Forest{}
+	f := &Forest{retiredLayout: true}
 	c, err := f.readHeader(r)
 	if err != nil {
 		return nil, err

@@ -153,6 +153,10 @@ func TestSnapshotLegacyMigration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if !g.RetiredLayout() || f.RetiredLayout() {
+		t.Fatalf("RetiredLayout: %v for the ORF1 read, %v for the trained forest; want true, false",
+			g.RetiredLayout(), f.RetiredLayout())
+	}
 	var fromOrig, fromLegacy bytes.Buffer
 	if _, err := f.WriteTo(&fromOrig); err != nil {
 		t.Fatal(err)
@@ -165,6 +169,9 @@ func TestSnapshotLegacyMigration(t *testing.T) {
 	}
 	if !bytes.Equal(fromOrig.Bytes(), fromLegacy.Bytes()) {
 		t.Fatal("forest restored from a v1 snapshot re-serializes differently")
+	}
+	if h, err := ReadForest(&fromLegacy); err != nil || h.RetiredLayout() {
+		t.Fatalf("the migrated ORF2 bytes read back as retired (err %v)", err)
 	}
 }
 

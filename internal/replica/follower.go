@@ -34,8 +34,6 @@ type Applier interface {
 type FollowerConfig struct {
 	// Applier consumes the stream. Required.
 	Applier Applier
-	// DialTimeout bounds one connection attempt (default 5 s).
-	DialTimeout time.Duration
 	// RetryInterval is the pause between reconnect attempts
 	// (default 500 ms).
 	RetryInterval time.Duration
@@ -60,10 +58,10 @@ type FollowerConfig struct {
 	Logger *slog.Logger
 }
 
+// dialTimeout bounds one connection attempt.
+const dialTimeout = 5 * time.Second
+
 func (c *FollowerConfig) fill() {
-	if c.DialTimeout <= 0 {
-		c.DialTimeout = 5 * time.Second
-	}
 	if c.RetryInterval <= 0 {
 		c.RetryInterval = 500 * time.Millisecond
 	}
@@ -214,25 +212,33 @@ func (f *Follower) loop() {
 	}
 }
 
-func (f *Follower) run() error {
-	conn, err := net.DialTimeout("tcp", f.addr, f.cfg.DialTimeout)
-	if err != nil {
-		return err
+// dial connects to the leader and registers the connection for Close to
+// tear down; hangUp unregisters and closes it.
+func (f *Follower) dial() (conn net.Conn, hangUp func(), err error) {
+	if conn, err = net.DialTimeout("tcp", f.addr, dialTimeout); err != nil {
+		return nil, nil, err
 	}
 	f.mu.Lock()
+	defer f.mu.Unlock()
 	if f.stopped() {
-		f.mu.Unlock()
 		conn.Close()
-		return nil
+		return nil, nil, errClosed
 	}
 	f.conn = conn
-	f.mu.Unlock()
-	defer func() {
+	return conn, func() {
 		f.mu.Lock()
 		f.conn = nil
 		f.mu.Unlock()
 		conn.Close()
-	}()
+	}, nil
+}
+
+func (f *Follower) run() error {
+	conn, hangUp, err := f.dial()
+	if err != nil {
+		return err
+	}
+	defer hangUp()
 
 	resume := f.cfg.Applier.ReplicationResume()
 	if err := writeHandshake(conn, magicHello, resume); err != nil {

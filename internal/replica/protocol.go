@@ -63,6 +63,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"slices"
 	"time"
 )
 
@@ -190,7 +191,8 @@ func writeFrame(w io.Writer, typ byte, payload []byte) error {
 }
 
 // readFrame reads one frame, verifying its CRC, reusing buf when large
-// enough. The returned payload aliases the (possibly grown) buffer.
+// enough. The returned payload aliases the (possibly grown) buffer, which
+// grows as bytes arrive: a peer pays for a claimed length by sending it.
 func readFrame(r io.Reader, buf []byte) (typ byte, payload, newBuf []byte, err error) {
 	var head [frameHeaderSize]byte
 	if _, err := io.ReadFull(r, head[:]); err != nil {
@@ -201,17 +203,19 @@ func readFrame(r io.Reader, buf []byte) (typ byte, payload, newBuf []byte, err e
 	if n > maxFramePayload {
 		return 0, nil, buf, fmt.Errorf("replica: frame of %d bytes exceeds cap", n)
 	}
-	if cap(buf) < int(n) {
-		buf = make([]byte, n)
-	}
-	payload = buf[:n]
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return 0, nil, buf, err
+	payload = buf[:0]
+	for want := int(n); len(payload) < want; {
+		payload = slices.Grow(payload, min(want-len(payload), max(len(payload), 64<<10)))
+		got, err := io.ReadFull(r, payload[len(payload):min(want, cap(payload))])
+		payload = payload[:len(payload)+got]
+		if err != nil {
+			return 0, nil, payload, err
+		}
 	}
 	if crc32.ChecksumIEEE(payload) != crc {
-		return 0, nil, buf, errors.New("replica: frame CRC mismatch")
+		return 0, nil, payload, errors.New("replica: frame CRC mismatch")
 	}
-	return head[0], payload, buf, nil
+	return head[0], payload, payload, nil
 }
 
 // appendStatus writes the head/sentAt prefix shared by records and

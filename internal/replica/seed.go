@@ -1,10 +1,10 @@
 package replica
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
-	"net"
 	"os"
 	"path/filepath"
 	"strings"
@@ -92,7 +92,7 @@ func (s *Source) serveSeed(sc *srcConn, resume uint64) error {
 		raw      int64 // uncompressed bytes represented
 	)
 	send := func(typ byte, payload []byte) error {
-		sc.c.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
+		sc.c.SetWriteDeadline(time.Now().Add(writeTimeout))
 		return writeFrame(sc.c, typ, payload)
 	}
 	for _, sf := range files {
@@ -168,24 +168,11 @@ func CheckSeedName(name string) error {
 // directory and installs it through the Seeder, leaving the follower
 // ready to reconnect as a normal streaming replica.
 func (f *Follower) reseed() error {
-	conn, err := net.DialTimeout("tcp", f.addr, f.cfg.DialTimeout)
+	conn, hangUp, err := f.dial()
 	if err != nil {
 		return err
 	}
-	f.mu.Lock()
-	if f.stopped() {
-		f.mu.Unlock()
-		conn.Close()
-		return errClosed
-	}
-	f.conn = conn
-	f.mu.Unlock()
-	defer func() {
-		f.mu.Lock()
-		f.conn = nil
-		f.mu.Unlock()
-		conn.Close()
-	}()
+	defer hangUp()
 
 	if err := writeHandshake(conn, magicSeed, f.cfg.Applier.ReplicationResume()); err != nil {
 		return err
@@ -262,7 +249,7 @@ func (f *Follower) reseed() error {
 				return errors.New("replica: seed chunk before file announcement")
 			}
 			wire += int64(len(payload))
-			data, _, err := frame.DecodeBlock(payload)
+			data, err := decodeSeedChunk(payload)
 			if err != nil {
 				return fmt.Errorf("replica: decoding seed chunk for %s: %w", curName, err)
 			}
@@ -305,6 +292,16 @@ func (f *Follower) reseed() error {
 			return fmt.Errorf("replica: unexpected frame %d in seed stream", typ)
 		}
 	}
+}
+
+// decodeSeedChunk inflates one seedchunkz payload, refusing a block
+// whose header claims more raw bytes (its first u32) than a Source sends.
+func decodeSeedChunk(p []byte) ([]byte, error) {
+	if len(p) >= 4 && binary.LittleEndian.Uint32(p) > seedChunkBytes {
+		return nil, errors.New("replica: seed chunk claims more than seedChunkBytes")
+	}
+	data, _, err := frame.DecodeBlock(p)
+	return data, err
 }
 
 var errClosed = errors.New("replica: follower closed")

@@ -19,17 +19,10 @@ import (
 type SourceConfig struct {
 	// WAL is the log to ship. Required.
 	WAL *wal.WAL
-	// BatchRecords / BatchBytes bound one records frame (defaults 512
-	// records / 1 MiB).
-	BatchRecords int
-	BatchBytes   int
 	// Heartbeat is the idle keep-alive cadence carrying the leader's
 	// head position to followers (default 500 ms). A follower does not
 	// wait this long for its first status: one is sent as it attaches.
 	Heartbeat time.Duration
-	// WriteTimeout bounds one frame write to a stalled follower before
-	// the connection is torn down (default 30 s).
-	WriteTimeout time.Duration
 	// SeedProvider, when set, lets diverged followers request a full
 	// state transfer ("ORFS" handshake) instead of being refused. Nil
 	// rejects seed sessions.
@@ -41,18 +34,17 @@ type SourceConfig struct {
 	Logger *slog.Logger
 }
 
+// batchRecords and batchBytes bound one records frame; writeTimeout, one
+// frame write to a stalled follower.
+const (
+	batchRecords = 512
+	batchBytes   = 1 << 20
+	writeTimeout = 30 * time.Second
+)
+
 func (c *SourceConfig) fill() {
-	if c.BatchRecords <= 0 {
-		c.BatchRecords = 512
-	}
-	if c.BatchBytes <= 0 {
-		c.BatchBytes = 1 << 20
-	}
 	if c.Heartbeat <= 0 {
 		c.Heartbeat = 500 * time.Millisecond
-	}
-	if c.WriteTimeout <= 0 {
-		c.WriteTimeout = 30 * time.Second
 	}
 	if c.Logger == nil {
 		c.Logger = slog.New(discardHandler{})
@@ -458,7 +450,7 @@ func (s *Source) serve(sc *srcConn) error {
 
 	bw := bufio.NewWriterSize(sc.c, 64<<10)
 	send := func(typ byte, payload []byte) error {
-		sc.c.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
+		sc.c.SetWriteDeadline(time.Now().Add(writeTimeout))
 		if err := writeFrame(bw, typ, payload); err != nil {
 			return err
 		}
@@ -506,7 +498,7 @@ func (s *Source) serve(sc *srcConn) error {
 			seqs = append(seqs, pendSeq)
 			pending = false
 		}
-		for !pending && len(seqs) < s.cfg.BatchRecords && len(data) < s.cfg.BatchBytes {
+		for !pending && len(seqs) < batchRecords && len(data) < batchBytes {
 			seq, p, err := cur.Next()
 			if errors.Is(err, wal.ErrNoMore) {
 				break

@@ -270,16 +270,20 @@ func TestAppendBatchAtRejectsAndRotates(t *testing.T) {
 	if got := segNames(t, dir); len(got) != 2 || got[1] != 20 {
 		t.Fatalf("segments after a rotating batch: %v, want [1 20]", got)
 	}
-	// The rotation fsynced the sealed segment; the batch then ran the
-	// group-commit check once: 3 dirty records < SyncBytes of 4, no fsync.
+	// The rotation fsynced the sealed segment; the batch itself runs no
+	// group-commit check.
 	if got := w.met.fsyncs.Value(); got != fsyncs+1 {
 		t.Fatalf("fsyncs %d -> %d, want exactly the rotation's one", fsyncs, got)
 	}
 	if err := w.AppendBatchAt([]uint64{31}, p(1)); err != nil { // 4th dirty record
 		t.Fatal(err)
 	}
-	if got := w.met.fsyncs.Value(); got != fsyncs+2 {
-		t.Fatalf("group commit did not fire at SyncBytes: fsyncs %d -> %d", fsyncs, got)
+	if got := w.met.fsyncs.Value(); got != fsyncs+1 {
+		t.Fatalf("a caller-numbered append reached SyncBytes and fsynced: fsyncs %d -> %d", fsyncs, got)
+	}
+	// The caller's Sync makes it durable.
+	if err := w.Sync(); err != nil {
+		t.Fatal(err)
 	}
 	if got := w.SyncedSeq(); got != 31 {
 		t.Fatalf("SyncedSeq %d, want 31", got)

@@ -19,7 +19,8 @@
 // The debt is counted in bytes, the unit the log owns: how many rows a
 // record stands for is its writer's business (the engine frames a whole
 // shard slice as one), and a count of records would let the fsync cadence
-// move with that framing.
+// move with that framing. Caller-numbered appends (AppendAt,
+// AppendBatchAt) leave durability to the caller's Sync and the flusher.
 //
 // A torn tail (partial final write after a crash) is detected by the
 // length/CRC framing on Open and truncated away; everything before it
@@ -271,10 +272,9 @@ func (w *WAL) AppendBatch(payloads [][]byte) (first uint64, err error) {
 
 // AppendBatchAt is AppendBatch with caller-chosen sequence numbers:
 // strictly increasing, the first at or above the next unused one (gaps
-// are legal). A follower makes one delivered batch of leader records
-// durable with it — one write, one group-commit check — where AppendAt
-// in a loop paid both per record. A rotation names the new segment after
-// seqs[0].
+// are legal). A follower logs each run of leader records it applies with
+// one, and Syncs once before it acks: a group-commit check here would
+// fsync per run. A rotation names the new segment after seqs[0].
 func (w *WAL) AppendBatchAt(seqs []uint64, payloads [][]byte) error {
 	if len(seqs) != len(payloads) {
 		return fmt.Errorf("wal: AppendBatchAt with %d sequence numbers, %d payloads", len(seqs), len(payloads))
@@ -284,7 +284,8 @@ func (w *WAL) AppendBatchAt(seqs []uint64, payloads [][]byte) error {
 }
 
 // appendBatch frames and writes one batch. seqs == nil numbers the
-// records consecutively from the next unused sequence number.
+// records consecutively from the next unused sequence number and runs the
+// group-commit check; caller-chosen seqs leave the fsync to the caller.
 func (w *WAL) appendBatch(seqs []uint64, payloads [][]byte) (first uint64, err error) {
 	if len(payloads) == 0 {
 		return 0, errors.New("wal: empty batch")
@@ -344,7 +345,7 @@ func (w *WAL) appendBatch(seqs []uint64, payloads [][]byte) (first uint64, err e
 	w.dirty += total
 	w.met.appendRecords.Add(uint64(len(payloads)))
 	w.met.appendBytes.Add(uint64(total))
-	if w.dirty >= w.opts.SyncBytes {
+	if seqs == nil && w.dirty >= w.opts.SyncBytes {
 		if err := w.syncLocked(); err != nil {
 			return 0, err
 		}

@@ -108,6 +108,8 @@ type Predictor struct {
 	scorePool    *sync.Pool
 	scorePoolDim int
 	batchPool    *sync.Pool
+
+	retiredLayout bool // loaded from ODS1 queues or an ORF1 forest
 }
 
 // NewPredictor creates a Predictor.

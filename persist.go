@@ -256,6 +256,7 @@ func LoadPredictorState(r io.Reader) (*Predictor, error) {
 	if err := p.labeler.Import(states); err != nil {
 		return nil, err
 	}
+	p.retiredLayout = fixed || p.forest.RetiredLayout()
 	return p, nil
 }
 

@@ -12,9 +12,10 @@ import (
 // Follower mode: an engine created with EngineConfig.Follower is a read
 // replica. It refuses writes (Ingest/IngestBatch/Retire fail with
 // ErrNotLeader), and instead implements replica.Applier: records shipped
-// from the leader are appended to the follower's own WAL *at the
-// leader's sequence numbers* (wal.AppendBatchAt), then applied to the
-// shard workers by the function recovery replay uses (applyRecords).
+// from the leader go through the function recovery replay uses
+// (applyRecords), which appends each run to the follower's own WAL *at
+// the leader's sequence numbers* (wal.AppendBatchAt) on the shard worker
+// that applies it.
 // Because the follower mirrors leader numbering, its snapshots, crash
 // recovery and replication-resume position all speak leader offsets —
 // and after Promote, appends simply continue the leader's sequence, so a
@@ -114,47 +115,22 @@ func (e *Engine) ObserveLeaderHead(head uint64, sentAt time.Time) {
 	e.lastFrame.Store(time.Now().UnixNano())
 }
 
-// ApplyReplicated durably applies a batch of leader records: the batch
-// is appended to the follower's WAL at the leader's sequence numbers with
-// one write, applied to the model shards run by run (applyRecords), and
-// fsynced before return, so the ack that follows only ever covers
-// crash-safe state. Part of replica.Applier.
+// ApplyReplicated durably applies a batch of leader records: applyRecords
+// logs each run at the leader's sequence numbers and applies it on its
+// shard's worker, and the log is fsynced before return, so the ack that
+// follows only ever covers crash-safe state. Part of replica.Applier.
 func (e *Engine) ApplyReplicated(recs []replica.Record) error {
 	if !e.follower.Load() {
 		// A promoted (or misconfigured) engine must not mix a replication
 		// stream into its own appends.
 		return ErrNotLeader
 	}
-	// Drop duplicate deliveries (a reconnect resends from the last ack),
-	// and pick out what the log still lacks. recs ascends strictly, as the
-	// leader's cursor emits it, so both are suffixes of it. A record below
-	// the WAL tail is already durable here from an earlier delivery whose
-	// in-memory apply failed transiently (ErrBusy on a full shard mailbox
-	// tore the stream down after the append succeeded). Redelivery then
-	// only needs the apply: re-appending would fail the log's monotonicity
-	// check forever and wedge replication on reconnect.
-	applied, tail := e.replApplied.Load(), e.wal.NextSeq()
+	// Drop duplicate deliveries (a reconnect resends from the last ack).
+	// recs ascends strictly, as the leader's cursor emits it, so what is
+	// left is a suffix of it, all above the log's tail.
+	applied := e.replApplied.Load()
 	for len(recs) > 0 && recs[0].Seq <= applied {
 		recs = recs[1:]
-	}
-	missing := recs
-	for len(missing) > 0 && missing[0].Seq < tail {
-		missing = missing[1:]
-	}
-	if len(recs) > 0 {
-		// Until a shard has them these records live in the log alone; the
-		// floor is in place before they are (one an earlier ErrBusy left
-		// standing is at or below this one, and stays).
-		e.replPendingLow.CompareAndSwap(0, recs[0].Seq)
-	}
-	if len(missing) > 0 {
-		seqs, payloads := make([]uint64, len(missing)), make([][]byte, len(missing))
-		for i, r := range missing {
-			seqs[i], payloads[i] = r.Seq, r.Payload
-		}
-		if err := e.wal.AppendBatchAt(seqs, payloads); err != nil {
-			return err
-		}
 	}
 	last, err := e.applyRecords(applyReplicated, func(apply func(uint64, []byte) error) error {
 		for _, r := range recs {
@@ -164,20 +140,16 @@ func (e *Engine) ApplyReplicated(recs []replica.Record) error {
 		}
 		return nil
 	})
-	// Only what has reached its shard counts as applied: the next
-	// handshake resumes after it, and the rest is redelivered — and until
-	// then stays pinned, so no snapshot in the gap seals it away.
+	// The log ends where the shards do: a run a shard sheds (ErrBusy) is
+	// neither logged nor applied, and is redelivered after the next
+	// handshake, which acks last — so last is synced on an error too.
 	if last > applied {
 		e.replApplied.Store(last)
 	}
-	if err != nil {
-		if last >= e.replPendingLow.Load() {
-			e.replPendingLow.Store(last + 1)
-		}
-		return err
+	if serr := e.wal.Sync(); err == nil {
+		err = serr
 	}
-	e.replPendingLow.Store(0)
-	return e.wal.Sync()
+	return err
 }
 
 // lagRecords returns how many leader records the follower has yet to
@@ -314,11 +286,7 @@ func (e *Engine) Promote() {
 	if !e.follower.CompareAndSwap(true, false) {
 		return
 	}
-	// A floor an ErrBusy left standing stays (non-zero unapplied_from_seq):
-	// no redelivery will come to clear it, and holding the log until a
-	// restart costs space, never a record.
-	e.log.Info("promoted to leader", "applied_seq", e.replApplied.Load(),
-		"unapplied_from_seq", e.replPendingLow.Load())
+	e.log.Info("promoted to leader", "applied_seq", e.replApplied.Load())
 	e.promoteMu.Lock()
 	hooks := e.onPromote
 	e.onPromote = nil

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -338,68 +339,6 @@ func dumpModel(t *testing.T, e *Engine, model string) []byte {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
-}
-
-// TestApplyReplicatedRedeliveryConverges is the regression test for the
-// redelivery wedge: a transient apply failure could leave a record in
-// the follower's WAL but not in its shards, and the leader's redelivery
-// after reconnect used to hit AppendAt's monotonicity check forever.
-// Redelivered records already below the WAL tail must skip the append
-// and still run the in-memory apply.
-func TestApplyReplicatedRedeliveryConverges(t *testing.T) {
-	obs := engineStream(t, 9, 1)
-	if len(obs) > 6 {
-		obs = obs[:6]
-	}
-	leader, err := NewEngine(EngineConfig{Predictor: engineTestConfig(), DataDir: t.TempDir()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer leader.Close()
-	recs := leaderRecords(t, leader, obs)
-	if len(recs) < 4 {
-		t.Fatalf("leader produced only %d WAL records", len(recs))
-	}
-	split := len(recs) - 2
-
-	follower, err := NewEngine(EngineConfig{
-		Predictor: engineTestConfig(), DataDir: t.TempDir(), Follower: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer follower.Close()
-	if err := follower.ApplyReplicated(recs[:split]); err != nil {
-		t.Fatal(err)
-	}
-	// Recreate the half-applied state a transient shard failure leaves
-	// behind: the tail records are durable in the follower's WAL, but the
-	// stream died before the in-memory apply, so replApplied lags NextSeq.
-	for _, r := range recs[split:] {
-		if err := follower.WAL().AppendAt(r.Seq, r.Payload); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := follower.ReplicationResume(); got != recs[split-1].Seq {
-		t.Fatalf("resume %d, want %d", got, recs[split-1].Seq)
-	}
-
-	// The leader redelivers from the acknowledged position — the full
-	// batch, duplicates included. Before the fix this failed forever on
-	// AppendAt("behind next sequence") for the already-appended tail.
-	if err := follower.ApplyReplicated(recs); err != nil {
-		t.Fatalf("redelivery after half-applied state: %v", err)
-	}
-	last := recs[len(recs)-1].Seq
-	if got := follower.ReplicationResume(); got != last {
-		t.Fatalf("resume %d after redelivery, want %d", got, last)
-	}
-	// The shards really applied the tail: learned state matches a leader
-	// that ingested the same stream directly.
-	want := fmt.Sprintf("%+v", leader.Stats())
-	if got := fmt.Sprintf("%+v", follower.Stats()); got != want {
-		t.Fatalf("stats diverged after redelivery:\nleader   %s\nfollower %s", want, got)
-	}
 }
 
 // TestFollowerNotReadyOnSilence: a dead stream freezes the observed
@@ -1085,10 +1024,9 @@ func TestFollowerAgainstSealedLeader(t *testing.T) {
 
 // jamMidBatch delivers a two-model batch to a follower whose second
 // model's shard is jammed (one closure occupies its worker, one fills its
-// mailbox), so ApplyReplicated appends the whole batch and sheds it with
-// ErrBusy after prefix records. It returns with the jam released and
-// nothing redelivered: the follower's log holds the batch, its shards
-// only the prefix.
+// mailbox), so ApplyReplicated logs and applies prefix records and sheds
+// the rest with ErrBusy. It returns with the jam released and nothing
+// redelivered.
 func jamMidBatch(t *testing.T, dir string) (leader, follower *Engine, recs []replica.Record, prefix int) {
 	t.Helper()
 	obs := engineStream(t, 9, 2)[:400]
@@ -1126,12 +1064,11 @@ func jamMidBatch(t *testing.T, dir string) (leader, follower *Engine, recs []rep
 	return leader, follower, recs, prefix
 }
 
-// TestApplyReplicatedMidBatchBusy: a delivered batch is made durable
-// with one write before any of it is applied, so a shard that sheds its
-// run (ErrBusy) mid-batch leaves the whole batch in the follower's WAL
-// and only a prefix in its shards. The applied position must stop at
-// that prefix — it is what the next handshake resumes after — and the
-// redelivery must apply the rest without re-appending it.
+// TestApplyReplicatedMidBatchBusy: a follower logs each run on the worker
+// that applies it, so a shard that sheds its run (ErrBusy) mid-batch
+// leaves the log where the shards stop. The applied position is that
+// prefix — it is what the next handshake resumes after — and is the log's
+// tail; the redelivery logs and applies the rest, each record once.
 func TestApplyReplicatedMidBatchBusy(t *testing.T) {
 	dir := t.TempDir()
 	leader, follower, recs, prefix := jamMidBatch(t, dir)
@@ -1139,28 +1076,26 @@ func TestApplyReplicatedMidBatchBusy(t *testing.T) {
 	if got, want := follower.ReplicationResume(), recs[prefix-1].Seq; got != want {
 		t.Fatalf("applied position %d after a mid-batch ErrBusy, want %d (the last record that reached a shard)", got, want)
 	}
-	tail := recs[len(recs)-1].Seq + 1
-	if got := follower.WAL().NextSeq(); got != tail {
-		t.Fatalf("follower WAL tail %d, want %d: the whole batch is durable before any apply", got, tail)
+	if got, want := follower.WAL().NextSeq()-1, follower.ReplicationResume(); got != want {
+		t.Fatalf("follower WAL ends at %d after a mid-batch ErrBusy, want %d: the log holds a record no shard applied", got, want)
 	}
-	appended := follower.MetricsRegistry().Counter("wal_append_records_total", "").Value()
 
 	if err := follower.ApplyReplicated(recs); err != nil { // the leader redelivers from the last ack
 		t.Fatalf("redelivery: %v", err)
 	}
-	if got := follower.ReplicationResume(); got != tail-1 {
-		t.Fatalf("applied position %d after redelivery, want %d", got, tail-1)
+	last := recs[len(recs)-1].Seq
+	if got := follower.ReplicationResume(); got != last {
+		t.Fatalf("applied position %d after redelivery, want %d", got, last)
 	}
-	if got := follower.MetricsRegistry().Counter("wal_append_records_total", "").Value(); got != appended {
-		t.Fatalf("redelivery re-appended %d records already below the WAL tail", got-appended)
+	if got := follower.MetricsRegistry().Counter("wal_append_records_total", "").Value(); got != uint64(len(recs)) {
+		t.Fatalf("%d records appended for a %d-record stream", got, len(recs))
 	}
 	for _, model := range leader.Models() {
 		if !bytes.Equal(dumpModel(t, follower, model), dumpModel(t, leader, model)) {
 			t.Fatalf("model %s differs from the leader's after redelivery", model)
 		}
 	}
-	// With every record on its shard nothing pins the log any more: a
-	// pass that covers it seals it.
+	// Every record is on its shard, so a pass that covers the log seals it.
 	if err := follower.Snapshot(); err != nil {
 		t.Fatal(err)
 	}
@@ -1174,12 +1109,11 @@ func TestApplyReplicatedMidBatchBusy(t *testing.T) {
 }
 
 // TestSnapshotKeepsUnappliedReplicatedRecords: between a mid-batch
-// ErrBusy and the leader's redelivery, the shed rest of the batch lives
-// in the follower's log alone. A snapshot pass in that gap — periodic, or
-// a clean shutdown's — computes its cutoff from what shards have applied,
-// and a cutoff that covers the whole log seals and deletes it; the
-// unapplied records must hold the cutoff down (Engine.replPendingLow) or
-// they are gone, from a follower that will never ask for them again.
+// ErrBusy and the leader's redelivery, the follower's log and its shards
+// end at the same record. A snapshot pass in that gap — periodic, or a
+// clean shutdown's — may cover the whole log and seal it, and a restart
+// resumes right after the prefix, where the redelivery picks up; nothing
+// the shards never applied is replayed.
 func TestSnapshotKeepsUnappliedReplicatedRecords(t *testing.T) {
 	reopen := func(t *testing.T, dir string) *Engine {
 		t.Helper()
@@ -1197,21 +1131,28 @@ func TestSnapshotKeepsUnappliedReplicatedRecords(t *testing.T) {
 		}
 		for _, model := range leader.Models() {
 			if !bytes.Equal(dumpModel(t, got, model), dumpModel(t, leader, model)) {
-				t.Fatalf("model %s differs from the leader's: the snapshot dropped records no shard had applied", model)
+				t.Fatalf("model %s differs from the leader's", model)
 			}
 		}
 	}
 
 	t.Run("clean shutdown before redelivery", func(t *testing.T) {
 		dir := t.TempDir()
-		leader, follower, recs, _ := jamMidBatch(t, dir)
+		leader, follower, recs, prefix := jamMidBatch(t, dir)
 		if err := follower.Snapshot(); err != nil { // a periodic pass
 			t.Fatal(err)
 		}
 		if err := follower.Close(); err != nil { // and the final one
 			t.Fatal(err)
 		}
-		sameAsLeader(t, leader, reopen(t, dir), recs[len(recs)-1].Seq)
+		reopened := reopen(t, dir)
+		if got, want := reopened.ReplicationResume(), recs[prefix-1].Seq; got != want {
+			t.Fatalf("reopened follower resumes after %d, want %d (the last record a shard applied)", got, want)
+		}
+		if err := reopened.ApplyReplicated(recs); err != nil { // the redelivery after reconnect
+			t.Fatalf("redelivery: %v", err)
+		}
+		sameAsLeader(t, leader, reopened, recs[len(recs)-1].Seq)
 	})
 
 	t.Run("snapshot, redelivery, crash", func(t *testing.T) {
@@ -1220,8 +1161,8 @@ func TestSnapshotKeepsUnappliedReplicatedRecords(t *testing.T) {
 		if err := follower.Snapshot(); err != nil {
 			t.Fatal(err)
 		}
-		// Redelivery applies the rest in memory only (it is below the WAL
-		// tail), and the Sync it ends with lets the follower ack it.
+		// Redelivery logs and applies the rest, and the Sync it ends with
+		// lets the follower ack it.
 		if err := follower.ApplyReplicated(recs); err != nil {
 			t.Fatalf("redelivery: %v", err)
 		}
@@ -1229,11 +1170,9 @@ func TestSnapshotKeepsUnappliedReplicatedRecords(t *testing.T) {
 		sameAsLeader(t, leader, reopen(t, dir), recs[len(recs)-1].Seq)
 	})
 
-	// Every delivery is in the log before it is on a shard, ErrBusy or
-	// not, and a pass that lands in between sees the same gap — for
-	// microseconds, so this hammer cannot be relied on to hit it (the two
-	// cases above pin the floor); it is here for -race and for passes
-	// that seal the log over and over while a follower applies.
+	// Passes that seal the log over and over while a follower logs and
+	// applies run after run: here for -race, and for a cutoff that would
+	// take a logged record for covered before its shard has it.
 	t.Run("snapshots racing delivery", func(t *testing.T) {
 		obs := engineStream(t, 9, 2)
 		if len(obs) > 2000 {
@@ -1278,4 +1217,72 @@ func TestSnapshotKeepsUnappliedReplicatedRecords(t *testing.T) {
 		// in a snapshot.
 		sameAsLeader(t, leader, reopen(t, dir), recs[len(recs)-1].Seq)
 	})
+}
+
+// TestPromoteAfterMidBatchBusyRestartsIdentical: a follower promoted
+// between a mid-batch ErrBusy and the redelivery, then closed and
+// reopened, comes back with the state it served. A log that held the
+// shed records would replay them on the restart — records the promoted
+// node never applied, changing every model they touch.
+func TestPromoteAfterMidBatchBusyRestartsIdentical(t *testing.T) {
+	dir := t.TempDir()
+	_, follower, _, _ := jamMidBatch(t, dir)
+	follower.Promote()
+	models := follower.Models()
+	served := make(map[string][]byte, len(models))
+	for _, model := range models {
+		served[model] = dumpModel(t, follower, model)
+	}
+	if err := follower.Close(); err != nil {
+		t.Fatal(err)
+	}
+	reopened, err := NewEngine(EngineConfig{Predictor: engineTestConfig(), DataDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reopened.Close()
+	if got := reopened.Models(); !slices.Equal(got, models) {
+		t.Fatalf("models after the restart %v, want %v", got, models)
+	}
+	for _, model := range models {
+		if !bytes.Equal(dumpModel(t, reopened, model), served[model]) {
+			t.Errorf("model %s differs from the state the promoted node served", model)
+		}
+	}
+}
+
+// TestReplicatedDeliveryFsyncsOnce: a follower logs a delivery run by
+// run, but only the Sync before its ack makes it durable — one fsync per
+// delivery however many runs it crosses as, with a group-commit threshold
+// every run would cross.
+func TestReplicatedDeliveryFsyncsOnce(t *testing.T) {
+	obs := engineStream(t, 17, 3)[:144]
+	leader, err := NewEngine(EngineConfig{Predictor: engineTestConfig(), DataDir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer leader.Close()
+	recs := leaderRecords(t, leader, obs)
+	if len(recs) != 144 || len(leader.Models()) != 3 {
+		t.Fatalf("leader log of %d records over %d models, want 144 over 3", len(recs), len(leader.Models()))
+	}
+	follower, err := NewEngine(EngineConfig{
+		Predictor: engineTestConfig(), DataDir: t.TempDir(), Follower: true,
+		SyncBytes: 1, SyncInterval: time.Hour,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer follower.Close()
+	fsyncs := follower.MetricsRegistry().Counter("wal_fsync_total", "")
+	before := fsyncs.Value()
+	if err := follower.ApplyReplicated(recs); err != nil {
+		t.Fatal(err)
+	}
+	if got := fsyncs.Value() - before; got != 1 {
+		t.Fatalf("a %d-record delivery cost %d fsyncs, want 1", len(recs), got)
+	}
+	if got := follower.WAL().SyncedSeq(); got != recs[len(recs)-1].Seq {
+		t.Fatalf("durable through %d after the delivery, want %d", got, recs[len(recs)-1].Seq)
+	}
 }
