@@ -9,6 +9,8 @@ import (
 	"io"
 	"sync"
 	"time"
+
+	"orfdisk/internal/smart"
 )
 
 // Engine-side half of the bulk backfill path (the loader pipeline lives
@@ -85,10 +87,12 @@ type bfState struct {
 	pendingLow uint64
 
 	// enc is IngestBackfill's framing scratch (single in-flight call by
-	// contract — the loader is one goroutine), and recOf[i] the position in
-	// the framed batch of the record that holds row i.
+	// contract — the loader is one goroutine), recOf[i] the position in
+	// the framed batch of the record that holds row i, and x the row being
+	// framed, projected onto its model's features.
 	enc   recordBatch
 	recOf []uint32
+	x     []float64
 }
 
 // bfResume is the durable resume point: the newest cursor and the count
@@ -163,9 +167,11 @@ func (e *Engine) IngestBackfill(batch []FleetObservation, cur *BackfillCursor) e
 			for hi = lo + 1; hi < len(batch) && hi-lo < applyRunCap && batch[hi].Model == batch[lo].Model; hi++ {
 			}
 			rec := uint32(len(bf.enc.offs))
-			bf.enc.beginRun(recObserveBFRun, &batch[lo], hi-lo)
+			_, feats := e.startOf(batch[lo].Model)
+			bf.enc.beginRun(recObserveBFRun, &batch[lo], feats, hi-lo)
 			for i := lo; i < hi; i++ {
-				bf.enc.addRow(&batch[i])
+				bf.x = smart.AppendProject(bf.x[:0], batch[i].Values, feats)
+				bf.enc.addRow(&batch[i], bf.x)
 				bf.recOf = append(bf.recOf, rec)
 			}
 		}
@@ -241,25 +247,14 @@ func (e *Engine) submitBlocking(model string, fn func(*shardState)) error {
 // runs its rows were framed as.
 func (e *Engine) absorbSlice(s *shardState, batch []FleetObservation, idxs []int, first uint64) {
 	e.met.ingests.Add(uint64(len(idxs)))
-	applied := 0
 	for _, i := range idxs {
 		seq := first
 		if e.wal != nil {
 			seq += uint64(e.bf.recOf[i])
 		}
-		if _, err := e.applyRow(s, seq, &batch[i], false); err != nil {
-			// Only a predictor/engine catalog mismatch gets past
-			// IngestBackfill's validation; replay would skip the record.
-			e.met.ingestErrors.Inc()
-			e.log.Warn("backfill: predictor rejected row",
-				"model", batch[i].Model, "serial", batch[i].Serial, "err", err)
-			continue
-		}
-		applied++
+		e.applyRow(s, seq, &batch[i], s.p.project(batch[i].Values, s.p.features), false)
 	}
-	if applied > 0 {
-		e.noteApplied(s, applied)
-	}
+	e.noteApplied(s, len(idxs))
 }
 
 // noteBackfill advances the cursor accounting by what the WAL records up

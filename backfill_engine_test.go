@@ -60,7 +60,7 @@ func TestBackfillObserveRecordKind(t *testing.T) {
 			Values: []float64{1, math.NaN(), -7.5},
 		},
 	}
-	rec, err := decodeRecord(appendRunRecord(nil, recObserveBFRun, []FleetObservation{obs}))
+	rec, err := decodeRecord(appendRunRecord(nil, recObserveBFRun, []int{5, 12, 30}, []FleetObservation{obs}))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -293,9 +293,11 @@ func reopen(t *testing.T, dir string) seededState {
 func TestSeedInstallCrashPoints(t *testing.T) {
 	// Leader: a backfill with a cursor, a truncating snapshot, then rows
 	// only its log holds, pinned there by a retain floor, so the seed
-	// carries several segments.
+	// carries several segments. 2560-byte segments hold about 30 live
+	// rows each, so the seed is eleven files: eight segments, two
+	// snapshots and the cursor.
 	obs := engineStream(t, 77, 2)
-	leader, err := NewEngine(EngineConfig{Predictor: engineTestConfig(), DataDir: t.TempDir(), SegmentBytes: 4096})
+	leader, err := NewEngine(EngineConfig{Predictor: engineTestConfig(), DataDir: t.TempDir(), SegmentBytes: 2560})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -345,6 +347,9 @@ func TestSeedInstallCrashPoints(t *testing.T) {
 	}
 	if segs < 2 {
 		t.Fatalf("seed of %v carries %d log segments; the test needs several", manifest, segs)
+	}
+	if len(manifest) != 11 {
+		t.Fatalf("seed of %v is %d files, want 11: resize the segments so the crash points keep their names", manifest, len(manifest))
 	}
 
 	// check reopens dir and compares what it holds with wantState.

@@ -190,8 +190,12 @@ type shardState struct {
 	// truncation cutoff. Only the shard's worker touches it.
 	firstUnsnapped uint64
 	// enc is the WAL-encoding scratch, reused so steady-state ingest
-	// allocates no record buffers. Only the shard's worker touches it.
+	// allocates no record buffers, and xs (ingestSlice's projected rows)
+	// and pos (applyRecords' gather positions) the same for their
+	// callers. Only the shard's worker touches them.
 	enc recordBatch
+	xs  [][]float64
+	pos []int
 }
 
 // noteSeq records that WAL record seq has reached shard s: it becomes
@@ -228,7 +232,7 @@ type engineMetrics struct {
 func newEngineMetrics(reg *metrics.Registry) engineMetrics {
 	return engineMetrics{
 		ingests:         reg.Counter("engine_ingests_total", "Observations applied on shard workers (WAL append + predictor update)."),
-		ingestErrors:    reg.Counter("engine_ingest_errors_total", "Observations that failed on a shard worker (WAL append or predictor error)."),
+		ingestErrors:    reg.Counter("engine_ingest_errors_total", "Observations that failed on a shard worker (their WAL append failed)."),
 		snapshots:       reg.Counter("engine_snapshots_total", "Completed engine snapshot passes."),
 		snapshotErrors:  reg.Counter("engine_snapshot_errors_total", "Failed engine snapshot passes."),
 		snapshotSeconds: reg.Histogram("engine_snapshot_seconds", "Wall time of one snapshot pass (all models)."),
@@ -269,6 +273,9 @@ func NewEngine(cfg EngineConfig) (*Engine, error) {
 	if logger == nil {
 		logger = slog.New(noopLogHandler{})
 	}
+	// Resolved once: every new predictor shares the list (none modifies
+	// it), and IngestBackfill frames runs under it.
+	cfg.Predictor.Features = cfg.Predictor.features()
 	e := &Engine{
 		cfg:     cfg,
 		reg:     reg,
@@ -371,10 +378,24 @@ func (e *Engine) registerModelGauges() {
 // mount Server.Handler, which includes it at GET /metrics.
 func (e *Engine) MetricsRegistry() *metrics.Registry { return e.reg }
 
+// startOf returns the state model's shard starts from and the catalog
+// indexes its predictor reads: the recovered snapshot and its list, or
+// nil and the configured list. It is the one rule for a model's feature
+// list — newShard builds the shard from it and IngestBackfill frames the
+// model's runs under the list — so the log and the shard never disagree.
+func (e *Engine) startOf(model string) (*shardState, []int) {
+	if st, ok := e.recovered[model]; ok {
+		return st, st.p.features
+	}
+	return nil, e.cfg.Predictor.Features
+}
+
 func (e *Engine) newShard(model string) *shardState {
-	st, ok := e.recovered[model]
-	if !ok {
-		st = &shardState{p: NewPredictor(e.cfg.Predictor)}
+	st, features := e.startOf(model)
+	if st == nil {
+		cfg := e.cfg.Predictor
+		cfg.Features = features
+		st = &shardState{p: NewPredictor(cfg)}
 	}
 	// Publish the first frozen snapshot before the shard serves anything:
 	// the read path must never find a live shard without one.
@@ -430,37 +451,28 @@ func (e *Engine) validate(obs FleetObservation) error {
 	if obs.Serial == "" {
 		return fmt.Errorf("orfdisk: observation has no serial")
 	}
-	if len(obs.Values) != CatalogSize() {
-		return fmt.Errorf("orfdisk: observation carries %d values, want the %d-feature catalog",
-			len(obs.Values), CatalogSize())
-	}
-	return nil
+	return checkCatalog(obs.Values)
 }
 
-// applyRow applies one observation on its shard's worker. Every door a
-// row can come in by (Ingest, IngestBatch, IngestBackfill, a follower's
-// ApplyReplicated, recovery replay) ends here, so model state and
-// routing memory are a function of the ordered record stream alone. The
-// row is already durable at WAL sequence number seq, which is what lets
-// its route be committed: any earlier and a shed or failed request would
-// leave a phantom route recovery cannot reconstruct. score selects
-// Ingest (live prediction) or Absorb (same state, no tree walk).
+// applyRow applies one observation on its shard's worker, x being the
+// features the shard's predictor reads, projected from the row's values
+// (the labeling queue owns x from here on). Every door a row can come in
+// by (Ingest, IngestBatch, IngestBackfill, a follower's ApplyReplicated,
+// recovery replay) ends here, so model state and routing memory are a
+// function of the ordered record stream alone. The row is already
+// durable at WAL sequence number seq, which is what lets its route be
+// committed: any earlier and a shed or failed request would leave a
+// phantom route recovery cannot reconstruct. score selects Ingest's live
+// prediction; without it the state is the same and no tree is walked.
 //
-// Routes follow the labeling queues row by row — an accepted
-// observation routes its serial, a failure forgets it, a row the
-// predictor rejects touches neither — so a serial is routed exactly when
-// its shard's labeler tracks it, the property recovery rebuilds routes
-// from.
-func (e *Engine) applyRow(s *shardState, seq uint64, obs *FleetObservation, score bool) (pred Prediction, err error) {
+// Routes follow the labeling queues row by row — an applied observation
+// routes its serial, a failure forgets it, and a durable row that cannot
+// be applied (applyRecords' poison pills) never reaches here — so a
+// serial is routed exactly when its shard's labeler tracks it, the
+// property recovery rebuilds routes from.
+func (e *Engine) applyRow(s *shardState, seq uint64, obs *FleetObservation, x []float64, score bool) Prediction {
 	e.noteSeq(s, seq)
-	if score {
-		pred, err = s.p.Ingest(obs.Observation)
-	} else {
-		err = s.p.Absorb(obs.Observation)
-	}
-	if err != nil {
-		return pred, err
-	}
+	pred := s.p.apply(&obs.Observation, x, score)
 	e.mu.Lock()
 	if obs.Failed {
 		delete(e.modelOf, obs.Serial)
@@ -468,7 +480,7 @@ func (e *Engine) applyRow(s *shardState, seq uint64, obs *FleetObservation, scor
 		e.modelOf[obs.Serial] = obs.Model
 	}
 	e.mu.Unlock()
-	return pred, nil
+	return pred
 }
 
 // applyRetire is applyRow's counterpart for a retire record.
@@ -481,28 +493,32 @@ func (e *Engine) applyRetire(s *shardState, seq uint64, serial string) {
 }
 
 // ingestSlice logs and applies one shard's slice of an IngestBatch on
-// the shard's worker: the slice is framed into the shard's reused scratch
-// as one run record (one per applyRunCap rows, should a slice be longer)
-// and made durable with a single wal.AppendBatch (one write, one group-
-// commit check), then each observation is applied individually so
-// per-item results are preserved. Every row of a run carries the run's
-// sequence number; that is sound because the slice is applied here, in
-// one closure on the shard's worker, so a snapshot — another closure on
-// the same worker, its cutoff compared per record — sees all of a run or
-// none of it. A WAL failure fails the whole slice — none of it is
-// durable; predictor errors stay per-item (their rows persisted before
-// the predictor could reject them, and replay skips them the same
-// deterministic way). It returns the sequence number of the slice's last
-// record, or 0 if no row was applied.
+// the shard's worker. Each row is projected once onto the features the
+// shard's predictor reads; the projections are framed into the shard's
+// reused scratch as one run record under that feature list (one per
+// applyRunCap rows, should a slice be longer) and made durable with a
+// single wal.AppendBatch (one write, one group-commit check), then each
+// is applied individually so per-item results are preserved. Every row
+// of a run carries the run's sequence number; that is sound because the
+// slice is applied here, in one closure on the shard's worker, so a
+// snapshot — another closure on the same worker, its cutoff compared per
+// record — sees all of a run or none of it. A WAL failure fails the
+// whole slice — none of it is durable. It returns the sequence number of
+// the slice's last record, or 0 if the append failed.
 func (e *Engine) ingestSlice(s *shardState, batch []FleetObservation, idxs []int, res []BatchResult) uint64 {
+	xs := s.xs[:0]
+	for _, i := range idxs {
+		xs = append(xs, s.p.project(batch[i].Values, s.p.features))
+	}
+	defer func() { clear(xs); s.xs = xs[:0] }() // the queues own them now, or the free list does
 	var first uint64
 	if e.wal != nil {
 		s.enc.reset()
 		for lo := 0; lo < len(idxs); lo += applyRunCap {
 			run := idxs[lo:min(lo+applyRunCap, len(idxs))]
-			s.enc.beginRun(recObserveRun, &batch[run[0]], len(run))
-			for _, i := range run {
-				s.enc.addRow(&batch[i])
+			s.enc.beginRun(recObserveRun, &batch[run[0]], s.p.features, len(run))
+			for j, i := range run {
+				s.enc.addRow(&batch[i], xs[lo+j])
 			}
 		}
 		var err error
@@ -511,26 +527,18 @@ func (e *Engine) ingestSlice(s *shardState, batch []FleetObservation, idxs []int
 			for _, i := range idxs {
 				res[i].Err = err
 			}
+			s.p.free = append(s.p.free, xs...)
 			return 0
 		}
 	}
 	e.met.ingests.Add(uint64(len(idxs)))
-	applied := 0
 	for j, i := range idxs {
-		res[i].Prediction, res[i].Err = e.applyRow(s, first+uint64(j/applyRunCap), &batch[i], true)
-		if res[i].Err != nil {
-			e.met.ingestErrors.Inc()
-			continue
-		}
-		applied++
-	}
-	if applied == 0 {
-		return 0
+		res[i].Prediction = e.applyRow(s, first+uint64(j/applyRunCap), &batch[i], xs[j], true)
 	}
 	// One cadence check per slice: snapshots publish at most once per
 	// shard slice, which is exactly the "every K updates" granularity the
 	// read path promises.
-	e.noteApplied(s, applied)
+	e.noteApplied(s, len(idxs))
 	return s.lastSeq
 }
 
@@ -1063,7 +1071,7 @@ func (e *Engine) applyRecords(mode applyMode, feed func(func(seq uint64, payload
 		run      []runRecord
 		rows     int         // observations in run
 		retires  int         // retire records in run
-		rejected []rejection // observations of run the predictor refused
+		rejected []rejection // observations of run the predictor cannot read
 		pending  uint64      // newest record fed, possibly still waiting in the run
 		// Replicated mode: what was fed since the last crossing, to log.
 		logSeqs     []uint64
@@ -1081,11 +1089,29 @@ func (e *Engine) applyRecords(mode applyMode, feed func(func(seq uint64, payload
 				r := &run[i]
 				if r.kind == recRetire {
 					e.applyRetire(s, r.seq, r.serial)
+					continue
+				}
+				// One rule for every run: gather the features the predictor
+				// reads from the catalog indexes the run lists (all of them, in
+				// order, for kinds 8 and 9). A row it cannot serve is a poison
+				// pill, whole runs of them when the list lacks a feature.
+				var misfit error
+				pos, ok := s.p.positionsIn(r.index, s.pos)
+				if s.pos = pos; !ok {
+					misfit = fmt.Errorf("orfdisk: run lists catalog indexes %v, without every feature the model reads %v", r.index, s.p.features)
 				}
 				for j := range r.run {
-					if _, err := e.applyRow(s, r.seq, &r.run[j], false); err != nil {
-						rejected = append(rejected, rejection{r.seq, r.run[j].Serial, err})
+					row := &r.run[j]
+					err := misfit
+					if err == nil && len(row.Values) != len(r.index) {
+						err = fmt.Errorf("orfdisk: row carries %d values, its run lists %d", len(row.Values), len(r.index))
 					}
+					if err != nil {
+						e.noteSeq(s, r.seq) // the record is dealt with, as if applied
+						rejected = append(rejected, rejection{r.seq, row.Serial, err})
+						continue
+					}
+					e.applyRow(s, r.seq, row, s.p.project(row.Values, pos), false)
 				}
 			}
 			if applied := rows - len(rejected); mode == applyRecovering {
@@ -1100,12 +1126,12 @@ func (e *Engine) applyRecords(mode applyMode, feed func(func(seq uint64, payload
 			return logErr
 		}
 		for _, r := range rejected {
-			// A poison pill, not a reason to refuse to start or to stop
-			// following: the row was appended before the predictor saw it,
-			// the door it came in by surfaced this same deterministic error
-			// to its client, and aborting would brick the deployment — every
-			// restart or reconnect meets the record again. Count it, log it,
-			// move on; state matches the first apply exactly.
+			// A poison pill — a durable row this predictor cannot read, as
+			// a binary with another catalog or feature list logs them — is
+			// not a reason to refuse to start or to stop following: aborting
+			// would brick the deployment, since every restart or reconnect
+			// meets the record again. Count it, log it, move on; every
+			// engine that reads the log skips it the same way.
 			e.met.replaySkipped.Inc()
 			e.log.Warn("predictor rejected durable row; skipping",
 				"seq", r.seq, "model", model, "serial", r.serial, "err", r.err)
@@ -1130,7 +1156,7 @@ func (e *Engine) applyRecords(mode applyMode, feed func(func(seq uint64, payload
 		// file predates that snapshot (crash between the two writes). A
 		// follower keeps it too, so that once promoted it can continue an
 		// interrupted backfill exactly like a restarted leader.
-		if rec.kind == recCursor || rec.kind == recObserveBFRun {
+		if rec.kind == recCursor || rec.kind == recObserveBFRun || rec.kind == recCatalogBFRun {
 			e.noteBackfill(seq, uint64(len(rec.run)), rec.cur)
 		}
 		switch {

@@ -62,10 +62,12 @@ func engineTestConfig() Config {
 	return Config{Horizon: 4, ORF: ORFConfig{Trees: 5, MinParentSize: 50, Seed: 9}}
 }
 
-// encodeObserveRecord frames obs the way a single Ingest does, as a live
-// run of one, for tests that plant or decode raw WAL records.
+// encodeObserveRecord frames obs as the previous release's single Ingest
+// did — a live catalog run of one (kind 8) — for tests that plant or
+// decode raw WAL records: a row of any width decodes, and the apply rule
+// takes one that is not the whole catalog for a poison pill.
 func encodeObserveRecord(obs FleetObservation) []byte {
-	return appendRunRecord(nil, recObserveRun, []FleetObservation{obs})
+	return appendCatalogRunRecord(nil, recCatalogRun, []FleetObservation{obs})
 }
 
 func samePrediction(a, b Prediction) bool {
@@ -1026,8 +1028,8 @@ func TestObserveRecordRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rec.kind != recObserveRun || rec.model != obs.Model || len(rec.run) != 1 {
-		t.Fatalf("kind %d, model %q, %d rows; want kind %d, %q, 1 row", rec.kind, rec.model, len(rec.run), recObserveRun, obs.Model)
+	if rec.kind != recCatalogRun || rec.model != obs.Model || len(rec.run) != 1 {
+		t.Fatalf("kind %d, model %q, %d rows; want kind %d, %q, 1 row", rec.kind, rec.model, len(rec.run), recCatalogRun, obs.Model)
 	}
 	got := rec.run[0]
 	if got.Model != obs.Model || got.Serial != obs.Serial ||
@@ -1540,15 +1542,17 @@ func TestUnpackValuesRejectsCorrupt(t *testing.T) {
 
 // TestRecordCodecAllocs: framing a run into warmed batch scratch
 // allocates nothing; decoding one allocates its rows, one values slab,
-// the model and a serial per row — not a values slice per row.
+// the model, the index list and a serial per row — not a values slice
+// per row.
 func TestRecordCodecAllocs(t *testing.T) {
-	obs := engineStream(t, 3, 1)[:256]
+	feats := DefaultFeatures()
+	obs := projectRows(engineStream(t, 3, 1)[:256], feats)
 	var enc recordBatch
 	round := func() {
 		enc.reset()
-		enc.beginRun(recObserveRun, &obs[0], len(obs))
+		enc.beginRun(recObserveRun, &obs[0], feats, len(obs))
 		for i := range obs {
-			enc.addRow(&obs[i])
+			enc.addRow(&obs[i], obs[i].Values)
 		}
 	}
 	round()
@@ -1560,28 +1564,33 @@ func TestRecordCodecAllocs(t *testing.T) {
 		if _, err := decodeRecord(payload); err != nil {
 			t.Fatal(err)
 		}
-	}); allocs != float64(len(obs)+3) {
-		t.Errorf("decodeRecord of a %d-row run allocates %v times, want %d", len(obs), allocs, len(obs)+3)
+	}); allocs != float64(len(obs)+4) {
+		t.Errorf("decodeRecord of a %d-row run allocates %v times, want %d", len(obs), allocs, len(obs)+4)
 	}
 }
 
 // TestRecordBytesPerRow pins the exact counters the record formats were
 // sized by where go test sees them on any host: mean payload per row
 // over a seeded fleet framed the way IngestBatch frames it (a day's rows
-// of one model to a run), beside the one-row records of the reference
-// writer (the v2 layout took 194.71 B/row on this stream). The log adds
-// one 16-byte frame header per record to either.
+// of one model to a run, each row the model's 19 features), beside the
+// previous release's catalog runs (all 48 values a row) and the one-row
+// records of the reference writer (the v2 layout took 194.71 B/row on
+// this stream). The log adds one 16-byte frame header per record to any
+// of them.
 func TestRecordBytesPerRow(t *testing.T) {
 	const (
-		maxMean    = 108.0 // this implementation: 107.22
-		maxMeanOne = 119.0 // one-row records: 118.48
+		maxMean        = 45.0  // this implementation: 40.11
+		maxMeanCatalog = 108.0 // catalog runs: 107.22
+		maxMeanOne     = 119.0 // one-row records: 118.48
 	)
+	feats := DefaultFeatures()
 	obs := engineStream(t, 7, 2)
-	oneRow, v2, runs, records := 0, 0, 0, 0
+	oneRow, v2, runs, catalog, records := 0, 0, 0, 0, 0
 	byModel := map[string][]FleetObservation{}
 	flush := func() {
 		for _, rows := range byModel {
-			runs += len(appendRunRecord(nil, recObserveRun, rows))
+			runs += len(appendRunRecord(nil, recObserveRun, feats, projectRows(rows, feats)))
+			catalog += len(appendCatalogRunRecord(nil, recCatalogRun, rows))
 			records++
 		}
 		clear(byModel)
@@ -1596,11 +1605,14 @@ func TestRecordBytesPerRow(t *testing.T) {
 	}
 	flush()
 	n := float64(len(obs))
-	mean, meanOne := float64(runs)/n, float64(oneRow)/n
-	t.Logf("%d rows in %d runs: %.2f B/row (+%.2f B/row of frame headers); one-row records %.2f B/row (+16), v2 %.2f",
-		len(obs), records, mean, 16*float64(records)/n, meanOne, float64(v2)/n)
+	mean, meanCatalog, meanOne := float64(runs)/n, float64(catalog)/n, float64(oneRow)/n
+	t.Logf("%d rows in %d runs: %.2f B/row (+%.2f B/row of frame headers); catalog runs %.2f B/row; one-row records %.2f B/row (+16), v2 %.2f",
+		len(obs), records, mean, 16*float64(records)/n, meanCatalog, meanOne, float64(v2)/n)
 	if mean > maxMean {
 		t.Errorf("mean run payload is %.2f B/row, want <= %.1f", mean, maxMean)
+	}
+	if meanCatalog > maxMeanCatalog {
+		t.Errorf("mean catalog run payload is %.2f B/row, want <= %.1f", meanCatalog, maxMeanCatalog)
 	}
 	if meanOne > maxMeanOne {
 		t.Errorf("mean one-row observe record is %.2f B, want <= %.1f", meanOne, maxMeanOne)
@@ -1637,7 +1649,7 @@ func FuzzUnpackValues(f *testing.F) {
 
 // FuzzDecodeRecord: no payload makes decodeRecord panic, none under a
 // retired kind decodes (five seeds are well-formed ones), and a
-// record that decodes re-encodes, through the current writer, to one
+// record that decodes re-encodes, through the writer of its kind, to one
 // that decodes to the same record with bit-equal values.
 func FuzzDecodeRecord(f *testing.F) {
 	obs := FleetObservation{Model: "ST4000DM000", Observation: Observation{
@@ -1657,8 +1669,17 @@ func FuzzDecodeRecord(f *testing.F) {
 	next, wider := obs, obs
 	next.Day, next.Failed = obs.Day+1, false
 	wider.Values = append([]float64{7}, obs.Values...)
-	f.Add(appendRunRecord(nil, recObserveRun, []FleetObservation{obs}))
-	f.Add(appendRunRecord(nil, recObserveBFRun, []FleetObservation{next, obs, wider}))
+	f.Add(appendCatalogRunRecord(nil, recCatalogRun, []FleetObservation{obs}))
+	f.Add(appendCatalogRunRecord(nil, recCatalogBFRun, []FleetObservation{next, obs, wider}))
+	// This release's runs, which list their catalog indexes: one row, and
+	// three rows of another list with a failure row on another day.
+	index := []int{3, 0, 47, 5, 9, 200, 1, 2, 8}
+	f.Add(appendRunRecord(nil, recObserveRun, index, []FleetObservation{obs}))
+	f.Add(appendRunRecord(nil, recObserveBFRun, index[1:], []FleetObservation{
+		{Model: obs.Model, Observation: Observation{Serial: "Z1", Day: 900, Values: obs.Values[1:]}},
+		{Model: obs.Model, Observation: Observation{Serial: "Z2", Day: 901, Failed: true, Values: obs.Values[:8]}},
+		{Model: obs.Model, Observation: Observation{Serial: "Z1", Day: 900, Values: obs.Values[:8]}},
+	}))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		rec, err := decodeRecord(data)
 		if err != nil {
@@ -1667,7 +1688,9 @@ func FuzzDecodeRecord(f *testing.F) {
 		var again []byte
 		switch rec.kind {
 		case recObserveRun, recObserveBFRun:
-			again = appendRunRecord(nil, rec.kind, rec.run)
+			again = appendRunRecord(nil, rec.kind, rec.index, rec.run)
+		case recCatalogRun, recCatalogBFRun:
+			again = appendCatalogRunRecord(nil, rec.kind, rec.run)
 		case recCursor:
 			again = appendCursorRecord(nil, *rec.cur)
 		case recRetire:

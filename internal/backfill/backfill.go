@@ -139,21 +139,41 @@ type Stats struct {
 	LastDay  int
 }
 
-// bfRow is one merged-ready row: the parsed sample plus the reader
-// position just past it (the per-file cursor contribution).
+// bfRow is one merged-ready row: the parsed sample (its values sit in
+// its chunk's slab) plus the reader position just past it (the per-file
+// cursor contribution).
 type bfRow struct {
 	serial, model string
 	day           int
 	failed        bool
-	values        []float64 // slice of the chunk's arena; immutable once sent
-	endRows       int64     // FastReader.Rows() after this row
-	endOff        int64     // FastReader.Offset() after this row
+	endRows       int64 // FastReader.Rows() after this row
+	endOff        int64 // FastReader.Offset() after this row
 }
 
-// chunk is a run of consecutive same-day rows from one file.
+// chunk is a run of consecutive same-day rows from one file. It owns the
+// rows' values, catalog vector after catalog vector in one slab, and
+// goes back to its reader's free list once the engine has applied them,
+// so a reader in steady state allocates nothing.
 type chunk struct {
 	day  int
 	rows []bfRow
+	vals []float64     // immutable once sent, until recycled
+	home chan<- *chunk // the reader's free list
+}
+
+// values returns row i's catalog vector.
+func (c *chunk) values(i int) []float64 {
+	w := smart.NumFeatures()
+	return c.vals[i*w : (i+1)*w : (i+1)*w]
+}
+
+// recycle hands c back to its reader, unless the reader's free list is
+// full: a reader never waits for a chunk, nor the merger for a reader.
+func (c *chunk) recycle() {
+	select {
+	case c.home <- c:
+	default:
+	}
 }
 
 // instruments is the backfill_* metric set; nil when Options.Metrics is.
@@ -353,7 +373,21 @@ func readFile(ctx context.Context, src Source, at orfdisk.BackfillFilePos, opts 
 	}
 
 	var cur *chunk
-	var arena []float64
+	// The free list holds what the merger returns. Twice the channel's
+	// buffer covers what one reader has in flight — the buffered chunks,
+	// the merger's peek and those a batch not yet applied still holds —
+	// so steady state reuses every chunk; beyond that capacity a returned
+	// chunk is left to the collector.
+	free := make(chan *chunk, 2*cap(out))
+	get := func(day int) *chunk {
+		select {
+		case c := <-free:
+			c.day, c.rows, c.vals = day, c.rows[:0], c.vals[:0]
+			return c
+		default:
+			return &chunk{day: day, rows: make([]bfRow, 0, 64), home: free}
+		}
+	}
 	send := func() error {
 		if cur == nil {
 			return nil
@@ -368,13 +402,15 @@ func readFile(ctx context.Context, src Source, at orfdisk.BackfillFilePos, opts 
 		}
 	}
 	lastDay := -1 << 30
-	var s smart.Sample
+	var (
+		s      smart.Sample
+		rowErr *smart.RowError // errors.As's target escapes: one for the file, not one a row
+	)
 	for {
 		err := r.Read(&s)
 		if err == io.EOF {
 			return skipped, send()
 		}
-		var rowErr *smart.RowError
 		if errors.As(err, &rowErr) {
 			// Malformed line: consumed (the offset moved past it), so
 			// skipping is deterministic across runs.
@@ -398,17 +434,12 @@ func readFile(ctx context.Context, src Source, at orfdisk.BackfillFilePos, opts 
 			}
 		}
 		if cur == nil {
-			cur = &chunk{day: s.Day, rows: make([]bfRow, 0, 64)}
+			cur = get(s.Day)
 		}
-		if len(arena) < len(s.Values) {
-			arena = make([]float64, opts.ChunkRows*len(s.Values))
-		}
-		vals := arena[:len(s.Values):len(s.Values)]
-		arena = arena[len(s.Values):]
-		copy(vals, s.Values)
+		cur.vals = append(cur.vals, s.Values...)
 		cur.rows = append(cur.rows, bfRow{
 			serial: s.Serial, model: s.Model, day: s.Day, failed: s.Failure,
-			values: vals, endRows: r.Rows(), endOff: r.Offset(),
+			endRows: r.Rows(), endOff: r.Offset(),
 		})
 	}
 }
@@ -430,6 +461,7 @@ type merger struct {
 	lastDay    int   // day of the newest merged row
 
 	batch      []orfdisk.FleetObservation
+	consumed   []*chunk // every row merged; recycled once the batch holding the last is applied
 	sinceCkpt  int
 	progressAt time.Time
 }
@@ -478,7 +510,7 @@ func (m *merger) merge(ctx context.Context, chans []chan *chunk) error {
 
 // consume folds one chunk into the batch, submitting as it fills.
 func (m *merger) consume(c *chunk, file int) error {
-	for _, row := range c.rows {
+	for i, row := range c.rows {
 		if row.day < m.resumeDay {
 			return fmt.Errorf("backfill: %s produced day %d behind the cursor's day %d; archive changed since the cursor was written",
 				m.names[file], row.day, m.resumeDay)
@@ -505,7 +537,7 @@ func (m *merger) consume(c *chunk, file int) error {
 		m.stats.LastDay = row.day
 		m.batch = append(m.batch, orfdisk.FleetObservation{
 			Observation: orfdisk.Observation{
-				Serial: row.serial, Day: row.day, Failed: row.failed, Values: row.values,
+				Serial: row.serial, Day: row.day, Failed: row.failed, Values: c.values(i),
 			},
 			Model: row.model,
 		})
@@ -520,6 +552,7 @@ func (m *merger) consume(c *chunk, file int) error {
 			}
 		}
 	}
+	m.consumed = append(m.consumed, c)
 	return nil
 }
 
@@ -541,6 +574,14 @@ func (m *merger) submit(final bool) error {
 	if err := m.eng.IngestBackfill(m.batch, cur); err != nil {
 		return err
 	}
+	// The engine is done with the batch's memory (IngestBackfill's
+	// contract), so every chunk whose rows have all been in a batch by now
+	// goes back to its reader.
+	for i, c := range m.consumed {
+		c.recycle()
+		m.consumed[i] = nil
+	}
+	m.consumed = m.consumed[:0]
 	n := int64(len(m.batch))
 	m.stats.Rows += n
 	m.stats.Batches++

@@ -81,9 +81,14 @@ type LabeledSample struct {
 // Project extracts the features at idx (catalog indexes) into a dense
 // vector, the representation the learners consume.
 func Project(values []float64, idx []int) []float64 {
-	out := make([]float64, len(idx))
-	for j, i := range idx {
-		out[j] = values[i]
+	return AppendProject(make([]float64, 0, len(idx)), values, idx)
+}
+
+// AppendProject is Project into dst: it appends the features at idx to
+// dst and returns the extended slice.
+func AppendProject(dst, values []float64, idx []int) []float64 {
+	for _, i := range idx {
+		dst = append(dst, values[i])
 	}
-	return out
+	return dst
 }

@@ -7,6 +7,7 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"testing"
 	"time"
@@ -41,10 +42,12 @@ func validRecords(b []byte) (recs []walRecord) {
 }
 
 // FuzzOpenReplay: whatever bytes a segment holds, Open and Replay never
-// panic, and Replay yields a prefix of the records validRecords finds in
-// them. reframe rewrites the CRC of every record whose length fits, as
-// the fuzzer cannot, so mutated lengths, sequence numbers and payloads
-// reach the parser as records rather than as checksum failures.
+// panic, Replay yields a prefix of the records validRecords finds in
+// them, and neither allocates more than a constant plus a multiple of the
+// segment — a length field may claim maxRecord over a few bytes. reframe
+// rewrites the CRC of every record whose length fits, as the fuzzer
+// cannot, so mutated lengths, sequence numbers and payloads reach the
+// parser as records rather than as checksum failures.
 func FuzzOpenReplay(f *testing.F) {
 	dir := f.TempDir()
 	w, err := Open(Options{Dir: dir, SyncInterval: time.Hour})
@@ -70,6 +73,14 @@ func FuzzOpenReplay(f *testing.F) {
 	f.Add(seg[:len(seg)-3], false)
 	f.Add(seg, true)
 	f.Add([]byte{}, false)
+	// A record claiming the cap after an intact one, and a few hundred
+	// bytes where its 16 MiB would be; and one that crosses a read block.
+	claim := slices.Concat(seg[:validLen(seg, 1)], binary.LittleEndian.AppendUint32(nil, maxRecord), make([]byte, 300))
+	f.Add(claim, false)
+	big := make([]byte, headerSize+readBlock+100)
+	binary.LittleEndian.PutUint32(big, readBlock+100)
+	binary.LittleEndian.PutUint64(big[8:], 1)
+	f.Add(big, true)
 	f.Fuzz(func(t *testing.T, data []byte, reframe bool) {
 		if reframe {
 			data = bytes.Clone(data)
@@ -87,6 +98,8 @@ func FuzzOpenReplay(f *testing.F) {
 		if err := os.WriteFile(filepath.Join(dir, segName(1)), data, 0o644); err != nil {
 			t.Fatal(err)
 		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
 		w, err := Open(Options{Dir: dir, SyncInterval: time.Hour})
 		if err != nil {
 			t.Fatalf("Open over one segment: %v", err)
@@ -99,8 +112,22 @@ func FuzzOpenReplay(f *testing.F) {
 		}); err != nil {
 			t.Fatalf("Replay over one segment: %v", err)
 		}
+		runtime.ReadMemStats(&after)
 		if len(got) > len(want) || !slices.Equal(got, want[:len(got)]) {
 			t.Fatalf("replayed %v, not a prefix of the valid records %v", got, want)
 		}
+		// Two block readers (Open's tail scan, Replay) start at readBlock.
+		if alloc, limit := after.TotalAlloc-before.TotalAlloc, 1<<20+64*uint64(len(data)); alloc > limit {
+			t.Fatalf("allocated %d bytes over a %d-byte segment (limit %d)", alloc, len(data), limit)
+		}
 	})
+}
+
+// validLen is the length of the first n records of segment bytes b.
+func validLen(b []byte, n int) int {
+	off := 0
+	for ; n > 0; n-- {
+		off += headerSize + int(binary.LittleEndian.Uint32(b[off:]))
+	}
+	return off
 }

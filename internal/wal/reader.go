@@ -57,10 +57,11 @@ func (r *recordReader) next() (seq uint64, payload []byte, ok bool, err error) {
 				return binary.LittleEndian.Uint64(rec[8:16]), rec[headerSize:], true, nil
 			}
 		}
-		if err := r.fill(need); err != nil {
+		eof, err := r.fill(need)
+		if err != nil {
 			return 0, nil, false, err
 		}
-		if len(r.buf) < need {
+		if eof && len(r.buf) < need {
 			break // the file ends inside this record
 		}
 	}
@@ -69,17 +70,21 @@ func (r *recordReader) next() (seq uint64, payload []byte, ok bool, err error) {
 }
 
 // fill moves the unparsed bytes to the front of the block and reads on
-// from where they end, leaving at least need bytes buffered unless the
-// file ends first.
-func (r *recordReader) fill(need int) error {
-	if size := max(need, readBlock); cap(r.block) < size {
-		r.block = make([]byte, size)
+// from where they end, as far as the block reaches; eof reports that the
+// file ended first. A record longer than the block grows it as its bytes
+// arrive, to at most twice what is buffered per call, so a length field
+// claiming up to maxRecord costs memory in proportion to the bytes the
+// file actually holds, not to the claim.
+func (r *recordReader) fill(need int) (eof bool, err error) {
+	if size := max(readBlock, min(need, 2*len(r.buf))); cap(r.block) < size {
+		block := make([]byte, size)
+		r.buf, r.block = block[:copy(block, r.buf)], block
 	}
 	have := copy(r.block[:cap(r.block)], r.buf)
 	n, err := r.f.ReadAt(r.block[have:cap(r.block)], r.off+int64(have))
 	r.buf = r.block[:have+n]
 	if err == io.EOF {
-		return nil
+		return true, nil
 	}
-	return err
+	return false, err
 }

@@ -24,6 +24,7 @@ package orfdisk
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -112,12 +113,17 @@ type Predictor struct {
 	retiredLayout bool // loaded from ODS1 queues or an ORF1 forest
 }
 
+// features returns the catalog indexes a predictor built from cfg reads.
+func (cfg Config) features() []int {
+	if len(cfg.Features) == 0 {
+		return smart.SelectedIndexes()
+	}
+	return cfg.Features
+}
+
 // NewPredictor creates a Predictor.
 func NewPredictor(cfg Config) *Predictor {
-	features := cfg.Features
-	if len(features) == 0 {
-		features = smart.SelectedIndexes()
-	}
+	features := cfg.features()
 	horizon := cfg.Horizon
 	if horizon <= 0 {
 		horizon = smart.PredictionHorizonDays
@@ -153,57 +159,53 @@ func (p *Predictor) bindLabeler() {
 	})
 }
 
-// project clones the selected features out of a raw catalog vector,
-// reusing a recycled buffer when one is available. The clone is owned by
-// the labeling queue until its sample is released.
-func (p *Predictor) project(values []float64) []float64 {
+// project gathers the features p reads out of a row: pos[i] is where
+// feature i sits in values (p.features itself for a catalog vector). The
+// vector comes from the recycled free list when one is there, and the
+// labeling queue owns it until its sample is released.
+func (p *Predictor) project(values []float64, pos []int) []float64 {
 	if n := len(p.free); n > 0 {
 		x := p.free[n-1]
 		p.free[n-1] = nil
 		p.free = p.free[:n-1]
-		for i, j := range p.features {
-			x[i] = values[j]
-		}
-		return x
+		return smart.AppendProject(x[:0], values, pos)
 	}
-	return smart.Project(values, p.features)
+	return smart.Project(values, pos)
+}
+
+// positionsIn returns, appended to buf[:0], where each feature p reads
+// sits in a row holding the catalog values at index; ok is false when
+// index lacks one of them.
+func (p *Predictor) positionsIn(index, buf []int) (pos []int, ok bool) {
+	pos = buf[:0]
+	for _, f := range p.features {
+		j := slices.Index(index, f)
+		if j < 0 {
+			return pos, false
+		}
+		pos = append(pos, j)
+	}
+	return pos, true
+}
+
+// checkCatalog is the one check Ingest, Absorb and the engine's doors make
+// of a caller's row: it carries the whole catalog.
+func checkCatalog(values []float64) error {
+	if len(values) != smart.NumFeatures() {
+		return fmt.Errorf("orfdisk: observation carries %d values, want the %d-feature catalog",
+			len(values), smart.NumFeatures())
+	}
+	return nil
 }
 
 // Ingest processes one observation per Algorithm 2: it updates the model
 // with whatever the labeling queues release, then (for operating disks)
 // returns the live risk prediction for the new snapshot.
 func (p *Predictor) Ingest(obs Observation) (Prediction, error) {
-	if len(obs.Values) != smart.NumFeatures() {
-		return Prediction{}, fmt.Errorf(
-			"orfdisk: observation carries %d values, want the %d-feature catalog",
-			len(obs.Values), smart.NumFeatures())
+	if err := checkCatalog(obs.Values); err != nil {
+		return Prediction{}, err
 	}
-	x := p.project(obs.Values)
-	p.scaler.Observe(x)
-
-	if obs.Failed {
-		// Disk D_i failed: label its queue positive and update (Alg. 2
-		// lines 2-8). No prediction is made for a dead disk.
-		p.labeler.Observe(obs.Serial, x, obs.Day)
-		p.labeler.Fail(obs.Serial)
-		return Prediction{Serial: obs.Serial, Day: obs.Day, Score: math.NaN(), Final: true}, nil
-	}
-
-	// Operating disk: rotate the queue (possibly releasing the oldest
-	// sample as negative), then predict on the fresh snapshot. Alarms
-	// are suppressed until the forest has absorbed at least one positive
-	// sample: an untrained ensemble outputs the 0.5 prior for
-	// everything, which would alarm the whole fleet on day one.
-	p.labeler.Observe(obs.Serial, x, obs.Day)
-	score := p.forest.PredictProba(p.scaler.Transform(x, p.scaled))
-	return Prediction{
-		Serial: obs.Serial,
-		Day:    obs.Day,
-		Score:  score,
-		// PosSeen (O(1)) instead of Stats().PosSeen: Stats walks every
-		// node of every tree, which dominated the per-observation cost.
-		Risky: score >= p.threshold && p.forest.PosSeen() > 0,
-	}, nil
+	return p.apply(&obs, p.project(obs.Values, p.features), true), nil
 }
 
 // Absorb processes one observation exactly like Ingest but skips the
@@ -214,18 +216,45 @@ func (p *Predictor) Ingest(obs Observation) (Prediction, error) {
 // (internal/backfill) runs on this path: historical rows need the
 // model's state, not day-by-day alarms.
 func (p *Predictor) Absorb(obs Observation) error {
-	if len(obs.Values) != smart.NumFeatures() {
-		return fmt.Errorf(
-			"orfdisk: observation carries %d values, want the %d-feature catalog",
-			len(obs.Values), smart.NumFeatures())
+	if err := checkCatalog(obs.Values); err != nil {
+		return err
 	}
-	x := p.project(obs.Values)
+	p.apply(&obs, p.project(obs.Values, p.features), false)
+	return nil
+}
+
+// apply is Algorithm 2 for one observation whose features p has already
+// projected into x, which the labeling queue owns from here on. Ingest
+// and Absorb are a check, a projection and this; the engine applies the
+// vector it logged or gathered from a log record. score selects Ingest's
+// live prediction; without it the Prediction is zero.
+func (p *Predictor) apply(obs *Observation, x []float64, score bool) Prediction {
 	p.scaler.Observe(x)
+	// Rotate the queue (an operating disk's oldest sample may be released
+	// as negative); a failed disk's whole queue is then labeled positive
+	// (Alg. 2 lines 2-8), and no prediction is made for a dead disk.
 	p.labeler.Observe(obs.Serial, x, obs.Day)
 	if obs.Failed {
 		p.labeler.Fail(obs.Serial)
 	}
-	return nil
+	switch {
+	case !score:
+		return Prediction{}
+	case obs.Failed:
+		return Prediction{Serial: obs.Serial, Day: obs.Day, Score: math.NaN(), Final: true}
+	}
+	// Alarms are suppressed until the forest has absorbed at least one
+	// positive sample: an untrained ensemble outputs the 0.5 prior for
+	// everything, which would alarm the whole fleet on day one.
+	s := p.forest.PredictProba(p.scaler.Transform(x, p.scaled))
+	return Prediction{
+		Serial: obs.Serial,
+		Day:    obs.Day,
+		Score:  s,
+		// PosSeen (O(1)) instead of Stats().PosSeen: Stats walks every
+		// node of every tree, which dominated the per-observation cost.
+		Risky: s >= p.threshold && p.forest.PosSeen() > 0,
+	}
 }
 
 // IngestBatch processes a slice of observations in order, exactly as the
@@ -264,7 +293,7 @@ func (p *Predictor) Score(values []float64) (float64, error) {
 	if len(values) != smart.NumFeatures() {
 		return 0, fmt.Errorf("orfdisk: %d values, want %d", len(values), smart.NumFeatures())
 	}
-	x := p.project(values)
+	x := p.project(values, p.features)
 	score := p.forest.PredictProba(p.scaler.Transform(x, p.scaled))
 	p.free = append(p.free, x)
 	return score, nil

@@ -17,14 +17,31 @@ const (
 	// A run: the rows of one model that one append made durable together —
 	// a shard's slice of an IngestBatch (Ingest is a run of one), or a
 	// stretch of an IngestBackfill batch — under one kind byte, one model,
-	// one base day and one value count. Backfill runs have their own kind
-	// so the resume cursor counts only its own rows; they are applied via
-	// Absorb. These are the only observe records the engine writes or
-	// reads: kinds 1, 3, 4, 6 and 7 held one row each in layouts older
-	// releases wrote, and decodeRecord refuses them.
-	recObserveRun   = 8
-	recObserveBFRun = 9
+	// one base day and one list of the catalog indexes its rows hold: the
+	// model's feature list, so a row carries what the model reads and not
+	// the whole catalog. Backfill runs have their own kind so the resume
+	// cursor counts only its own rows; they are applied via Absorb.
+	recObserveRun   = 10
+	recObserveBFRun = 11
+	// The previous release's runs: the same layout with a value count
+	// where the index list is, every row holding the whole catalog. They
+	// are read, never written, so that a follower of this release can
+	// apply an older leader's log. Kinds 1, 3, 4, 6 and 7 held one row
+	// each in layouts older still, and decodeRecord refuses them.
+	recCatalogRun   = 8
+	recCatalogBFRun = 9
 )
+
+// catalogIndexes is the index list kinds 8 and 9 imply: every catalog
+// value, in catalog order. Shared by every decoded record of those kinds;
+// never modified.
+var catalogIndexes = func() []int {
+	idx := make([]int, CatalogSize())
+	for i := range idx {
+		idx[i] = i
+	}
+	return idx
+}()
 
 // Per-row flags of a run record; any other bit is a decode error.
 const (
@@ -39,9 +56,11 @@ type walRecord struct {
 	model  string // a run's or a retire's
 	serial string // a retire's
 	// run holds a run's rows (nil for a retire or a cursor); their Values
-	// share one slab.
-	run []FleetObservation
-	cur *BackfillCursor // a cursor's
+	// share one slab. index holds the catalog indexes of a row's values,
+	// catalogIndexes for kinds 8 and 9.
+	run   []FleetObservation
+	index []int
+	cur   *BackfillCursor // a cursor's
 }
 
 // recordBatch frames several records into one reused buffer and slices
@@ -58,29 +77,34 @@ type recordBatch struct {
 
 func (b *recordBatch) reset() { b.buf, b.offs = b.buf[:0], b.offs[:0] }
 
-// beginRun opens a run record of rows observations (1 to applyRunCap;
-// the cap keeps a decoded run one crossing to its shard and the record
-// far below the log's size limit), all of first's model; the caller
-// follows with exactly that many addRow calls, first's included. The
-// body is the model as a length-prefixed string, the base day (first's)
-// as a varint, then the value count and the row count as uvarints. The
+// beginRun opens a run record (kind 10 or 11) of rows observations (1 to
+// applyRunCap; the cap keeps a decoded run one crossing to its shard and
+// the record far below the log's size limit), all of first's model, each
+// holding the catalog values at index; the caller follows with exactly
+// that many addRow calls, first's included. The body is the model as a
+// length-prefixed string, the base day (first's) as a varint, the index
+// count and each index as uvarints, then the row count as a uvarint. The
 // same bytes are the WAL payload on a leader, the record a replication
 // frame carries and what a follower appends to its own log.
-func (b *recordBatch) beginRun(kind byte, first *FleetObservation, rows int) {
+func (b *recordBatch) beginRun(kind byte, first *FleetObservation, index []int, rows int) {
 	b.offs = append(b.offs, len(b.buf))
-	b.baseDay, b.width = first.Day, len(first.Values)
+	b.baseDay, b.width = first.Day, len(index)
 	b.buf = append(b.buf, kind)
 	b.buf = binary.AppendUvarint(b.buf, uint64(len(first.Model)))
 	b.buf = append(b.buf, first.Model...)
 	b.buf = binary.AppendVarint(b.buf, int64(b.baseDay))
-	b.buf = binary.AppendUvarint(b.buf, uint64(b.width))
+	b.buf = binary.AppendUvarint(b.buf, uint64(len(index)))
+	for _, j := range index {
+		b.buf = binary.AppendUvarint(b.buf, uint64(j))
+	}
 	b.buf = binary.AppendUvarint(b.buf, uint64(rows))
 }
 
-// addRow appends one row to the open run: a flags byte, the day and the
+// addRow appends obs to the open run with vals as its values (the
+// catalog values at the run's index list): a flags byte, the day and the
 // value count only where they differ from the run's, the serial as a
 // length-prefixed string, then the values as packValues lays them out.
-func (b *recordBatch) addRow(obs *FleetObservation) {
+func (b *recordBatch) addRow(obs *FleetObservation, vals []float64) {
 	var flags byte
 	if obs.Failed {
 		flags |= runRowFailed
@@ -88,7 +112,7 @@ func (b *recordBatch) addRow(obs *FleetObservation) {
 	if obs.Day != b.baseDay {
 		flags |= runRowDay
 	}
-	if len(obs.Values) != b.width {
+	if len(vals) != b.width {
 		flags |= runRowWidth
 	}
 	b.buf = append(b.buf, flags)
@@ -96,11 +120,11 @@ func (b *recordBatch) addRow(obs *FleetObservation) {
 		b.buf = binary.AppendVarint(b.buf, int64(obs.Day)-int64(b.baseDay))
 	}
 	if flags&runRowWidth != 0 {
-		b.buf = binary.AppendUvarint(b.buf, uint64(len(obs.Values)))
+		b.buf = binary.AppendUvarint(b.buf, uint64(len(vals)))
 	}
 	b.buf = binary.AppendUvarint(b.buf, uint64(len(obs.Serial)))
 	b.buf = append(b.buf, obs.Serial...)
-	b.buf = packValues(b.buf, obs.Values)
+	b.buf = packValues(b.buf, vals)
 }
 
 func (b *recordBatch) addCursor(c BackfillCursor) {
@@ -144,7 +168,9 @@ func decodeRecord(b []byte) (walRecord, error) {
 	var err error
 	switch rec.kind {
 	case recObserveRun, recObserveBFRun:
-		rec.model, rec.run, err = decodeRun(b)
+		rec.model, rec.index, rec.run, err = decodeRun(b, true)
+	case recCatalogRun, recCatalogBFRun:
+		rec.model, rec.index, rec.run, err = decodeRun(b, false)
 	case recCursor:
 		rec.cur, err = decodeCursorRecord(b)
 	case recRetire:
@@ -152,11 +178,11 @@ func decodeRecord(b []byte) (walRecord, error) {
 			rec.serial, _, err = takeString(b)
 		}
 	case 1, 3, 4, 6, 7:
-		// A clean stop snapshots every model and seals the log, so the
-		// release before this one (which reads these and writes only runs)
-		// leaves a directory this one reads.
+		// A clean stop snapshots every model and seals the log, so a
+		// release that reads these and writes runs leaves a directory this
+		// one reads.
 		err = fmt.Errorf("orfdisk: WAL record kind %d is a retired one-row observe layout this release does not read; "+
-			"start the previous release on this data directory and stop it cleanly (that seals its log), then start this one", rec.kind)
+			"start a release that still reads it on this data directory and stop it cleanly (that seals its log), then start this one", rec.kind)
 	default:
 		err = fmt.Errorf("orfdisk: unknown WAL record kind %d", rec.kind)
 	}
@@ -166,37 +192,53 @@ func decodeRecord(b []byte) (walRecord, error) {
 var errTruncatedRun = errors.New("orfdisk: truncated run WAL record")
 
 // decodeRun parses a run body (b excludes the kind byte; beginRun and
-// addRow give the layout). Every count comes from the input and is
-// bounded by what b could hold before anything is allocated for it. The
-// rows' Values are carved from one slab, so a decoded run costs one
-// allocation for its values, not one per row.
-func decodeRun(b []byte) (model string, rows []FleetObservation, err error) {
+// addRow give the layout). listed says the header lists its catalog
+// indexes (kinds 10 and 11); otherwise it holds a value count and the
+// rows the whole catalog (kinds 8 and 9). Every count comes from the
+// input and is bounded by what b could hold before anything is allocated
+// for it. The rows' Values are carved from one slab, so a decoded run
+// costs one allocation for its values, not one per row.
+func decodeRun(b []byte, listed bool) (model string, index []int, rows []FleetObservation, err error) {
 	if model, b, err = takeVarString(b); err != nil {
-		return "", nil, err
+		return "", nil, nil, err
 	}
 	base, n := binary.Varint(b)
 	if n <= 0 {
-		return "", nil, errTruncatedRun
+		return "", nil, nil, errTruncatedRun
 	}
 	b = b[n:]
 	width, n := binary.Uvarint(b)
 	if n <= 0 {
-		return "", nil, errTruncatedRun
+		return "", nil, nil, errTruncatedRun
 	}
 	b = b[n:]
+	index = catalogIndexes
+	if listed {
+		if width > uint64(len(b)) { // an index is at least one byte
+			return "", nil, nil, fmt.Errorf("orfdisk: run WAL record lists %d indexes in %d bytes", width, len(b))
+		}
+		index = make([]int, width)
+		for i := range index {
+			j, n := binary.Uvarint(b)
+			if n <= 0 {
+				return "", nil, nil, errTruncatedRun
+			}
+			index[i], b = int(j), b[n:]
+		}
+	}
 	nrows, n := binary.Uvarint(b)
 	if n <= 0 {
-		return "", nil, errTruncatedRun
+		return "", nil, nil, errTruncatedRun
 	}
 	b = b[n:]
 	// A row is at least its flags byte and its serial's length.
 	switch {
 	case nrows == 0:
-		return "", nil, errors.New("orfdisk: run WAL record with no rows")
+		return "", nil, nil, errors.New("orfdisk: run WAL record with no rows")
 	case nrows > applyRunCap:
-		return "", nil, fmt.Errorf("orfdisk: run WAL record of %d rows, more than the %d a writer frames", nrows, applyRunCap)
+		return "", nil, nil, fmt.Errorf("orfdisk: run WAL record of %d rows, more than the %d a writer frames", nrows, applyRunCap)
 	case nrows > uint64(len(b))/2:
-		return "", nil, fmt.Errorf("orfdisk: run WAL record claims %d rows in %d bytes", nrows, len(b))
+		return "", nil, nil, fmt.Errorf("orfdisk: run WAL record claims %d rows in %d bytes", nrows, len(b))
 	}
 	rows = make([]FleetObservation, nrows)
 	// A value is at least its half-byte code, which bounds the slab by the
@@ -208,19 +250,19 @@ func decodeRun(b []byte) (model string, rows []FleetObservation, err error) {
 		obs := &rows[i]
 		obs.Model = model
 		if len(b) < 1 {
-			return "", nil, errTruncatedRun
+			return "", nil, nil, errTruncatedRun
 		}
 		flags := b[0]
 		b = b[1:]
 		if flags&^(runRowFailed|runRowDay|runRowWidth) != 0 {
-			return "", nil, fmt.Errorf("orfdisk: run WAL record: row %d has unknown flag bits %#x", i, flags)
+			return "", nil, nil, fmt.Errorf("orfdisk: run WAL record: row %d has unknown flag bits %#x", i, flags)
 		}
 		obs.Failed = flags&runRowFailed != 0
 		day := base
 		if flags&runRowDay != 0 {
 			delta, n := binary.Varint(b)
 			if n <= 0 {
-				return "", nil, errTruncatedRun
+				return "", nil, nil, errTruncatedRun
 			}
 			day, b = base+delta, b[n:]
 		}
@@ -228,15 +270,15 @@ func decodeRun(b []byte) (model string, rows []FleetObservation, err error) {
 		nv := width
 		if flags&runRowWidth != 0 {
 			if nv, n = binary.Uvarint(b); n <= 0 {
-				return "", nil, errTruncatedRun
+				return "", nil, nil, errTruncatedRun
 			}
 			b = b[n:]
 		}
 		if obs.Serial, b, err = takeVarString(b); err != nil {
-			return "", nil, err
+			return "", nil, nil, err
 		}
 		if nv > 2*uint64(len(b)) { // before nv sizes anything
-			return "", nil, fmt.Errorf("orfdisk: run WAL record: row %d: %d packed values in %d bytes", i, nv, len(b))
+			return "", nil, nil, fmt.Errorf("orfdisk: run WAL record: row %d: %d packed values in %d bytes", i, nv, len(b))
 		}
 		if off := len(slab); uint64(cap(slab)-off) >= nv {
 			slab = slab[:off+int(nv)]
@@ -245,13 +287,13 @@ func decodeRun(b []byte) (model string, rows []FleetObservation, err error) {
 			obs.Values = make([]float64, nv) // a row wider than the run said
 		}
 		if b, err = unpackValuesInto(obs.Values, b); err != nil {
-			return "", nil, fmt.Errorf("orfdisk: run WAL record: row %d: %w", i, err)
+			return "", nil, nil, fmt.Errorf("orfdisk: run WAL record: row %d: %w", i, err)
 		}
 	}
 	if len(b) != 0 {
-		return "", nil, fmt.Errorf("orfdisk: %d trailing bytes in run WAL record", len(b))
+		return "", nil, nil, fmt.Errorf("orfdisk: %d trailing bytes in run WAL record", len(b))
 	}
-	return model, rows, nil
+	return model, index, rows, nil
 }
 
 func takeVarString(b []byte) (string, []byte, error) {

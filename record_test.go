@@ -4,8 +4,11 @@ import (
 	"encoding/binary"
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
+
+	"orfdisk/internal/smart"
 )
 
 // The kinds of the retired one-row observe layouts, which decodeRecord
@@ -76,14 +79,43 @@ func appendObserveRecordV2(buf []byte, obs FleetObservation, kind byte) []byte {
 }
 
 // appendRunRecord frames rows (one model, at most applyRunCap of them) as
-// one run record through the product writer.
-func appendRunRecord(buf []byte, kind byte, rows []FleetObservation) []byte {
+// one run record of kind (10 or 11) under index through the product
+// writer; each row's Values are already the catalog values at index.
+func appendRunRecord(buf []byte, kind byte, index []int, rows []FleetObservation) []byte {
 	enc := recordBatch{buf: buf}
-	enc.beginRun(kind, &rows[0], len(rows))
+	enc.beginRun(kind, &rows[0], index, len(rows))
 	for i := range rows {
-		enc.addRow(&rows[i])
+		enc.addRow(&rows[i], rows[i].Values)
 	}
 	return enc.buf
+}
+
+// appendCatalogRunRecord frames rows as the previous release wrote its
+// runs (kind 8 or 9): the header holds the first row's value count where
+// a run of this release lists its catalog indexes, and the rows follow in
+// the same layout — each the whole catalog, as that release's writers
+// framed them. Nothing writes these any more; followers still read them.
+func appendCatalogRunRecord(buf []byte, kind byte, rows []FleetObservation) []byte {
+	enc := recordBatch{buf: append(buf, kind), baseDay: rows[0].Day, width: len(rows[0].Values)}
+	enc.buf = binary.AppendUvarint(enc.buf, uint64(len(rows[0].Model)))
+	enc.buf = append(enc.buf, rows[0].Model...)
+	enc.buf = binary.AppendVarint(enc.buf, int64(enc.baseDay))
+	enc.buf = binary.AppendUvarint(enc.buf, uint64(enc.width))
+	enc.buf = binary.AppendUvarint(enc.buf, uint64(len(rows)))
+	for i := range rows {
+		enc.addRow(&rows[i], rows[i].Values)
+	}
+	return enc.buf
+}
+
+// projectRows returns rows with each row's Values replaced by the catalog
+// values at index: what a writer of this release frames.
+func projectRows(rows []FleetObservation, index []int) []FleetObservation {
+	out := slices.Clone(rows)
+	for i := range out {
+		out[i].Values = smart.Project(out[i].Values, index)
+	}
+	return out
 }
 
 // sameObservation compares two rows field for field, values by their bits
@@ -133,8 +165,9 @@ func randomRun(rng *rand.Rand, n int) []FleetObservation {
 	return rows
 }
 
-// TestRunRecordRoundTrip: random runs decode to the rows that went in,
-// under both kinds.
+// TestRunRecordRoundTrip: random runs decode to the rows and index list
+// that went in, under all four kinds (the catalog kinds imply the whole
+// catalog as their list).
 func TestRunRecordRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(24))
 	for _, n := range []int{1, 1, 2, 3, 17, 64, 256, applyRunCap} {
@@ -144,13 +177,19 @@ func TestRunRecordRoundTrip(t *testing.T) {
 			rows[1].Failed, rows[1].Day = true, rows[0].Day+1
 			rows[2].Values = append(rows[2].Values, 42)
 		}
-		for _, kind := range []byte{recObserveRun, recObserveBFRun} {
-			rec, err := decodeRecord(appendRunRecord(nil, kind, rows))
+		index := rng.Perm(1 << 10)[:len(rows[0].Values)]
+		for _, kind := range []byte{recObserveRun, recObserveBFRun, recCatalogRun, recCatalogBFRun} {
+			b, wantIndex := appendRunRecord(nil, kind, index, rows), index
+			if kind == recCatalogRun || kind == recCatalogBFRun {
+				b, wantIndex = appendCatalogRunRecord(nil, kind, rows), catalogIndexes
+			}
+			rec, err := decodeRecord(b)
 			if err != nil {
 				t.Fatalf("%d rows: %v", n, err)
 			}
-			if rec.kind != kind || rec.model != rows[0].Model || len(rec.run) != n {
-				t.Fatalf("%d rows under kind %d decode as kind %d, model %q, %d rows", n, kind, rec.kind, rec.model, len(rec.run))
+			if rec.kind != kind || rec.model != rows[0].Model || len(rec.run) != n || !slices.Equal(rec.index, wantIndex) {
+				t.Fatalf("%d rows under kind %d decode as kind %d, model %q, %d rows, index %v",
+					n, kind, rec.kind, rec.model, len(rec.run), rec.index)
 			}
 			for i := range rows {
 				if !sameObservation(rec.run[i], rows[i]) {
@@ -168,7 +207,7 @@ func TestRunRecordRowsAreIndependent(t *testing.T) {
 	for i := range rows {
 		rows[i].Values = []float64{1, 2, 3}
 	}
-	rec, err := decodeRecord(appendRunRecord(nil, recObserveRun, rows))
+	rec, err := decodeRecord(appendRunRecord(nil, recObserveRun, []int{4, 5, 6}, rows))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,40 +225,52 @@ func TestRunRecordRejections(t *testing.T) {
 		rows[i].Day, rows[i].Failed = rows[0].Day, false // flags byte 0 for every row
 		rows[i].Values = []float64{1, 2, 3, 0.5}
 	}
-	good := appendRunRecord(nil, recObserveRun, rows)
+	index := []int{4, 5, 6, 7}
+	good := appendRunRecord(nil, recObserveRun, index, rows)
 	if _, err := decodeRecord(good); err != nil {
 		t.Fatal(err)
 	}
-	// header builds kind, model, base day, width, row count.
-	header := func(width, nrows uint64) []byte {
-		b := []byte{recObserveRun, 1, 'M', 0}
-		b = binary.AppendUvarint(b, width)
+	// header builds kind, model, base day, index list, row count; catalog
+	// the previous release's header, with a value count for the list.
+	header := func(index []int, nrows uint64) []byte {
+		b := binary.AppendUvarint([]byte{recObserveRun, 1, 'M', 0}, uint64(len(index)))
+		for _, j := range index {
+			b = binary.AppendUvarint(b, uint64(j))
+		}
 		return binary.AppendUvarint(b, nrows)
 	}
-	// good's first flags byte follows its kind, model, base day, width and row count.
-	flagsAt := 2 + len(rows[0].Model) + len(binary.AppendVarint(nil, int64(rows[0].Day))) + 2
+	catalog := func(width, nrows uint64) []byte {
+		b := binary.AppendUvarint([]byte{recCatalogRun, 1, 'M', 0}, width)
+		return binary.AppendUvarint(b, nrows)
+	}
+	// good's first flags byte follows its kind, model, base day, index list and row count.
+	flagsAt := 2 + len(rows[0].Model) + len(binary.AppendVarint(nil, int64(rows[0].Day))) + 1 + len(index) + 1
 	if good[flagsAt] != 0 {
 		t.Fatalf("test bug: byte %d of the run is %#x, not the first row's flags", flagsAt, good[flagsAt])
 	}
 	unknownFlag := append([]byte(nil), good...)
 	unknownFlag[flagsAt] = 0x08
+	one := []int{0}
 	for name, tc := range map[string]struct {
 		b    []byte
 		want string
 	}{
-		"zero rows":                {header(4, 0), "no rows"},
-		"rows beyond the cap":      {append(header(0, applyRunCap+1), make([]byte, 4*applyRunCap)...), "more than"},
-		"rows beyond the bytes":    {append(header(4, 1000), good[flagsAt:]...), "claims 1000 rows"},
-		"rows 2^62":                {header(4, 1<<62), "more than"},
+		"zero rows":                {header(index, 0), "no rows"},
+		"rows beyond the cap":      {append(header(nil, applyRunCap+1), make([]byte, 4*applyRunCap)...), "more than"},
+		"rows beyond the bytes":    {append(header(index, 1000), good[flagsAt:]...), "claims 1000 rows"},
+		"rows 2^62":                {header(index, 1<<62), "more than"},
 		"unknown flag bits":        {unknownFlag, "unknown flag bits"},
 		"trailing bytes":           {append(append([]byte(nil), good...), 0), "trailing"},
-		"width beyond the bytes":   {append(header(1<<40, 1), 0, 1, 'S', 0x11), "packed values in"},
-		"row width beyond bytes":   {append(header(1, 1), runRowWidth, 0xFF, 0xFF, 0xFF, 0x7F, 1, 'S', 0x11), "packed values in"},
-		"reserved value code":      {append(header(1, 1), 0, 1, 'S', 0x0F), "code 15"},
-		"serial beyond the bytes":  {append(header(1, 1), 0, 200, 'S'), "truncated"},
-		"day delta cut":            {append(header(1, 1), runRowDay, 0x80), "truncated"},
+		"indexes beyond the bytes": {binary.AppendUvarint([]byte{recObserveRun, 1, 'M', 0}, 1<<40), "lists 1099511627776 indexes"},
+		"index list cut":           {[]byte{recObserveRun, 1, 'M', 0, 3, 1, 0x80, 0x80}, "truncated"},
+		"width beyond the bytes":   {append(catalog(1<<40, 1), 0, 1, 'S', 0x11), "packed values in"},
+		"row width beyond bytes":   {append(header(one, 1), runRowWidth, 0xFF, 0xFF, 0xFF, 0x7F, 1, 'S', 0x11), "packed values in"},
+		"reserved value code":      {append(header(one, 1), 0, 1, 'S', 0x0F), "code 15"},
+		"serial beyond the bytes":  {append(header(one, 1), 0, 200, 'S'), "truncated"},
+		"day delta cut":            {append(header(one, 1), runRowDay, 0x80), "truncated"},
 		"header cut after model":   {[]byte{recObserveRun, 1, 'M'}, "truncated"},
-		"header cut in the counts": {[]byte{recObserveRun, 1, 'M', 0, 4}, "truncated"},
+		"header cut in the counts": {[]byte{recObserveRun, 1, 'M', 0, 1, 4}, "truncated"},
+		"catalog header cut":       {[]byte{recCatalogRun, 1, 'M', 0, 4}, "truncated"},
 	} {
 		_, err := decodeRecord(tc.b)
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
@@ -233,11 +284,16 @@ func TestRunRecordRejections(t *testing.T) {
 		}
 	}
 	// The counts are checked against the body before anything is sized from
-	// them: a few bytes claiming 2^40 values a row decode in a few hundred
-	// bytes of allocation (the rows slice and the error), not terabytes.
-	hostile := append(header(1<<40, 2), 0, 1, 'S', 0x11, 0)
-	allocs := testing.AllocsPerRun(20, func() { decodeRecord(hostile) })
-	if _, err := decodeRecord(hostile); err == nil || allocs > 8 {
-		t.Errorf("hostile width: err %v, %v allocations", err, allocs)
+	// them: a few bytes claiming 2^40 values a row, or 2^40 indexes, decode
+	// in a few hundred bytes of allocation (the rows slice and the error),
+	// not terabytes.
+	for _, hostile := range [][]byte{
+		append(catalog(1<<40, 2), 0, 1, 'S', 0x11, 0),
+		append(binary.AppendUvarint([]byte{recObserveRun, 1, 'M', 0}, 1<<40), 1, 2, 3, 0, 1, 'S', 0x11),
+	} {
+		allocs := testing.AllocsPerRun(20, func() { decodeRecord(hostile) })
+		if _, err := decodeRecord(hostile); err == nil || allocs > 8 {
+			t.Errorf("hostile count % x: err %v, %v allocations", hostile, err, allocs)
+		}
 	}
 }
