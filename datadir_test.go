@@ -475,78 +475,3 @@ func writeRel(t *testing.T, dir, rel string, b []byte) {
 		t.Fatal(err)
 	}
 }
-
-// TestFirstPassRewritesODS1Snapshot: a snapshot whose queues are in the
-// retired ODS1 layout is rewritten by the first snapshot pass after it is
-// loaded, though its model sees no record: to the very file the current
-// layout gives that state, with the same model state. After that a pass
-// leaves it alone, as it does any idle model's snapshot.
-func TestFirstPassRewritesODS1Snapshot(t *testing.T) {
-	dir := t.TempDir()
-	open := func() *Engine {
-		t.Helper()
-		eng, err := NewEngine(EngineConfig{Predictor: engineTestConfig(), DataDir: dir})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return eng
-	}
-	eng := open()
-	for _, o := range engineStream(t, 5, 1)[:300] {
-		if _, err := eng.Ingest(o); err != nil {
-			t.Fatal(err)
-		}
-	}
-	model := eng.Models()[0]
-	if err := eng.Close(); err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(dir, snapName(model))
-	current, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, st, err := loadSnapshot(path)
-	if err != nil || st.p.retiredLayout || st.p.PendingSamples() == 0 {
-		t.Fatalf("fixture snapshot: err %v, or retired or without queued samples", err)
-	}
-	header := len(snapMagic) + 16 + len(model)
-	if err := os.WriteFile(path, append(current[:header:header], saveStateODS1(t, st.p)...), 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	eng = open()
-	state := dumpModel(t, eng, model)
-	if !bytes.Equal(state, current[header:]) {
-		t.Fatal("the ODS1 snapshot loads to a different state")
-	}
-	if err := eng.Close(); err != nil {
-		t.Fatal(err)
-	}
-	rewritten, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(rewritten, current) {
-		t.Fatalf("after the first pass the snapshot holds %q…, want the current layout's bytes", rewritten[header:header+4])
-	}
-
-	before, err := os.Stat(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng = open()
-	if !bytes.Equal(dumpModel(t, eng, model), state) {
-		t.Fatal("the rewritten snapshot loads to a different state")
-	}
-	if err := eng.Close(); err != nil {
-		t.Fatal(err)
-	}
-	after, err := os.Stat(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !os.SameFile(before, after) {
-		t.Fatal("a pass rewrote a current-layout snapshot of an idle model")
-	}
-}

@@ -2,13 +2,17 @@ package orfdisk
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
 	"time"
+
+	"orfdisk/internal/wal"
 )
 
 // copyTree copies the regular files under src into dst, keeping the
@@ -114,6 +118,143 @@ func TestRefusesPR20Log(t *testing.T) {
 	}
 	if after := readTree(t, dir); !reflect.DeepEqual(after, before) {
 		t.Errorf("the refused directory changed: %d files before, %d after", len(before), len(after))
+	}
+}
+
+// TestRefusesRetiredLayouts: the layouts only releases older than the
+// previous one wrote — ODS1 queues or an ORF1 forest in a snapshot, a
+// whole-catalog run (kind 8) in the log — fail NewEngine with an error
+// that names the file or the kind and the remedy, and leave the
+// directory exactly as they found it, so that the remedy (the previous
+// release, stopped cleanly) still works. Each case damages a copy of
+// testdata/pr29_dir in one place.
+func TestRefusesRetiredLayouts(t *testing.T) {
+	snap := snapName("MODEL-1")
+	// retag rewrites the first magic at or after the state's start in the
+	// snapshot file.
+	retag := func(from, to string) func(t *testing.T, dir string) {
+		return func(t *testing.T, dir string) {
+			path := filepath.Join(dir, snap)
+			b, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			state := len(snapMagic) + 16 + len("MODEL-1")
+			i := bytes.Index(b[state:], []byte(from))
+			if i < 0 {
+				t.Fatalf("%s holds no %s", snap, from)
+			}
+			copy(b[state+i:], to)
+			if err := os.WriteFile(path, b, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for _, tc := range []struct {
+		name   string
+		damage func(t *testing.T, dir string)
+		want   []string
+	}{
+		{"ODS1 snapshot", retag(stateMagic, "ODS1"), []string{snap, "ODS1 is retired", "load it with the previous release"}},
+		{"ORF1 forest in a snapshot", retag("ORF2", "ORF1"), []string{snap, "ORF1 is retired", "load it with the previous release"}},
+		{"kind-8 tail", func(t *testing.T, dir string) {
+			w, err := wal.Open(wal.Options{Dir: filepath.Join(dir, walDirName)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := w.Append([]byte{recCatalogRun, 1, 'M', 0}); err != nil {
+				t.Fatal(err)
+			}
+			if err := w.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}, []string{"kind 8 is a retired whole-catalog run observe layout", "stop it cleanly"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			copyTree(t, filepath.Join("testdata", "pr29_dir"), dir)
+			tc.damage(t, dir)
+			before := readTree(t, dir)
+			cfg := engineTestConfig()
+			cfg.ORF.MinParentSize = 10
+			eng, err := NewEngine(EngineConfig{Predictor: cfg, DataDir: dir})
+			if err == nil {
+				eng.Close()
+				t.Fatal("NewEngine recovered a retired layout")
+			}
+			for _, want := range tc.want {
+				if !strings.Contains(err.Error(), want) {
+					t.Errorf("NewEngine: %v; want it to mention %q", err, want)
+				}
+			}
+			if after := readTree(t, dir); !reflect.DeepEqual(after, before) {
+				t.Errorf("the refused directory changed: %d files before, %d after", len(before), len(after))
+			}
+		})
+	}
+}
+
+// logKinds returns the record kinds dir's log holds, in log order, one
+// entry per stretch of one kind.
+func logKinds(t *testing.T, dir string) []byte {
+	t.Helper()
+	cur, err := wal.OpenCursor(filepath.Join(dir, walDirName), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cur.Close()
+	var kinds []byte
+	for {
+		_, p, err := cur.Next()
+		if err != nil {
+			return kinds
+		}
+		if len(kinds) == 0 || kinds[len(kinds)-1] != p[0] {
+			kinds = append(kinds, p[0])
+		}
+	}
+}
+
+// TestRecoversPR29Dir: testdata/pr29_dir is a leader directory the
+// previous release's binary left when it was SIGKILLed, running the
+// engineTestConfig forest at MinParentSize 10 so that its snapshots hold
+// split trees. It took two models through an IngestBackfill with a
+// cursor, 256-row IngestBatches and a snapshot pass (ORF2/ODS2 snapshots
+// and the cursor file), then logged an IngestBackfill without a cursor,
+// more batches with two failure rows among them and a retire (the kind
+// 11/10/2 tail). This release must read all of it and recover the
+// state, resume point and next sequence number that binary recovered
+// from the same bytes.
+func TestRecoversPR29Dir(t *testing.T) {
+	dir := t.TempDir()
+	copyTree(t, filepath.Join("testdata", "pr29_dir"), dir)
+	if got, want := logKinds(t, dir), []byte{recObserveBFRun, recObserveRun, recRetire}; !bytes.Equal(got, want) {
+		t.Fatalf("fixture log holds record kinds %v, want %v", got, want)
+	}
+	cfg := engineTestConfig()
+	cfg.ORF.MinParentSize = 10
+	eng, err := NewEngine(EngineConfig{Predictor: cfg, DataDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	if n := eng.met.replaySkipped.Value(); n != 0 {
+		t.Errorf("recovery skipped %d rows", n)
+	}
+	for model, want := range map[string]string{
+		"MODEL-0": "96661640908eeaf6abdfde69a033bf542f23dbed92fd6f011c856611199da02c",
+		"MODEL-1": "4c15ab3f9d5a32adec68e13f36ab2082de3e25a47b1ac543bb87a328090ae734",
+	} {
+		if got := fmt.Sprintf("%x", sha256.Sum256(dumpModel(t, eng, model))); got != want {
+			t.Errorf("model %s state has SHA-256 %s, the previous release recovered %s", model, got, want)
+		}
+	}
+	wantCur := BackfillCursor{Day: 24, Rows: 700, Files: []BackfillFilePos{{Name: "a.csv", Rows: 700, Off: 1 << 16}}}
+	if cur, rowsAfter, ok := eng.BackfillState(); !ok || rowsAfter != 300 || !reflect.DeepEqual(cur, wantCur) {
+		t.Errorf("BackfillState %+v, %d, %v; want %+v, 300, true", cur, rowsAfter, ok, wantCur)
+	}
+	if got := eng.WAL().NextSeq(); got != 888 {
+		t.Errorf("NextSeq %d, want 888", got)
 	}
 }
 

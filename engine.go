@@ -220,7 +220,7 @@ type engineMetrics struct {
 	snapshotErrors  *metrics.Counter
 	snapshotSeconds *metrics.Histogram
 	snapshotEncode  *metrics.Histogram
-	snapshotBytes   *metrics.GaugeVec
+	snapshotBytes   *metrics.Gauge
 	replayed        *metrics.Counter
 	replaySkipped   *metrics.Counter
 	recoverySeconds *metrics.Gauge
@@ -237,7 +237,7 @@ func newEngineMetrics(reg *metrics.Registry) engineMetrics {
 		snapshotErrors:  reg.Counter("engine_snapshot_errors_total", "Failed engine snapshot passes."),
 		snapshotSeconds: reg.Histogram("engine_snapshot_seconds", "Wall time of one snapshot pass (all models)."),
 		snapshotEncode:  reg.Histogram("engine_snapshot_encode_seconds", "Wall time of one model's snapshot encode+write (parallel-compressed ORF2)."),
-		snapshotBytes:   reg.GaugeVec("engine_snapshot_bytes", "Bytes written by the most recent snapshot pass, by on-disk format.", "format"),
+		snapshotBytes:   reg.Gauge("engine_snapshot_bytes", "Bytes written by the most recent snapshot pass."),
 		replayed:        reg.Counter("engine_recovery_replayed_records_total", "Observations, retires and cursor records replayed from the WAL during crash recovery (a run record counts once per row)."),
 		replaySkipped:   reg.Counter("engine_recovery_skipped_records_total", "Durable observations skipped during recovery because the predictor rejected them (poison pills)."),
 		recoverySeconds: reg.Gauge("engine_recovery_seconds", "Wall time of the most recent recovery: snapshot load, WAL open and replay (set when it completes)."),
@@ -859,7 +859,7 @@ func (e *Engine) Snapshot() error {
 	}
 	e.met.snapshots.Inc()
 	e.met.snapshotSeconds.Observe(time.Since(start).Seconds())
-	e.met.snapshotBytes.With(snapshotFormat).Set(float64(totalBytes))
+	e.met.snapshotBytes.Set(float64(totalBytes))
 	e.log.Info("snapshot complete",
 		"models", len(models), "bytes", totalBytes,
 		"cutoff", cutoff, "elapsed", time.Since(start))
@@ -892,13 +892,7 @@ func (e *Engine) Close() error {
 
 // --- recovery ---
 
-const (
-	snapMagic = "OSN1"
-	// snapshotFormat labels engine_snapshot_bytes with the forest
-	// serialization the snapshot pass currently writes (the OSN1
-	// envelope wraps an ORF2 flate-framed forest; see internal/core).
-	snapshotFormat = "orf2-flate"
-)
+const snapMagic = "OSN1"
 
 func (e *Engine) recover() error {
 	start, replayedBefore := time.Now(), e.met.replayed.Value()
@@ -986,13 +980,6 @@ func (e *Engine) recover() error {
 	// leader records with (see applyRecords).
 	if _, err := e.applyRecords(applyRecovering, w.Replay); err != nil {
 		return err
-	}
-	// A pass skips a model whose seq has not moved; forgetting a retired
-	// layout's seq once replay is done makes the first pass rewrite it.
-	for model, st := range e.recovered {
-		if st.p.retiredLayout {
-			delete(e.snapped, model)
-		}
 	}
 	// Never reuse sequence numbers a snapshot already accounts for.
 	w.SkipTo(maxSnap + 1)
@@ -1092,9 +1079,8 @@ func (e *Engine) applyRecords(mode applyMode, feed func(func(seq uint64, payload
 					continue
 				}
 				// One rule for every run: gather the features the predictor
-				// reads from the catalog indexes the run lists (all of them, in
-				// order, for kinds 8 and 9). A row it cannot serve is a poison
-				// pill, whole runs of them when the list lacks a feature.
+				// reads from the catalog indexes the run lists. A run whose
+				// list lacks one of them is a run of poison pills.
 				var misfit error
 				pos, ok := s.p.positionsIn(r.index, s.pos)
 				if s.pos = pos; !ok {
@@ -1102,13 +1088,9 @@ func (e *Engine) applyRecords(mode applyMode, feed func(func(seq uint64, payload
 				}
 				for j := range r.run {
 					row := &r.run[j]
-					err := misfit
-					if err == nil && len(row.Values) != len(r.index) {
-						err = fmt.Errorf("orfdisk: row carries %d values, its run lists %d", len(row.Values), len(r.index))
-					}
-					if err != nil {
+					if misfit != nil {
 						e.noteSeq(s, r.seq) // the record is dealt with, as if applied
-						rejected = append(rejected, rejection{r.seq, row.Serial, err})
+						rejected = append(rejected, rejection{r.seq, row.Serial, misfit})
 						continue
 					}
 					e.applyRow(s, r.seq, row, s.p.project(row.Values, pos), false)
@@ -1156,7 +1138,7 @@ func (e *Engine) applyRecords(mode applyMode, feed func(func(seq uint64, payload
 		// file predates that snapshot (crash between the two writes). A
 		// follower keeps it too, so that once promoted it can continue an
 		// interrupted backfill exactly like a restarted leader.
-		if rec.kind == recCursor || rec.kind == recObserveBFRun || rec.kind == recCatalogBFRun {
+		if rec.kind == recCursor || rec.kind == recObserveBFRun {
 			e.noteBackfill(seq, uint64(len(rec.run)), rec.cur)
 		}
 		switch {

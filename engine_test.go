@@ -2,12 +2,10 @@ package orfdisk
 
 import (
 	"bytes"
-	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"hash/fnv"
 	"math"
-	"math/bits"
 	"math/rand"
 	"net/http/httptest"
 	"os"
@@ -62,12 +60,17 @@ func engineTestConfig() Config {
 	return Config{Horizon: 4, ORF: ORFConfig{Trees: 5, MinParentSize: 50, Seed: 9}}
 }
 
-// encodeObserveRecord frames obs as the previous release's single Ingest
-// did — a live catalog run of one (kind 8) — for tests that plant or
-// decode raw WAL records: a row of any width decodes, and the apply rule
-// takes one that is not the whole catalog for a poison pill.
+// encodeObserveRecord frames obs as a live run of one (kind 10) under the
+// first len(obs.Values) catalog indexes, for tests that plant or decode
+// raw WAL records. Planted rows are narrower than the 19 features a model
+// reads, so the list lacks one of them and the apply rule takes the row
+// for a poison pill.
 func encodeObserveRecord(obs FleetObservation) []byte {
-	return appendCatalogRunRecord(nil, recCatalogRun, []FleetObservation{obs})
+	index := make([]int, len(obs.Values))
+	for i := range index {
+		index[i] = i
+	}
+	return appendRunRecord(nil, recObserveRun, index, []FleetObservation{obs})
 }
 
 func samePrediction(a, b Prediction) bool {
@@ -550,9 +553,10 @@ func TestEngineRecoverySkipsPoisonPill(t *testing.T) {
 		}
 	}
 	// Plant a poison pill: a durable record the predictor will reject
-	// (wrong vector width — e.g. written by a binary with a different
-	// feature catalog). Engine.validate guards the live path, but the
-	// record type is shared, so replay sees it raw.
+	// (a run whose index list lacks features the model reads — e.g.
+	// written by a binary with another feature list). Engine.validate
+	// guards the live path, but the record type is shared, so replay sees
+	// it raw.
 	w, err := wal.Open(wal.Options{Dir: filepath.Join(dir, "wal")})
 	if err != nil {
 		t.Fatal(err)
@@ -585,6 +589,96 @@ func TestEngineRecoverySkipsPoisonPill(t *testing.T) {
 		Observation: Observation{Serial: "d1", Day: 3, Values: values},
 	}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRunWithoutAFeatureIsPoison: the apply rule gathers the features a
+// model reads from the indexes a run lists, in whatever order it lists
+// them. A list that lacks one of them — shorter, or as long with another
+// index in its place — cannot serve the model: each of its rows is a
+// counted poison pill, on recovery and on a follower alike, never applied
+// and never routed.
+func TestRunWithoutAFeatureIsPoison(t *testing.T) {
+	feats := DefaultFeatures()
+	unread := 0 // the first catalog index the model does not read
+	for slices.Contains(feats, unread) {
+		unread++
+	}
+	swapped := slices.Clone(feats)
+	swapped[3] = unread
+	reversed := slices.Clone(feats)
+	slices.Reverse(reversed)
+	row := func(serial string, day int) FleetObservation {
+		v := make([]float64, CatalogSize())
+		for i := range v {
+			v[i] = float64(day*31 + i)
+		}
+		return FleetObservation{Model: "M", Observation: Observation{Serial: serial, Day: day, Values: v}}
+	}
+
+	writer, err := NewEngine(EngineConfig{Predictor: engineTestConfig(), DataDir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := NewEngine(EngineConfig{Predictor: engineTestConfig()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ref.Close()
+	ingest := func(rows ...FleetObservation) {
+		t.Helper()
+		for _, o := range rows {
+			for _, e := range []*Engine{writer, ref} {
+				if _, err := e.Ingest(o); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	plant := func(kind byte, index []int, rows ...FleetObservation) {
+		t.Helper()
+		if _, err := writer.wal.Append(appendRunRecord(nil, kind, index, projectRows(rows, index))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ingest(row("a", 1), row("b", 1))
+	plant(recObserveRun, feats[:len(feats)-1], row("p1", 2), row("p2", 2))
+	plant(recObserveRun, swapped, row("p3", 2), row("a", 2), row("p4", 2))
+	plant(recObserveBFRun, swapped, row("p5", 2))
+	// The same features listed in another order serve the model: the
+	// planted row is applied as if Ingest had logged it.
+	plant(recObserveRun, reversed, row("b", 2))
+	if _, err := ref.Ingest(row("b", 2)); err != nil {
+		t.Fatal(err)
+	}
+	ingest(row("a", 3), row("b", 3))
+	const poison = 6
+
+	follower, err := NewEngine(EngineConfig{Predictor: engineTestConfig(), DataDir: t.TempDir(), Follower: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer follower.Close()
+	if err := follower.ApplyReplicated(leaderRecords(t, writer, nil)); err != nil {
+		t.Fatal(err)
+	}
+	recovered, err := NewEngine(EngineConfig{Predictor: engineTestConfig(), DataDir: writer.cfg.DataDir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer recovered.Close()
+	for name, e := range map[string]*Engine{"recovered": recovered, "follower": follower} {
+		if got := e.met.replaySkipped.Value(); got != poison {
+			t.Errorf("%s: %d rows skipped as poison pills, want %d", name, got, poison)
+		}
+		if !bytes.Equal(dumpModel(t, e, "M"), dumpModel(t, ref, "M")) {
+			t.Errorf("%s: model state differs from the engine that never saw the poison rows", name)
+		}
+		for _, serial := range []string{"p1", "p2", "p3", "p4", "p5"} {
+			if m, ok := e.ModelOf(serial); ok {
+				t.Errorf("%s: poison serial %s routed to %s", name, serial, m)
+			}
+		}
 	}
 }
 
@@ -1028,8 +1122,8 @@ func TestObserveRecordRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rec.kind != recCatalogRun || rec.model != obs.Model || len(rec.run) != 1 {
-		t.Fatalf("kind %d, model %q, %d rows; want kind %d, %q, 1 row", rec.kind, rec.model, len(rec.run), recCatalogRun, obs.Model)
+	if rec.kind != recObserveRun || rec.model != obs.Model || len(rec.run) != 1 {
+		t.Fatalf("kind %d, model %q, %d rows; want kind %d, %q, 1 row", rec.kind, rec.model, len(rec.run), recObserveRun, obs.Model)
 	}
 	got := rec.run[0]
 	if got.Model != obs.Model || got.Serial != obs.Serial ||
@@ -1053,42 +1147,24 @@ func TestObserveRecordRoundTrip(t *testing.T) {
 	}
 }
 
-// TestObserveRecordRejectsLegacyV1 pins what happens to the one-row
-// observe layouts now that their decoders are gone: a well-formed record
-// of each retired kind — the fixed-width v1 (hand-built, its writer left
-// long ago), v2 and one-row packed records from the reference writers —
-// is refused with an error that names the remedy, instead of being
-// misread as some other kind.
+// TestObserveRecordRejectsLegacyV1 pins what happens to the retired
+// observe layouts now that their decoders are gone: the one-row kinds
+// and the whole-catalog runs (8 and 9) are refused on their kind byte,
+// before anything after it is parsed, with an error that names the
+// remedy, instead of being misread as some other kind.
 func TestObserveRecordRejectsLegacyV1(t *testing.T) {
-	obs := FleetObservation{
-		Model: "HGST HMS5C4040BLE640",
-		Observation: Observation{
-			Serial: "PL1331LAHG1S4H", Day: 214, Failed: false,
-			Values: []float64{100, 0.25, math.Inf(1), -7},
-		},
-	}
-	var v1 []byte
-	v1 = append(v1, recObserveV1)
-	for _, s := range []string{obs.Model, obs.Serial} {
-		v1 = binary.LittleEndian.AppendUint32(v1, uint32(len(s)))
-		v1 = append(v1, s...)
-	}
-	v1 = binary.LittleEndian.AppendUint64(v1, uint64(int64(obs.Day)))
-	v1 = append(v1, 0)
-	v1 = binary.LittleEndian.AppendUint32(v1, uint32(len(obs.Values)))
-	for _, v := range obs.Values {
-		v1 = binary.LittleEndian.AppendUint64(v1, math.Float64bits(v))
-	}
-	for _, b := range [][]byte{
-		v1,
-		appendObserveRecordV2(nil, obs, recObserveV2),
-		appendObserveRecordV2(nil, obs, recObserveBFV2),
-		appendObserveRecordKind(nil, obs, recObserve),
-		appendObserveRecordKind(nil, obs, recObserveBF),
+	for _, tc := range []struct {
+		kind   byte
+		layout string
+	}{
+		{recObserveV1, "one-row"}, {recObserveV2, "one-row"}, {recObserveBFV2, "one-row"},
+		{recObserve, "one-row"}, {recObserveBF, "one-row"},
+		{recCatalogRun, "whole-catalog run"}, {recCatalogBFRun, "whole-catalog run"},
 	} {
-		_, err := decodeRecord(b)
-		if err == nil || !strings.Contains(err.Error(), "retired one-row observe layout") || !strings.Contains(err.Error(), "stop it cleanly") {
-			t.Errorf("kind %d: err = %v, want a retired-layout refusal naming the remedy", b[0], err)
+		_, err := decodeRecord([]byte{tc.kind, 1, 'M', 0})
+		want := fmt.Sprintf("kind %d is a retired %s observe layout", tc.kind, tc.layout)
+		if err == nil || !strings.Contains(err.Error(), want) || !strings.Contains(err.Error(), "stop it cleanly") {
+			t.Errorf("kind %d: err = %v, want %q and the remedy", tc.kind, err, want)
 		}
 	}
 	if _, err := decodeRecord([]byte{0x7F, 1, 2, 3}); err == nil {
@@ -1419,16 +1495,9 @@ func TestApplyPathsAgree(t *testing.T) {
 	}
 }
 
-// v2Width is the number of payload bytes the v2 layout spent on v, its
-// length byte not counted: the float's bits less their trailing zero
-// bytes.
-func v2Width(v float64) int {
-	return (bits.Len64(bits.ReverseBytes64(math.Float64bits(v))) + 7) / 8
-}
-
-// checkPackedRoundTrip packs vals, checks the size against the v2 layout
-// value by value, and requires the decode to be Float64bits-exact with
-// the trailing bytes handed back untouched.
+// checkPackedRoundTrip packs vals, checks the size is the codes plus each
+// value's own payload, and requires the decode to be Float64bits-exact
+// with the trailing bytes handed back untouched.
 func checkPackedRoundTrip(t *testing.T, vals []float64) {
 	t.Helper()
 	tail := []byte{0xA5, 0x5A}
@@ -1439,12 +1508,7 @@ func checkPackedRoundTrip(t *testing.T, vals []float64) {
 	packed = packed[1:]
 	want := (len(vals) + 1) / 2
 	for _, v := range vals {
-		one := len(packValues(nil, []float64{v})) - 1
-		if one > v2Width(v) {
-			t.Fatalf("value %v (%016x): %d payload bytes, v2 took %d",
-				v, math.Float64bits(v), one, v2Width(v))
-		}
-		want += one
+		want += len(packValues(nil, []float64{v})) - 1
 	}
 	if len(packed) != want {
 		t.Fatalf("%d values packed into %d bytes, want codes + payloads = %d", len(vals), len(packed), want)
@@ -1464,9 +1528,8 @@ func checkPackedRoundTrip(t *testing.T, vals []float64) {
 }
 
 // TestPackedValuesRoundTrip pins the packed value codec: every bit
-// pattern survives, the boundaries of the integer form (1, 2^48) fall on
-// the right side, and no value costs more payload than the v2 layout
-// spent on it.
+// pattern survives, and the boundaries of the integer form (1, 2^48)
+// fall on the right side.
 func TestPackedValuesRoundTrip(t *testing.T) {
 	special := []float64{
 		0, math.Copysign(0, -1), 1, -1, 0.5, 255, 256, 65535, 65536,
@@ -1569,35 +1632,27 @@ func TestRecordCodecAllocs(t *testing.T) {
 	}
 }
 
-// TestRecordBytesPerRow pins the exact counters the record formats were
-// sized by where go test sees them on any host: mean payload per row
-// over a seeded fleet framed the way IngestBatch frames it (a day's rows
-// of one model to a run, each row the model's 19 features), beside the
-// previous release's catalog runs (all 48 values a row) and the one-row
-// records of the reference writer (the v2 layout took 194.71 B/row on
-// this stream). The log adds one 16-byte frame header per record to any
-// of them.
+// TestRecordBytesPerRow pins the exact counter the record format was
+// sized by where go test sees it on any host: mean payload per row over
+// a seeded fleet framed the way IngestBatch frames it (a day's rows of
+// one model to a run, each row the model's 19 features). The log adds
+// one 16-byte frame header per record. The retired layouts took 107.22
+// B/row (whole-catalog runs), 118.48 (one-row records) and 194.71 (the
+// v2 layout) on this stream.
 func TestRecordBytesPerRow(t *testing.T) {
-	const (
-		maxMean        = 45.0  // this implementation: 40.11
-		maxMeanCatalog = 108.0 // catalog runs: 107.22
-		maxMeanOne     = 119.0 // one-row records: 118.48
-	)
+	const maxMean = 45.0 // this implementation: 40.11
 	feats := DefaultFeatures()
 	obs := engineStream(t, 7, 2)
-	oneRow, v2, runs, catalog, records := 0, 0, 0, 0, 0
+	runs, records := 0, 0
 	byModel := map[string][]FleetObservation{}
 	flush := func() {
 		for _, rows := range byModel {
 			runs += len(appendRunRecord(nil, recObserveRun, feats, projectRows(rows, feats)))
-			catalog += len(appendCatalogRunRecord(nil, recCatalogRun, rows))
 			records++
 		}
 		clear(byModel)
 	}
 	for i, o := range obs {
-		oneRow += len(appendObserveRecordKind(nil, o, recObserve))
-		v2 += len(appendObserveRecordV2(nil, o, recObserveV2))
 		if i > 0 && o.Day != obs[i-1].Day {
 			flush()
 		}
@@ -1605,17 +1660,10 @@ func TestRecordBytesPerRow(t *testing.T) {
 	}
 	flush()
 	n := float64(len(obs))
-	mean, meanCatalog, meanOne := float64(runs)/n, float64(catalog)/n, float64(oneRow)/n
-	t.Logf("%d rows in %d runs: %.2f B/row (+%.2f B/row of frame headers); catalog runs %.2f B/row; one-row records %.2f B/row (+16), v2 %.2f",
-		len(obs), records, mean, 16*float64(records)/n, meanCatalog, meanOne, float64(v2)/n)
+	mean := float64(runs) / n
+	t.Logf("%d rows in %d runs: %.2f B/row (+%.2f B/row of frame headers)", len(obs), records, mean, 16*float64(records)/n)
 	if mean > maxMean {
 		t.Errorf("mean run payload is %.2f B/row, want <= %.1f", mean, maxMean)
-	}
-	if meanCatalog > maxMeanCatalog {
-		t.Errorf("mean catalog run payload is %.2f B/row, want <= %.1f", meanCatalog, maxMeanCatalog)
-	}
-	if meanOne > maxMeanOne {
-		t.Errorf("mean one-row observe record is %.2f B, want <= %.1f", meanOne, maxMeanOne)
 	}
 }
 
@@ -1648,38 +1696,31 @@ func FuzzUnpackValues(f *testing.F) {
 }
 
 // FuzzDecodeRecord: no payload makes decodeRecord panic, none under a
-// retired kind decodes (five seeds are well-formed ones), and a
-// record that decodes re-encodes, through the writer of its kind, to one
-// that decodes to the same record with bit-equal values.
+// retired kind decodes (seeds put each retired kind byte over a
+// well-formed run body), and a record that decodes re-encodes, through
+// the writer of its kind, to one that decodes to the same record with
+// bit-equal values.
 func FuzzDecodeRecord(f *testing.F) {
 	obs := FleetObservation{Model: "ST4000DM000", Observation: Observation{
 		Serial: "Z302T4N9", Day: 812, Failed: true,
 		Values: []float64{0, 1, 100, 19512, 0.5, math.NaN(), math.Inf(-1), 1<<48 - 1, -0.0},
 	}}
-	f.Add(appendObserveRecordKind(nil, obs, recObserve))
-	f.Add(appendObserveRecordKind(nil, obs, recObserveBF))
-	f.Add(appendObserveRecordV2(nil, obs, recObserveV2))
-	f.Add(appendObserveRecordV2(nil, obs, recObserveBFV2))
 	f.Add(appendCursorRecord(nil, BackfillCursor{Day: 3, Rows: 9,
 		Files: []BackfillFilePos{{Name: "a.csv", Rows: 9, Off: 4096}}}))
 	f.Add(encodeRetireRecord(obs.Model, obs.Serial))
-	f.Add([]byte{recObserveV1, 0, 0, 0, 0})
-	// Run records, after the seeds that were there: one row, and three with
-	// every flag in use (a failure row on another day, a wider row).
-	next, wider := obs, obs
-	next.Day, next.Failed = obs.Day+1, false
-	wider.Values = append([]float64{7}, obs.Values...)
-	f.Add(appendCatalogRunRecord(nil, recCatalogRun, []FleetObservation{obs}))
-	f.Add(appendCatalogRunRecord(nil, recCatalogBFRun, []FleetObservation{next, obs, wider}))
-	// This release's runs, which list their catalog indexes: one row, and
-	// three rows of another list with a failure row on another day.
+	// Runs, which list their catalog indexes: one row, and three rows of
+	// another list with a failure row on another day.
 	index := []int{3, 0, 47, 5, 9, 200, 1, 2, 8}
-	f.Add(appendRunRecord(nil, recObserveRun, index, []FleetObservation{obs}))
+	one := appendRunRecord(nil, recObserveRun, index, []FleetObservation{obs})
+	f.Add(one)
 	f.Add(appendRunRecord(nil, recObserveBFRun, index[1:], []FleetObservation{
 		{Model: obs.Model, Observation: Observation{Serial: "Z1", Day: 900, Values: obs.Values[1:]}},
 		{Model: obs.Model, Observation: Observation{Serial: "Z2", Day: 901, Failed: true, Values: obs.Values[:8]}},
 		{Model: obs.Model, Observation: Observation{Serial: "Z1", Day: 900, Values: obs.Values[:8]}},
 	}))
+	for _, kind := range []byte{recObserveV1, recObserveV2, recObserveBFV2, recObserve, recObserveBF, recCatalogRun, recCatalogBFRun} {
+		f.Add(append([]byte{kind}, one[1:]...))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		rec, err := decodeRecord(data)
 		if err != nil {
@@ -1689,8 +1730,6 @@ func FuzzDecodeRecord(f *testing.F) {
 		switch rec.kind {
 		case recObserveRun, recObserveBFRun:
 			again = appendRunRecord(nil, rec.kind, rec.index, rec.run)
-		case recCatalogRun, recCatalogBFRun:
-			again = appendCatalogRunRecord(nil, rec.kind, rec.run)
 		case recCursor:
 			again = appendCursorRecord(nil, *rec.cur)
 		case recRetire:

@@ -23,8 +23,6 @@ type Forest struct {
 	negSeen      int64
 	sinceReplace int64 // updates since the last tree replacement
 
-	retiredLayout bool // read from ORF1 (see RetiredLayout)
-
 	// Freeze state (see frozen.go). lastFrozen is the previous snapshot,
 	// the splice source for trees whose dirty bit is still clear; the
 	// freeze* slices are flattening scratch reused across trees and

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -18,28 +19,19 @@ import (
 // state. The RNG streams are serialized too, so a restored forest
 // continues the exact stream a snapshot would have produced.
 //
-// Two formats exist (little endian):
+// The format (little endian):
 //
-//	v1  magic "ORF1" | dim | counters | config block | per-tree blocks
-//	v2  magic "ORF2" | codec byte | framed header block | framed tree blocks
+//	magic "ORF2" | codec byte | framed header block | framed tree blocks
 //
-// v2 is the current write format: the header and each tree are
-// independent frame blocks (CRC-checked, flate-compressed at BestSpeed
-// unless the codec byte selects raw passthrough), and the per-tree
-// blocks are encoded and decoded by forEachTree, on as many goroutines
-// as the host has cores at the time of the call. Block contents reuse
-// the exact v1 field layout, so v1 and v2 carry identical state and a
-// restored forest round-trips bit-identically under either. ReadForest
-// accepts both, but nothing outside the tests writes v1 any more
-// (serialize_test.go assembles v1 bytes from writeHeader/writeTree for
-// the migration test). The format is internal and versioned by the
-// magic; there is no cross-version compatibility promise beyond reading
-// v1.
+// The header and each tree are independent frame blocks (CRC-checked,
+// flate-compressed at BestSpeed unless the codec byte selects raw
+// passthrough) of fixed 8-byte fields, and the per-tree blocks are
+// encoded and decoded by forEachTree, on as many goroutines as the host
+// has cores at the time of the call. The format is internal and
+// versioned by the magic. "ORF1", the unframed layout of older releases,
+// is refused: the previous release reads it and writes ORF2.
 
-const (
-	magicV1 = "ORF1"
-	magicV2 = "ORF2"
-)
+const magicV2 = "ORF2"
 
 type writer struct {
 	w   io.Writer
@@ -83,8 +75,8 @@ func (r *reader) i64() int64   { return int64(r.u64()) }
 func (r *reader) f64() float64 { return math.Float64frombits(r.u64()) }
 func (r *reader) b() bool      { return r.u64() != 0 }
 
-// writeHeader serializes the forest-level counters and config (the v1
-// byte layout between the magic and the first tree).
+// writeHeader serializes the forest-level counters and config (the
+// header block's contents).
 func (f *Forest) writeHeader(w *writer) {
 	w.i64(int64(f.dim))
 	w.i64(f.updates)
@@ -115,7 +107,7 @@ func (f *Forest) writeHeader(w *writer) {
 }
 
 // readHeader parses the forest-level counters and config into f,
-// returning the config and validating the same invariants as v1.
+// returning the config once its dimension and tree count are sane.
 func (f *Forest) readHeader(r *reader) (Config, error) {
 	f.dim = int(r.i64())
 	f.updates = r.i64()
@@ -248,47 +240,20 @@ func writeTree(w *writer, t *onlineTree) {
 	}
 }
 
-// ReadForest deserializes a forest written by WriteTo or WriteToRaw
-// (v2), or a v1 snapshot from before the framed format; v1 snapshots
-// load byte-for-byte as before.
+// ReadForest deserializes a forest written by WriteTo or WriteToRaw.
 func ReadForest(src io.Reader) (*Forest, error) {
-	head := make([]byte, len(magicV1))
+	head := make([]byte, len(magicV2))
 	if _, err := io.ReadFull(src, head); err != nil {
 		return nil, fmt.Errorf("core: reading snapshot header: %w", err)
 	}
 	switch string(head) {
-	case magicV1:
-		return readForestV1(src)
 	case magicV2:
-		return readForestV2(src)
+	case "ORF1":
+		return nil, errors.New("core: forest layout ORF1 is retired and this release does not read it; " +
+			"load it with the previous release and save it again (on a data directory: start the previous release and stop it cleanly, its first snapshot pass rewrites every snapshot)")
 	default:
 		return nil, fmt.Errorf("core: bad snapshot magic %q", head)
 	}
-}
-
-// RetiredLayout reports whether f was read from ORF1, which this release
-// reads but no longer writes: a caller that persists f should rewrite it.
-func (f *Forest) RetiredLayout() bool { return f.retiredLayout }
-
-func readForestV1(src io.Reader) (*Forest, error) {
-	r := &reader{r: src}
-	f := &Forest{retiredLayout: true}
-	c, err := f.readHeader(r)
-	if err != nil {
-		return nil, err
-	}
-	f.trees = make([]*onlineTree, c.Trees)
-	for i := range f.trees {
-		t, err := readTree(r, c, f.dim)
-		if err != nil {
-			return nil, err
-		}
-		f.trees[i] = t
-	}
-	return f, nil
-}
-
-func readForestV2(src io.Reader) (*Forest, error) {
 	var cb [1]byte
 	if _, err := io.ReadFull(src, cb[:]); err != nil {
 		return nil, fmt.Errorf("core: reading snapshot codec: %w", err)

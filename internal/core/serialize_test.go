@@ -6,6 +6,7 @@ import (
 	"math"
 	"os"
 	"runtime"
+	"strings"
 	"testing"
 
 	"orfdisk/internal/frame"
@@ -89,14 +90,19 @@ func TestSnapshotResumesIdenticalStream(t *testing.T) {
 }
 
 func TestSnapshotRejectsGarbage(t *testing.T) {
-	cases := map[string][]byte{
-		"empty":     {},
-		"bad magic": []byte("NOPE1234567890"),
-		"truncated": append([]byte("ORF1"), 1, 2, 3),
+	cases := map[string]struct {
+		data []byte
+		want string
+	}{
+		"empty":     {nil, "header"},
+		"bad magic": {[]byte("NOPE1234567890"), "bad snapshot magic"},
+		"truncated": {append([]byte(magicV2), 1, 2, 3), "header block"},
+		// The layout before ORF2 is refused on its magic, with the remedy.
+		"retired ORF1": {append([]byte("ORF1"), 1, 2, 3), "load it with the previous release"},
 	}
-	for name, data := range cases {
-		if _, err := ReadForest(bytes.NewReader(data)); err == nil {
-			t.Errorf("%s snapshot accepted", name)
+	for name, tc := range cases {
+		if _, err := ReadForest(bytes.NewReader(tc.data)); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s snapshot: error %v, want one mentioning %q", name, err, tc.want)
 		}
 	}
 }
@@ -115,63 +121,6 @@ func TestSnapshotRejectsCorruptCounts(t *testing.T) {
 	}
 	if _, err := ReadForest(bytes.NewReader(data)); err == nil {
 		t.Fatal("corrupt tree count accepted")
-	}
-}
-
-// WriteToLegacy serializes the forest in the original v1 format: one
-// raw, uncompressed, single-threaded byte stream. Test-only — the
-// product stopped writing ORF1 when ORF2 landed and only reads it.
-func (f *Forest) WriteToLegacy(dst io.Writer) (int64, error) {
-	var buf bytes.Buffer
-	w := &writer{w: &buf}
-	buf.WriteString(magicV1)
-	f.writeHeader(w)
-	for _, t := range f.trees {
-		writeTree(w, t)
-	}
-	if w.err != nil {
-		return 0, w.err
-	}
-	n, err := dst.Write(buf.Bytes())
-	return int64(n), err
-}
-
-// TestSnapshotLegacyMigration proves the ORF1 → ORF2 path: a legacy
-// snapshot loads bit-identically (the restored forest re-serializes —
-// in the new format — to exactly the bytes the original forest
-// produces), and the next write is v2.
-func TestSnapshotLegacyMigration(t *testing.T) {
-	f := trainForest(t, 11, 2500)
-	var legacy bytes.Buffer
-	if _, err := f.WriteToLegacy(&legacy); err != nil {
-		t.Fatal(err)
-	}
-	if got := legacy.Bytes()[:4]; string(got) != magicV1 {
-		t.Fatalf("legacy magic %q", got)
-	}
-	g, err := ReadForest(bytes.NewReader(legacy.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !g.RetiredLayout() || f.RetiredLayout() {
-		t.Fatalf("RetiredLayout: %v for the ORF1 read, %v for the trained forest; want true, false",
-			g.RetiredLayout(), f.RetiredLayout())
-	}
-	var fromOrig, fromLegacy bytes.Buffer
-	if _, err := f.WriteTo(&fromOrig); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := g.WriteTo(&fromLegacy); err != nil {
-		t.Fatal(err)
-	}
-	if got := fromLegacy.Bytes()[:4]; string(got) != magicV2 {
-		t.Fatalf("post-migration magic %q, want v2", got)
-	}
-	if !bytes.Equal(fromOrig.Bytes(), fromLegacy.Bytes()) {
-		t.Fatal("forest restored from a v1 snapshot re-serializes differently")
-	}
-	if h, err := ReadForest(&fromLegacy); err != nil || h.RetiredLayout() {
-		t.Fatalf("the migrated ORF2 bytes read back as retired (err %v)", err)
 	}
 }
 
@@ -327,15 +276,15 @@ func TestSnapshotFromBeforeReservedSlot(t *testing.T) {
 
 func TestSnapshotV2Compresses(t *testing.T) {
 	f := trainForest(t, 13, 3000)
-	var legacy, v2 bytes.Buffer
-	if _, err := f.WriteToLegacy(&legacy); err != nil {
+	var raw, v2 bytes.Buffer
+	if _, err := f.WriteToRaw(&raw); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := f.WriteTo(&v2); err != nil {
 		t.Fatal(err)
 	}
-	if v2.Len()*2 > legacy.Len() {
-		t.Fatalf("v2 snapshot %d bytes vs legacy %d; want at least 2x smaller", v2.Len(), legacy.Len())
+	if v2.Len()*2 > raw.Len() {
+		t.Fatalf("v2 snapshot %d bytes vs raw %d; want at least 2x smaller", v2.Len(), raw.Len())
 	}
 }
 

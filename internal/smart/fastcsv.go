@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"strconv"
+	"strings"
 )
 
 // FastReader is the bulk-replay counterpart of Reader: a line scanner
@@ -29,7 +30,7 @@ type FastReader struct {
 	src io.Reader
 	cm  colMap
 
-	line      int64 // physical line of the row Read last consumed (1 = header); 0 after SeekTo
+	line      int64 // physical line of the row Read last consumed (before the first, the header's last); 0 after SeekTo
 	off       int64 // bytes consumed, header included
 	headerEnd int64
 	rows      int64 // rows successfully returned
@@ -74,21 +75,23 @@ func NewFastReaderSize(r io.Reader, size int) (*FastReader, error) {
 	fr := &FastReader{
 		br:       bufio.NewReaderSize(r, size),
 		src:      r,
-		line:     1,
 		intern:   make(map[string]string),
 		lastDate: make([]byte, 0, 10),
 		lastDay:  -1 << 30,
 	}
-	head, err := fr.readLine()
+	// The header is cold-path: encoding/csv reads it, straight off br (a
+	// bufio.Reader this large is used as is, and read only through the
+	// record's last line), so it parses exactly as Reader parses it —
+	// blank lines before it, quoted line breaks and stray carriage returns
+	// included.
+	cr := csv.NewReader(fr.br)
+	cols, err := cr.Read()
 	if err != nil {
 		return nil, fmt.Errorf("smart: reading CSV header: %w", err)
 	}
-	// The header is cold-path: run it through encoding/csv so quoted
-	// column names parse exactly as Reader would parse them.
-	cols, err := csv.NewReader(bytes.NewReader(head)).Read()
-	if err != nil {
-		return nil, fmt.Errorf("smart: reading CSV header: %w", err)
-	}
+	fr.off = cr.InputOffset()
+	last, _ := cr.FieldPos(len(cols) - 1)
+	fr.line = int64(last + strings.Count(cols[len(cols)-1], "\n"))
 	if fr.cm, err = buildColMap(cols); err != nil {
 		return nil, err
 	}

@@ -109,8 +109,6 @@ type Predictor struct {
 	scorePool    *sync.Pool
 	scorePoolDim int
 	batchPool    *sync.Pool
-
-	retiredLayout bool // loaded from ODS1 queues or an ORF1 forest
 }
 
 // features returns the catalog indexes a predictor built from cfg reads.

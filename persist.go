@@ -27,7 +27,6 @@ import (
 const (
 	predictorMagic = "ODP1"
 	stateMagic     = "ODS2"
-	stateMagicV1   = "ODS1" // read, never written
 )
 
 // SaveModel serializes the predictor's model state to w.
@@ -214,19 +213,23 @@ func (p *Predictor) SaveState(w io.Writer) error {
 	return err
 }
 
-// LoadPredictorState reconstructs a predictor saved with SaveState, or
-// with the "ODS1" layout older releases wrote (fixed 8-byte words, no
-// checksum). It reads r to its end: a state is the last thing in
-// whatever holds it. Damaged input of either layout is an "orfdisk:
-// corrupt state" error, never a panic, and every count and length in it
-// is held against the bytes that are there before anything is sized by
-// it.
+// LoadPredictorState reconstructs a predictor saved with SaveState. It
+// reads r to its end: a state is the last thing in whatever holds it.
+// Damaged input is an "orfdisk: corrupt state" error, never a panic, and
+// every count and length in it is held against the bytes that are there
+// before anything is sized by it. The "ODS1" layout of older releases is
+// refused before anything is parsed, with the remedy in the error.
 func LoadPredictorState(r io.Reader) (*Predictor, error) {
 	head := make([]byte, len(stateMagic))
 	if _, err := io.ReadFull(r, head); err != nil {
 		return nil, fmt.Errorf("orfdisk: reading state header: %w", err)
 	}
-	if string(head) != stateMagic && string(head) != stateMagicV1 {
+	switch string(head) {
+	case stateMagic:
+	case "ODS1":
+		return nil, errors.New("orfdisk: state layout ODS1 is retired and this release does not read it; " +
+			"load it with the previous release and save it again (on a data directory: start the previous release and stop it cleanly, its first snapshot pass rewrites every snapshot)")
+	default:
 		return nil, fmt.Errorf("orfdisk: bad state magic %q", head)
 	}
 	p, err := LoadPredictor(r)
@@ -237,43 +240,31 @@ func LoadPredictorState(r io.Reader) (*Predictor, error) {
 	if err != nil {
 		return nil, fmt.Errorf("orfdisk: reading queues: %w", err)
 	}
-	fixed := string(head) == stateMagicV1
-	if !fixed {
-		n := len(section) - 4
-		if n < 0 {
-			return nil, errors.New("orfdisk: corrupt state (no queue checksum)")
-		}
-		sum, stored := crc32.ChecksumIEEE(section[:n]), binary.LittleEndian.Uint32(section[n:])
-		if sum != stored {
-			return nil, fmt.Errorf("orfdisk: corrupt state (queue section CRC %08x, stored %08x)", sum, stored)
-		}
-		section = section[:n]
+	n := len(section) - 4
+	if n < 0 {
+		return nil, errors.New("orfdisk: corrupt state (no queue checksum)")
 	}
-	states, err := decodeQueues(section, fixed, uint64(p.horizon), uint64(len(p.features)))
+	sum, stored := crc32.ChecksumIEEE(section[:n]), binary.LittleEndian.Uint32(section[n:])
+	if sum != stored {
+		return nil, fmt.Errorf("orfdisk: corrupt state (queue section CRC %08x, stored %08x)", sum, stored)
+	}
+	states, err := decodeQueues(section[:n], uint64(p.horizon), uint64(len(p.features)))
 	if err != nil {
 		return nil, fmt.Errorf("orfdisk: corrupt state (%w)", err)
 	}
 	if err := p.labeler.Import(states); err != nil {
 		return nil, err
 	}
-	p.retiredLayout = fixed || p.forest.RetiredLayout()
 	return p, nil
 }
 
 // decodeQueues parses a queue section (its CRC verified and removed) of
-// disks with up to horizon samples of f features each; fixed selects the
-// ODS1 layout, in which every integer is an 8-byte word and every value
-// a float64's bits.
-func decodeQueues(b []byte, fixed bool, horizon, f uint64) ([]labeling.QueueState, error) {
+// disks with up to horizon samples of f features each.
+func decodeQueues(b []byte, horizon, f uint64) ([]labeling.QueueState, error) {
 	short := errors.New("queue section cut short")
 	uint := func() (uint64, error) {
 		v, n := binary.Uvarint(b)
-		if fixed {
-			if n = 8; len(b) >= 8 {
-				v = binary.LittleEndian.Uint64(b)
-			}
-		}
-		if n <= 0 || n > len(b) {
+		if n <= 0 {
 			return 0, short
 		}
 		b = b[n:]
@@ -297,16 +288,14 @@ func decodeQueues(b []byte, fixed bool, horizon, f uint64) ([]labeling.QueueStat
 		if n > horizon {
 			return nil, fmt.Errorf("queue of %d > horizon %d", n, horizon)
 		}
-		size := n * (8 + 8*f)
-		if !fixed {
-			if size, err = uint(); err != nil {
-				return nil, err
-			}
-			// A sample is a day of 1 to MaxVarintLen64 bytes, a code per
-			// feature and at most 8 bytes of each.
-			if size < n*(1+(f+1)/2) || size > n*(binary.MaxVarintLen64+(f+1)/2+8*f) {
-				return nil, fmt.Errorf("%d-byte block for %d queued samples", size, n)
-			}
+		size, err := uint()
+		if err != nil {
+			return nil, err
+		}
+		// A sample is a day of 1 to MaxVarintLen64 bytes, a code per
+		// feature and at most 8 bytes of each.
+		if size < n*(1+(f+1)/2) || size > n*(binary.MaxVarintLen64+(f+1)/2+8*f) {
+			return nil, fmt.Errorf("%d-byte block for %d queued samples", size, n)
 		}
 		if size > uint64(len(b)) {
 			return nil, short
@@ -316,15 +305,6 @@ func decodeQueues(b []byte, fixed bool, horizon, f uint64) ([]labeling.QueueStat
 		block := b[:size]
 		b = b[size:]
 		for i := range st.X {
-			if fixed {
-				st.Days[i] = int(int64(binary.LittleEndian.Uint64(block)))
-				st.X[i] = make([]float64, f)
-				for j := range st.X[i] {
-					st.X[i][j] = math.Float64frombits(binary.LittleEndian.Uint64(block[8+8*j:]))
-				}
-				block = block[8+8*f:]
-				continue
-			}
 			day, sz := binary.Varint(block)
 			if sz <= 0 {
 				return nil, errors.New("queued sample day")

@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
-	"math"
 	"runtime"
 	"slices"
 	"strings"
@@ -88,14 +87,26 @@ func TestLoadedPredictorKeepsLearning(t *testing.T) {
 }
 
 func TestLoadPredictorRejectsGarbage(t *testing.T) {
-	cases := map[string]string{
-		"empty":     "",
-		"bad magic": "WHAT????????????",
-		"truncated": "ODP1\x01\x02",
+	// An intact model file up to its forest, which starts with its magic.
+	p := NewPredictor(Config{ORF: ORFConfig{Trees: 2, Seed: 1}})
+	var model, forest bytes.Buffer
+	if err := p.SaveModel(&model); err != nil {
+		t.Fatal(err)
 	}
-	for name, data := range cases {
-		if _, err := LoadPredictor(strings.NewReader(data)); err == nil {
-			t.Errorf("%s model accepted", name)
+	if _, err := p.forest.WriteTo(&forest); err != nil {
+		t.Fatal(err)
+	}
+	head := model.String()[:model.Len()-forest.Len()]
+	cases := map[string]struct{ data, want string }{
+		"empty":     {"", "header"},
+		"bad magic": {"WHAT????????????", "bad model magic"},
+		"truncated": {"ODP1\x01\x02", "reading model"},
+		// A model file saved while forests were written as ORF1.
+		"ORF1 forest": {head + "ORF1\x01\x02\x03", "load it with the previous release"},
+	}
+	for name, tc := range cases {
+		if _, err := LoadPredictor(strings.NewReader(tc.data)); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s model: error %v, want one mentioning %q", name, err, tc.want)
 		}
 	}
 }
@@ -190,40 +201,13 @@ func TestLoadPredictorStateRejectsGarbage(t *testing.T) {
 	cases := map[string]string{
 		"empty":     "",
 		"bad magic": "NOPE............",
-		"truncated": "ODS1ODP1\x01",
+		"truncated": "ODS2ODP1\x01",
 	}
 	for name, data := range cases {
 		if _, err := LoadPredictorState(strings.NewReader(data)); err == nil {
 			t.Errorf("%s state accepted", name)
 		}
 	}
-}
-
-// saveStateODS1 is the writer the "ODS1" state layout had — every count,
-// day and queued feature a fixed 8-byte word, no checksum — kept as the
-// reference encoder for the fixtures that prove old snapshots still load.
-func saveStateODS1(t testing.TB, p *Predictor) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	buf.WriteString(stateMagicV1)
-	if err := p.SaveModel(&buf); err != nil {
-		t.Fatal(err)
-	}
-	u64 := func(v uint64) { buf.Write(binary.LittleEndian.AppendUint64(nil, v)) }
-	queues := p.labeler.Export()
-	u64(uint64(len(queues)))
-	for _, q := range queues {
-		u64(uint64(len(q.Disk)))
-		buf.WriteString(q.Disk)
-		u64(uint64(len(q.Days)))
-		for i := range q.Days {
-			u64(uint64(int64(q.Days[i])))
-			for _, v := range q.X[i] {
-				u64(math.Float64bits(v))
-			}
-		}
-	}
-	return buf.Bytes()
 }
 
 func saveState(t testing.TB, p *Predictor) []byte {
@@ -267,34 +251,6 @@ func queueOffset(t testing.TB, p *Predictor) int {
 	return len(stateMagic) + model.Len()
 }
 
-// TestLoadPredictorStateReadsODS1 is the old-format fixture for
-// snapshots: an ODS1 state loads to a predictor that saves the very ODS2
-// bytes the original does, and those reload to the same bytes again.
-func TestLoadPredictorStateReadsODS1(t *testing.T) {
-	p, _ := statePredictor(t, 7, Config{Horizon: 4, ORF: ORFConfig{Trees: 8, MinParentSize: 50, Seed: 21}})
-	if p.TrackedDisks() == 0 || p.PendingSamples() == 0 {
-		t.Fatal("fixture predictor has empty queues")
-	}
-	q, err := LoadPredictorState(bytes.NewReader(saveStateODS1(t, p)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resaved := saveState(t, q)
-	if !bytes.HasPrefix(resaved, []byte(stateMagic)) {
-		t.Fatalf("re-saved state starts %q, want %q", resaved[:4], stateMagic)
-	}
-	if !bytes.Equal(resaved, saveState(t, p)) {
-		t.Fatal("a predictor loaded from ODS1 saves different bytes than the one that wrote it")
-	}
-	r, err := LoadPredictorState(bytes.NewReader(resaved))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(saveState(t, r), resaved) {
-		t.Fatal("ODS1 -> ODS2 -> ODS2 is not bit-identical")
-	}
-}
-
 // allocatedBy reports the bytes fn allocates (process-wide: the tests of
 // this package do not run in parallel).
 func allocatedBy(fn func()) uint64 {
@@ -305,14 +261,15 @@ func allocatedBy(fn func()) uint64 {
 	return after.TotalAlloc - before.TotalAlloc
 }
 
-// TestLoadPredictorStateRejectsDamage: a damaged queue section, in
-// either layout, fails the load with a corrupt-state error. It never
-// panics, and no count or length in it buys an allocation: a damaged
-// load allocates at most what the intact one does plus 16x the input (a
-// packed value of half a byte decodes to 8).
+// TestLoadPredictorStateRejectsDamage: a damaged queue section fails the
+// load with a corrupt-state error, and an intact state under the retired
+// ODS1 magic with a refusal that names the remedy. It never panics, and
+// no count or length in it buys an allocation: a damaged load allocates
+// at most what the intact one does plus 16x the input (a packed value of
+// half a byte decodes to 8).
 func TestLoadPredictorStateRejectsDamage(t *testing.T) {
 	p, q0 := statePredictor(t, 9, Config{ORF: ORFConfig{Trees: 5, MinParentSize: 50, Seed: 3}})
-	good, goodV1 := saveState(t, p), saveStateODS1(t, p)
+	good := saveState(t, p)
 
 	// Offsets of the first disk's fields in the ODS2 queue section.
 	uvarint := func(off int) (v uint64, next int) {
@@ -360,11 +317,9 @@ func TestLoadPredictorStateRejectsDamage(t *testing.T) {
 		data       []byte
 	}{
 		{"ODS2 disk count 2^62", "cut short", seal(splice(body, q0, serialAt, uv(1<<62)))},
-		{"ODS1 disk count 2^62", "cut short", splice(goodV1, q0, q0+8, u64(1<<62))},
-		{"ODS1 disk count 2^33", "cut short", splice(goodV1, q0, q0+8, u64(1<<33))},
+		{"retired ODS1 magic", "ODS1 is retired", splice(good, 0, len(stateMagic), []byte("ODS1"))},
 		{"truncated file", "CRC", good[:block+int(size)/2]},
 		{"truncated block", "cut short", seal(body[:block+int(size)/2])},
-		{"truncated ODS1 block", "cut short", goodV1[:q0+8+8+int(serialLen)+8+20]},
 		{"block length 2^40", "-byte block for", seal(splice(body, sizeAt, block, uv(1<<40)))},
 		{"block length one short", "packed value", seal(splice(body, sizeAt, block, uv(size-1)))},
 		{"block length one over", "trailing bytes in a queue block", seal(splice(body, sizeAt, block, uv(size+1)))},
@@ -373,7 +328,6 @@ func TestLoadPredictorStateRejectsDamage(t *testing.T) {
 		{"code 15", "code 15", set(codes, body[codes]|0x0F)},
 		{"non-zero pad nibble", "pad", set(codes+len(p.features)/2, body[codes+len(p.features)/2]|0x10)},
 		{"bytes after the last queue", "trailing bytes after", seal(append(slices.Clone(body), 0))},
-		{"ODS1 bytes after the last queue", "trailing bytes after", append(slices.Clone(goodV1), 0)},
 		{"flipped payload bit", "CRC", flip(block + int(size) - 1)},
 		{"flipped checksum bit", "CRC", flip(len(good) - 1)},
 		{"checksum missing", "CRC", body},
@@ -394,8 +348,8 @@ func TestLoadPredictorStateRejectsDamage(t *testing.T) {
 		switch {
 		case err == nil:
 			t.Errorf("%s: accepted", tc.name)
-		case !strings.HasPrefix(err.Error(), "orfdisk: corrupt "):
-			t.Errorf("%s: error %q, want an \"orfdisk: corrupt state (...)\" one", tc.name, err)
+		case !strings.HasPrefix(err.Error(), "orfdisk: corrupt ") && !strings.Contains(err.Error(), "load it with the previous release"):
+			t.Errorf("%s: error %q, want an \"orfdisk: corrupt state (...)\" one or a refusal naming the remedy", tc.name, err)
 		case !strings.Contains(err.Error(), tc.want):
 			t.Errorf("%s: error %q, want one about %q", tc.name, err, tc.want)
 		}
@@ -414,19 +368,19 @@ func TestStateBytesPerDisk(t *testing.T) {
 	p, modelLen := statePredictor(t, 11, Config{ORF: ORFConfig{Trees: 5, MinParentSize: 50, Seed: 3}})
 	disks := float64(p.TrackedDisks())
 	perDisk := float64(len(saveState(t, p))-modelLen) / disks
-	t.Logf("%v disks: %.1f B/disk ODS2, %.1f B/disk ODS1", disks, perDisk,
-		float64(len(saveStateODS1(t, p))-modelLen)/disks)
+	t.Logf("%v disks: %.1f B/disk", disks, perDisk)
 	if perDisk > maxPerDisk {
 		t.Errorf("queue section is %.1f B per tracked disk, want <= %.1f", perDisk, maxPerDisk)
 	}
 }
 
-// FuzzLoadPredictorState: no input makes the loader panic. Mode 0 feeds
-// it the bytes as a whole file; modes 1 and 2 put them behind an intact
-// model as the ODS1 and the ODS2 queue section (mode 2 with the CRC the
-// bytes deserve, so the fuzzer gets past the checksum), where allocation
-// must stay linear in the input: no count or length in it is believed
-// before the bytes it stands for arrive.
+// FuzzLoadPredictorState: no input makes the loader panic, and nothing
+// loads that does not start with the ODS2 magic (a seed is an intact
+// state under the retired ODS1 one). Mode 0 feeds it the bytes as a whole
+// file; mode 1 puts them behind an intact model as the queue section,
+// with the CRC the bytes deserve so the fuzzer gets past the checksum,
+// where allocation must stay linear in the input: no count or length in
+// it is believed before the bytes it stands for arrive.
 func FuzzLoadPredictorState(f *testing.F) {
 	// A few disks and two young trees: seeds of ~2 kB, which the fuzzer
 	// mutates and minimizes a hundred times faster than a fleet's.
@@ -444,28 +398,25 @@ func FuzzLoadPredictorState(f *testing.F) {
 		}
 	}
 	q0 := queueOffset(f, p)
-	v2, v1 := saveState(f, p), saveStateODS1(f, p)
+	v2 := saveState(f, p)
 	f.Add(v2, uint8(0))
-	f.Add(v1, uint8(0))
-	f.Add(v1[q0:], uint8(1))
-	f.Add(v2[q0:len(v2)-4], uint8(2))
-	f.Add([]byte{}, uint8(2))
-	var intact uint64
-	for _, b := range [][]byte{v1, v2} {
-		intact = max(intact, allocatedBy(func() { LoadPredictorState(bytes.NewReader(b)) }))
-	}
+	f.Add(slices.Concat([]byte("ODS1"), v2[len(stateMagic):]), uint8(0))
+	f.Add(v2[:q0], uint8(0)) // no queue section
+	f.Add(v2[q0:len(v2)-4], uint8(1))
+	f.Add([]byte{}, uint8(1))
+	intact := allocatedBy(func() { LoadPredictorState(bytes.NewReader(v2)) })
 	f.Fuzz(func(t *testing.T, data []byte, mode uint8) {
 		input := data
-		switch mode % 3 {
-		case 1:
-			input = slices.Concat(v1[:q0], data)
-		case 2:
+		if mode%2 == 1 {
 			input = binary.LittleEndian.AppendUint32(slices.Concat(v2[:q0], data), crc32.ChecksumIEEE(data))
 		}
 		var q *Predictor
 		var err error
 		got := allocatedBy(func() { q, err = LoadPredictorState(bytes.NewReader(input)) })
 		if err == nil {
+			if !bytes.HasPrefix(input, []byte(stateMagic)) {
+				t.Fatalf("loaded a state that starts %q", input[:len(stateMagic)])
+			}
 			// What loads must be usable: it saves, and the save loads.
 			if _, err := LoadPredictorState(bytes.NewReader(saveState(t, q))); err != nil {
 				t.Fatalf("re-saved state: %v", err)
@@ -474,7 +425,7 @@ func FuzzLoadPredictorState(f *testing.F) {
 		// Linear with a generous factor: an empty queue of a disk with a
 		// one-byte serial is 3 bytes on file and a ring, a map entry and a
 		// string in memory.
-		if limit := 2*intact + 1024*uint64(len(data)); mode%3 != 0 && got > limit {
+		if limit := 2*intact + 1024*uint64(len(data)); mode%2 == 1 && got > limit {
 			t.Fatalf("allocated %d bytes for a %d-byte queue section (limit %d)", got, len(data), limit)
 		}
 	})

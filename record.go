@@ -23,31 +23,14 @@ const (
 	// cursor counts only its own rows; they are applied via Absorb.
 	recObserveRun   = 10
 	recObserveBFRun = 11
-	// The previous release's runs: the same layout with a value count
-	// where the index list is, every row holding the whole catalog. They
-	// are read, never written, so that a follower of this release can
-	// apply an older leader's log. Kinds 1, 3, 4, 6 and 7 held one row
-	// each in layouts older still, and decodeRecord refuses them.
-	recCatalogRun   = 8
-	recCatalogBFRun = 9
+	// Kinds 1, 3, 4, 6 and 7 held one row each, and kinds 8 and 9 were
+	// runs of whole catalog rows; decodeRecord refuses them all.
 )
-
-// catalogIndexes is the index list kinds 8 and 9 imply: every catalog
-// value, in catalog order. Shared by every decoded record of those kinds;
-// never modified.
-var catalogIndexes = func() []int {
-	idx := make([]int, CatalogSize())
-	for i := range idx {
-		idx[i] = i
-	}
-	return idx
-}()
 
 // Per-row flags of a run record; any other bit is a decode error.
 const (
 	runRowFailed = 1 << iota // the disk's failure row
 	runRowDay                // a varint follows: this row's day minus the run's base day
-	runRowWidth              // a uvarint follows: this row's value count, not the run's
 )
 
 // walRecord is one decoded record: a run, a retire or a cursor.
@@ -56,8 +39,7 @@ type walRecord struct {
 	model  string // a run's or a retire's
 	serial string // a retire's
 	// run holds a run's rows (nil for a retire or a cursor); their Values
-	// share one slab. index holds the catalog indexes of a row's values,
-	// catalogIndexes for kinds 8 and 9.
+	// share one slab. index holds the catalog indexes of a row's values.
 	run   []FleetObservation
 	index []int
 	cur   *BackfillCursor // a cursor's
@@ -71,8 +53,7 @@ type recordBatch struct {
 	buf     []byte
 	offs    []int
 	payload [][]byte
-	// The open run's shared fields, which addRow encodes each row against.
-	baseDay, width int
+	baseDay int // the open run's, which addRow encodes each row's day against
 }
 
 func (b *recordBatch) reset() { b.buf, b.offs = b.buf[:0], b.offs[:0] }
@@ -88,7 +69,7 @@ func (b *recordBatch) reset() { b.buf, b.offs = b.buf[:0], b.offs[:0] }
 // frame carries and what a follower appends to its own log.
 func (b *recordBatch) beginRun(kind byte, first *FleetObservation, index []int, rows int) {
 	b.offs = append(b.offs, len(b.buf))
-	b.baseDay, b.width = first.Day, len(index)
+	b.baseDay = first.Day
 	b.buf = append(b.buf, kind)
 	b.buf = binary.AppendUvarint(b.buf, uint64(len(first.Model)))
 	b.buf = append(b.buf, first.Model...)
@@ -100,10 +81,10 @@ func (b *recordBatch) beginRun(kind byte, first *FleetObservation, index []int, 
 	b.buf = binary.AppendUvarint(b.buf, uint64(rows))
 }
 
-// addRow appends obs to the open run with vals as its values (the
-// catalog values at the run's index list): a flags byte, the day and the
-// value count only where they differ from the run's, the serial as a
-// length-prefixed string, then the values as packValues lays them out.
+// addRow appends obs to the open run with vals as its values, exactly
+// the catalog values at the run's index list: a flags byte, the day only
+// where it differs from the run's, the serial as a length-prefixed
+// string, then the values as packValues lays them out.
 func (b *recordBatch) addRow(obs *FleetObservation, vals []float64) {
 	var flags byte
 	if obs.Failed {
@@ -112,15 +93,9 @@ func (b *recordBatch) addRow(obs *FleetObservation, vals []float64) {
 	if obs.Day != b.baseDay {
 		flags |= runRowDay
 	}
-	if len(vals) != b.width {
-		flags |= runRowWidth
-	}
 	b.buf = append(b.buf, flags)
 	if flags&runRowDay != 0 {
 		b.buf = binary.AppendVarint(b.buf, int64(obs.Day)-int64(b.baseDay))
-	}
-	if flags&runRowWidth != 0 {
-		b.buf = binary.AppendUvarint(b.buf, uint64(len(vals)))
 	}
 	b.buf = binary.AppendUvarint(b.buf, uint64(len(obs.Serial)))
 	b.buf = append(b.buf, obs.Serial...)
@@ -168,21 +143,23 @@ func decodeRecord(b []byte) (walRecord, error) {
 	var err error
 	switch rec.kind {
 	case recObserveRun, recObserveBFRun:
-		rec.model, rec.index, rec.run, err = decodeRun(b, true)
-	case recCatalogRun, recCatalogBFRun:
-		rec.model, rec.index, rec.run, err = decodeRun(b, false)
+		rec.model, rec.index, rec.run, err = decodeRun(b)
 	case recCursor:
 		rec.cur, err = decodeCursorRecord(b)
 	case recRetire:
 		if rec.model, b, err = takeString(b); err == nil {
 			rec.serial, _, err = takeString(b)
 		}
-	case 1, 3, 4, 6, 7:
+	case 1, 3, 4, 6, 7, 8, 9:
 		// A clean stop snapshots every model and seals the log, so a
 		// release that reads these and writes runs leaves a directory this
 		// one reads.
-		err = fmt.Errorf("orfdisk: WAL record kind %d is a retired one-row observe layout this release does not read; "+
-			"start a release that still reads it on this data directory and stop it cleanly (that seals its log), then start this one", rec.kind)
+		layout := "one-row"
+		if rec.kind >= 8 {
+			layout = "whole-catalog run"
+		}
+		err = fmt.Errorf("orfdisk: WAL record kind %d is a retired %s observe layout this release does not read; "+
+			"start a release that still reads it on this data directory and stop it cleanly (that seals its log), then start this one", rec.kind, layout)
 	default:
 		err = fmt.Errorf("orfdisk: unknown WAL record kind %d", rec.kind)
 	}
@@ -192,13 +169,11 @@ func decodeRecord(b []byte) (walRecord, error) {
 var errTruncatedRun = errors.New("orfdisk: truncated run WAL record")
 
 // decodeRun parses a run body (b excludes the kind byte; beginRun and
-// addRow give the layout). listed says the header lists its catalog
-// indexes (kinds 10 and 11); otherwise it holds a value count and the
-// rows the whole catalog (kinds 8 and 9). Every count comes from the
-// input and is bounded by what b could hold before anything is allocated
-// for it. The rows' Values are carved from one slab, so a decoded run
-// costs one allocation for its values, not one per row.
-func decodeRun(b []byte, listed bool) (model string, index []int, rows []FleetObservation, err error) {
+// addRow give the layout). Every count comes from the input and is
+// bounded by what b could hold before anything is allocated for it. The
+// rows' Values are carved from one slab, so a decoded run costs one
+// allocation for its values, not one per row.
+func decodeRun(b []byte) (model string, index []int, rows []FleetObservation, err error) {
 	if model, b, err = takeVarString(b); err != nil {
 		return "", nil, nil, err
 	}
@@ -212,26 +187,25 @@ func decodeRun(b []byte, listed bool) (model string, index []int, rows []FleetOb
 		return "", nil, nil, errTruncatedRun
 	}
 	b = b[n:]
-	index = catalogIndexes
-	if listed {
-		if width > uint64(len(b)) { // an index is at least one byte
-			return "", nil, nil, fmt.Errorf("orfdisk: run WAL record lists %d indexes in %d bytes", width, len(b))
+	if width > uint64(len(b)) { // an index is at least one byte
+		return "", nil, nil, fmt.Errorf("orfdisk: run WAL record lists %d indexes in %d bytes", width, len(b))
+	}
+	index = make([]int, width)
+	for i := range index {
+		j, n := binary.Uvarint(b)
+		if n <= 0 {
+			return "", nil, nil, errTruncatedRun
 		}
-		index = make([]int, width)
-		for i := range index {
-			j, n := binary.Uvarint(b)
-			if n <= 0 {
-				return "", nil, nil, errTruncatedRun
-			}
-			index[i], b = int(j), b[n:]
-		}
+		index[i], b = int(j), b[n:]
 	}
 	nrows, n := binary.Uvarint(b)
 	if n <= 0 {
 		return "", nil, nil, errTruncatedRun
 	}
 	b = b[n:]
-	// A row is at least its flags byte and its serial's length.
+	// A row is at least its flags byte and its serial's length, a value at
+	// least its half-byte code; width is at most len(b), so the product
+	// cannot overflow.
 	switch {
 	case nrows == 0:
 		return "", nil, nil, errors.New("orfdisk: run WAL record with no rows")
@@ -239,13 +213,11 @@ func decodeRun(b []byte, listed bool) (model string, index []int, rows []FleetOb
 		return "", nil, nil, fmt.Errorf("orfdisk: run WAL record of %d rows, more than the %d a writer frames", nrows, applyRunCap)
 	case nrows > uint64(len(b))/2:
 		return "", nil, nil, fmt.Errorf("orfdisk: run WAL record claims %d rows in %d bytes", nrows, len(b))
+	case width*nrows > 2*uint64(len(b)):
+		return "", nil, nil, fmt.Errorf("orfdisk: run WAL record claims %d rows of %d values in %d bytes", nrows, width, len(b))
 	}
 	rows = make([]FleetObservation, nrows)
-	// A value is at least its half-byte code, which bounds the slab by the
-	// body however large the claimed width (capped before the product, which
-	// could overflow).
-	most := 2 * uint64(len(b))
-	slab := make([]float64, 0, min(min(width, most)*nrows, most))
+	slab := make([]float64, width*nrows)
 	for i := range rows {
 		obs := &rows[i]
 		obs.Model = model
@@ -254,7 +226,7 @@ func decodeRun(b []byte, listed bool) (model string, index []int, rows []FleetOb
 		}
 		flags := b[0]
 		b = b[1:]
-		if flags&^(runRowFailed|runRowDay|runRowWidth) != 0 {
+		if flags&^(runRowFailed|runRowDay) != 0 {
 			return "", nil, nil, fmt.Errorf("orfdisk: run WAL record: row %d has unknown flag bits %#x", i, flags)
 		}
 		obs.Failed = flags&runRowFailed != 0
@@ -267,25 +239,11 @@ func decodeRun(b []byte, listed bool) (model string, index []int, rows []FleetOb
 			day, b = base+delta, b[n:]
 		}
 		obs.Day = int(day)
-		nv := width
-		if flags&runRowWidth != 0 {
-			if nv, n = binary.Uvarint(b); n <= 0 {
-				return "", nil, nil, errTruncatedRun
-			}
-			b = b[n:]
-		}
 		if obs.Serial, b, err = takeVarString(b); err != nil {
 			return "", nil, nil, err
 		}
-		if nv > 2*uint64(len(b)) { // before nv sizes anything
-			return "", nil, nil, fmt.Errorf("orfdisk: run WAL record: row %d: %d packed values in %d bytes", i, nv, len(b))
-		}
-		if off := len(slab); uint64(cap(slab)-off) >= nv {
-			slab = slab[:off+int(nv)]
-			obs.Values = slab[off:len(slab):len(slab)]
-		} else {
-			obs.Values = make([]float64, nv) // a row wider than the run said
-		}
+		obs.Values = slab[:width:width]
+		slab = slab[width:]
 		if b, err = unpackValuesInto(obs.Values, b); err != nil {
 			return "", nil, nil, fmt.Errorf("orfdisk: run WAL record: row %d: %w", i, err)
 		}

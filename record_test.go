@@ -11,72 +11,20 @@ import (
 	"orfdisk/internal/smart"
 )
 
-// The kinds of the retired one-row observe layouts, which decodeRecord
-// refuses: the fixed-width first format (1), the v2 layout with a length
-// byte before every value (3 live, 4 backfill) and the packed one-row
-// record runs replaced (6 live, 7 backfill).
+// The kinds of the retired observe layouts, which decodeRecord refuses:
+// the fixed-width first format (1), the v2 layout with a length byte
+// before every value (3 live, 4 backfill), the packed one-row records
+// runs replaced (6 live, 7 backfill) and the runs whose rows held the
+// whole catalog (8 live, 9 backfill).
 const (
-	recObserveV1   = 1
-	recObserveV2   = 3
-	recObserveBFV2 = 4
-	recObserve     = 6
-	recObserveBF   = 7
+	recObserveV1    = 1
+	recObserveV2    = 3
+	recObserveBFV2  = 4
+	recObserve      = 6
+	recObserveBF    = 7
+	recCatalogRun   = 8
+	recCatalogBFRun = 9
 )
-
-// appendObserveRecordKind is the writer one-row observe records had
-// (recObserve live, recObserveBF backfill): the header fields as varints
-// and length-prefixed strings, the value count, then the values as
-// packValues lays them out. Nothing reads them any more; the writer is
-// kept to build well-formed records decodeRecord must refuse, and as the
-// size runs are measured against in TestRecordBytesPerRow.
-func appendObserveRecordKind(buf []byte, obs FleetObservation, kind byte) []byte {
-	worst := 2 + 4*binary.MaxVarintLen64 + len(obs.Model) + len(obs.Serial)
-	n := len(buf)
-	if cap(buf)-n < worst {
-		buf = append(buf[:n], make([]byte, worst)...)
-	}
-	b := buf[n : n+worst]
-	b[0] = kind
-	i := 1
-	i += binary.PutUvarint(b[i:], uint64(len(obs.Model)))
-	i += copy(b[i:], obs.Model)
-	i += binary.PutUvarint(b[i:], uint64(len(obs.Serial)))
-	i += copy(b[i:], obs.Serial)
-	i += binary.PutVarint(b[i:], int64(obs.Day))
-	if obs.Failed {
-		b[i] = 1
-	} else {
-		b[i] = 0
-	}
-	i++
-	i += binary.PutUvarint(b[i:], uint64(len(obs.Values)))
-	return packValues(buf[:n+i], obs.Values)
-}
-
-// appendObserveRecordV2 is the writer the v2 observe layout had (kinds
-// recObserveV2 and recObserveBFV2) — appendObserveRecordKind's header,
-// then per value a length byte and that many leading bytes of the
-// float's bits — kept for the same two reasons.
-func appendObserveRecordV2(buf []byte, obs FleetObservation, kind byte) []byte {
-	buf = append(buf, kind)
-	buf = binary.AppendUvarint(buf, uint64(len(obs.Model)))
-	buf = append(buf, obs.Model...)
-	buf = binary.AppendUvarint(buf, uint64(len(obs.Serial)))
-	buf = append(buf, obs.Serial...)
-	buf = binary.AppendVarint(buf, int64(obs.Day))
-	if obs.Failed {
-		buf = append(buf, 1)
-	} else {
-		buf = append(buf, 0)
-	}
-	buf = binary.AppendUvarint(buf, uint64(len(obs.Values)))
-	for _, v := range obs.Values {
-		w := v2Width(v)
-		buf = append(buf, byte(w))
-		buf = append(buf, binary.BigEndian.AppendUint64(nil, math.Float64bits(v))[:w]...)
-	}
-	return buf
-}
 
 // appendRunRecord frames rows (one model, at most applyRunCap of them) as
 // one run record of kind (10 or 11) under index through the product
@@ -84,24 +32,6 @@ func appendObserveRecordV2(buf []byte, obs FleetObservation, kind byte) []byte {
 func appendRunRecord(buf []byte, kind byte, index []int, rows []FleetObservation) []byte {
 	enc := recordBatch{buf: buf}
 	enc.beginRun(kind, &rows[0], index, len(rows))
-	for i := range rows {
-		enc.addRow(&rows[i], rows[i].Values)
-	}
-	return enc.buf
-}
-
-// appendCatalogRunRecord frames rows as the previous release wrote its
-// runs (kind 8 or 9): the header holds the first row's value count where
-// a run of this release lists its catalog indexes, and the rows follow in
-// the same layout — each the whole catalog, as that release's writers
-// framed them. Nothing writes these any more; followers still read them.
-func appendCatalogRunRecord(buf []byte, kind byte, rows []FleetObservation) []byte {
-	enc := recordBatch{buf: append(buf, kind), baseDay: rows[0].Day, width: len(rows[0].Values)}
-	enc.buf = binary.AppendUvarint(enc.buf, uint64(len(rows[0].Model)))
-	enc.buf = append(enc.buf, rows[0].Model...)
-	enc.buf = binary.AppendVarint(enc.buf, int64(enc.baseDay))
-	enc.buf = binary.AppendUvarint(enc.buf, uint64(enc.width))
-	enc.buf = binary.AppendUvarint(enc.buf, uint64(len(rows)))
 	for i := range rows {
 		enc.addRow(&rows[i], rows[i].Values)
 	}
@@ -132,12 +62,12 @@ func sameObservation(a, b FleetObservation) bool {
 	return true
 }
 
-// randomRun draws n rows of one model: mostly one day and one width, with
-// the exceptions a run record has flags for.
+// randomRun draws n rows of one model, each of the same number of values:
+// mostly one day, with the exceptions a run record has flags for.
 func randomRun(rng *rand.Rand, n int) []FleetObservation {
 	special := []float64{0, math.Copysign(0, -1), 1, 100, 255, 256, 19512, 0.5, 36.6, math.NaN(),
 		math.Inf(1), math.Inf(-1), 1<<48 - 1, 1 << 48, -7, 5e-324}
-	base, width := rng.Intn(4000)-100, 1+rng.Intn(60)
+	base, width := rng.Intn(4000)-100, rng.Intn(61)
 	rows := make([]FleetObservation, n)
 	for i := range rows {
 		o := &rows[i]
@@ -148,11 +78,7 @@ func randomRun(rng *rand.Rand, n int) []FleetObservation {
 			o.Day += rng.Intn(9) - 4
 		}
 		o.Failed = rng.Intn(16) == 0
-		w := width
-		if rng.Intn(16) == 0 {
-			w = rng.Intn(2 * width) // a row whose width differs, zero included
-		}
-		o.Values = make([]float64, w)
+		o.Values = make([]float64, width)
 		for k := range o.Values {
 			switch rng.Intn(3) {
 			case 0:
@@ -166,8 +92,7 @@ func randomRun(rng *rand.Rand, n int) []FleetObservation {
 }
 
 // TestRunRecordRoundTrip: random runs decode to the rows and index list
-// that went in, under all four kinds (the catalog kinds imply the whole
-// catalog as their list).
+// that went in, under both kinds.
 func TestRunRecordRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(24))
 	for _, n := range []int{1, 1, 2, 3, 17, 64, 256, applyRunCap} {
@@ -175,19 +100,14 @@ func TestRunRecordRoundTrip(t *testing.T) {
 		if n == 3 {
 			// The cases the flags exist for, pinned rather than left to the draw.
 			rows[1].Failed, rows[1].Day = true, rows[0].Day+1
-			rows[2].Values = append(rows[2].Values, 42)
 		}
 		index := rng.Perm(1 << 10)[:len(rows[0].Values)]
-		for _, kind := range []byte{recObserveRun, recObserveBFRun, recCatalogRun, recCatalogBFRun} {
-			b, wantIndex := appendRunRecord(nil, kind, index, rows), index
-			if kind == recCatalogRun || kind == recCatalogBFRun {
-				b, wantIndex = appendCatalogRunRecord(nil, kind, rows), catalogIndexes
-			}
-			rec, err := decodeRecord(b)
+		for _, kind := range []byte{recObserveRun, recObserveBFRun} {
+			rec, err := decodeRecord(appendRunRecord(nil, kind, index, rows))
 			if err != nil {
 				t.Fatalf("%d rows: %v", n, err)
 			}
-			if rec.kind != kind || rec.model != rows[0].Model || len(rec.run) != n || !slices.Equal(rec.index, wantIndex) {
+			if rec.kind != kind || rec.model != rows[0].Model || len(rec.run) != n || !slices.Equal(rec.index, index) {
 				t.Fatalf("%d rows under kind %d decode as kind %d, model %q, %d rows, index %v",
 					n, kind, rec.kind, rec.model, len(rec.run), rec.index)
 			}
@@ -230,8 +150,7 @@ func TestRunRecordRejections(t *testing.T) {
 	if _, err := decodeRecord(good); err != nil {
 		t.Fatal(err)
 	}
-	// header builds kind, model, base day, index list, row count; catalog
-	// the previous release's header, with a value count for the list.
+	// header builds kind, model, base day, index list, row count.
 	header := func(index []int, nrows uint64) []byte {
 		b := binary.AppendUvarint([]byte{recObserveRun, 1, 'M', 0}, uint64(len(index)))
 		for _, j := range index {
@@ -239,17 +158,16 @@ func TestRunRecordRejections(t *testing.T) {
 		}
 		return binary.AppendUvarint(b, nrows)
 	}
-	catalog := func(width, nrows uint64) []byte {
-		b := binary.AppendUvarint([]byte{recCatalogRun, 1, 'M', 0}, width)
-		return binary.AppendUvarint(b, nrows)
-	}
 	// good's first flags byte follows its kind, model, base day, index list and row count.
 	flagsAt := 2 + len(rows[0].Model) + len(binary.AppendVarint(nil, int64(rows[0].Day))) + 1 + len(index) + 1
 	if good[flagsAt] != 0 {
 		t.Fatalf("test bug: byte %d of the run is %#x, not the first row's flags", flagsAt, good[flagsAt])
 	}
-	unknownFlag := append([]byte(nil), good...)
-	unknownFlag[flagsAt] = 0x08
+	flagged := func(flags byte) []byte {
+		b := append([]byte(nil), good...)
+		b[flagsAt] = flags
+		return b
+	}
 	one := []int{0}
 	for name, tc := range map[string]struct {
 		b    []byte
@@ -259,18 +177,18 @@ func TestRunRecordRejections(t *testing.T) {
 		"rows beyond the cap":      {append(header(nil, applyRunCap+1), make([]byte, 4*applyRunCap)...), "more than"},
 		"rows beyond the bytes":    {append(header(index, 1000), good[flagsAt:]...), "claims 1000 rows"},
 		"rows 2^62":                {header(index, 1<<62), "more than"},
-		"unknown flag bits":        {unknownFlag, "unknown flag bits"},
+		"values beyond the bytes":  {append(header(make([]int, 40), 3), make([]byte, 50)...), "claims 3 rows of 40 values in 50 bytes"},
+		"unknown flag bits":        {flagged(0x08), "unknown flag bits"},
+		"retired row width flag":   {flagged(0x04), "unknown flag bits"},
 		"trailing bytes":           {append(append([]byte(nil), good...), 0), "trailing"},
 		"indexes beyond the bytes": {binary.AppendUvarint([]byte{recObserveRun, 1, 'M', 0}, 1<<40), "lists 1099511627776 indexes"},
 		"index list cut":           {[]byte{recObserveRun, 1, 'M', 0, 3, 1, 0x80, 0x80}, "truncated"},
-		"width beyond the bytes":   {append(catalog(1<<40, 1), 0, 1, 'S', 0x11), "packed values in"},
-		"row width beyond bytes":   {append(header(one, 1), runRowWidth, 0xFF, 0xFF, 0xFF, 0x7F, 1, 'S', 0x11), "packed values in"},
+		"values cut":               {append(header(index, 1), 0, 1, 'S', 0x11), "packed value"},
 		"reserved value code":      {append(header(one, 1), 0, 1, 'S', 0x0F), "code 15"},
 		"serial beyond the bytes":  {append(header(one, 1), 0, 200, 'S'), "truncated"},
 		"day delta cut":            {append(header(one, 1), runRowDay, 0x80), "truncated"},
 		"header cut after model":   {[]byte{recObserveRun, 1, 'M'}, "truncated"},
 		"header cut in the counts": {[]byte{recObserveRun, 1, 'M', 0, 1, 4}, "truncated"},
-		"catalog header cut":       {[]byte{recCatalogRun, 1, 'M', 0, 4}, "truncated"},
 	} {
 		_, err := decodeRecord(tc.b)
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
@@ -284,11 +202,11 @@ func TestRunRecordRejections(t *testing.T) {
 		}
 	}
 	// The counts are checked against the body before anything is sized from
-	// them: a few bytes claiming 2^40 values a row, or 2^40 indexes, decode
-	// in a few hundred bytes of allocation (the rows slice and the error),
-	// not terabytes.
+	// them: a few bytes claiming 2^40 indexes, or more values than they
+	// could hold, decode in a few hundred bytes of allocation (the index
+	// list, the rows slice and the error), not terabytes.
 	for _, hostile := range [][]byte{
-		append(catalog(1<<40, 2), 0, 1, 'S', 0x11, 0),
+		append(header(make([]int, 40), 3), make([]byte, 50)...),
 		append(binary.AppendUvarint([]byte{recObserveRun, 1, 'M', 0}, 1<<40), 1, 2, 3, 0, 1, 'S', 0x11),
 	} {
 		allocs := testing.AllocsPerRun(20, func() { decodeRecord(hostile) })

@@ -341,6 +341,39 @@ func dumpModel(t *testing.T, e *Engine, model string) []byte {
 	return buf.Bytes()
 }
 
+// TestFollowerRefusesRetiredRun: a whole-catalog run (kind 8), as only
+// leaders older than the previous release log it, fails ApplyReplicated
+// with the retired-layout error before it reaches the follower's log or
+// shards.
+func TestFollowerRefusesRetiredRun(t *testing.T) {
+	leader, err := NewEngine(EngineConfig{Predictor: engineTestConfig(), DataDir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer leader.Close()
+	recs := leaderRecords(t, leader, engineStream(t, 31, 1)[:200])
+	follower, err := NewEngine(EngineConfig{Predictor: engineTestConfig(), DataDir: t.TempDir(), Follower: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer follower.Close()
+	if err := follower.ApplyReplicated(recs); err != nil {
+		t.Fatal(err)
+	}
+	model := follower.Models()[0]
+	next, state := follower.WAL().NextSeq(), dumpModel(t, follower, model)
+	err = follower.ApplyReplicated([]replica.Record{{Seq: next, Payload: []byte{recCatalogRun, 1, 'M', 0}}})
+	if err == nil || !strings.Contains(err.Error(), "kind 8 is a retired whole-catalog run observe layout") {
+		t.Fatalf("ApplyReplicated of a kind-8 record: %v; want the retired-layout error", err)
+	}
+	if got := follower.WAL().NextSeq(); got != next {
+		t.Errorf("NextSeq %d after the refusal, want %d", got, next)
+	}
+	if !bytes.Equal(dumpModel(t, follower, model), state) {
+		t.Error("the refused record changed the follower's model state")
+	}
+}
+
 // TestFollowerNotReadyOnSilence: a dead stream freezes the observed
 // leader head, so lag reads zero exactly when the replica is stalest —
 // silence is what flips readiness off.
