@@ -1,9 +1,6 @@
 package orfdisk
 
 import (
-	"bufio"
-	"bytes"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -32,10 +29,10 @@ import (
 //     earlier row of another). The WAL loses only suffixes, so the
 //     durable state is always "some prefix of the submitted rows", even
 //     when a power failure tears a batch between two of its records:
-//     recovery re-reads the newest cursor (from the WAL suffix or from
-//     the cursor file a snapshot persisted) and counts the rows of the
-//     backfill records after it. The pair (cursor, rowsAfter) is an exact
-//     resume point — the loader seeks its readers to the cursor and
+//     recovery starts from the resume point the newest pass record holds,
+//     re-reads the newest cursor after it and counts the rows of the
+//     backfill records after that. The pair (cursor, rowsAfter) is an
+//     exact resume point — the loader seeks its readers to the cursor and
 //     discards exactly rowsAfter merged rows before submitting again.
 //
 // Backfill runs use their own record kind so live Ingest traffic can
@@ -69,42 +66,36 @@ func (c BackfillCursor) clone() BackfillCursor {
 	return c
 }
 
-// bfState is the engine's cursor bookkeeping, all guarded by mu.
+// bfState is the engine's cursor bookkeeping.
 type bfState struct {
-	mu sync.Mutex
+	// gate is held by IngestBackfill from its WAL append until every row
+	// of the batch is applied, and by a snapshot pass for the whole pass.
+	// The live ingest path appends on the shard worker itself, so a state
+	// record, written on the same worker, always follows the rows it
+	// holds; the loader appends from its own goroutine, and without the
+	// gate a state record could land after a batch whose rows its shard
+	// has yet to apply, and replay would overwrite them.
+	gate sync.Mutex
+
+	mu sync.Mutex // guards bfResume
 	bfResume
 
-	// pendingLow pins the snapshot truncation cutoff while a backfill
-	// batch is between its WAL append and its shard applies. The live
-	// ingest path appends on the shard worker itself, so Snapshot's
-	// worker-serialized reads can never observe durable-but-unapplied
-	// records there; the backfill loader appends from its own goroutine,
-	// so without this floor a concurrent snapshot could truncate records
-	// no snapshot covers and no shard has applied yet. Zero means no
-	// batch is in flight. Set (to a pre-append NextSeq lower bound)
-	// before the records exist, so any cutoff computed after they exist
-	// observes it.
-	pendingLow uint64
-
 	// enc is IngestBackfill's framing scratch (single in-flight call by
-	// contract — the loader is one goroutine), recOf[i] the position in
-	// the framed batch of the record that holds row i, and x the row being
-	// framed, projected onto its model's features.
+	// contract — the loader is one goroutine), feats the feature list of
+	// each of the batch's models, and x the row being framed, projected
+	// onto its model's features.
 	enc   recordBatch
-	recOf []uint32
+	feats map[string][]int
 	x     []float64
 }
 
 // bfResume is the durable resume point: the newest cursor and the count
 // of backfill rows after it, valid once any backfill has touched the
-// engine. seq is the highest WAL sequence number the pair accounts for;
-// recovery uses it to know which replayed records are news. It is what
-// the cursor file holds.
+// engine. A pass record holds it.
 type bfResume struct {
 	valid     bool
 	cur       BackfillCursor
 	rowsAfter uint64
-	seq       uint64
 }
 
 // BackfillState returns the durable backfill resume point: the last
@@ -155,38 +146,42 @@ func (e *Engine) IngestBackfill(batch []FleetObservation, cur *BackfillCursor) e
 		sc.add(batch[i].Model, i)
 	}
 
-	var first, last uint64
+	bf := &e.bf
 	if e.wal != nil {
-		bf := &e.bf
-		bf.mu.Lock()
-		bf.pendingLow = e.wal.NextSeq() // lower bound: concurrent appends only raise NextSeq
-		bf.mu.Unlock()
+		// Each run is framed under the features its model's predictor
+		// reads, which a state record may have set to other than the
+		// configured list: the log and the shard never disagree.
+		if bf.feats == nil {
+			bf.feats = make(map[string][]int)
+		}
+		clear(bf.feats)
+		for _, model := range sc.order {
+			if err := e.pool.Do(model, func(s *shardState) { bf.feats[model] = s.p.features }); err != nil {
+				return err
+			}
+		}
 		bf.enc.reset()
-		bf.recOf = bf.recOf[:0]
 		for lo, hi := 0, 0; lo < len(batch); lo = hi {
 			for hi = lo + 1; hi < len(batch) && hi-lo < applyRunCap && batch[hi].Model == batch[lo].Model; hi++ {
 			}
-			rec := uint32(len(bf.enc.offs))
-			_, feats := e.startOf(batch[lo].Model)
+			feats := bf.feats[batch[lo].Model]
 			bf.enc.beginRun(recObserveBFRun, &batch[lo], feats, hi-lo)
 			for i := lo; i < hi; i++ {
 				bf.x = smart.AppendProject(bf.x[:0], batch[i].Values, feats)
 				bf.enc.addRow(&batch[i], bf.x)
-				bf.recOf = append(bf.recOf, rec)
 			}
 		}
 		if cur != nil {
 			bf.enc.addCursor(*cur)
 		}
-		payloads := bf.enc.payloads()
-		var err error
-		if first, err = e.wal.AppendBatch(payloads); err != nil {
+		bf.gate.Lock()
+		defer bf.gate.Unlock()
+		if _, err := e.wal.AppendBatch(bf.enc.payloads()); err != nil {
 			e.met.ingestErrors.Add(uint64(len(batch)))
 			return err
 		}
-		last = first + uint64(len(payloads)) - 1
 	}
-	e.noteBackfill(last, uint64(len(batch)), cur)
+	e.noteBackfill(uint64(len(batch)), cur)
 
 	// Fan the durable rows out to their shards; grouped in batch order,
 	// per-model slices stay chronological. Distinct models absorb in
@@ -200,7 +195,7 @@ func (e *Engine) IngestBackfill(batch []FleetObservation, cur *BackfillCursor) e
 		wg.Add(1)
 		err := e.submitBlocking(model, func(s *shardState) {
 			defer wg.Done()
-			e.absorbSlice(s, batch, idxs, first)
+			e.absorbSlice(s, batch, idxs)
 		})
 		if err != nil {
 			wg.Done()
@@ -210,15 +205,6 @@ func (e *Engine) IngestBackfill(batch []FleetObservation, cur *BackfillCursor) e
 		}
 	}
 	wg.Wait()
-	if subErr == nil && e.wal != nil {
-		// Every row is applied; snapshots may truncate past the batch
-		// again. On error the floor stays set — conservative: it pins
-		// the WAL, but the records it pins are exactly the ones only
-		// the WAL still knows about.
-		e.bf.mu.Lock()
-		e.bf.pendingLow = 0
-		e.bf.mu.Unlock()
-	}
 	return subErr
 }
 
@@ -241,35 +227,22 @@ func (e *Engine) submitBlocking(model string, fn func(*shardState)) error {
 
 // absorbSlice applies one shard's slice of a backfill batch on the
 // shard's worker: ingestSlice minus scoring, per-row results and the WAL
-// append (IngestBackfill logged the whole batch from first on, so row i
-// sits in record first+recOf[i]; a memory-only engine has no records).
-// The slice is the unit a snapshot sees, as in ingestSlice, however many
-// runs its rows were framed as.
-func (e *Engine) absorbSlice(s *shardState, batch []FleetObservation, idxs []int, first uint64) {
+// append (IngestBackfill logged the whole batch).
+func (e *Engine) absorbSlice(s *shardState, batch []FleetObservation, idxs []int) {
 	e.met.ingests.Add(uint64(len(idxs)))
 	for _, i := range idxs {
-		seq := first
-		if e.wal != nil {
-			seq += uint64(e.bf.recOf[i])
-		}
-		e.applyRow(s, seq, &batch[i], s.p.project(batch[i].Values, s.p.features), false)
+		e.applyRow(s, &batch[i], s.p.project(batch[i].Values, s.p.features), false)
 	}
 	e.noteApplied(s, len(idxs))
 }
 
-// noteBackfill advances the cursor accounting by what the WAL records up
-// to seq add: a cursor resets rowsAfter to zero, rows without one add to
-// it. IngestBackfill calls it per durable batch (seq is the batch's last
-// record, 0 on a memory-only engine), applyRecords per replayed or
-// replicated record — where anything at or below bf.seq is not news: the
-// cursor file or an earlier delivery already accounted for it.
-func (e *Engine) noteBackfill(seq, rows uint64, cur *BackfillCursor) {
+// noteBackfill advances the cursor accounting by what a durable batch
+// or a replayed record adds: a cursor resets rowsAfter to zero, rows
+// without one add to it. IngestBackfill calls it per batch, applyRecords
+// per replayed or replicated record.
+func (e *Engine) noteBackfill(rows uint64, cur *BackfillCursor) {
 	e.bf.mu.Lock()
 	defer e.bf.mu.Unlock()
-	if seq != 0 && seq <= e.bf.seq {
-		return
-	}
-	e.bf.seq = seq
 	e.bf.valid = true
 	if cur != nil {
 		e.bf.cur = cur.clone()
@@ -280,10 +253,10 @@ func (e *Engine) noteBackfill(seq, rows uint64, cur *BackfillCursor) {
 }
 
 // DumpModel streams the named model's complete predictor state
-// (identical bytes to the payload a snapshot would store) to w. Backfill
-// equivalence tests compare engines through it: snapshot files also
-// carry WAL sequence numbers, which legitimately differ between runs
-// whose record framing differs, while the predictor state must not.
+// (identical bytes to what a state record holds after the model's name)
+// to w. Equivalence tests compare engines through it: where in the log
+// a state record lands legitimately differs between runs whose record
+// framing differs, while the predictor state must not.
 func (e *Engine) DumpModel(model string, w io.Writer) error {
 	var serr error
 	if err := e.pool.Query(model, func(s *shardState) {
@@ -292,71 +265,4 @@ func (e *Engine) DumpModel(model string, w io.Writer) error {
 		return err
 	}
 	return serr
-}
-
-// --- cursor file (snapshot-side persistence) ---
-
-// The WAL suffix holding the newest cursor record may be truncated by a
-// snapshot pass, so Snapshot also persists the cursor state to a small
-// atomically-replaced file. Recovery seeds from the file, then replays
-// the WAL suffix on top; bf.seq keeps the two sources consistent.
-
-const cursorMagic = "OBC1"
-
-// writeBackfillCursorFile persists the resume point, if there is one. It
-// is durable when this returns, before the truncation that relies on it.
-func (e *Engine) writeBackfillCursorFile() error {
-	e.bf.mu.Lock()
-	var b []byte
-	if e.bf.valid {
-		b = appendCursorFile(nil, e.bf.bfResume)
-	}
-	e.bf.mu.Unlock()
-	if b == nil {
-		return nil
-	}
-	_, err := writeFileAtomic(e.cfg.DataDir, cursorFileName, func(w *bufio.Writer) error {
-		_, err := w.Write(b)
-		return err
-	})
-	return err
-}
-
-// appendCursorFile encodes r as the cursor file holds it: the OBC1 magic,
-// seq as a u64 little endian, rowsAfter as a uvarint, then the cursor as
-// its WAL cursor record.
-func appendCursorFile(buf []byte, r bfResume) []byte {
-	buf = append(buf, cursorMagic...)
-	buf = binary.LittleEndian.AppendUint64(buf, r.seq)
-	buf = binary.AppendUvarint(buf, r.rowsAfter)
-	return appendCursorRecord(buf, r.cur)
-}
-
-// decodeCursorFile parses what appendCursorFile wrote.
-func decodeCursorFile(b []byte) (bfResume, error) {
-	corrupt := func(what any) (bfResume, error) {
-		return bfResume{}, fmt.Errorf("orfdisk: corrupt backfill cursor file (%v)", what)
-	}
-	rest, ok := bytes.CutPrefix(b, []byte(cursorMagic))
-	if !ok {
-		return corrupt("no " + cursorMagic + " magic")
-	}
-	if len(rest) < 8 {
-		return corrupt("truncated sequence number")
-	}
-	r := bfResume{valid: true, seq: binary.LittleEndian.Uint64(rest)}
-	var n int
-	if r.rowsAfter, n = binary.Uvarint(rest[8:]); n <= 0 {
-		return corrupt("truncated row count")
-	}
-	rest = rest[8+n:]
-	if len(rest) == 0 || rest[0] != recCursor {
-		return corrupt("no cursor record")
-	}
-	cur, err := decodeCursorRecord(rest[1:])
-	if err != nil {
-		return corrupt(err)
-	}
-	r.cur = *cur
-	return r, nil
 }

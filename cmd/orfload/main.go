@@ -202,9 +202,10 @@ func main() {
 		ProgressEvery:   *progEvery,
 	})
 
-	// Close snapshots every model and persists the final cursor, so the
-	// next process (orfserve, or a resuming orfload) recovers without
-	// replaying the whole WAL. On a canceled run this is the graceful
+	// Close appends every model's state and the final resume point to
+	// the log and truncates what they cover, so the next process
+	// (orfserve, or a resuming orfload) recovers without replaying every
+	// row. On a canceled run this is the graceful
 	// half of crash-safety; the WAL alone already covers kill -9.
 	if err := eng.Close(); err != nil {
 		logger.Error("engine close failed", "err", err)

@@ -9,12 +9,12 @@
 // applied observations or -freeze-interval of wall time.
 //
 // With -data the engine is crash-safe: every observation is appended to
-// a write-ahead log before it is applied, and periodic per-model
-// snapshots bound recovery time. On restart the engine loads the newest
-// snapshots and replays the WAL suffix, resuming the exact learned
-// state. SIGINT/SIGTERM trigger a graceful shutdown: in-flight requests
-// finish, mailboxes drain, a final snapshot is taken, and the process
-// exits 0.
+// a write-ahead log before it is applied, and periodic snapshot passes
+// append every model's state to the same log and truncate what they
+// cover, which bounds recovery time. On restart the engine replays the
+// log, resuming the exact learned state. SIGINT/SIGTERM trigger a
+// graceful shutdown: in-flight requests finish, mailboxes drain, a final
+// snapshot pass runs, and the process exits 0.
 //
 // Observability: every instance serves Prometheus text metrics at
 // GET /metrics on the API listener. -metrics-addr moves /metrics (and,
@@ -73,8 +73,8 @@ func main() {
 		lambdaN     = flag.Float64("lambdan", 0.02, "negative-class Poisson rate λn")
 		threshold   = flag.Float64("threshold", 0.5, "alarm probability threshold")
 		horizon     = flag.Int("horizon", 7, "prediction window in days")
-		dataDir     = flag.String("data", "", "durability directory (WAL + snapshots); empty = in-memory only")
-		snapEvery   = flag.Duration("snapshot-every", time.Minute, "snapshot interval (with -data)")
+		dataDir     = flag.String("data", "", "durability directory (the write-ahead log); empty = in-memory only")
+		snapEvery   = flag.Duration("snapshot-every", time.Minute, "snapshot pass interval: append every model's state to the log (with -data)")
 		mailbox     = flag.Int("mailbox", 256, "per-model shard mailbox capacity")
 		freezeEvery = flag.Int("freeze-every", 256, "publish a fresh scoring snapshot for /v1/predict after this many applied observations per model (negative disables republication)")
 		freezeIval  = flag.Duration("freeze-interval", time.Second, "also publish a fresh scoring snapshot after this much wall time (negative disables the time trigger)")
@@ -151,10 +151,9 @@ func main() {
 	// replicate_addr (so a routing tier can re-point followers here).
 	startSource := func() error {
 		s, err := replica.NewSource(*replAddr, replica.SourceConfig{
-			WAL:          eng.WAL(),
-			SeedProvider: eng,
-			Metrics:      reg,
-			Logger:       logger,
+			WAL:     eng.WAL(),
+			Metrics: reg,
+			Logger:  logger,
 		})
 		if err != nil {
 			return err
@@ -164,7 +163,6 @@ func main() {
 		replMu.Unlock()
 		eng.SetAckWaiter(s)
 		eng.SetReplicationSourceAddr(s.Addr())
-		eng.SetSeedStats(s)
 		logger.Info("shipping WAL to followers", "addr", s.Addr(), "sync_acks", *syncAcks)
 		return nil
 	}
@@ -178,7 +176,6 @@ func main() {
 		startFollower := func(leader string) (*replica.Follower, error) {
 			return replica.StartFollower(leader, replica.FollowerConfig{
 				Applier: eng,
-				Seeder:  eng,
 				Metrics: reg,
 				Logger:  logger,
 			})
@@ -307,7 +304,7 @@ func main() {
 		src.Close()
 	}
 	replMu.Unlock()
-	// Drain shard mailboxes, take the final snapshot, close the WAL.
+	// Drain shard mailboxes, run the final snapshot pass, close the WAL.
 	if err := srv.Close(); err != nil {
 		logger.Error("close failed", "err", err)
 		os.Exit(1)

@@ -4,16 +4,13 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
-	"io"
 	"os"
-	"path"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
-
-	"orfdisk/internal/replica"
 )
 
 // TestCursorFileCorrupt: a backfill-cursor file that is not what a
@@ -69,93 +66,51 @@ func TestCursorFileCorrupt(t *testing.T) {
 	}
 }
 
+// cursorFile encodes what decodeCursorFile reads, as the previous
+// release wrote it.
+func cursorFile(r bfResume, seq uint64) []byte {
+	b := binary.LittleEndian.AppendUint64([]byte(cursorMagic), seq)
+	b = binary.AppendUvarint(b, r.rowsAfter)
+	return appendCursorRecord(b, r.cur)
+}
+
 // FuzzBackfillCursorFile: no file makes the cursor decoder panic, every
 // refusal is a corrupt-file error, and what decodes re-encodes to a file
 // that decodes the same.
 func FuzzBackfillCursorFile(f *testing.F) {
-	f.Add(appendCursorFile(nil, bfResume{valid: true, seq: 7, rowsAfter: 3, cur: BackfillCursor{
+	f.Add(cursorFile(bfResume{valid: true, rowsAfter: 3, cur: BackfillCursor{
 		Day: 40, Rows: 400, Files: []BackfillFilePos{{Name: "a.csv", Rows: 400, Off: 77_000}, {Name: "b.csv.gz"}},
-	}}))
-	f.Add(appendCursorFile(nil, bfResume{valid: true}))
+	}}, 7))
+	f.Add(cursorFile(bfResume{valid: true}, 0))
 	f.Add(binary.AppendUvarint(binary.LittleEndian.AppendUint64([]byte(cursorMagic), 7), 3))
 	f.Fuzz(func(t *testing.T, b []byte) {
-		r, err := decodeCursorFile(b)
+		r, seq, err := decodeCursorFile(b)
 		if err != nil {
 			if !strings.HasPrefix(err.Error(), "orfdisk: corrupt backfill cursor file (") {
 				t.Fatalf("refusal %q is not a corrupt-file error", err)
 			}
 			return
 		}
-		again, err := decodeCursorFile(appendCursorFile(nil, r))
-		if err != nil || !reflect.DeepEqual(again, r) {
-			t.Fatalf("%+v re-encodes to %+v (%v)", r, again, err)
+		again, seq2, err := decodeCursorFile(cursorFile(r, seq))
+		if err != nil || seq2 != seq || !reflect.DeepEqual(again, r) {
+			t.Fatalf("%+v at %d re-encodes to %+v at %d (%v)", r, seq, again, seq2, err)
 		}
 	})
 }
 
-// TestSeedMarkerNameRule: the seed-commit marker holds its names to the
-// rule the follower stages files by, so the two cannot disagree.
-func TestSeedMarkerNameRule(t *testing.T) {
-	for _, name := range []string{"", "a//b", "./x", "x/.", "../x", "a/../b", "/abs", `a\b`, "a/"} {
-		if replica.CheckSeedName(name) == nil {
-			t.Errorf("CheckSeedName accepts %q", name)
-		}
-		if _, err := decodeSeedMarker(appendSeedMarker(nil, []string{name})); err == nil {
-			t.Errorf("the marker accepts %q", name)
-		}
-	}
-	// The marker holds a name per line; the follower refuses a name that
-	// would read back as two before it is staged.
-	if replica.CheckSeedName("a\nb") == nil {
-		t.Error("CheckSeedName accepts a newline")
-	}
-	ok := []string{"backfill-cursor", "snap-4d4f44454c2d30.snap", "wal/00000000000000000001.wal"}
-	for _, name := range ok {
-		if err := replica.CheckSeedName(name); err != nil {
-			t.Error(err)
-		}
-	}
-	if got, err := decodeSeedMarker(appendSeedMarker(nil, ok)); err != nil || !reflect.DeepEqual(got, ok) {
-		t.Fatalf("marker round trip: %q, %v", got, err)
-	}
-}
-
-// FuzzSeedMarker: no marker makes the decoder panic; one that decodes
-// names only paths inside the data directory and is exactly what the
-// writer writes for those names.
-func FuzzSeedMarker(f *testing.F) {
-	f.Add(appendSeedMarker(nil, []string{"backfill-cursor", "snap-4d.snap", "wal/00000000000000000001.wal"}))
-	for _, s := range []string{"OSC1\n", "OSC1\na//b\n", "OSC1\n./x\n", "OSC1\na\\b\n", "OSC1\nx\n\n", "OSC1\nx"} {
-		f.Add([]byte(s))
-	}
-	f.Fuzz(func(t *testing.T, b []byte) {
-		names, err := decodeSeedMarker(b)
-		if err != nil {
-			return
-		}
-		for _, name := range names {
-			if !filepath.IsLocal(filepath.FromSlash(name)) {
-				t.Fatalf("marker names %q, outside the data directory", name)
-			}
-		}
-		if again := appendSeedMarker(nil, names); !bytes.Equal(again, b) {
-			t.Fatalf("%q decodes to %q, which encodes to %q", b, names, again)
-		}
-	})
-}
-
-// TestStateWriteFailureKeepsLog: a snapshot pass whose snapshot or
-// cursor write fails returns the error and truncates nothing — the log
-// still holds every row the files it failed to replace do not cover —
-// and leaves the previous file as it was, so a restart recovers exactly
-// the live state. The write is failed by a directory squatting on its
-// temp path, which stops root as surely as anyone.
+// TestStateWriteFailureKeepsLog: a snapshot pass whose state record or
+// pass record cannot be appended returns the error and truncates
+// nothing — the log still holds every row the pass failed to cover —
+// so a restart recovers exactly the live state, and the next pass
+// succeeds and truncates. The append is failed by a directory squatting
+// on the name of the segment it would rotate into, which stops root as
+// surely as anyone.
 func TestStateWriteFailureKeepsLog(t *testing.T) {
 	obs := engineStream(t, 61, 2)
-	for _, blockCursor := range []bool{false, true} {
+	for _, blockPass := range []bool{false, true} {
 		name := "snapshot"
-		if blockCursor {
-			name = "cursor"
+		if blockPass {
+			name = "cursor" // the resume point is the pass record's
 		}
 		t.Run(name, func(t *testing.T) {
 			dir := t.TempDir()
@@ -184,41 +139,40 @@ func TestStateWriteFailureKeepsLog(t *testing.T) {
 				eng.Ingest(o) //nolint:errcheck // a rejected row is in the log all the same
 			}
 
+			// A state record is larger than a segment, so the pass rotates
+			// before each record after its first: F+1 is the second state
+			// record's segment, F+n the pass record's.
 			models := eng.Models()
-			target := snapName(models[len(models)-1]) // the pass rewrites the others first
-			if blockCursor {
-				target = cursorFileName
-			}
-			prev, err := os.ReadFile(filepath.Join(dir, target))
-			if err != nil {
-				t.Fatal(err)
-			}
-			blocker := filepath.Join(dir, target+".tmp")
-			if err := os.MkdirAll(filepath.Join(blocker, "x"), 0o755); err != nil {
-				t.Fatal(err)
+			target := eng.WAL().NextSeq() + 1
+			if blockPass {
+				target = eng.WAL().NextSeq() + uint64(len(models))
 			}
 			walGlob := filepath.Join(dir, "wal", "*.wal")
 			segs, _ := filepath.Glob(walGlob)
 			if len(segs) < 3 {
 				t.Fatalf("log of %d segments; the test needs several", len(segs))
 			}
+			blocker := filepath.Join(dir, "wal", fmt.Sprintf("%020d.wal", target))
+			if err := os.MkdirAll(filepath.Join(blocker, "x"), 0o755); err != nil {
+				t.Fatal(err)
+			}
 			if err := eng.Snapshot(); err == nil {
 				t.Fatalf("Snapshot succeeded with %s blocked", blocker)
 			}
-			if got, _ := filepath.Glob(walGlob); !reflect.DeepEqual(got, segs) {
-				t.Fatalf("failed pass changed the log: %v -> %v", segs, got)
-			}
-			if got, err := os.ReadFile(filepath.Join(dir, target)); err != nil || !bytes.Equal(got, prev) {
-				t.Fatalf("failed pass changed %s (%v)", target, err)
+			got, _ := filepath.Glob(walGlob)
+			for _, seg := range segs {
+				if !slices.Contains(got, seg) {
+					t.Fatalf("failed pass truncated the log: %v -> %v", segs, got)
+				}
 			}
 
-			// Crash here: a restart from the files recovers the live state.
+			// Crash here: a restart from the log recovers the live state.
 			if err := eng.WAL().Sync(); err != nil {
 				t.Fatal(err)
 			}
 			crash := t.TempDir()
 			copyTree(t, dir, crash)
-			if err := os.RemoveAll(filepath.Join(crash, target+".tmp")); err != nil {
+			if err := os.RemoveAll(filepath.Join(crash, "wal", filepath.Base(blocker))); err != nil {
 				t.Fatal(err)
 			}
 			rec, err := NewEngine(EngineConfig{Predictor: engineTestConfig(), DataDir: crash})
@@ -247,57 +201,106 @@ func TestStateWriteFailureKeepsLog(t *testing.T) {
 			if err := eng.Snapshot(); err != nil {
 				t.Fatal(err)
 			}
-			if got, _ := filepath.Glob(walGlob); len(got) >= len(segs) {
+			if got, _ := filepath.Glob(walGlob); slices.Contains(got, segs[0]) {
 				t.Fatalf("successful pass kept the log: %v -> %v", segs, got)
 			}
 		})
 	}
 }
 
-// seededState is what a reopened data directory holds, as the engine
+// dirState is what a reopened data directory holds, as the engine
 // reports it.
-type seededState struct {
+type dirState struct {
 	models    map[string][]byte
 	cur       BackfillCursor
 	rowsAfter uint64
 	bfOK      bool
-	nextSeq   uint64
 }
 
-// reopen starts a follower on dir, records its state and stops it.
-func reopen(t *testing.T, dir string) seededState {
+// openState opens dir as a leader or a follower, records its state and
+// stops it. A follower's resume position must be what its log holds.
+func openState(t *testing.T, dir string, follower bool) dirState {
 	t.Helper()
-	eng, err := NewEngine(EngineConfig{Predictor: engineTestConfig(), DataDir: dir, Follower: true})
+	eng, err := NewEngine(EngineConfig{Predictor: engineTestConfig(), DataDir: dir, Follower: follower})
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := seededState{models: map[string][]byte{}, nextSeq: eng.WAL().NextSeq()}
+	st := dirState{models: map[string][]byte{}}
 	for _, m := range eng.Models() {
 		st.models[m] = dumpModel(t, eng, m)
 	}
 	st.cur, st.rowsAfter, st.bfOK = eng.BackfillState()
+	if follower {
+		var last uint64
+		if err := eng.WAL().Replay(func(seq uint64, _ []byte) error { last = seq; return nil }); err != nil {
+			t.Fatal(err)
+		}
+		if resume := eng.ReplicationResume(); resume > max(last, eng.WAL().NextSeq()-1) {
+			t.Fatalf("follower resumes after %d, past its log (last record %d, next %d)", resume, last, eng.WAL().NextSeq())
+		}
+	}
 	if err := eng.Close(); err != nil {
 		t.Fatal(err)
 	}
 	return st
 }
 
-// TestSeedInstallCrashPoints stops a seed install at each of its
-// boundaries — marker written; stale state deleted; k of the n staged
-// files moved, for every k; marker removed with the staging directory
-// left — by laying the directory out as a crash there would leave it,
-// and reopens the engine on it. Every reopen must hold the seed's state,
-// model for model, with the same backfill resume point and next sequence
-// number. A staging directory with no marker (the marker's temp file at
-// most) is a download that never committed: it goes, the old state stays.
-func TestSeedInstallCrashPoints(t *testing.T) {
-	// Leader: a backfill with a cursor, a truncating snapshot, then rows
-	// only its log holds, pinned there by a retain floor, so the seed
-	// carries several segments. 2560-byte segments hold about 30 live
-	// rows each, so the seed is eleven files: eight segments, two
-	// snapshots and the cursor.
-	obs := engineStream(t, 77, 2)
-	leader, err := NewEngine(EngineConfig{Predictor: engineTestConfig(), DataDir: t.TempDir(), SegmentBytes: 2560})
+// logRecord is one record of a log as it sits in a segment file.
+type logRecord struct {
+	seq   uint64
+	frame []byte // header and payload
+}
+
+// readLog returns every record of dir's log, in order.
+func readLog(t *testing.T, dir string) []logRecord {
+	t.Helper()
+	segs, err := filepath.Glob(filepath.Join(dir, "wal", "*.wal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sort.Strings(segs)
+	var out []logRecord
+	for _, seg := range segs {
+		b, err := os.ReadFile(seg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for len(b) > 0 {
+			n := 16 + int(binary.LittleEndian.Uint32(b))
+			out = append(out, logRecord{binary.LittleEndian.Uint64(b[8:]), b[:n]})
+			b = b[n:]
+		}
+	}
+	return out
+}
+
+// writeSegment writes recs as one segment named first in dir's log.
+func writeSegment(t *testing.T, dir string, first uint64, recs []logRecord) {
+	t.Helper()
+	var b []byte
+	for _, r := range recs {
+		b = append(b, r.frame...)
+	}
+	writeRel(t, dir, fmt.Sprintf("wal/%020d.wal", first), b)
+}
+
+// TestPassAndResetCrashPoints stops a snapshot pass and a follower
+// reset at each of their boundaries, by laying the data directory out as
+// a crash there would leave it, and reopens it as a leader and as a
+// follower. Every reopen must hold the state before or after the step,
+// never a mix: a pass changes no state, so each of its crash points
+// holds the live state; a reset's hold the old state or none.
+//
+// Pass: after the rotation, after k of the n state records for every k,
+// after the pass record, after the truncation, and, for the pass that
+// moves the previous release's files into the log, after that pass and
+// after the files' removal. Reset: after the rename, after the directory
+// fsync (the same layout), after the removal, after the new first
+// segment.
+func TestPassAndResetCrashPoints(t *testing.T) {
+	obs := engineStream(t, 77, 3)
+	dir := t.TempDir()
+	leader, err := NewEngine(EngineConfig{Predictor: engineTestConfig(), DataDir: dir, SegmentBytes: 2560})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -308,159 +311,120 @@ func TestSeedInstallCrashPoints(t *testing.T) {
 	if err := leader.Snapshot(); err != nil {
 		t.Fatal(err)
 	}
-	leader.WAL().SetRetainFloor(1)
 	if err := leader.IngestBackfill(obs[300:400], nil); err != nil {
 		t.Fatal(err)
 	}
 	for _, o := range obs[400:600] {
 		leader.Ingest(o) //nolint:errcheck // a rejected row is in the log all the same
 	}
-	files, head, err := leader.Seed()
-	if err != nil {
+	if err := leader.Retire(obs[450].Serial); err != nil {
 		t.Fatal(err)
 	}
-	seed := map[string][]byte{}
-	var manifest []string
-	for _, sf := range files {
-		b, err := io.ReadAll(io.LimitReader(sf.File, sf.Size))
-		sf.File.Close()
-		if err != nil {
+	if err := leader.WAL().Sync(); err != nil {
+		t.Fatal(err)
+	}
+	before := t.TempDir()
+	copyTree(t, dir, before)
+	first := leader.WAL().NextSeq()
+	if err := leader.Snapshot(); err != nil {
+		t.Fatal(err)
+	}
+	live := dirState{models: map[string][]byte{}}
+	for _, m := range leader.Models() {
+		live.models[m] = dumpModel(t, leader, m)
+	}
+	live.cur, live.rowsAfter, live.bfOK = leader.BackfillState()
+	n := len(live.models)
+	if err := leader.Close(); err != nil { // nothing appended since the pass: writes nothing
+		t.Fatal(err)
+	}
+	pass := readLog(t, dir)
+	if len(pass) != n+1 || pass[0].seq != first {
+		t.Fatalf("pass of %d records from %d, want %d from %d", len(pass), pass[0].seq, n+1, first)
+	}
+	if len(readLog(t, before)) < 2*n {
+		t.Fatal("the log before the pass is too short to tell a truncation")
+	}
+
+	check := func(t *testing.T, dir string, wants ...dirState) {
+		t.Helper()
+		for _, follower := range []bool{false, true} {
+			work := t.TempDir()
+			copyTree(t, dir, work)
+			got := openState(t, work, follower)
+			if !slices.ContainsFunc(wants, func(w dirState) bool { return reflect.DeepEqual(got, w) }) {
+				t.Fatalf("follower %v: reopened with %d models, backfill %+v/%d/%v; want one of %d states",
+					follower, len(got.models), got.cur, got.rowsAfter, got.bfOK, len(wants))
+			}
+		}
+	}
+	partial := func(t *testing.T, k int) string {
+		d := t.TempDir()
+		copyTree(t, before, d)
+		writeSegment(t, d, first, pass[:k])
+		return d
+	}
+	t.Run("pass: after the rotation", func(t *testing.T) { check(t, partial(t, 0), live) })
+	for k := 1; k <= n; k++ {
+		t.Run(fmt.Sprintf("pass: %d of %d state records", k, n), func(t *testing.T) { check(t, partial(t, k), live) })
+	}
+	t.Run("pass: after the pass record", func(t *testing.T) { check(t, partial(t, n+1), live) })
+	t.Run("pass: after the truncation", func(t *testing.T) { check(t, dir, live) })
+
+	t.Run("migration pass", func(t *testing.T) {
+		pr29 := filepath.Join("testdata", "pr29_dir")
+		migrated := t.TempDir()
+		copyTree(t, pr29, migrated)
+		want := openState(t, migrated, false)
+		if ents, _ := os.ReadDir(migrated); len(ents) != 1 || ents[0].Name() != "wal" {
+			t.Fatalf("migrated directory holds %v, want wal/ only", ents)
+		}
+		// The pass is durable and the files are still there.
+		files := t.TempDir()
+		copyTree(t, pr29, files)
+		if err := os.RemoveAll(filepath.Join(files, "wal")); err != nil {
 			t.Fatal(err)
 		}
-		seed[sf.Name] = b
-		manifest = append(manifest, sf.Name)
-	}
-	sort.Strings(manifest)
-	seeded := seededState{models: map[string][]byte{}, nextSeq: head + 1}
-	for _, m := range leader.Models() {
-		seeded.models[m] = dumpModel(t, leader, m)
-	}
-	seeded.cur, seeded.rowsAfter, seeded.bfOK = leader.BackfillState()
-	if err := leader.Close(); err != nil {
-		t.Fatal(err)
-	}
-	var segs int
-	for _, name := range manifest {
-		if strings.HasPrefix(name, walDirName+"/") {
-			segs++
-		}
-	}
-	if segs < 2 {
-		t.Fatalf("seed of %v carries %d log segments; the test needs several", manifest, segs)
-	}
-	if len(manifest) != 11 {
-		t.Fatalf("seed of %v is %d files, want 11: resize the segments so the crash points keep their names", manifest, len(manifest))
-	}
-
-	// check reopens dir and compares what it holds with wantState.
-	check := func(t *testing.T, dir string, wantState seededState) {
-		t.Helper()
-		got := reopen(t, dir)
-		if !reflect.DeepEqual(got, wantState) {
-			t.Fatalf("reopened with %d models, backfill %+v/%d/%v, next seq %d; want %d models, %+v/%d/%v, %d",
-				len(got.models), got.cur, got.rowsAfter, got.bfOK, got.nextSeq,
-				len(wantState.models), wantState.cur, wantState.rowsAfter, wantState.bfOK, wantState.nextSeq)
-		}
-		for _, name := range []string{seedCommitName, seedStagingName} {
-			if _, err := os.Stat(filepath.Join(dir, name)); !os.IsNotExist(err) {
-				t.Fatalf("%s survived the reopen (%v)", name, err)
+		copyTree(t, filepath.Join(migrated, "wal"), filepath.Join(files, "wal"))
+		for _, d := range []string{files, migrated} {
+			work := t.TempDir()
+			copyTree(t, d, work)
+			if got := openState(t, work, false); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s: reopened unlike the first migration", d)
 			}
 		}
-	}
-
-	// The seed alone recovers the leader's state.
-	only := t.TempDir()
-	for name, b := range seed {
-		writeRel(t, only, name, b)
-	}
-	check(t, only, seeded)
-
-	// The stale follower: a model the seed lacks, a cursor of its own,
-	// stopped cleanly.
-	staleDir := t.TempDir()
-	stale, err := NewEngine(EngineConfig{Predictor: engineTestConfig(), DataDir: staleDir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	staleObs := engineStream(t, 51, 3)
-	staleCur := BackfillCursor{Day: staleObs[199].Day, Rows: 200, Files: []BackfillFilePos{{Name: "z.csv", Rows: 200, Off: 512}}}
-	if err := stale.IngestBackfill(staleObs[:200], &staleCur); err != nil {
-		t.Fatal(err)
-	}
-	if err := stale.Close(); err != nil {
-		t.Fatal(err)
-	}
-	old := reopen(t, staleDir)
-	if len(old.models) != 3 {
-		t.Fatalf("stale node holds %d models, want 3", len(old.models))
-	}
-
-	// staged copies the stale directory and downloads the seed beside it.
-	staged := func(t *testing.T) string {
-		dir := t.TempDir()
-		copyTree(t, staleDir, dir)
-		for name, b := range seed {
-			writeRel(t, dir, filepath.Join(seedStagingName, name), b)
+		// A follower drops the files and the log, and comes back empty.
+		for _, d := range []string{pr29, files} {
+			work := t.TempDir()
+			copyTree(t, d, work)
+			if got := openState(t, work, true); len(got.models) != 0 || got.bfOK {
+				t.Fatalf("follower on %s kept %d models, backfill %v", d, len(got.models), got.bfOK)
+			}
+			if ents, _ := os.ReadDir(work); len(ents) != 1 || ents[0].Name() != "wal" {
+				t.Fatalf("follower left %v, want wal/ only", ents)
+			}
 		}
-		return dir
-	}
-	marker := appendSeedMarker(nil, manifest)
+	})
 
-	// install lays dir out as an install stopped after its deletions and
-	// the first k renames.
-	install := func(t *testing.T, dir string, k int) {
-		inSet := map[string]bool{}
-		for _, name := range manifest {
-			inSet[name] = true
-		}
-		for _, sub := range []string{"", walDirName} {
-			ents, err := os.ReadDir(filepath.Join(dir, sub))
-			if err != nil {
+	empty := dirState{models: map[string][]byte{}}
+	resetLayout := func(t *testing.T, renamed, created bool) string {
+		d := t.TempDir()
+		copyTree(t, dir, d)
+		if renamed {
+			if err := os.Rename(filepath.Join(d, walDirName), filepath.Join(d, droppedDirName)); err != nil {
 				t.Fatal(err)
 			}
-			for _, ent := range ents {
-				name := path.Join(sub, ent.Name())
-				if ent.IsDir() || inSet[name] || sub == "" && !isStateFile(name) {
-					continue
-				}
-				if err := os.Remove(filepath.Join(dir, name)); err != nil {
-					t.Fatal(err)
-				}
-			}
+		} else if err := os.RemoveAll(filepath.Join(d, walDirName)); err != nil {
+			t.Fatal(err)
 		}
-		for _, name := range manifest[:k] {
-			if err := os.Rename(filepath.Join(dir, seedStagingName, name), filepath.Join(dir, name)); err != nil {
-				t.Fatal(err)
-			}
+		if created {
+			writeRel(t, d, fmt.Sprintf("wal/%020d.wal", first+100), nil)
 		}
+		return d
 	}
-
-	t.Run("no marker", func(t *testing.T) {
-		check(t, staged(t), old)
-	})
-	t.Run("marker temp file only", func(t *testing.T) {
-		dir := staged(t)
-		writeRel(t, dir, seedCommitName+".tmp", marker)
-		check(t, dir, old)
-	})
-	t.Run("marker written", func(t *testing.T) {
-		dir := staged(t)
-		writeRel(t, dir, seedCommitName, marker)
-		check(t, dir, seeded)
-	})
-	for k := 0; k <= len(manifest); k++ {
-		t.Run(fmt.Sprintf("stale deleted, %d of %d moved", k, len(manifest)), func(t *testing.T) {
-			dir := staged(t)
-			writeRel(t, dir, seedCommitName, marker)
-			install(t, dir, k)
-			check(t, dir, seeded)
-		})
-	}
-	t.Run("marker removed, staging left", func(t *testing.T) {
-		dir := staged(t)
-		install(t, dir, len(manifest))
-		check(t, dir, seeded)
-	})
+	t.Run("reset: after the rename", func(t *testing.T) { check(t, resetLayout(t, true, false), live, empty) })
+	t.Run("reset: after the removal", func(t *testing.T) { check(t, resetLayout(t, false, false), live, empty) })
+	t.Run("reset: after the new first segment", func(t *testing.T) { check(t, resetLayout(t, false, true), live, empty) })
 }
 
 // writeRel writes b to dir/rel, rel a slash-separated path, creating the

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
+	"encoding/hex"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -129,7 +130,7 @@ func TestRefusesPR20Log(t *testing.T) {
 // release, stopped cleanly) still works. Each case damages a copy of
 // testdata/pr29_dir in one place.
 func TestRefusesRetiredLayouts(t *testing.T) {
-	snap := snapName("MODEL-1")
+	snap := snapPrefix + hex.EncodeToString([]byte("MODEL-1")) + snapSuffix
 	// retag rewrites the first magic at or after the state's start in the
 	// snapshot file.
 	retag := func(from, to string) func(t *testing.T, dir string) {
@@ -253,8 +254,34 @@ func TestRecoversPR29Dir(t *testing.T) {
 	if cur, rowsAfter, ok := eng.BackfillState(); !ok || rowsAfter != 300 || !reflect.DeepEqual(cur, wantCur) {
 		t.Errorf("BackfillState %+v, %d, %v; want %+v, 300, true", cur, rowsAfter, ok, wantCur)
 	}
-	if got := eng.WAL().NextSeq(); got != 888 {
-		t.Errorf("NextSeq %d, want 888", got)
+	// The previous release's files are gone once a pass holds their
+	// state: its two state records and the pass record follow the 887
+	// records the directory held.
+	if got := eng.WAL().NextSeq(); got != 891 {
+		t.Errorf("NextSeq %d, want 891", got)
+	}
+	if ents, err := os.ReadDir(dir); err != nil || len(ents) != 1 || ents[0].Name() != walDirName {
+		t.Fatalf("the migrated directory holds %v (%v), want wal/ only", ents, err)
+	}
+	hashes := map[string][]byte{}
+	for _, model := range eng.Models() {
+		hashes[model] = dumpModel(t, eng, model)
+	}
+	if err := eng.Close(); err != nil {
+		t.Fatal(err)
+	}
+	again, err := NewEngine(EngineConfig{Predictor: cfg, DataDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer again.Close()
+	for model, want := range hashes {
+		if !bytes.Equal(dumpModel(t, again, model), want) {
+			t.Errorf("model %s reopened from the log unlike the migration left it", model)
+		}
+	}
+	if cur, rowsAfter, ok := again.BackfillState(); !ok || rowsAfter != 300 || !reflect.DeepEqual(cur, wantCur) {
+		t.Errorf("reopened BackfillState %+v, %d, %v; want %+v, 300, true", cur, rowsAfter, ok, wantCur)
 	}
 }
 

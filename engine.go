@@ -1,14 +1,13 @@
 package orfdisk
 
 import (
-	"bufio"
+	"bytes"
 	"context"
-	"encoding/binary"
 	"fmt"
-	"io"
 	"log/slog"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -25,12 +24,12 @@ import (
 // model are serialized by its worker, so predictors need no locking.
 //
 // With a DataDir, the engine is crash-safe: every mutation is recorded
-// in a write-ahead log before it is applied, and periodic per-model
-// snapshots (atomic temp-file + rename, capturing the model AND the
-// labeling queues) bound replay time. Recovery loads the newest
-// snapshots and replays the WAL suffix; because predictor serialization
-// includes the RNG streams, the recovered engine continues the exact
-// stream an uninterrupted run would have produced.
+// in a write-ahead log before it is applied, and periodic snapshot
+// passes append each model's whole state (the model AND the labeling
+// queues) to the same log, then truncate what they cover, which bounds
+// replay time. Recovery replays the log; because predictor
+// serialization includes the RNG streams, the recovered engine continues
+// the exact stream an uninterrupted run would have produced.
 //
 // All methods are safe for concurrent use.
 type Engine struct {
@@ -58,12 +57,18 @@ type Engine struct {
 	scratch      sync.Pool
 	scoreScratch sync.Pool
 
-	// recovered seeds the shard factory during and after startup
-	// recovery; read-only once NewEngine returns.
-	recovered map[string]*shardState
+	// snapMu serializes snapshot passes and follower resets. lastPass is
+	// the sequence number of the newest pass record written or replayed,
+	// passFirst that pass's first sequence number, and cut the cutoff a
+	// follower last truncated its log before (replication goroutine only).
+	snapMu    sync.Mutex
+	lastPass  atomic.Uint64
+	passFirst atomic.Uint64
+	cut       uint64
 
-	snapMu  sync.Mutex
-	snapped map[string]uint64 // last snapshotted WAL seq per model
+	// legacy is what the previous release's state files cover while
+	// recovery replays the log beside them (see datadir.go).
+	legacy legacyCover
 
 	// bf is the bulk-backfill cursor state (see backfill_engine.go).
 	bf bfState
@@ -94,7 +99,6 @@ type Engine struct {
 	syncAckTimeout time.Duration
 	ackWaiter      atomic.Pointer[AckWaiter]
 	replAddr       atomic.Value // string
-	seedStats      atomic.Pointer[SeedStatser]
 
 	stop      chan struct{}
 	tickDone  chan struct{}
@@ -110,7 +114,7 @@ var ErrBusy = engine.ErrBusy
 type EngineConfig struct {
 	// Predictor configures each per-model predictor.
 	Predictor Config
-	// DataDir enables durability: it holds per-model snapshots plus a
+	// DataDir enables durability: it holds the write-ahead log, in a
 	// "wal" subdirectory. Empty means in-memory only (state is lost on
 	// restart, exactly like the pre-engine Server).
 	DataDir string
@@ -119,9 +123,9 @@ type EngineConfig struct {
 	// EnqueueTimeout bounds how long an ingest blocks on a full
 	// mailbox before failing with ErrBusy (default 50 ms).
 	EnqueueTimeout time.Duration
-	// SnapshotEvery, if positive and DataDir is set, snapshots all
-	// models on this interval (in addition to the final snapshot taken
-	// by Close).
+	// SnapshotEvery, if positive and DataDir is set, runs a snapshot
+	// pass on this interval (in addition to the final one Close runs),
+	// appending every model's state to the log.
 	SnapshotEvery time.Duration
 	// FreezeEvery is the read path's publication cadence: a shard
 	// republishes its frozen scoring snapshot after this many applied
@@ -181,14 +185,6 @@ type shardState struct {
 	slot        *frozenSlot
 	sinceFreeze int
 	lastFreeze  time.Time
-	// lastSeq is the WAL sequence number of the last record applied to
-	// this shard. Only the shard's worker touches it.
-	lastSeq uint64
-	// firstUnsnapped is the lowest WAL sequence number applied to this
-	// shard since its last snapshot (0 = every applied record is
-	// covered by a snapshot). It is the shard's contribution to the WAL
-	// truncation cutoff. Only the shard's worker touches it.
-	firstUnsnapped uint64
 	// enc is the WAL-encoding scratch, reused so steady-state ingest
 	// allocates no record buffers, and xs (ingestSlice's projected rows)
 	// and pos (applyRecords' gather positions) the same for their
@@ -196,19 +192,6 @@ type shardState struct {
 	enc recordBatch
 	xs  [][]float64
 	pos []int
-}
-
-// noteSeq records that WAL record seq has reached shard s: it becomes
-// the shard's lastSeq and, if nothing older awaits a snapshot, its
-// firstUnsnapped. A memory-only engine has no records and ignores seq.
-func (e *Engine) noteSeq(s *shardState, seq uint64) {
-	if e.wal == nil {
-		return
-	}
-	s.lastSeq = seq
-	if s.firstUnsnapped == 0 {
-		s.firstUnsnapped = seq
-	}
 }
 
 // engineMetrics is the engine-level instrument set (the pool and WAL
@@ -236,11 +219,11 @@ func newEngineMetrics(reg *metrics.Registry) engineMetrics {
 		snapshots:       reg.Counter("engine_snapshots_total", "Completed engine snapshot passes."),
 		snapshotErrors:  reg.Counter("engine_snapshot_errors_total", "Failed engine snapshot passes."),
 		snapshotSeconds: reg.Histogram("engine_snapshot_seconds", "Wall time of one snapshot pass (all models)."),
-		snapshotEncode:  reg.Histogram("engine_snapshot_encode_seconds", "Wall time of one model's snapshot encode+write (parallel-compressed ORF2)."),
-		snapshotBytes:   reg.Gauge("engine_snapshot_bytes", "Bytes written by the most recent snapshot pass."),
-		replayed:        reg.Counter("engine_recovery_replayed_records_total", "Observations, retires and cursor records replayed from the WAL during crash recovery (a run record counts once per row)."),
+		snapshotEncode:  reg.Histogram("engine_snapshot_encode_seconds", "Wall time of one model's state record encode+append (parallel-compressed ORF2)."),
+		snapshotBytes:   reg.Gauge("engine_snapshot_bytes", "State record bytes appended by the most recent snapshot pass."),
+		replayed:        reg.Counter("engine_recovery_replayed_records_total", "Records replayed from the WAL during crash recovery: a run counts once per row, any other record once."),
 		replaySkipped:   reg.Counter("engine_recovery_skipped_records_total", "Durable observations skipped during recovery because the predictor rejected them (poison pills)."),
-		recoverySeconds: reg.Gauge("engine_recovery_seconds", "Wall time of the most recent recovery: snapshot load, WAL open and replay (set when it completes)."),
+		recoverySeconds: reg.Gauge("engine_recovery_seconds", "Wall time of the most recent recovery: WAL open and replay (set when it completes)."),
 		freezes:         reg.Counter("engine_frozen_publishes_total", "Frozen scoring snapshots published for the lock-free read path."),
 		predictRequests: reg.Counter("predict_requests_total", "Read-path scoring requests served from frozen snapshots (Score and ScoreBatch calls)."),
 		predictSeconds:  reg.Histogram("predict_seconds", "Wall time of one read-path scoring request (single or batch)."),
@@ -314,24 +297,16 @@ func NewEngine(cfg EngineConfig) (*Engine, error) {
 	e.registerFrozenGauges()
 	e.registerReplicaGauges()
 	if cfg.DataDir != "" {
-		if err := e.recover(); err != nil {
+		if err := e.open(); err != nil {
 			e.pool.Close()
 			if e.wal != nil {
 				e.wal.Close()
 			}
 			return nil, err
 		}
-		// Republish every recovered shard's snapshot so readers start
-		// from post-replay state, not the construction-time freeze.
-		if err := e.refreezeAll(); err != nil {
-			e.pool.Close()
-			e.wal.Close()
-			return nil, err
-		}
 		// A follower resumes replication right after its own recovery
-		// point: snapshots and the WAL all carry leader sequence
-		// numbers, so NextSeq-1 IS the last durably applied leader
-		// record.
+		// point: its log carries leader sequence numbers, so NextSeq-1
+		// IS the last durably applied leader record.
 		e.replApplied.Store(e.wal.NextSeq() - 1)
 		if cfg.SnapshotEvery > 0 {
 			e.stop = make(chan struct{})
@@ -378,25 +353,8 @@ func (e *Engine) registerModelGauges() {
 // mount Server.Handler, which includes it at GET /metrics.
 func (e *Engine) MetricsRegistry() *metrics.Registry { return e.reg }
 
-// startOf returns the state model's shard starts from and the catalog
-// indexes its predictor reads: the recovered snapshot and its list, or
-// nil and the configured list. It is the one rule for a model's feature
-// list — newShard builds the shard from it and IngestBackfill frames the
-// model's runs under the list — so the log and the shard never disagree.
-func (e *Engine) startOf(model string) (*shardState, []int) {
-	if st, ok := e.recovered[model]; ok {
-		return st, st.p.features
-	}
-	return nil, e.cfg.Predictor.Features
-}
-
 func (e *Engine) newShard(model string) *shardState {
-	st, features := e.startOf(model)
-	if st == nil {
-		cfg := e.cfg.Predictor
-		cfg.Features = features
-		st = &shardState{p: NewPredictor(cfg)}
-	}
+	st := &shardState{p: NewPredictor(e.cfg.Predictor)}
 	// Publish the first frozen snapshot before the shard serves anything:
 	// the read path must never find a live shard without one.
 	st.slot = e.slotFor(model)
@@ -413,8 +371,8 @@ func (e *Engine) snapshotLoop(every time.Duration) {
 		case <-e.stop:
 			return
 		case <-t.C:
-			// Best effort; the next tick (or Close) retries, and an
-			// unsnapshotted suffix stays covered by the WAL.
+			// Best effort; the next tick (or Close) retries, and the log
+			// keeps everything a pass has yet to cover.
 			if err := e.Snapshot(); err != nil {
 				e.log.Error("periodic snapshot failed", "err", err)
 			}
@@ -460,18 +418,17 @@ func (e *Engine) validate(obs FleetObservation) error {
 // by (Ingest, IngestBatch, IngestBackfill, a follower's ApplyReplicated,
 // recovery replay) ends here, so model state and routing memory are a
 // function of the ordered record stream alone. The row is already
-// durable at WAL sequence number seq, which is what lets its route be
-// committed: any earlier and a shed or failed request would leave a
-// phantom route recovery cannot reconstruct. score selects Ingest's live
-// prediction; without it the state is the same and no tree is walked.
+// durable, which is what lets its route be committed: any earlier and a
+// shed or failed request would leave a phantom route recovery cannot
+// reconstruct. score selects Ingest's live prediction; without it the
+// state is the same and no tree is walked.
 //
 // Routes follow the labeling queues row by row — an applied observation
 // routes its serial, a failure forgets it, and a durable row that cannot
 // be applied (applyRecords' poison pills) never reaches here — so a
 // serial is routed exactly when its shard's labeler tracks it, the
-// property recovery rebuilds routes from.
-func (e *Engine) applyRow(s *shardState, seq uint64, obs *FleetObservation, x []float64, score bool) Prediction {
-	e.noteSeq(s, seq)
+// property a state record's routes are rebuilt from (replaceState).
+func (e *Engine) applyRow(s *shardState, obs *FleetObservation, x []float64, score bool) Prediction {
 	pred := s.p.apply(&obs.Observation, x, score)
 	e.mu.Lock()
 	if obs.Failed {
@@ -484,8 +441,7 @@ func (e *Engine) applyRow(s *shardState, seq uint64, obs *FleetObservation, x []
 }
 
 // applyRetire is applyRow's counterpart for a retire record.
-func (e *Engine) applyRetire(s *shardState, seq uint64, serial string) {
-	e.noteSeq(s, seq)
+func (e *Engine) applyRetire(s *shardState, serial string) {
 	s.p.Retire(serial)
 	e.mu.Lock()
 	delete(e.modelOf, serial)
@@ -498,13 +454,12 @@ func (e *Engine) applyRetire(s *shardState, seq uint64, serial string) {
 // reused scratch as one run record under that feature list (one per
 // applyRunCap rows, should a slice be longer) and made durable with a
 // single wal.AppendBatch (one write, one group-commit check), then each
-// is applied individually so per-item results are preserved. Every row
-// of a run carries the run's sequence number; that is sound because the
-// slice is applied here, in one closure on the shard's worker, so a
-// snapshot — another closure on the same worker, its cutoff compared per
-// record — sees all of a run or none of it. A WAL failure fails the
-// whole slice — none of it is durable. It returns the sequence number of
-// the slice's last record, or 0 if the append failed.
+// is applied individually so per-item results are preserved. The slice
+// is logged and applied in one closure on the shard's worker, so a
+// state record — another closure on the same worker — follows all of it
+// or none. A WAL failure fails the whole slice — none of it is durable.
+// It returns the sequence number of the slice's last record, or 0 if the
+// append failed or the engine is memory-only.
 func (e *Engine) ingestSlice(s *shardState, batch []FleetObservation, idxs []int, res []BatchResult) uint64 {
 	xs := s.xs[:0]
 	for _, i := range idxs {
@@ -533,13 +488,16 @@ func (e *Engine) ingestSlice(s *shardState, batch []FleetObservation, idxs []int
 	}
 	e.met.ingests.Add(uint64(len(idxs)))
 	for j, i := range idxs {
-		res[i].Prediction = e.applyRow(s, first+uint64(j/applyRunCap), &batch[i], xs[j], true)
+		res[i].Prediction = e.applyRow(s, &batch[i], xs[j], true)
 	}
 	// One cadence check per slice: snapshots publish at most once per
 	// shard slice, which is exactly the "every K updates" granularity the
 	// read path promises.
 	e.noteApplied(s, len(idxs))
-	return s.lastSeq
+	if first == 0 {
+		return 0
+	}
+	return first + uint64((len(idxs)-1)/applyRunCap)
 }
 
 // Ingest routes one observation to its model's shard and returns the
@@ -709,7 +667,7 @@ func (e *Engine) Retire(serial string) error {
 				return
 			}
 		}
-		e.applyRetire(s, seq, serial)
+		e.applyRetire(s, serial)
 	}); err != nil {
 		return err
 	}
@@ -755,118 +713,100 @@ func (e *Engine) Importance(model string) (imp []FeatureImportance, ok bool) {
 	return imp, err == nil
 }
 
-// Snapshot atomically persists every shard's full state (model +
-// labeling queues) and truncates the WAL up to the lowest sequence
-// number not covered by a snapshot — applied to a shard since, or
-// appended by a backfill batch that has yet to reach one — or still
-// needed by an attached follower (the WAL's retain floor). When
-// that covers every record — nothing was appended while the pass ran, as
-// on shutdown — the log is sealed: what remains is one empty segment
-// named after the next sequence number, and a restart replays nothing.
-// A no-op without a DataDir.
+// Snapshot runs a snapshot pass: it makes the log from the pass's first
+// sequence number F on hold the engine's whole state, then truncates
+// the log before F (or before what an attached follower still needs:
+// the WAL's retain floor caps the cutoff). Under snapMu and the backfill
+// gate, it
+//
+//  1. rotates the WAL; F names the new segment, so every record appended
+//     from now on — of any model, including one created after step 2
+//     lists the models — is at or above F;
+//  2. appends each model's state record on the model's worker, after
+//     every record of the model before it and before every record after;
+//  3. appends a pass record holding F and the backfill resume point;
+//  4. fsyncs, and truncates before F.
+//
+// A crash anywhere before the truncation leaves the previous pass's log
+// whole, so replay is correct at every step. A pass with nothing
+// appended since the previous pass record writes nothing. A follower's
+// log holds its leader's records only, so there Snapshot is a no-op: the
+// leader's passes reach it through the stream. A no-op without a
+// DataDir.
 func (e *Engine) Snapshot() error {
-	if e.wal == nil {
+	if e.wal == nil || e.follower.Load() {
 		return nil
 	}
+	return e.pass(false)
+}
+
+// pass is Snapshot's body; force runs it even with nothing appended
+// since the last pass record.
+func (e *Engine) pass(force bool) error {
 	e.snapMu.Lock()
 	defer e.snapMu.Unlock()
-	start := time.Now()
-	models := e.pool.Keys()
-	if len(models) == 0 {
+	e.bf.gate.Lock()
+	defer e.bf.gate.Unlock()
+	if !force && e.wal.NextSeq()-1 == e.lastPass.Load() {
 		return nil
 	}
-	var totalBytes int64
+	start := time.Now()
+	failed := func(err error) error {
+		e.met.snapshotErrors.Inc()
+		e.log.Error("snapshot failed", "err", err)
+		return err
+	}
+	first, err := e.wal.Rotate()
+	if err != nil {
+		return failed(err)
+	}
+	models := e.pool.Keys()
+	var (
+		buf   []byte // one model's state record at a time
+		total int
+	)
 	for _, model := range models {
-		var (
-			seq   uint64
-			bytes int64
-			serr  error
-		)
+		var serr error
 		if err := e.pool.Query(model, func(s *shardState) {
-			seq = s.lastSeq
-			if prev, ok := e.snapped[model]; ok && prev == seq {
-				return // unchanged since last snapshot
-			}
 			encStart := time.Now()
-			bytes, serr = writeSnapshot(e.cfg.DataDir, model, s)
-			e.met.snapshotEncode.Observe(time.Since(encStart).Seconds())
-			if serr == nil {
-				// Everything applied so far is covered; records the
-				// worker applies after this closure re-arm it.
-				s.firstUnsnapped = 0
+			if buf, serr = appendStateRecord(buf[:0], model, s.p); serr == nil {
+				_, serr = e.wal.Append(buf)
 			}
+			e.met.snapshotEncode.Observe(time.Since(encStart).Seconds())
 		}); err != nil {
-			e.met.snapshotErrors.Inc()
-			return err
+			return failed(err)
 		}
 		if serr != nil {
-			e.met.snapshotErrors.Inc()
-			e.log.Error("snapshot failed", "model", model, "err", serr)
-			return serr
+			return failed(fmt.Errorf("orfdisk: snapshot of model %q: %w", model, serr))
 		}
-		e.snapped[model] = seq
-		totalBytes += bytes
+		total += len(buf)
 	}
-	// Truncation cutoff: the smallest WAL sequence number some shard has
-	// applied but not yet snapshotted. An idle shard contributes nothing
-	// (its whole history is covered by its snapshot), so it can no
-	// longer pin the WAL at its ancient lastSeq while busy models grow
-	// the log without bound. The NextSeq fallback is captured BEFORE the
-	// read-back sweep below: appends and these reads serialize on each
-	// shard's worker, so a record applied after its shard was read
-	// carries a sequence number at or above the fallback, keeping the
-	// cutoff conservative.
-	cutoff := e.wal.NextSeq()
-	// A backfill batch between its WAL append and its shard applies is
-	// durable but covered by nothing; its floor (bfState.pendingLow) caps
-	// the cutoff. Read after the capture and before the sweep: a floor not
-	// yet set means its batch is appended after the capture, one cleared
-	// that every row reached its shard before the shard is read below.
 	e.bf.mu.Lock()
-	if low := e.bf.pendingLow; low != 0 && low < cutoff {
-		cutoff = low
-	}
+	rec := passRecord{first: first, bf: e.bf.bfResume}
+	rec.bf.cur = rec.bf.cur.clone()
 	e.bf.mu.Unlock()
-	// The sweep reads the shard set afresh: a model whose first records
-	// arrived while the pass above was writing has no snapshot yet, and a
-	// sealing truncation would otherwise take its records for covered.
-	for _, model := range e.pool.Keys() {
-		if err := e.pool.Query(model, func(s *shardState) {
-			if s.firstUnsnapped != 0 && s.firstUnsnapped < cutoff {
-				cutoff = s.firstUnsnapped
-			}
-		}); err != nil {
-			e.met.snapshotErrors.Inc()
-			return err
-		}
+	seq, err := e.wal.Append(appendPassRecord(nil, rec))
+	if err == nil {
+		err = e.wal.Sync()
 	}
-	if err := e.wal.Sync(); err != nil {
-		e.met.snapshotErrors.Inc()
-		return err
+	if err == nil {
+		err = e.wal.TruncateBefore(first)
 	}
-	// The truncation below may delete the WAL suffix holding the newest
-	// backfill cursor record, so the cursor state must reach its own
-	// durable file first. (Rows appended between this write and the
-	// cutoff capture survive in the WAL and re-count during replay;
-	// bf.seq keeps the two sources from double-counting.)
-	if err := e.writeBackfillCursorFile(); err != nil {
-		e.met.snapshotErrors.Inc()
-		return err
+	if err != nil {
+		return failed(err)
 	}
-	if err := e.wal.TruncateBefore(cutoff); err != nil {
-		e.met.snapshotErrors.Inc()
-		return err
-	}
+	e.lastPass.Store(seq)
+	e.passFirst.Store(first)
 	e.met.snapshots.Inc()
 	e.met.snapshotSeconds.Observe(time.Since(start).Seconds())
-	e.met.snapshotBytes.Set(float64(totalBytes))
+	e.met.snapshotBytes.Set(float64(total))
 	e.log.Info("snapshot complete",
-		"models", len(models), "bytes", totalBytes,
-		"cutoff", cutoff, "elapsed", time.Since(start))
+		"models", len(models), "bytes", total,
+		"first", first, "elapsed", time.Since(start))
 	return nil
 }
 
-// Close drains all shard mailboxes, takes a final snapshot (when
+// Close drains all shard mailboxes, runs a final snapshot pass (when
 // durable) and releases the WAL. The engine is unusable afterwards.
 func (e *Engine) Close() error {
 	e.closeOnce.Do(func() {
@@ -892,57 +832,94 @@ func (e *Engine) Close() error {
 
 // --- recovery ---
 
-const snapMagic = "OSN1"
-
-func (e *Engine) recover() error {
-	start, replayedBefore := time.Now(), e.met.replayed.Value()
+// open recovers the engine from its data directory: the log, and on a
+// leader the previous release's state files, which one pass moves into
+// the log before they are removed.
+func (e *Engine) open() error {
 	dir := e.cfg.DataDir
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	// A crash mid-seed-install leaves a commit marker (and possibly a
-	// half-swapped file set); finish or discard it before reading any
-	// state files (see reseed.go).
-	if err := e.completeSeedInstall(); err != nil {
+	if _, err := os.Stat(filepath.Join(dir, seedCommitName)); err == nil {
+		return fmt.Errorf("orfdisk: %s holds a seed install the previous release began (%s); "+
+			"start the previous release once on it to finish the install, then this one", dir, seedCommitName)
+	}
+	// A crash inside a follower reset leaves its old log renamed aside.
+	if err := os.RemoveAll(filepath.Join(dir, droppedDirName)); err != nil {
 		return err
 	}
-	// Everything below rebuilds in-memory state from the files alone, so
-	// it starts from empty: a seed install recovers on a live engine.
-	e.mu.Lock()
-	e.modelOf = make(map[string]string)
-	e.mu.Unlock()
-	e.recovered = make(map[string]*shardState)
-	e.snapped = make(map[string]uint64)
-	entries, err := os.ReadDir(dir)
+	legacy, err := legacyFiles(dir)
 	if err != nil {
 		return err
 	}
-	var (
-		maxSnap uint64
-		resume  bfResume // the cursor file's, if a snapshot persisted one
-	)
-	for _, ent := range entries {
-		name := ent.Name()
-		if ent.IsDir() || !isStateFile(name) {
-			continue
+	if len(legacy) > 0 && e.follower.Load() {
+		// A follower streams what it drops from its leader. The log goes
+		// first: state files left by a crash after it are dropped again.
+		e.log.Warn("dropping the previous release's state to stream it from the leader", "files", legacy)
+		if err := dropLog(dir); err != nil {
+			return err
 		}
+		if err := removeFiles(dir, legacy); err != nil {
+			return err
+		}
+		legacy = nil
+	}
+	if i := slices.Index(legacy, seedStagingName); i >= 0 {
+		// A seed download that never committed.
+		if err := removeFiles(dir, legacy[i:i+1]); err != nil {
+			return err
+		}
+		legacy = slices.Delete(legacy, i, i+1)
+	}
+	if err := e.recover(legacy); err != nil {
+		return err
+	}
+	// Republish every recovered shard's snapshot so readers start from
+	// post-replay state, not the construction-time freeze.
+	if err := e.refreezeAll(); err != nil {
+		return err
+	}
+	if len(legacy) == 0 {
+		return nil
+	}
+	// The files go only once a pass holds what they held.
+	if err := e.pass(true); err != nil {
+		return err
+	}
+	e.log.Info("moved the previous release's state into the log", "files", legacy)
+	return removeFiles(dir, legacy)
+}
+
+// recover loads the previous release's state files named in legacy, if
+// any, opens the log and replays it.
+func (e *Engine) recover(legacy []string) error {
+	start := time.Now()
+	dir := e.cfg.DataDir
+	var maxSnap uint64
+	e.legacy = legacyCover{covered: make(map[string]uint64)}
+	defer func() { e.legacy = legacyCover{} }()
+	for _, name := range legacy {
 		if name == cursorFileName {
 			b, err := os.ReadFile(filepath.Join(dir, name))
-			if err == nil {
-				resume, err = decodeCursorFile(b)
-			}
 			if err != nil {
 				return err
 			}
+			var r bfResume
+			if r, e.legacy.bfSeq, err = decodeCursorFile(b); err != nil {
+				return err
+			}
+			e.bf.bfResume = r
 			continue
 		}
-		model, st, err := loadSnapshot(filepath.Join(dir, name))
+		model, p, seq, err := loadSnapshot(filepath.Join(dir, name))
 		if err != nil {
 			return fmt.Errorf("orfdisk: loading snapshot %s: %w", name, err)
 		}
-		e.recovered[model] = st
-		e.snapped[model] = st.lastSeq
-		maxSnap = max(maxSnap, st.lastSeq)
+		if err := e.pool.Do(model, func(s *shardState) { e.replaceState(s, model, p) }); err != nil {
+			return err
+		}
+		e.legacy.covered[model] = seq
+		maxSnap = max(maxSnap, seq)
 	}
 	w, err := wal.Open(wal.Options{
 		Dir:          filepath.Join(dir, walDirName),
@@ -955,39 +932,18 @@ func (e *Engine) recover() error {
 		return err
 	}
 	e.wal = w
-
-	// Materialize snapshotted shards and rebuild serial->model routing
-	// from their queue membership (a disk has a live queue iff it is
-	// routed, so the two stay in lockstep).
-	for model := range e.recovered {
-		if err := e.pool.Do(model, func(s *shardState) {
-			for _, serial := range s.p.TrackedSerials() {
-				e.modelOf[serial] = model
-			}
-		}); err != nil {
-			return err
-		}
-	}
-
-	// The backfill resume point starts at the cursor file's (zero without
-	// one); replayed backfill records with higher sequence numbers advance
-	// it below.
-	e.bf.mu.Lock()
-	e.bf.bfResume, e.bf.pendingLow = resume, 0
-	e.bf.mu.Unlock()
-
-	// Replay the WAL suffix through the same function a follower applies
-	// leader records with (see applyRecords).
+	// Replay through the same function a follower applies leader records
+	// with (see applyRecords).
 	if _, err := e.applyRecords(applyRecovering, w.Replay); err != nil {
 		return err
 	}
-	// Never reuse sequence numbers a snapshot already accounts for.
+	// Never reuse sequence numbers a snapshot file accounts for.
 	w.SkipTo(maxSnap + 1)
 	elapsed := time.Since(start)
 	e.met.recoverySeconds.Set(elapsed.Seconds())
-	replayed := e.met.replayed.Value() - replayedBefore // a seed install recovers again
+	replayed := e.met.replayed.Value()
 	e.log.Info("recovery complete",
-		"snapshots", len(e.recovered),
+		"models", len(e.pool.Keys()),
 		"replayed", replayed,
 		"skipped", e.met.replaySkipped.Value(),
 		"elapsed", elapsed,
@@ -995,20 +951,38 @@ func (e *Engine) recover() error {
 	return nil
 }
 
+// replaceState makes p the state of model's shard s, as a state record
+// or a snapshot file says it is, routes and all: the serials the old
+// state tracked stop routing to the model, and those p tracks route to
+// it.
+func (e *Engine) replaceState(s *shardState, model string, p *Predictor) {
+	e.mu.Lock()
+	for _, serial := range s.p.TrackedSerials() {
+		if e.modelOf[serial] == model {
+			delete(e.modelOf, serial)
+		}
+	}
+	for _, serial := range p.TrackedSerials() {
+		e.modelOf[serial] = model
+	}
+	e.mu.Unlock()
+	s.p = p
+}
+
 // applyMode says which door an already-durable record came in by; the
 // doors differ in bookkeeping only, never in what reaches the shard.
 type applyMode uint8
 
 const (
-	// applyRecovering replays the local WAL (startup, seed install):
-	// records a model's snapshot covers are skipped, the rest count as
+	// applyRecovering replays the local WAL at startup: records count as
 	// engine_recovery_replayed_records, and no frozen snapshot is
 	// published on the way (the caller republishes every shard once
 	// replay ends).
 	applyRecovering applyMode = iota
-	// applyReplicated applies a leader record on a follower: nothing is
-	// skipped (ApplyReplicated drops duplicates by sequence number), it is
-	// logged as its run crosses, and observations count as engine_ingests.
+	// applyReplicated applies a leader record on a follower (ApplyReplicated
+	// drops duplicates by sequence number): it is logged as its run
+	// crosses, observations count as engine_ingests, and a state record
+	// republishes its model's frozen snapshot.
 	applyReplicated
 )
 
@@ -1030,23 +1004,31 @@ const applyRunCap = 1024
 // rebuild state, the alarms were raised where the row first arrived, and
 // Absorb leaves the state Ingest leaves. A run never reorders anything —
 // a record of another model ends it — because routing memory is shared
-// between shards, and never splits a record: its rows share a sequence
-// number, so a snapshot taken between two crossings would cover half of
-// them and recovery skip the rest.
+// between shards.
+//
+// A state record replaces its model's state and routes (replaceState).
+// The records of the model between its pass's first sequence number and
+// the state record are applied first and then superseded, which leaves
+// what the live engine held when it wrote the record. A pass record sets
+// the backfill resume point; cursor and pass records carry no model state
+// and end no run.
 //
 // In replicated mode a run's closure first logs every record fed since
 // the last crossing, as ingestSlice logs a leader's slice: the log keeps
 // the leader's order and never holds a model record its shard has not
-// applied. Cursor records after the last run are logged on the caller.
+// applied. Cursor and pass records after the last run are logged on the
+// caller.
 //
 // last is the sequence number through which every fed record has been
-// dealt with (applied, skipped as covered, or counted as a poison pill);
+// dealt with (applied, skipped as covered by the previous release's
+// state files, or counted as a poison pill);
 // on an error, records after it have not reached their shard or, in
 // replicated mode, the log.
 func (e *Engine) applyRecords(mode applyMode, feed func(func(seq uint64, payload []byte) error) error) (last uint64, err error) {
 	type runRecord struct {
 		walRecord
-		seq uint64
+		seq   uint64
+		state *Predictor // a state record's, decoded
 	}
 	type rejection struct {
 		seq    uint64
@@ -1057,7 +1039,7 @@ func (e *Engine) applyRecords(mode applyMode, feed func(func(seq uint64, payload
 		model    string
 		run      []runRecord
 		rows     int         // observations in run
-		retires  int         // retire records in run
+		others   int         // retire and state records in run
 		rejected []rejection // observations of run the predictor cannot read
 		pending  uint64      // newest record fed, possibly still waiting in the run
 		// Replicated mode: what was fed since the last crossing, to log.
@@ -1074,8 +1056,15 @@ func (e *Engine) applyRecords(mode applyMode, feed func(func(seq uint64, payload
 			}
 			for i := range run {
 				r := &run[i]
-				if r.kind == recRetire {
-					e.applyRetire(s, r.seq, r.serial)
+				switch r.kind {
+				case recRetire:
+					e.applyRetire(s, r.serial)
+					continue
+				case recState:
+					e.replaceState(s, model, r.state)
+					if mode == applyReplicated {
+						e.publish(s)
+					}
 					continue
 				}
 				// One rule for every run: gather the features the predictor
@@ -1089,11 +1078,10 @@ func (e *Engine) applyRecords(mode applyMode, feed func(func(seq uint64, payload
 				for j := range r.run {
 					row := &r.run[j]
 					if misfit != nil {
-						e.noteSeq(s, r.seq) // the record is dealt with, as if applied
 						rejected = append(rejected, rejection{r.seq, row.Serial, misfit})
 						continue
 					}
-					e.applyRow(s, r.seq, row, s.p.project(row.Values, pos), false)
+					e.applyRow(s, row, s.p.project(row.Values, pos), false)
 				}
 			}
 			if applied := rows - len(rejected); mode == applyRecovering {
@@ -1120,11 +1108,12 @@ func (e *Engine) applyRecords(mode applyMode, feed func(func(seq uint64, payload
 		}
 		// Both counters are in rows, as at the door a row first came in by.
 		if applied := uint64(rows - len(rejected)); mode == applyRecovering {
-			e.met.replayed.Add(applied + uint64(retires))
+			e.met.replayed.Add(applied + uint64(others))
 		} else {
 			e.met.ingests.Add(applied)
 		}
-		run, rows, retires, rejected, last = run[:0], 0, 0, rejected[:0], pending
+		clear(run) // drop the decoded rows and states
+		run, rows, others, rejected, last = run[:0], 0, 0, rejected[:0], pending
 		logSeqs, logPayloads = logSeqs[:0], logPayloads[:0]
 		return nil
 	}
@@ -1133,34 +1122,45 @@ func (e *Engine) applyRecords(mode applyMode, feed func(func(seq uint64, payload
 		if err != nil {
 			return fmt.Errorf("orfdisk: record at seq %d: %w", seq, err)
 		}
-		// Backfill resume accounting runs before the snapshot skip: a row a
-		// model snapshot covers still counts toward rowsAfter when the cursor
-		// file predates that snapshot (crash between the two writes). A
-		// follower keeps it too, so that once promoted it can continue an
-		// interrupted backfill exactly like a restarted leader.
-		if rec.kind == recCursor || rec.kind == recObserveBFRun {
-			e.noteBackfill(seq, uint64(len(rec.run)), rec.cur)
+		// Backfill resume accounting runs before the covered skip: a row a
+		// model's snapshot file covers still counts toward rowsAfter when
+		// the cursor file predates that snapshot. A follower keeps it too,
+		// so that once promoted it can continue an interrupted backfill
+		// exactly like a restarted leader.
+		if (rec.kind == recCursor || rec.kind == recObserveBFRun) && seq > e.legacy.bfSeq {
+			e.noteBackfill(uint64(len(rec.run)), rec.cur)
 		}
 		switch {
-		case rec.kind == recCursor:
-			// Cursor records carry no model state and end no run.
+		case rec.kind == recCursor || rec.kind == recPass:
+			if rec.pass != nil {
+				e.bf.mu.Lock()
+				e.bf.bfResume = rec.pass.bf
+				e.bf.mu.Unlock()
+				e.lastPass.Store(seq)
+				e.passFirst.Store(rec.pass.first)
+			}
 			if mode == applyRecovering {
 				e.met.replayed.Inc()
 			}
-		case mode == applyRecovering && seq <= e.snapped[rec.model]:
-			// Covered by the model's snapshot. e.snapped is stable here:
-			// recovery runs before the snapshot loop starts, or under snapMu
-			// during a seed install.
+		case seq <= e.legacy.covered[rec.model]:
+			// In the model's snapshot file (recovery only).
 		default:
-			if len(run) > 0 && (rec.model != model || rows+retires+max(len(rec.run), 1) > applyRunCap) {
+			r := runRecord{walRecord: rec, seq: seq}
+			if rec.kind == recState {
+				if r.state, err = LoadPredictorState(bytes.NewReader(rec.state)); err != nil {
+					return fmt.Errorf("orfdisk: state record at seq %d for model %q: %w", seq, rec.model, err)
+				}
+				r.walRecord.state = nil
+			}
+			if len(run) > 0 && (rec.model != model || rows+others+max(len(rec.run), 1) > applyRunCap) {
 				if err := flush(); err != nil {
 					return err
 				}
 			}
 			model = rec.model
-			run = append(run, runRecord{walRecord: rec, seq: seq})
-			if rec.kind == recRetire {
-				retires++
+			run = append(run, r)
+			if len(rec.run) == 0 {
+				others++
 			}
 			rows += len(rec.run)
 		}
@@ -1180,55 +1180,4 @@ func (e *Engine) applyRecords(mode applyMode, feed func(func(seq uint64, payload
 		last = pending
 	}
 	return last, err
-}
-
-// writeSnapshot writes model's snapshot: the OSN1 magic, the shard's
-// lastSeq and the model name's length (u64 little endian each), the name,
-// then the predictor state.
-func writeSnapshot(dir, model string, s *shardState) (int64, error) {
-	return writeFileAtomic(dir, snapName(model), func(w *bufio.Writer) error {
-		hdr := binary.LittleEndian.AppendUint64([]byte(snapMagic), s.lastSeq)
-		hdr = binary.LittleEndian.AppendUint64(hdr, uint64(len(model)))
-		if _, err := w.Write(append(hdr, model...)); err != nil {
-			return err
-		}
-		return s.p.SaveState(w)
-	})
-}
-
-func loadSnapshot(path string) (model string, st *shardState, err error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return "", nil, err
-	}
-	defer f.Close()
-	br := bufio.NewReader(f)
-	head := make([]byte, len(snapMagic))
-	if _, err := io.ReadFull(br, head); err != nil {
-		return "", nil, err
-	}
-	if string(head) != snapMagic {
-		return "", nil, fmt.Errorf("bad snapshot magic %q", head)
-	}
-	var buf [8]byte
-	if _, err := io.ReadFull(br, buf[:]); err != nil {
-		return "", nil, err
-	}
-	lastSeq := binary.LittleEndian.Uint64(buf[:])
-	if _, err := io.ReadFull(br, buf[:]); err != nil {
-		return "", nil, err
-	}
-	n := binary.LittleEndian.Uint64(buf[:])
-	if n > 1<<16 {
-		return "", nil, fmt.Errorf("corrupt snapshot (model name of %d bytes)", n)
-	}
-	nameBuf := make([]byte, n)
-	if _, err := io.ReadFull(br, nameBuf); err != nil {
-		return "", nil, err
-	}
-	p, err := LoadPredictorState(br)
-	if err != nil {
-		return "", nil, err
-	}
-	return string(nameBuf), &shardState{p: p, lastSeq: lastSeq}, nil
 }

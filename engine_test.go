@@ -2,6 +2,7 @@ package orfdisk
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"hash/fnv"
@@ -404,9 +405,8 @@ func TestEngineSnapshotTruncatesWAL(t *testing.T) {
 	if len(after) >= len(before) {
 		t.Fatalf("snapshot truncated nothing: %d -> %d segments", len(before), len(after))
 	}
-	snaps, _ := filepath.Glob(filepath.Join(dir, "snap-*.snap"))
-	if len(snaps) != 1 {
-		t.Fatalf("%d snapshot files, want 1", len(snaps))
+	if got := len(snapFiles(t, dir)); got != 1 {
+		t.Fatalf("%d models in state records, want 1", got)
 	}
 }
 
@@ -1695,11 +1695,11 @@ func FuzzUnpackValues(f *testing.F) {
 	})
 }
 
-// FuzzDecodeRecord: no payload makes decodeRecord panic, none under a
-// retired kind decodes (seeds put each retired kind byte over a
-// well-formed run body), and a record that decodes re-encodes, through
-// the writer of its kind, to one that decodes to the same record with
-// bit-equal values.
+// FuzzDecodeRecord: no payload makes decodeRecord panic or allocate more
+// than its bytes back, none under a retired kind decodes (seeds put each
+// retired kind byte over a well-formed run body), and a record that
+// decodes re-encodes, through the writer of its kind, to one that
+// decodes to the same record with bit-equal values.
 func FuzzDecodeRecord(f *testing.F) {
 	obs := FleetObservation{Model: "ST4000DM000", Observation: Observation{
 		Serial: "Z302T4N9", Day: 812, Failed: true,
@@ -1721,8 +1721,28 @@ func FuzzDecodeRecord(f *testing.F) {
 	for _, kind := range []byte{recObserveV1, recObserveV2, recObserveBFV2, recObserve, recObserveBF, recCatalogRun, recCatalogBFRun} {
 		f.Add(append([]byte{kind}, one[1:]...))
 	}
+	// A state record of a young model, and pass records with and without
+	// a backfill resume point.
+	p := NewPredictor(Config{Horizon: 2, ORF: ORFConfig{Trees: 2, Seed: 1}})
+	if _, err := p.Ingest(Observation{Serial: obs.Serial, Day: obs.Day, Values: make([]float64, CatalogSize())}); err != nil {
+		f.Fatal(err)
+	}
+	state, err := appendStateRecord(nil, obs.Model, p)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(state)
+	f.Add(appendPassRecord(nil, passRecord{first: 812}))
+	f.Add(appendPassRecord(nil, passRecord{first: 1 << 40, bf: bfResume{valid: true, rowsAfter: 300,
+		cur: BackfillCursor{Day: 9, Rows: 700, Files: []BackfillFilePos{{Name: "a.csv", Rows: 700, Off: 1 << 16}}}}}))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		rec, err := decodeRecord(data)
+		var rec walRecord
+		var err error
+		// Linear in the input, with slack for what the fuzzing engine
+		// allocates on its own goroutines meanwhile.
+		if got, limit := allocatedBy(func() { rec, err = decodeRecord(data) }), 64<<10+128*uint64(len(data)); got > limit {
+			t.Fatalf("decoding %d bytes allocated %d (limit %d)", len(data), got, limit)
+		}
 		if err != nil {
 			return
 		}
@@ -1734,6 +1754,11 @@ func FuzzDecodeRecord(f *testing.F) {
 			again = appendCursorRecord(nil, *rec.cur)
 		case recRetire:
 			again = encodeRetireRecord(rec.model, rec.serial)
+		case recState:
+			again = binary.AppendUvarint([]byte{recState}, uint64(len(rec.model)))
+			again = append(append(again, rec.model...), rec.state...)
+		case recPass:
+			again = appendPassRecord(nil, *rec.pass)
 		default:
 			t.Fatalf("decoded kind %d from kind byte %d", rec.kind, data[0])
 		}

@@ -266,9 +266,9 @@ func (p *Pool[S]) Keys() []string {
 
 // Reset retires every shard: current mailboxes drain, their workers
 // exit, and the next use of any key builds a fresh shard from the
-// factory. Used when the backing state is wholesale replaced (a
-// follower installing a seed set) — Close would kill the pool for
-// good, Reset only evicts state. Blocks until all retired workers have
+// factory. Used when the backing state is wholesale dropped (a
+// follower that resets to stream its leader's log) — Close would kill
+// the pool for good, Reset only evicts state. Blocks until all retired workers have
 // exited.
 func (p *Pool[S]) Reset() error {
 	p.mu.Lock()

@@ -1,7 +1,7 @@
 // Package frame implements the length-prefixed, CRC-framed block codec
-// used by every bulk model-bytes path: ORF2 snapshot tree blocks,
-// compressed seed-transfer chunks, and generic byte streams that want
-// cheap per-frame corruption detection around stdlib flate.
+// used by every bulk model-bytes path: ORF2 snapshot tree blocks, and
+// generic byte streams that want cheap per-frame corruption detection
+// around stdlib flate.
 //
 // Block wire format (little endian):
 //

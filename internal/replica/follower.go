@@ -29,6 +29,19 @@ type Applier interface {
 	ObserveLeaderHead(head uint64, sentAt time.Time)
 }
 
+// Resetter is what an Applier also implements to recover from
+// divergence by itself. When the leader has truncated past the
+// follower's resume position (ErrResumeTooOld), or the follower is ahead
+// of the leader's durable head (ErrFollowerAhead), the follower calls
+// Reset with the leader's oldest segment: the applier drops its durable
+// log and state and continues from an empty log whose next record is
+// oldest, so that ReplicationResume reports oldest-1 and the next
+// session streams the leader's whole log. An Applier without it stops
+// following for good on either error.
+type Resetter interface {
+	Reset(oldest uint64) error
+}
+
 // FollowerConfig configures a replication client. Zero values select
 // defaults.
 type FollowerConfig struct {
@@ -44,13 +57,6 @@ type FollowerConfig struct {
 	// arrives), not jitter. Without it a dead link would block the read
 	// forever while the follower kept reporting a live stream.
 	ReadTimeout time.Duration
-	// Seeder, when set, turns fatal divergence (ErrResumeTooOld,
-	// ErrFollowerAhead) into an automatic full re-seed from the leader
-	// instead of a permanent stop: the seed set downloads into
-	// Seeder.BeginSeed's staging directory, Seeder.CommitSeed installs
-	// it, and streaming resumes from the new position. Nil preserves
-	// the old stop-and-wait-for-an-operator behavior.
-	Seeder SeedSink
 	// Metrics receives the replica_connection_* families. Nil registers
 	// into a private registry.
 	Metrics *metrics.Registry
@@ -60,6 +66,8 @@ type FollowerConfig struct {
 
 // dialTimeout bounds one connection attempt.
 const dialTimeout = 5 * time.Second
+
+var errClosed = errors.New("replica: follower closed")
 
 func (c *FollowerConfig) fill() {
 	if c.RetryInterval <= 0 {
@@ -80,12 +88,10 @@ type Follower struct {
 	addr string
 	cfg  FollowerConfig
 
-	reconnects     *metrics.Counter
-	reseeds        *metrics.Counter
-	reseedBytes    *metrics.Counter
-	reseedRawBytes *metrics.Counter
-	connected      atomic.Bool
-	fatal          atomic.Pointer[error]
+	reconnects *metrics.Counter
+	reseeds    *metrics.Counter
+	connected  atomic.Bool
+	fatal      atomic.Pointer[error]
 
 	mu   sync.Mutex
 	conn net.Conn
@@ -111,11 +117,7 @@ func StartFollower(addr string, cfg FollowerConfig) (*Follower, error) {
 		reconnects: reg.Counter("replica_connection_attempts_total",
 			"Connections (initial and reconnect) the follower has made to its leader."),
 		reseeds: reg.Counter("replica_reseeds_total",
-			"Automatic full re-seeds completed after fatal divergence."),
-		reseedBytes: reg.Counter("replica_reseed_bytes_total",
-			"Wire bytes downloaded in automatic re-seed transfers (post-compression)."),
-		reseedRawBytes: reg.Counter("replica_reseed_raw_bytes_total",
-			"Uncompressed bytes installed by automatic re-seed transfers."),
+			"Resets after divergence: the follower dropped its log and state to stream from the leader's oldest record."),
 		stop: make(chan struct{}),
 		done: make(chan struct{}),
 	}
@@ -173,33 +175,25 @@ func (f *Follower) loop() {
 	defer close(f.done)
 	for !f.stopped() {
 		f.reconnects.Inc()
-		err := f.run()
+		oldest, err := f.run()
 		f.connected.Store(false)
 		if f.stopped() {
 			return
 		}
 		if errors.Is(err, ErrResumeTooOld) || errors.Is(err, ErrFollowerAhead) {
-			if f.cfg.Seeder == nil {
-				e := err
-				f.fatal.Store(&e)
-				f.cfg.Logger.Error("replication permanently stopped", "err", err)
-				return
-			}
-			f.cfg.Logger.Warn("replication diverged; requesting full seed from leader", "err", err)
-			if serr := f.reseed(); serr != nil {
-				if f.stopped() {
-					return
-				}
-				f.cfg.Logger.Warn("re-seed failed; will retry", "leader", f.addr, "err", serr)
-				// A seed transfer is far heavier than a reconnect, so
-				// back off harder than the streaming retry.
-				select {
-				case <-f.stop:
-					return
-				case <-time.After(4 * f.cfg.RetryInterval):
+			r, ok := f.cfg.Applier.(Resetter)
+			if ok {
+				f.cfg.Logger.Warn("replication diverged; dropping local state to stream from the leader's oldest record",
+					"err", err, "oldest", oldest)
+				if err = r.Reset(oldest); err == nil {
+					f.reseeds.Inc()
+					continue
 				}
 			}
-			continue
+			e := err
+			f.fatal.Store(&e)
+			f.cfg.Logger.Error("replication permanently stopped", "err", err)
+			return
 		}
 		if err != nil {
 			f.cfg.Logger.Warn("replication stream lost; retrying", "leader", f.addr, "err", err)
@@ -233,30 +227,32 @@ func (f *Follower) dial() (conn net.Conn, hangUp func(), err error) {
 	}, nil
 }
 
-func (f *Follower) run() error {
+// run is one session. On divergence it returns the leader's oldest
+// segment with the error, for a reset.
+func (f *Follower) run() (oldest uint64, err error) {
 	conn, hangUp, err := f.dial()
 	if err != nil {
-		return err
+		return 0, err
 	}
 	defer hangUp()
 
 	resume := f.cfg.Applier.ReplicationResume()
-	if err := writeHandshake(conn, magicHello, resume); err != nil {
-		return err
+	if err := writeHandshake(conn, resume); err != nil {
+		return 0, err
 	}
 	conn.SetReadDeadline(time.Now().Add(10 * time.Second))
 	oldest, head, err := readHandshakeReply(conn)
 	if err != nil {
-		return err
+		return 0, err
 	}
 	if resume+1 < oldest {
-		return ErrResumeTooOld
+		return oldest, ErrResumeTooOld
 	}
 	if resume > head {
 		// The leader only reports (and ships) fsync-durable records, so
 		// being ahead of its head means the logs diverged; resuming
 		// would silently skip records.
-		return ErrFollowerAhead
+		return oldest, ErrFollowerAhead
 	}
 	f.connected.Store(true)
 	f.cfg.Logger.Info("replication stream established",
@@ -281,35 +277,38 @@ func (f *Follower) run() error {
 		conn.SetReadDeadline(time.Now().Add(f.cfg.ReadTimeout))
 		typ, payload, nbuf, err := readFrame(conn, buf)
 		if err != nil {
-			return err
+			return 0, err
 		}
 		buf = nbuf
 		switch typ {
 		case frameRecords:
 			head, sentAt, recs, err := decodeRecordsPayload(payload, scratch)
 			if err != nil {
-				return err
+				return 0, err
 			}
 			scratch = recs[:0]
 			if err := f.cfg.Applier.ApplyReplicated(recs); err != nil {
-				return err
+				return 0, err
+			}
+			if cap(buf) > retainBytes {
+				buf, scratch = nil, nil // scratch's records alias buf
 			}
 			f.cfg.Applier.ObserveLeaderHead(head, sentAt)
 			if err := ack(); err != nil {
-				return err
+				return 0, err
 			}
 		case frameHeartbeat:
 			head, sentAt, _, err := takeStatus(payload)
 			if err != nil {
-				return err
+				return 0, err
 			}
 			f.cfg.Applier.ObserveLeaderHead(head, sentAt)
 			if err := ack(); err != nil {
-				return err
+				return 0, err
 			}
 		default:
 			f.cfg.Logger.Warn("unexpected frame from leader", "type", typ)
-			return errors.New("replica: unexpected frame type")
+			return 0, errors.New("replica: unexpected frame type")
 		}
 	}
 }

@@ -16,27 +16,15 @@
 //	                                uvarint n | n × (uvarint seq, uvarint len, bytes)
 //	heartbeat (2, leader→follower): u64 head | i64 sentUnixNano
 //	ack       (3, follower→leader): u64 lastApplied
-//	seedfile   (4, leader→follower): uvarint nameLen | name | u64 size
-//	seeddone   (6, leader→follower): u64 head
-//	seedchunkz (7, leader→follower): one frame.AppendBlock flate block
-//	                                 (u32 rawLen | u32 storedLen | u32
-//	                                 crc | payload) that inflates to the
-//	                                 next bytes of the announced file
 //
-// The u16 version field in both handshakes is 2, and each side refuses
-// a peer that sends anything else before a frame moves. Version 1, whose
-// seed chunks shipped raw as frame type 5, is retired: the binaries that
-// spoke it cannot apply a single observe record a current leader ships.
-//
-// A diverged follower (one that would hit ErrResumeTooOld or
-// ErrFollowerAhead) may open a *seed* session instead of a streaming
-// one by sending the "ORFS" handshake magic. The leader replies with
-// the normal "ORFA" handshake, then streams its current durable state
-// as a sequence of seedfile/seedchunkz frames — the snapshot set, the
-// backfill cursor, and the WAL tail — ending with seeddone. The
-// follower installs the files into a staging directory, atomically
-// swaps them in, acks its new durable position, and reconnects as a
-// normal streaming follower.
+// The u16 version field in both handshakes is 3, and each side refuses
+// a peer that sends anything else before a frame moves. Version 2 added
+// a seed session (the "ORFS" magic, frame types 4, 6 and 7) that shipped
+// snapshot files beside the record stream; version 3 has none, because
+// model state travels in the log itself as state records. A follower
+// the leader has truncated past, or whose log has diverged, drops its
+// own log and state (see Resetter) and streams from the leader's oldest
+// record over an ordinary session.
 //
 // head is the leader's newest *fsync-durable* sequence number at send
 // time (wal.SyncedSeq, not the in-memory tail); together with the
@@ -65,32 +53,34 @@ import (
 	"io"
 	"slices"
 	"time"
+
+	"orfdisk/internal/wal"
 )
 
 const (
 	magicHello = "ORFR"
-	magicSeed  = "ORFS"
 	magicReply = "ORFA"
 	// version is the only protocol this build speaks or accepts.
-	version = 2
+	version = 3
 
-	frameRecords    = 1
-	frameHeartbeat  = 2
-	frameAck        = 3
-	frameSeedFile   = 4
-	frameSeedDone   = 6
-	frameSeedChunkZ = 7
+	frameRecords   = 1
+	frameHeartbeat = 2
+	frameAck       = 3
 
-	// seedChunkBytes bounds the raw bytes of one seedchunkz frame. Small
-	// enough that a slow link still makes steady per-frame progress
-	// against the read deadline, large enough to amortize framing.
-	seedChunkBytes = 1 << 20
-
-	// maxFramePayload caps one frame (sanity bound; a records frame is
-	// sized by the Source's batch limits, far below this).
-	maxFramePayload = 64 << 20
+	// maxFramePayload caps one frame: a records frame holding one record
+	// of the log's largest size, with its status and record header, fits.
+	// The Source ships a record that would take a frame past batchBytes
+	// in a frame of its own.
+	maxFramePayload = wal.MaxRecord + 1<<10
 
 	frameHeaderSize = 1 + 4 + 4
+
+	// retainBytes bounds the frame buffers a session keeps between
+	// frames. Catch-up frames, and the state records a new follower's
+	// stream starts with, are larger; their buffers are let go once the
+	// frame is sent or applied, so a session holds no more than a steady
+	// stream of small frames needs.
+	retainBytes = 256 << 10
 )
 
 // Record is one replicated WAL record: the leader's sequence number and
@@ -101,10 +91,10 @@ type Record struct {
 }
 
 // ErrResumeTooOld reports that the leader has truncated past the
-// follower's resume position: the follower can no longer rebuild full
-// state from the stream and must be re-seeded (fresh data dir, or a
-// copied snapshot set).
-var ErrResumeTooOld = errors.New("replica: leader truncated past resume position; follower must be re-seeded")
+// follower's resume position: the follower can no longer catch up from
+// where it is, and must drop its state and stream from the leader's
+// oldest record.
+var ErrResumeTooOld = errors.New("replica: leader truncated past resume position; follower must reset")
 
 // ErrFollowerAhead reports that the follower's durable position is past
 // the leader's durable head. The leader never ships unsynced records,
@@ -112,15 +102,15 @@ var ErrResumeTooOld = errors.New("replica: leader truncated past resume position
 // typically a leader that crashed, lost its unsynced tail, restarted,
 // and rewrote those sequence numbers with different records, or a
 // follower pointed at the wrong leader. Resuming would silently skip
-// records, so the follower stops permanently and must be re-seeded.
-var ErrFollowerAhead = errors.New("replica: follower is ahead of the leader's durable head; logs have diverged — follower must be re-seeded")
+// records, so the follower must drop its state and stream from the
+// leader's oldest record.
+var ErrFollowerAhead = errors.New("replica: follower is ahead of the leader's durable head; logs have diverged — follower must reset")
 
-// writeHandshake opens a session: a streaming one (magicHello) or a seed
-// session (magicSeed, same layout). resumeAfter is the follower's durable
-// position — for a seed session a stale one, for the leader's logs.
-func writeHandshake(w io.Writer, magic string, resumeAfter uint64) error {
+// writeHandshake opens a session. resumeAfter is the follower's durable
+// position.
+func writeHandshake(w io.Writer, resumeAfter uint64) error {
 	var buf [4 + 2 + 8]byte
-	copy(buf[:4], magic)
+	copy(buf[:4], magicHello)
 	binary.LittleEndian.PutUint16(buf[4:6], version)
 	binary.LittleEndian.PutUint64(buf[6:14], resumeAfter)
 	_, err := w.Write(buf[:])
@@ -135,22 +125,18 @@ func checkVersion(v uint16) error {
 	return nil
 }
 
-func readHandshake(r io.Reader) (resumeAfter uint64, seed bool, err error) {
+func readHandshake(r io.Reader) (resumeAfter uint64, err error) {
 	var buf [4 + 2 + 8]byte
 	if _, err := io.ReadFull(r, buf[:]); err != nil {
-		return 0, false, err
+		return 0, err
 	}
-	switch string(buf[:4]) {
-	case magicHello:
-	case magicSeed:
-		seed = true
-	default:
-		return 0, false, fmt.Errorf("replica: bad handshake magic %q", buf[:4])
+	if string(buf[:4]) != magicHello {
+		return 0, fmt.Errorf("replica: bad handshake magic %q", buf[:4])
 	}
 	if err := checkVersion(binary.LittleEndian.Uint16(buf[4:6])); err != nil {
-		return 0, false, err
+		return 0, err
 	}
-	return binary.LittleEndian.Uint64(buf[6:14]), seed, nil
+	return binary.LittleEndian.Uint64(buf[6:14]), nil
 }
 
 func writeHandshakeReply(w io.Writer, oldestSegment, head uint64) error {
@@ -288,38 +274,6 @@ func appendAckPayload(buf []byte, lastApplied uint64) []byte {
 func decodeAckPayload(p []byte) (lastApplied uint64, err error) {
 	if len(p) != 8 {
 		return 0, fmt.Errorf("replica: ack payload of %d bytes", len(p))
-	}
-	return binary.LittleEndian.Uint64(p), nil
-}
-
-// appendSeedFilePayload announces one seed file: its dir-relative name
-// (forward slashes, e.g. "wal/00000000000000000001.wal") and size.
-func appendSeedFilePayload(buf []byte, name string, size int64) []byte {
-	buf = binary.AppendUvarint(buf, uint64(len(name)))
-	buf = append(buf, name...)
-	return binary.LittleEndian.AppendUint64(buf, uint64(size))
-}
-
-func decodeSeedFilePayload(p []byte) (name string, size int64, err error) {
-	n, sz := binary.Uvarint(p)
-	if sz <= 0 || n > uint64(len(p)-sz) {
-		return "", 0, errors.New("replica: truncated seed file name")
-	}
-	name = string(p[sz : sz+int(n)])
-	p = p[sz+int(n):]
-	if len(p) != 8 {
-		return "", 0, fmt.Errorf("replica: seed file size field of %d bytes", len(p))
-	}
-	return name, int64(binary.LittleEndian.Uint64(p)), nil
-}
-
-func appendSeedDonePayload(buf []byte, head uint64) []byte {
-	return binary.LittleEndian.AppendUint64(buf, head)
-}
-
-func decodeSeedDonePayload(p []byte) (head uint64, err error) {
-	if len(p) != 8 {
-		return 0, fmt.Errorf("replica: seed done payload of %d bytes", len(p))
 	}
 	return binary.LittleEndian.Uint64(p), nil
 }

@@ -5,12 +5,11 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"os"
-	"path/filepath"
 	"sync"
 	"testing"
 	"time"
 
+	"orfdisk/internal/metrics"
 	"orfdisk/internal/wal"
 )
 
@@ -65,20 +64,12 @@ func TestFrameCRCDetectsCorruption(t *testing.T) {
 
 func TestHandshakeRoundTrip(t *testing.T) {
 	var wire bytes.Buffer
-	if err := writeHandshake(&wire, magicHello, 77); err != nil {
+	if err := writeHandshake(&wire, 77); err != nil {
 		t.Fatal(err)
 	}
-	resume, seed, err := readHandshake(&wire)
-	if err != nil || resume != 77 || seed {
-		t.Fatalf("resume=%d seed=%v err=%v", resume, seed, err)
-	}
-	wire.Reset()
-	if err := writeHandshake(&wire, magicSeed, 41); err != nil {
-		t.Fatal(err)
-	}
-	resume, seed, err = readHandshake(&wire)
-	if err != nil || resume != 41 || !seed {
-		t.Fatalf("seed handshake: resume=%d seed=%v err=%v", resume, seed, err)
+	resume, err := readHandshake(&wire)
+	if err != nil || resume != 77 {
+		t.Fatalf("resume=%d err=%v", resume, err)
 	}
 	wire.Reset()
 	if err := writeHandshakeReply(&wire, 3, 99); err != nil {
@@ -477,112 +468,82 @@ func TestPortScannerDoesNotPinFloor(t *testing.T) {
 	})
 }
 
-// seedStub is a SeedProvider serving one fixed file.
-type seedStub struct {
-	path string
-	head uint64
+// resetApplier is a memApplier that implements Resetter: a reset drops
+// everything it applied and resumes just below the oldest record.
+type resetApplier struct {
+	*memApplier
+	resets []uint64
 }
 
-func (p seedStub) Seed() ([]SeedFile, uint64, error) {
-	f, err := os.Open(p.path)
-	if err != nil {
-		return nil, 0, err
-	}
-	st, err := f.Stat()
-	if err != nil {
-		f.Close()
-		return nil, 0, err
-	}
-	return []SeedFile{{Name: "snap-m.snap", File: f, Size: st.Size()}}, p.head, nil
+func (r *resetApplier) Reset(oldest uint64) error {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.resets = append(r.resets, oldest)
+	r.recs, r.applied = nil, oldest-1
+	return nil
 }
 
-// TestSeedSessionDoesNotSatisfySyncQuorum: a diverged follower — an old
-// split-brain leader whose resume position is ABOVE the leader's
-// durable head — opening a seed session must pin the retain floor at
-// the leader's head, not at its bogus-high resume, and must never count
-// toward the WaitAcked quorum. Otherwise a SyncAcks=1 commit would
-// report durability backed by zero actual replication for the entire
-// transfer — exactly the failover scenario sync-commit exists for.
-func TestSeedSessionDoesNotSatisfySyncQuorum(t *testing.T) {
-	w := openShipWAL(t, t.TempDir())
-	for i := 0; i < 50; i++ {
-		if _, err := w.Append([]byte("0123456789abcdef")); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	head := w.SyncedSeq()
-
-	seedPath := filepath.Join(t.TempDir(), "snap-m.snap")
-	if err := os.WriteFile(seedPath, []byte("snapshot-bytes"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	src, err := NewSource("127.0.0.1:0", SourceConfig{
-		WAL:          w,
-		SeedProvider: seedStub{path: seedPath, head: head},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer src.Close()
-
-	conn, err := net.Dial("tcp", src.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	if err := writeHandshake(conn, magicSeed, head+10_000); err != nil {
-		t.Fatal(err)
-	}
-	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-	if _, _, err := readHandshakeReply(conn); err != nil {
-		t.Fatal(err)
-	}
-
-	// The floor pin lands clamped at the durable head, not at the
-	// diverged follower's bogus-high resume (which would pin nothing).
-	waitFor(t, 5*time.Second, "clamped floor pin", func() bool {
-		src.mu.Lock()
-		defer src.mu.Unlock()
-		return src.floor == head+1
-	})
-
-	// Mid-transfer, the seed session must not satisfy a k=1
-	// synchronous commit: no streaming follower holds the record.
-	if err := src.WaitAcked(head, 1, 100*time.Millisecond); !errors.Is(err, ErrAckTimeout) {
-		t.Fatalf("WaitAcked with only a seed session = %v, want ErrAckTimeout", err)
-	}
-	src.mu.Lock()
-	for c := range src.conns {
-		if c.ready && !c.seeding {
-			src.mu.Unlock()
-			t.Fatal("seed session counted as an attached streaming follower")
-		}
-	}
-	src.mu.Unlock()
-
-	// Drain the transfer; it must still complete normally.
-	var buf []byte
-	for {
-		conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-		typ, _, nbuf, err := readFrame(conn, buf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		buf = nbuf
-		if typ == frameSeedDone {
-			break
-		}
-	}
-	// Even the post-install ack of a seed session stays out of the
-	// quorum — only a streaming reconnect carries durable state.
-	if err := writeFrame(conn, frameAck, appendAckPayload(nil, head)); err != nil {
-		t.Fatal(err)
-	}
-	if err := src.WaitAcked(head, 1, 100*time.Millisecond); !errors.Is(err, ErrAckTimeout) {
-		t.Fatalf("WaitAcked after post-seed ack = %v, want ErrAckTimeout", err)
+// TestDivergedFollowerResetsAndStreams: an Applier that implements
+// Resetter recovers from both kinds of divergence by itself — truncated
+// past, and ahead of the leader's head — by resetting to the leader's
+// oldest segment and streaming every record from there, counted in
+// replica_reseeds_total.
+func TestDivergedFollowerResetsAndStreams(t *testing.T) {
+	for name, applied := range map[string]uint64{"truncated past": 0, "ahead of the head": 10_000} {
+		t.Run(name, func(t *testing.T) {
+			w := openShipWAL(t, t.TempDir())
+			for i := 0; i < 200; i++ {
+				if _, err := w.Append([]byte("0123456789abcdef")); err != nil {
+					t.Fatal(err)
+				}
+			}
+			first, err := w.Rotate()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 20; i++ {
+				if _, err := w.Append([]byte("after the rotation")); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := w.Sync(); err != nil {
+				t.Fatal(err)
+			}
+			if err := w.TruncateBefore(first); err != nil {
+				t.Fatal(err)
+			}
+			src, err := NewSource("127.0.0.1:0", SourceConfig{WAL: w})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer src.Close()
+			app := &resetApplier{memApplier: &memApplier{applied: applied}}
+			reg := metrics.NewRegistry()
+			fl, err := StartFollower(src.Addr(), FollowerConfig{Applier: app, Metrics: reg, RetryInterval: 10 * time.Millisecond})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer fl.Close()
+			head := w.SyncedSeq()
+			waitFor(t, 5*time.Second, "reset and catch-up", func() bool {
+				_, got, _ := app.snapshot()
+				return got == head
+			})
+			app.mu.Lock()
+			defer app.mu.Unlock()
+			if len(app.resets) != 1 || app.resets[0] != first {
+				t.Fatalf("resets %v, want one to %d", app.resets, first)
+			}
+			if len(app.recs) != 20 || app.recs[0].Seq != first {
+				t.Fatalf("streamed %d records from %d, want 20 from %d", len(app.recs), app.recs[0].Seq, first)
+			}
+			if got := reg.Counter("replica_reseeds_total", "").Value(); got != 1 {
+				t.Fatalf("replica_reseeds_total = %d, want 1", got)
+			}
+			if fl.Err() != nil {
+				t.Fatalf("follower stopped: %v", fl.Err())
+			}
+		})
 	}
 }
 

@@ -23,10 +23,6 @@ type SourceConfig struct {
 	// head position to followers (default 500 ms). A follower does not
 	// wait this long for its first status: one is sent as it attaches.
 	Heartbeat time.Duration
-	// SeedProvider, when set, lets diverged followers request a full
-	// state transfer ("ORFS" handshake) instead of being refused. Nil
-	// rejects seed sessions.
-	SeedProvider SeedProvider
 	// Metrics receives the replication_* families. Nil registers into a
 	// private registry.
 	Metrics *metrics.Registry
@@ -64,9 +60,6 @@ type sourceMetrics struct {
 	segments     *metrics.Counter
 	frames       *metrics.Counter
 	acked        *metrics.Gauge
-	seeds        *metrics.Counter
-	seedBytes    *metrics.Counter
-	seedRawBytes *metrics.Counter
 	syncTimeouts *metrics.Counter
 }
 
@@ -106,17 +99,11 @@ type ackWaiter struct {
 }
 
 type srcConn struct {
-	c     net.Conn
-	acked uint64 // guarded by Source.mu
-	ready bool   // handshake completed; guarded by Source.mu
-	// seeding marks a full-state-transfer session (guarded by
-	// Source.mu). A seeding connection pins the retain floor like a
-	// follower — that is the point of the pin in serveSeed — but it has
-	// no durable replica of anything yet, so it must not count toward
-	// the sync-ack quorum or the attached-follower gauge.
-	seeding bool
-	closed  chan struct{}
-	once    sync.Once
+	c      net.Conn
+	acked  uint64 // guarded by Source.mu
+	ready  bool   // handshake completed; guarded by Source.mu
+	closed chan struct{}
+	once   sync.Once
 }
 
 func (sc *srcConn) shutdown() {
@@ -151,9 +138,6 @@ func NewSource(addr string, cfg SourceConfig) (*Source, error) {
 			segments:     reg.Counter("replication_segments_shipped_total", "WAL segments fully streamed to a follower (counted per stream)."),
 			frames:       reg.Counter("replication_frames_shipped_total", "Protocol frames (records + heartbeats) sent to followers."),
 			acked:        reg.Gauge("replication_min_acked_seq", "Lowest follower-acknowledged WAL sequence number (the truncation retain floor)."),
-			seeds:        reg.Counter("replication_seeds_served_total", "Full state transfers streamed to diverged followers."),
-			seedBytes:    reg.Counter("replication_seed_bytes_total", "Wire bytes streamed in follower seed transfers (post-compression)."),
-			seedRawBytes: reg.Counter("replication_seed_raw_bytes_total", "Uncompressed bytes represented by follower seed transfers (compare with replication_seed_bytes_total for the compression ratio)."),
 			syncTimeouts: reg.Counter("replication_sync_ack_timeouts_total", "Synchronous-commit waits that timed out before enough follower acks."),
 		},
 	}
@@ -162,18 +146,7 @@ func NewSource(addr string, cfg SourceConfig) (*Source, error) {
 		defer s.mu.Unlock()
 		n := 0
 		for c := range s.conns {
-			if c.ready && !c.seeding {
-				n++
-			}
-		}
-		return float64(n)
-	})
-	reg.GaugeFunc("replication_seeds_active", "Full state transfers currently streaming to diverged followers.", func() float64 {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		n := 0
-		for c := range s.conns {
-			if c.seeding {
+			if c.ready {
 				n++
 			}
 		}
@@ -186,14 +159,6 @@ func NewSource(addr string, cfg SourceConfig) (*Source, error) {
 
 // Addr returns the listener's address (useful with ":0").
 func (s *Source) Addr() string { return s.ln.Addr().String() }
-
-// SeedStats reports cumulative seed-transfer counters: transfers
-// served, wire bytes sent (post-compression), and the raw bytes those
-// transfers represented (their ratio is the chunk compression's); the
-// serving layer surfaces the three in /v1/replication.
-func (s *Source) SeedStats() (seeds, wireBytes, rawBytes uint64) {
-	return s.met.seeds.Value(), s.met.seedBytes.Value(), s.met.seedRawBytes.Value()
-}
 
 // Close stops accepting followers and tears down every stream.
 func (s *Source) Close() error {
@@ -253,9 +218,6 @@ func (s *Source) acceptLoop() {
 // Only handshake-completed connections participate in the floor: an
 // accepted-but-silent connection (a port scanner, a load balancer's TCP
 // check) has no resume position and must not pin truncation at zero.
-// Seeding connections DO participate in the floor (the pin keeps the
-// WAL tail alive across the transfer) but are excluded from the
-// sync-ack quorum in wakeWaitersLocked/ackedByLocked.
 func (s *Source) noteAck(sc *srcConn, seq uint64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -290,7 +252,7 @@ func (s *Source) wakeWaitersLocked() {
 	}
 	vals := s.ackScratch[:0]
 	for c := range s.conns {
-		if c.ready && !c.seeding {
+		if c.ready {
 			vals = append(vals, c.acked)
 		}
 	}
@@ -312,12 +274,12 @@ func (s *Source) wakeWaitersLocked() {
 
 // ackedByLocked returns the k-th highest follower-acknowledged
 // sequence number (0 when fewer than k streaming followers are
-// attached; seed sessions hold no durable state and never count).
+// attached).
 // Caller holds s.mu.
 func (s *Source) ackedByLocked(k int) uint64 {
 	vals := s.ackScratch[:0]
 	for c := range s.conns {
-		if c.ready && !c.seeding {
+		if c.ready {
 			vals = append(vals, c.acked)
 		}
 	}
@@ -386,10 +348,11 @@ func (s *Source) serve(sc *srcConn) error {
 	head := func() uint64 { return s.cfg.WAL.SyncedSeq() }
 
 	// Handshake: learn the follower's resume position, refuse positions
-	// truncation has already passed (the follower must be re-seeded) and
-	// positions past our own durable head (the logs have diverged).
+	// truncation has already passed and positions past our own durable
+	// head (the logs have diverged); either way the follower resets and
+	// comes back from the oldest segment the reply names.
 	sc.c.SetReadDeadline(time.Now().Add(10 * time.Second))
-	resume, seed, err := readHandshake(sc.c)
+	resume, err := readHandshake(sc.c)
 	if err != nil {
 		return err
 	}
@@ -400,9 +363,6 @@ func (s *Source) serve(sc *srcConn) error {
 	}
 	if err := writeHandshakeReply(sc.c, oldest, head()); err != nil {
 		return err
-	}
-	if seed {
-		return s.serveSeed(sc, resume)
 	}
 	if resume+1 < oldest {
 		return ErrResumeTooOld
@@ -477,7 +437,11 @@ func (s *Source) serve(sc *srcConn) error {
 		// Durability gate: a record read past the durable head is parked
 		// here (copied — cursor payloads alias its buffer) until an fsync
 		// covers it. The WAL notifies watchers on sync as well as append,
-		// so the wait below wakes when the record becomes shippable.
+		// so the wait below wakes when the record becomes shippable. A
+		// durable record that would take a non-empty frame past
+		// batchBytes is parked too, and starts the next frame: a record
+		// as large as the log allows then ships alone, within
+		// maxFramePayload.
 		pendSeq uint64
 		pendBuf []byte
 		pending bool
@@ -497,6 +461,9 @@ func (s *Source) serve(sc *srcConn) error {
 			data = append(data, pendBuf...)
 			seqs = append(seqs, pendSeq)
 			pending = false
+			if cap(pendBuf) > retainBytes {
+				pendBuf = nil
+			}
 		}
 		for !pending && len(seqs) < batchRecords && len(data) < batchBytes {
 			seq, p, err := cur.Next()
@@ -506,7 +473,7 @@ func (s *Source) serve(sc *srcConn) error {
 			if err != nil {
 				return err
 			}
-			if seq > durable {
+			if seq > durable || len(seqs) > 0 && len(data)+len(p) > batchBytes {
 				pendSeq, pendBuf, pending = seq, append(pendBuf[:0], p...), true
 				break
 			}
@@ -547,5 +514,8 @@ func (s *Source) serve(sc *srcConn) error {
 		}
 		s.met.records.Add(uint64(len(recs)))
 		s.met.bytes.Add(uint64(len(data)))
+		if cap(frameBuf) > retainBytes {
+			data, frameBuf, recs = nil, nil, nil
+		}
 	}
 }

@@ -26,7 +26,7 @@ type walRecord struct {
 func validRecords(b []byte) (recs []walRecord) {
 	for len(b) >= headerSize {
 		n := binary.LittleEndian.Uint32(b)
-		if n > maxRecord || len(b)-headerSize < int(n) {
+		if n > MaxRecord || len(b)-headerSize < int(n) {
 			return recs
 		}
 		rec := b[:headerSize+int(n)]
@@ -44,7 +44,7 @@ func validRecords(b []byte) (recs []walRecord) {
 // FuzzOpenReplay: whatever bytes a segment holds, Open and Replay never
 // panic, Replay yields a prefix of the records validRecords finds in
 // them, and neither allocates more than a constant plus a multiple of the
-// segment — a length field may claim maxRecord over a few bytes. reframe
+// segment — a length field may claim MaxRecord over a few bytes. reframe
 // rewrites the CRC of every record whose length fits, as the fuzzer
 // cannot, so mutated lengths, sequence numbers and payloads reach the
 // parser as records rather than as checksum failures.
@@ -75,7 +75,7 @@ func FuzzOpenReplay(f *testing.F) {
 	f.Add([]byte{}, false)
 	// A record claiming the cap after an intact one, and a few hundred
 	// bytes where its 16 MiB would be; and one that crosses a read block.
-	claim := slices.Concat(seg[:validLen(seg, 1)], binary.LittleEndian.AppendUint32(nil, maxRecord), make([]byte, 300))
+	claim := slices.Concat(seg[:validLen(seg, 1)], binary.LittleEndian.AppendUint32(nil, MaxRecord), make([]byte, 300))
 	f.Add(claim, false)
 	big := make([]byte, headerSize+readBlock+100)
 	binary.LittleEndian.PutUint32(big, readBlock+100)
@@ -86,7 +86,7 @@ func FuzzOpenReplay(f *testing.F) {
 			data = bytes.Clone(data)
 			for b := data; len(b) >= headerSize; {
 				n := binary.LittleEndian.Uint32(b)
-				if n > maxRecord || len(b)-headerSize < int(n) {
+				if n > MaxRecord || len(b)-headerSize < int(n) {
 					break
 				}
 				binary.LittleEndian.PutUint32(b[4:], crc32.ChecksumIEEE(b[8:headerSize+int(n)]))

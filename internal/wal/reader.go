@@ -43,7 +43,7 @@ func (r *recordReader) next() (seq uint64, payload []byte, ok bool, err error) {
 		need := headerSize
 		if len(r.buf) >= headerSize {
 			n := binary.LittleEndian.Uint32(r.buf[0:4])
-			if n > maxRecord {
+			if n > MaxRecord {
 				break
 			}
 			need = headerSize + int(n)
@@ -73,10 +73,13 @@ func (r *recordReader) next() (seq uint64, payload []byte, ok bool, err error) {
 // from where they end, as far as the block reaches; eof reports that the
 // file ended first. A record longer than the block grows it as its bytes
 // arrive, to at most twice what is buffered per call, so a length field
-// claiming up to maxRecord costs memory in proportion to the bytes the
-// file actually holds, not to the claim.
+// claiming up to MaxRecord costs memory in proportion to the bytes the
+// file actually holds, not to the claim. A block grown for a large record
+// goes back to readBlock once what is buffered fits in one, so a tailing
+// Cursor does not keep a state record's worth of memory for good.
 func (r *recordReader) fill(need int) (eof bool, err error) {
-	if size := max(readBlock, min(need, 2*len(r.buf))); cap(r.block) < size {
+	size := max(readBlock, min(need, 2*len(r.buf)))
+	if cap(r.block) < size || cap(r.block) > readBlock && size == readBlock && len(r.buf) <= readBlock {
 		block := make([]byte, size)
 		r.buf, r.block = block[:copy(block, r.buf)], block
 	}

@@ -44,8 +44,10 @@ func logBytes(t *testing.T, dir string) []byte {
 	return all
 }
 
-// TestTruncateSealsFullyCoveredLog: a cutoff that covers every record
-// leaves exactly one empty segment named after the next sequence number.
+// TestTruncateSealsFullyCoveredLog: a rotation, then a truncation before
+// the sequence number it returns, leaves exactly one empty segment named
+// after the next sequence number. A cutoff one short keeps the last
+// record where it is.
 func TestTruncateSealsFullyCoveredLog(t *testing.T) {
 	dir := t.TempDir()
 	w := openTest(t, dir, Options{SegmentBytes: 200})
@@ -65,7 +67,18 @@ func TestTruncateSealsFullyCoveredLog(t *testing.T) {
 	if seqs, _ := collect(t, w); len(seqs) == 0 || seqs[len(seqs)-1] != next-1 || len(segNames(t, dir)) != 1 {
 		t.Fatalf("cutoff %d of %d: kept %v in segments %v", next-1, next, seqs, segNames(t, dir))
 	}
+	// Without a rotation the active segment stays, covered or not.
 	if err := w.TruncateBefore(next); err != nil {
+		t.Fatal(err)
+	}
+	if seqs, _ := collect(t, w); len(seqs) == 0 {
+		t.Fatal("truncation removed the active segment")
+	}
+	first, err := w.Rotate()
+	if err != nil || first != next {
+		t.Fatalf("Rotate = %d, %v; want %d", first, err, next)
+	}
+	if err := w.TruncateBefore(first); err != nil {
 		t.Fatal(err)
 	}
 	if got := segNames(t, dir); len(got) != 1 || got[0] != next {
@@ -80,16 +93,16 @@ func TestTruncateSealsFullyCoveredLog(t *testing.T) {
 	if seqs, _ := collect(t, w); len(seqs) != 0 {
 		t.Fatalf("replay of a sealed log yielded %v", seqs)
 	}
-	// Nothing left to seal: a second pass must not rotate again.
+	// Nothing left to seal: a second rotation must not rotate again.
 	rotations := w.met.rotations.Value()
-	if err := w.TruncateBefore(next + 100); err != nil {
-		t.Fatal(err)
+	if first, err := w.Rotate(); err != nil || first != next {
+		t.Fatalf("second Rotate = %d, %v; want %d", first, err, next)
 	}
 	if got := w.met.rotations.Value(); got != rotations {
-		t.Fatalf("second truncation rotated an empty segment (%v -> %v)", rotations, got)
+		t.Fatalf("second rotation rotated an empty segment (%v -> %v)", rotations, got)
 	}
 	if got := segNames(t, dir); len(got) != 1 || got[0] != next {
-		t.Fatalf("segments after the second truncation: %v, want [%d]", got, next)
+		t.Fatalf("segments after the second rotation: %v, want [%d]", got, next)
 	}
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
@@ -107,6 +120,54 @@ func TestTruncateSealsFullyCoveredLog(t *testing.T) {
 	}
 	if seqs, payloads := collect(t, w2); len(seqs) != 1 || seqs[0] != next || payloads[0] != "after" {
 		t.Fatalf("replay after reopen: %v %q", seqs, payloads)
+	}
+}
+
+// TestCreateContinuesNumbering: Create makes an empty log whose first
+// append, and whose reopened NextSeq, continue from the name it was
+// given, and refuses a directory that already holds a log.
+func TestCreateContinuesNumbering(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "log")
+	w, err := Create(Options{Dir: dir}, 77)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := w.NextSeq(); got != 77 {
+		t.Fatalf("NextSeq %d, want 77", got)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Create(Options{Dir: dir}, 5); err == nil {
+		t.Fatal("Create over an existing log succeeded")
+	}
+	w = openTest(t, dir, Options{})
+	defer w.Close()
+	if seq, err := w.Append([]byte("x")); err != nil || seq != 77 {
+		t.Fatalf("first append %d, %v; want 77", seq, err)
+	}
+}
+
+// TestFailedRotationKeepsAppending: a rotation whose new segment cannot
+// be created fails, and the log keeps appending to the segment it had.
+func TestFailedRotationKeepsAppending(t *testing.T) {
+	dir := t.TempDir()
+	w := openTest(t, dir, Options{})
+	defer w.Close()
+	if _, err := w.Append([]byte("a")); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Mkdir(filepath.Join(dir, segName(2)), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := w.Rotate(); err == nil {
+		t.Fatal("Rotate onto a directory succeeded")
+	}
+	if _, err := w.Append([]byte("b")); err != nil {
+		t.Fatalf("append after a failed rotation: %v", err)
+	}
+	if seqs, _ := collect(t, w); !slices.Equal(seqs, []uint64{1, 2}) {
+		t.Fatalf("replay %v, want [1 2]", seqs)
 	}
 }
 
@@ -158,7 +219,7 @@ func TestReopenInsideSealCrashWindow(t *testing.T) {
 		}
 	}
 	w.mu.Lock()
-	err := w.rotateLocked() // what TruncateBefore does first
+	err := w.rotateLocked() // what Rotate does
 	w.mu.Unlock()
 	if err != nil {
 		t.Fatal(err)
@@ -408,52 +469,5 @@ func TestCursorTailsGrowingRotatingLog(t *testing.T) {
 	}
 	if _, _, err := c.Next(); !errors.Is(err, ErrNoMore) {
 		t.Fatalf("after the last record: %v, want ErrNoMore", err)
-	}
-}
-
-// TestCutShipsExactlyThroughHead: the segments of a cut, each copied to
-// its Size, are a log that replays exactly the records through head —
-// though appends, rotations and a sealing truncation move the live log
-// on before a byte is copied.
-func TestCutShipsExactlyThroughHead(t *testing.T) {
-	dir := t.TempDir()
-	w := openTest(t, dir, Options{SegmentBytes: 200})
-	defer w.Close()
-	for i := 0; i < 18; i++ { // the active segment half full
-		if _, err := w.Append([]byte(fmt.Sprintf("%032d", i))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	cut, head, err := w.Cut()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if head != 18 || len(cut) < 3 {
-		t.Fatalf("cut of %d segments through %d; want several, through 18", len(cut), head)
-	}
-	for i := 18; i < 40; i++ {
-		if _, err := w.Append([]byte(fmt.Sprintf("%032d", i))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.TruncateBefore(w.NextSeq()); err != nil {
-		t.Fatal(err)
-	}
-	shipped := t.TempDir()
-	for _, c := range cut {
-		b := make([]byte, c.Size)
-		if _, err := c.File.ReadAt(b, 0); err != nil {
-			t.Fatalf("%s: %v", c.Name, err)
-		}
-		c.File.Close()
-		if err := os.WriteFile(filepath.Join(shipped, c.Name), b, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	w2 := openTest(t, shipped, Options{SegmentBytes: 200})
-	defer w2.Close()
-	seqs, payloads := collect(t, w2)
-	if len(seqs) != 18 || seqs[17] != 18 || payloads[17] != fmt.Sprintf("%032d", 17) || w2.NextSeq() != 19 {
-		t.Fatalf("shipped cut replays %v, next %d; want 1..18, next 19", seqs, w2.NextSeq())
 	}
 }

@@ -9,8 +9,8 @@
 //	u32 payload length | u32 CRC-32 (IEEE) of seq+payload | u64 seq | payload
 //
 // (little endian). Sequence numbers are assigned by Append, strictly
-// increasing across the whole log (gaps are legal: recovery may reserve
-// sequence numbers already captured by a snapshot).
+// increasing across the whole log (gaps are legal: a follower numbers its
+// log after its leader's, from wherever it started streaming).
 //
 // Durability is batched ("group commit"): Append issues the write
 // syscall immediately — a process crash loses nothing the OS accepted —
@@ -46,10 +46,20 @@ import (
 )
 
 const (
-	headerSize = 16       // u32 len + u32 crc + u64 seq
-	maxRecord  = 16 << 20 // sanity cap on payload length
+	headerSize = 16 // u32 len + u32 crc + u64 seq
 	segSuffix  = ".wal"
 )
+
+// MaxRecord caps one record's payload. It bounds what a torn length
+// field can make a reader allocate, and replication sizes its frames so
+// one record at the cap ships in one.
+const MaxRecord = 64 << 20
+
+// maxScratch bounds the framing buffer a log keeps between appends and
+// the payloads it copies into it: a batch of rows fits, and a model's
+// state record (a snapshot pass appends one per model) is written from
+// the caller's buffer.
+const maxScratch = 256 << 10
 
 // ErrClosed is returned by operations on a closed log.
 var ErrClosed = errors.New("wal: closed")
@@ -146,7 +156,7 @@ type WAL struct {
 	stop chan struct{}
 	done chan struct{}
 
-	scratch []byte
+	scratch []byte // framing buffer, kept up to maxScratch
 }
 
 type segment struct {
@@ -253,16 +263,17 @@ func (w *WAL) Append(payload []byte) (uint64, error) {
 // AppendAt writes one record with a caller-chosen sequence number, which
 // must be at or above the next unused one (gaps are legal; going
 // backwards is not). Follower replicas use it to mirror the leader's
-// sequence numbering into their own log, so a follower's snapshots, WAL
-// replay, and replication-resume position all speak leader offsets.
+// sequence numbering into their own log, so a follower's log, its replay
+// and its replication-resume position all speak leader offsets.
 func (w *WAL) AppendAt(seq uint64, payload []byte) error {
 	return w.AppendBatchAt([]uint64{seq}, [][]byte{payload})
 }
 
 // AppendBatch writes len(payloads) records with consecutive sequence
 // numbers and returns the first. The batch is framed into one buffer and
-// issued as a single write syscall, and the group-commit check runs once
-// for the whole batch, so a shard ingesting N records pays the
+// issued as a single write syscall (a payload over maxScratch is written
+// from where it is, in a write of its own), and the group-commit check
+// runs once for the whole batch, so a shard ingesting N records pays the
 // lock/write/sync bookkeeping once instead of N times. Records never
 // split across segments: at most one rotation happens, before the batch.
 // Replay of an AppendBatch is indistinguishable from N single Appends.
@@ -292,8 +303,8 @@ func (w *WAL) appendBatch(seqs []uint64, payloads [][]byte) (first uint64, err e
 	}
 	total := 0
 	for _, p := range payloads {
-		if len(p) > maxRecord {
-			return 0, fmt.Errorf("wal: record of %d bytes exceeds cap", len(p))
+		if len(p) > MaxRecord {
+			return 0, fmt.Errorf("wal: record of %d bytes exceeds the %d-byte cap", len(p), MaxRecord)
 		}
 		total += headerSize + len(p)
 	}
@@ -319,9 +330,9 @@ func (w *WAL) appendBatch(seqs []uint64, payloads [][]byte) (first uint64, err e
 		}
 	}
 	first = w.nextSeq
-	if cap(w.scratch) < total {
-		w.scratch = make([]byte, total)
-	}
+	// The batch is framed into one buffer and written with one syscall,
+	// except that a payload over maxScratch (a state record) is written
+	// from where it is, after its header, instead of being copied.
 	buf := w.scratch[:0]
 	last := first
 	for i, p := range payloads {
@@ -329,16 +340,31 @@ func (w *WAL) appendBatch(seqs []uint64, payloads [][]byte) (first uint64, err e
 		if seqs != nil {
 			last = seqs[i]
 		}
-		off := len(buf)
-		buf = buf[:off+headerSize+len(p)]
-		rec := buf[off:]
-		binary.LittleEndian.PutUint32(rec[0:4], uint32(len(p)))
-		binary.LittleEndian.PutUint64(rec[8:16], last)
-		copy(rec[16:], p)
-		binary.LittleEndian.PutUint32(rec[4:8], crc32.ChecksumIEEE(rec[8:]))
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(p)))
+		buf = binary.LittleEndian.AppendUint32(buf, 0) // the CRC, below
+		buf = binary.LittleEndian.AppendUint64(buf, last)
+		hdr := buf[len(buf)-headerSize:]
+		crc := crc32.Update(crc32.ChecksumIEEE(hdr[8:]), crc32.IEEETable, p)
+		binary.LittleEndian.PutUint32(hdr[4:8], crc)
+		if len(p) <= maxScratch {
+			buf = append(buf, p...)
+			continue
+		}
+		if _, err := w.f.Write(buf); err != nil {
+			return 0, err
+		}
+		if _, err := w.f.Write(p); err != nil {
+			return 0, err
+		}
+		buf = buf[:0]
 	}
-	if _, err := w.f.Write(buf); err != nil {
-		return 0, err
+	if cap(buf) <= maxScratch {
+		w.scratch = buf
+	}
+	if len(buf) > 0 {
+		if _, err := w.f.Write(buf); err != nil {
+			return 0, err
+		}
 	}
 	w.size += int64(total)
 	w.nextSeq = last + 1
@@ -442,73 +468,36 @@ func (w *WAL) syncLocked() error {
 	return nil
 }
 
-// CutSegment is one segment file of a cut (see Cut): its name in the log
-// directory, a handle open for reading, and its size through the cut.
-type CutSegment struct {
-	Name string
-	File *os.File
-	Size int64
-}
-
-// Cut fsyncs the active segment and hands out a consistent cut of the
-// log for a state transfer: every segment file, open, with its size at
-// the cut (the active segment's durable prefix, the others whole), and
-// head, the newest durable sequence number. Shipping Size bytes of each
-// transfers exactly the records through head, however far appends,
-// rotations and truncations move the log afterwards: an open handle
-// stays readable after its file is unlinked. The caller closes the
-// handles.
-func (w *WAL) Cut() (segs []CutSegment, head uint64, err error) {
+// Rotate fsyncs the active segment and starts a new one named after the
+// next sequence number, which it returns: every record appended from now
+// on is at or above it, and TruncateBefore of it leaves exactly those. An
+// empty active segment already named so is kept.
+func (w *WAL) Rotate() (uint64, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.closed {
-		return nil, 0, ErrClosed
+		return 0, ErrClosed
 	}
-	if err := w.syncLocked(); err != nil {
-		return nil, 0, err
+	if w.size == 0 && w.segStart == w.nextSeq {
+		return w.nextSeq, w.syncLocked()
 	}
-	all, err := listSegments(w.opts.Dir)
-	if err != nil {
-		return nil, 0, err
-	}
-	var cut []CutSegment
-	defer func() {
-		if err != nil {
-			for _, c := range cut {
-				c.File.Close()
-			}
-		}
-	}()
-	for _, s := range all {
-		f, err := os.Open(s.path)
-		if err != nil {
-			return nil, 0, err
-		}
-		cut = append(cut, CutSegment{Name: filepath.Base(s.path), File: f, Size: w.size})
-		if s.firstSeq != w.segStart {
-			st, err := f.Stat()
-			if err != nil {
-				return nil, 0, err
-			}
-			cut[len(cut)-1].Size = st.Size()
-		}
-	}
-	return cut, w.syncedSeq, nil
+	return w.nextSeq, w.rotateLocked()
 }
 
+// rotateLocked seals the active segment and opens the next. The old file
+// is closed only once its successor exists, so a failed rotation leaves
+// the log appending where it was.
 func (w *WAL) rotateLocked() error {
 	if err := w.syncLocked(); err != nil {
 		return err
 	}
-	if err := w.f.Close(); err != nil {
-		return err
-	}
+	old := w.f
 	if err := w.createSegment(w.nextSeq); err != nil {
 		return err
 	}
 	w.met.rotations.Inc()
 	w.met.segments.Inc()
-	return nil
+	return old.Close()
 }
 
 // createSegment creates the segment named after firstSeq and makes its
@@ -516,17 +505,48 @@ func (w *WAL) rotateLocked() error {
 // the file would not, and once truncation removes the segments before
 // it, the name is all that records the next sequence number.
 func (w *WAL) createSegment(firstSeq uint64) error {
-	path := filepath.Join(w.opts.Dir, segName(firstSeq))
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
+	f, err := createSegmentFile(w.opts.Dir, firstSeq)
 	if err != nil {
-		return err
-	}
-	if err := syncDir(w.opts.Dir); err != nil {
-		f.Close()
 		return err
 	}
 	w.f, w.segStart, w.size, w.dirty = f, firstSeq, 0, 0
 	return nil
+}
+
+func createSegmentFile(dir string, firstSeq uint64) (*os.File, error) {
+	f, err := os.OpenFile(filepath.Join(dir, segName(firstSeq)), os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
+	if err != nil {
+		return nil, err
+	}
+	if err := syncDir(dir); err != nil {
+		f.Close()
+		return nil, err
+	}
+	return f, nil
+}
+
+// Create opens a new empty log in opts.Dir, which must hold no segment,
+// whose first segment is named after first: the log continues another
+// log's numbering from there, as a follower that drops its own log to
+// stream from its leader's oldest record does.
+func Create(opts Options, first uint64) (*WAL, error) {
+	if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
+		return nil, err
+	}
+	if segs, err := listSegments(opts.Dir); err != nil || len(segs) > 0 {
+		if err == nil {
+			err = fmt.Errorf("wal: %s already holds a log", opts.Dir)
+		}
+		return nil, err
+	}
+	f, err := createSegmentFile(opts.Dir, first)
+	if err != nil {
+		return nil, err
+	}
+	if err := f.Close(); err != nil {
+		return nil, err
+	}
+	return Open(opts)
 }
 
 func syncDir(dir string) error {
@@ -559,8 +579,9 @@ func (w *WAL) SyncedSeq() uint64 {
 }
 
 // SkipTo raises the next sequence number to at least seq. Recovery uses
-// it so records subsumed by a newer snapshot never share a sequence
-// number with future appends. Call before the first Append.
+// it so records subsumed by a snapshot file the previous release wrote
+// never share a sequence number with future appends. Call before the
+// first Append.
 func (w *WAL) SkipTo(seq uint64) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -570,18 +591,11 @@ func (w *WAL) SkipTo(seq uint64) {
 }
 
 // TruncateBefore deletes whole segments all of whose records have
-// sequence numbers < seq (the snapshot cutoff: the lowest sequence number
-// no snapshot covers). A retain floor (SetRetainFloor) caps the effective
-// cutoff. A segment holding any record at or above the cutoff is kept
-// whole, so truncation is approximate in the conservative direction —
-// except that when the cutoff covers every record in the log, the
-// non-empty active segment is sealed (rotated: fsynced, closed, an empty
-// successor named after the next sequence number created) and deleted
-// with the rest, leaving that one empty segment: a process that shuts
-// down clean leaves nothing for the next start to re-read, decode and
-// skip. A crash between the rotation and the deletions leaves covered
-// segments behind an empty tail, which is what a crash after any other
-// rotation leaves; the next truncation removes them.
+// sequence numbers < seq (a snapshot pass's first sequence number, which
+// Rotate made a segment boundary). A retain floor (SetRetainFloor) caps
+// the effective cutoff. A segment holding any record at or above the
+// cutoff is kept whole, and the active segment always is, so truncation
+// is approximate in the conservative direction.
 func (w *WAL) TruncateBefore(seq uint64) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -590,13 +604,6 @@ func (w *WAL) TruncateBefore(seq uint64) error {
 	}
 	if w.retainFloor != 0 && w.retainFloor < seq {
 		seq = w.retainFloor
-	}
-	if seq >= w.nextSeq && w.size > 0 {
-		// The rotation makes the successor's name durable before any
-		// covered segment is unlinked (createSegment).
-		if err := w.rotateLocked(); err != nil {
-			return err
-		}
 	}
 	segs, err := listSegments(w.opts.Dir)
 	if err != nil {

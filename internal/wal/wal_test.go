@@ -451,6 +451,9 @@ func TestAppendBatchReplayEqualsSingles(t *testing.T) {
 	recs := make([][]byte, 0, 50)
 	for i := 0; i < 50; i++ {
 		recs = append(recs, []byte(fmt.Sprintf("record-%03d-%s", i, string(make([]byte, i%7)))))
+		if i%17 == 5 { // over maxScratch: written from the caller's buffer
+			recs[i] = append(recs[i], make([]byte, maxScratch+i)...)
+		}
 	}
 	opts := Options{SegmentBytes: 512} // force rotations in both logs
 
@@ -571,7 +574,7 @@ func TestAppendBatchRejectsBadInput(t *testing.T) {
 	if _, err := w.AppendBatch(nil); err == nil {
 		t.Fatal("empty batch accepted")
 	}
-	if _, err := w.AppendBatch([][]byte{make([]byte, maxRecord+1)}); err == nil {
+	if _, err := w.AppendBatch([][]byte{make([]byte, MaxRecord+1)}); err == nil {
 		t.Fatal("oversized record accepted")
 	}
 	if err := w.Close(); err != nil {

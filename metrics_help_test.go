@@ -38,20 +38,19 @@ func TestEveryMetricHasHelp(t *testing.T) {
 
 	leaderReg := metrics.NewRegistry()
 	leader := open(leaderReg, false)
-	src, err := replica.NewSource("127.0.0.1:0", replica.SourceConfig{WAL: leader.WAL(), SeedProvider: leader, Metrics: leaderReg})
+	src, err := replica.NewSource("127.0.0.1:0", replica.SourceConfig{WAL: leader.WAL(), Metrics: leaderReg})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer src.Close()
 	leader.SetAckWaiter(src)
 	leader.SetReplicationSourceAddr(src.Addr())
-	leader.SetSeedStats(src)
 	leaderHTTP := httptest.NewServer(orfdisk.NewServerWithEngine(leader).Handler())
 	defer leaderHTTP.Close()
 
 	followerReg := metrics.NewRegistry()
 	follower := open(followerReg, true)
-	fl, err := replica.StartFollower(src.Addr(), replica.FollowerConfig{Applier: follower, Seeder: follower, Metrics: followerReg})
+	fl, err := replica.StartFollower(src.Addr(), replica.FollowerConfig{Applier: follower, Metrics: followerReg})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package orfdisk
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -23,6 +24,13 @@ const (
 	// cursor counts only its own rows; they are applied via Absorb.
 	recObserveRun   = 10
 	recObserveBFRun = 11
+
+	// A snapshot pass (Engine.Snapshot) writes one state record per model
+	// — the model and its whole predictor state, covering every record of
+	// the model below it — then one pass record: the pass's first
+	// sequence number and the absolute backfill resume point.
+	recState = 12
+	recPass  = 13
 	// Kinds 1, 3, 4, 6 and 7 held one row each, and kinds 8 and 9 were
 	// runs of whole catalog rows; decodeRecord refuses them all.
 )
@@ -33,16 +41,27 @@ const (
 	runRowDay                // a varint follows: this row's day minus the run's base day
 )
 
-// walRecord is one decoded record: a run, a retire or a cursor.
+// walRecord is one decoded record: a run, a retire, a cursor, a state or
+// a pass.
 type walRecord struct {
 	kind   byte
-	model  string // a run's or a retire's
+	model  string // a run's, a retire's or a state's
 	serial string // a retire's
-	// run holds a run's rows (nil for a retire or a cursor); their Values
+	// run holds a run's rows (nil for the other kinds); their Values
 	// share one slab. index holds the catalog indexes of a row's values.
 	run   []FleetObservation
 	index []int
 	cur   *BackfillCursor // a cursor's
+	state []byte          // a state's: what Predictor.SaveState wrote; aliases the payload
+	pass  *passRecord     // a pass's
+}
+
+// passRecord is a pass record's body: first, the pass's first sequence
+// number (the log from it on holds every model's state), and the backfill
+// resume point as the pass found it.
+type passRecord struct {
+	first uint64
+	bf    bfResume
 }
 
 // recordBatch frames several records into one reused buffer and slices
@@ -121,6 +140,61 @@ func (b *recordBatch) payloads() [][]byte {
 	return b.payload
 }
 
+// appendStateRecord frames model's state record: the kind, the model as
+// a length-prefixed string, then the predictor state to the end.
+func appendStateRecord(buf []byte, model string, p *Predictor) ([]byte, error) {
+	buf = append(buf, recState)
+	buf = binary.AppendUvarint(buf, uint64(len(model)))
+	buf = append(buf, model...)
+	w := bytes.NewBuffer(buf)
+	err := p.SaveState(w)
+	return w.Bytes(), err
+}
+
+// appendPassRecord frames a pass record: the kind, first as a uvarint,
+// then a byte saying whether a backfill resume point follows and, if
+// one does, its row count as a uvarint and its cursor as a cursor
+// record's body.
+func appendPassRecord(buf []byte, r passRecord) []byte {
+	buf = append(buf, recPass)
+	buf = binary.AppendUvarint(buf, r.first)
+	if !r.bf.valid {
+		return append(buf, 0)
+	}
+	buf = append(buf, 1)
+	buf = binary.AppendUvarint(buf, r.bf.rowsAfter)
+	return appendCursorBody(buf, r.bf.cur)
+}
+
+func decodePassRecord(b []byte) (*passRecord, error) {
+	bad := errors.New("orfdisk: truncated pass WAL record")
+	var r passRecord
+	var n int
+	if r.first, n = binary.Uvarint(b); n <= 0 || len(b) == n {
+		return nil, bad
+	}
+	b = b[n:]
+	switch b[0] {
+	case 0:
+		if len(b) != 1 {
+			return nil, fmt.Errorf("orfdisk: %d trailing bytes in pass WAL record", len(b)-1)
+		}
+		return &r, nil
+	case 1:
+	default:
+		return nil, fmt.Errorf("orfdisk: pass WAL record with resume flag %d", b[0])
+	}
+	if r.bf.rowsAfter, n = binary.Uvarint(b[1:]); n <= 0 {
+		return nil, bad
+	}
+	cur, err := decodeCursorRecord(b[1+n:])
+	if err != nil {
+		return nil, err
+	}
+	r.bf.valid, r.bf.cur = true, *cur
+	return &r, nil
+}
+
 func encodeRetireRecord(model, serial string) []byte {
 	buf := make([]byte, 0, 1+4+len(model)+4+len(serial))
 	buf = append(buf, recRetire)
@@ -150,6 +224,10 @@ func decodeRecord(b []byte) (walRecord, error) {
 		if rec.model, b, err = takeString(b); err == nil {
 			rec.serial, _, err = takeString(b)
 		}
+	case recState:
+		rec.model, rec.state, err = takeVarString(b)
+	case recPass:
+		rec.pass, err = decodePassRecord(b)
 	case 1, 3, 4, 6, 7, 8, 9:
 		// A clean stop snapshots every model and seals the log, so a
 		// release that reads these and writes runs leaves a directory this
@@ -274,7 +352,10 @@ func takeString(b []byte) (string, []byte, error) {
 }
 
 func appendCursorRecord(buf []byte, c BackfillCursor) []byte {
-	buf = append(buf, recCursor)
+	return appendCursorBody(append(buf, recCursor), c)
+}
+
+func appendCursorBody(buf []byte, c BackfillCursor) []byte {
 	buf = binary.AppendVarint(buf, int64(c.Day))
 	buf = binary.AppendVarint(buf, c.Rows)
 	buf = binary.AppendUvarint(buf, uint64(len(c.Files)))
@@ -287,8 +368,7 @@ func appendCursorRecord(buf []byte, c BackfillCursor) []byte {
 	return buf
 }
 
-// decodeCursorRecord parses the body written by appendCursorRecord (b
-// excludes the kind byte).
+// decodeCursorRecord parses the body written by appendCursorBody.
 func decodeCursorRecord(b []byte) (*BackfillCursor, error) {
 	bad := errors.New("orfdisk: truncated cursor WAL record")
 	var c BackfillCursor

@@ -3,6 +3,7 @@ package orfdisk
 import (
 	"errors"
 	"fmt"
+	"path/filepath"
 	"time"
 
 	"orfdisk/internal/replica"
@@ -16,11 +17,16 @@ import (
 // (applyRecords), which appends each run to the follower's own WAL *at
 // the leader's sequence numbers* (wal.AppendBatchAt) on the shard worker
 // that applies it.
-// Because the follower mirrors leader numbering, its snapshots, crash
-// recovery and replication-resume position all speak leader offsets —
-// and after Promote, appends simply continue the leader's sequence, so a
-// promoted follower's saved state is byte-identical to the state an
-// uninterrupted leader would have saved.
+// Because the follower mirrors leader numbering, its log, crash recovery
+// and replication-resume position all speak leader offsets — and after
+// Promote, appends simply continue the leader's sequence, so a promoted
+// follower's saved state is byte-identical to the state an uninterrupted
+// leader would have saved. The leader's snapshot passes reach the
+// follower as state and pass records like any other, and a pass record
+// truncates the follower's log as the pass truncated the leader's.
+// A follower the leader has truncated past, or whose log has diverged
+// from the leader's, resets (Reset): it drops its log and state and
+// streams the leader's whole log.
 //
 // The read path is fully live on a follower: shards publish frozen
 // snapshots as replicated records are applied, so /v1/predict serves
@@ -56,17 +62,6 @@ func (e *Engine) SetAckWaiter(w AckWaiter) { e.ackWaiter.Store(&w) }
 // listener this engine is serving, for /v1/replication — the routing
 // tier uses it to re-point surviving followers after a promotion.
 func (e *Engine) SetReplicationSourceAddr(addr string) { e.replAddr.Store(addr) }
-
-// SeedStatser reports follower seed-transfer totals — implemented by
-// *replica.Source. wireBytes are post-compression bytes on the wire,
-// rawBytes the uncompressed bytes they represent.
-type SeedStatser interface {
-	SeedStats() (seeds, wireBytes, rawBytes uint64)
-}
-
-// SetSeedStats attaches the replication source whose seed-transfer
-// counters /v1/replication reports on leaders.
-func (e *Engine) SetSeedStats(s SeedStatser) { e.seedStats.Store(&s) }
 
 // waitSyncAcks gates a leader write behind follower acks when
 // synchronous commit is on. The record is already applied and in the
@@ -118,7 +113,9 @@ func (e *Engine) ObserveLeaderHead(head uint64, sentAt time.Time) {
 // ApplyReplicated durably applies a batch of leader records: applyRecords
 // logs each run at the leader's sequence numbers and applies it on its
 // shard's worker, and the log is fsynced before return, so the ack that
-// follows only ever covers crash-safe state. Part of replica.Applier.
+// follows only ever covers crash-safe state. Once a pass record is
+// logged and fsynced, the log is truncated before the pass's first
+// sequence number, as the leader's was. Part of replica.Applier.
 func (e *Engine) ApplyReplicated(recs []replica.Record) error {
 	if !e.follower.Load() {
 		// A promoted (or misconfigured) engine must not mix a replication
@@ -149,7 +146,66 @@ func (e *Engine) ApplyReplicated(recs []replica.Record) error {
 	if serr := e.wal.Sync(); err == nil {
 		err = serr
 	}
+	if first := e.passFirst.Load(); err == nil && first > e.cut && e.lastPass.Load() <= last {
+		if err = e.wal.TruncateBefore(first); err == nil {
+			e.cut = first
+		}
+	}
 	return err
+}
+
+// Reset implements replica.Resetter: it drops the follower's log and
+// state, leaving an empty log whose next record is oldest, the leader's
+// oldest segment, so the next session streams the leader's whole log.
+// The log goes first — renamed aside, the rename made durable, then
+// deleted — so a crash at any step leaves the old log or none, and an
+// empty log only resets again. Runs on the replication client's
+// goroutine, the one that calls ApplyReplicated.
+func (e *Engine) Reset(oldest uint64) error {
+	if !e.follower.Load() {
+		return ErrNotLeader
+	}
+	e.snapMu.Lock()
+	defer e.snapMu.Unlock()
+	if err := e.wal.Close(); err != nil {
+		return err
+	}
+	if err := dropLog(e.cfg.DataDir); err != nil {
+		return err
+	}
+	w, err := wal.Create(wal.Options{
+		Dir:          filepath.Join(e.cfg.DataDir, walDirName),
+		SegmentBytes: e.cfg.SegmentBytes,
+		SyncBytes:    e.cfg.SyncBytes,
+		SyncInterval: e.cfg.SyncInterval,
+		Metrics:      e.reg,
+	}, oldest)
+	if err != nil {
+		return err
+	}
+	e.wal = w
+	if err := e.pool.Reset(); err != nil {
+		return err
+	}
+	e.mu.Lock()
+	e.modelOf = make(map[string]string)
+	e.mu.Unlock()
+	// A model the leader's log does not hold would otherwise keep
+	// serving its last frozen snapshot: the read path reports it unknown
+	// until a record of it arrives.
+	e.frozen.Range(func(_, v any) bool {
+		v.(*frozenSlot).pub.Store(nil)
+		return true
+	})
+	e.bf.mu.Lock()
+	e.bf.bfResume = bfResume{}
+	e.bf.mu.Unlock()
+	e.lastPass.Store(0)
+	e.passFirst.Store(0)
+	e.cut = 0
+	e.replApplied.Store(oldest - 1)
+	e.log.Warn("follower reset: streaming the leader's log from its oldest record", "oldest", oldest)
+	return nil
 }
 
 // lagRecords returns how many leader records the follower has yet to
@@ -197,18 +253,12 @@ type ReplicationStatus struct {
 	// leader serves, when one is attached — the routing tier re-points
 	// surviving followers at it after a promotion.
 	ReplicateAddr string `json:"replicate_addr,omitempty"`
-	// Seed-transfer totals from the attached replication source: how
-	// many diverged followers this leader has re-seeded, and the wire
-	// (post-compression) vs raw bytes those transfers moved.
-	SeedsServed   uint64 `json:"seeds_served,omitempty"`
-	SeedWireBytes uint64 `json:"seed_wire_bytes,omitempty"`
-	SeedRawBytes  uint64 `json:"seed_raw_bytes,omitempty"`
 }
 
 // Replication reports the engine's replication role and lag. The
 // follower branch deliberately avoids e.wal: a follower's WAL handle
-// is swapped during a seed install, and the applied position lives in
-// an atomic either way.
+// is swapped during a reset, and the applied position lives in an
+// atomic either way.
 func (e *Engine) Replication() ReplicationStatus {
 	if e.follower.Load() {
 		st := ReplicationStatus{
@@ -227,9 +277,6 @@ func (e *Engine) Replication() ReplicationStatus {
 	st := ReplicationStatus{Role: "leader", Applied: e.wallessApplied(), SyncAcks: e.syncAcks}
 	if addr, ok := e.replAddr.Load().(string); ok {
 		st.ReplicateAddr = addr
-	}
-	if p := e.seedStats.Load(); p != nil {
-		st.SeedsServed, st.SeedWireBytes, st.SeedRawBytes = (*p).SeedStats()
 	}
 	return st
 }

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"os"
 	"path/filepath"
 	"slices"
 	"strings"
@@ -60,19 +59,26 @@ func newFollower(t *testing.T, dir, leaderAddr string) (*Engine, *replica.Follow
 	return eng, fl
 }
 
+// snapFiles returns each model's newest state record from the log of a
+// closed data directory: the model's name and state, without the
+// record's sequence number, which depends on where in the log the pass
+// that wrote it ran.
 func snapFiles(t *testing.T, dir string) map[string][]byte {
 	t.Helper()
-	paths, err := filepath.Glob(filepath.Join(dir, "snap-*.snap"))
+	w, err := wal.Open(wal.Options{Dir: filepath.Join(dir, walDirName)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := make(map[string][]byte, len(paths))
-	for _, p := range paths {
-		b, err := os.ReadFile(p)
-		if err != nil {
-			t.Fatal(err)
+	defer w.Close()
+	out := make(map[string][]byte)
+	if err := w.Replay(func(_ uint64, payload []byte) error {
+		rec, err := decodeRecord(payload)
+		if err == nil && rec.kind == recState {
+			out[rec.model] = bytes.Clone(payload)
 		}
-		out[filepath.Base(p)] = b
+		return err
+	}); err != nil {
+		t.Fatal(err)
 	}
 	return out
 }
@@ -615,7 +621,7 @@ func TestAutoReseedAfterTruncation(t *testing.T) {
 		t.Fatal(err)
 	}
 	src, err := replica.NewSource("127.0.0.1:0", replica.SourceConfig{
-		WAL: leader.WAL(), SeedProvider: leader,
+		WAL: leader.WAL(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -648,7 +654,7 @@ func TestAutoReseedAfterTruncation(t *testing.T) {
 	}
 	reg := metrics.NewRegistry()
 	fl, err := replica.StartFollower(src.Addr(), replica.FollowerConfig{
-		Applier: follower, Seeder: follower,
+		Applier: follower,
 		Metrics: reg, RetryInterval: 20 * time.Millisecond,
 	})
 	if err != nil {
@@ -748,7 +754,7 @@ func TestReseedFromEmptyLeader(t *testing.T) {
 		t.Fatal(err)
 	}
 	src, err := replica.NewSource("127.0.0.1:0", replica.SourceConfig{
-		WAL: leader.WAL(), SeedProvider: leader,
+		WAL: leader.WAL(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -756,7 +762,7 @@ func TestReseedFromEmptyLeader(t *testing.T) {
 	defer src.Close()
 	reg := metrics.NewRegistry()
 	fl, err := replica.StartFollower(src.Addr(), replica.FollowerConfig{
-		Applier: follower, Seeder: follower,
+		Applier: follower,
 		Metrics: reg, RetryInterval: 20 * time.Millisecond,
 	})
 	if err != nil {
@@ -888,19 +894,18 @@ func (h *heldApplier) ApplyReplicated(recs []replica.Record) error {
 	return h.Engine.ApplyReplicated(recs)
 }
 
-// TestFollowerAgainstSealedLeader: a clean leader shutdown now leaves one
-// empty WAL segment named after the next sequence number. What that means
-// for each kind of follower:
+// TestFollowerAgainstSealedLeader: a clean leader shutdown leaves the
+// log of its last snapshot pass — state records and a pass record in the
+// segment the pass rotated to — and nothing older. What that means for
+// each kind of follower:
 //
 //   - attached and behind when a snapshot runs: the retain floor caps the
-//     cutoff below the head, nothing is sealed, it catches up from the
-//     tail it still needs;
+//     cutoff below the head, it catches up from the tail it still needs;
 //   - caught up when the leader restarts: its resume position is exactly
-//     the sealed segment's name minus one, it streams on, no re-seed;
+//     the pass segment's name minus one, it streams the pass on, no reset;
 //   - behind, and never attached to the restarted process: its records
-//     are gone with the covered tail (as with any non-active segment
-//     before this change), so it re-seeds on its own and ends
-//     byte-identical to the leader.
+//     are gone with the truncated tail, so it resets on its own, streams
+//     from the pass, and ends byte-identical to the leader.
 func TestFollowerAgainstSealedLeader(t *testing.T) {
 	obs := engineStream(t, 83, 2)
 	q := len(obs) / 4
@@ -918,7 +923,7 @@ func TestFollowerAgainstSealedLeader(t *testing.T) {
 		}
 		reg := metrics.NewRegistry()
 		src, err := replica.NewSource("127.0.0.1:0", replica.SourceConfig{
-			WAL: eng.WAL(), SeedProvider: eng, Metrics: reg, Heartbeat: 20 * time.Millisecond,
+			WAL: eng.WAL(), Metrics: reg, Heartbeat: 20 * time.Millisecond,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -942,10 +947,10 @@ func TestFollowerAgainstSealedLeader(t *testing.T) {
 		}
 		return eng
 	}
-	attach := func(addr string, app replica.Applier, eng *Engine, reg *metrics.Registry) *replica.Follower {
+	attach := func(addr string, app replica.Applier, reg *metrics.Registry) *replica.Follower {
 		t.Helper()
 		fl, err := replica.StartFollower(addr, replica.FollowerConfig{
-			Applier: app, Seeder: eng, Metrics: reg, RetryInterval: 20 * time.Millisecond,
+			Applier: app, Metrics: reg, RetryInterval: 20 * time.Millisecond,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -966,22 +971,25 @@ func TestFollowerAgainstSealedLeader(t *testing.T) {
 	l1 := startLeader()
 	dirA, dirC := t.TempDir(), t.TempDir()
 	engA, regA := openFollower(dirA), metrics.NewRegistry()
-	flA := attach(l1.src.Addr(), engA, engA, regA)
+	flA := attach(l1.src.Addr(), engA, regA)
 	engC, regC := openFollower(dirC), metrics.NewRegistry()
 	heldC := &heldApplier{Engine: engC}
-	flC := attach(l1.src.Addr(), heldC, engC, regC)
+	flC := attach(l1.src.Addr(), heldC, regC)
 	p1 := ingest(l1, obs[:q])
 	waitUntil(t, 30*time.Second, "both followers at p1", func() bool {
 		return engA.ReplicationResume() == p1 && engC.ReplicationResume() == p1
 	})
 
 	// C attached and behind at snapshot time: the floor keeps its tail.
+	// p2 is the leader's head after the pass: its state and pass records
+	// are in the log like the rows.
 	heldC.hold.Lock()
-	p2 := ingest(l1, obs[q:2*q])
-	waitUntil(t, 30*time.Second, "A at p2", func() bool { return engA.ReplicationResume() == p2 })
+	ingest(l1, obs[q:2*q])
 	if err := l1.eng.Snapshot(); err != nil {
 		t.Fatal(err)
 	}
+	p2 := l1.eng.WAL().NextSeq() - 1
+	waitUntil(t, 30*time.Second, "A at p2", func() bool { return engA.ReplicationResume() == p2 })
 	if oldest, err := l1.eng.WAL().OldestSegment(); err != nil || oldest > p1+1 {
 		t.Fatalf("snapshot truncated past an attached follower: oldest segment %d, follower at %d (err %v)", oldest, p1, err)
 	}
@@ -1006,25 +1014,26 @@ func TestFollowerAgainstSealedLeader(t *testing.T) {
 	})
 	flA.Close()
 	l1.src.Close()
+	models := len(l1.eng.Models())
 	if err := l1.eng.Close(); err != nil {
 		t.Fatal(err)
 	}
+	// The close-time pass: one state record per model and the pass
+	// record, from the segment named p3+1 on, and nothing older.
 	segs := walSegments()
-	if len(segs) != 1 || filepath.Base(segs[0]) != fmt.Sprintf("%020d.wal", p3+1) {
-		t.Fatalf("WAL after a clean shutdown: %v, want one segment named %d", segs, p3+1)
+	if len(segs) == 0 || filepath.Base(segs[0]) != fmt.Sprintf("%020d.wal", p3+1) {
+		t.Fatalf("WAL after a clean shutdown: %v, want it to start at %d", segs, p3+1)
 	}
-	if fi, err := os.Stat(segs[0]); err != nil || fi.Size() != 0 {
-		t.Fatalf("sealed segment: %v bytes, err %v; want empty", fi.Size(), err)
-	}
+	closed := p3 + uint64(models) + 1
 
-	// Process 2. A resumes exactly at the sealed segment's first number.
+	// Process 2. A resumes exactly at the pass segment's first number.
 	l2 := startLeader()
 	defer l2.src.Close()
 	defer l2.eng.Close()
-	if got := l2.eng.WAL().NextSeq(); got != p3+1 {
-		t.Fatalf("restarted leader continues at %d, want %d", got, p3+1)
+	if got := l2.eng.WAL().NextSeq(); got != closed+1 {
+		t.Fatalf("restarted leader continues at %d, want %d", got, closed+1)
 	}
-	flA = attach(l2.src.Addr(), engA, engA, regA)
+	flA = attach(l2.src.Addr(), engA, regA)
 	defer flA.Close()
 	defer engA.Close()
 	p4 := ingest(l2, obs[3*q:])
@@ -1039,7 +1048,7 @@ func TestFollowerAgainstSealedLeader(t *testing.T) {
 	if got := engC.ReplicationResume(); got != p2 {
 		t.Fatalf("C recovered at %d, want %d", got, p2)
 	}
-	flC = attach(l2.src.Addr(), engC, engC, regC)
+	flC = attach(l2.src.Addr(), engC, regC)
 	defer flC.Close()
 	waitUntil(t, 60*time.Second, "C re-seeded and at p4", func() bool { return engC.ReplicationResume() == p4 })
 	if got := reseeds(regC); got < 1 {
@@ -1128,16 +1137,13 @@ func TestApplyReplicatedMidBatchBusy(t *testing.T) {
 			t.Fatalf("model %s differs from the leader's after redelivery", model)
 		}
 	}
-	// Every record is on its shard, so a pass that covers the log seals it.
+	// A follower's log holds its leader's records only: a pass there
+	// writes nothing, and the log still ends where the shards do.
 	if err := follower.Snapshot(); err != nil {
 		t.Fatal(err)
 	}
-	segs, err := filepath.Glob(filepath.Join(dir, "wal", "*.wal"))
-	if err != nil || len(segs) != 1 {
-		t.Fatalf("segments after a covering snapshot: %v (err %v), want one", segs, err)
-	}
-	if fi, err := os.Stat(segs[0]); err != nil || fi.Size() != 0 {
-		t.Fatalf("segment %s after a covering snapshot: %v bytes (err %v), want it empty", segs[0], fi.Size(), err)
+	if got := follower.WAL().NextSeq() - 1; got != last {
+		t.Fatalf("follower WAL ends at %d after a pass, want %d", got, last)
 	}
 }
 

@@ -387,7 +387,7 @@ func TestServerMetricsEndpoint(t *testing.T) {
 		`http_requests_total{path="/v1/observe",code="200"} 4`,
 		`http_requests_total{path="/v1/observe",code="400"} 1`,
 		"engine_ingests_total 4",
-		"wal_append_records_total 4",
+		"wal_append_records_total 6", // 4 rows, the model's state record, the pass record
 		"engine_snapshots_total 1",
 		`engine_model_updates{model="ST4000"}`,
 		`engine_model_tracked_disks{model="ST4000"} 1`,
