@@ -2,9 +2,9 @@
 
 GO ?= go
 
-.PHONY: check vet vet-orfbench orphans e2e-smoke fuzz-smoke build test race bench bench-ingest bench-predict bench-predict-smoke bench-replicate bench-replicate-smoke bench-replay bench-replay-smoke bench-snapshot bench-snapshot-smoke bench-smoke fmt
+.PHONY: check vet vet-orfbench test-orfbench orphans e2e-smoke fuzz-smoke build test race bench bench-ingest bench-predict bench-predict-smoke bench-replicate bench-replicate-smoke bench-replay bench-replay-smoke bench-snapshot bench-snapshot-smoke bench-smoke fmt
 
-check: vet vet-orfbench orphans e2e-smoke build test race bench-predict-smoke bench-replicate-smoke bench-replay-smoke bench-snapshot-smoke
+check: vet vet-orfbench test-orfbench orphans e2e-smoke build test race bench-predict-smoke bench-replicate-smoke bench-replay-smoke bench-snapshot-smoke
 
 vet:
 	$(GO) vet ./...
@@ -28,6 +28,11 @@ orphans:
 # API break would first show up as a failed benchmark run. Vet it here.
 vet-orfbench:
 	$(GO) vet -C cmd/orfbench .
+
+# orfbench's own tests (TestBenchmarkJSONMatchesTheHarness among them),
+# which ./... never reaches either.
+test-orfbench:
+	$(GO) test -C cmd/orfbench .
 
 # The only end-to-end check: builds the five binaries, drives the four
 # orfbench workloads untraced and traced on ~20k rows through the real

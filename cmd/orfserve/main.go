@@ -87,7 +87,7 @@ func main() {
 		follow      = flag.String("follow", "", "follower: replicate from the leader's -replicate-addr; this instance becomes a read replica (requires -data)")
 		syncAcks    = flag.Int("sync-acks", 0, "synchronous commit: each write blocks until this many followers have fsync-acked it (0 = asynchronous; requires -replicate-addr)")
 		syncAckTO   = flag.Duration("sync-ack-timeout", 5*time.Second, "synchronous commit: give up waiting for follower acks after this long (the write stays durable locally; clients get 503 + Retry-After)")
-		readyMaxLag = flag.Uint64("ready-max-lag", 256, "follower: /readyz reports not-ready while replication lag exceeds this many records (a record is one append, up to 1024 rows)")
+		readyMaxLag = flag.Uint64("ready-max-lag", 256, "follower: /readyz reports not-ready while replication lag exceeds this many records (a record is one append: a run of up to 1024 rows, or a whole model's state)")
 		readyMaxSil = flag.Duration("ready-max-silence", 15*time.Second, "follower: /readyz reports not-ready after this long without any leader frame (catches dead streams that freeze the lag at zero)")
 	)
 	flag.Parse()

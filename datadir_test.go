@@ -9,94 +9,8 @@ import (
 	"reflect"
 	"slices"
 	"sort"
-	"strings"
 	"testing"
 )
-
-// TestCursorFileCorrupt: a backfill-cursor file that is not what a
-// snapshot pass writes fails NewEngine with a corrupt-file error, never a
-// panic, and one that is seeds BackfillState. The bytes are built by hand,
-// the layout spelled out: OBC1, a u64 sequence number, a uvarint row
-// count, then a WAL cursor record.
-func TestCursorFileCorrupt(t *testing.T) {
-	cur := BackfillCursor{Day: 40, Rows: 400, Files: []BackfillFilePos{{Name: "a.csv", Rows: 400, Off: 77_000}}}
-	seq := binary.LittleEndian.AppendUint64([]byte("OBC1"), 7)
-	header := binary.AppendUvarint(seq, 3)
-	good := appendCursorRecord(append([]byte(nil), header...), cur)
-	for _, c := range []struct {
-		name string
-		file []byte
-	}{
-		{"empty", nil},
-		{"magic only", []byte("OBC1")},
-		{"wrong magic", append([]byte("OBC2"), good[4:]...)},
-		{"short sequence number", seq[:9]},
-		{"no row count", seq},
-		{"header only", header},
-		{"another record kind", append(append([]byte(nil), header...), 0x7F)},
-		{"truncated cursor record", good[:len(good)-1]},
-		{"trailing byte", append(append([]byte(nil), good...), 0)},
-	} {
-		t.Run(c.name, func(t *testing.T) {
-			dir := t.TempDir()
-			if err := os.WriteFile(filepath.Join(dir, "backfill-cursor"), c.file, 0o644); err != nil {
-				t.Fatal(err)
-			}
-			eng, err := NewEngine(EngineConfig{Predictor: engineTestConfig(), DataDir: dir})
-			if err == nil {
-				eng.Close()
-				t.Fatal("NewEngine accepted the file")
-			}
-			if !strings.Contains(err.Error(), "orfdisk: corrupt backfill cursor file") {
-				t.Fatalf("NewEngine: %v; want a corrupt cursor file error", err)
-			}
-		})
-	}
-	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, "backfill-cursor"), good, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	eng, err := NewEngine(EngineConfig{Predictor: engineTestConfig(), DataDir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer eng.Close()
-	if got, rowsAfter, ok := eng.BackfillState(); !ok || rowsAfter != 3 || !reflect.DeepEqual(got, cur) {
-		t.Fatalf("BackfillState %+v, %d, %v; want %+v, 3, true", got, rowsAfter, ok, cur)
-	}
-}
-
-// cursorFile encodes what decodeCursorFile reads, as the previous
-// release wrote it.
-func cursorFile(r bfResume, seq uint64) []byte {
-	b := binary.LittleEndian.AppendUint64([]byte(cursorMagic), seq)
-	b = binary.AppendUvarint(b, r.rowsAfter)
-	return appendCursorRecord(b, r.cur)
-}
-
-// FuzzBackfillCursorFile: no file makes the cursor decoder panic, every
-// refusal is a corrupt-file error, and what decodes re-encodes to a file
-// that decodes the same.
-func FuzzBackfillCursorFile(f *testing.F) {
-	f.Add(cursorFile(bfResume{valid: true, rowsAfter: 3, cur: BackfillCursor{
-		Day: 40, Rows: 400, Files: []BackfillFilePos{{Name: "a.csv", Rows: 400, Off: 77_000}, {Name: "b.csv.gz"}},
-	}}, 7))
-	f.Add(cursorFile(bfResume{valid: true}, 0))
-	f.Add(binary.AppendUvarint(binary.LittleEndian.AppendUint64([]byte(cursorMagic), 7), 3))
-	f.Fuzz(func(t *testing.T, b []byte) {
-		r, seq, err := decodeCursorFile(b)
-		if err != nil {
-			if !strings.HasPrefix(err.Error(), "orfdisk: corrupt backfill cursor file (") {
-				t.Fatalf("refusal %q is not a corrupt-file error", err)
-			}
-			return
-		}
-		again, seq2, err := decodeCursorFile(cursorFile(r, seq))
-		if err != nil || seq2 != seq || !reflect.DeepEqual(again, r) {
-			t.Fatalf("%+v at %d re-encodes to %+v at %d (%v)", r, seq, again, seq2, err)
-		}
-	})
-}
 
 // TestStateWriteFailureKeepsLog: a snapshot pass whose state record or
 // pass record cannot be appended returns the error and truncates
@@ -292,9 +206,7 @@ func writeSegment(t *testing.T, dir string, first uint64, recs []logRecord) {
 // holds the live state; a reset's hold the old state or none.
 //
 // Pass: after the rotation, after k of the n state records for every k,
-// after the pass record, after the truncation, and, for the pass that
-// moves the previous release's files into the log, after that pass and
-// after the files' removal. Reset: after the rename, after the directory
+// after the pass record, after the truncation. Reset: after the rename, after the directory
 // fsync (the same layout), after the removal, after the new first
 // segment.
 func TestPassAndResetCrashPoints(t *testing.T) {
@@ -370,41 +282,6 @@ func TestPassAndResetCrashPoints(t *testing.T) {
 	}
 	t.Run("pass: after the pass record", func(t *testing.T) { check(t, partial(t, n+1), live) })
 	t.Run("pass: after the truncation", func(t *testing.T) { check(t, dir, live) })
-
-	t.Run("migration pass", func(t *testing.T) {
-		pr29 := filepath.Join("testdata", "pr29_dir")
-		migrated := t.TempDir()
-		copyTree(t, pr29, migrated)
-		want := openState(t, migrated, false)
-		if ents, _ := os.ReadDir(migrated); len(ents) != 1 || ents[0].Name() != "wal" {
-			t.Fatalf("migrated directory holds %v, want wal/ only", ents)
-		}
-		// The pass is durable and the files are still there.
-		files := t.TempDir()
-		copyTree(t, pr29, files)
-		if err := os.RemoveAll(filepath.Join(files, "wal")); err != nil {
-			t.Fatal(err)
-		}
-		copyTree(t, filepath.Join(migrated, "wal"), filepath.Join(files, "wal"))
-		for _, d := range []string{files, migrated} {
-			work := t.TempDir()
-			copyTree(t, d, work)
-			if got := openState(t, work, false); !reflect.DeepEqual(got, want) {
-				t.Fatalf("%s: reopened unlike the first migration", d)
-			}
-		}
-		// A follower drops the files and the log, and comes back empty.
-		for _, d := range []string{pr29, files} {
-			work := t.TempDir()
-			copyTree(t, d, work)
-			if got := openState(t, work, true); len(got.models) != 0 || got.bfOK {
-				t.Fatalf("follower on %s kept %d models, backfill %v", d, len(got.models), got.bfOK)
-			}
-			if ents, _ := os.ReadDir(work); len(ents) != 1 || ents[0].Name() != "wal" {
-				t.Fatalf("follower left %v, want wal/ only", ents)
-			}
-		}
-	})
 
 	empty := dirState{models: map[string][]byte{}}
 	resetLayout := func(t *testing.T, renamed, created bool) string {

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
-	"encoding/hex"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -17,7 +16,7 @@ import (
 )
 
 // copyTree copies the regular files under src into dst, keeping the
-// layout (a data directory: snapshots and a wal/ subdirectory).
+// layout (a data directory and its wal/ subdirectory).
 func copyTree(t *testing.T, src, dst string) {
 	t.Helper()
 	err := filepath.WalkDir(src, func(path string, d os.DirEntry, err error) error {
@@ -122,42 +121,23 @@ func TestRefusesPR20Log(t *testing.T) {
 	}
 }
 
-// TestRefusesRetiredLayouts: the layouts only releases older than the
-// previous one wrote — ODS1 queues or an ORF1 forest in a snapshot, a
-// whole-catalog run (kind 8) in the log — fail NewEngine with an error
-// that names the file or the kind and the remedy, and leave the
-// directory exactly as they found it, so that the remedy (the previous
-// release, stopped cleanly) still works. Each case damages a copy of
-// testdata/pr29_dir in one place.
+// TestRefusesRetiredLayouts: what only releases before the previous one
+// wrote — a whole-catalog run (kind 8) in the log, or the PR 30
+// release's state files beside it — fails NewEngine, on a leader and on
+// a follower alike, with an error that names the kind or the file and
+// the remedy, and leaves the directory exactly as it found it, so that
+// the remedy still works. Each case adds to a copy of testdata/pr33_dir
+// in one place.
 func TestRefusesRetiredLayouts(t *testing.T) {
-	snap := snapPrefix + hex.EncodeToString([]byte("MODEL-1")) + snapSuffix
-	// retag rewrites the first magic at or after the state's start in the
-	// snapshot file.
-	retag := func(from, to string) func(t *testing.T, dir string) {
-		return func(t *testing.T, dir string) {
-			path := filepath.Join(dir, snap)
-			b, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			state := len(snapMagic) + 16 + len("MODEL-1")
-			i := bytes.Index(b[state:], []byte(from))
-			if i < 0 {
-				t.Fatalf("%s holds no %s", snap, from)
-			}
-			copy(b[state+i:], to)
-			if err := os.WriteFile(path, b, 0o644); err != nil {
-				t.Fatal(err)
-			}
-		}
+	const pr30Remedy = "start the PR 33 release on it once, then this one"
+	file := func(rel string) func(t *testing.T, dir string) {
+		return func(t *testing.T, dir string) { writeRel(t, dir, rel, []byte("left by the PR 30 release")) }
 	}
 	for _, tc := range []struct {
 		name   string
 		damage func(t *testing.T, dir string)
 		want   []string
 	}{
-		{"ODS1 snapshot", retag(stateMagic, "ODS1"), []string{snap, "ODS1 is retired", "load it with the previous release"}},
-		{"ORF1 forest in a snapshot", retag("ORF2", "ORF1"), []string{snap, "ORF1 is retired", "load it with the previous release"}},
 		{"kind-8 tail", func(t *testing.T, dir string) {
 			w, err := wal.Open(wal.Options{Dir: filepath.Join(dir, walDirName)})
 			if err != nil {
@@ -170,26 +150,34 @@ func TestRefusesRetiredLayouts(t *testing.T) {
 				t.Fatal(err)
 			}
 		}, []string{"kind 8 is a retired whole-catalog run observe layout", "stop it cleanly"}},
+		{"snapshot file", file("snap-4d4f44454c2d31.snap"), []string{"snap-4d4f44454c2d31.snap", pr30Remedy}},
+		{"backfill cursor file", file("backfill-cursor"), []string{"backfill-cursor", pr30Remedy}},
+		{"seed install", file("seed-commit"), []string{"seed-commit", pr30Remedy}},
+		{"seed download", file("seed-staging/wal/00000000000000000001.wal"), []string{"seed-staging", pr30Remedy}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			dir := t.TempDir()
-			copyTree(t, filepath.Join("testdata", "pr29_dir"), dir)
-			tc.damage(t, dir)
-			before := readTree(t, dir)
-			cfg := engineTestConfig()
-			cfg.ORF.MinParentSize = 10
-			eng, err := NewEngine(EngineConfig{Predictor: cfg, DataDir: dir})
-			if err == nil {
-				eng.Close()
-				t.Fatal("NewEngine recovered a retired layout")
-			}
-			for _, want := range tc.want {
-				if !strings.Contains(err.Error(), want) {
-					t.Errorf("NewEngine: %v; want it to mention %q", err, want)
-				}
-			}
-			if after := readTree(t, dir); !reflect.DeepEqual(after, before) {
-				t.Errorf("the refused directory changed: %d files before, %d after", len(before), len(after))
+			for _, role := range []string{"leader", "follower"} {
+				t.Run(role, func(t *testing.T) {
+					dir := t.TempDir()
+					copyTree(t, filepath.Join("testdata", "pr33_dir"), dir)
+					tc.damage(t, dir)
+					before := readTree(t, dir)
+					cfg := engineTestConfig()
+					cfg.ORF.MinParentSize = 10
+					eng, err := NewEngine(EngineConfig{Predictor: cfg, DataDir: dir, Follower: role == "follower"})
+					if err == nil {
+						eng.Close()
+						t.Fatal("NewEngine recovered a retired layout")
+					}
+					for _, want := range tc.want {
+						if !strings.Contains(err.Error(), want) {
+							t.Errorf("NewEngine: %v; want it to mention %q", err, want)
+						}
+					}
+					if after := readTree(t, dir); !reflect.DeepEqual(after, before) {
+						t.Errorf("the refused directory changed: %d files before, %d after", len(before), len(after))
+					}
+				})
 			}
 		})
 	}
@@ -216,21 +204,29 @@ func logKinds(t *testing.T, dir string) []byte {
 	}
 }
 
-// TestRecoversPR29Dir: testdata/pr29_dir is a leader directory the
+// TestRecoversPR33Dir: testdata/pr33_dir is a leader directory the
 // previous release's binary left when it was SIGKILLed, running the
-// engineTestConfig forest at MinParentSize 10 so that its snapshots hold
-// split trees. It took two models through an IngestBackfill with a
-// cursor, 256-row IngestBatches and a snapshot pass (ORF2/ODS2 snapshots
-// and the cursor file), then logged an IngestBackfill without a cursor,
-// more batches with two failure rows among them and a retire (the kind
-// 11/10/2 tail). This release must read all of it and recover the
-// state, resume point and next sequence number that binary recovered
-// from the same bytes.
-func TestRecoversPR29Dir(t *testing.T) {
+// engineTestConfig forest at MinParentSize 10 so that its state records
+// hold split trees. On engineStream(t, 33, 2) it took two models through
+// an IngestBackfill with a cursor (rows 0-699), 256-row IngestBatches
+// with three failure rows among them (to row 2859) and a snapshot pass,
+// which truncated all of that behind its state and pass records; then it
+// logged an IngestBackfill without a cursor (300 rows), four more
+// batches with two failure rows among them and a retire (the kind
+// 11/10/2 tail). This release must read all of it, recover the state,
+// resume point and next sequence number that binary recovered from the
+// same bytes, and keep the directory to wal/ alone.
+func TestRecoversPR33Dir(t *testing.T) {
 	dir := t.TempDir()
-	copyTree(t, filepath.Join("testdata", "pr29_dir"), dir)
-	if got, want := logKinds(t, dir), []byte{recObserveBFRun, recObserveRun, recRetire}; !bytes.Equal(got, want) {
+	copyTree(t, filepath.Join("testdata", "pr33_dir"), dir)
+	if got, want := logKinds(t, dir), []byte{recState, recPass, recObserveBFRun, recObserveRun, recRetire}; !bytes.Equal(got, want) {
 		t.Fatalf("fixture log holds record kinds %v, want %v", got, want)
+	}
+	walOnly := func(t *testing.T) {
+		t.Helper()
+		if ents, err := os.ReadDir(dir); err != nil || len(ents) != 1 || ents[0].Name() != walDirName {
+			t.Fatalf("the directory holds %v (%v), want wal/ only", ents, err)
+		}
 	}
 	cfg := engineTestConfig()
 	cfg.ORF.MinParentSize = 10
@@ -243,26 +239,22 @@ func TestRecoversPR29Dir(t *testing.T) {
 		t.Errorf("recovery skipped %d rows", n)
 	}
 	for model, want := range map[string]string{
-		"MODEL-0": "96661640908eeaf6abdfde69a033bf542f23dbed92fd6f011c856611199da02c",
-		"MODEL-1": "4c15ab3f9d5a32adec68e13f36ab2082de3e25a47b1ac543bb87a328090ae734",
+		"MODEL-0": "97b76a99609d2555f705667dd9b8e95bfc23839d965e5e9ca8a049383e6b66f6",
+		"MODEL-1": "f628ba149598484ca3e25a72dba12c27ab6e608ead00065c745206340ab19e8b",
 	} {
 		if got := fmt.Sprintf("%x", sha256.Sum256(dumpModel(t, eng, model))); got != want {
 			t.Errorf("model %s state has SHA-256 %s, the previous release recovered %s", model, got, want)
 		}
 	}
-	wantCur := BackfillCursor{Day: 24, Rows: 700, Files: []BackfillFilePos{{Name: "a.csv", Rows: 700, Off: 1 << 16}}}
+	wantCur := BackfillCursor{Day: 9, Rows: 700, Files: []BackfillFilePos{{Name: "a.csv", Rows: 700, Off: 1 << 16}}}
 	if cur, rowsAfter, ok := eng.BackfillState(); !ok || rowsAfter != 300 || !reflect.DeepEqual(cur, wantCur) {
 		t.Errorf("BackfillState %+v, %d, %v; want %+v, 300, true", cur, rowsAfter, ok, wantCur)
 	}
-	// The previous release's files are gone once a pass holds their
-	// state: its two state records and the pass record follow the 887
-	// records the directory held.
-	if got := eng.WAL().NextSeq(); got != 891 {
-		t.Errorf("NextSeq %d, want 891", got)
+	// The 861 records the directory held, from the pass's first.
+	if got := eng.WAL().NextSeq(); got != 862 {
+		t.Errorf("NextSeq %d, want 862", got)
 	}
-	if ents, err := os.ReadDir(dir); err != nil || len(ents) != 1 || ents[0].Name() != walDirName {
-		t.Fatalf("the migrated directory holds %v (%v), want wal/ only", ents, err)
-	}
+	walOnly(t)
 	hashes := map[string][]byte{}
 	for _, model := range eng.Models() {
 		hashes[model] = dumpModel(t, eng, model)
@@ -270,6 +262,7 @@ func TestRecoversPR29Dir(t *testing.T) {
 	if err := eng.Close(); err != nil {
 		t.Fatal(err)
 	}
+	walOnly(t)
 	again, err := NewEngine(EngineConfig{Predictor: cfg, DataDir: dir})
 	if err != nil {
 		t.Fatal(err)
@@ -277,7 +270,7 @@ func TestRecoversPR29Dir(t *testing.T) {
 	defer again.Close()
 	for model, want := range hashes {
 		if !bytes.Equal(dumpModel(t, again, model), want) {
-			t.Errorf("model %s reopened from the log unlike the migration left it", model)
+			t.Errorf("model %s reopened from its closing pass unlike the recovery left it", model)
 		}
 	}
 	if cur, rowsAfter, ok := again.BackfillState(); !ok || rowsAfter != 300 || !reflect.DeepEqual(cur, wantCur) {

@@ -7,7 +7,6 @@ import (
 	"log/slog"
 	"os"
 	"path/filepath"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -65,10 +64,6 @@ type Engine struct {
 	lastPass  atomic.Uint64
 	passFirst atomic.Uint64
 	cut       uint64
-
-	// legacy is what the previous release's state files cover while
-	// recovery replays the log beside them (see datadir.go).
-	legacy legacyCover
 
 	// bf is the bulk-backfill cursor state (see backfill_engine.go).
 	bf bfState
@@ -148,8 +143,9 @@ type EngineConfig struct {
 	// engine to a leader at runtime.
 	Follower bool
 	// ReadyMaxLag is the replication lag (in records) beyond which a
-	// follower reports not-ready (default 256). A record is one append,
-	// up to 1024 rows (applyRunCap). Leaders ignore it.
+	// follower reports not-ready (default 256). A record is one append:
+	// a run of up to 1024 rows (applyRunCap), or a whole model's state.
+	// Leaders ignore it.
 	ReadyMaxLag uint64
 	// ReadyMaxSilence is how long a follower may go without hearing any
 	// leader frame (records or heartbeat) before /readyz reports
@@ -264,7 +260,7 @@ func NewEngine(cfg EngineConfig) (*Engine, error) {
 		reg:     reg,
 		met:     newEngineMetrics(reg),
 		log:     logger,
-		modelOf: make(map[string]string), // recover replaces it
+		modelOf: make(map[string]string), // recovery fills it
 	}
 	e.freezeEvery = cfg.FreezeEvery
 	if e.freezeEvery == 0 {
@@ -734,20 +730,15 @@ func (e *Engine) Importance(model string) (imp []FeatureImportance, ok bool) {
 // leader's passes reach it through the stream. A no-op without a
 // DataDir.
 func (e *Engine) Snapshot() error {
+	// Under snapMu: a follower Reset replaces e.wal under it.
+	e.snapMu.Lock()
+	defer e.snapMu.Unlock()
 	if e.wal == nil || e.follower.Load() {
 		return nil
 	}
-	return e.pass(false)
-}
-
-// pass is Snapshot's body; force runs it even with nothing appended
-// since the last pass record.
-func (e *Engine) pass(force bool) error {
-	e.snapMu.Lock()
-	defer e.snapMu.Unlock()
 	e.bf.gate.Lock()
 	defer e.bf.gate.Unlock()
-	if !force && e.wal.NextSeq()-1 == e.lastPass.Load() {
+	if e.wal.NextSeq()-1 == e.lastPass.Load() {
 		return nil
 	}
 	start := time.Now()
@@ -832,94 +823,20 @@ func (e *Engine) Close() error {
 
 // --- recovery ---
 
-// open recovers the engine from its data directory: the log, and on a
-// leader the previous release's state files, which one pass moves into
-// the log before they are removed.
+// open recovers the engine from its data directory: it opens the log
+// and replays it.
 func (e *Engine) open() error {
+	start := time.Now()
 	dir := e.cfg.DataDir
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	if _, err := os.Stat(filepath.Join(dir, seedCommitName)); err == nil {
-		return fmt.Errorf("orfdisk: %s holds a seed install the previous release began (%s); "+
-			"start the previous release once on it to finish the install, then this one", dir, seedCommitName)
+	if err := refuseRetired(dir); err != nil {
+		return err
 	}
 	// A crash inside a follower reset leaves its old log renamed aside.
 	if err := os.RemoveAll(filepath.Join(dir, droppedDirName)); err != nil {
 		return err
-	}
-	legacy, err := legacyFiles(dir)
-	if err != nil {
-		return err
-	}
-	if len(legacy) > 0 && e.follower.Load() {
-		// A follower streams what it drops from its leader. The log goes
-		// first: state files left by a crash after it are dropped again.
-		e.log.Warn("dropping the previous release's state to stream it from the leader", "files", legacy)
-		if err := dropLog(dir); err != nil {
-			return err
-		}
-		if err := removeFiles(dir, legacy); err != nil {
-			return err
-		}
-		legacy = nil
-	}
-	if i := slices.Index(legacy, seedStagingName); i >= 0 {
-		// A seed download that never committed.
-		if err := removeFiles(dir, legacy[i:i+1]); err != nil {
-			return err
-		}
-		legacy = slices.Delete(legacy, i, i+1)
-	}
-	if err := e.recover(legacy); err != nil {
-		return err
-	}
-	// Republish every recovered shard's snapshot so readers start from
-	// post-replay state, not the construction-time freeze.
-	if err := e.refreezeAll(); err != nil {
-		return err
-	}
-	if len(legacy) == 0 {
-		return nil
-	}
-	// The files go only once a pass holds what they held.
-	if err := e.pass(true); err != nil {
-		return err
-	}
-	e.log.Info("moved the previous release's state into the log", "files", legacy)
-	return removeFiles(dir, legacy)
-}
-
-// recover loads the previous release's state files named in legacy, if
-// any, opens the log and replays it.
-func (e *Engine) recover(legacy []string) error {
-	start := time.Now()
-	dir := e.cfg.DataDir
-	var maxSnap uint64
-	e.legacy = legacyCover{covered: make(map[string]uint64)}
-	defer func() { e.legacy = legacyCover{} }()
-	for _, name := range legacy {
-		if name == cursorFileName {
-			b, err := os.ReadFile(filepath.Join(dir, name))
-			if err != nil {
-				return err
-			}
-			var r bfResume
-			if r, e.legacy.bfSeq, err = decodeCursorFile(b); err != nil {
-				return err
-			}
-			e.bf.bfResume = r
-			continue
-		}
-		model, p, seq, err := loadSnapshot(filepath.Join(dir, name))
-		if err != nil {
-			return fmt.Errorf("orfdisk: loading snapshot %s: %w", name, err)
-		}
-		if err := e.pool.Do(model, func(s *shardState) { e.replaceState(s, model, p) }); err != nil {
-			return err
-		}
-		e.legacy.covered[model] = seq
-		maxSnap = max(maxSnap, seq)
 	}
 	w, err := wal.Open(wal.Options{
 		Dir:          filepath.Join(dir, walDirName),
@@ -937,8 +854,6 @@ func (e *Engine) recover(legacy []string) error {
 	if _, err := e.applyRecords(applyRecovering, w.Replay); err != nil {
 		return err
 	}
-	// Never reuse sequence numbers a snapshot file accounts for.
-	w.SkipTo(maxSnap + 1)
 	elapsed := time.Since(start)
 	e.met.recoverySeconds.Set(elapsed.Seconds())
 	replayed := e.met.replayed.Value()
@@ -948,13 +863,14 @@ func (e *Engine) recover(legacy []string) error {
 		"skipped", e.met.replaySkipped.Value(),
 		"elapsed", elapsed,
 		"records_per_s", float64(replayed)/elapsed.Seconds())
-	return nil
+	// Republish every recovered shard's snapshot so readers start from
+	// post-replay state, not the construction-time freeze.
+	return e.refreezeAll()
 }
 
 // replaceState makes p the state of model's shard s, as a state record
-// or a snapshot file says it is, routes and all: the serials the old
-// state tracked stop routing to the model, and those p tracks route to
-// it.
+// says it is, routes and all: the serials the old state tracked stop
+// routing to the model, and those p tracks route to it.
 func (e *Engine) replaceState(s *shardState, model string, p *Predictor) {
 	e.mu.Lock()
 	for _, serial := range s.p.TrackedSerials() {
@@ -1020,8 +936,7 @@ const applyRunCap = 1024
 // caller.
 //
 // last is the sequence number through which every fed record has been
-// dealt with (applied, skipped as covered by the previous release's
-// state files, or counted as a poison pill);
+// dealt with (applied, or counted as a poison pill);
 // on an error, records after it have not reached their shard or, in
 // replicated mode, the log.
 func (e *Engine) applyRecords(mode applyMode, feed func(func(seq uint64, payload []byte) error) error) (last uint64, err error) {
@@ -1122,16 +1037,13 @@ func (e *Engine) applyRecords(mode applyMode, feed func(func(seq uint64, payload
 		if err != nil {
 			return fmt.Errorf("orfdisk: record at seq %d: %w", seq, err)
 		}
-		// Backfill resume accounting runs before the covered skip: a row a
-		// model's snapshot file covers still counts toward rowsAfter when
-		// the cursor file predates that snapshot. A follower keeps it too,
-		// so that once promoted it can continue an interrupted backfill
-		// exactly like a restarted leader.
-		if (rec.kind == recCursor || rec.kind == recObserveBFRun) && seq > e.legacy.bfSeq {
+		// A follower keeps the backfill resume point too, so that once
+		// promoted it can continue an interrupted backfill exactly like a
+		// restarted leader.
+		if rec.kind == recCursor || rec.kind == recObserveBFRun {
 			e.noteBackfill(uint64(len(rec.run)), rec.cur)
 		}
-		switch {
-		case rec.kind == recCursor || rec.kind == recPass:
+		if rec.kind == recCursor || rec.kind == recPass {
 			if rec.pass != nil {
 				e.bf.mu.Lock()
 				e.bf.bfResume = rec.pass.bf
@@ -1142,9 +1054,7 @@ func (e *Engine) applyRecords(mode applyMode, feed func(func(seq uint64, payload
 			if mode == applyRecovering {
 				e.met.replayed.Inc()
 			}
-		case seq <= e.legacy.covered[rec.model]:
-			// In the model's snapshot file (recovery only).
-		default:
+		} else {
 			r := runRecord{walRecord: rec, seq: seq}
 			if rec.kind == recState {
 				if r.state, err = LoadPredictorState(bytes.NewReader(rec.state)); err != nil {

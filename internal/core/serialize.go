@@ -29,7 +29,7 @@ import (
 // encoded and decoded by forEachTree, on as many goroutines as the host
 // has cores at the time of the call. The format is internal and
 // versioned by the magic. "ORF1", the unframed layout of older releases,
-// is refused: the previous release reads it and writes ORF2.
+// is refused: the PR 29 release, the last that reads it, writes ORF2.
 
 const magicV2 = "ORF2"
 
@@ -250,7 +250,7 @@ func ReadForest(src io.Reader) (*Forest, error) {
 	case magicV2:
 	case "ORF1":
 		return nil, errors.New("core: forest layout ORF1 is retired and this release does not read it; " +
-			"load it with the previous release and save it again (on a data directory: start the previous release and stop it cleanly, its first snapshot pass rewrites every snapshot)")
+			"load it with the PR 29 release, the last that reads it, and save it again")
 	default:
 		return nil, fmt.Errorf("core: bad snapshot magic %q", head)
 	}

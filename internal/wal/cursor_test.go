@@ -177,9 +177,9 @@ func TestCursorResumeSkipsWithinSegment(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// A gap in the numbering (snapshot SkipTo) must not confuse resume.
-	w.SkipTo(100)
-	if _, err := w.Append([]byte("gapped")); err != nil {
+	// A gap in the numbering (a follower logs its leader's numbers) must
+	// not confuse resume.
+	if err := w.AppendAt(100, []byte("gapped")); err != nil {
 		t.Fatal(err)
 	}
 	c, err := OpenCursor(dir, 7) // inside the gap: nothing in (7, 100)

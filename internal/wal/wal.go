@@ -97,9 +97,6 @@ func (o *Options) fill() {
 	}
 }
 
-// WAL is an open write-ahead log. Append, Sync, TruncateBefore and
-// Close are safe for concurrent use. Replay must complete before the
-// first Append.
 // walMetrics is the log's instrument set; see Open for the names.
 type walMetrics struct {
 	appendRecords *metrics.Counter
@@ -124,6 +121,9 @@ func newWALMetrics(reg *metrics.Registry) walMetrics {
 	}
 }
 
+// WAL is an open write-ahead log. Append, Sync, TruncateBefore and
+// Close are safe for concurrent use. Replay must complete before the
+// first Append.
 type WAL struct {
 	opts Options
 	met  walMetrics
@@ -576,18 +576,6 @@ func (w *WAL) SyncedSeq() uint64 {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	return w.syncedSeq
-}
-
-// SkipTo raises the next sequence number to at least seq. Recovery uses
-// it so records subsumed by a snapshot file the previous release wrote
-// never share a sequence number with future appends. Call before the
-// first Append.
-func (w *WAL) SkipTo(seq uint64) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if seq > w.nextSeq {
-		w.nextSeq = seq
-	}
 }
 
 // TruncateBefore deletes whole segments all of whose records have

@@ -206,27 +206,6 @@ func TestTruncateBefore(t *testing.T) {
 	}
 }
 
-func TestSkipTo(t *testing.T) {
-	dir := t.TempDir()
-	w := openTest(t, dir, Options{})
-	w.SkipTo(1000)
-	seq, err := w.Append([]byte("x"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if seq != 1000 {
-		t.Fatalf("seq %d, want 1000", seq)
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	w2 := openTest(t, dir, Options{})
-	defer w2.Close()
-	if w2.NextSeq() != 1001 {
-		t.Fatalf("NextSeq %d, want 1001", w2.NextSeq())
-	}
-}
-
 func TestGroupCommitSyncEvery(t *testing.T) {
 	dir := t.TempDir()
 	const recBytes = headerSize + 1 // the debt is counted in bytes: four records' worth

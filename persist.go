@@ -228,7 +228,7 @@ func LoadPredictorState(r io.Reader) (*Predictor, error) {
 	case stateMagic:
 	case "ODS1":
 		return nil, errors.New("orfdisk: state layout ODS1 is retired and this release does not read it; " +
-			"load it with the previous release and save it again (on a data directory: start the previous release and stop it cleanly, its first snapshot pass rewrites every snapshot)")
+			"load it with the PR 29 release, the last that reads it, and save it again")
 	default:
 		return nil, fmt.Errorf("orfdisk: bad state magic %q", head)
 	}

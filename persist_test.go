@@ -102,7 +102,7 @@ func TestLoadPredictorRejectsGarbage(t *testing.T) {
 		"bad magic": {"WHAT????????????", "bad model magic"},
 		"truncated": {"ODP1\x01\x02", "reading model"},
 		// A model file saved while forests were written as ORF1.
-		"ORF1 forest": {head + "ORF1\x01\x02\x03", "load it with the previous release"},
+		"ORF1 forest": {head + "ORF1\x01\x02\x03", "load it with the PR 29 release"},
 	}
 	for name, tc := range cases {
 		if _, err := LoadPredictor(strings.NewReader(tc.data)); err == nil || !strings.Contains(err.Error(), tc.want) {
@@ -348,7 +348,7 @@ func TestLoadPredictorStateRejectsDamage(t *testing.T) {
 		switch {
 		case err == nil:
 			t.Errorf("%s: accepted", tc.name)
-		case !strings.HasPrefix(err.Error(), "orfdisk: corrupt ") && !strings.Contains(err.Error(), "load it with the previous release"):
+		case !strings.HasPrefix(err.Error(), "orfdisk: corrupt ") && !strings.Contains(err.Error(), "load it with the PR 29 release"):
 			t.Errorf("%s: error %q, want an \"orfdisk: corrupt state (...)\" one or a refusal naming the remedy", tc.name, err)
 		case !strings.Contains(err.Error(), tc.want):
 			t.Errorf("%s: error %q, want one about %q", tc.name, err, tc.want)

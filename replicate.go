@@ -380,7 +380,7 @@ func (e *Engine) OnPromote(fn func()) {
 // for every engine: leaders (and promoted followers) read 0.
 func (e *Engine) registerReplicaGauges() {
 	e.reg.GaugeFunc("replica_lag_records",
-		"Leader records not yet applied by this follower (0 on leaders); a record is one append, up to 1024 rows.",
+		"Leader records not yet applied by this follower (0 on leaders); a record is one append: a run of up to 1024 rows, or a whole model's state.",
 		func() float64 { return float64(e.lagRecords()) })
 	e.reg.GaugeFunc("replica_lag_seconds",
 		"Age of the newest unapplied leader frame (0 when caught up or leading).",

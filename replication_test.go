@@ -1325,3 +1325,24 @@ func TestReplicatedDeliveryFsyncsOnce(t *testing.T) {
 		t.Fatalf("durable through %d after the delivery, want %d", got, recs[len(recs)-1].Seq)
 	}
 }
+
+// TestSnapshotTickerBesideReset: orfserve runs the snapshot ticker on a
+// follower too, and a follower Reset replaces the engine's log. The
+// ticker's pass must look at the log only under the lock Reset holds
+// (go test -race reports it otherwise), and still do nothing there.
+func TestSnapshotTickerBesideReset(t *testing.T) {
+	dir := t.TempDir()
+	eng, err := NewEngine(EngineConfig{Predictor: engineTestConfig(), DataDir: dir, Follower: true, SnapshotEvery: time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	for i := 0; i < 50; i++ {
+		if err := eng.Reset(1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := eng.met.snapshots.Value(); n != 0 {
+		t.Fatalf("a follower ran %d snapshot passes", n)
+	}
+}
