@@ -259,15 +259,10 @@ func (f *Follower) run() (oldest uint64, err error) {
 		"leader", f.addr, "resume_after", resume, "leader_head", head)
 
 	var (
-		buf     []byte
-		scratch []Record
-		ackBuf  []byte
+		buf, ackBuf []byte
+		recs        []Record
+		sentAt      time.Time
 	)
-	ack := func() error {
-		ackBuf = appendAckPayload(ackBuf[:0], f.cfg.Applier.ReplicationResume())
-		conn.SetWriteDeadline(time.Now().Add(10 * time.Second))
-		return writeFrame(conn, frameAck, ackBuf)
-	}
 	for {
 		// Heartbeats arrive every Source.Heartbeat even when idle, so a
 		// read deadline several multiples beyond it only ever fires on a
@@ -275,40 +270,30 @@ func (f *Follower) run() (oldest uint64, err error) {
 		// follower serves unboundedly stale reads while reporting a live
 		// stream.
 		conn.SetReadDeadline(time.Now().Add(f.cfg.ReadTimeout))
-		typ, payload, nbuf, err := readFrame(conn, buf)
+		body, nbuf, err := readFrame(conn, frameRecords, buf)
 		if err != nil {
 			return 0, err
 		}
 		buf = nbuf
-		switch typ {
-		case frameRecords:
-			head, sentAt, recs, err := decodeRecordsPayload(payload, scratch)
-			if err != nil {
-				return 0, err
-			}
-			scratch = recs[:0]
+		// The whole frame is checked before any of it is applied: a bad
+		// record tears the session down with nothing at or past it
+		// applied or acked, and the next one resumes from the last ack.
+		if head, sentAt, recs, err = decodeRecords(body, recs[:0]); err != nil {
+			return 0, err
+		}
+		if len(recs) > 0 {
 			if err := f.cfg.Applier.ApplyReplicated(recs); err != nil {
 				return 0, err
 			}
-			if cap(buf) > retainBytes {
-				buf, scratch = nil, nil // scratch's records alias buf
-			}
-			f.cfg.Applier.ObserveLeaderHead(head, sentAt)
-			if err := ack(); err != nil {
-				return 0, err
-			}
-		case frameHeartbeat:
-			head, sentAt, _, err := takeStatus(payload)
-			if err != nil {
-				return 0, err
-			}
-			f.cfg.Applier.ObserveLeaderHead(head, sentAt)
-			if err := ack(); err != nil {
-				return 0, err
-			}
-		default:
-			f.cfg.Logger.Warn("unexpected frame from leader", "type", typ)
-			return 0, errors.New("replica: unexpected frame type")
+		}
+		if cap(buf) > retainBytes {
+			buf, recs = nil, nil // recs alias buf
+		}
+		f.cfg.Applier.ObserveLeaderHead(head, sentAt)
+		ackBuf = appendAck(ackBuf, f.cfg.Applier.ReplicationResume())
+		conn.SetWriteDeadline(time.Now().Add(10 * time.Second))
+		if _, err := conn.Write(ackBuf); err != nil {
+			return 0, err
 		}
 	}
 }

@@ -3,82 +3,95 @@ package replica
 import (
 	"bytes"
 	"encoding/binary"
+	"hash/crc32"
 	"runtime"
 	"testing"
 	"time"
 
-	"orfdisk/internal/frame"
+	"orfdisk/internal/wal"
 )
 
-// readFrames reads frames off stream until it fails and hands each to the
-// decoder its type calls for, as the follower and the Source's ack reader
-// do, reusing one buffer and one record scratch across frames.
-func readFrames(stream []byte) {
+// logRecord returns a record's log bytes, as a segment holds them and a
+// records frame carries them.
+func logRecord(seq uint64, payload string) []byte {
+	b := binary.LittleEndian.AppendUint32(nil, uint32(len(payload)))
+	b = binary.LittleEndian.AppendUint32(b, 0)
+	b = append(binary.LittleEndian.AppendUint64(b, seq), payload...)
+	binary.LittleEndian.PutUint32(b[4:8], crc32.ChecksumIEEE(b[8:]))
+	return b
+}
+
+// recordsFrame builds a records frame carrying recs, each a record's log
+// bytes.
+func recordsFrame(head uint64, sentAt time.Time, recs ...[]byte) []byte {
+	frame := make([]byte, recordsPrefix)
+	for _, r := range recs {
+		frame = append(frame, r...)
+	}
+	return sealRecords(frame, head, sentAt)
+}
+
+// readFrames reads frames of type want off stream until one fails, and
+// decodes each records frame as the follower does, reusing one buffer
+// and one record slice across frames.
+func readFrames(stream []byte, want byte) {
 	r := bytes.NewReader(stream)
 	var (
-		buf     []byte
-		scratch []Record
+		buf  []byte
+		recs []Record
 	)
 	for {
-		typ, payload, nbuf, err := readFrame(r, buf)
+		body, nbuf, err := readFrame(r, want, buf)
 		if err != nil {
 			return
 		}
 		buf = nbuf
-		switch typ {
-		case frameRecords:
-			_, _, recs, _ := decodeRecordsPayload(payload, scratch)
-			scratch = recs[:0]
-		case frameHeartbeat:
-			takeStatus(payload) //nolint:errcheck
-		case frameAck:
-			decodeAckPayload(payload) //nolint:errcheck
+		if want == frameRecords {
+			_, _, recs, _ = decodeRecords(body, recs[:0])
 		}
 	}
 }
 
-// FuzzReadFrame: no byte stream makes readFrame, or the decoder for a
-// frame's type, panic, and none buys an allocation its bytes do not back
-// — a header may claim 64 MiB. framed puts data behind a valid header of
-// type typ (its CRC computed, as the fuzzer cannot), so the decoders see
-// mutated payloads; otherwise data is the stream itself. Types 4, 6 and
-// 7 are protocol version 2's seed frames, which no decoder reads any
-// more: their seeds stay so a stream holding them is still read safely.
+// FuzzReadFrame: no byte stream makes readFrame, or the records decoder,
+// panic, and none buys an allocation its bytes do not back — a header
+// may claim 64 MiB. framed puts data behind a valid header of type typ
+// (the CRC of its fixed fields computed, as the fuzzer cannot), so the
+// decoder sees mutated records; otherwise data is the stream itself.
+// Each input is read once as the follower reads it and once as the
+// Source's ack reader does.
 func FuzzReadFrame(f *testing.F) {
 	sent := time.Unix(1_700_000_000, 5)
-	const seedFile, seedDone, seedChunkZ = 4, 6, 7
-	name := "wal/00000000000000000001.wal"
-	payloads := map[byte][]byte{
-		frameRecords:   appendRecordsPayload(nil, 9, sent, []Record{{Seq: 8, Payload: []byte("eight")}, {Seq: 9}}),
-		frameHeartbeat: appendStatus(nil, 9, sent),
-		frameAck:       appendAckPayload(nil, 7),
-		seedFile:       binary.LittleEndian.AppendUint64(append(binary.AppendUvarint(nil, uint64(len(name))), name...), 4096),
-		seedChunkZ:     frame.AppendBlock(nil, bytes.Repeat([]byte("seed"), 64), frame.Flate),
-		seedDone:       binary.LittleEndian.AppendUint64(nil, 9),
+	eight, nine := logRecord(8, "eight"), logRecord(9, "")
+	damaged := bytes.Clone(eight)
+	damaged[len(damaged)-1] ^= 1
+	frames := [][]byte{
+		recordsFrame(9, sent, eight, nine),
+		recordsFrame(9, sent), // the heartbeat
+		recordsFrame(9, sent, damaged, nine),
+		recordsFrame(9, sent, eight, logRecord(9, "nine")[:wal.HeaderSize+2]),
+		recordsFrame(9, sent, nine, eight),
+		appendAck(nil, 7),
 	}
-	var stream bytes.Buffer
-	for typ, p := range payloads {
-		f.Add(p, typ, true)
-		writeFrame(&stream, typ, p) //nolint:errcheck
+	var stream []byte
+	for _, fr := range frames {
+		f.Add(fr[frameHeaderSize:], fr[0], true)
+		stream = append(stream, fr...)
 	}
-	f.Add(stream.Bytes(), uint8(0), false)
-	// A header claiming the cap, and nothing after it; a seed chunk whose
-	// intact block claims 64 MiB of raw bytes.
+	f.Add(stream, uint8(0), false)
+	// A header claiming the cap, and nothing after it; a version 3
+	// heartbeat, a frame type no reader takes any more.
 	claim := binary.LittleEndian.AppendUint32([]byte{frameRecords}, maxFramePayload)
 	f.Add(binary.LittleEndian.AppendUint32(claim, 0), uint8(0), false)
-	chunk := bytes.Clone(payloads[seedChunkZ])
-	binary.LittleEndian.PutUint32(chunk, 64<<20)
-	f.Add(chunk, uint8(seedChunkZ), true)
+	f.Add(sealFrame(make([]byte, recordsPrefix), 2, statusSize), uint8(0), false)
 	f.Fuzz(func(t *testing.T, data []byte, typ uint8, framed bool) {
 		input := data
-		if framed {
-			var b bytes.Buffer
-			writeFrame(&b, typ, data) //nolint:errcheck
-			input = b.Bytes()
+		if fixed := map[byte]int{frameRecords: statusSize, frameAck: ackSize}[typ]; framed && fixed > 0 && len(data) >= fixed {
+			input = sealFrame(append(make([]byte, frameHeaderSize), data...), typ, fixed)
 		}
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		readFrames(input)
+		readFrames(input, frameRecords)
+		readFrames(input, frameAck)
 		runtime.ReadMemStats(&after)
 		// readFrame grows its buffer by at most 64 KiB ahead of the bytes
 		// that arrive; everything else is linear in the input.

@@ -8,23 +8,25 @@
 //
 //	handshake  (follower→leader):  "ORFR" | u16 version | u64 resumeAfter
 //	handshake  (leader→follower):  "ORFA" | u16 version | u64 oldestSegment | u64 head
-//	frame      (either direction): u8 type | u32 len | u32 CRC-32(payload) | payload
+//	records    (1, leader→follower): u8 1 | u32 len | u32 crc | u64 head | i64 sentUnixNano | records
+//	ack        (3, follower→leader): u8 3 | u32 len | u32 crc | u64 lastApplied
 //
-// Frame payloads:
+// len counts every byte after the crc field; crc is the CRC-32 (IEEE)
+// of the frame's own fixed fields — head and sentUnixNano, or
+// lastApplied — and of nothing else. The records are the leader's log
+// records byte for byte, as its segment holds them (u32 len | u32 CRC-32
+// of seq+payload | u64 seq | payload, see package wal), in strictly
+// ascending sequence order; each is checked by its own log CRC, with the
+// parser the log reads its segments with (wal.ParseRecord). A records
+// frame with no records is the heartbeat.
 //
-//	records   (1, leader→follower): u64 head | i64 sentUnixNano |
-//	                                uvarint n | n × (uvarint seq, uvarint len, bytes)
-//	heartbeat (2, leader→follower): u64 head | i64 sentUnixNano
-//	ack       (3, follower→leader): u64 lastApplied
-//
-// The u16 version field in both handshakes is 3, and each side refuses
-// a peer that sends anything else before a frame moves. Version 2 added
-// a seed session (the "ORFS" magic, frame types 4, 6 and 7) that shipped
-// snapshot files beside the record stream; version 3 has none, because
-// model state travels in the log itself as state records. A follower
-// the leader has truncated past, or whose log has diverged, drops its
-// own log and state (see Resetter) and streams from the leader's oldest
-// record over an ordinary session.
+// The u16 version field in both handshakes is 4, and each side refuses
+// a peer that sends anything else before a frame moves: version 3
+// framed each record a second time, and versions 1 and 2 had a seed
+// session beside the record stream. Model state travels in the log
+// itself as state records. A follower the leader has truncated past, or
+// whose log has diverged, drops its own log and state (see Resetter) and
+// streams from the leader's oldest record over an ordinary session.
 //
 // head is the leader's newest *fsync-durable* sequence number at send
 // time (wal.SyncedSeq, not the in-memory tail); together with the
@@ -39,10 +41,11 @@
 // (ErrFollowerAhead) rather than silently skipping records.
 //
 // resumeAfter is the follower's last durably applied sequence number:
-// the leader resumes the stream at the next record after it. Every
-// frame is CRC-verified; damage tears the connection down and the
-// follower reconnects from its acknowledged position, so corruption
-// costs a retry, never silent divergence.
+// the leader resumes the stream at the next record after it. A frame
+// whose own CRC fails, or that carries a damaged, cut-off or
+// non-ascending record, tears the connection down before any of its
+// records is applied, and the follower reconnects from its acknowledged
+// position, so corruption costs a retry, never silent divergence.
 package replica
 
 import (
@@ -61,19 +64,24 @@ const (
 	magicHello = "ORFR"
 	magicReply = "ORFA"
 	// version is the only protocol this build speaks or accepts.
-	version = 3
+	version = 4
 
-	frameRecords   = 1
-	frameHeartbeat = 2
-	frameAck       = 3
-
-	// maxFramePayload caps one frame: a records frame holding one record
-	// of the log's largest size, with its status and record header, fits.
-	// The Source ships a record that would take a frame past batchBytes
-	// in a frame of its own.
-	maxFramePayload = wal.MaxRecord + 1<<10
+	frameRecords = 1
+	frameAck     = 3
 
 	frameHeaderSize = 1 + 4 + 4
+	// statusSize and ackSize are the fixed fields of a records frame
+	// (head, sentAt) and of an ack (lastApplied): all its CRC covers.
+	statusSize = 16
+	ackSize    = 8
+	// recordsPrefix is where a records frame's first record starts.
+	recordsPrefix = frameHeaderSize + statusSize
+
+	// maxFramePayload caps what follows a frame's header: a records
+	// frame holding one record of the log's largest size fits. The
+	// Source ships a record that would take a frame past batchBytes in
+	// a frame of its own.
+	maxFramePayload = wal.MaxRecord + 1<<10
 
 	// retainBytes bounds the frame buffers a session keeps between
 	// frames. Catch-up frames, and the state records a new follower's
@@ -163,117 +171,82 @@ func readHandshakeReply(r io.Reader) (oldestSegment, head uint64, err error) {
 	return binary.LittleEndian.Uint64(buf[6:14]), binary.LittleEndian.Uint64(buf[14:22]), nil
 }
 
-// writeFrame frames one payload: type, length, CRC, body.
-func writeFrame(w io.Writer, typ byte, payload []byte) error {
-	var head [frameHeaderSize]byte
-	head[0] = typ
-	binary.LittleEndian.PutUint32(head[1:5], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(head[5:9], crc32.ChecksumIEEE(payload))
-	if _, err := w.Write(head[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(payload)
-	return err
+// sealFrame fills in frame's header, the frameHeaderSize bytes left for
+// it at the front: its type, its length, and the CRC of its fixed
+// fields, the fixed bytes that follow the header.
+func sealFrame(frame []byte, typ byte, fixed int) []byte {
+	frame[0] = typ
+	binary.LittleEndian.PutUint32(frame[1:5], uint32(len(frame)-frameHeaderSize))
+	binary.LittleEndian.PutUint32(frame[5:9], crc32.ChecksumIEEE(frame[frameHeaderSize:frameHeaderSize+fixed]))
+	return frame
 }
 
-// readFrame reads one frame, verifying its CRC, reusing buf when large
-// enough. The returned payload aliases the (possibly grown) buffer, which
-// grows as bytes arrive: a peer pays for a claimed length by sending it.
-func readFrame(r io.Reader, buf []byte) (typ byte, payload, newBuf []byte, err error) {
+// sealRecords completes a records frame: frame holds recordsPrefix bytes
+// of room, then the records it carries, as the log holds them.
+func sealRecords(frame []byte, head uint64, sentAt time.Time) []byte {
+	binary.LittleEndian.PutUint64(frame[frameHeaderSize:], head)
+	binary.LittleEndian.PutUint64(frame[frameHeaderSize+8:], uint64(sentAt.UnixNano()))
+	return sealFrame(frame, frameRecords, statusSize)
+}
+
+// appendAck builds an ack frame in buf.
+func appendAck(buf []byte, lastApplied uint64) []byte {
+	buf = append(buf[:0], make([]byte, frameHeaderSize)...)
+	return sealFrame(binary.LittleEndian.AppendUint64(buf, lastApplied), frameAck, ackSize)
+}
+
+// readFrame reads one frame of type want and checks its CRC, reusing buf
+// when large enough. It returns what follows the header, fixed fields
+// first; that aliases the (possibly grown) buffer, which grows as bytes
+// arrive: a peer pays for a claimed length by sending it.
+func readFrame(r io.Reader, want byte, buf []byte) (body, newBuf []byte, err error) {
 	var head [frameHeaderSize]byte
 	if _, err := io.ReadFull(r, head[:]); err != nil {
-		return 0, nil, buf, err
+		return nil, buf, err
+	}
+	fixed := statusSize
+	if want == frameAck {
+		fixed = ackSize
 	}
 	n := binary.LittleEndian.Uint32(head[1:5])
-	crc := binary.LittleEndian.Uint32(head[5:9])
-	if n > maxFramePayload {
-		return 0, nil, buf, fmt.Errorf("replica: frame of %d bytes exceeds cap", n)
+	switch {
+	case head[0] != want:
+		return nil, buf, fmt.Errorf("replica: frame of type %d, want %d", head[0], want)
+	case n < uint32(fixed) || n > maxFramePayload || want == frameAck && n != ackSize:
+		return nil, buf, fmt.Errorf("replica: frame of type %d with %d bytes", want, n)
 	}
-	payload = buf[:0]
-	for want := int(n); len(payload) < want; {
-		payload = slices.Grow(payload, min(want-len(payload), max(len(payload), 64<<10)))
-		got, err := io.ReadFull(r, payload[len(payload):min(want, cap(payload))])
-		payload = payload[:len(payload)+got]
+	body = buf[:0]
+	for len(body) < int(n) {
+		body = slices.Grow(body, min(int(n)-len(body), max(len(body), 64<<10)))
+		got, err := io.ReadFull(r, body[len(body):min(int(n), cap(body))])
+		body = body[:len(body)+got]
 		if err != nil {
-			return 0, nil, payload, err
+			return nil, body, err
 		}
 	}
-	if crc32.ChecksumIEEE(payload) != crc {
-		return 0, nil, payload, errors.New("replica: frame CRC mismatch")
+	if crc32.ChecksumIEEE(body[:fixed]) != binary.LittleEndian.Uint32(head[5:9]) {
+		return nil, body, errors.New("replica: frame CRC mismatch")
 	}
-	return head[0], payload, payload, nil
+	return body, body, nil
 }
 
-// appendStatus writes the head/sentAt prefix shared by records and
-// heartbeat payloads.
-func appendStatus(buf []byte, head uint64, sentAt time.Time) []byte {
-	buf = binary.LittleEndian.AppendUint64(buf, head)
-	return binary.LittleEndian.AppendUint64(buf, uint64(sentAt.UnixNano()))
-}
-
-func takeStatus(p []byte) (head uint64, sentAt time.Time, rest []byte, err error) {
-	if len(p) < 16 {
-		return 0, time.Time{}, nil, errors.New("replica: truncated status prefix")
-	}
-	head = binary.LittleEndian.Uint64(p[:8])
-	sentAt = time.Unix(0, int64(binary.LittleEndian.Uint64(p[8:16])))
-	return head, sentAt, p[16:], nil
-}
-
-// appendRecordsPayload builds a records-frame payload.
-func appendRecordsPayload(buf []byte, head uint64, sentAt time.Time, recs []Record) []byte {
-	buf = appendStatus(buf, head, sentAt)
-	buf = binary.AppendUvarint(buf, uint64(len(recs)))
-	for _, r := range recs {
-		buf = binary.AppendUvarint(buf, r.Seq)
-		buf = binary.AppendUvarint(buf, uint64(len(r.Payload)))
-		buf = append(buf, r.Payload...)
-	}
-	return buf
-}
-
-// decodeRecordsPayload parses a records-frame payload. The returned
-// records alias p; callers consume them before reusing the read buffer.
-func decodeRecordsPayload(p []byte, scratch []Record) (head uint64, sentAt time.Time, recs []Record, err error) {
-	head, sentAt, p, err = takeStatus(p)
-	if err != nil {
-		return 0, time.Time{}, nil, err
-	}
-	n, sz := binary.Uvarint(p)
-	if sz <= 0 {
-		return 0, time.Time{}, nil, errors.New("replica: truncated record count")
-	}
-	p = p[sz:]
-	if n > uint64(len(p)) { // every record needs at least one byte
-		return 0, time.Time{}, nil, fmt.Errorf("replica: %d records in %d bytes", n, len(p))
-	}
-	recs = scratch[:0]
-	for i := uint64(0); i < n; i++ {
-		seq, sz := binary.Uvarint(p)
-		if sz <= 0 {
-			return 0, time.Time{}, nil, errors.New("replica: truncated record seq")
+// decodeRecords parses a records frame's body into recs, checking each
+// record as the log checks its own: a damaged, cut-off or non-ascending
+// record fails the whole frame. The records alias body; callers consume
+// them before reusing the read buffer.
+func decodeRecords(body []byte, recs []Record) (head uint64, sentAt time.Time, _ []Record, err error) {
+	head = binary.LittleEndian.Uint64(body[:8])
+	sentAt = time.Unix(0, int64(binary.LittleEndian.Uint64(body[8:statusSize])))
+	for p := body[statusSize:]; len(p) > 0; {
+		seq, payload, n := wal.ParseRecord(p)
+		if n == 0 || n > len(p) {
+			return 0, time.Time{}, nil, fmt.Errorf("replica: damaged or cut-off record %d in a frame", len(recs))
 		}
-		p = p[sz:]
-		ln, sz := binary.Uvarint(p)
-		if sz <= 0 || ln > uint64(len(p)-sz) {
-			return 0, time.Time{}, nil, errors.New("replica: truncated record body")
+		if len(recs) > 0 && seq <= recs[len(recs)-1].Seq {
+			return 0, time.Time{}, nil, fmt.Errorf("replica: record %d after %d in a frame", seq, recs[len(recs)-1].Seq)
 		}
-		recs = append(recs, Record{Seq: seq, Payload: p[sz : sz+int(ln)]})
-		p = p[sz+int(ln):]
-	}
-	if len(p) != 0 {
-		return 0, time.Time{}, nil, fmt.Errorf("replica: %d trailing bytes in records frame", len(p))
+		recs = append(recs, Record{Seq: seq, Payload: payload})
+		p = p[n:]
 	}
 	return head, sentAt, recs, nil
-}
-
-func appendAckPayload(buf []byte, lastApplied uint64) []byte {
-	return binary.LittleEndian.AppendUint64(buf, lastApplied)
-}
-
-func decodeAckPayload(p []byte) (lastApplied uint64, err error) {
-	if len(p) != 8 {
-		return 0, fmt.Errorf("replica: ack payload of %d bytes", len(p))
-	}
-	return binary.LittleEndian.Uint64(p), nil
 }

@@ -2,9 +2,12 @@ package replica
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"net"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -13,52 +16,69 @@ import (
 	"orfdisk/internal/wal"
 )
 
+// TestFrameRoundTrip: a records frame carries the log's own record
+// bytes, and the follower's decoder gives back each record's sequence
+// number and payload.
 func TestFrameRoundTrip(t *testing.T) {
 	recs := []Record{
 		{Seq: 7, Payload: []byte("alpha")},
-		{Seq: 9, Payload: nil},
+		{Seq: 9, Payload: []byte{}},
 		{Seq: 100000, Payload: bytes.Repeat([]byte{0xAB}, 5000)},
 	}
-	sent := time.Unix(0, 1723200000000000000)
-	payload := appendRecordsPayload(nil, 123456, sent, recs)
-
-	var wire bytes.Buffer
-	if err := writeFrame(&wire, frameRecords, payload); err != nil {
-		t.Fatal(err)
+	var logged [][]byte
+	for _, r := range recs {
+		logged = append(logged, logRecord(r.Seq, string(r.Payload)))
 	}
-	typ, got, _, err := readFrame(&wire, nil)
+	sent := time.Unix(0, 1723200000000000000)
+	frame := recordsFrame(123456, sent, logged...)
+	if !bytes.Equal(frame[recordsPrefix:], bytes.Join(logged, nil)) {
+		t.Fatal("the frame does not carry the records' log bytes verbatim")
+	}
+	body, _, err := readFrame(bytes.NewReader(frame), frameRecords, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if typ != frameRecords {
-		t.Fatalf("type = %d", typ)
-	}
-	head, sentAt, out, err := decodeRecordsPayload(got, nil)
+	head, sentAt, out, err := decodeRecords(body, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if head != 123456 || !sentAt.Equal(sent) {
 		t.Fatalf("head=%d sentAt=%v", head, sentAt)
 	}
-	if len(out) != len(recs) {
-		t.Fatalf("%d records, want %d", len(out), len(recs))
+	if !slices.EqualFunc(out, recs, func(a, b Record) bool { return a.Seq == b.Seq && bytes.Equal(a.Payload, b.Payload) }) {
+		t.Fatalf("decoded %v, want %v", out, recs)
 	}
-	for i := range recs {
-		if out[i].Seq != recs[i].Seq || !bytes.Equal(out[i].Payload, recs[i].Payload) {
-			t.Fatalf("record %d mismatch", i)
-		}
+	ack, _, err := readFrame(bytes.NewReader(appendAck(nil, 42)), frameAck, nil)
+	if err != nil || binary.LittleEndian.Uint64(ack) != 42 {
+		t.Fatalf("ack body % x, err %v", ack, err)
 	}
 }
 
+// TestFrameCRCDetectsCorruption: the frame CRC covers the frame's own
+// fields, and each record is checked by its own log CRC; damage to
+// either fails the frame, and a record cut off at the frame's end or
+// out of sequence order does too.
 func TestFrameCRCDetectsCorruption(t *testing.T) {
-	var wire bytes.Buffer
-	if err := writeFrame(&wire, frameHeartbeat, appendStatus(nil, 42, time.Unix(1, 0))); err != nil {
-		t.Fatal(err)
+	r1, r2 := logRecord(1, "one"), logRecord(2, "two")
+	for i := frameHeaderSize; i < recordsPrefix; i++ {
+		b := recordsFrame(42, time.Unix(1, 0), r1)
+		b[i] ^= 0x10
+		if _, _, err := readFrame(bytes.NewReader(b), frameRecords, nil); err == nil {
+			t.Fatalf("status byte %d damaged, yet the frame passed its CRC", i)
+		}
 	}
-	b := wire.Bytes()
-	b[len(b)-1] ^= 0xFF // flip a payload byte
-	if _, _, _, err := readFrame(bytes.NewReader(b), nil); err == nil {
-		t.Fatal("corrupt frame passed CRC")
+	for name, frame := range map[string][]byte{
+		"damaged record":  recordsFrame(2, time.Unix(1, 0), r1, append(r2[:len(r2)-1:len(r2)-1], 'X')),
+		"cut-off record":  recordsFrame(2, time.Unix(1, 0), r1, r2[:len(r2)-1]),
+		"descending seqs": recordsFrame(2, time.Unix(1, 0), r2, r1),
+	} {
+		body, _, err := readFrame(bytes.NewReader(frame), frameRecords, nil)
+		if err != nil {
+			t.Fatalf("%s: the frame's own CRC failed: %v", name, err)
+		}
+		if _, _, recs, err := decodeRecords(body, nil); err == nil {
+			t.Errorf("%s: decoded %d records without an error", name, len(recs))
+		}
 	}
 }
 
@@ -573,4 +593,69 @@ func TestSilentLeaderTearsStream(t *testing.T) {
 	waitFor(t, 10*time.Second, "repeated timeout reconnects", func() bool {
 		return fl.reconnects.Value() >= 3
 	})
+}
+
+// TestDamagedRecordTearsSession: a record whose log CRC fails, inside a
+// frame whose own CRC holds, tears the session down. Nothing at or past
+// it is applied or acknowledged, and the follower redials from its last
+// ack.
+func TestDamagedRecordTearsSession(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	app := &memApplier{}
+	fl, err := StartFollower(ln.Addr().String(), FollowerConfig{Applier: app, RetryInterval: 10 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fl.Close()
+	// attach accepts the follower's next session and returns it with the
+	// position the follower resumes after.
+	attach := func() (net.Conn, uint64) {
+		t.Helper()
+		conn, err := ln.Accept()
+		if err != nil {
+			t.Fatal(err)
+		}
+		conn.SetDeadline(time.Now().Add(5 * time.Second))
+		resume, err := readHandshake(conn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := writeHandshakeReply(conn, 1, 6); err != nil {
+			t.Fatal(err)
+		}
+		return conn, resume
+	}
+	conn, resume := attach()
+	defer conn.Close()
+	if resume != 0 {
+		t.Fatalf("first session resumes after %d, want 0", resume)
+	}
+	if _, err := conn.Write(recordsFrame(6, time.Now(), logRecord(1, "r1"), logRecord(2, "r2"), logRecord(3, "r3"))); err != nil {
+		t.Fatal(err)
+	}
+	body, _, err := readFrame(conn, frameAck, nil)
+	if err != nil || binary.LittleEndian.Uint64(body) != 3 {
+		t.Fatalf("ack % x, err %v; want an ack of 3", body, err)
+	}
+	bad := logRecord(5, "r5")
+	bad[len(bad)-1] ^= 1
+	if _, err := conn.Write(recordsFrame(6, time.Now(), logRecord(4, "r4"), bad, logRecord(6, "r6"))); err != nil {
+		t.Fatal(err)
+	}
+	// The follower hangs up without an ack.
+	if rest, err := io.ReadAll(conn); len(rest) != 0 || err != nil {
+		t.Fatalf("follower sent % x (err %v) after the damaged record, want a hang-up", rest, err)
+	}
+	if n, applied, _ := app.snapshot(); n != 3 || applied != 3 {
+		t.Fatalf("applied %d records through %d after the damaged frame, want 3 through 3", n, applied)
+	}
+	conn2, resume := attach()
+	defer conn2.Close()
+	if resume != 3 {
+		t.Fatalf("follower redialed resuming after %d, want its last ack 3", resume)
+	}
 }

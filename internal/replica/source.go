@@ -1,12 +1,12 @@
 package replica
 
 import (
-	"bufio"
 	"context"
+	"encoding/binary"
 	"errors"
 	"log/slog"
 	"net"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -225,70 +225,50 @@ func (s *Source) noteAck(sc *srcConn, seq uint64) {
 	if seq > sc.acked {
 		sc.acked = seq
 	}
-	min := uint64(0)
-	first := true
-	for c := range s.conns {
-		if !c.ready {
-			continue
-		}
-		if first || c.acked < min {
-			min, first = c.acked, false
-		}
+	acks := s.acksLocked()
+	if len(acks) == 0 {
+		return // sc left s.conns while its last ack was in flight
 	}
-	if first {
-		return
-	}
-	s.floor = min + 1
+	s.floor = acks[0] + 1
 	s.cfg.WAL.SetRetainFloor(s.floor)
-	s.met.acked.Set(float64(min))
-	s.wakeWaitersLocked()
-}
-
-// wakeWaitersLocked satisfies every parked WaitAcked call whose target
-// is now covered by enough follower acks. Caller holds s.mu.
-func (s *Source) wakeWaitersLocked() {
-	if len(s.waiters) == 0 {
-		return
-	}
-	vals := s.ackScratch[:0]
-	for c := range s.conns {
-		if c.ready {
-			vals = append(vals, c.acked)
-		}
-	}
-	sort.Slice(vals, func(i, j int) bool { return vals[i] > vals[j] })
-	s.ackScratch = vals
+	s.met.acked.Set(float64(acks[0]))
+	// Satisfy every parked WaitAcked call whose target is now covered by
+	// enough follower acks.
 	kept := s.waiters[:0]
 	for _, w := range s.waiters {
-		if w.k <= len(vals) && vals[w.k-1] >= w.seq {
+		if ackedBy(acks, w.k) >= w.seq {
 			w.ch <- nil
 		} else {
 			kept = append(kept, w)
 		}
 	}
-	for i := len(kept); i < len(s.waiters); i++ {
-		s.waiters[i] = nil
-	}
+	clear(s.waiters[len(kept):])
 	s.waiters = kept
 }
 
-// ackedByLocked returns the k-th highest follower-acknowledged
-// sequence number (0 when fewer than k streaming followers are
-// attached).
-// Caller holds s.mu.
-func (s *Source) ackedByLocked(k int) uint64 {
-	vals := s.ackScratch[:0]
+// acksLocked returns the acknowledged positions of the followers that
+// completed their handshake, ascending. The slice is reused by the next
+// call. Caller holds s.mu.
+func (s *Source) acksLocked() []uint64 {
+	acks := s.ackScratch[:0]
 	for c := range s.conns {
 		if c.ready {
-			vals = append(vals, c.acked)
+			acks = append(acks, c.acked)
 		}
 	}
-	sort.Slice(vals, func(i, j int) bool { return vals[i] > vals[j] })
-	s.ackScratch = vals
-	if k > len(vals) {
+	slices.Sort(acks)
+	s.ackScratch = acks
+	return acks
+}
+
+// ackedBy returns the k-th highest of the ascending positions acks, the
+// newest sequence number at least k followers hold (0 when fewer than k
+// are attached).
+func ackedBy(acks []uint64, k int) uint64 {
+	if k > len(acks) {
 		return 0
 	}
-	return vals[k-1]
+	return acks[len(acks)-k]
 }
 
 // WaitAcked blocks until at least k attached followers have durably
@@ -306,7 +286,7 @@ func (s *Source) WaitAcked(seq uint64, k int, timeout time.Duration) error {
 		s.mu.Unlock()
 		return ErrSourceClosed
 	}
-	if s.ackedByLocked(k) >= seq {
+	if ackedBy(s.acksLocked(), k) >= seq {
 		s.mu.Unlock()
 		return nil
 	}
@@ -383,23 +363,13 @@ func (s *Source) serve(sc *srcConn) error {
 	go func() {
 		var buf []byte
 		for {
-			typ, payload, nbuf, err := readFrame(sc.c, buf)
+			body, nbuf, err := readFrame(sc.c, frameAck, buf)
 			if err != nil {
 				sc.shutdown()
 				return
 			}
 			buf = nbuf
-			if typ != frameAck {
-				s.cfg.Logger.Warn("unexpected frame from follower", "type", typ)
-				sc.shutdown()
-				return
-			}
-			seq, err := decodeAckPayload(payload)
-			if err != nil {
-				sc.shutdown()
-				return
-			}
-			s.noteAck(sc, seq)
+			s.noteAck(sc, binary.LittleEndian.Uint64(body))
 		}
 	}()
 
@@ -408,13 +378,14 @@ func (s *Source) serve(sc *srcConn) error {
 	hb := time.NewTicker(s.cfg.Heartbeat)
 	defer hb.Stop()
 
-	bw := bufio.NewWriterSize(sc.c, 64<<10)
-	send := func(typ byte, payload []byte) error {
+	// frame is the records frame being built: recordsPrefix bytes of room
+	// for its header and status, then records appended as the cursor
+	// reads them from the log. With none, it is a heartbeat.
+	frame := make([]byte, recordsPrefix)
+	send := func() error {
+		frame = sealRecords(frame, head(), time.Now())
 		sc.c.SetWriteDeadline(time.Now().Add(writeTimeout))
-		if err := writeFrame(bw, typ, payload); err != nil {
-			return err
-		}
-		if err := bw.Flush(); err != nil {
+		if _, err := sc.c.Write(frame); err != nil {
 			return err
 		}
 		s.met.frames.Inc()
@@ -424,18 +395,13 @@ func (s *Source) serve(sc *srcConn) error {
 	// The follower learns where the head is as it attaches, not a
 	// heartbeat interval later: until a status reaches it, it cannot tell
 	// caught up from never connected and reports itself not ready.
-	frameBuf := appendStatus(nil, head(), time.Now())
-	if err := send(frameHeartbeat, frameBuf); err != nil {
+	if err := send(); err != nil {
 		return err
 	}
 
 	var (
-		data []byte // flat payload arena for one batch
-		offs []int
-		seqs []uint64
-		recs []Record
 		// Durability gate: a record read past the durable head is parked
-		// here (copied — cursor payloads alias its buffer) until an fsync
+		// here (copied — cursor records alias its buffer) until an fsync
 		// covers it. The WAL notifies watchers on sync as well as append,
 		// so the wait below wakes when the record becomes shippable. A
 		// durable record that would take a non-empty frame past
@@ -443,7 +409,7 @@ func (s *Source) serve(sc *srcConn) error {
 		// as large as the log allows then ships alone, within
 		// maxFramePayload.
 		pendSeq uint64
-		pendBuf []byte
+		pendRec []byte
 		pending bool
 	)
 	lastSeg := uint64(0)
@@ -455,31 +421,29 @@ func (s *Source) serve(sc *srcConn) error {
 		}
 		// Gather up to one frame's worth of durable records.
 		durable := head()
-		data, offs, seqs = data[:0], offs[:0], seqs[:0]
+		frame = frame[:recordsPrefix]
+		n := 0
 		if pending && pendSeq <= durable {
-			offs = append(offs, len(data))
-			data = append(data, pendBuf...)
-			seqs = append(seqs, pendSeq)
-			pending = false
-			if cap(pendBuf) > retainBytes {
-				pendBuf = nil
+			frame = append(frame, pendRec...)
+			n, pending = 1, false
+			if cap(pendRec) > retainBytes {
+				pendRec = nil
 			}
 		}
-		for !pending && len(seqs) < batchRecords && len(data) < batchBytes {
-			seq, p, err := cur.Next()
+		for !pending && n < batchRecords && len(frame) < batchBytes {
+			seq, rec, err := cur.NextRecord()
 			if errors.Is(err, wal.ErrNoMore) {
 				break
 			}
 			if err != nil {
 				return err
 			}
-			if seq > durable || len(seqs) > 0 && len(data)+len(p) > batchBytes {
-				pendSeq, pendBuf, pending = seq, append(pendBuf[:0], p...), true
+			if seq > durable || n > 0 && len(frame)+len(rec) > batchBytes {
+				pendSeq, pendRec, pending = seq, append(pendRec[:0], rec...), true
 				break
 			}
-			offs = append(offs, len(data))
-			data = append(data, p...)
-			seqs = append(seqs, seq)
+			frame = append(frame, rec...)
+			n++
 		}
 		if seg := cur.Segment(); seg != lastSeg {
 			if lastSeg != 0 {
@@ -487,35 +451,25 @@ func (s *Source) serve(sc *srcConn) error {
 			}
 			lastSeg = seg
 		}
-		if len(seqs) == 0 {
+		if n == 0 {
 			select {
 			case <-sc.closed:
 				return nil
 			case <-watch:
 			case <-hb.C:
-				frameBuf = appendStatus(frameBuf[:0], head(), time.Now())
-				if err := send(frameHeartbeat, frameBuf); err != nil {
+				if err := send(); err != nil {
 					return err
 				}
 			}
 			continue
 		}
-		recs = recs[:0]
-		for i, off := range offs {
-			end := len(data)
-			if i+1 < len(offs) {
-				end = offs[i+1]
-			}
-			recs = append(recs, Record{Seq: seqs[i], Payload: data[off:end]})
-		}
-		frameBuf = appendRecordsPayload(frameBuf[:0], head(), time.Now(), recs)
-		if err := send(frameRecords, frameBuf); err != nil {
+		if err := send(); err != nil {
 			return err
 		}
-		s.met.records.Add(uint64(len(recs)))
-		s.met.bytes.Add(uint64(len(data)))
-		if cap(frameBuf) > retainBytes {
-			data, frameBuf, recs = nil, nil, nil
+		s.met.records.Add(uint64(n))
+		s.met.bytes.Add(uint64(len(frame) - recordsPrefix - n*wal.HeaderSize))
+		if cap(frame) > retainBytes {
+			frame = make([]byte, recordsPrefix)
 		}
 	}
 }

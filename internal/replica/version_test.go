@@ -32,12 +32,12 @@ func hangsUp(t *testing.T, c net.Conn, who string) {
 	}
 }
 
-// TestProtocolV1PeersRefused: versions 1 and 2 are retired on both
-// sides. A leader refuses a v1 or v2 streaming handshake, and a seed
-// handshake ("ORFS", which only they spoke), before it replies, ships a
-// record or pins the retain floor; a follower refuses a v1 or v2 reply
-// before it applies, acknowledges or reports anything the leader sends
-// after it.
+// TestProtocolV1PeersRefused: versions 1 to 3 are retired on both
+// sides. A leader refuses a v1, v2 or v3 streaming handshake, and a seed
+// handshake ("ORFS", which v1 and v2 spoke), before it replies, ships a
+// record or pins the retain floor; a follower refuses a v1, v2 or v3
+// reply before it applies, acknowledges or reports anything the leader
+// sends after it.
 func TestProtocolV1PeersRefused(t *testing.T) {
 	w := openShipWAL(t, t.TempDir())
 	for i := 0; i < 20; i++ {
@@ -53,7 +53,7 @@ func TestProtocolV1PeersRefused(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer src.Close()
-	for _, v := range []uint16{1, 2} {
+	for _, v := range []uint16{1, 2, 3} {
 		for _, magic := range []string{magicHello, "ORFS"} {
 			conn, err := net.Dial("tcp", src.Addr())
 			if err != nil {
@@ -75,7 +75,7 @@ func TestProtocolV1PeersRefused(t *testing.T) {
 	}
 
 	// A leader that answers an old version, then ships a record anyway.
-	for _, v := range []uint16{1, 2} {
+	for _, v := range []uint16{1, 2, 3} {
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)
@@ -105,7 +105,7 @@ func TestProtocolV1PeersRefused(t *testing.T) {
 		}
 		// The follower may already have hung up; what it does with the
 		// frame is the point, not whether the write lands.
-		writeFrame(conn, frameRecords, appendRecordsPayload(nil, 20, time.Now(), []Record{{Seq: 1, Payload: []byte("r1")}}))
+		conn.Write(recordsFrame(20, time.Now(), logRecord(1, "r1")))
 		hangsUp(t, conn, fmt.Sprintf("follower after a v%d reply", v))
 		if n, applied, head := app.snapshot(); n != 0 || applied != 0 || head != 0 || fl.Connected() {
 			t.Errorf("follower refused a v%d reply yet applied %d records through %d, saw head %d, connected %v",

@@ -67,6 +67,16 @@ func (c *Cursor) Close() error {
 // valid until the following Next call. At the tail of the log it
 // returns ErrNoMore; any other error is I/O failure or corruption.
 func (c *Cursor) Next() (seq uint64, payload []byte, err error) {
+	seq, rec, err := c.NextRecord()
+	if err != nil {
+		return 0, nil, err
+	}
+	return seq, rec[HeaderSize:], nil
+}
+
+// NextRecord is Next returning the record's log bytes, header and
+// payload, exactly as its segment holds them — what replication ships.
+func (c *Cursor) NextRecord() (seq uint64, rec []byte, err error) {
 	for {
 		if c.f == nil {
 			ok, err := c.seek()
@@ -77,7 +87,7 @@ func (c *Cursor) Next() (seq uint64, payload []byte, err error) {
 				return 0, nil, ErrNoMore
 			}
 		}
-		seq, payload, ok, err := c.rd.next()
+		seq, rec, ok, err := c.rd.next()
 		if err != nil {
 			return 0, nil, err
 		}
@@ -86,7 +96,7 @@ func (c *Cursor) Next() (seq uint64, payload []byte, err error) {
 				continue // resume skip: already consumed
 			}
 			c.after = seq
-			return seq, payload, nil
+			return seq, rec, nil
 		}
 		// No complete valid record at the current offset. If this is the
 		// last segment that is the (possibly mid-write) tail: wait.
@@ -101,7 +111,7 @@ func (c *Cursor) Next() (seq uint64, payload []byte, err error) {
 		// and closes a segment before creating its successor. Retry once
 		// to pick up records written between our first read and the
 		// rotation, then advance.
-		seq, payload, ok, err = c.rd.next()
+		seq, rec, ok, err = c.rd.next()
 		if err != nil {
 			return 0, nil, err
 		}
@@ -110,7 +120,7 @@ func (c *Cursor) Next() (seq uint64, payload []byte, err error) {
 				continue
 			}
 			c.after = seq
-			return seq, payload, nil
+			return seq, rec, nil
 		}
 		fi, err := c.f.Stat()
 		if err != nil {

@@ -24,18 +24,18 @@ type walRecord struct {
 // claims, a matching CRC and a sequence number above the one before,
 // stopping at the first that is not.
 func validRecords(b []byte) (recs []walRecord) {
-	for len(b) >= headerSize {
+	for len(b) >= HeaderSize {
 		n := binary.LittleEndian.Uint32(b)
-		if n > MaxRecord || len(b)-headerSize < int(n) {
+		if n > MaxRecord || len(b)-HeaderSize < int(n) {
 			return recs
 		}
-		rec := b[:headerSize+int(n)]
+		rec := b[:HeaderSize+int(n)]
 		seq := binary.LittleEndian.Uint64(rec[8:])
 		if crc32.ChecksumIEEE(rec[8:]) != binary.LittleEndian.Uint32(rec[4:]) ||
 			len(recs) > 0 && seq <= recs[len(recs)-1].seq {
 			return recs
 		}
-		recs = append(recs, walRecord{seq, string(rec[headerSize:])})
+		recs = append(recs, walRecord{seq, string(rec[HeaderSize:])})
 		b = b[len(rec):]
 	}
 	return recs
@@ -77,20 +77,20 @@ func FuzzOpenReplay(f *testing.F) {
 	// bytes where its 16 MiB would be; and one that crosses a read block.
 	claim := slices.Concat(seg[:validLen(seg, 1)], binary.LittleEndian.AppendUint32(nil, MaxRecord), make([]byte, 300))
 	f.Add(claim, false)
-	big := make([]byte, headerSize+readBlock+100)
+	big := make([]byte, HeaderSize+readBlock+100)
 	binary.LittleEndian.PutUint32(big, readBlock+100)
 	binary.LittleEndian.PutUint64(big[8:], 1)
 	f.Add(big, true)
 	f.Fuzz(func(t *testing.T, data []byte, reframe bool) {
 		if reframe {
 			data = bytes.Clone(data)
-			for b := data; len(b) >= headerSize; {
+			for b := data; len(b) >= HeaderSize; {
 				n := binary.LittleEndian.Uint32(b)
-				if n > MaxRecord || len(b)-headerSize < int(n) {
+				if n > MaxRecord || len(b)-HeaderSize < int(n) {
 					break
 				}
-				binary.LittleEndian.PutUint32(b[4:], crc32.ChecksumIEEE(b[8:headerSize+int(n)]))
-				b = b[headerSize+int(n):]
+				binary.LittleEndian.PutUint32(b[4:], crc32.ChecksumIEEE(b[8:HeaderSize+int(n)]))
+				b = b[HeaderSize+int(n):]
 			}
 		}
 		want := validRecords(data)
@@ -127,7 +127,7 @@ func FuzzOpenReplay(f *testing.F) {
 func validLen(b []byte, n int) int {
 	off := 0
 	for ; n > 0; n-- {
-		off += headerSize + int(binary.LittleEndian.Uint32(b[off:]))
+		off += HeaderSize + int(binary.LittleEndian.Uint32(b[off:]))
 	}
 	return off
 }

@@ -12,10 +12,35 @@ import (
 // the one syscall that two reads per record used to cost.
 const readBlock = 64 << 10
 
-// recordReader parses framed records out of one segment file through a
-// buffered block. It is the single record parser: crash recovery
-// (scanSegment) and live tailing (Cursor) differ only in what they do
-// with a record, never in what they accept as one.
+// ParseRecord parses the record at the front of b — the log's one
+// record parser: Open, Replay and Cursor read segments through it, and a
+// replication follower checks the records a frame carries with it. It
+// returns the record's sequence number, its payload (aliasing b) and its
+// length n, header included. n == 0 means the bytes are no record: a
+// length past MaxRecord, or a CRC that does not match. n > len(b) means
+// b holds only the start of one, and n is the fewest bytes that can
+// tell; the payload is then nil.
+func ParseRecord(b []byte) (seq uint64, payload []byte, n int) {
+	if len(b) < HeaderSize {
+		return 0, nil, HeaderSize
+	}
+	ln := binary.LittleEndian.Uint32(b[0:4])
+	if ln > MaxRecord {
+		return 0, nil, 0
+	}
+	if n = HeaderSize + int(ln); len(b) < n {
+		return 0, nil, n
+	}
+	if crc32.ChecksumIEEE(b[8:n]) != binary.LittleEndian.Uint32(b[4:8]) {
+		return 0, nil, 0
+	}
+	return binary.LittleEndian.Uint64(b[8:16]), b[HeaderSize:n], n
+}
+
+// recordReader reads records out of one segment file through a buffered
+// block, parsing each with ParseRecord: crash recovery (scanSegment) and
+// live tailing (Cursor) differ only in what they do with a record, never
+// in what they accept as one.
 //
 // It reads with ReadAt at its own offset, so it takes no lock against
 // the writer and may sit on a file that is still growing: bytes past the
@@ -32,36 +57,29 @@ func (r *recordReader) reset(f *os.File) {
 	r.f, r.off, r.buf = f, 0, r.buf[:0]
 }
 
-// next returns the record at the reader's offset and steps past it. The
-// payload aliases the block and is valid until the following call.
-// ok=false means the bytes there do not (yet) form a complete record
-// with a matching CRC — the torn-tail condition; the offset stays put
-// and the read-ahead is dropped, so a retry sees the file afresh. Only
-// real I/O failures are errors.
-func (r *recordReader) next() (seq uint64, payload []byte, ok bool, err error) {
+// next returns the record at the reader's offset — its log bytes,
+// header and payload — and steps past it. The record aliases the block
+// and is valid until the following call. ok=false means the bytes there
+// do not (yet) form a complete record with a matching CRC — the
+// torn-tail condition; the offset stays put and the read-ahead is
+// dropped, so a retry sees the file afresh. Only real I/O failures are
+// errors.
+func (r *recordReader) next() (seq uint64, rec []byte, ok bool, err error) {
 	for {
-		need := headerSize
-		if len(r.buf) >= headerSize {
-			n := binary.LittleEndian.Uint32(r.buf[0:4])
-			if n > MaxRecord {
-				break
-			}
-			need = headerSize + int(n)
-			if len(r.buf) >= need {
-				rec := r.buf[:need]
-				if crc32.ChecksumIEEE(rec[8:]) != binary.LittleEndian.Uint32(rec[4:8]) {
-					break
-				}
-				r.buf = r.buf[need:]
-				r.off += int64(need)
-				return binary.LittleEndian.Uint64(rec[8:16]), rec[headerSize:], true, nil
-			}
+		seq, _, n := ParseRecord(r.buf)
+		if n == 0 {
+			break
 		}
-		eof, err := r.fill(need)
+		if n <= len(r.buf) {
+			rec, r.buf = r.buf[:n], r.buf[n:]
+			r.off += int64(n)
+			return seq, rec, true, nil
+		}
+		eof, err := r.fill(n)
 		if err != nil {
 			return 0, nil, false, err
 		}
-		if eof && len(r.buf) < need {
+		if eof && len(r.buf) < n {
 			break // the file ends inside this record
 		}
 	}

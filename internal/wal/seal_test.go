@@ -292,7 +292,7 @@ func TestAppendBatchAtEqualsAppendAts(t *testing.T) {
 // written by a refused batch) and the name a rotation gives the segment.
 func TestAppendBatchAtRejectsAndRotates(t *testing.T) {
 	dir := t.TempDir()
-	w := openTest(t, dir, Options{SegmentBytes: 130, SyncBytes: 4 * (headerSize + 16)})
+	w := openTest(t, dir, Options{SegmentBytes: 130, SyncBytes: 4 * (HeaderSize + 16)})
 	defer w.Close()
 	p := func(n int) [][]byte {
 		out := make([][]byte, n)
@@ -372,7 +372,7 @@ func TestTornTailAtEveryOffset(t *testing.T) {
 		t.Fatal(err)
 	}
 	whole := logBytes(t, src)
-	lastLen := headerSize + len("the torn one, cut everywhere")
+	lastLen := HeaderSize + len("the torn one, cut everywhere")
 	keep := len(whole) - lastLen // end of the third record
 	name := segName(1)
 	for cut := 0; cut < lastLen; cut++ {
@@ -402,7 +402,7 @@ func TestTornTailAtEveryOffset(t *testing.T) {
 	// read brings in) ends the log before it.
 	dir := t.TempDir()
 	damaged := append([]byte(nil), whole...)
-	damaged[headerSize+len("first")+headerSize+readBlock+100] ^= 1
+	damaged[HeaderSize+len("first")+HeaderSize+readBlock+100] ^= 1
 	if err := os.WriteFile(filepath.Join(dir, name), damaged, 0o644); err != nil {
 		t.Fatal(err)
 	}

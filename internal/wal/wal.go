@@ -45,10 +45,11 @@ import (
 	"orfdisk/internal/metrics"
 )
 
-const (
-	headerSize = 16 // u32 len + u32 crc + u64 seq
-	segSuffix  = ".wal"
-)
+// HeaderSize is the length of a record's header: u32 payload length,
+// u32 CRC, u64 sequence number.
+const HeaderSize = 16
+
+const segSuffix = ".wal"
 
 // MaxRecord caps one record's payload. It bounds what a torn length
 // field can make a reader allocate, and replication sizes its frames so
@@ -306,7 +307,7 @@ func (w *WAL) appendBatch(seqs []uint64, payloads [][]byte) (first uint64, err e
 		if len(p) > MaxRecord {
 			return 0, fmt.Errorf("wal: record of %d bytes exceeds the %d-byte cap", len(p), MaxRecord)
 		}
-		total += headerSize + len(p)
+		total += HeaderSize + len(p)
 	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -343,7 +344,7 @@ func (w *WAL) appendBatch(seqs []uint64, payloads [][]byte) (first uint64, err e
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(p)))
 		buf = binary.LittleEndian.AppendUint32(buf, 0) // the CRC, below
 		buf = binary.LittleEndian.AppendUint64(buf, last)
-		hdr := buf[len(buf)-headerSize:]
+		hdr := buf[len(buf)-HeaderSize:]
 		crc := crc32.Update(crc32.ChecksumIEEE(hdr[8:]), crc32.IEEETable, p)
 		binary.LittleEndian.PutUint32(hdr[4:8], crc)
 		if len(p) <= maxScratch {
@@ -681,7 +682,7 @@ func scanSegment(s segment, fn func(uint64, []byte) error) (scanResult, error) {
 	var rd recordReader
 	rd.reset(f)
 	for {
-		seq, payload, ok, err := rd.next()
+		seq, rec, ok, err := rd.next()
 		if err != nil {
 			return res, err
 		}
@@ -689,7 +690,7 @@ func scanSegment(s segment, fn func(uint64, []byte) error) (scanResult, error) {
 			return res, nil
 		}
 		if fn != nil {
-			if err := fn(seq, payload); err != nil {
+			if err := fn(seq, rec[HeaderSize:]); err != nil {
 				return res, err
 			}
 		}

@@ -208,7 +208,7 @@ func TestTruncateBefore(t *testing.T) {
 
 func TestGroupCommitSyncEvery(t *testing.T) {
 	dir := t.TempDir()
-	const recBytes = headerSize + 1 // the debt is counted in bytes: four records' worth
+	const recBytes = HeaderSize + 1 // the debt is counted in bytes: four records' worth
 	w := openTest(t, dir, Options{SyncBytes: 4 * recBytes, SyncInterval: time.Hour})
 	for i := 0; i < 10; i++ {
 		if _, err := w.Append([]byte("r")); err != nil {
@@ -373,7 +373,7 @@ func TestCloseIgnoresUnsyncableFileWhenClean(t *testing.T) {
 // latency observations accumulate alongside.
 func TestFsyncCounter(t *testing.T) {
 	dir := t.TempDir()
-	w := openTest(t, dir, Options{SyncBytes: 4 * (headerSize + len("abcdef")), SyncInterval: time.Hour})
+	w := openTest(t, dir, Options{SyncBytes: 4 * (HeaderSize + len("abcdef")), SyncInterval: time.Hour})
 	defer w.Close()
 	for i := 0; i < 12; i++ {
 		if _, err := w.Append([]byte("abcdef")); err != nil {
@@ -389,7 +389,7 @@ func TestFsyncCounter(t *testing.T) {
 	if got := w.met.appendRecords.Value(); got != 12 {
 		t.Fatalf("append records = %d, want 12", got)
 	}
-	wantBytes := uint64(12 * (headerSize + 6))
+	wantBytes := uint64(12 * (HeaderSize + 6))
 	if got := w.met.appendBytes.Value(); got != wantBytes {
 		t.Fatalf("append bytes = %d, want %d", got, wantBytes)
 	}
@@ -529,7 +529,7 @@ func TestAppendBatchNeverSplitsSegments(t *testing.T) {
 // the bytes of all its records, not as one append.
 func TestAppendBatchGroupCommit(t *testing.T) {
 	dir := t.TempDir()
-	w := openTest(t, dir, Options{SyncBytes: 4 * (headerSize + 1), SyncInterval: time.Hour})
+	w := openTest(t, dir, Options{SyncBytes: 4 * (HeaderSize + 1), SyncInterval: time.Hour})
 	defer w.Close()
 	fsyncs := func() uint64 { return w.met.fsyncs.Value() }
 	if _, err := w.AppendBatch([][]byte{[]byte("a"), []byte("b"), []byte("c")}); err != nil {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math"
 	"path/filepath"
 	"slices"
 	"strings"
@@ -1344,5 +1345,126 @@ func TestSnapshotTickerBesideReset(t *testing.T) {
 	}
 	if n := eng.met.snapshots.Value(); n != 0 {
 		t.Fatalf("a follower ran %d snapshot passes", n)
+	}
+}
+
+// walBytes returns the log bytes of the records in the log directory
+// dir with sequence numbers in (after, through], concatenated, and the
+// first and last of those sequence numbers.
+func walBytes(t testing.TB, dir string, after, through uint64) (first, last uint64, b []byte) {
+	t.Helper()
+	cur, err := wal.OpenCursor(dir, after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cur.Close()
+	for {
+		seq, rec, err := cur.NextRecord()
+		if errors.Is(err, wal.ErrNoMore) || err == nil && seq > through {
+			return first, last, b
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if first == 0 {
+			first = seq
+		}
+		last, b = seq, append(b, rec...)
+	}
+}
+
+// requireLogSuffix checks what replication keeps between a leader and
+// its follower: from the follower's first record on, the records in the
+// follower's segments, concatenated in sequence order, are byte for byte
+// the leader's records for the same range — the follower's log is a
+// suffix of the leader's, segment boundaries aside. Both logs must be
+// still (no append in flight). It returns the number of bytes compared.
+func requireLogSuffix(t testing.TB, leader, follower *Engine) int {
+	t.Helper()
+	first, last, fb := walBytes(t, follower.WAL().Dir(), 0, math.MaxUint64)
+	if len(fb) == 0 {
+		t.Fatal("the follower's log holds no record")
+	}
+	lfirst, llast, lb := walBytes(t, leader.WAL().Dir(), first-1, last)
+	if lfirst != first || llast != last || !bytes.Equal(fb, lb) {
+		t.Fatalf("follower log %d..%d (%d bytes) is not the leader's %d..%d (%d bytes)",
+			first, last, len(fb), lfirst, llast, len(lb))
+	}
+	return len(fb)
+}
+
+// TestFollowerLogIsLeaderSuffix: through a snapshot pass whose state
+// records are larger than a session keeps frame buffers for, and a
+// reconnect, the follower's log stays a byte-for-byte suffix of its
+// leader's.
+func TestFollowerLogIsLeaderSuffix(t *testing.T) {
+	cfg := Config{Horizon: 4, ORF: ORFConfig{Trees: 200, MinParentSize: 10, Seed: 9}}
+	leader, err := NewEngine(EngineConfig{Predictor: cfg, DataDir: t.TempDir(), SegmentBytes: 64 << 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer leader.Close()
+	src, err := replica.NewSource("127.0.0.1:0", replica.SourceConfig{WAL: leader.WAL()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer src.Close()
+	follower, err := NewEngine(EngineConfig{Predictor: cfg, DataDir: t.TempDir(), Follower: true, SegmentBytes: 32 << 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer follower.Close()
+	follow := func() *replica.Follower {
+		t.Helper()
+		fl, err := replica.StartFollower(src.Addr(), replica.FollowerConfig{Applier: follower, RetryInterval: 10 * time.Millisecond})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fl
+	}
+	// ingest logs obs on the leader, makes it durable, and waits until
+	// the follower holds it.
+	ingest := func(obs []FleetObservation) {
+		t.Helper()
+		for _, o := range obs {
+			leader.Ingest(o) //nolint:errcheck // a refused row is logged as no record
+		}
+		if err := leader.WAL().Sync(); err != nil {
+			t.Fatal(err)
+		}
+		head := leader.WAL().SyncedSeq()
+		waitUntil(t, 30*time.Second, "follower catch-up", func() bool { return follower.ReplicationResume() == head })
+	}
+	obs := engineStream(t, 37, 2)
+	third := len(obs) / 3
+	fl := follow()
+	ingest(obs[:third])
+	if err := leader.Snapshot(); err != nil {
+		t.Fatal(err)
+	}
+	ingest(nil)
+	largest := 0
+	if err := leader.WAL().Replay(func(_ uint64, p []byte) error {
+		if rec, err := decodeRecord(p); err == nil && rec.kind == recState {
+			largest = max(largest, len(p))
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if largest <= 256<<10 {
+		t.Fatalf("largest state record %d bytes, want one past the 256 KiB a session retains", largest)
+	}
+	n := requireLogSuffix(t, leader, follower)
+
+	fl.Close()
+	for _, o := range obs[third : 2*third] {
+		leader.Ingest(o) //nolint:errcheck
+	}
+	fl = follow()
+	defer fl.Close()
+	ingest(obs[2*third:])
+	if got := requireLogSuffix(t, leader, follower); got <= n {
+		t.Fatalf("%d bytes compared after the reconnect, %d before", got, n)
 	}
 }
