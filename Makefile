@@ -77,99 +77,59 @@ bench-ingest:
 	$(GO) test . -run '^$$' -bench '$(INGEST_BENCH)' -benchmem -count=5 -benchtime=2s \
 		| $(GO) run ./cmd/benchjson -o BENCH_ingest.json
 
-# Read-path perf baseline: frozen-snapshot scoring vs the live forest.
-# internal/core's BenchmarkScoreFrozen isolates the tree walk at fleet
-# scale; the root package's BenchmarkPredictScore/BenchmarkEngineScore
-# measure the end-to-end model and engine paths (idle and under
-# concurrent ingest). Separate output file so refreshing one baseline
-# never clobbers the other.
+# $(call bench-pair,NAME,PKGS,BENCH,SMOKE_BENCH,FLAGS,SMOKE_FLAGS,GATE_FLAGS,MATCH[,FIRST])
+# defines two targets. bench-NAME records BENCH over PKGS with FLAGS,
+# then SMOKE_BENCH in the -short (smoke) regime with SMOKE_FLAGS, into
+# BENCH_NAME.json: the full numbers are the headline baseline, the smoke
+# ones what the gate compares against. bench-NAME-smoke runs FIRST when
+# given, then re-measures SMOKE_BENCH with GATE_FLAGS and fails on a >25%
+# ns/op regression against the committed entries matching MATCH. `$$$$`
+# in an argument is one `$` in the recipe; cont is a recipe line break,
+# which a define would fold into a space if written in place.
+define nl
+
+
+endef
+cont := \$(nl)
+define bench-pair
+bench-$(1):
+	( $$(GO) test $(2) -run '^$$$$' -bench '$(3)' $(5) && $(cont)	  $$(GO) test $(2) -run '^$$$$' -short -bench '$(4)' $(6) ) $(cont)		| $$(GO) run ./cmd/benchjson -o BENCH_$(1).json
+
+bench-$(1)-smoke:
+	$(9)
+	$$(GO) test $(2) -run '^$$$$' -short -bench '$(4)' $(7) $(cont)		| $$(GO) run ./cmd/benchjson -check BENCH_$(1).json -match '$(8)' -tol 0.25
+endef
+
+# Read path: frozen-snapshot scoring vs the live forest. internal/core's
+# BenchmarkScoreFrozen isolates the tree walk at fleet scale; the root
+# package's BenchmarkPredictScore/BenchmarkEngineScore measure the model
+# and engine paths (idle and under concurrent ingest). The mode-split
+# batch benchmarks prefix their sub-names with their forest-size regime
+# (full/, or smoke/ under -short); the smoke target first runs every
+# read-path benchmark once, proving each still compiles and runs.
 PREDICT_BENCH = BenchmarkScoreFrozen|BenchmarkRefreeze|BenchmarkPredictScore|BenchmarkEngineScore
-
-# The mode-split benchmarks (batch-size sweep, refreeze cost) prefix
-# their sub-names with the forest-size regime they ran in (full/, or
-# smoke/ under -short). bench-predict records BOTH regimes into
-# BENCH_predict.json — the full numbers are the headline baseline, the
-# smoke numbers exist so bench-predict-smoke can gate a cheap -short
-# re-run against entries measured on the same forest size.
 PREDICT_BATCH_BENCH = BenchmarkScoreFrozenBatch|BenchmarkRefreeze|BenchmarkPredictScoreBatch|BenchmarkEngineScoreBatch
+$(eval $(call bench-pair,predict,./internal/core .,$$(PREDICT_BENCH),$$(PREDICT_BATCH_BENCH),-benchmem -count=5 -benchtime=1s -timeout 30m,-benchmem -count=5 -benchtime=1s -timeout 30m,-benchmem -count=3 -benchtime=1s -timeout 15m,/smoke/,$$(GO) test ./internal/core . -run '^$$$$' -short -bench '$$(PREDICT_BENCH)' -benchtime=1x))
 
-bench-predict:
-	( $(GO) test ./internal/core . -run '^$$' -bench '$(PREDICT_BENCH)' -benchmem -count=5 -benchtime=1s -timeout 30m && \
-	  $(GO) test ./internal/core . -run '^$$' -short -bench '$(PREDICT_BATCH_BENCH)' -benchmem -count=5 -benchtime=1s -timeout 30m ) \
-		| $(GO) run ./cmd/benchjson -o BENCH_predict.json
-
-# Read-path smoke: a one-iteration pass proves every benchmark still
-# compiles and runs, then the mode-split batch benchmarks re-measure in
-# the smoke regime and gate against the committed baseline's /smoke/
-# entries — >25% ns/op (or any allocs/op) regression fails the build.
-bench-predict-smoke:
-	$(GO) test ./internal/core . -run '^$$' -short -bench '$(PREDICT_BENCH)' -benchtime=1x
-	$(GO) test ./internal/core . -run '^$$' -short -bench '$(PREDICT_BATCH_BENCH)' -benchmem -count=3 -benchtime=1s -timeout 15m \
-		| $(GO) run ./cmd/benchjson -check BENCH_predict.json -match '/smoke/' -tol 0.25
-
-# Replication-path perf baseline: live-tail shipping throughput (async
-# and per-write synchronous-commit variants) and the cold-follower
-# catch-up (restart) path. Records BOTH regimes — full (headline
-# numbers) and smoke (the -short sizes bench-replicate-smoke gates
-# against) — into BENCH_replicate.json.
+# Replication path: live-tail shipping (async and per-write synchronous
+# commit) and the cold-follower catch-up (restart) path.
 REPLICATE_BENCH = BenchmarkReplicationShip|BenchmarkFollowerCatchup
+$(eval $(call bench-pair,replicate,./internal/replica,$$(REPLICATE_BENCH),$$(REPLICATE_BENCH),-benchmem -count=5 -benchtime=1s,-benchmem -count=5 -benchtime=1s,-benchmem -count=3 -benchtime=1s,/smoke/))
 
-bench-replicate:
-	( $(GO) test ./internal/replica -run '^$$' -bench '$(REPLICATE_BENCH)' -benchmem -count=5 -benchtime=1s && \
-	  $(GO) test ./internal/replica -run '^$$' -short -bench '$(REPLICATE_BENCH)' -benchmem -count=5 -benchtime=1s ) \
-		| $(GO) run ./cmd/benchjson -o BENCH_replicate.json
-
-# Replication smoke gate: re-measure the smoke regime (small catch-up
-# backlog, same ship paths — sync-ack variant included) and fail on a
-# >25% ns/op regression against the committed baseline's /smoke/
-# entries.
-bench-replicate-smoke:
-	$(GO) test ./internal/replica -run '^$$' -short -bench '$(REPLICATE_BENCH)' -benchmem -count=3 -benchtime=1s \
-		| $(GO) run ./cmd/benchjson -check BENCH_replicate.json -match '/smoke/' -tol 0.25
-
-# Historical-replay perf baseline: the cmd/orfload backfill pipeline
-# (parallel readers + chronological merge + scoring-free batched
-# ingest), its naive single-goroutine Ingest baseline, and post-kill
-# recovery replay. Records BOTH corpus regimes — full (headline numbers)
-# and smoke (the CI-sized corpus bench-replay-smoke gates against) —
-# into BENCH_replay.json. No -benchmem: each op spins up and tears down
-# a whole engine, so allocs/op is scheduler noise here; rows/s and MB/s
-# are the metrics that matter.
+# Historical replay: the cmd/orfload backfill pipeline (parallel readers,
+# chronological merge, scoring-free batched ingest), its naive
+# single-goroutine Ingest baseline, and post-kill recovery replay. No
+# -benchmem: each op spins up and tears down a whole engine, so allocs/op
+# is scheduler noise here; rows/s and MB/s are the metrics that matter.
 REPLAY_BENCH = BenchmarkBackfillPipeline|BenchmarkBackfillNaive|BenchmarkBackfillRecovery
+$(eval $(call bench-pair,replay,./internal/backfill,$$(REPLAY_BENCH),$$(REPLAY_BENCH),-count=5 -benchtime=1x -timeout 60m,-count=5 -benchtime=1x -timeout 30m,-count=3 -benchtime=1x -timeout 30m,/smoke$$$$))
 
-bench-replay:
-	( $(GO) test ./internal/backfill -run '^$$' -bench '$(REPLAY_BENCH)' -count=5 -benchtime=1x -timeout 60m && \
-	  $(GO) test ./internal/backfill -run '^$$' -short -bench '$(REPLAY_BENCH)' -count=5 -benchtime=1x -timeout 30m ) \
-		| $(GO) run ./cmd/benchjson -o BENCH_replay.json
-
-# Replay smoke gate: re-measure the smoke-corpus regime and fail on a
-# >25% ns/op regression against the committed baseline's /smoke/
-# entries.
-bench-replay-smoke:
-	$(GO) test ./internal/backfill -run '^$$' -short -bench '$(REPLAY_BENCH)' -count=3 -benchtime=1x -timeout 30m \
-		| $(GO) run ./cmd/benchjson -check BENCH_replay.json -match '/smoke$$' -tol 0.25
-
-# Snapshot-codec perf baseline: one full serialize/parse of a trained
-# forest per op, across the two on-disk codecs — orf2-flate (the
-# parallel-compressed production format) and orf2-raw (same framing,
-# passthrough codec: the uncompressed baseline). snap_bytes in the JSON
-# records the encoded sizes the compression is accepted against (>= 2x
-# smaller than raw). Records BOTH forest regimes — full (headline) and
-# smoke (what bench-snapshot-smoke gates against) — into
-# BENCH_snapshot.json.
+# Snapshot codec: one full serialize/parse of a trained forest per op in
+# orf2-flate (the parallel-compressed production format) and orf2-raw
+# (same framing, passthrough codec). snap_bytes in the JSON records the
+# encoded sizes the compression is accepted against (>= 2x smaller).
 SNAPSHOT_BENCH = BenchmarkSnapshotEncode|BenchmarkSnapshotDecode
-
-bench-snapshot:
-	( $(GO) test ./internal/core -run '^$$' -bench '$(SNAPSHOT_BENCH)' -benchmem -count=5 -benchtime=1s && \
-	  $(GO) test ./internal/core -run '^$$' -short -bench '$(SNAPSHOT_BENCH)' -benchmem -count=5 -benchtime=1s ) \
-		| $(GO) run ./cmd/benchjson -o BENCH_snapshot.json
-
-# Snapshot smoke gate: re-measure the smoke-forest regime and fail on a
-# >25% ns/op regression against the committed baseline's /smoke
-# entries.
-bench-snapshot-smoke:
-	$(GO) test ./internal/core -run '^$$' -short -bench '$(SNAPSHOT_BENCH)' -benchmem -count=3 -benchtime=1s \
-		| $(GO) run ./cmd/benchjson -check BENCH_snapshot.json -match '/smoke$$' -tol 0.25
+$(eval $(call bench-pair,snapshot,./internal/core,$$(SNAPSHOT_BENCH),$$(SNAPSHOT_BENCH),-benchmem -count=5 -benchtime=1s,-benchmem -count=5 -benchtime=1s,-benchmem -count=3 -benchtime=1s,/smoke$$$$))
 
 # Smoke-run every benchmark in the repo (one iteration each): catches
 # benchmarks that no longer compile or crash, measures nothing.

@@ -574,7 +574,7 @@ func BenchmarkAblationTreeReplacement(b *testing.B) {
 		}
 		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				runner := eval.NewORFRunner(len(c.Features), core.Config{
+				runner := eval.NewORFRunner(len(c.Features), smart.PredictionHorizonDays, core.Config{
 					Trees: 15, Seed: uint64(i), DisableReplacement: disabled,
 				})
 				runner.ConsumeThroughDay(c, 0, days)
@@ -592,7 +592,7 @@ func BenchmarkAblationLambdaN(b *testing.B) {
 	for _, ln := range []float64{0.02, 0.2, 1.0} {
 		b.Run("lambdaN="+formatFloat(ln), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				runner := eval.NewORFRunner(len(c.Features), core.Config{
+				runner := eval.NewORFRunner(len(c.Features), smart.PredictionHorizonDays, core.Config{
 					Trees: 15, LambdaNeg: ln, Seed: uint64(i),
 				})
 				runner.ConsumeThroughDay(c, 0, days)

@@ -57,13 +57,11 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
-	"sync"
 	"syscall"
 	"time"
 
 	"orfdisk"
 	"orfdisk/internal/metrics"
-	"orfdisk/internal/replica"
 )
 
 func main() {
@@ -138,102 +136,21 @@ func main() {
 	srv := orfdisk.NewServerWithEngine(eng)
 	srv.SetBatchLimits(*batchBytes, *batchItems)
 
-	// The replication topology can change at runtime (promotion starts a
-	// ship listener; POST /v1/follow swaps the replication client), so
-	// both handles live behind a mutex.
-	var (
-		replMu sync.Mutex
-		src    *replica.Source
-		fl     *replica.Follower
-	)
-	// startSource opens the WAL-ship listener and attaches it to the
-	// engine as the sync-commit ack waiter and the advertised
-	// replicate_addr (so a routing tier can re-point followers here).
-	startSource := func() error {
-		s, err := replica.NewSource(*replAddr, replica.SourceConfig{
-			WAL:     eng.WAL(),
-			Metrics: reg,
-			Logger:  logger,
-		})
-		if err != nil {
-			return err
-		}
-		replMu.Lock()
-		src = s
-		replMu.Unlock()
-		eng.SetAckWaiter(s)
-		eng.SetReplicationSourceAddr(s.Addr())
-		logger.Info("shipping WAL to followers", "addr", s.Addr(), "sync_acks", *syncAcks)
-		return nil
-	}
-	if *replAddr != "" && *follow == "" {
-		if err := startSource(); err != nil {
+	// The engine owns its replication role from here on: it starts the
+	// source at promotion, re-points the client on POST /v1/follow, and
+	// stops both before its final snapshot pass.
+	if *replAddr != "" {
+		if err := eng.ShipWAL(*replAddr); err != nil {
 			logger.Error("replication listener failed", "addr", *replAddr, "err", err)
 			os.Exit(1)
 		}
 	}
 	if *follow != "" {
-		startFollower := func(leader string) (*replica.Follower, error) {
-			return replica.StartFollower(leader, replica.FollowerConfig{
-				Applier: eng,
-				Metrics: reg,
-				Logger:  logger,
-			})
-		}
-		fl, err = startFollower(*follow)
-		if err != nil {
+		if err := eng.Follow(*follow); err != nil {
 			logger.Error("starting replication client failed", "leader", *follow, "err", err)
 			os.Exit(1)
 		}
-		// POST /v1/follow re-points this follower at a new leader (the
-		// routing tier calls it on survivors after a failover): stop the
-		// old stream, then dial the new address.
-		srv.SetFollowControl(func(leader string) error {
-			if eng.Replication().Role != "follower" {
-				return fmt.Errorf("not a follower: refusing to re-point")
-			}
-			replMu.Lock()
-			defer replMu.Unlock()
-			if fl != nil {
-				fl.Close()
-				fl = nil
-			}
-			nf, err := startFollower(leader)
-			if err != nil {
-				return err
-			}
-			fl = nf
-			logger.Info("re-pointed replication client", "leader", leader)
-			return nil
-		})
-		// Promotion (POST /v1/promote) ends the old life first: stop
-		// pulling from the dead leader before the engine takes writes,
-		// then — when configured — start shipping to the survivors.
-		eng.OnPromote(func() {
-			logger.Info("promotion: stopping replication client")
-			replMu.Lock()
-			old := fl
-			fl = nil
-			replMu.Unlock()
-			if old != nil {
-				old.Close()
-			}
-			if *replAddr != "" {
-				if err := startSource(); err != nil {
-					logger.Error("promotion: replication listener failed", "addr", *replAddr, "err", err)
-				}
-			}
-		})
-		logger.Info("following leader", "leader", *follow,
-			"ready_max_lag", *readyMaxLag, "ready_max_silence", *readyMaxSil)
 	}
-	defer func() {
-		replMu.Lock()
-		defer replMu.Unlock()
-		if fl != nil {
-			fl.Close()
-		}
-	}()
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
@@ -297,14 +214,8 @@ func main() {
 		os.Exit(1)
 	}
 	<-shutdownDone
-	// Stop shipping before closing the engine: the source tails the
-	// engine's WAL.
-	replMu.Lock()
-	if src != nil {
-		src.Close()
-	}
-	replMu.Unlock()
-	// Drain shard mailboxes, run the final snapshot pass, close the WAL.
+	// Stop replication, drain shard mailboxes, run the final snapshot
+	// pass, close the WAL.
 	if err := srv.Close(); err != nil {
 		logger.Error("close failed", "err", err)
 		os.Exit(1)

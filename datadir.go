@@ -1,54 +1,20 @@
 package orfdisk
 
 import (
-	"errors"
 	"fmt"
-	"io/fs"
 	"os"
-	"path/filepath"
 	"strings"
 )
 
 // The data directory (EngineConfig.DataDir) holds the write-ahead log
 // and nothing else: model state and the backfill resume point live in
-// the log as state and pass records (engine.go).
+// the log as state and pass records (engine.go). internal/wal is the
+// only writer of both entries:
 //
 //	wal/          the write-ahead log; internal/wal names its files
-//	wal-dropped/  a log a follower reset is removing (Engine.Reset);
+//	wal-dropped/  a log a follower reset is removing (wal.WAL.Reset);
 //	              whatever a crash leaves of it goes at the next start
-const (
-	walDirName     = "wal"
-	droppedDirName = "wal-dropped"
-)
-
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	err = d.Sync()
-	if cerr := d.Close(); err == nil {
-		err = cerr
-	}
-	return err
-}
-
-// dropLog removes dir's log crash-safely: renamed aside, the rename made
-// durable, then deleted. A crash leaves the old log whole or none (a
-// renamed remnant the next call deletes first).
-func dropLog(dir string) error {
-	aside := filepath.Join(dir, droppedDirName)
-	if err := os.RemoveAll(aside); err != nil {
-		return err
-	}
-	if err := os.Rename(filepath.Join(dir, walDirName), aside); err != nil && !errors.Is(err, fs.ErrNotExist) {
-		return err
-	}
-	if err := syncDir(dir); err != nil {
-		return err
-	}
-	return os.RemoveAll(aside)
-}
+const walDirName = "wal"
 
 // refuseRetired fails on a directory the PR 30 release kept state in
 // beside its log: model snapshots, the backfill cursor file, a seed

@@ -288,7 +288,7 @@ func TestPassAndResetCrashPoints(t *testing.T) {
 		d := t.TempDir()
 		copyTree(t, dir, d)
 		if renamed {
-			if err := os.Rename(filepath.Join(d, walDirName), filepath.Join(d, droppedDirName)); err != nil {
+			if err := os.Rename(filepath.Join(d, walDirName), filepath.Join(d, "wal-dropped")); err != nil {
 				t.Fatal(err)
 			}
 		} else if err := os.RemoveAll(filepath.Join(d, walDirName)); err != nil {

@@ -13,6 +13,7 @@ import (
 
 	"orfdisk/internal/engine"
 	"orfdisk/internal/metrics"
+	"orfdisk/internal/replica"
 	"orfdisk/internal/wal"
 )
 
@@ -82,18 +83,23 @@ type Engine struct {
 	lastFrame       atomic.Int64
 	readyMaxLag     uint64
 	readyMaxSilence time.Duration
-	promoteMu       sync.Mutex
-	onPromote       []func()
+
+	// The replication lifecycle (see replicate.go). roleMu serializes
+	// ShipWAL, Follow, Promote, Demote and Close: shipAddr is where a
+	// source listens once the engine leads, client the stream a follower
+	// pulls, and closed refuses both after Close. src is the running
+	// source, read without the lock by writes waiting for acks.
+	roleMu   sync.Mutex
+	shipAddr string
+	client   *replica.Follower
+	closed   bool
+	src      atomic.Pointer[replica.Source]
 
 	// Synchronous commit (see replicate.go): with syncAcks > 0 a leader
 	// write returns only after that many followers fsync-ack its WAL
-	// sequence number, via the attached ackWaiter (the replication
-	// source). replAddr is the source's listener address, reported in
-	// /v1/replication so the routing tier can re-point followers.
+	// sequence number, via src.
 	syncAcks       int
 	syncAckTimeout time.Duration
-	ackWaiter      atomic.Pointer[AckWaiter]
-	replAddr       atomic.Value // string
 
 	stop      chan struct{}
 	tickDone  chan struct{}
@@ -156,8 +162,8 @@ type EngineConfig struct {
 	ReadyMaxSilence time.Duration
 	// SyncAcks, when positive, makes leader writes synchronous: Ingest,
 	// IngestBatch and Retire return only after this many followers have
-	// fsync-acknowledged the write's WAL records (via the AckWaiter
-	// attached with SetAckWaiter). A write that times out waiting
+	// fsync-acknowledged the write's WAL records (via the source
+	// ShipWAL starts). A write that times out waiting
 	// returns ErrSyncUnacked — durable locally, indeterminate across
 	// the group. Requires DataDir. 0 keeps replication asynchronous.
 	SyncAcks int
@@ -797,10 +803,22 @@ func (e *Engine) Snapshot() error {
 	return nil
 }
 
-// Close drains all shard mailboxes, runs a final snapshot pass (when
-// durable) and releases the WAL. The engine is unusable afterwards.
+// Close stops the replication source and client, drains all shard
+// mailboxes, runs a final snapshot pass (when durable) and releases the
+// WAL. The engine is unusable afterwards.
 func (e *Engine) Close() error {
 	e.closeOnce.Do(func() {
+		// Replication stops first: the client applies records on the
+		// shards and the source tails the log, both closed below.
+		e.roleMu.Lock()
+		e.closed = true
+		if e.client != nil {
+			e.client.Close()
+		}
+		if src := e.src.Load(); src != nil {
+			src.Close()
+		}
+		e.roleMu.Unlock()
 		if e.stop != nil {
 			close(e.stop)
 			<-e.tickDone
@@ -832,10 +850,6 @@ func (e *Engine) open() error {
 		return err
 	}
 	if err := refuseRetired(dir); err != nil {
-		return err
-	}
-	// A crash inside a follower reset leaves its old log renamed aside.
-	if err := os.RemoveAll(filepath.Join(dir, droppedDirName)); err != nil {
 		return err
 	}
 	w, err := wal.Open(wal.Options{

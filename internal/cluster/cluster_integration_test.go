@@ -11,11 +11,11 @@ import (
 	"time"
 
 	"orfdisk"
-	"orfdisk/internal/replica"
 )
 
 // TestRouterFailoverOverRealCluster wires the whole stack together:
-// real engines (leader shipping its WAL, follower applying it), real
+// real engines (leader shipping its WAL, follower applying it, both
+// through ShipWAL and Follow as orfserve starts them), real
 // HTTP servers, the router in front. The leader's server dies
 // mid-ingest; the router must notice, promote the follower over HTTP,
 // and keep accepting writes without the client seeing anything beyond
@@ -33,11 +33,9 @@ func TestRouterFailoverOverRealCluster(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer leaderEng.Close()
-	src, err := replica.NewSource("127.0.0.1:0", replica.SourceConfig{WAL: leaderEng.WAL()})
-	if err != nil {
+	if err := leaderEng.ShipWAL("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
-	defer src.Close()
 
 	followerEng, err := orfdisk.NewEngine(orfdisk.EngineConfig{
 		Predictor: predCfg, DataDir: t.TempDir(), Follower: true,
@@ -46,14 +44,9 @@ func TestRouterFailoverOverRealCluster(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer followerEng.Close()
-	fl, err := replica.StartFollower(src.Addr(), replica.FollowerConfig{
-		Applier: followerEng, RetryInterval: 20 * time.Millisecond,
-	})
-	if err != nil {
+	if err := followerEng.Follow(leaderEng.Replication().ReplicateAddr); err != nil {
 		t.Fatal(err)
 	}
-	defer fl.Close()
-	followerEng.OnPromote(func() { fl.Close() })
 
 	leaderHTTP := httptest.NewServer(orfdisk.NewServerWithEngine(leaderEng).Handler())
 	defer leaderHTTP.Close()

@@ -31,7 +31,7 @@ func AblationReplacement(c *Corpus, deployMonth int, targetFAR float64, base cor
 		cfg := base
 		cfg.Seed = seed
 		cfg.DisableReplacement = v.disable
-		runner := NewORFRunner(len(c.Features), cfg)
+		runner := NewORFRunner(len(c.Features), smart.PredictionHorizonDays, cfg)
 		deployDay := deployMonth * smart.DaysPerMonth
 		cursor := runner.ConsumeThroughDay(c, 0, deployDay)
 		th := calibrate(c, runner.Scorer(), deployMonth-3, deployMonth, targetFAR)

@@ -89,43 +89,49 @@ func BuildCorpus(opt Options) (*Corpus, error) {
 	}
 	split := dataset.SplitDisks(gen.Disks(), opt.TrainFrac, opt.Seed^0x5eed)
 	c := &Corpus{
-		Gen:        gen,
-		Name:       opt.Profile.Name,
-		Days:       opt.Profile.Days(),
-		Features:   opt.Features,
-		TrainDisks: split.Train,
+		Gen:      gen,
+		Name:     opt.Profile.Name,
+		Days:     opt.Profile.Days(),
+		Features: opt.Features,
 	}
+	c.materialize(split, func(m dataset.DiskMeta) (days []int, xs [][]float64) {
+		for _, s := range gen.DiskSamples(m) {
+			days = append(days, s.Day)
+			xs = append(xs, smart.Project(s.Values, opt.Features))
+		}
+		return days, xs
+	})
+	return c, nil
+}
 
-	// Pass 1: raw projected trajectories for the training split, fitting
-	// the scaler per Eq. 5 over the training data of this disk model.
-	c.Scaler = smart.NewScaler(len(opt.Features))
+// materialize fills the corpus from a disk split: it fits the min-max
+// scaler per Eq. 5 on the training split, flattens the scaled training
+// trajectories into the chronological arrival stream, and scales the
+// test trajectories. trajectory returns one disk's observation days and
+// its projected, unscaled feature vectors (which materialize scales in
+// place); it is called for every training disk, then every test disk,
+// in split order.
+func (c *Corpus) materialize(split dataset.Split, trajectory func(dataset.DiskMeta) (days []int, xs [][]float64)) {
 	type rawDisk struct {
 		days []int
 		xs   [][]float64
-		fail bool
 	}
+	c.TrainDisks = split.Train
+	c.Scaler = smart.NewScaler(len(c.Features))
 	raws := make([]rawDisk, len(split.Train))
+	total := 0
 	for i, m := range split.Train {
-		ss := gen.DiskSamples(m)
-		rd := rawDisk{fail: m.Failed}
-		for _, s := range ss {
-			x := smart.Project(s.Values, opt.Features)
+		days, xs := trajectory(m)
+		for _, x := range xs {
 			c.Scaler.Observe(x)
-			rd.days = append(rd.days, s.Day)
-			rd.xs = append(rd.xs, x)
 		}
-		raws[i] = rd
+		raws[i] = rawDisk{days: days, xs: xs}
+		total += len(xs)
 	}
 
-	// Pass 2: scale in place and flatten into chronological arrivals.
-	total := 0
-	for i := range raws {
-		total += len(raws[i].xs)
-	}
 	c.TrainArrivals = make([]Arrival, 0, total)
 	c.trainLastDay = make([]int, len(split.Train))
-	for i := range raws {
-		rd := &raws[i]
+	for i, rd := range raws {
 		if len(rd.days) > 0 {
 			c.trainLastDay[i] = rd.days[len(rd.days)-1]
 		}
@@ -134,7 +140,7 @@ func BuildCorpus(opt Options) (*Corpus, error) {
 			c.TrainArrivals = append(c.TrainArrivals, Arrival{
 				DiskIdx: int32(i),
 				Day:     int32(rd.days[j]),
-				Fail:    rd.fail && j == len(rd.xs)-1,
+				Fail:    split.Train[i].Failed && j == len(rd.xs)-1,
 				X:       x,
 			})
 		}
@@ -146,20 +152,14 @@ func BuildCorpus(opt Options) (*Corpus, error) {
 		return c.TrainArrivals[a].DiskIdx < c.TrainArrivals[b].DiskIdx
 	})
 
-	// Test split: full scaled trajectories.
 	c.TestDisks = make([]TestDisk, 0, len(split.Test))
 	for _, m := range split.Test {
-		ss := gen.DiskSamples(m)
-		td := TestDisk{Meta: m}
-		for _, s := range ss {
-			x := smart.Project(s.Values, opt.Features)
+		days, xs := trajectory(m)
+		for _, x := range xs {
 			c.Scaler.Transform(x, x)
-			td.Days = append(td.Days, s.Day)
-			td.X = append(td.X, x)
 		}
-		c.TestDisks = append(c.TestDisks, td)
+		c.TestDisks = append(c.TestDisks, TestDisk{Meta: m, Days: days, X: xs})
 	}
-	return c, nil
 }
 
 // Months returns the number of whole months in the observation window.

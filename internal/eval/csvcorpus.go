@@ -107,70 +107,21 @@ func BuildCorpusFromSamples(samples []smart.Sample, opt SampleOptions) (*Corpus,
 		return nil, fmt.Errorf("eval: no disks with >= %d samples", opt.MinSamplesPerDisk)
 	}
 
-	split := dataset.SplitDisks(disks, opt.TrainFrac, opt.Seed^0x5eed)
 	c := &Corpus{
-		Name:       opt.Name,
-		Days:       maxDay + 1,
-		Features:   opt.Features,
-		TrainDisks: split.Train,
+		Name:     opt.Name,
+		Days:     maxDay + 1,
+		Features: opt.Features,
 	}
-
-	// Fit the scaler on the training split, then materialize.
-	c.Scaler = smart.NewScaler(len(opt.Features))
-	project := func(m dataset.DiskMeta) ([][]float64, []int) {
+	c.materialize(dataset.SplitDisks(disks, opt.TrainFrac, opt.Seed^0x5eed), func(m dataset.DiskMeta) ([]int, [][]float64) {
 		ss := byDisk[m.Serial]
-		xs := make([][]float64, len(ss))
 		days := make([]int, len(ss))
+		xs := make([][]float64, len(ss))
 		for j, s := range ss {
-			xs[j] = smart.Project(s.Values, opt.Features)
 			days[j] = s.Day - minDay
+			xs[j] = smart.Project(s.Values, opt.Features)
 		}
-		return xs, days
-	}
-	type rawDisk struct {
-		xs   [][]float64
-		days []int
-	}
-	raws := make([]rawDisk, len(split.Train))
-	for i, m := range split.Train {
-		xs, days := project(m)
-		for _, x := range xs {
-			c.Scaler.Observe(x)
-		}
-		raws[i] = rawDisk{xs: xs, days: days}
-	}
-	c.trainLastDay = make([]int, len(split.Train))
-	for i := range raws {
-		rd := &raws[i]
-		if len(rd.days) > 0 {
-			c.trainLastDay[i] = rd.days[len(rd.days)-1]
-		}
-		m := &split.Train[i]
-		for j, x := range rd.xs {
-			c.Scaler.Transform(x, x)
-			c.TrainArrivals = append(c.TrainArrivals, Arrival{
-				DiskIdx: int32(i),
-				Day:     int32(rd.days[j]),
-				Fail:    m.Failed && j == len(rd.xs)-1,
-				X:       x,
-			})
-		}
-	}
-	sort.SliceStable(c.TrainArrivals, func(a, b int) bool {
-		if c.TrainArrivals[a].Day != c.TrainArrivals[b].Day {
-			return c.TrainArrivals[a].Day < c.TrainArrivals[b].Day
-		}
-		return c.TrainArrivals[a].DiskIdx < c.TrainArrivals[b].DiskIdx
+		return days, xs
 	})
-
-	for _, m := range split.Test {
-		xs, days := project(m)
-		td := TestDisk{Meta: m, Days: days}
-		for _, x := range xs {
-			td.X = append(td.X, c.Scaler.Transform(x, x))
-		}
-		c.TestDisks = append(c.TestDisks, td)
-	}
 	return c, nil
 }
 

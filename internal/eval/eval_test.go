@@ -380,7 +380,7 @@ func min(a, b int) int {
 
 func TestORFRunnerLabeledCounts(t *testing.T) {
 	c := buildTestCorpus(t, 14)
-	runner := NewORFRunner(len(c.Features), core.Config{Trees: 5, MinParentSize: 100})
+	runner := NewORFRunner(len(c.Features), smart.PredictionHorizonDays, core.Config{Trees: 5, MinParentSize: 100})
 	runner.ConsumeThroughDay(c, 0, c.Gen.Profile().Days())
 	pos, neg := runner.LabeledCounts()
 	if pos == 0 || neg == 0 {

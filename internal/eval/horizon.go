@@ -1,10 +1,6 @@
 package eval
 
-import (
-	"orfdisk/internal/core"
-	"orfdisk/internal/labeling"
-	"orfdisk/internal/smart"
-)
+import "orfdisk/internal/core"
 
 // HorizonRow is one row of the horizon sweep: the prediction performance
 // of the offline RF and the ORF when "failure" means "fails within H
@@ -50,23 +46,9 @@ func HorizonSweep(c *Corpus, horizons []int, targetFAR float64,
 		// ORF with an H-deep labeling queue over the same stream.
 		cfg := orfCfg
 		cfg.Seed = seed + uint64(1000+hi)
-		forest := core.New(len(c.Features), cfg)
-		labeler := labeling.NewLabeler(h, func(s labeling.Labeled) {
-			yi := 0
-			if s.Y == smart.Positive {
-				yi = 1
-			}
-			forest.Update(s.X, yi)
-		})
-		for i := range c.TrainArrivals {
-			a := &c.TrainArrivals[i]
-			disk := c.TrainDisks[a.DiskIdx].Serial
-			labeler.Observe(disk, a.X, int(a.Day))
-			if a.Fail {
-				labeler.Fail(disk)
-			}
-		}
-		ds := scoreTestDisksH(c.TestDisks, forest.PredictProba, h)
+		runner := NewORFRunner(len(c.Features), h, cfg)
+		runner.Consume(c, 0, len(c.TrainArrivals))
+		ds := scoreTestDisksH(c.TestDisks, runner.Scorer(), h)
 		row.ORFFDR, row.ORFFAR = ds.FDRAtFAR(targetFAR)
 
 		rows = append(rows, row)

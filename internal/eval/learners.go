@@ -153,10 +153,11 @@ type ORFRunner struct {
 }
 
 // NewORFRunner creates a runner with the given ORF configuration over
-// dim-dimensional inputs.
-func NewORFRunner(dim int, cfg core.Config) *ORFRunner {
+// dim-dimensional inputs, labeling a disk's last horizon days before its
+// failure positive (smart.PredictionHorizonDays in the paper).
+func NewORFRunner(dim, horizon int, cfg core.Config) *ORFRunner {
 	r := &ORFRunner{Forest: core.New(dim, cfg)}
-	r.labeler = labeling.NewLabeler(smart.PredictionHorizonDays, func(s labeling.Labeled) {
+	r.labeler = labeling.NewLabeler(horizon, func(s labeling.Labeled) {
 		yi := 0
 		if s.Y == smart.Positive {
 			yi = 1

@@ -8,6 +8,7 @@ import (
 	"orfdisk/internal/dtree"
 	"orfdisk/internal/forest"
 	"orfdisk/internal/rng"
+	"orfdisk/internal/smart"
 	"orfdisk/internal/svm"
 )
 
@@ -101,7 +102,7 @@ func TestRFLearnerMaxRows(t *testing.T) {
 
 func TestORFRunnerConsumeIdempotentCursor(t *testing.T) {
 	c := buildTestCorpus(t, 30)
-	runner := NewORFRunner(len(c.Features), core.Config{Trees: 3, Seed: 1})
+	runner := NewORFRunner(len(c.Features), smart.PredictionHorizonDays, core.Config{Trees: 3, Seed: 1})
 	cur := runner.ConsumeThroughDay(c, 0, 50)
 	cur2 := runner.ConsumeThroughDay(c, cur, 50)
 	if cur2 != cur {

@@ -143,7 +143,7 @@ func LongTerm(c *Corpus, opt LongTermOptions) []Series {
 	}
 
 	// --- deploy the ORF ---
-	runner := NewORFRunner(len(c.Features), opt.ORFConfig)
+	runner := NewORFRunner(len(c.Features), smart.PredictionHorizonDays, opt.ORFConfig)
 	cursor := runner.ConsumeThroughDay(c, 0, deployDay)
 	thORF := calibrate(c, runner.Scorer(), calibFrom, opt.DeployMonth, opt.TargetFAR)
 

@@ -65,7 +65,7 @@ func MonthlyConvergence(c *Corpus, opt MonthlyOptions) []Series {
 		offSeries[i] = Series{Name: l.Name()}
 	}
 
-	runner := NewORFRunner(len(c.Features), opt.ORFConfig)
+	runner := NewORFRunner(len(c.Features), smart.PredictionHorizonDays, opt.ORFConfig)
 	cursor := 0
 	for month := 1; month <= opt.EndMonth; month++ {
 		day := month * smart.DaysPerMonth

@@ -5,6 +5,7 @@ import (
 
 	"orfdisk/internal/core"
 	"orfdisk/internal/forest"
+	"orfdisk/internal/smart"
 	"orfdisk/internal/stats"
 )
 
@@ -78,7 +79,7 @@ func Table4(c *Corpus, lambdaNs []float64, reps int, baseCfg core.Config, seed u
 			cfg := baseCfg
 			cfg.LambdaNeg = ln
 			cfg.Seed = seed + uint64(li*1000+rep)
-			runner := NewORFRunner(len(c.Features), cfg)
+			runner := NewORFRunner(len(c.Features), smart.PredictionHorizonDays, cfg)
 			runner.ConsumeThroughDay(c, 0, days)
 			ds := ScoreTestDisks(c.TestDisks, runner.Scorer())
 			fdr, far := ds.Rates(0.5)

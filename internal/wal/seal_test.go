@@ -148,6 +148,40 @@ func TestCreateContinuesNumbering(t *testing.T) {
 	}
 }
 
+// TestResetDropsLog: Reset leaves an empty log continuing from the name
+// it was given and nothing renamed aside, and Open deletes what a crash
+// after Reset's rename leaves.
+func TestResetDropsLog(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "wal")
+	w := openTest(t, dir, Options{})
+	for _, p := range []string{"a", "b"} {
+		if _, err := w.Append([]byte(p)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	w, err := w.Reset(40)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if seqs, _ := collect(t, w); len(seqs) != 0 || w.NextSeq() != 40 {
+		t.Fatalf("after Reset: records %v, NextSeq %d; want none and 40", seqs, w.NextSeq())
+	}
+	if _, err := os.Stat(dir + "-dropped"); !os.IsNotExist(err) {
+		t.Fatalf("the dropped log is still there: %v", err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Mkdir(dir+"-dropped", 0o755); err != nil {
+		t.Fatal(err)
+	}
+	w = openTest(t, dir, Options{})
+	defer w.Close()
+	if _, err := os.Stat(dir + "-dropped"); !os.IsNotExist(err) {
+		t.Fatalf("Open left a crashed Reset's remnant: %v", err)
+	}
+}
+
 // TestFailedRotationKeepsAppending: a rotation whose new segment cannot
 // be created fails, and the log keeps appending to the segment it had.
 func TestFailedRotationKeepsAppending(t *testing.T) {

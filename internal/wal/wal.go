@@ -167,11 +167,15 @@ type segment struct {
 
 // Open opens (or creates) the log in opts.Dir, truncating any torn
 // tail left by a crash, and positions it to append after the last
-// valid record.
+// valid record. It first deletes what a crash inside Reset left of a
+// dropped log.
 func Open(opts Options) (*WAL, error) {
 	opts.fill()
 	if opts.Dir == "" {
 		return nil, errors.New("wal: Options.Dir is required")
+	}
+	if err := os.RemoveAll(droppedDir(opts.Dir)); err != nil {
+		return nil, err
 	}
 	if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
 		return nil, err
@@ -549,6 +553,35 @@ func Create(opts Options, first uint64) (*WAL, error) {
 	}
 	return Open(opts)
 }
+
+// Reset closes w and replaces its log with an empty one, opened with
+// w's options, whose first segment is named after first — as a follower
+// that drops its own log to stream its leader's from the oldest record
+// does. The old log goes first: renamed aside to Dir + "-dropped", the
+// rename made durable, then deleted, so a crash at any step leaves the
+// old log whole or none (Open deletes a renamed remnant).
+func (w *WAL) Reset(first uint64) (*WAL, error) {
+	if err := w.Close(); err != nil {
+		return nil, err
+	}
+	dir, aside := w.opts.Dir, droppedDir(w.opts.Dir)
+	if err := os.RemoveAll(aside); err != nil {
+		return nil, err
+	}
+	if err := os.Rename(dir, aside); err != nil && !errors.Is(err, os.ErrNotExist) {
+		return nil, err
+	}
+	if err := syncDir(filepath.Dir(dir)); err != nil {
+		return nil, err
+	}
+	if err := os.RemoveAll(aside); err != nil {
+		return nil, err
+	}
+	return Create(w.opts, first)
+}
+
+// droppedDir is where Reset renames the log in dir before deleting it.
+func droppedDir(dir string) string { return filepath.Clean(dir) + "-dropped" }
 
 func syncDir(dir string) error {
 	d, err := os.Open(dir)

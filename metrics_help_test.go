@@ -14,12 +14,11 @@ import (
 	"orfdisk/internal/backfill"
 	"orfdisk/internal/cluster"
 	"orfdisk/internal/metrics"
-	"orfdisk/internal/replica"
 )
 
 // TestEveryMetricHasHelp builds every registry the binaries build, the
-// way they build it — orfserve as a leader shipping its log and as a
-// follower attached to it, both behind the HTTP middleware, orfload's
+// way they build it — orfserve as a leader shipping its log (ShipWAL)
+// and as a follower attached to it (Follow), both behind the HTTP middleware, orfload's
 // engine and loader, and orfrouter over the two nodes — and fails naming
 // each family rendered without help text. Tests elsewhere retrieve
 // families by name with empty help, so only registries no test touched
@@ -38,23 +37,17 @@ func TestEveryMetricHasHelp(t *testing.T) {
 
 	leaderReg := metrics.NewRegistry()
 	leader := open(leaderReg, false)
-	src, err := replica.NewSource("127.0.0.1:0", replica.SourceConfig{WAL: leader.WAL(), Metrics: leaderReg})
-	if err != nil {
+	if err := leader.ShipWAL("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
-	defer src.Close()
-	leader.SetAckWaiter(src)
-	leader.SetReplicationSourceAddr(src.Addr())
 	leaderHTTP := httptest.NewServer(orfdisk.NewServerWithEngine(leader).Handler())
 	defer leaderHTTP.Close()
 
 	followerReg := metrics.NewRegistry()
 	follower := open(followerReg, true)
-	fl, err := replica.StartFollower(src.Addr(), replica.FollowerConfig{Applier: follower, Metrics: followerReg})
-	if err != nil {
+	if err := follower.Follow(leader.Replication().ReplicateAddr); err != nil {
 		t.Fatal(err)
 	}
-	defer fl.Close()
 	followerHTTP := httptest.NewServer(orfdisk.NewServerWithEngine(follower).Handler())
 	defer followerHTTP.Close()
 

@@ -3,7 +3,6 @@ package orfdisk
 import (
 	"errors"
 	"fmt"
-	"path/filepath"
 	"time"
 
 	"orfdisk/internal/replica"
@@ -45,23 +44,68 @@ var ErrNotLeader = errors.New("orfdisk: not the leader (follower replicas are re
 // with Retry-After; clients must treat the write as indeterminate.
 var ErrSyncUnacked = errors.New("orfdisk: write durable locally but not acknowledged by enough followers")
 
-// AckWaiter blocks until k followers have durably acknowledged a WAL
-// sequence number — implemented by *replica.Source. The engine calls
-// it after its own fsync when EngineConfig.SyncAcks > 0.
-type AckWaiter interface {
-	WaitAcked(seq uint64, k int, timeout time.Duration) error
+// errNotFollower refuses Follow on an engine that leads or ships its
+// log: a demoted leader rejoins a group by restarting as a follower.
+var errNotFollower = errors.New("orfdisk: not a follower: refusing to re-point")
+
+// ShipWAL makes addr (e.g. ":9480"; "127.0.0.1:0" in tests) where the
+// engine serves its log to followers. On a leader it starts a
+// replica.Source on the engine's log, metrics registry and logger at
+// once; on a follower it only records addr, and Promote starts the
+// source. The running source is the synchronous-commit ack waiter, and
+// its address is what /v1/replication reports, so a routing tier can
+// re-point survivors at it after a promotion. Requires a DataDir.
+func (e *Engine) ShipWAL(addr string) error {
+	if e.cfg.DataDir == "" {
+		return errors.New("orfdisk: shipping the WAL requires a DataDir")
+	}
+	e.roleMu.Lock()
+	defer e.roleMu.Unlock()
+	if e.closed || e.src.Load() != nil {
+		return errors.New("orfdisk: engine closed or already shipping its WAL")
+	}
+	e.shipAddr = addr
+	if e.follower.Load() {
+		return nil
+	}
+	return e.startSourceLocked()
 }
 
-// SetAckWaiter attaches the replication source whose follower acks
-// gate synchronous commits. Until one is attached, an engine with
-// SyncAcks > 0 fails writes (fail-closed: the guarantee cannot be
-// provided, so the write is not acknowledged).
-func (e *Engine) SetAckWaiter(w AckWaiter) { e.ackWaiter.Store(&w) }
+// startSourceLocked starts shipping the log at shipAddr; roleMu held.
+func (e *Engine) startSourceLocked() error {
+	src, err := replica.NewSource(e.shipAddr, replica.SourceConfig{WAL: e.wal, Metrics: e.reg, Logger: e.log})
+	if err != nil {
+		return err
+	}
+	e.src.Store(src)
+	e.log.Info("shipping WAL to followers", "addr", src.Addr(), "sync_acks", e.syncAcks)
+	return nil
+}
 
-// SetReplicationSourceAddr records the address of the replication
-// listener this engine is serving, for /v1/replication — the routing
-// tier uses it to re-point surviving followers after a promotion.
-func (e *Engine) SetReplicationSourceAddr(addr string) { e.replAddr.Store(addr) }
+// Follow points a follower's replication client at the leader source
+// at addr: the running client, if any, stops first, then one with the
+// engine as its Applier dials addr. The routing tier calls it (POST
+// /v1/follow) on survivors after a promotion. It refuses on a leader,
+// and on a demoted one still shipping its log.
+func (e *Engine) Follow(addr string) error {
+	e.roleMu.Lock()
+	defer e.roleMu.Unlock()
+	if e.closed || !e.follower.Load() || e.src.Load() != nil {
+		return errNotFollower
+	}
+	if e.client != nil {
+		e.client.Close()
+		e.client = nil
+	}
+	client, err := replica.StartFollower(addr, replica.FollowerConfig{Applier: e, Metrics: e.reg, Logger: e.log})
+	if err != nil {
+		return err
+	}
+	e.client = client
+	e.log.Info("following leader", "leader", addr,
+		"ready_max_lag", e.readyMaxLag, "ready_max_silence", e.readyMaxSilence)
+	return nil
+}
 
 // waitSyncAcks gates a leader write behind follower acks when
 // synchronous commit is on. The record is already applied and in the
@@ -76,11 +120,11 @@ func (e *Engine) waitSyncAcks(seq uint64) error {
 	if err := e.wal.Sync(); err != nil {
 		return err
 	}
-	wp := e.ackWaiter.Load()
-	if wp == nil {
+	src := e.src.Load()
+	if src == nil {
 		return fmt.Errorf("%w: no replication source attached", ErrSyncUnacked)
 	}
-	if err := (*wp).WaitAcked(seq, e.syncAcks, e.syncAckTimeout); err != nil {
+	if err := src.WaitAcked(seq, e.syncAcks, e.syncAckTimeout); err != nil {
 		return fmt.Errorf("%w: %v", ErrSyncUnacked, err)
 	}
 	return nil
@@ -140,9 +184,6 @@ func (e *Engine) ApplyReplicated(recs []replica.Record) error {
 	// The log ends where the shards do: a run a shard sheds (ErrBusy) is
 	// neither logged nor applied, and is redelivered after the next
 	// handshake, which acks last — so last is synced on an error too.
-	if last > applied {
-		e.replApplied.Store(last)
-	}
 	if serr := e.wal.Sync(); err == nil {
 		err = serr
 	}
@@ -151,35 +192,27 @@ func (e *Engine) ApplyReplicated(recs []replica.Record) error {
 			e.cut = first
 		}
 	}
+	// Published last, so a reader of ReplicationResume finds the log
+	// synced and truncated as far as the position says.
+	if last > applied {
+		e.replApplied.Store(last)
+	}
 	return err
 }
 
 // Reset implements replica.Resetter: it drops the follower's log and
 // state, leaving an empty log whose next record is oldest, the leader's
 // oldest segment, so the next session streams the leader's whole log.
-// The log goes first — renamed aside, the rename made durable, then
-// deleted — so a crash at any step leaves the old log or none, and an
-// empty log only resets again. Runs on the replication client's
-// goroutine, the one that calls ApplyReplicated.
+// The log goes first (wal.WAL.Reset), so a crash at any step leaves the
+// old log or none, and an empty log only resets again. Runs on the
+// replication client's goroutine, the one that calls ApplyReplicated.
 func (e *Engine) Reset(oldest uint64) error {
 	if !e.follower.Load() {
 		return ErrNotLeader
 	}
 	e.snapMu.Lock()
 	defer e.snapMu.Unlock()
-	if err := e.wal.Close(); err != nil {
-		return err
-	}
-	if err := dropLog(e.cfg.DataDir); err != nil {
-		return err
-	}
-	w, err := wal.Create(wal.Options{
-		Dir:          filepath.Join(e.cfg.DataDir, walDirName),
-		SegmentBytes: e.cfg.SegmentBytes,
-		SyncBytes:    e.cfg.SyncBytes,
-		SyncInterval: e.cfg.SyncInterval,
-		Metrics:      e.reg,
-	}, oldest)
+	w, err := e.wal.Reset(oldest)
 	if err != nil {
 		return err
 	}
@@ -250,7 +283,7 @@ type ReplicationStatus struct {
 	// (0 = asynchronous replication).
 	SyncAcks int `json:"sync_acks,omitempty"`
 	// ReplicateAddr is the address of the replication listener this
-	// leader serves, when one is attached — the routing tier re-points
+	// leader serves, when ShipWAL started one — the routing tier re-points
 	// surviving followers at it after a promotion.
 	ReplicateAddr string `json:"replicate_addr,omitempty"`
 }
@@ -275,8 +308,8 @@ func (e *Engine) Replication() ReplicationStatus {
 		return st
 	}
 	st := ReplicationStatus{Role: "leader", Applied: e.wallessApplied(), SyncAcks: e.syncAcks}
-	if addr, ok := e.replAddr.Load().(string); ok {
-		st.ReplicateAddr = addr
+	if src := e.src.Load(); src != nil {
+		st.ReplicateAddr = src.Addr()
 	}
 	return st
 }
@@ -320,26 +353,31 @@ func (e *Engine) Ready() (bool, string) {
 }
 
 // Promote turns a follower into a leader. Idempotent; safe to call on a
-// leader (no-op). The engine starts accepting writes immediately,
-// continuing the leader's sequence numbering, and any OnPromote hooks
-// run (synchronously) exactly once — the serving layer uses one to stop
-// the follower client.
+// leader (no-op). The replication client stops first, so no leader
+// record lands after the engine's own; then the engine accepts writes,
+// continuing the leader's sequence numbering, and starts shipping its
+// log at the address ShipWAL recorded.
 //
 // Promote does not contact the old leader: the caller (a routing tier,
 // an operator) decides when the leader is dead. Promoting while the old
 // leader still accepts writes forks the logs — exactly the split-brain
 // every external failover system risks; fence the old leader first.
 func (e *Engine) Promote() {
-	if !e.follower.CompareAndSwap(true, false) {
+	e.roleMu.Lock()
+	defer e.roleMu.Unlock()
+	if e.closed || !e.follower.Load() {
 		return
 	}
+	if e.client != nil {
+		e.client.Close()
+		e.client = nil
+	}
+	e.follower.Store(false)
 	e.log.Info("promoted to leader", "applied_seq", e.replApplied.Load())
-	e.promoteMu.Lock()
-	hooks := e.onPromote
-	e.onPromote = nil
-	e.promoteMu.Unlock()
-	for _, fn := range hooks {
-		fn()
+	if e.shipAddr != "" && e.src.Load() == nil {
+		if err := e.startSourceLocked(); err != nil {
+			e.log.Error("promotion: replication listener failed", "addr", e.shipAddr, "err", err)
+		}
 	}
 }
 
@@ -349,10 +387,13 @@ func (e *Engine) Promote() {
 // suspect old leader before or after promoting a replacement, so a
 // resurrected process cannot keep accepting direct writes and fork the
 // log. A demoted engine has no replication client pulling from the new
-// leader; it also reports not-ready, keeping it out of read rotations
-// until it is restarted with -follow to rejoin the group as a real
-// replica. Idempotent; a no-op on an engine that is already a follower.
+// leader, and Follow refuses it while it ships its log; it also reports
+// not-ready, keeping it out of read rotations until it is restarted as
+// a follower to rejoin the group as a real replica. Idempotent; a no-op
+// on an engine that is already a follower.
 func (e *Engine) Demote() {
+	e.roleMu.Lock()
+	defer e.roleMu.Unlock()
 	if !e.follower.CompareAndSwap(false, true) {
 		return
 	}
@@ -361,19 +402,6 @@ func (e *Engine) Demote() {
 	e.replApplied.Store(e.wallessApplied())
 	e.log.Warn("demoted: refusing writes until restarted as a follower",
 		"applied_seq", e.replApplied.Load())
-}
-
-// OnPromote registers fn to run when Promote fires (synchronously, in
-// registration order). Registering after promotion runs fn immediately.
-func (e *Engine) OnPromote(fn func()) {
-	e.promoteMu.Lock()
-	if e.follower.Load() {
-		e.onPromote = append(e.onPromote, fn)
-		e.promoteMu.Unlock()
-		return
-	}
-	e.promoteMu.Unlock()
-	fn()
 }
 
 // registerReplicaGauges surfaces follower lag for scraping. Registered

@@ -283,13 +283,12 @@ func TestFollowerGatesWritesAndReadiness(t *testing.T) {
 		t.Fatalf("replication status: %+v", st)
 	}
 
-	// Promotion lifts the gate and runs hooks exactly once.
-	hooks := 0
-	eng.OnPromote(func() { hooks++ })
+	// Promotion lifts the gate; a second one changes nothing.
 	eng.Promote()
+	promoted := eng.Replication()
 	eng.Promote() // idempotent
-	if hooks != 1 {
-		t.Fatalf("OnPromote ran %d times", hooks)
+	if st := eng.Replication(); st != promoted {
+		t.Fatalf("second promotion changed the status: %+v, then %+v", promoted, st)
 	}
 	if _, err := eng.Ingest(obs); err != nil {
 		t.Fatalf("Ingest after promotion: %v", err)
@@ -299,12 +298,6 @@ func TestFollowerGatesWritesAndReadiness(t *testing.T) {
 	}
 	if st := eng.Replication(); st.Role != "leader" {
 		t.Fatalf("role after promotion: %+v", st)
-	}
-	// Hooks registered after promotion fire immediately.
-	late := 0
-	eng.OnPromote(func() { late++ })
-	if late != 1 {
-		t.Fatal("post-promotion OnPromote did not fire")
 	}
 }
 
@@ -809,12 +802,9 @@ func TestSyncAcksTimeoutWithoutFollower(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer eng.Close()
-	src, err := replica.NewSource("127.0.0.1:0", replica.SourceConfig{WAL: eng.WAL()})
-	if err != nil {
+	if err := eng.ShipWAL("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
-	defer src.Close()
-	eng.SetAckWaiter(src)
 
 	obs := engineStream(t, 13, 1)
 	if _, err := eng.Ingest(obs[0]); !errors.Is(err, ErrSyncUnacked) {
@@ -852,14 +842,11 @@ func TestSyncAcksSatisfiedAndPartition(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer leader.Close()
-	src, err := replica.NewSource("127.0.0.1:0", replica.SourceConfig{WAL: leader.WAL()})
-	if err != nil {
+	if err := leader.ShipWAL("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
-	defer src.Close()
-	leader.SetAckWaiter(src)
 
-	follower, fl := newFollower(t, t.TempDir(), src.Addr())
+	follower, fl := newFollower(t, t.TempDir(), leader.Replication().ReplicateAddr)
 	defer follower.Close()
 	for _, o := range obs {
 		if _, err := leader.Ingest(o); err != nil {

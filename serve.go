@@ -37,7 +37,6 @@ import (
 //	POST /v1/promote        promote a follower replica to leader (idempotent)
 //	POST /v1/demote         fence this instance: stop accepting writes (idempotent)
 //	POST /v1/follow         {addr} re-point this follower at a new leader
-//	                        (501 unless the entrypoint wired SetFollowControl)
 //	GET  /healthz           -> 200 ok (process is up)
 //	GET  /readyz            -> 200 ready, or 503 {"error": reason} while a
 //	                           follower's replication lag exceeds its limit
@@ -77,8 +76,6 @@ type Server struct {
 
 	requests *metrics.CounterVec
 	latency  *metrics.HistogramVec
-
-	followCtl func(addr string) error
 }
 
 // maxBodyBytes caps every request body read by the server, except
@@ -137,14 +134,6 @@ func (s *Server) SetBatchLimits(maxBytes int64, maxItems int) {
 		s.batchMaxItems = maxItems
 	}
 }
-
-// SetFollowControl wires POST /v1/follow to fn, which must re-point
-// this instance's replication client at the given leader address
-// (tearing down any existing stream first). Without it the endpoint
-// answers 501. Call before Handler; the process entrypoint (orfserve)
-// installs one on follower instances so a routing tier can re-point
-// survivors after a failover instead of requiring a restart.
-func (s *Server) SetFollowControl(fn func(addr string) error) { s.followCtl = fn }
 
 // Engine returns the serving engine behind the API.
 func (s *Server) Engine() *Engine { return s.eng }
@@ -384,7 +373,7 @@ func (s *Server) handleDemote(w http.ResponseWriter, r *http.Request) {
 // handleFollow re-points this follower's replication stream at a new
 // leader address — the routing tier calls it on surviving followers
 // after a promotion so they resume shipping from the new leader
-// without a process restart.
+// without a process restart. A leader answers 409.
 func (s *Server) handleFollow(w http.ResponseWriter, r *http.Request) {
 	var req struct {
 		Addr string `json:"addr"`
@@ -397,12 +386,7 @@ func (s *Server) handleFollow(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "bad request: missing addr")
 		return
 	}
-	if s.followCtl == nil {
-		writeError(w, http.StatusNotImplemented,
-			"follow control is not wired on this instance")
-		return
-	}
-	if err := s.followCtl(req.Addr); err != nil {
+	if err := s.eng.Follow(req.Addr); err != nil {
 		writeError(w, http.StatusConflict, err.Error())
 		return
 	}
