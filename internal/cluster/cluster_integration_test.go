@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -147,5 +148,66 @@ func TestRouterFailoverOverRealCluster(t *testing.T) {
 	}
 	if !sawLeader {
 		t.Fatalf("topology does not show the promoted node as the healthy leader: %+v", rt.Topology())
+	}
+}
+
+// TestRouterWriteAppliedOverRealEngine: a SyncAcks 1 leader with no
+// follower logs every write and then answers 503 + Retry-After +
+// X-Orf-Write-Applied. Through the router, observe, a batch and a
+// retire each reach the client as that 503 with both headers, and each
+// write is logged exactly once — the router never replays it.
+func TestRouterWriteAppliedOverRealEngine(t *testing.T) {
+	eng, err := orfdisk.NewEngine(orfdisk.EngineConfig{
+		Predictor: orfdisk.Config{Horizon: 4, ORF: orfdisk.ORFConfig{Trees: 2, MinParentSize: 50, Seed: 1}},
+		DataDir:   t.TempDir(), SyncAcks: 1, SyncAckTimeout: 50 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	if err := eng.ShipWAL("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(orfdisk.NewServerWithEngine(eng).Handler())
+	defer srv.Close()
+	rt, err := New([]GroupSpec{{Name: "g0", Nodes: []string{srv.URL}}}, Config{HealthInterval: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Close()
+	h := rt.Handler()
+
+	for _, c := range []struct{ path, body string }{
+		{"/v1/observe", `{"serial":"S1","model":"M","day":0}`},
+		{"/v1/observe/batch", `{"observations":[{"serial":"S2","model":"M","day":0},{"serial":"S3","model":"M","day":0}]}`},
+		{"/v1/retire", `{"serial":"S1"}`},
+	} {
+		before := eng.WAL().NextSeq()
+		w := post(t, h, c.path, c.body)
+		if w.Code != http.StatusServiceUnavailable {
+			t.Fatalf("%s: status %d: %s", c.path, w.Code, w.Body)
+		}
+		if got := w.Header().Get("X-Orf-Write-Applied"); got != "true" {
+			t.Fatalf("%s: X-Orf-Write-Applied %q", c.path, got)
+		}
+		if got := w.Header().Get("Retry-After"); got != "1" {
+			t.Fatalf("%s: Retry-After %q", c.path, got)
+		}
+		if got := eng.WAL().NextSeq(); got != before+1 {
+			t.Fatalf("%s: leader logged %d records, want 1", c.path, got-before)
+		}
+		if c.path == "/v1/observe/batch" {
+			var items []orfdisk.BatchItemResponse
+			if err := json.Unmarshal(w.Body.Bytes(), &items); err != nil {
+				t.Fatal(err)
+			}
+			if len(items) != 2 || items[0].Serial != "S2" || items[1].Serial != "S3" ||
+				!strings.Contains(items[0].Error, orfdisk.ErrSyncUnacked.Error()) {
+				t.Fatalf("batch items: %s", w.Body)
+			}
+		}
+	}
+	if got := rt.retries.Value(); got != 0 {
+		t.Fatalf("router_write_retries_total = %d, want 0", got)
 	}
 }

@@ -4,10 +4,13 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"log/slog"
 	"net/http"
+	"net/url"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -236,13 +239,8 @@ func (rt *Router) probeAll() {
 }
 
 func (rt *Router) probe(n *node, path string) bool {
-	resp, err := rt.cfg.Client.Get(n.url + path)
-	if err != nil {
-		return false
-	}
-	io.Copy(io.Discard, resp.Body) //nolint:errcheck
-	resp.Body.Close()
-	return resp.StatusCode == http.StatusOK
+	status, _, _, err := rt.call(http.MethodGet, n, path, nil, 0)
+	return err == nil && status == http.StatusOK
 }
 
 // upstreamRepl is the slice of a node's /v1/replication answer the
@@ -257,93 +255,51 @@ type upstreamRepl struct {
 // treat unknown as "leave it alone".
 func (rt *Router) replicationOf(n *node) (upstreamRepl, bool) {
 	var st upstreamRepl
-	resp, err := rt.cfg.Client.Get(n.url + "/v1/replication")
-	if err != nil {
-		return st, false
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		io.Copy(io.Discard, resp.Body) //nolint:errcheck
-		return st, false
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		return st, false
-	}
-	return st, true
+	status, _, body, err := rt.call(http.MethodGet, n, "/v1/replication", nil, 0)
+	ok := err == nil && status == http.StatusOK && json.Unmarshal(body, &st) == nil
+	return st, ok
 }
 
-// roleOf probes a node's replication role ("leader" / "follower").
-func (rt *Router) roleOf(n *node) (string, bool) {
-	st, ok := rt.replicationOf(n)
-	return st.Role, ok
-}
-
-// postCtl issues one control-plane POST (fence, re-point) under its
-// own ctlTimeout deadline, so a black-holed node cannot pin a
-// failover for the data-path Client's full timeout. Returns the status
-// and a nil error only when the request completed.
-func (rt *Router) postCtl(url string, body []byte) (int, error) {
-	ctx, cancel := context.WithTimeout(context.Background(), ctlTimeout)
-	defer cancel()
-	var rd io.Reader
-	if body != nil {
-		rd = bytes.NewReader(body)
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, rd)
+// control issues one control-plane POST (fence, re-point) under its own
+// ctlTimeout deadline, so a black-holed node cannot pin a failover for
+// the data-path Client's full timeout, and counts its outcome (ok,
+// rejected, unreachable) in c. The attribute says what went wrong, for
+// the caller's log line.
+func (rt *Router) control(c *metrics.CounterVec, n *node, path string, body []byte) (string, slog.Attr) {
+	status, _, _, err := rt.call(http.MethodPost, n, path, body, ctlTimeout)
+	outcome, cause := "ok", slog.Attr{}
 	if err != nil {
-		return 0, err
+		outcome, cause = "unreachable", slog.Any("err", err)
+	} else if status != http.StatusOK {
+		outcome, cause = "rejected", slog.Int("status", status)
 	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := rt.cfg.Client.Do(req)
-	if err != nil {
-		return 0, err
-	}
-	io.Copy(io.Discard, resp.Body) //nolint:errcheck
-	resp.Body.Close()
-	return resp.StatusCode, nil
+	c.With(outcome).Inc()
+	return outcome, cause
 }
 
 // demote fences a node: best-effort POST /v1/demote so it stops
-// accepting writes. Returns whether the node acknowledged the fence;
-// every attempt lands in router_demotions_total{outcome} so silent
-// fence failures show up on dashboards instead of only in logs.
-func (rt *Router) demote(g *group, n *node, why string) bool {
-	status, err := rt.postCtl(n.url+"/v1/demote", nil)
-	if err != nil {
-		rt.demotions.With("unreachable").Inc()
-		rt.cfg.Logger.Warn("fence: demote unreachable", "group", g.name, "node", n.url, "reason", why, "err", err)
-		return false
+// accepting writes. Every attempt lands in
+// router_demotions_total{outcome} so silent fence failures show up on
+// dashboards instead of only in logs.
+func (rt *Router) demote(g *group, n *node, why string) {
+	if outcome, cause := rt.control(rt.demotions, n, "/v1/demote", nil); outcome != "ok" {
+		rt.cfg.Logger.Warn("fence: demote "+outcome, "group", g.name, "node", n.url, "reason", why, cause)
+		return
 	}
-	if status != http.StatusOK {
-		rt.demotions.With("rejected").Inc()
-		rt.cfg.Logger.Warn("fence: demote rejected", "group", g.name, "node", n.url, "reason", why, "status", status)
-		return false
-	}
-	rt.demotions.With("ok").Inc()
 	rt.cfg.Logger.Warn("fenced node (demoted)", "group", g.name, "node", n.url, "reason", why)
-	return true
 }
 
 // repoint asks a surviving follower to re-point its replication stream
 // at the new leader's ship address (POST /v1/follow). Best-effort: a
-// node that predates follow control answers 501 and keeps its old
-// behavior (stale stream, not-ready, operator restart).
+// node that refuses (it leads) or cannot be reached keeps its stale
+// stream and stays not-ready until an operator restarts it.
 func (rt *Router) repoint(g *group, n *node, addr, newLeader string) {
 	body, _ := json.Marshal(map[string]string{"addr": addr})
-	status, err := rt.postCtl(n.url+"/v1/follow", body)
-	if err != nil {
-		rt.repoints.With("unreachable").Inc()
-		rt.cfg.Logger.Warn("re-point unreachable; restart the follower with -follow pointed at the new leader",
-			"group", g.name, "follower", n.url, "new_leader", newLeader, "err", err)
+	if outcome, cause := rt.control(rt.repoints, n, "/v1/follow", body); outcome != "ok" {
+		rt.cfg.Logger.Warn("re-point "+outcome+"; restart the follower with -follow pointed at the new leader",
+			"group", g.name, "follower", n.url, "new_leader", newLeader, cause)
 		return
 	}
-	if status != http.StatusOK {
-		rt.repoints.With("rejected").Inc()
-		rt.cfg.Logger.Warn("re-point rejected; restart the follower with -follow pointed at the new leader",
-			"group", g.name, "follower", n.url, "new_leader", newLeader, "status", status)
-		return
-	}
-	rt.repoints.With("ok").Inc()
 	rt.cfg.Logger.Warn("re-pointed surviving follower at new leader",
 		"group", g.name, "follower", n.url, "new_leader", newLeader, "replicate_addr", addr)
 }
@@ -373,7 +329,7 @@ func (rt *Router) probeGroup(g *group) {
 		if i == leader || !n.healthy.Load() {
 			continue
 		}
-		if role, ok := rt.roleOf(n); ok && role == "leader" {
+		if st, ok := rt.replicationOf(n); ok && st.Role == "leader" {
 			rt.demote(g, n, "stale leader resurrected")
 		}
 	}
@@ -412,15 +368,13 @@ func (rt *Router) probeGroup(g *group) {
 	// probe.
 	rt.demote(g, ln, "promoting replacement")
 	target := nodes[cand]
-	resp, err := rt.cfg.Client.Post(target.url+"/v1/promote", "application/json", nil)
+	status, _, _, err := rt.call(http.MethodPost, target, "/v1/promote", nil, 0)
 	if err != nil {
 		rt.cfg.Logger.Error("promotion request failed", "group", g.name, "node", target.url, "err", err)
 		return
 	}
-	io.Copy(io.Discard, resp.Body) //nolint:errcheck
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		rt.cfg.Logger.Error("promotion rejected", "group", g.name, "node", target.url, "status", resp.StatusCode)
+	if status != http.StatusOK {
+		rt.cfg.Logger.Error("promotion rejected", "group", g.name, "node", target.url, "status", status)
 		return
 	}
 	g.mu.Lock()
@@ -434,7 +388,7 @@ func (rt *Router) probeGroup(g *group) {
 	// sit at not-ready (silence gate) forever. Ask the new leader where
 	// it ships from and re-point each survivor over POST /v1/follow; when
 	// the new leader does not expose a ship address (replication source
-	// disabled, or an old build), fall back to the operator warning.
+	// disabled), fall back to the operator warning.
 	st, ok := rt.replicationOf(target)
 	for i, n := range nodes {
 		if i == cand || i == leader {
@@ -449,46 +403,100 @@ func (rt *Router) probeGroup(g *group) {
 	}
 }
 
-// --- routing data path ---
+// --- upstream calls ---
 
-// groupFor maps a routing key (model when known, else serial) to its
-// replication group. Clients should send the model consistently: a
-// request carrying only the serial hashes the serial instead, which
-// stays deterministic but may land on a different group than the
-// model's — fine for writes (the group's engine keeps its own
-// serial->model routing memory) as long as every write for that serial
-// does the same.
-func (rt *Router) groupFor(model, serial string) *group {
-	key := model
-	if key == "" {
-		key = serial
+// call issues one upstream request and slurps the reply. Every request
+// the router sends goes through here. The Client's timeout bounds each;
+// a positive timeout bounds it further.
+func (rt *Router) call(method string, n *node, path string, body []byte, timeout time.Duration) (int, http.Header, []byte, error) {
+	ctx := context.Background()
+	if timeout > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, timeout)
+		defer cancel()
 	}
-	return rt.groups[rt.ring.Member(key)]
-}
-
-func writeError(w http.ResponseWriter, status int, msg string) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(map[string]string{"error": msg}) //nolint:errcheck
-}
-
-// writeJSONOK encodes v fully before writing so an encode failure
-// becomes a clean 500 rather than a 200 header stapled to a truncated
-// body.
-func writeJSONOK(w http.ResponseWriter, v any) {
-	b, err := json.Marshal(v)
+	req, err := http.NewRequestWithContext(ctx, method, n.url+path, bytes.NewReader(body))
 	if err != nil {
-		writeError(w, http.StatusInternalServerError, "encoding response: "+err.Error())
-		return
+		return 0, nil, nil, err
 	}
-	w.Header().Set("Content-Type", "application/json")
-	b = append(b, '\n')
-	w.Write(b) //nolint:errcheck
+	if method == http.MethodPost {
+		req.Header.Set("Content-Type", "application/json")
+	}
+	resp, err := rt.cfg.Client.Do(req)
+	if err != nil {
+		return 0, nil, nil, err
+	}
+	defer resp.Body.Close()
+	b, err := io.ReadAll(resp.Body)
+	if err != nil {
+		return 0, nil, nil, err
+	}
+	return resp.StatusCode, resp.Header, b, nil
 }
 
 // writeAppliedHeader marks a 503 whose write IS durable on the leader
 // (a synchronous-commit ack timeout): the router must not replay it.
 const writeAppliedHeader = "X-Orf-Write-Applied"
+
+// reply is one data-path exchange with an upstream node.
+type reply struct {
+	url    string
+	status int
+	hdr    http.Header
+	body   []byte
+	err    error
+}
+
+// writeApplied reports a 503 the upstream marked X-Orf-Write-Applied.
+func (rp reply) writeApplied() bool {
+	return rp.err == nil && rp.status == http.StatusServiceUnavailable && rp.hdr.Get(writeAppliedHeader) != ""
+}
+
+// problem says why rp is not one of the wanted statuses; "" when it is.
+func (rp reply) problem(want ...int) string {
+	if rp.err != nil {
+		return fmt.Sprintf("upstream %s: %v", rp.url, rp.err)
+	}
+	if !slices.Contains(want, rp.status) {
+		return fmt.Sprintf("upstream %s: status %d", rp.url, rp.status)
+	}
+	return ""
+}
+
+// errNoReplica stands in for the reply of a group with no node to ask.
+var errNoReplica = errors.New("no healthy replica")
+
+// exchange sends one data-path request by the rule every door shares. A
+// 503 with Retry-After and without X-Orf-Write-Applied means "again
+// shortly" (mailbox shed) and is retried once; a write-applied 503 is
+// durable on the leader and is never replayed, which would feed the
+// model a duplicate serial-day. route_requests_total counts the outcome:
+// unreachable on a transport error, upstream_error on a status >= 500,
+// ok otherwise.
+func (rt *Router) exchange(method string, n *node, path string, body []byte) reply {
+	rp := reply{url: n.url}
+	rp.status, rp.hdr, rp.body, rp.err = rt.call(method, n, path, body, 0)
+	if rp.err == nil && rp.status == http.StatusServiceUnavailable && !rp.writeApplied() {
+		if d, ok := retryAfter(rp.hdr); ok {
+			rt.retries.Inc()
+			select {
+			case <-time.After(d):
+				rp.status, rp.hdr, rp.body, rp.err = rt.call(method, n, path, body, 0)
+			case <-rt.stop:
+				// Shutting down: hand the client the original 503
+				// instead of issuing a pointless retry mid-teardown.
+			}
+		}
+	}
+	outcome := "ok"
+	if rp.err != nil {
+		outcome = "unreachable"
+	} else if rp.status >= 500 {
+		outcome = "upstream_error"
+	}
+	rt.requests.With(n.url, outcome).Inc()
+	return rp
+}
 
 // retryAfter parses a Retry-After seconds value, capped at 2 s so a
 // misbehaving upstream cannot stall a router handler goroutine.
@@ -508,66 +516,87 @@ func retryAfter(hdr http.Header) (time.Duration, bool) {
 	return d, true
 }
 
-// forward proxies one request body to node and copies the response
-// through, counting route_requests_total{node,outcome}.
-func (rt *Router) forward(w http.ResponseWriter, n *node, method, path string, body []byte) {
-	status, hdr, respBody, err := rt.do(n, method, path, body)
-	// One polite retry on an overloaded-but-honest upstream: a 503 with
-	// Retry-After means "again shortly" (mailbox shed, sync-ack timeout).
-	// Never retry when the upstream marked the write as already applied
-	// — replaying it would double-count the observation.
-	if err == nil && status == http.StatusServiceUnavailable && hdr.Get(writeAppliedHeader) == "" {
-		if d, ok := retryAfter(hdr); ok {
-			rt.retries.Inc()
-			select {
-			case <-time.After(d):
-				status, hdr, respBody, err = rt.do(n, method, path, body)
-			case <-rt.stop:
-				// Shutting down: hand the client the original 503
-				// instead of issuing a pointless retry mid-teardown.
-			}
+// passHeaders copies the reply headers a client acts on.
+func passHeaders(w http.ResponseWriter, hdr http.Header) {
+	for _, k := range []string{"Content-Type", "Retry-After", writeAppliedHeader} {
+		if v := hdr.Get(k); v != "" {
+			w.Header().Set(k, v)
 		}
 	}
-	if err != nil {
-		rt.requests.With(n.url, "unreachable").Inc()
-		writeError(w, http.StatusBadGateway, fmt.Sprintf("upstream %s: %v", n.url, err))
-		return
-	}
-	outcome := "ok"
-	if status >= 500 {
-		outcome = "upstream_error"
-	}
-	rt.requests.With(n.url, outcome).Inc()
-	if ct := hdr.Get("Content-Type"); ct != "" {
-		w.Header().Set("Content-Type", ct)
-	}
-	w.WriteHeader(status)
-	w.Write(respBody) //nolint:errcheck
 }
 
-// do issues one upstream request and slurps the response.
-func (rt *Router) do(n *node, method, path string, body []byte) (int, http.Header, []byte, error) {
-	var rd io.Reader
-	if body != nil {
-		rd = bytes.NewReader(body)
+// relay hands an upstream reply to the client: a transport error as a
+// 502, anything else as the upstream's status, headers and body.
+func relay(w http.ResponseWriter, rp reply) {
+	if rp.err != nil {
+		writeError(w, http.StatusBadGateway, rp.problem())
+		return
 	}
-	req, err := http.NewRequest(method, n.url+path, rd)
+	passHeaders(w, rp.hdr)
+	w.WriteHeader(rp.status)
+	w.Write(rp.body) //nolint:errcheck
+}
+
+// fanOut runs send(0), …, send(n-1) concurrently and returns their
+// replies in index order.
+func fanOut(n int, send func(i int) reply) []reply {
+	out := make([]reply, n)
+	var wg sync.WaitGroup
+	for i := range out {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			out[i] = send(i)
+		}()
+	}
+	wg.Wait()
+	return out
+}
+
+// --- routing data path ---
+
+// routeKey is the minimal decode the router needs: where does this
+// request go. The full strict decode happens on the engine node.
+type routeKey struct {
+	Serial string `json:"serial"`
+	Model  string `json:"model"`
+}
+
+// key is the ring key: the model when known, else the serial. Clients
+// should send the model consistently: a request carrying only the
+// serial hashes the serial instead, which stays deterministic but may
+// land on a different group than the model's — fine for writes (the
+// group's engine keeps its own serial->model routing memory) as long as
+// every write for that serial does the same.
+func (k routeKey) key() string {
+	if k.Model != "" {
+		return k.Model
+	}
+	return k.Serial
+}
+
+func (rt *Router) groupFor(key string) *group {
+	return rt.groups[rt.ring.Member(key)]
+}
+
+func writeError(w http.ResponseWriter, status int, msg string) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(status)
+	json.NewEncoder(w).Encode(map[string]string{"error": msg}) //nolint:errcheck
+}
+
+// writeJSON encodes v fully before writing so an encode failure becomes
+// a clean 500 rather than a status stapled to a truncated body.
+func writeJSON(w http.ResponseWriter, status int, v any) {
+	b, err := json.Marshal(v)
 	if err != nil {
-		return 0, nil, nil, err
+		writeError(w, http.StatusInternalServerError, "encoding response: "+err.Error())
+		return
 	}
-	if body != nil {
-		req.Header.Set("Content-Type", "application/json")
-	}
-	resp, err := rt.cfg.Client.Do(req)
-	if err != nil {
-		return 0, nil, nil, err
-	}
-	defer resp.Body.Close()
-	b, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return 0, nil, nil, err
-	}
-	return resp.StatusCode, resp.Header, b, nil
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(status)
+	b = append(b, '\n')
+	w.Write(b) //nolint:errcheck
 }
 
 // readBody slurps a request body under a 16 MiB cap.
@@ -580,39 +609,61 @@ func readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
 	return b, true
 }
 
-// routeKey is the minimal decode the router needs: where does this
-// observation go. The full strict decode happens on the engine node.
-type routeKey struct {
-	Serial string `json:"serial"`
-	Model  string `json:"model"`
+// route forwards one request to the group key hashes to, on the node
+// pick chooses: (*group).leaderNode for a write, (*group).readNode for a
+// read.
+func (rt *Router) route(w http.ResponseWriter, key string, pick func(*group) *node, method, path string, body []byte) {
+	g := rt.groupFor(key)
+	n := pick(g)
+	if n == nil {
+		writeError(w, http.StatusBadGateway, fmt.Sprintf("group %s has no healthy replica", g.name))
+		return
+	}
+	relay(w, rt.exchange(method, n, path, body))
 }
 
-func (rt *Router) handleObserve(w http.ResponseWriter, r *http.Request) {
-	body, ok := readBody(w, r)
-	if !ok {
-		return
+// routeBody routes a POST by the model or serial its JSON body names.
+func (rt *Router) routeBody(pick func(*group) *node) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		body, ok := readBody(w, r)
+		if !ok {
+			return
+		}
+		var k routeKey
+		if err := json.Unmarshal(body, &k); err != nil {
+			writeError(w, http.StatusBadRequest, "bad request: "+err.Error())
+			return
+		}
+		if k.key() == "" {
+			writeError(w, http.StatusBadRequest, "bad request: need model or serial to route")
+			return
+		}
+		rt.route(w, k.key(), pick, http.MethodPost, r.URL.Path, body)
 	}
-	var k routeKey
-	if err := json.Unmarshal(body, &k); err != nil {
-		writeError(w, http.StatusBadRequest, "bad request: "+err.Error())
-		return
-	}
-	if k.Model == "" && k.Serial == "" {
-		writeError(w, http.StatusBadRequest, "bad request: need model or serial to route")
-		return
-	}
-	g := rt.groupFor(k.Model, k.Serial)
-	rt.forward(w, g.leaderNode(), http.MethodPost, "/v1/observe", body)
 }
 
+func (rt *Router) handleImportance(w http.ResponseWriter, r *http.Request) {
+	model := r.URL.Query().Get("model")
+	if model == "" {
+		writeError(w, http.StatusBadRequest, "bad request: missing model")
+		return
+	}
+	rt.route(w, model, (*group).readNode, http.MethodGet,
+		"/v1/importance?"+url.Values{"model": {model}}.Encode(), nil)
+}
+
+// handleObserveBatch splits the batch by destination group, preserving
+// each item's position, sends the sub-batches concurrently, and merges
+// the per-item replies back into input order. A sub-batch that fails
+// becomes an error in each of its items' places. One answered 503 with
+// X-Orf-Write-Applied is durable and carries its per-item array; it is
+// merged like a 200, and makes the whole reply that 503 with its
+// headers, as the engine answers a batch it could not get acknowledged.
 func (rt *Router) handleObserveBatch(w http.ResponseWriter, r *http.Request) {
 	body, ok := readBody(w, r)
 	if !ok {
 		return
 	}
-	// Split the batch by destination group, preserving each item's
-	// original position, fan the sub-batches out concurrently, and merge
-	// the per-item replies back into input order.
 	var req struct {
 		Observations []json.RawMessage `json:"observations"`
 	}
@@ -625,128 +676,86 @@ func (rt *Router) handleObserveBatch(w http.ResponseWriter, r *http.Request) {
 		items []json.RawMessage
 		idxs  []int
 	}
-	parts := make(map[*group]*part)
-	var order []*part
+	byGroup := make(map[*group]*part)
+	var parts []*part
 	merged := make([]json.RawMessage, len(req.Observations))
 	for i, item := range req.Observations {
 		var k routeKey
-		if err := json.Unmarshal(item, &k); err != nil || (k.Model == "" && k.Serial == "") {
-			e, _ := json.Marshal(map[string]string{
+		if err := json.Unmarshal(item, &k); err != nil || k.key() == "" {
+			merged[i], _ = json.Marshal(map[string]string{
 				"serial": k.Serial, "error": "cannot route: need model or serial",
 			})
-			merged[i] = e
 			continue
 		}
-		g := rt.groupFor(k.Model, k.Serial)
-		p := parts[g]
+		g := rt.groupFor(k.key())
+		p := byGroup[g]
 		if p == nil {
 			p = &part{g: g}
-			parts[g] = p
-			order = append(order, p)
+			byGroup[g] = p
+			parts = append(parts, p)
 		}
 		p.items = append(p.items, item)
 		p.idxs = append(p.idxs, i)
 	}
-	var wg sync.WaitGroup
-	for _, p := range order {
-		wg.Add(1)
-		go func(p *part) {
-			defer wg.Done()
-			sub, _ := json.Marshal(map[string][]json.RawMessage{"observations": p.items})
-			n := p.g.leaderNode()
-			status, _, respBody, err := rt.do(n, http.MethodPost, "/v1/observe/batch", sub)
-			var results []json.RawMessage
-			if err == nil && status == http.StatusOK {
-				err = json.Unmarshal(respBody, &results)
+	replies := fanOut(len(parts), func(i int) reply {
+		sub, _ := json.Marshal(map[string][]json.RawMessage{"observations": parts[i].items})
+		return rt.exchange(http.MethodPost, parts[i].g.leaderNode(), "/v1/observe/batch", sub)
+	})
+	status := http.StatusOK
+	for i, rp := range replies {
+		p := parts[i]
+		msg := rp.problem(http.StatusOK)
+		if rp.writeApplied() {
+			msg, status = "", http.StatusServiceUnavailable
+			passHeaders(w, rp.hdr)
+		}
+		var results []json.RawMessage
+		if msg == "" {
+			if err := json.Unmarshal(rp.body, &results); err != nil {
+				msg = fmt.Sprintf("upstream %s: %v", rp.url, err)
+			} else if len(results) != len(p.idxs) {
+				msg = fmt.Sprintf("upstream %s: %d results for %d items", rp.url, len(results), len(p.idxs))
 			}
-			if err != nil || len(results) != len(p.idxs) {
-				rt.requests.With(n.url, "unreachable").Inc()
-				msg := fmt.Sprintf("upstream %s failed", n.url)
-				if err != nil {
-					msg = fmt.Sprintf("upstream %s: %v", n.url, err)
-				} else if status != http.StatusOK {
-					msg = fmt.Sprintf("upstream %s: status %d", n.url, status)
-				}
-				e, _ := json.Marshal(map[string]string{"error": msg})
-				for _, i := range p.idxs {
-					merged[i] = e
-				}
-				return
+		}
+		if msg != "" {
+			e, _ := json.Marshal(map[string]string{"error": msg})
+			for _, i := range p.idxs {
+				merged[i] = e
 			}
-			rt.requests.With(n.url, "ok").Inc()
-			for j, i := range p.idxs {
-				merged[i] = results[j]
-			}
-		}(p)
+			continue
+		}
+		for j, i := range p.idxs {
+			merged[i] = results[j]
+		}
 	}
-	wg.Wait()
-	writeJSONOK(w, merged)
-}
-
-func (rt *Router) handlePredict(w http.ResponseWriter, r *http.Request) {
-	body, ok := readBody(w, r)
-	if !ok {
-		return
-	}
-	var k routeKey
-	if err := json.Unmarshal(body, &k); err != nil {
-		writeError(w, http.StatusBadRequest, "bad request: "+err.Error())
-		return
-	}
-	if k.Model == "" && k.Serial == "" {
-		writeError(w, http.StatusBadRequest, "bad request: need model or serial to route")
-		return
-	}
-	g := rt.groupFor(k.Model, k.Serial)
-	n := g.readNode()
-	if n == nil {
-		writeError(w, http.StatusBadGateway, fmt.Sprintf("group %s has no healthy replica", g.name))
-		return
-	}
-	rt.forward(w, n, http.MethodPost, r.URL.Path, body)
+	writeJSON(w, status, merged)
 }
 
 // handleRetire broadcasts the retirement to every group's leader:
 // retiring an unknown serial is an idempotent no-op, so the group that
-// actually tracks the disk drops it and the rest answer 204.
+// actually tracks the disk drops it and the rest answer 204. A leader
+// that applied it without an acknowledgement answers a write-applied
+// 503, passed through unless another leader failed outright.
 func (rt *Router) handleRetire(w http.ResponseWriter, r *http.Request) {
 	body, ok := readBody(w, r)
 	if !ok {
 		return
 	}
-	type res struct {
-		status int
-		err    error
-		node   string
-	}
-	results := make([]res, len(rt.order))
-	var wg sync.WaitGroup
-	for i, name := range rt.order {
-		n := rt.groups[name].leaderNode()
-		wg.Add(1)
-		go func(i int, n *node) {
-			defer wg.Done()
-			status, _, _, err := rt.do(n, http.MethodPost, "/v1/retire", body)
-			outcome := "ok"
-			if err != nil {
-				outcome = "unreachable"
-			} else if status >= 500 {
-				outcome = "upstream_error"
-			}
-			rt.requests.With(n.url, outcome).Inc()
-			results[i] = res{status: status, err: err, node: n.url}
-		}(i, n)
-	}
-	wg.Wait()
-	for _, rr := range results {
-		if rr.err != nil {
-			writeError(w, http.StatusBadGateway, fmt.Sprintf("upstream %s: %v", rr.node, rr.err))
+	replies := fanOut(len(rt.order), func(i int) reply {
+		return rt.exchange(http.MethodPost, rt.groups[rt.order[i]].leaderNode(), "/v1/retire", body)
+	})
+	applied := -1
+	for i, rp := range replies {
+		if rp.writeApplied() {
+			applied = i
+		} else if msg := rp.problem(http.StatusNoContent, http.StatusOK); msg != "" {
+			writeError(w, http.StatusBadGateway, msg)
 			return
 		}
-		if rr.status != http.StatusNoContent && rr.status != http.StatusOK {
-			writeError(w, http.StatusBadGateway, fmt.Sprintf("upstream %s: status %d", rr.node, rr.status))
-			return
-		}
+	}
+	if applied >= 0 {
+		relay(w, replies[applied])
+		return
 	}
 	w.WriteHeader(http.StatusNoContent)
 }
@@ -755,70 +764,33 @@ func (rt *Router) handleRetire(w http.ResponseWriter, r *http.Request) {
 // models) across one healthy replica per group.
 func (rt *Router) handleFanGet(path string) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		var mu sync.Mutex
-		var merged []json.RawMessage
+		replies := fanOut(len(rt.order), func(i int) reply {
+			if n := rt.groups[rt.order[i]].readNode(); n != nil {
+				return rt.exchange(http.MethodGet, n, path, nil)
+			}
+			return reply{err: errNoReplica}
+		})
+		merged := []json.RawMessage{}
 		var failed []string
-		var wg sync.WaitGroup
-		for _, name := range rt.order {
-			g := rt.groups[name]
-			wg.Add(1)
-			go func(g *group) {
-				defer wg.Done()
-				n := g.readNode()
-				if n == nil {
-					mu.Lock()
-					failed = append(failed, g.name)
-					mu.Unlock()
-					return
-				}
-				status, _, body, err := rt.do(n, http.MethodGet, path, nil)
-				var items []json.RawMessage
-				if err == nil && status == http.StatusOK {
-					err = json.Unmarshal(body, &items)
-				}
-				if err != nil || status != http.StatusOK {
-					rt.requests.With(n.url, "unreachable").Inc()
-					mu.Lock()
-					failed = append(failed, g.name)
-					mu.Unlock()
-					return
-				}
-				rt.requests.With(n.url, "ok").Inc()
-				mu.Lock()
-				merged = append(merged, items...)
-				mu.Unlock()
-			}(g)
+		for i, rp := range replies {
+			var items []json.RawMessage
+			if rp.problem(http.StatusOK) != "" || json.Unmarshal(rp.body, &items) != nil {
+				failed = append(failed, rt.order[i])
+				continue
+			}
+			merged = append(merged, items...)
 		}
-		wg.Wait()
 		if len(failed) > 0 {
 			sort.Strings(failed)
 			writeError(w, http.StatusBadGateway,
 				fmt.Sprintf("groups unavailable: %s", strings.Join(failed, ", ")))
 			return
 		}
-		// Deterministic output: merge order follows goroutine completion,
-		// so sort by the raw JSON (model names dominate the prefix).
+		// Deterministic output whatever the group order: sort by the raw
+		// JSON (model names dominate the prefix).
 		sort.Slice(merged, func(i, j int) bool { return string(merged[i]) < string(merged[j]) })
-		if merged == nil {
-			merged = []json.RawMessage{}
-		}
-		writeJSONOK(w, merged)
+		writeJSON(w, http.StatusOK, merged)
 	}
-}
-
-func (rt *Router) handleImportance(w http.ResponseWriter, r *http.Request) {
-	model := r.URL.Query().Get("model")
-	if model == "" {
-		writeError(w, http.StatusBadRequest, "bad request: missing model")
-		return
-	}
-	g := rt.groupFor(model, "")
-	n := g.readNode()
-	if n == nil {
-		writeError(w, http.StatusBadGateway, fmt.Sprintf("group %s has no healthy replica", g.name))
-		return
-	}
-	rt.forward(w, n, http.MethodGet, "/v1/importance?model="+r.URL.Query().Get("model"), nil)
 }
 
 // ClusterNode is one node's entry in GET /v1/cluster.
@@ -857,7 +829,7 @@ func (rt *Router) Topology() []ClusterGroup {
 }
 
 func (rt *Router) handleCluster(w http.ResponseWriter, r *http.Request) {
-	writeJSONOK(w, rt.Topology())
+	writeJSON(w, http.StatusOK, rt.Topology())
 }
 
 func (rt *Router) handleReady(w http.ResponseWriter, r *http.Request) {
@@ -886,10 +858,10 @@ func method(m string, h http.HandlerFunc) http.HandlerFunc {
 // plus GET /v1/cluster for topology.
 func (rt *Router) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/v1/observe", method(http.MethodPost, rt.handleObserve))
+	mux.HandleFunc("/v1/observe", method(http.MethodPost, rt.routeBody((*group).leaderNode)))
 	mux.HandleFunc("/v1/observe/batch", method(http.MethodPost, rt.handleObserveBatch))
-	mux.HandleFunc("/v1/predict", method(http.MethodPost, rt.handlePredict))
-	mux.HandleFunc("/v1/predict/batch", method(http.MethodPost, rt.handlePredict))
+	mux.HandleFunc("/v1/predict", method(http.MethodPost, rt.routeBody((*group).readNode)))
+	mux.HandleFunc("/v1/predict/batch", method(http.MethodPost, rt.routeBody((*group).readNode)))
 	mux.HandleFunc("/v1/retire", method(http.MethodPost, rt.handleRetire))
 	mux.HandleFunc("/v1/stats", method(http.MethodGet, rt.handleFanGet("/v1/stats")))
 	mux.HandleFunc("/v1/models", method(http.MethodGet, rt.handleFanGet("/v1/models")))

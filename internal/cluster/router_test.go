@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -62,7 +64,10 @@ type fakeNode struct {
 	replAddr   atomic.Value // advertised replicate_addr (string; "" = none)
 	followed   atomic.Value // last addr received at POST /v1/follow
 	observe503 atomic.Int32 // remaining /v1/observe calls to answer 503 + Retry-After
-	applied503 atomic.Bool  // mark those 503s X-Orf-Write-Applied
+	batch503   atomic.Int32 // same, for /v1/observe/batch
+	retire503  atomic.Int32 // same, for /v1/retire
+	applied503 atomic.Bool  // mark those 503s X-Orf-Write-Applied (batch and retire then apply the write)
+	importance []string     // models asked for at /v1/importance
 }
 
 func newFakeNode(t *testing.T) *fakeNode {
@@ -112,13 +117,31 @@ func newFakeNode(t *testing.T) *fakeNode {
 			} `json:"observations"`
 		}
 		json.NewDecoder(r.Body).Decode(&req) //nolint:errcheck
+		status := http.StatusOK
+		if n.batch503.Load() > 0 {
+			n.batch503.Add(-1)
+			w.Header().Set("Retry-After", "0")
+			if !n.applied503.Load() {
+				http.Error(w, `{"error":"busy"}`, http.StatusServiceUnavailable)
+				return
+			}
+			// Like the engine: the write is durable, and the per-item array
+			// says so item by item.
+			w.Header().Set("X-Orf-Write-Applied", "true")
+			status = http.StatusServiceUnavailable
+		}
 		out := make([]map[string]any, len(req.Observations))
 		n.mu.Lock()
 		for i, o := range req.Observations {
 			n.observes = append(n.observes, o.Serial)
 			out[i] = map[string]any{"serial": o.Serial, "node": n.srv.URL}
+			if status != http.StatusOK {
+				out[i]["error"] = "sync unacked"
+			}
 		}
 		n.mu.Unlock()
+		w.Header().Set("Content-Type", "application/json")
+		w.WriteHeader(status)
 		json.NewEncoder(w).Encode(out) //nolint:errcheck
 	})
 	mux.HandleFunc("/v1/predict", func(w http.ResponseWriter, r *http.Request) {
@@ -132,13 +155,36 @@ func newFakeNode(t *testing.T) *fakeNode {
 			Serial string `json:"serial"`
 		}
 		json.NewDecoder(r.Body).Decode(&req) //nolint:errcheck
+		if n.retire503.Load() > 0 {
+			n.retire503.Add(-1)
+			w.Header().Set("Retry-After", "0")
+			if !n.applied503.Load() {
+				http.Error(w, `{"error":"busy"}`, http.StatusServiceUnavailable)
+				return
+			}
+			w.Header().Set("X-Orf-Write-Applied", "true")
+			n.mu.Lock()
+			n.retires = append(n.retires, req.Serial)
+			n.mu.Unlock()
+			http.Error(w, `{"error":"sync unacked"}`, http.StatusServiceUnavailable)
+			return
+		}
 		n.mu.Lock()
 		n.retires = append(n.retires, req.Serial)
 		n.mu.Unlock()
 		w.WriteHeader(http.StatusNoContent)
 	})
-	mux.HandleFunc("/v1/stats", func(w http.ResponseWriter, r *http.Request) {
+	fan := func(w http.ResponseWriter, r *http.Request) {
 		json.NewEncoder(w).Encode([]map[string]any{{"model": n.srv.URL}}) //nolint:errcheck
+	}
+	mux.HandleFunc("/v1/stats", fan)
+	mux.HandleFunc("/v1/models", fan)
+	mux.HandleFunc("/v1/importance", func(w http.ResponseWriter, r *http.Request) {
+		model := r.URL.Query().Get("model")
+		n.mu.Lock()
+		n.importance = append(n.importance, model)
+		n.mu.Unlock()
+		json.NewEncoder(w).Encode(map[string]any{"model": model}) //nolint:errcheck
 	})
 	mux.HandleFunc("/v1/promote", func(w http.ResponseWriter, r *http.Request) {
 		n.promoted.Store(true)
@@ -554,5 +600,314 @@ func TestRouterHonorsRetryAfter(t *testing.T) {
 	}
 	if got := rt.retries.Value(); got != 1 {
 		t.Fatalf("router retried a write-applied 503 (retries=%d)", got)
+	}
+	if got := w.Header().Get("X-Orf-Write-Applied"); got != "true" {
+		t.Fatalf("write-applied 503 reached the client with X-Orf-Write-Applied %q", got)
+	}
+	if got := w.Header().Get("Retry-After"); got != "0" {
+		t.Fatalf("write-applied 503 reached the client with Retry-After %q", got)
+	}
+}
+
+// modelOn returns a model name the ring places on group.
+func modelOn(t *testing.T, rt *Router, group string) string {
+	t.Helper()
+	for i := 0; i < 1000; i++ {
+		if m := fmt.Sprintf("MODEL-%d", i); rt.ring.Member(m) == group {
+			return m
+		}
+	}
+	t.Fatalf("no model hashes to group %q", group)
+	return ""
+}
+
+func get(h http.Handler, path string) *httptest.ResponseRecorder {
+	w := httptest.NewRecorder()
+	h.ServeHTTP(w, httptest.NewRequest(http.MethodGet, path, nil))
+	return w
+}
+
+func errorOf(t *testing.T, w *httptest.ResponseRecorder) string {
+	t.Helper()
+	var e struct {
+		Error string `json:"error"`
+	}
+	if err := json.Unmarshal(w.Body.Bytes(), &e); err != nil {
+		t.Fatalf("error body %q: %v", w.Body, err)
+	}
+	return e.Error
+}
+
+// batchItems decodes a merged /v1/observe/batch reply.
+func batchItems(t *testing.T, w *httptest.ResponseRecorder) []map[string]string {
+	t.Helper()
+	var out []map[string]string
+	if err := json.Unmarshal(w.Body.Bytes(), &out); err != nil {
+		t.Fatalf("batch reply %q: %v", w.Body, err)
+	}
+	return out
+}
+
+// TestRouterFanGetNamesFailedGroup: /v1/stats and /v1/models answer 502
+// naming every group they could not merge — one with no healthy replica
+// and one whose replica cannot be reached.
+func TestRouterFanGetNamesFailedGroup(t *testing.T) {
+	a, b, c := newFakeNode(t), newFakeNode(t), newFakeNode(t)
+	rt := newTestRouter(t, []GroupSpec{
+		{Name: "a", Nodes: []string{a.srv.URL}},
+		{Name: "b", Nodes: []string{b.srv.URL}},
+		{Name: "c", Nodes: []string{c.srv.URL}},
+	}, Config{HealthInterval: time.Hour})
+	h := rt.Handler()
+	for _, path := range []string{"/v1/stats", "/v1/models"} {
+		if w := get(h, path); w.Code != http.StatusOK {
+			t.Fatalf("%s with every group up: status %d: %s", path, w.Code, w.Body)
+		}
+	}
+	c.healthy.Store(false)
+	rt.probeAll()
+	for _, path := range []string{"/v1/stats", "/v1/models"} {
+		w := get(h, path)
+		if w.Code != http.StatusBadGateway {
+			t.Fatalf("%s with group c down: status %d: %s", path, w.Code, w.Body)
+		}
+		if got := errorOf(t, w); got != "groups unavailable: c" {
+			t.Fatalf("%s error %q, want it to name group c", path, got)
+		}
+	}
+	b.srv.Close()
+	w := get(h, "/v1/stats")
+	if w.Code != http.StatusBadGateway {
+		t.Fatalf("stats with b unreachable: status %d: %s", w.Code, w.Body)
+	}
+	if got := errorOf(t, w); got != "groups unavailable: b, c" {
+		t.Fatalf("stats error %q, want it to name groups b and c", got)
+	}
+}
+
+// TestRouterRetireUnreachableLeader: a retire broadcast that cannot reach
+// one group's leader is a 502 naming that leader, not a 204.
+func TestRouterRetireUnreachableLeader(t *testing.T) {
+	a, b := newFakeNode(t), newFakeNode(t)
+	rt := newTestRouter(t, []GroupSpec{
+		{Name: "a", Nodes: []string{a.srv.URL}},
+		{Name: "b", Nodes: []string{b.srv.URL}},
+	}, Config{HealthInterval: time.Hour})
+	b.srv.Close()
+	w := post(t, rt.Handler(), "/v1/retire", `{"serial":"GONE"}`)
+	if w.Code != http.StatusBadGateway {
+		t.Fatalf("retire with b unreachable: status %d: %s", w.Code, w.Body)
+	}
+	if got := errorOf(t, w); !strings.Contains(got, b.srv.URL) {
+		t.Fatalf("retire error %q does not name the unreachable leader %s", got, b.srv.URL)
+	}
+	if got := rt.requests.With(b.srv.URL, "unreachable").Value(); got != 1 {
+		t.Fatalf("route_requests_total{node=b,outcome=unreachable} = %d, want 1", got)
+	}
+}
+
+// TestRouterBatchUnroutableItemsInPlace: an item the router cannot route
+// (no model and no serial, or not an object) gets an error in its own
+// place; the items around it are served.
+func TestRouterBatchUnroutableItemsInPlace(t *testing.T) {
+	a := newFakeNode(t)
+	rt := newTestRouter(t, []GroupSpec{{Name: "a", Nodes: []string{a.srv.URL}}},
+		Config{HealthInterval: time.Hour})
+	w := post(t, rt.Handler(), "/v1/observe/batch",
+		`{"observations":[{"serial":"S0","model":"M"},{"day":3},{"serial":"S2"},7]}`)
+	if w.Code != http.StatusOK {
+		t.Fatalf("batch: status %d: %s", w.Code, w.Body)
+	}
+	out := batchItems(t, w)
+	if len(out) != 4 {
+		t.Fatalf("merged %d items, want 4: %s", len(out), w.Body)
+	}
+	for i, want := range []string{"S0", "", "S2", ""} {
+		if want == "" {
+			if !strings.Contains(out[i]["error"], "cannot route") {
+				t.Fatalf("item %d: %v, want an in-place routing error", i, out[i])
+			}
+			continue
+		}
+		if out[i]["serial"] != want || out[i]["error"] != "" {
+			t.Fatalf("item %d: %v, want %s served", i, out[i], want)
+		}
+	}
+	if got := a.observed(); len(got) != 2 {
+		t.Fatalf("upstream saw %v, want the two routable items", got)
+	}
+}
+
+// TestRouterBatchUnreachableLeader: a sub-batch whose leader cannot be
+// reached turns into in-place errors for exactly its items, counted as
+// unreachable; the other group's items are served.
+func TestRouterBatchUnreachableLeader(t *testing.T) {
+	a, b := newFakeNode(t), newFakeNode(t)
+	rt := newTestRouter(t, []GroupSpec{
+		{Name: "a", Nodes: []string{a.srv.URL}},
+		{Name: "b", Nodes: []string{b.srv.URL}},
+	}, Config{HealthInterval: time.Hour})
+	ma, mb := modelOn(t, rt, "a"), modelOn(t, rt, "b")
+	b.srv.Close()
+	w := post(t, rt.Handler(), "/v1/observe/batch", fmt.Sprintf(
+		`{"observations":[{"serial":"S0","model":%q},{"serial":"S1","model":%q},{"serial":"S2","model":%q}]}`,
+		mb, ma, mb))
+	if w.Code != http.StatusOK {
+		t.Fatalf("batch: status %d: %s", w.Code, w.Body)
+	}
+	out := batchItems(t, w)
+	if len(out) != 3 {
+		t.Fatalf("merged %d items, want 3: %s", len(out), w.Body)
+	}
+	for _, i := range []int{0, 2} {
+		if !strings.Contains(out[i]["error"], "upstream "+b.srv.URL) {
+			t.Fatalf("item %d: %v, want an in-place upstream error", i, out[i])
+		}
+	}
+	if out[1]["serial"] != "S1" || out[1]["node"] != a.srv.URL || out[1]["error"] != "" {
+		t.Fatalf("item 1: %v, want it served by group a", out[1])
+	}
+	if got := rt.requests.With(b.srv.URL, "unreachable").Value(); got != 1 {
+		t.Fatalf("route_requests_total{node=b,outcome=unreachable} = %d, want 1", got)
+	}
+}
+
+// TestRouterReadsNeedAHealthyReplica: a read routed to a group with no
+// healthy replica is a 502 naming the group.
+func TestRouterReadsNeedAHealthyReplica(t *testing.T) {
+	n := newFakeNode(t)
+	rt := newTestRouter(t, []GroupSpec{{Name: "g", Nodes: []string{n.srv.URL}}},
+		Config{HealthInterval: time.Hour})
+	n.healthy.Store(false)
+	rt.probeAll()
+	h := rt.Handler()
+	for _, w := range []*httptest.ResponseRecorder{
+		post(t, h, "/v1/predict", `{"model":"M"}`),
+		post(t, h, "/v1/predict/batch", `{"model":"M","items":[]}`),
+		get(h, "/v1/importance?model=M"),
+	} {
+		if w.Code != http.StatusBadGateway {
+			t.Fatalf("read with no healthy replica: status %d: %s", w.Code, w.Body)
+		}
+		if got := errorOf(t, w); got != "group g has no healthy replica" {
+			t.Fatalf("read error %q", got)
+		}
+	}
+}
+
+// TestRouterBatchWriteApplied503: a sub-batch answered 503 with
+// X-Orf-Write-Applied is durable on its leader. Its per-item array is
+// merged in place, it is not replayed, and the whole reply is a 503
+// carrying both headers — the engine's own rule for a batch.
+func TestRouterBatchWriteApplied503(t *testing.T) {
+	a, b := newFakeNode(t), newFakeNode(t)
+	rt := newTestRouter(t, []GroupSpec{
+		{Name: "a", Nodes: []string{a.srv.URL}},
+		{Name: "b", Nodes: []string{b.srv.URL}},
+	}, Config{HealthInterval: time.Hour})
+	ma, mb := modelOn(t, rt, "a"), modelOn(t, rt, "b")
+	b.batch503.Store(1)
+	b.applied503.Store(true)
+	w := post(t, rt.Handler(), "/v1/observe/batch", fmt.Sprintf(
+		`{"observations":[{"serial":"S0","model":%q},{"serial":"S1","model":%q}]}`, mb, ma))
+	if w.Code != http.StatusServiceUnavailable {
+		t.Fatalf("batch with a write-applied sub-batch: status %d: %s", w.Code, w.Body)
+	}
+	if got := w.Header().Get("X-Orf-Write-Applied"); got != "true" {
+		t.Fatalf("X-Orf-Write-Applied %q", got)
+	}
+	if got := w.Header().Get("Retry-After"); got != "0" {
+		t.Fatalf("Retry-After %q", got)
+	}
+	out := batchItems(t, w)
+	if len(out) != 2 {
+		t.Fatalf("merged %d items, want 2: %s", len(out), w.Body)
+	}
+	if out[0]["serial"] != "S0" || out[0]["node"] != b.srv.URL || out[0]["error"] != "sync unacked" {
+		t.Fatalf("item 0: %v, want b's own per-item report", out[0])
+	}
+	if out[1]["serial"] != "S1" || out[1]["node"] != a.srv.URL || out[1]["error"] != "" {
+		t.Fatalf("item 1: %v, want it served by group a", out[1])
+	}
+	if got := b.observed(); len(got) != 1 {
+		t.Fatalf("applied sub-batch was replayed: upstream saw %v", got)
+	}
+	if got := rt.retries.Value(); got != 0 {
+		t.Fatalf("router_write_retries_total = %d, want 0", got)
+	}
+}
+
+// TestRouterRetireWriteApplied503: a retire the leader applied but could
+// not get acknowledged reaches the client as that 503, headers intact.
+func TestRouterRetireWriteApplied503(t *testing.T) {
+	n := newFakeNode(t)
+	rt := newTestRouter(t, []GroupSpec{{Name: "g", Nodes: []string{n.srv.URL}}},
+		Config{HealthInterval: time.Hour})
+	n.retire503.Store(1)
+	n.applied503.Store(true)
+	w := post(t, rt.Handler(), "/v1/retire", `{"serial":"GONE"}`)
+	if w.Code != http.StatusServiceUnavailable {
+		t.Fatalf("write-applied retire: status %d: %s", w.Code, w.Body)
+	}
+	if got := w.Header().Get("X-Orf-Write-Applied"); got != "true" {
+		t.Fatalf("X-Orf-Write-Applied %q", got)
+	}
+	if got := w.Header().Get("Retry-After"); got != "0" {
+		t.Fatalf("Retry-After %q", got)
+	}
+	n.mu.Lock()
+	got := append([]string(nil), n.retires...)
+	n.mu.Unlock()
+	if len(got) != 1 {
+		t.Fatalf("applied retire was replayed: upstream saw %v", got)
+	}
+	if got := rt.retries.Value(); got != 0 {
+		t.Fatalf("router_write_retries_total = %d, want 0", got)
+	}
+}
+
+// TestRouterRetriesEveryWriteDoor: a plain 503 with Retry-After is
+// retried once on a sub-batch and on a retire call, as on /v1/observe.
+func TestRouterRetriesEveryWriteDoor(t *testing.T) {
+	n := newFakeNode(t)
+	rt := newTestRouter(t, []GroupSpec{{Name: "g", Nodes: []string{n.srv.URL}}},
+		Config{HealthInterval: time.Hour})
+	h := rt.Handler()
+	n.batch503.Store(1)
+	w := post(t, h, "/v1/observe/batch", `{"observations":[{"serial":"S0","model":"M"}]}`)
+	if w.Code != http.StatusOK {
+		t.Fatalf("batch: status %d: %s", w.Code, w.Body)
+	}
+	if out := batchItems(t, w); len(out) != 1 || out[0]["serial"] != "S0" || out[0]["error"] != "" {
+		t.Fatalf("retried sub-batch: %s", w.Body)
+	}
+	n.retire503.Store(1)
+	if w := post(t, h, "/v1/retire", `{"serial":"GONE"}`); w.Code != http.StatusNoContent {
+		t.Fatalf("retire: status %d: %s", w.Code, w.Body)
+	}
+	if got := rt.retries.Value(); got != 2 {
+		t.Fatalf("router_write_retries_total = %d, want 2", got)
+	}
+}
+
+// TestRouterImportanceEscapesModel: the model name reaches the upstream
+// exactly, whatever it holds — Backblaze names carry spaces, and an
+// unescaped '&' would cut the name short.
+func TestRouterImportanceEscapesModel(t *testing.T) {
+	n := newFakeNode(t)
+	rt := newTestRouter(t, []GroupSpec{{Name: "g", Nodes: []string{n.srv.URL}}},
+		Config{HealthInterval: time.Hour})
+	models := []string{"HGST HMS5C4040BLE640", "A&B"}
+	for _, m := range models {
+		w := get(rt.Handler(), "/v1/importance?"+url.Values{"model": {m}}.Encode())
+		if w.Code != http.StatusOK {
+			t.Fatalf("importance of %q: status %d: %s", m, w.Code, w.Body)
+		}
+	}
+	n.mu.Lock()
+	got := append([]string(nil), n.importance...)
+	n.mu.Unlock()
+	if !slices.Equal(got, models) {
+		t.Fatalf("upstream was asked for %q, want %q", got, models)
 	}
 }
