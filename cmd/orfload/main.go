@@ -47,12 +47,12 @@ import (
 
 // runScan is the -scan mode: read every file end to end, print an
 // integrity report, touch nothing. Returns the process exit code.
-func runScan(files []string, readerBuf int) int {
+func runScan(files []string) int {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
 	start := time.Now()
-	scans, err := backfill.Scan(ctx, files, backfill.Options{ReaderBuf: readerBuf})
+	scans, err := backfill.Scan(ctx, files, backfill.Options{})
 	if err != nil && len(scans) == 0 {
 		fmt.Fprintf(os.Stderr, "orfload: scan failed: %v\n", err)
 		return 1
@@ -100,8 +100,6 @@ func main() {
 		scanOnly    = flag.Bool("scan", false, "integrity pre-scan: read every file end to end and report rows, bytes, date range and malformed rows without ingesting anything")
 		batchRows   = flag.Int("batch", 1024, "merged rows per engine batch")
 		ckptEvery   = flag.Int("checkpoint-every", 16, "batches per durable resume cursor")
-		chunkRows   = flag.Int("chunk-rows", 4096, "rows per reader chunk (throughput knob; never affects ordering)")
-		readerBuf   = flag.Int("reader-buf", 1<<20, "per-file reader buffer in bytes")
 		trees       = flag.Int("trees", 0, "override predictor forest size (0 = default)")
 		progEvery   = flag.Duration("progress", 5*time.Second, "progress log cadence (negative disables)")
 		metricsAddr = flag.String("metrics-addr", "", "admin listener for /metrics and pprof during the load")
@@ -153,7 +151,7 @@ func main() {
 	sort.Strings(files)
 
 	if *scanOnly {
-		os.Exit(runScan(files, *readerBuf))
+		os.Exit(runScan(files))
 	}
 
 	reg := metrics.NewRegistry()
@@ -195,8 +193,6 @@ func main() {
 	stats, runErr := backfill.Run(ctx, eng, files, backfill.Options{
 		BatchRows:       *batchRows,
 		CheckpointEvery: *ckptEvery,
-		ChunkRows:       *chunkRows,
-		ReaderBuf:       *readerBuf,
 		Metrics:         reg,
 		Logger:          logger,
 		ProgressEvery:   *progEvery,
@@ -207,11 +203,9 @@ func main() {
 	// (orfserve, or a resuming orfload) recovers without replaying every
 	// row. On a canceled run this is the graceful
 	// half of crash-safety; the WAL alone already covers kill -9.
-	if err := eng.Close(); err != nil {
-		logger.Error("engine close failed", "err", err)
-		if runErr == nil {
-			runErr = err
-		}
+	closeErr := eng.Close()
+	if closeErr != nil {
+		logger.Error("engine close failed", "err", closeErr)
 	}
 	if adminSrv != nil {
 		shCtx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
@@ -228,12 +222,22 @@ func main() {
 		"skipped", stats.Skipped, "resume_skipped", stats.ResumeSkipped,
 		"days", fmt.Sprintf("%d..%d", stats.FirstDay, stats.LastDay),
 		"elapsed", time.Since(start).Round(time.Millisecond))
-	if runErr != nil {
-		if errors.Is(runErr, context.Canceled) {
-			logger.Info("interrupted; durable cursor saved — rerun the same command to resume")
-			os.Exit(0)
-		}
+	code := exitCode(runErr, closeErr)
+	switch {
+	case code == 0 && runErr != nil:
+		logger.Info("interrupted; durable cursor saved — rerun the same command to resume")
+	case runErr != nil && !errors.Is(runErr, context.Canceled):
 		logger.Error("backfill failed", "err", runErr)
-		os.Exit(1)
 	}
+	os.Exit(code)
+}
+
+// exitCode is orfload's exit status after the load returned runErr and
+// the engine's Close returned closeErr. An interrupted load exits 0 only
+// when Close saved its state: a failed Close is 1 however the load ended.
+func exitCode(runErr, closeErr error) int {
+	if closeErr != nil || (runErr != nil && !errors.Is(runErr, context.Canceled)) {
+		return 1
+	}
+	return 0
 }

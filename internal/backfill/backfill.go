@@ -11,7 +11,7 @@
 // chronological stream, so the loader is a parallel k-way merge:
 //
 //	file readers (one goroutine each, zero-alloc FastReader)
-//	    │  same-day chunks over bounded channels (backpressure)
+//	    │  fixed 512-row chunks over bounded channels (backpressure)
 //	    ▼
 //	merge stage (single goroutine, min-day k-way merge)
 //	    ▼
@@ -71,11 +71,6 @@ type Options struct {
 	// (default 16). Smaller values bound replay-after-crash work;
 	// larger ones shave WAL bytes.
 	CheckpointEvery int
-	// ChunkRows caps the rows per reader→merge chunk (default 4096).
-	// Purely a throughput knob: the merge order never depends on it.
-	ChunkRows int
-	// ReaderBuf is each file reader's buffer in bytes (default 1 MiB).
-	ReaderBuf int
 	// Metrics receives backfill_* instrumentation; nil disables it.
 	Metrics *metrics.Registry
 	// Logger receives progress and warning events; nil discards them.
@@ -94,12 +89,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.CheckpointEvery <= 0 {
 		o.CheckpointEvery = 16
-	}
-	if o.ChunkRows <= 0 {
-		o.ChunkRows = 4096
-	}
-	if o.ReaderBuf <= 0 {
-		o.ReaderBuf = 1 << 20
 	}
 	if o.Logger == nil {
 		o.Logger = slog.New(discardHandler{})
@@ -150,12 +139,26 @@ type bfRow struct {
 	endOff        int64 // FastReader.Offset() after this row
 }
 
-// chunk is a run of consecutive same-day rows from one file. It owns the
-// rows' values, catalog vector after catalog vector in one slab, and
-// goes back to its reader's free list once the engine has applied them,
-// so a reader in steady state allocates nothing.
+const (
+	// chunkRows is the rows a reader→merge chunk holds: half the default
+	// batch. A chunk's slabs are made at this capacity and never grow, so
+	// a reader's memory is fixed (see readFile) whatever the archive's
+	// rows per day. The merge order never depends on it.
+	chunkRows = 512
+	// readerBuf is each file reader's buffer in bytes. It sits over an
+	// inflater or a file, which read ahead on their own; more buys nothing.
+	readerBuf = 256 << 10
+	// readerQueue is each reader's channel capacity in chunks: a reader
+	// keeps parsing while the merger drains the other files.
+	readerQueue = 4
+)
+
+// chunk is up to chunkRows consecutive rows of one file, in file order;
+// their days may change inside it (the merger cuts at day boundaries).
+// It owns the rows' values, catalog vector after catalog vector in one
+// slab, and goes back to its reader's free list once the engine has
+// applied them, so a reader in steady state allocates nothing.
 type chunk struct {
-	day  int
 	rows []bfRow
 	vals []float64     // immutable once sent, until recycled
 	home chan<- *chunk // the reader's free list
@@ -279,12 +282,12 @@ func Run(ctx context.Context, eng Sink, files []string, opts Options) (Stats, er
 	var skipped int64
 	var skipMu sync.Mutex
 	for i := range srcs {
-		chans[i] = make(chan *chunk, 4)
+		chans[i] = make(chan *chunk, readerQueue)
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
 			defer close(chans[i])
-			n, err := readFile(ctx, srcs[i], resumeAt[i], opts, in, chans[i])
+			n, err := readFile(ctx, srcs[i], resumeAt[i], chans[i])
 			skipMu.Lock()
 			skipped += n
 			skipMu.Unlock()
@@ -345,17 +348,21 @@ func Run(ctx context.Context, eng Sink, files []string, opts Options) (Stats, er
 	return stats, err
 }
 
-// readFile streams one logical CSV member into same-day chunks,
-// decompressing inline when the source is a .gz or ZIP member. Returns
-// the number of rows it dropped (malformed lines, missing
-// serial/model).
-func readFile(ctx context.Context, src Source, at orfdisk.BackfillFilePos, opts Options, in *instruments, out chan<- *chunk) (skipped int64, err error) {
+// readFile streams one logical CSV member into chunks, decompressing
+// inline when the source is a .gz or ZIP member. Returns the number of
+// rows it dropped (malformed lines, missing serial/model).
+//
+// Its memory is fixed, whatever the file's rows per day: the buffer
+// plus the chunks in circulation, each made once at full size — the ones
+// in out, the one it fills, the merger's current one and the at most
+// ceil(BatchRows/chunkRows)+1 whose rows wait in a batch not yet applied.
+func readFile(ctx context.Context, src Source, at orfdisk.BackfillFilePos, out chan<- *chunk) (skipped int64, err error) {
 	rc, err := src.Open()
 	if err != nil {
 		return 0, err
 	}
 	defer rc.Close()
-	r, err := smart.NewFastReaderSize(rc, opts.ReaderBuf)
+	r, err := smart.NewFastReaderSize(rc, readerBuf)
 	if err != nil {
 		return 0, err
 	}
@@ -374,18 +381,21 @@ func readFile(ctx context.Context, src Source, at orfdisk.BackfillFilePos, opts 
 
 	var cur *chunk
 	// The free list holds what the merger returns. Twice the channel's
-	// buffer covers what one reader has in flight — the buffered chunks,
-	// the merger's peek and those a batch not yet applied still holds —
-	// so steady state reuses every chunk; beyond that capacity a returned
+	// buffer covers the chunks in circulation at the default batch, so
+	// steady state reuses every chunk; beyond that capacity a returned
 	// chunk is left to the collector.
 	free := make(chan *chunk, 2*cap(out))
-	get := func(day int) *chunk {
+	get := func() *chunk {
 		select {
 		case c := <-free:
-			c.day, c.rows, c.vals = day, c.rows[:0], c.vals[:0]
+			c.rows, c.vals = c.rows[:0], c.vals[:0]
 			return c
 		default:
-			return &chunk{day: day, rows: make([]bfRow, 0, 64), home: free}
+			return &chunk{
+				rows: make([]bfRow, 0, chunkRows),
+				vals: make([]float64, 0, chunkRows*smart.NumFeatures()),
+				home: free,
+			}
 		}
 	}
 	send := func() error {
@@ -428,13 +438,13 @@ func readFile(ctx context.Context, src Source, at orfdisk.BackfillFilePos, opts 
 			return skipped, fmt.Errorf("not chronologically sorted: day %d after day %d (row %d)", s.Day, lastDay, r.Rows())
 		}
 		lastDay = s.Day
-		if cur != nil && (cur.day != s.Day || len(cur.rows) >= opts.ChunkRows) {
+		if cur != nil && len(cur.rows) == chunkRows {
 			if err := send(); err != nil {
 				return skipped, err
 			}
 		}
 		if cur == nil {
-			cur = get(s.Day)
+			cur = get()
 		}
 		cur.vals = append(cur.vals, s.Values...)
 		cur.rows = append(cur.rows, bfRow{
@@ -468,11 +478,12 @@ type merger struct {
 
 // merge drives the k-way min-day merge over the reader channels.
 func (m *merger) merge(ctx context.Context, chans []chan *chunk) error {
-	peek := make([]*chunk, len(chans))
-	done := make([]bool, len(chans))
+	// head[i] is file i's current chunk (nil once its reader is drained)
+	// and next[i] the first of its rows not yet merged.
+	head := make([]*chunk, len(chans))
+	next := make([]int, len(chans))
 	fetch := func(i int) {
-		c, ok := <-chans[i]
-		peek[i], done[i] = c, !ok
+		head[i], next[i] = <-chans[i], 0
 	}
 	for i := range chans {
 		fetch(i)
@@ -482,25 +493,30 @@ func (m *merger) merge(ctx context.Context, chans []chan *chunk) error {
 			return err
 		}
 		day, any := 0, false
-		for i := range peek {
-			if done[i] || peek[i] == nil {
-				continue
-			}
-			if !any || peek[i].day < day {
-				day, any = peek[i].day, true
+		for i, c := range head {
+			if c != nil && (!any || c.rows[next[i]].day < day) {
+				day, any = c.rows[next[i]].day, true
 			}
 		}
 		if !any {
 			return nil // every reader drained
 		}
-		// Consume every chunk of this day, in file order. Files are
-		// internally sorted, so once a file's peek moves past the day
+		// Consume every row of this day, in file order. Files are
+		// internally sorted, so once a file's next row is past the day
 		// it has no more rows in it.
-		for i := range peek {
-			for !done[i] && peek[i] != nil && peek[i].day == day {
-				c := peek[i]
-				fetch(i)
-				if err := m.consume(c, i); err != nil {
+		for i := range head {
+			for head[i] != nil && head[i].rows[next[i]].day == day {
+				c, lo := head[i], next[i]
+				hi := lo + 1
+				for hi < len(c.rows) && c.rows[hi].day == day {
+					hi++
+				}
+				if hi == len(c.rows) {
+					fetch(i)
+				} else {
+					next[i] = hi
+				}
+				if err := m.consume(c, i, lo, hi); err != nil {
 					return err
 				}
 			}
@@ -508,9 +524,11 @@ func (m *merger) merge(ctx context.Context, chans []chan *chunk) error {
 	}
 }
 
-// consume folds one chunk into the batch, submitting as it fills.
-func (m *merger) consume(c *chunk, file int) error {
-	for i, row := range c.rows {
+// consume folds rows [lo, hi) of one chunk into the batch, submitting as
+// it fills; the chunk is done once its last row is merged.
+func (m *merger) consume(c *chunk, file, lo, hi int) error {
+	for i := lo; i < hi; i++ {
+		row := &c.rows[i]
 		if row.day < m.resumeDay {
 			return fmt.Errorf("backfill: %s produced day %d behind the cursor's day %d; archive changed since the cursor was written",
 				m.names[file], row.day, m.resumeDay)
@@ -552,7 +570,15 @@ func (m *merger) consume(c *chunk, file int) error {
 			}
 		}
 	}
-	m.consumed = append(m.consumed, c)
+	if hi == len(c.rows) {
+		if len(m.batch) == 0 {
+			// None of its rows waits in a batch: each was skipped on
+			// resume or went in one the engine has applied.
+			c.recycle()
+		} else {
+			m.consumed = append(m.consumed, c)
+		}
+	}
 	return nil
 }
 
@@ -633,8 +659,7 @@ func (m *merger) cursor() *orfdisk.BackfillCursor {
 // pipeline's Absorb must leave bit-identical predictor state. No
 // command calls it: it stays exported only because the equivalence test
 // and BenchmarkBackfillNaive use it as their reference.
-func RunNaive(eng Ingester, files []string, opts Options) (Stats, error) {
-	opts = opts.withDefaults()
+func RunNaive(eng Ingester, files []string) (Stats, error) {
 	stats := Stats{FirstDay: -1, LastDay: -1}
 	if len(files) == 0 {
 		return stats, errors.New("backfill: no input files")
@@ -692,7 +717,7 @@ func RunNaive(eng Ingester, files []string, opts Options) (Stats, error) {
 		if err != nil {
 			return stats, err
 		}
-		r, err := smart.NewFastReaderSize(rc, opts.ReaderBuf)
+		r, err := smart.NewFastReaderSize(rc, readerBuf)
 		if err != nil {
 			rc.Close()
 			return stats, fmt.Errorf("backfill: %s: %w", sc.Name, err)

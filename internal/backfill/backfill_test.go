@@ -37,10 +37,16 @@ func newEngine(t *testing.T, dir string) *orfdisk.Engine {
 // for — and returns the file paths.
 func writeArchive(t *testing.T, dir string, stripes int) []string {
 	t.Helper()
-	pa := dataset.STA(0.004)
-	pa.Months = 6
-	pb := dataset.STB(0.004)
-	pb.Months = 6
+	return writeFleetArchive(t, dir, stripes, 0.004, 6)
+}
+
+// writeFleetArchive is writeArchive at a given fleet scale and length.
+func writeFleetArchive(t *testing.T, dir string, stripes int, scale float64, months int) []string {
+	t.Helper()
+	pa := dataset.STA(scale)
+	pa.Months = months
+	pb := dataset.STB(scale)
+	pb.Months = months
 	ga, err := dataset.New(pa, 11)
 	if err != nil {
 		t.Fatal(err)
@@ -204,10 +210,39 @@ func requireSameState(t *testing.T, label string, want, got map[string][]byte) {
 	}
 }
 
+// maxDayRows returns the most rows any one day has in a CSV file.
+func maxDayRows(t *testing.T, path string) int {
+	t.Helper()
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	r, err := smart.NewReader(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	perDay := map[int]int{}
+	most := 0
+	for {
+		s, err := r.Read()
+		if err == io.EOF {
+			return most
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		perDay[s.Day]++
+		most = max(most, perDay[s.Day])
+	}
+}
+
 // TestPipelineEquivalence is the ordering property test: the parallel
-// multi-file pipeline, the same pipeline with adversarial batch/chunk
-// sizes, a pipeline over the pre-merged single file, and the naive
-// row-by-row Ingest loop must all leave bit-identical predictor state.
+// multi-file pipeline, the same pipeline with adversarial batch and
+// cursor cadences, a pipeline over the pre-merged single file, and the
+// naive row-by-row Ingest loop must all leave bit-identical predictor
+// state — and so must the single file of a fleet whose days each span
+// several reader chunks.
 func TestPipelineEquivalence(t *testing.T) {
 	dir := t.TempDir()
 	files := writeArchive(t, dir, 3)
@@ -233,14 +268,14 @@ func TestPipelineEquivalence(t *testing.T) {
 	}
 	want := dumpState(t, engA)
 
-	// Adversarial sizes: tiny chunks, odd batches, frequent cursors.
+	// Adversarial cadences: odd batches, frequent cursors.
 	engB, err := orfdisk.NewEngine(orfdisk.EngineConfig{Predictor: testConfig()})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer engB.Close()
 	statsB, err := backfill.Run(ctx, engB, files, backfill.Options{
-		BatchRows: 113, ChunkRows: 7, CheckpointEvery: 2, ReaderBuf: 4096,
+		BatchRows: 113, CheckpointEvery: 2,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -248,7 +283,7 @@ func TestPipelineEquivalence(t *testing.T) {
 	if statsB.Rows != statsA.Rows {
 		t.Fatalf("row counts diverge across tunings: %d vs %d", statsB.Rows, statsA.Rows)
 	}
-	requireSameState(t, "chunk/batch sizes", want, dumpState(t, engB))
+	requireSameState(t, "batch/cursor cadence", want, dumpState(t, engB))
 
 	// Single pre-sorted stream.
 	engC, err := orfdisk.NewEngine(orfdisk.EngineConfig{Predictor: testConfig()})
@@ -271,7 +306,7 @@ func TestPipelineEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer engD.Close()
-	statsD, err := backfill.RunNaive(engD, files, backfill.Options{})
+	statsD, err := backfill.RunNaive(engD, files)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,6 +314,38 @@ func TestPipelineEquivalence(t *testing.T) {
 		t.Fatalf("naive row count diverges: %d vs %d", statsD.Rows, statsA.Rows)
 	}
 	requireSameState(t, "naive Ingest loop", want, dumpState(t, engD))
+
+	// Days longer than a chunk: a fleet of ~650 disks in one pre-merged
+	// file, so days span several chunks, against the naive loop.
+	bigDir := t.TempDir()
+	bigFiles := writeFleetArchive(t, bigDir, 2, 0.016, 2)
+	bigSingle := filepath.Join(bigDir, "merged.csv")
+	writeMergedSingle(t, bigFiles, bigSingle)
+	if n := maxDayRows(t, bigSingle); n <= backfill.MaxChunkRows {
+		t.Fatalf("the largest day holds %d rows; want more than a chunk's %d", n, backfill.MaxChunkRows)
+	}
+	engE, err := orfdisk.NewEngine(orfdisk.EngineConfig{Predictor: testConfig()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer engE.Close()
+	statsE, err := backfill.Run(ctx, engE, []string{bigSingle}, backfill.Options{BatchRows: 113, CheckpointEvery: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	engF, err := orfdisk.NewEngine(orfdisk.EngineConfig{Predictor: testConfig()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer engF.Close()
+	statsF, err := backfill.RunNaive(engF, bigFiles)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if statsE.Rows != statsF.Rows {
+		t.Fatalf("long-day row counts diverge: pipeline %d, naive %d", statsE.Rows, statsF.Rows)
+	}
+	requireSameState(t, "days longer than a chunk", dumpState(t, engF), dumpState(t, engE))
 }
 
 // faultSink fails the Nth IngestBackfill call (after optionally forcing

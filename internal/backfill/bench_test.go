@@ -8,6 +8,7 @@ import (
 	"hash/fnv"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"testing"
 
@@ -167,30 +168,47 @@ func benchConfig() orfdisk.Config {
 func BenchmarkBackfillPipeline(b *testing.B) {
 	reg := benchRegime()
 	c := getCorpus(b, reg)
-	b.Run(reg.name, func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			b.StopTimer()
-			dataDir := b.TempDir()
-			eng, err := orfdisk.NewEngine(orfdisk.EngineConfig{Predictor: benchConfig(), DataDir: dataDir})
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.StartTimer()
-			stats, err := backfill.Run(context.Background(), eng, c.files, backfill.Options{})
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.StopTimer()
-			if stats.Rows != c.rows {
-				b.Fatalf("submitted %d rows, corpus has %d", stats.Rows, c.rows)
-			}
-			if err := eng.Close(); err != nil {
-				b.Fatal(err)
-			}
-			b.StartTimer()
+	b.Run(reg.name, func(b *testing.B) { benchPipeline(b, c, c.files) })
+}
+
+// benchPipeline times backfill.Run over files into a fresh durable
+// engine per op. Besides the rates it reports alloc_MB/op: the bytes the
+// process allocated during the timed Run (runtime.MemStats.TotalAlloc),
+// an exact count where allocs/op would count scheduler noise.
+func benchPipeline(b *testing.B, c *corpusInfo, files []string) {
+	var allocated uint64
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		dataDir := b.TempDir()
+		eng, err := orfdisk.NewEngine(orfdisk.EngineConfig{Predictor: benchConfig(), DataDir: dataDir})
+		if err != nil {
+			b.Fatal(err)
 		}
-		reportRates(b, c)
-	})
+		before := totalAlloc()
+		b.StartTimer()
+		stats, err := backfill.Run(context.Background(), eng, files, backfill.Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StopTimer()
+		allocated += totalAlloc() - before
+		if stats.Rows != c.rows {
+			b.Fatalf("submitted %d rows, corpus has %d", stats.Rows, c.rows)
+		}
+		if err := eng.Close(); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+	}
+	reportRates(b, c)
+	b.ReportMetric(float64(allocated)/1e6/float64(b.N), "alloc_MB/op")
+}
+
+// totalAlloc is the bytes the process has allocated since it started.
+func totalAlloc() uint64 {
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.TotalAlloc
 }
 
 // BenchmarkBackfillPipelineGzip is the same pipeline over the same
@@ -233,30 +251,7 @@ func BenchmarkBackfillPipelineGzip(b *testing.B) {
 		}
 		c.gzDir = dir
 	}
-	b.Run(reg.name, func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			b.StopTimer()
-			dataDir := b.TempDir()
-			eng, err := orfdisk.NewEngine(orfdisk.EngineConfig{Predictor: benchConfig(), DataDir: dataDir})
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.StartTimer()
-			stats, err := backfill.Run(context.Background(), eng, c.gzFiles, backfill.Options{})
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.StopTimer()
-			if stats.Rows != c.rows {
-				b.Fatalf("submitted %d rows, corpus has %d", stats.Rows, c.rows)
-			}
-			if err := eng.Close(); err != nil {
-				b.Fatal(err)
-			}
-			b.StartTimer()
-		}
-		reportRates(b, c)
-	})
+	b.Run(reg.name, func(b *testing.B) { benchPipeline(b, c, c.gzFiles) })
 }
 
 // BenchmarkBackfillNaive is the comparison baseline the pipeline is
@@ -275,7 +270,7 @@ func BenchmarkBackfillNaive(b *testing.B) {
 				b.Fatal(err)
 			}
 			b.StartTimer()
-			stats, err := backfill.RunNaive(eng, c.files, backfill.Options{})
+			stats, err := backfill.RunNaive(eng, c.files)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -45,8 +45,8 @@ type FileScan struct {
 // Members scan in parallel (one goroutine per member, capped at
 // GOMAXPROCS); results return sorted by logical name. The returned
 // error is non-nil when any member hit a hard failure or was unsorted.
+// No field of opts affects a scan.
 func Scan(ctx context.Context, files []string, opts Options) ([]FileScan, error) {
-	opts = opts.withDefaults()
 	if len(files) == 0 {
 		return nil, errors.New("backfill: no input files")
 	}
@@ -65,7 +65,7 @@ func Scan(ctx context.Context, files []string, opts Options) ([]FileScan, error)
 			defer wg.Done()
 			sem <- struct{}{}
 			defer func() { <-sem }()
-			out[i] = scanOne(ctx, srcs[i], opts)
+			out[i] = scanOne(ctx, srcs[i])
 		}(i)
 	}
 	wg.Wait()
@@ -84,7 +84,7 @@ func Scan(ctx context.Context, files []string, opts Options) ([]FileScan, error)
 
 // scanOne streams a single member through the same FastReader the
 // loader uses, so its row/skip accounting matches a real load exactly.
-func scanOne(ctx context.Context, src Source, opts Options) FileScan {
+func scanOne(ctx context.Context, src Source) FileScan {
 	fs := FileScan{Name: src.Name, FirstDay: -1, LastDay: -1}
 	rc, err := src.Open()
 	if err != nil {
@@ -92,7 +92,7 @@ func scanOne(ctx context.Context, src Source, opts Options) FileScan {
 		return fs
 	}
 	defer rc.Close()
-	r, err := smart.NewFastReaderSize(rc, opts.ReaderBuf)
+	r, err := smart.NewFastReaderSize(rc, readerBuf)
 	if err != nil {
 		fs.Err = err
 		return fs
