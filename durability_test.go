@@ -215,7 +215,10 @@ func logKinds(t *testing.T, dir string) []byte {
 // batches with two failure rows among them and a retire (the kind
 // 11/10/2 tail). This release must read all of it, recover the state,
 // resume point and next sequence number that binary recovered from the
-// same bytes, and keep the directory to wal/ alone.
+// same bytes, and keep the directory to wal/ alone. The pinned hashes are
+// of that binary's state layout, ODS2, so each recovered model is hashed
+// through saveStateODS2; its own ODS3 dump must load back to the same
+// model.
 func TestRecoversPR33Dir(t *testing.T) {
 	dir := t.TempDir()
 	copyTree(t, filepath.Join("testdata", "pr33_dir"), dir)
@@ -242,8 +245,16 @@ func TestRecoversPR33Dir(t *testing.T) {
 		"MODEL-0": "97b76a99609d2555f705667dd9b8e95bfc23839d965e5e9ca8a049383e6b66f6",
 		"MODEL-1": "f628ba149598484ca3e25a72dba12c27ab6e608ead00065c745206340ab19e8b",
 	} {
-		if got := fmt.Sprintf("%x", sha256.Sum256(dumpModel(t, eng, model))); got != want {
+		dump := dumpModel(t, eng, model)
+		p, err := LoadPredictorState(bytes.NewReader(dump))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := fmt.Sprintf("%x", sha256.Sum256(saveStateODS2(t, p))); got != want {
 			t.Errorf("model %s state has SHA-256 %s, the previous release recovered %s", model, got, want)
+		}
+		if !bytes.Equal(saveState(t, p), dump) {
+			t.Errorf("model %s: its ODS3 dump does not load and save back to itself", model)
 		}
 	}
 	wantCur := BackfillCursor{Day: 9, Rows: 700, Files: []BackfillFilePos{{Name: "a.csv", Rows: 700, Off: 1 << 16}}}

@@ -1495,25 +1495,30 @@ func TestApplyPathsAgree(t *testing.T) {
 	}
 }
 
-// checkPackedRoundTrip packs vals, checks the size is the codes plus each
-// value's own payload, and requires the decode to be Float64bits-exact
-// with the trailing bytes handed back untouched.
-func checkPackedRoundTrip(t *testing.T, vals []float64) {
+// checkPackedRoundTrip packs vals against prev (nil: on their own),
+// checks the size is the codes plus each value's own payload — none for
+// a non-zero value with prev's bits — and requires the decode against
+// the same prev to be Float64bits-exact with the trailing bytes handed
+// back untouched.
+func checkPackedRoundTrip(t *testing.T, vals, prev []float64) {
 	t.Helper()
 	tail := []byte{0xA5, 0x5A}
-	packed := packValues([]byte{0xEE}, vals)
+	packed := packValues([]byte{0xEE}, vals, prev)
 	if packed[0] != 0xEE {
 		t.Fatalf("packValues overwrote the buffer it appends to")
 	}
 	packed = packed[1:]
 	want := (len(vals) + 1) / 2
-	for _, v := range vals {
-		want += len(packValues(nil, []float64{v})) - 1
+	for i, v := range vals {
+		if u := math.Float64bits(v); u != 0 && prev != nil && math.Float64bits(prev[i]) == u {
+			continue
+		}
+		want += len(packValues(nil, []float64{v}, nil)) - 1
 	}
 	if len(packed) != want {
 		t.Fatalf("%d values packed into %d bytes, want codes + payloads = %d", len(vals), len(packed), want)
 	}
-	got, rest, err := unpackValues(append(packed[:len(packed):len(packed)], tail...), uint64(len(vals)))
+	got, rest, err := unpackValues(append(packed[:len(packed):len(packed)], tail...), uint64(len(vals)), prev)
 	if err != nil {
 		t.Fatalf("unpackValues(%v): %v", vals, err)
 	}
@@ -1538,9 +1543,9 @@ func TestPackedValuesRoundTrip(t *testing.T) {
 		math.Float64frombits(0x7FF8_0000_0000_0001), math.Float64frombits(0xFFF0_0000_DEAD_BEEF),
 		math.MaxFloat64, math.SmallestNonzeroFloat64, 415.3,
 	}
-	checkPackedRoundTrip(t, special)
+	checkPackedRoundTrip(t, special, nil)
 	for _, v := range special {
-		checkPackedRoundTrip(t, []float64{v})
+		checkPackedRoundTrip(t, []float64{v}, nil)
 	}
 	// The code each form gets, and that the encoder is canonical: the
 	// integer form only where strictly shorter.
@@ -1552,7 +1557,7 @@ func TestPackedValuesRoundTrip(t *testing.T) {
 		{1 << 47, 2}, {1<<48 - 1, 14}, {1 << 48, 2}, {0.5, 2}, {-1, 2},
 		{math.Copysign(0, -1), 1}, {415.3, 8}, {math.SmallestNonzeroFloat64, 8},
 	} {
-		if got := packValues(nil, []float64{tc.v})[0]; got != tc.code {
+		if got := packValues(nil, []float64{tc.v}, nil)[0]; got != tc.code {
 			t.Errorf("code of %v = %d, want %d", tc.v, got, tc.code)
 		}
 	}
@@ -1570,36 +1575,112 @@ func TestPackedValuesRoundTrip(t *testing.T) {
 				vals[i] = r.NormFloat64() * 100
 			}
 		}
-		checkPackedRoundTrip(t, vals)
+		checkPackedRoundTrip(t, vals, nil)
+		// Against a previous vector that shares some of the bits.
+		prev := make([]float64, len(vals))
+		for i := range prev {
+			if r.Intn(2) == 0 {
+				prev[i] = vals[i]
+			} else {
+				prev[i] = math.Float64frombits(r.Uint64() >> uint(r.Intn(64)))
+			}
+		}
+		checkPackedRoundTrip(t, vals, prev)
 	}
+}
+
+// TestPackedValuesRepeat pins code 15, "the previous vector's bits": a
+// repeated value costs its code alone whatever its bits (−0, NaN
+// payloads, ±Inf, subnormals, the largest integer), +0 keeps code 0, and
+// a value that differs from the previous one in any bit — −0 after +0, a
+// NaN of another payload — is coded as without a previous vector.
+func TestPackedValuesRepeat(t *testing.T) {
+	negZero, nan1 := math.Copysign(0, -1), math.Float64frombits(0x7FF8_0000_0000_0001)
+	for _, tc := range []struct {
+		name       string
+		v, prev    float64
+		code       byte
+		payloadLen int
+	}{
+		{"repeated -0", negZero, negZero, 15, 0},
+		{"repeated NaN payload", nan1, nan1, 15, 0},
+		{"repeated other NaN", math.Float64frombits(0xFFF0_0000_DEAD_BEEF), math.Float64frombits(0xFFF0_0000_DEAD_BEEF), 15, 0},
+		{"repeated +Inf", math.Inf(1), math.Inf(1), 15, 0},
+		{"repeated -Inf", math.Inf(-1), math.Inf(-1), 15, 0},
+		{"repeated subnormal", math.SmallestNonzeroFloat64, math.SmallestNonzeroFloat64, 15, 0},
+		{"repeated 2^48-1", 1<<48 - 1, 1<<48 - 1, 15, 0},
+		{"repeated 415.3", 415.3, 415.3, 15, 0},
+		{"repeated +0", 0, 0, 0, 0},
+		{"-0 after +0", negZero, 0, 1, 1},
+		{"+0 after -0", 0, negZero, 0, 0},
+		{"NaN after another NaN", nan1, math.Float64frombits(0x7FF8_0000_0000_0002), 8, 8},
+		{"+Inf after -Inf", math.Inf(1), math.Inf(-1), 2, 2},
+		{"2^48-1 after 2^48-2", 1<<48 - 1, 1<<48 - 2, 14, 6},
+	} {
+		packed := packValues(nil, []float64{tc.v}, []float64{tc.prev})
+		if packed[0] != tc.code || len(packed)-1 != tc.payloadLen {
+			t.Errorf("%s: code %d with %d payload bytes, want %d with %d", tc.name, packed[0], len(packed)-1, tc.code, tc.payloadLen)
+		}
+		checkPackedRoundTrip(t, []float64{tc.v, tc.v, 7}, []float64{tc.prev, tc.prev, 7})
+	}
+	// A whole vector of repeats is its codes alone.
+	special := []float64{negZero, nan1, math.Inf(1), math.Inf(-1), math.SmallestNonzeroFloat64, 1<<48 - 1, 415.3}
+	if packed := packValues(nil, special, special); len(packed) != (len(special)+1)/2 {
+		t.Errorf("%d repeated values packed into %d bytes, want their %d code bytes", len(special), len(packed), (len(special)+1)/2)
+	}
+	checkPackedRoundTrip(t, special, slices.Clone(special))
 }
 
 // TestUnpackValuesRejectsCorrupt: damaged packed values are an error,
 // and a count the bytes cannot back is refused before it is allocated.
 func TestUnpackValuesRejectsCorrupt(t *testing.T) {
-	good := packValues(nil, []float64{1, 415.3, 70000})
-	if _, _, err := unpackValues(good, 3); err != nil {
+	good := packValues(nil, []float64{1, 415.3, 70000}, nil)
+	if _, _, err := unpackValues(good, 3, nil); err != nil {
 		t.Fatal(err)
 	}
 	for name, tc := range map[string]struct {
 		b  []byte
 		nv uint64
 	}{
-		"reserved code 15":      {[]byte{0x0F}, 1},
-		"reserved code 15 high": {[]byte{0xF0}, 2},
-		"non-zero pad nibble":   {[]byte{0x10}, 1},
-		"truncated payload":     {good[:len(good)-1], 3},
-		"codes cut short":       {good[:1], 3},
-		"count beyond bytes":    {good, 2*uint64(len(good)) + 1},
-		"count 2^62":            {good, 1 << 62},
-		"empty":                 {nil, 1},
+		"code 15 without a previous vector":      {[]byte{0x0F}, 1},
+		"code 15 high without a previous vector": {[]byte{0xF0}, 2},
+		"non-zero pad nibble":                    {[]byte{0x10}, 1},
+		"truncated payload":                      {good[:len(good)-1], 3},
+		"codes cut short":                        {good[:1], 3},
+		"count beyond bytes":                     {good, 2*uint64(len(good)) + 1},
+		"count 2^62":                             {good, 1 << 62},
+		"empty":                                  {nil, 1},
 	} {
-		if _, _, err := unpackValues(tc.b, tc.nv); err == nil {
+		if _, _, err := unpackValues(tc.b, tc.nv, nil); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
 	}
-	if vals, rest, err := unpackValues(nil, 0); err != nil || len(vals) != 0 || len(rest) != 0 {
+	if vals, rest, err := unpackValues(nil, 0, nil); err != nil || len(vals) != 0 || len(rest) != 0 {
 		t.Errorf("zero values: %v, %v, %v", vals, rest, err)
+	}
+	if vals, _, err := unpackValues([]byte{0xF0}, 2, []float64{3, 4}); err != nil || vals[0] != 0 || vals[1] != 4 {
+		t.Errorf("code 15 against a previous vector: %v, %v", vals, err)
+	}
+}
+
+// code15Run is a well-formed one-row run record whose first value, a
+// zero, is recoded as code 15 (no payload, so every length still adds
+// up): the one thing wrong with it is a code run records never carry.
+func code15Run() []byte {
+	vals := []float64{0, 1, 100, 19512, 0.5}
+	rec := appendRunRecord(nil, recObserveRun, []int{3, 0, 47, 5, 9}, []FleetObservation{
+		{Model: "ST4000DM000", Observation: Observation{Serial: "Z302T4N9", Day: 812, Values: vals}},
+	})
+	rec[len(rec)-len(packValues(nil, vals, nil))] |= 0x0F
+	return rec
+}
+
+// TestRunRecordRefusesCode15: a run's rows are different disks, so a run
+// record is packed without a previous vector and code 15 in it is
+// corruption.
+func TestRunRecordRefusesCode15(t *testing.T) {
+	if _, err := decodeRecord(code15Run()); err == nil || !strings.Contains(err.Error(), "code 15") {
+		t.Fatalf("run record with code 15: %v, want a code 15 error", err)
 	}
 }
 
@@ -1668,22 +1749,52 @@ func TestRecordBytesPerRow(t *testing.T) {
 }
 
 // FuzzUnpackValues: arbitrary bytes under any claimed count decode or
-// fail, never panic, and what decodes re-encodes to values that decode
-// bit-equal.
+// fail, never panic, with or without a previous vector (withPrev; its
+// values are prevBits' little-endian words, zero past their end). What
+// decodes re-encodes against the same previous vector to values that
+// decode bit-equal, and nothing with code 15 among its codes decodes
+// without one.
 func FuzzUnpackValues(f *testing.F) {
-	f.Add(packValues(nil, []float64{0, 1, 255, 256, 415.3, math.Inf(-1), 1<<48 - 1}), uint64(7))
-	f.Add([]byte{0x0F}, uint64(1))
-	f.Add([]byte{0x10}, uint64(1))
-	f.Add([]byte(nil), uint64(1)<<62)
-	f.Fuzz(func(t *testing.T, data []byte, nv uint64) {
-		vals, rest, err := unpackValues(data, nv)
+	vals := []float64{0, 1, 255, 256, 415.3, math.Inf(-1), 1<<48 - 1}
+	bitsOf := func(v []float64) (b []byte) {
+		for _, x := range v {
+			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(x))
+		}
+		return b
+	}
+	prev := []float64{0, 1, 7, 256, 415.3, math.NaN(), 1<<48 - 1}
+	f.Add(packValues(nil, vals, nil), uint64(7), false, []byte(nil))
+	f.Add(packValues(nil, vals, prev), uint64(7), true, bitsOf(prev))
+	f.Add(packValues(nil, vals, prev), uint64(7), false, []byte(nil))
+	f.Add([]byte{0x0F}, uint64(1), false, []byte(nil))
+	f.Add([]byte{0xFF}, uint64(2), true, bitsOf([]float64{math.Copysign(0, -1)}))
+	f.Add([]byte{0x10}, uint64(1), false, []byte(nil))
+	f.Add([]byte(nil), uint64(1)<<62, true, []byte(nil))
+	f.Fuzz(func(t *testing.T, data []byte, nv uint64, withPrev bool, prevBits []byte) {
+		var prev []float64
+		if withPrev && nv <= 2*uint64(len(data)) {
+			prev = make([]float64, nv)
+			for i := range prev {
+				if 8*i+8 <= len(prevBits) {
+					prev[i] = math.Float64frombits(binary.LittleEndian.Uint64(prevBits[8*i:]))
+				}
+			}
+		}
+		vals, rest, err := unpackValues(data, nv, prev)
 		if err != nil {
 			return
 		}
 		if uint64(len(vals)) != nv || len(rest) > len(data) {
 			t.Fatalf("%d values and %d bytes left from %d bytes claiming %d", len(vals), len(rest), len(data), nv)
 		}
-		again, tail, err := unpackValues(packValues(nil, vals), nv)
+		if prev == nil {
+			for i := uint64(0); i < nv; i++ {
+				if data[i/2]>>(4*(i&1))&15 == 15 {
+					t.Fatalf("value %d has code 15 and decoded without a previous vector", i)
+				}
+			}
+		}
+		again, tail, err := unpackValues(packValues(nil, vals, prev), nv, prev)
 		if err != nil || len(tail) != 0 {
 			t.Fatalf("re-encoded values: %v, %d bytes left", err, len(tail))
 		}
@@ -1721,6 +1832,8 @@ func FuzzDecodeRecord(f *testing.F) {
 	for _, kind := range []byte{recObserveV1, recObserveV2, recObserveBFV2, recObserve, recObserveBF, recCatalogRun, recCatalogBFRun} {
 		f.Add(append([]byte{kind}, one[1:]...))
 	}
+	// A run record carrying code 15, which only a saved state's queues use.
+	f.Add(code15Run())
 	// A state record of a young model, and pass records with and without
 	// a backfill resume point.
 	p := NewPredictor(Config{Horizon: 2, ORF: ORFConfig{Trees: 2, Seed: 1}})

@@ -243,8 +243,10 @@ func (l *Labeler) Export() []QueueState {
 }
 
 // Import replaces the labeler's queues with previously Exported state.
-// The imported vectors are deep-copied, so the caller keeps ownership of
-// the state it passed in.
+// The labeler takes ownership of the imported vectors: they become the
+// queued samples themselves, not copies, so the caller must neither
+// modify nor reuse them afterwards (a decoder hands over what it just
+// allocated). Export's deep copy is the state to import twice.
 func (l *Labeler) Import(states []QueueState) error {
 	fresh := make(map[string]*Queue, len(states))
 	for _, st := range states {
@@ -261,7 +263,7 @@ func (l *Labeler) Import(states []QueueState) error {
 		}
 		q := NewQueue(l.horizon)
 		for i := range st.X {
-			q.Enqueue(append([]float64(nil), st.X[i]...), st.Days[i])
+			q.Enqueue(st.X[i], st.Days[i])
 		}
 		fresh[st.Disk] = q
 	}

@@ -313,7 +313,8 @@ func TestFailedDiskQueueRecycledZeroAllocs(t *testing.T) {
 }
 
 // TestExportIsDeepCopy verifies snapshots and live queues are isolated
-// in both directions after the ring-buffer conversion.
+// in both directions after the ring-buffer conversion, and that Import
+// keeps the vectors it is handed instead of copying them.
 func TestExportIsDeepCopy(t *testing.T) {
 	out, update := collect()
 	l := NewLabeler(3, update)
@@ -340,17 +341,16 @@ func TestExportIsDeepCopy(t *testing.T) {
 		t.Fatalf("live queue corrupted by snapshot mutation: %+v", *out)
 	}
 
-	// Import must deep-copy too: mutating the source state afterwards
-	// must not affect the imported queues.
+	// Import, by contrast, takes ownership: the queued sample is the
+	// caller's vector itself, not a copy of it.
 	st := []QueueState{{Disk: "b", Days: []int{5}, X: [][]float64{{42}}}}
 	if err := l.Import(st); err != nil {
 		t.Fatal(err)
 	}
-	st[0].X[0][0] = -1
 	*out = (*out)[:0]
 	l.Fail("b")
-	if len(*out) != 1 || (*out)[0].X[0] != 42 {
-		t.Fatalf("imported queue aliases caller state: %+v", *out)
+	if len(*out) != 1 || (*out)[0].X[0] != 42 || &(*out)[0].X[0] != &st[0].X[0][0] {
+		t.Fatalf("imported queue released %+v, not the imported vector", *out)
 	}
 }
 

@@ -26,7 +26,11 @@ import (
 
 const (
 	predictorMagic = "ODP1"
-	stateMagic     = "ODS2"
+	stateMagic     = "ODS3"
+	// stateMagicV2 is the previous release's layout, read for one release
+	// (the upgrade rule): its queued samples carry absolute days and
+	// values packed on their own.
+	stateMagicV2 = "ODS2"
 )
 
 // SaveModel serializes the predictor's model state to w.
@@ -163,13 +167,16 @@ func LoadPredictor(r io.Reader) (*Predictor, error) {
 // reproduces an uninterrupted run bit for bit — the property the
 // serving engine's crash recovery relies on.
 //
-// The queue section ("ODS2") is a uvarint disk count, then per tracked
+// The queue section ("ODS3") is a uvarint disk count, then per tracked
 // disk, in serial order, the serial (uvarint length, bytes), a uvarint
 // sample count, a uvarint block length and the block — per sample,
-// oldest first, a varint day and the queued features as packValues
-// lays them out — and last a little-endian CRC-32 (IEEE) of the section
-// before it. Each disk is built in a reused buffer and written with one
-// Write.
+// oldest first, a varint day (the first sample's absolute, each later
+// one's the delta from the sample before) and the queued features as
+// packValues lays them out against the sample before (the first on
+// their own) — and last a little-endian CRC-32 (IEEE) of the section
+// before it. A disk's consecutive days mostly repeat most of its SMART
+// values, and a repeat costs its half-byte code alone. Each disk is
+// built in a reused buffer and written with one Write.
 func (p *Predictor) SaveState(w io.Writer) error {
 	if _, err := io.WriteString(w, stateMagic); err != nil {
 		return err
@@ -192,13 +199,16 @@ func (p *Predictor) SaveState(w io.Writer) error {
 	for _, disk := range disks {
 		q := p.labeler.Queue(disk)
 		block = block[:0]
+		var prev []float64
+		prevDay := 0
 		for i := 0; i < q.Len(); i++ {
 			x, day := q.At(i)
 			if len(x) != len(p.features) {
 				return fmt.Errorf("orfdisk: queued sample of disk %q has %d features, want %d",
 					disk, len(x), len(p.features))
 			}
-			block = packValues(binary.AppendVarint(block, int64(day)), x)
+			block = packValues(binary.AppendVarint(block, int64(day-prevDay)), x, prev)
+			prev, prevDay = x, day
 		}
 		buf = binary.AppendUvarint(buf[:0], uint64(len(disk)))
 		buf = append(buf, disk...)
@@ -217,15 +227,16 @@ func (p *Predictor) SaveState(w io.Writer) error {
 // reads r to its end: a state is the last thing in whatever holds it.
 // Damaged input is an "orfdisk: corrupt state" error, never a panic, and
 // every count and length in it is held against the bytes that are there
-// before anything is sized by it. The "ODS1" layout of older releases is
-// refused before anything is parsed, with the remedy in the error.
+// before anything is sized by it. It also reads the previous release's
+// "ODS2" layout; the "ODS1" layout of older releases is refused before
+// anything is parsed, with the remedy in the error.
 func LoadPredictorState(r io.Reader) (*Predictor, error) {
 	head := make([]byte, len(stateMagic))
 	if _, err := io.ReadFull(r, head); err != nil {
 		return nil, fmt.Errorf("orfdisk: reading state header: %w", err)
 	}
 	switch string(head) {
-	case stateMagic:
+	case stateMagic, stateMagicV2:
 	case "ODS1":
 		return nil, errors.New("orfdisk: state layout ODS1 is retired and this release does not read it; " +
 			"load it with the PR 29 release, the last that reads it, and save it again")
@@ -248,7 +259,7 @@ func LoadPredictorState(r io.Reader) (*Predictor, error) {
 	if sum != stored {
 		return nil, fmt.Errorf("orfdisk: corrupt state (queue section CRC %08x, stored %08x)", sum, stored)
 	}
-	states, err := decodeQueues(section[:n], uint64(p.horizon), uint64(len(p.features)))
+	states, err := decodeQueues(section[:n], uint64(p.horizon), uint64(len(p.features)), string(head) == stateMagic)
 	if err != nil {
 		return nil, fmt.Errorf("orfdisk: corrupt state (%w)", err)
 	}
@@ -259,8 +270,10 @@ func LoadPredictorState(r io.Reader) (*Predictor, error) {
 }
 
 // decodeQueues parses a queue section (its CRC verified and removed) of
-// disks with up to horizon samples of f features each.
-func decodeQueues(b []byte, horizon, f uint64) ([]labeling.QueueState, error) {
+// disks with up to horizon samples of f features each; delta says each
+// sample after a disk's first is coded against the one before (ODS3),
+// not on its own (ODS2).
+func decodeQueues(b []byte, horizon, f uint64, delta bool) ([]labeling.QueueState, error) {
 	short := errors.New("queue section cut short")
 	uint := func() (uint64, error) {
 		v, n := binary.Uvarint(b)
@@ -304,14 +317,19 @@ func decodeQueues(b []byte, horizon, f uint64) ([]labeling.QueueState, error) {
 		st.Days, st.X = make([]int, n), make([][]float64, n)
 		block := b[:size]
 		b = b[size:]
+		var prev []float64
+		prevDay := 0
 		for i := range st.X {
 			day, sz := binary.Varint(block)
 			if sz <= 0 {
 				return nil, errors.New("queued sample day")
 			}
-			st.Days[i] = int(day)
-			if st.X[i], block, err = unpackValues(block[sz:], f); err != nil {
+			st.Days[i] = prevDay + int(day)
+			if st.X[i], block, err = unpackValues(block[sz:], f, prev); err != nil {
 				return nil, err
+			}
+			if delta {
+				prev, prevDay = st.X[i], st.Days[i]
 			}
 		}
 		if len(block) != 0 {

@@ -199,9 +199,10 @@ func TestSaveStateBitIdenticalRoundTrip(t *testing.T) {
 
 func TestLoadPredictorStateRejectsGarbage(t *testing.T) {
 	cases := map[string]string{
-		"empty":     "",
-		"bad magic": "NOPE............",
-		"truncated": "ODS2ODP1\x01",
+		"empty":          "",
+		"bad magic":      "NOPE............",
+		"truncated":      "ODS3ODP1\x01",
+		"truncated ODS2": "ODS2ODP1\x01",
 	}
 	for name, data := range cases {
 		if _, err := LoadPredictorState(strings.NewReader(data)); err == nil {
@@ -217,6 +218,37 @@ func saveState(t testing.TB, p *Predictor) []byte {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
+}
+
+// saveStateODS2 is saveState in the previous release's "ODS2" layout,
+// which this release still reads: every queued sample's day absolute and
+// its values packed on their own. Its bytes are what the previous
+// release's SaveState wrote for p, so pins taken on that release hash
+// them.
+func saveStateODS2(t testing.TB, p *Predictor) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	buf.WriteString(stateMagicV2)
+	if err := p.SaveModel(&buf); err != nil {
+		t.Fatal(err)
+	}
+	q0 := buf.Len()
+	disks := p.labeler.Disks()
+	b := binary.AppendUvarint(buf.Bytes(), uint64(len(disks)))
+	for _, disk := range disks {
+		q := p.labeler.Queue(disk)
+		var block []byte
+		for i := 0; i < q.Len(); i++ {
+			x, day := q.At(i)
+			block = packValues(binary.AppendVarint(block, int64(day)), x, nil)
+		}
+		b = binary.AppendUvarint(b, uint64(len(disk)))
+		b = append(b, disk...)
+		b = binary.AppendUvarint(b, uint64(q.Len()))
+		b = binary.AppendUvarint(b, uint64(len(block)))
+		b = append(b, block...)
+	}
+	return binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(b[q0:]))
 }
 
 // statePredictor is a trained predictor with live queues, and the number
@@ -261,17 +293,25 @@ func allocatedBy(fn func()) uint64 {
 	return after.TotalAlloc - before.TotalAlloc
 }
 
-// TestLoadPredictorStateRejectsDamage: a damaged queue section fails the
-// load with a corrupt-state error, and an intact state under the retired
+// TestLoadPredictorStateRejectsDamage: a damaged queue section, in this
+// release's ODS3 layout or the ODS2 one it still reads, fails the load
+// with a corrupt-state error, and an intact state under the retired
 // ODS1 magic with a refusal that names the remedy. It never panics, and
 // no count or length in it buys an allocation: a damaged load allocates
 // at most what the intact one does plus 16x the input (a packed value of
 // half a byte decodes to 8).
 func TestLoadPredictorStateRejectsDamage(t *testing.T) {
 	p, q0 := statePredictor(t, 9, Config{ORF: ORFConfig{Trees: 5, MinParentSize: 50, Seed: 3}})
-	good := saveState(t, p)
+	t.Run("ODS3", func(t *testing.T) { checkStateDamage(t, p, q0, saveState(t, p)) })
+	t.Run("ODS2", func(t *testing.T) { checkStateDamage(t, p, q0, saveStateODS2(t, p)) })
+}
 
-	// Offsets of the first disk's fields in the ODS2 queue section.
+// checkStateDamage runs TestLoadPredictorStateRejectsDamage's cases on
+// good, p's state in one of the two layouts, whose queue section starts
+// at q0.
+func checkStateDamage(t *testing.T, p *Predictor, q0 int, good []byte) {
+	// Offsets of the first disk's fields in the queue section, the same
+	// in both layouts: the first sample of a disk is coded on its own.
 	uvarint := func(off int) (v uint64, next int) {
 		v, n := binary.Uvarint(good[off:])
 		if n <= 0 {
@@ -286,9 +326,14 @@ func TestLoadPredictorStateRejectsDamage(t *testing.T) {
 	size, block := uvarint(sizeAt)
 	_, dayLen := binary.Varint(good[block:])
 	codes := block + dayLen
-	if len(p.features)%2 != 1 || n == 0 || size == 0 {
+	if len(p.features)%2 != 1 || n < 2 || size == 0 {
 		t.Fatalf("fixture: %d features, first queue %d samples in %d bytes", len(p.features), n, size)
 	}
+	// The codes of the first disk's second sample.
+	x0, _ := p.labeler.Queue(p.labeler.Disks()[0]).At(0)
+	second := codes + len(packValues(nil, x0, nil))
+	_, dayLen = binary.Varint(good[second:])
+	codes2 := second + dayLen
 
 	splice := func(b []byte, from, to int, with []byte) []byte {
 		return slices.Concat(b[:from], with, b[to:])
@@ -312,11 +357,12 @@ func TestLoadPredictorStateRejectsDamage(t *testing.T) {
 	}
 	u64 := func(v uint64) []byte { return binary.LittleEndian.AppendUint64(nil, v) }
 	uv := func(v uint64) []byte { return binary.AppendUvarint(nil, v) }
-	cases := []struct {
+	type damage struct {
 		name, want string
 		data       []byte
-	}{
-		{"ODS2 disk count 2^62", "cut short", seal(splice(body, q0, serialAt, uv(1<<62)))},
+	}
+	cases := []damage{
+		{"disk count 2^62", "cut short", seal(splice(body, q0, serialAt, uv(1<<62)))},
 		{"retired ODS1 magic", "ODS1 is retired", splice(good, 0, len(stateMagic), []byte("ODS1"))},
 		{"truncated file", "CRC", good[:block+int(size)/2]},
 		{"truncated block", "cut short", seal(body[:block+int(size)/2])},
@@ -325,7 +371,7 @@ func TestLoadPredictorStateRejectsDamage(t *testing.T) {
 		{"block length one over", "trailing bytes in a queue block", seal(splice(body, sizeAt, block, uv(size+1)))},
 		{"queue longer than the horizon", "> horizon", seal(splice(body, nAt, sizeAt, uv(1<<20)))},
 		{"serial of 2^40 bytes", "cut short", seal(splice(body, serialAt, serial, uv(1<<40)))},
-		{"code 15", "code 15", set(codes, body[codes]|0x0F)},
+		{"code 15 in a disk's first sample", "code 15", set(codes, body[codes]|0x0F)},
 		{"non-zero pad nibble", "pad", set(codes+len(p.features)/2, body[codes+len(p.features)/2]|0x10)},
 		{"bytes after the last queue", "trailing bytes after", seal(append(slices.Clone(body), 0))},
 		{"flipped payload bit", "CRC", flip(block + int(size) - 1)},
@@ -334,12 +380,19 @@ func TestLoadPredictorStateRejectsDamage(t *testing.T) {
 		{"queue section missing", "no queue checksum", good[:q0+2]},
 		{"horizon 2^40", "corrupt model (horizon", splice(good, 8, 16, u64(1<<40))},
 	}
+	if string(good[:len(stateMagicV2)]) == stateMagicV2 {
+		// ODS2 codes every sample on its own.
+		cases = append(cases, damage{"code 15 in a later ODS2 sample", "code 15", set(codes2, body[codes2]|0x0F)})
+	}
 	load := func(data []byte) (err error) {
 		_, err = LoadPredictorState(bytes.NewReader(data))
 		return err
 	}
-	if err := load(good); err != nil {
+	// Intact, either layout loads to the predictor that saved it.
+	if q, err := LoadPredictorState(bytes.NewReader(good)); err != nil {
 		t.Fatal(err)
+	} else if !bytes.Equal(saveState(t, q), saveState(t, p)) {
+		t.Fatal("the intact state loads to another predictor than the one that saved it")
 	}
 	intact := allocatedBy(func() { load(good) })
 	for _, tc := range cases {
@@ -362,9 +415,10 @@ func TestLoadPredictorStateRejectsDamage(t *testing.T) {
 // TestStateBytesPerDisk pins the other exact counter the packed codec
 // was sized by: queue-section bytes per tracked disk of a saved state,
 // paper configuration (19 features, 7-day queues), seeded fleet. The
-// ODS1 layout took 1146.0 B/disk here.
+// ODS1 layout took 1146.0 B/disk here, and ODS2 (every sample coded on
+// its own, absolute days) 217.2.
 func TestStateBytesPerDisk(t *testing.T) {
-	const maxPerDisk = 218.0 // this implementation: 217.2
+	const maxPerDisk = 152.0 // this implementation: 151.4
 	p, modelLen := statePredictor(t, 11, Config{ORF: ORFConfig{Trees: 5, MinParentSize: 50, Seed: 3}})
 	disks := float64(p.TrackedDisks())
 	perDisk := float64(len(saveState(t, p))-modelLen) / disks
@@ -375,12 +429,13 @@ func TestStateBytesPerDisk(t *testing.T) {
 }
 
 // FuzzLoadPredictorState: no input makes the loader panic, and nothing
-// loads that does not start with the ODS2 magic (a seed is an intact
-// state under the retired ODS1 one). Mode 0 feeds it the bytes as a whole
-// file; mode 1 puts them behind an intact model as the queue section,
-// with the CRC the bytes deserve so the fuzzer gets past the checksum,
-// where allocation must stay linear in the input: no count or length in
-// it is believed before the bytes it stands for arrive.
+// loads that does not start with the ODS2 or ODS3 magic (a seed is an
+// intact state under the retired ODS1 one). An even mode feeds it the
+// bytes as a whole file; an odd one puts them behind an intact model as
+// the queue section — the ODS3 model for mode&2 == 0, the ODS2 one
+// otherwise — with the CRC the bytes deserve so the fuzzer gets past the
+// checksum, where allocation must stay linear in the input: no count or
+// length in it is believed before the bytes it stands for arrive.
 func FuzzLoadPredictorState(f *testing.F) {
 	// A few disks and two young trees: seeds of ~2 kB, which the fuzzer
 	// mutates and minimizes a hundred times faster than a fleet's.
@@ -398,23 +453,30 @@ func FuzzLoadPredictorState(f *testing.F) {
 		}
 	}
 	q0 := queueOffset(f, p)
-	v2 := saveState(f, p)
+	v3, v2 := saveState(f, p), saveStateODS2(f, p)
+	f.Add(v3, uint8(0))
 	f.Add(v2, uint8(0))
-	f.Add(slices.Concat([]byte("ODS1"), v2[len(stateMagic):]), uint8(0))
-	f.Add(v2[:q0], uint8(0)) // no queue section
-	f.Add(v2[q0:len(v2)-4], uint8(1))
+	f.Add(slices.Concat([]byte("ODS1"), v3[len(stateMagic):]), uint8(0))
+	f.Add(v3[:q0], uint8(0)) // no queue section
+	f.Add(v3[q0:len(v3)-4], uint8(1))
+	f.Add(v2[q0:len(v2)-4], uint8(3))
 	f.Add([]byte{}, uint8(1))
-	intact := allocatedBy(func() { LoadPredictorState(bytes.NewReader(v2)) })
+	intact := max(allocatedBy(func() { LoadPredictorState(bytes.NewReader(v3)) }),
+		allocatedBy(func() { LoadPredictorState(bytes.NewReader(v2)) }))
 	f.Fuzz(func(t *testing.T, data []byte, mode uint8) {
 		input := data
 		if mode%2 == 1 {
-			input = binary.LittleEndian.AppendUint32(slices.Concat(v2[:q0], data), crc32.ChecksumIEEE(data))
+			model := v3[:q0]
+			if mode&2 != 0 {
+				model = v2[:q0]
+			}
+			input = binary.LittleEndian.AppendUint32(slices.Concat(model, data), crc32.ChecksumIEEE(data))
 		}
 		var q *Predictor
 		var err error
 		got := allocatedBy(func() { q, err = LoadPredictorState(bytes.NewReader(input)) })
 		if err == nil {
-			if !bytes.HasPrefix(input, []byte(stateMagic)) {
+			if !bytes.HasPrefix(input, []byte(stateMagic)) && !bytes.HasPrefix(input, []byte(stateMagicV2)) {
 				t.Fatalf("loaded a state that starts %q", input[:len(stateMagic)])
 			}
 			// What loads must be usable: it saves, and the save loads.

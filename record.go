@@ -118,7 +118,7 @@ func (b *recordBatch) addRow(obs *FleetObservation, vals []float64) {
 	}
 	b.buf = binary.AppendUvarint(b.buf, uint64(len(obs.Serial)))
 	b.buf = append(b.buf, obs.Serial...)
-	b.buf = packValues(b.buf, vals)
+	b.buf = packValues(b.buf, vals, nil)
 }
 
 func (b *recordBatch) addCursor(c BackfillCursor) {
@@ -322,7 +322,7 @@ func decodeRun(b []byte) (model string, index []int, rows []FleetObservation, er
 		}
 		obs.Values = slab[:width:width]
 		slab = slab[width:]
-		if b, err = unpackValuesInto(obs.Values, b); err != nil {
+		if b, err = unpackValuesInto(obs.Values, b, nil); err != nil {
 			return "", nil, nil, fmt.Errorf("orfdisk: run WAL record: row %d: %w", i, err)
 		}
 	}
