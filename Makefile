@@ -69,7 +69,7 @@ race:
 # a PR moves these numbers so the perf trajectory stays reviewable. The
 # two codec benchmarks also record the exact sizes a row and a saved
 # state take (B/row, state_bytes).
-INGEST_BENCH = BenchmarkPredictorIngest$$|BenchmarkPredictorIngestBatch|BenchmarkLabelerSteadyState|BenchmarkUpdateBatch|BenchmarkEngineIngestBatch|BenchmarkRecordCodec|BenchmarkStateCodec
+INGEST_BENCH = BenchmarkPredictorIngest$$|BenchmarkLabelerSteadyState|BenchmarkUpdateBatch|BenchmarkEngineIngestBatch|BenchmarkRecordCodec|BenchmarkStateCodec
 
 bench: bench-ingest bench-predict bench-replicate bench-snapshot
 

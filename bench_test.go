@@ -263,42 +263,6 @@ func BenchmarkPredictorIngest(b *testing.B) {
 	}
 }
 
-// BenchmarkPredictorIngestBatch measures Predictor.IngestBatch at batch
-// size 64 (validated upfront, predictions appended into a reused
-// slice); per-op cost is per observation, directly comparable to
-// BenchmarkPredictorIngest.
-func BenchmarkPredictorIngestBatch(b *testing.B) {
-	g, err := dataset.New(benchProfile(6), 11)
-	if err != nil {
-		b.Fatal(err)
-	}
-	var obs []Observation
-	for _, m := range g.Disks()[:100] {
-		for _, s := range g.DiskSamples(m) {
-			obs = append(obs, Observation{
-				Serial: s.Serial, Day: s.Day, Failed: s.Failure, Values: s.Values,
-			})
-		}
-	}
-	const batch = 64
-	p := NewPredictor(Config{ORF: ORFConfig{Trees: 30, Seed: 1}})
-	out := make([]Prediction, 0, batch)
-	for _, o := range obs {
-		if _, err := p.Ingest(o); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i += batch {
-		lo := i % (len(obs) - batch)
-		out, err = p.IngestBatch(obs[lo:lo+batch], out[:0])
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkLabelerSteadyState isolates the labeling layer: a stable
 // fleet cycling through full queues. The ring-buffer conversion makes
 // this allocation-free (the slice-backed queue allocated on every

@@ -1,25 +1,34 @@
-// Command orfmon is the online monitoring daemon of Algorithm 2: it
-// consumes a chronological stream of Backblaze-format SMART snapshots
-// (stdin or a file), keeps a per-disk labeling queue, updates the online
-// random forest with every released label, and prints an alarm line for
-// every disk whose live prediction crosses the risk threshold.
+// Command orfmon is the online monitoring daemon of Algorithm 2: it feeds
+// a chronological stream of Backblaze-format SMART snapshots (stdin or a
+// file) to an Engine, which keeps one online random forest per drive
+// model (§4.1) and a labeling queue per disk, and prints an alarm line
+// for every disk whose live prediction crosses the risk threshold. With
+// -data DIR the engine logs to DIR, and a later run on DIR resumes the
+// models bit for bit.
 //
 // Usage:
 //
 //	orfgen -profile STA -scale 0.005 | orfmon
 //	orfmon -in fleet.csv -threshold 0.6 -v
+//	orfmon -in jan.csv -data state/ && orfmon -in feb.csv -data state/
 package main
 
 import (
-	"bufio"
+	"bytes"
+	"cmp"
 	"flag"
 	"fmt"
 	"io"
 	"os"
+	"strings"
 
 	"orfdisk"
 	"orfdisk/internal/smart"
 )
+
+// batchCap bounds the rows one IngestBatch carries; a batch also ends
+// at each day change, so -v reports each day before any of its rows.
+const batchCap = 1024
 
 func main() {
 	var (
@@ -28,129 +37,193 @@ func main() {
 		trees     = flag.Int("trees", 30, "ensemble size T")
 		lambdaN   = flag.Float64("lambdan", 0.02, "negative-class Poisson rate λn")
 		verbose   = flag.Bool("v", false, "print daily forest statistics")
-		loadPath  = flag.String("load", "", "resume from a model snapshot written by -save")
-		savePath  = flag.String("save", "", "write a model snapshot here at end of stream")
+		dataDir   = flag.String("data", "", "keep the models' log in this directory and resume from it")
+		loadPath  = flag.String("load", "", "start each new drive model from a model file an earlier release's -save wrote")
 	)
 	flag.Parse()
-
-	var r io.Reader = os.Stdin
-	if *in != "" {
-		f, err := os.Open(*in)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "orfmon:", err)
-			os.Exit(1)
-		}
-		defer f.Close()
-		r = f
-	}
-	cr, err := smart.NewReader(bufio.NewReaderSize(r, 1<<20))
+	m := &monitor{verbose: *verbose, known: map[string]bool{}, alarmed: map[string]bool{}, lastDay: -1}
+	err := m.run(*in, *loadPath, orfdisk.EngineConfig{
+		Predictor: orfdisk.Config{
+			Threshold: *threshold,
+			ORF:       orfdisk.ORFConfig{Trees: *trees, LambdaNeg: *lambdaN},
+		},
+		DataDir:        *dataDir,
+		FreezeEvery:    -1, // nothing scores from frozen snapshots here
+		FreezeInterval: -1,
+	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "orfmon:", err)
 		os.Exit(1)
 	}
+}
 
-	var pred *orfdisk.Predictor
-	if *loadPath != "" {
-		f, err := os.Open(*loadPath)
+// monitor turns the engine's live predictions into orfmon's report. A
+// disk alarms once until it fails or the process ends; a failure counts
+// as caught when its disk alarmed before it. known names the models the
+// engine has a shard for; a new one starts from seed, -load's model
+// file, or else as a fresh forest of freshNodes root nodes.
+type monitor struct {
+	eng        *orfdisk.Engine
+	verbose    bool
+	known      map[string]bool
+	seed       []byte
+	freshNodes int
+	alarmed    map[string]bool
+	lastDay    int
+
+	samples, alarms, failures, caught int
+}
+
+func (m *monitor) run(in, loadPath string, cfg orfdisk.EngineConfig) (err error) {
+	var r io.Reader = os.Stdin
+	if in != "" {
+		f, err := os.Open(in)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "orfmon:", err)
-			os.Exit(1)
+			return err
 		}
-		pred, err = orfdisk.LoadPredictor(bufio.NewReader(f))
-		f.Close()
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "orfmon:", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "orfmon: resumed model with %d prior updates\n",
-			pred.Stats().Updates)
-	} else {
-		pred = orfdisk.NewPredictor(orfdisk.Config{
-			Threshold: *threshold,
-			ORF:       orfdisk.ORFConfig{Trees: *trees, LambdaNeg: *lambdaN},
-		})
+		defer f.Close()
+		r = f
 	}
+	fr, err := smart.NewFastReaderSize(r, 1<<20)
+	if err != nil {
+		return err
+	}
+	if loadPath != "" {
+		if m.seed, err = os.ReadFile(loadPath); err != nil {
+			return err
+		}
+		p, err := orfdisk.LoadPredictor(bytes.NewReader(m.seed))
+		if err != nil {
+			return err
+		}
+		fmt.Fprintf(os.Stderr, "orfmon: new drive models start from a model with %d prior updates\n", p.Stats().Updates)
+	}
+	if m.eng, err = orfdisk.NewEngine(cfg); err != nil {
+		return err
+	}
+	defer func() {
+		if cerr := m.eng.Close(); err == nil {
+			err = cerr
+		}
+	}()
+	for _, model := range m.eng.Models() {
+		m.known[model] = true
+	}
+	m.freshNodes = orfdisk.NewPredictor(cfg.Predictor).Stats().Nodes
 
-	alarmed := map[string]bool{} // suppress repeated alarms per disk
-	var samples, alarms, failures, caught int
-	lastDay := -1
+	batch := make([]orfdisk.FleetObservation, 0, batchCap)
 	for {
-		s, err := cr.Read()
-		if err == io.EOF {
-			break
+		var s smart.Sample // its own Values: Read reuses the slice it is given
+		rerr := fr.Read(&s)
+		if len(batch) > 0 && (rerr != nil || len(batch) == batchCap || s.Day != batch[0].Day) {
+			if err := m.ingest(batch); err != nil {
+				return err
+			}
+			batch = batch[:0]
 		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "orfmon:", err)
-			os.Exit(1)
+		if rerr == io.EOF {
+			m.summary()
+			return nil
+		} else if rerr != nil {
+			return rerr
 		}
-		if *verbose && s.Day != lastDay {
-			st := pred.Stats()
-			fmt.Printf("# day %d: %d disks tracked, %d updates (%d pos), %d nodes, %d trees replaced\n",
-				s.Day, pred.TrackedDisks(), st.Updates, st.PosSeen, st.Nodes, st.Replaced)
-			lastDay = s.Day
-		}
-		samples++
-		p, err := pred.Ingest(orfdisk.Observation{
+		batch = append(batch, orfdisk.FleetObservation{Model: s.Model, Observation: orfdisk.Observation{
 			Serial: s.Serial, Day: s.Day, Failed: s.Failure, Values: s.Values,
-		})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "orfmon:", err)
-			os.Exit(1)
+		}})
+	}
+}
+
+// ingest applies a non-empty batch of one day's rows and reports them in
+// input order. The engine applies every row of a batch it does not
+// refuse, so the rows after a refused one are reported too, and the
+// first refusal is returned once the batch is.
+func (m *monitor) ingest(batch []orfdisk.FleetObservation) (refused error) {
+	fresh := 0 // root nodes of the fresh forests the batch brings in
+	for _, obs := range batch {
+		if obs.Model == "" || m.known[obs.Model] {
+			continue // a row without a model is routed by its serial
 		}
+		m.known[obs.Model] = true
+		if m.seed == nil {
+			fresh += m.freshNodes
+			continue
+		}
+		p, err := orfdisk.LoadPredictor(bytes.NewReader(m.seed))
+		if err == nil {
+			err = m.eng.Import(obs.Model, p)
+		}
+		if err != nil {
+			return err
+		}
+	}
+	if m.verbose && batch[0].Day != m.lastDay {
+		st := m.totals()
+		m.lastDay = batch[0].Day
+		fmt.Printf("# day %d: %d disks tracked, %d updates (%d pos), %d nodes, %d trees replaced\n",
+			m.lastDay, st.Tracked, st.Updates, st.PosSeen, st.Nodes+fresh, st.Replaced)
+	}
+	for i, res := range m.eng.IngestBatch(batch) {
+		if res.Err != nil {
+			refused = cmp.Or(refused, res.Err)
+			continue
+		}
+		m.samples++
+		obs, p := &batch[i], res.Prediction
 		switch {
 		case p.Final:
-			failures++
-			if alarmed[s.Serial] {
-				caught++
+			m.failures++
+			if m.alarmed[obs.Serial] {
+				m.caught++
 			}
 			fmt.Printf("FAILED  day=%-5d disk=%s (alarmed before failure: %v)\n",
-				s.Day, s.Serial, alarmed[s.Serial])
-			delete(alarmed, s.Serial)
-		case p.Risky && !alarmed[s.Serial]:
-			alarms++
-			alarmed[s.Serial] = true
+				obs.Day, obs.Serial, m.alarmed[obs.Serial])
+			delete(m.alarmed, obs.Serial)
+		case p.Risky && !m.alarmed[obs.Serial]:
+			m.alarms++
+			m.alarmed[obs.Serial] = true
 			fmt.Printf("ALARM   day=%-5d disk=%s score=%.3f  -> recommend immediate data migration\n",
-				s.Day, s.Serial, p.Score)
+				obs.Day, obs.Serial, p.Score)
 		}
 	}
-	st := pred.Stats()
-	fmt.Printf("\n--- orfmon summary ---\n")
-	fmt.Printf("samples processed   %d\n", samples)
-	fmt.Printf("alarms raised       %d\n", alarms)
-	fmt.Printf("failures observed   %d (alarmed beforehand: %d)\n", failures, caught)
-	fmt.Printf("model updates       %d (%d positive / %d negative)\n",
-		st.Updates, st.PosSeen, st.NegSeen)
-	fmt.Printf("forest              %d nodes, %d leaves, %d trees replaced\n",
-		st.Nodes, st.Leaves, st.Replaced)
-	if top := pred.FeatureImportance(); len(top) > 0 {
-		fmt.Printf("top failure signals ")
-		for i, f := range top {
-			if i == 3 {
-				break
-			}
-			if i > 0 {
-				fmt.Print(", ")
-			}
-			fmt.Printf("%s (%.0f%%)", f.Label, 100*f.Importance)
-		}
-		fmt.Println()
-	}
+	return refused
+}
 
-	if *savePath != "" {
-		f, err := os.Create(*savePath)
-		if err == nil {
-			bw := bufio.NewWriter(f)
-			if err = pred.SaveModel(bw); err == nil {
-				err = bw.Flush()
-			}
-			if cerr := f.Close(); err == nil {
-				err = cerr
-			}
+// totals sums the engine's per-model statistics.
+func (m *monitor) totals() (t orfdisk.ModelStats) {
+	for _, ms := range m.eng.Stats() {
+		t.Updates += ms.Updates
+		t.PosSeen += ms.PosSeen
+		t.NegSeen += ms.NegSeen
+		t.Replaced += ms.Replaced
+		t.Nodes += ms.Nodes
+		t.Leaves += ms.Leaves
+		t.Tracked += ms.Tracked
+	}
+	return t
+}
+
+// summary prints the run's counts, the forests' sizes summed over the
+// models, and each model's strongest failure signals.
+func (m *monitor) summary() {
+	st := m.totals()
+	fmt.Printf("\n--- orfmon summary ---\n")
+	fmt.Printf("samples processed   %d\n", m.samples)
+	fmt.Printf("alarms raised       %d\n", m.alarms)
+	fmt.Printf("failures observed   %d (alarmed beforehand: %d)\n", m.failures, m.caught)
+	fmt.Printf("model updates       %d (%d positive / %d negative)\n", st.Updates, st.PosSeen, st.NegSeen)
+	fmt.Printf("forest              %d nodes, %d leaves, %d trees replaced\n", st.Nodes, st.Leaves, st.Replaced)
+	models, label := m.eng.Models(), ""
+	for _, model := range models {
+		top, _ := m.eng.Importance(model)
+		var signals []string
+		for _, f := range top[:min(3, len(top))] {
+			signals = append(signals, fmt.Sprintf("%s (%.0f%%)", f.Label, 100*f.Importance))
 		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "orfmon:", err)
-			os.Exit(1)
+		if len(models) > 1 {
+			label = "[" + model + "] "
 		}
-		fmt.Fprintf(os.Stderr, "orfmon: model snapshot written to %s\n", *savePath)
+		if len(signals) > 0 {
+			fmt.Printf("top failure signals %s%s\n", label, strings.Join(signals, ", "))
+		}
 	}
 }

@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -286,6 +288,141 @@ func TestRecoversPR33Dir(t *testing.T) {
 	}
 	if cur, rowsAfter, ok := again.BackfillState(); !ok || rowsAfter != 300 || !reflect.DeepEqual(cur, wantCur) {
 		t.Errorf("reopened BackfillState %+v, %d, %v; want %+v, 300, true", cur, rowsAfter, ok, wantCur)
+	}
+}
+
+// stateLayouts returns the layout magic of every state record in dir's
+// log, in log order.
+func stateLayouts(t *testing.T, dir string) []string {
+	t.Helper()
+	cur, err := wal.OpenCursor(filepath.Join(dir, walDirName), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cur.Close()
+	var magics []string
+	for {
+		seq, p, err := cur.Next()
+		if err != nil {
+			return magics
+		}
+		rec, err := decodeRecord(p)
+		if err != nil {
+			t.Fatalf("record at seq %d: %v", seq, err)
+		}
+		if rec.kind == recState {
+			magics = append(magics, string(rec.state[:len(stateMagic)]))
+		}
+	}
+}
+
+// TestCleanStopResealsOlderStates: testdata/pr33_dir cut after its pass
+// record holds two state records in the previous layout (ODS2), the
+// pass, and nothing logged since. A clean stop must still run a pass, so
+// that the log then holds only current-layout states — the remedy the
+// release that stops reading ODS2 will name — and the models are as
+// recovery left them.
+func TestCleanStopResealsOlderStates(t *testing.T) {
+	dir := t.TempDir()
+	copyTree(t, filepath.Join("testdata", "pr33_dir"), dir)
+	seg := filepath.Join(dir, walDirName, "00000000000000000607.wal")
+	b, err := os.ReadFile(seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for off := 0; ; {
+		_, payload, n := wal.ParseRecord(b[off:])
+		if n == 0 || off+n > len(b) {
+			t.Fatal("the fixture log holds no pass record")
+		}
+		if off += n; payload[0] == recPass {
+			b = b[:off]
+			break
+		}
+	}
+	if err := os.WriteFile(seg, b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if got := stateLayouts(t, dir); !reflect.DeepEqual(got, []string{stateMagicV2, stateMagicV2}) {
+		t.Fatalf("the cut log holds states %v, want two ODS2", got)
+	}
+	cfg := EngineConfig{Predictor: engineTestConfig(), DataDir: dir}
+	dumps := map[string][]byte{}
+	for cycle := 0; cycle < 2; cycle++ {
+		eng, err := NewEngine(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, model := range eng.Models() {
+			dump := dumpModel(t, eng, model)
+			if want, ok := dumps[model]; ok && !bytes.Equal(dump, want) {
+				t.Errorf("model %s changed across a clean stop", model)
+			}
+			dumps[model] = dump
+		}
+		if err := eng.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if got := stateLayouts(t, dir); !reflect.DeepEqual(got, []string{stateMagic, stateMagic}) {
+			t.Fatalf("after clean stop %d the log holds states %v, want two ODS3", cycle+1, got)
+		}
+	}
+	if len(dumps) != 2 {
+		t.Fatalf("recovered %d models, want 2", len(dumps))
+	}
+}
+
+// TestImportIsAStateRecord: Import makes a predictor a model's state,
+// routes included, and logs it as an ordinary state record, so replaying
+// the log with no pass since recovers the same state. A follower refuses
+// it.
+func TestImportIsAStateRecord(t *testing.T) {
+	obs := engineStream(t, 42, 1)
+	seed := NewPredictor(engineTestConfig())
+	for _, o := range obs[:600] {
+		if _, err := seed.Ingest(o.Observation); err != nil {
+			t.Fatal(err)
+		}
+	}
+	dir := t.TempDir()
+	leader, err := NewEngine(EngineConfig{Predictor: engineTestConfig(), DataDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer leader.Close()
+	model := obs[0].Model
+	if err := leader.Import(model, seed); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(dumpModel(t, leader, model), saveState(t, seed)) {
+		t.Fatal("the imported state is not the predictor's")
+	}
+	// A serial the imported state tracks routes to the model.
+	rest := append([]FleetObservation(nil), obs[600:900]...)
+	rest[0].Model = ""
+	if !slices.Contains(seed.TrackedSerials(), rest[0].Serial) {
+		t.Fatalf("serial %s is not tracked by the imported state", rest[0].Serial)
+	}
+	leaderRecords(t, leader, rest)
+
+	replayed := t.TempDir()
+	copyTree(t, dir, replayed)
+	eng, err := NewEngine(EngineConfig{Predictor: engineTestConfig(), DataDir: replayed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	if !bytes.Equal(dumpModel(t, eng, model), dumpModel(t, leader, model)) {
+		t.Error("replaying the log does not recover the imported model")
+	}
+
+	follower, err := NewEngine(EngineConfig{Predictor: engineTestConfig(), DataDir: t.TempDir(), Follower: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer follower.Close()
+	if err := follower.Import(model, seed); !errors.Is(err, ErrNotLeader) {
+		t.Errorf("follower Import: %v, want ErrNotLeader", err)
 	}
 }
 

@@ -28,9 +28,11 @@ func ExampleNewPredictor() {
 	// Output: risky: false - tracked disks: 1
 }
 
-// ExamplePredictor_SaveModel demonstrates snapshotting a model and
-// resuming it bit-for-bit.
-func ExamplePredictor_SaveModel() {
+// ExamplePredictor_SaveState demonstrates snapshotting a predictor and
+// resuming it bit for bit: the labeling queues come back with the
+// model, so the resumed predictor learns from the next day exactly as
+// the original does.
+func ExamplePredictor_SaveState() {
 	pred := orfdisk.NewPredictor(orfdisk.Config{
 		ORF: orfdisk.ORFConfig{Trees: 3, Seed: 7},
 	})
@@ -42,15 +44,23 @@ func ExamplePredictor_SaveModel() {
 	}
 
 	var buf bytes.Buffer
-	if err := pred.SaveModel(&buf); err != nil {
+	if err := pred.SaveState(&buf); err != nil {
 		panic(err)
 	}
-	resumed, err := orfdisk.LoadPredictor(&buf)
+	resumed, err := orfdisk.LoadPredictorState(&buf)
 	if err != nil {
 		panic(err)
 	}
-	fmt.Println("updates preserved:", resumed.Stats().Updates == pred.Stats().Updates)
-	// Output: updates preserved: true
+	fmt.Println("queued samples:", resumed.PendingSamples(), "of", pred.PendingSamples())
+	for _, p := range []*orfdisk.Predictor{pred, resumed} {
+		if _, err := p.Ingest(orfdisk.Observation{Serial: "d", Day: 10, Values: v}); err != nil {
+			panic(err)
+		}
+	}
+	fmt.Println("updates after the next day:", resumed.Stats().Updates, "and", pred.Stats().Updates)
+	// Output:
+	// queued samples: 7 of 7
+	// updates after the next day: 4 and 4
 }
 
 // ExampleNewFleet routes two drive models to independent online models,

@@ -28,8 +28,8 @@ type SampleOptions struct {
 
 // BuildCorpusFromSamples materializes an experiment corpus from raw
 // SMART samples, making every protocol in this package (Tables 3-4,
-// Figures 2-7) runnable on real field data: parse a Backblaze CSV with
-// smart.Reader, then hand the samples here.
+// Figures 2-7) runnable on real field data (BuildCorpusFromCSV reads a
+// Backblaze CSV into it).
 //
 // Disk ground truth is derived from the data itself, the way the paper
 // derives it from the Backblaze snapshots: a disk is failed iff its last
@@ -125,16 +125,22 @@ func BuildCorpusFromSamples(samples []smart.Sample, opt SampleOptions) (*Corpus,
 	return c, nil
 }
 
-// BuildCorpusFromCSV reads a Backblaze-format CSV stream and builds a
-// corpus from it.
+// BuildCorpusFromCSV reads a Backblaze-format CSV stream with
+// smart.FastReader and builds a corpus from it. The first malformed row
+// is an error.
 func BuildCorpusFromCSV(r io.Reader, opt SampleOptions) (*Corpus, error) {
-	cr, err := smart.NewReader(r)
+	fr, err := smart.NewFastReader(r)
 	if err != nil {
 		return nil, err
 	}
-	samples, err := cr.ReadAll()
-	if err != nil {
-		return nil, err
+	var samples []smart.Sample
+	for {
+		var s smart.Sample // its own Values: Read reuses the slice it is given
+		if err := fr.Read(&s); err == io.EOF {
+			return BuildCorpusFromSamples(samples, opt)
+		} else if err != nil {
+			return nil, err
+		}
+		samples = append(samples, s)
 	}
-	return BuildCorpusFromSamples(samples, opt)
 }

@@ -2,6 +2,8 @@ package eval
 
 import (
 	"bytes"
+	"reflect"
+	"strings"
 	"testing"
 
 	"orfdisk/internal/dataset"
@@ -71,6 +73,62 @@ func TestBuildCorpusFromCSV(t *testing.T) {
 				t.Fatalf("unscaled value %v", v)
 			}
 		}
+	}
+}
+
+// TestCSVCorpusMatchesReaderOracle: BuildCorpusFromCSV reads with
+// smart.FastReader, and its corpus equals the one built from what the
+// encoding/csv Reader reads, on a generated stream where one disk's
+// serial holds a comma and a quote, so its rows are quoted. A malformed
+// row is an error.
+func TestCSVCorpusMatchesReaderOracle(t *testing.T) {
+	p := dataset.STA(1)
+	p.GoodDisks, p.FailedDisks, p.Months = 40, 10, 3
+	g, err := dataset.New(p, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	quoted := g.Disks()[0].Serial
+	var buf bytes.Buffer
+	w := smart.NewWriter(&buf, nil)
+	err = g.Stream(func(s smart.Sample) error {
+		if s.Serial == quoted {
+			s.Serial = `Z,"1"`
+		}
+		return w.Write(s)
+	})
+	if err == nil {
+		err = w.Flush()
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	csv := buf.String()
+	if !strings.Contains(csv, `"Z,""1"""`) {
+		t.Fatal("the stream holds no quoted row")
+	}
+	cr, err := smart.NewReader(strings.NewReader(csv))
+	if err != nil {
+		t.Fatal(err)
+	}
+	samples, err := cr.ReadAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := BuildCorpusFromSamples(samples, SampleOptions{Seed: 6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := BuildCorpusFromCSV(strings.NewReader(csv), SampleOptions{Seed: 6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Error("the FastReader corpus differs from the Reader's")
+	}
+	bad := csv[:strings.IndexByte(csv, '\n')+1] + "2014-01-01,Z2,M,0,0,not-a-number\n"
+	if _, err := BuildCorpusFromCSV(strings.NewReader(bad), SampleOptions{}); err == nil {
+		t.Error("a malformed row was accepted")
 	}
 }
 

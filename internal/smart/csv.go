@@ -190,7 +190,9 @@ func buildColMap(head []string) (colMap, error) {
 	return cm, nil
 }
 
-// Reader streams samples from a Backblaze-format CSV.
+// Reader streams samples from a Backblaze-format CSV through
+// encoding/csv. Product code reads with FastReader; Reader stays as the
+// reference FuzzFastCSVReader and the tests check it against.
 type Reader struct {
 	cr *csv.Reader
 	cm colMap

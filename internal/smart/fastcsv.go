@@ -10,7 +10,8 @@ import (
 	"strings"
 )
 
-// FastReader is the bulk-replay counterpart of Reader: a line scanner
+// FastReader is the CSV reader of orfload, orfmon and the experiment
+// corpora, and the fast counterpart of Reader: a line scanner
 // specialized to the Backblaze drive-stats layout that decodes rows
 // without allocating in steady state. The column map is resolved once
 // from the header (any column order, any superset of smart_* columns);

@@ -52,7 +52,7 @@ type Observation struct {
 	Failed bool
 	// Values holds the full candidate feature vector in catalog order;
 	// see CatalogSize and FeatureNames. Build it with PackValues or from
-	// a Backblaze CSV via internal/smart.Reader.
+	// a Backblaze CSV via internal/smart.FastReader.
 	Values []float64
 }
 
@@ -253,30 +253,6 @@ func (p *Predictor) apply(obs *Observation, x []float64, score bool) Prediction 
 		// node of every tree, which dominated the per-observation cost.
 		Risky: s >= p.threshold && p.forest.PosSeen() > 0,
 	}
-}
-
-// IngestBatch processes a slice of observations in order, exactly as the
-// equivalent sequence of Ingest calls would (predictions interleave with
-// model updates, so observation i+1 is scored by a model that has seen
-// observation i). The whole batch is validated upfront — on error,
-// nothing is applied. Predictions are appended to out (pass a reused
-// slice to avoid allocation) and the extended slice is returned.
-func (p *Predictor) IngestBatch(obs []Observation, out []Prediction) ([]Prediction, error) {
-	for i := range obs {
-		if len(obs[i].Values) != smart.NumFeatures() {
-			return out, fmt.Errorf(
-				"orfdisk: observation %d carries %d values, want the %d-feature catalog",
-				i, len(obs[i].Values), smart.NumFeatures())
-		}
-	}
-	for i := range obs {
-		pred, err := p.Ingest(obs[i])
-		if err != nil {
-			return out, fmt.Errorf("orfdisk: batch observation %d: %w", i, err)
-		}
-		out = append(out, pred)
-	}
-	return out, nil
 }
 
 // Retire drops a disk that left the fleet without failing (e.g. planned

@@ -7,22 +7,23 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+	"slices"
 
 	"orfdisk/internal/core"
 	"orfdisk/internal/labeling"
 	"orfdisk/internal/smart"
 )
 
-// Model persistence. SaveModel captures everything needed to keep
-// predicting and learning after a process restart: the forest (including
-// its RNG streams, so the resumed stream is bit-identical), the online
-// scaler's feature ranges, the feature selection, the horizon and the
-// alarm threshold.
+// Model persistence. A predictor's state (SaveState) captures everything
+// needed to keep predicting and learning after a process restart: the
+// forest (including its RNG streams, so the resumed stream is
+// bit-identical), the online scaler's feature ranges, the feature
+// selection, the horizon, the alarm threshold and the per-disk labeling
+// queues. The engine keeps it in its log as state records (engine.go).
 //
-// Per-disk labeling queues are NOT saved: they hold at most one week of
-// raw samples per disk, and after a restart the daemon simply rebuilds
-// them from the live stream — at worst one week of healthy samples per
-// disk goes unlabeled, which is negligible against months of history.
+// The model alone, without the queues, is the "ODP1" prefix of a state.
+// Earlier releases also wrote it as a file of its own (orfmon -save);
+// LoadPredictor still reads one, for orfmon -load, for one release.
 
 const (
 	predictorMagic = "ODP1"
@@ -33,48 +34,31 @@ const (
 	stateMagicV2 = "ODS2"
 )
 
-// SaveModel serializes the predictor's model state to w.
-func (p *Predictor) SaveModel(w io.Writer) error {
-	if _, err := io.WriteString(w, predictorMagic); err != nil {
-		return err
-	}
-	writeU64 := func(v uint64) error {
-		var buf [8]byte
-		binary.LittleEndian.PutUint64(buf[:], v)
-		_, err := w.Write(buf[:])
-		return err
-	}
-	if err := writeU64(uint64(p.horizon)); err != nil {
-		return err
-	}
-	if err := writeU64(math.Float64bits(p.threshold)); err != nil {
-		return err
-	}
-	if err := writeU64(uint64(len(p.features))); err != nil {
-		return err
-	}
+// saveModel writes the predictor's model, the "ODP1" prefix of a state,
+// to w: the magic, then as little-endian 64-bit words the horizon, the
+// threshold's bits, the feature count, the features and the scaler's
+// minima and maxima, then the forest.
+func (p *Predictor) saveModel(w io.Writer) error {
+	b := binary.LittleEndian.AppendUint64([]byte(predictorMagic), uint64(p.horizon))
+	b = binary.LittleEndian.AppendUint64(b, math.Float64bits(p.threshold))
+	b = binary.LittleEndian.AppendUint64(b, uint64(len(p.features)))
 	for _, f := range p.features {
-		if err := writeU64(uint64(f)); err != nil {
-			return err
-		}
+		b = binary.LittleEndian.AppendUint64(b, uint64(f))
 	}
 	min, max := p.scaler.Snapshot()
-	for _, v := range min {
-		if err := writeU64(math.Float64bits(v)); err != nil {
-			return err
-		}
+	for _, v := range slices.Concat(min, max) {
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
 	}
-	for _, v := range max {
-		if err := writeU64(math.Float64bits(v)); err != nil {
-			return err
-		}
+	if _, err := w.Write(b); err != nil {
+		return err
 	}
 	_, err := p.forest.WriteTo(w)
 	return err
 }
 
-// LoadPredictor reconstructs a predictor saved with SaveModel. Labeling
-// queues start empty; feed the live stream as usual.
+// LoadPredictor reads an "ODP1" model: a previous release's orfmon -save
+// file, or the prefix of a state. Labeling queues start empty; feed the
+// live stream as usual.
 func LoadPredictor(r io.Reader) (*Predictor, error) {
 	head := make([]byte, len(predictorMagic))
 	if _, err := io.ReadFull(r, head); err != nil {
@@ -83,59 +67,42 @@ func LoadPredictor(r io.Reader) (*Predictor, error) {
 	if string(head) != predictorMagic {
 		return nil, fmt.Errorf("orfdisk: bad model magic %q", head)
 	}
-	readU64 := func() (uint64, error) {
-		var buf [8]byte
-		if _, err := io.ReadFull(r, buf[:]); err != nil {
-			return 0, err
+	words := func(n uint64) ([]uint64, error) {
+		b := make([]byte, 8*n)
+		if _, err := io.ReadFull(r, b); err != nil {
+			return nil, fmt.Errorf("orfdisk: reading model: %w", err)
 		}
-		return binary.LittleEndian.Uint64(buf[:]), nil
+		out := make([]uint64, n)
+		for i := range out {
+			out[i] = binary.LittleEndian.Uint64(b[8*i:])
+		}
+		return out, nil
 	}
-	horizon, err := readU64()
+	w, err := words(3)
 	if err != nil {
-		return nil, fmt.Errorf("orfdisk: reading model: %w", err)
+		return nil, err
 	}
+	horizon, thBits, nFeat := w[0], w[1], w[2]
 	// The horizon sizes every disk's queue, so an absurd one must fail
 	// here, not in an allocation: 2^16 days is far past any disk's life.
 	if horizon == 0 || horizon > 1<<16 {
 		return nil, fmt.Errorf("orfdisk: corrupt model (horizon %d)", horizon)
 	}
-	thBits, err := readU64()
-	if err != nil {
-		return nil, fmt.Errorf("orfdisk: reading model: %w", err)
-	}
-	nFeat, err := readU64()
-	if err != nil {
-		return nil, fmt.Errorf("orfdisk: reading model: %w", err)
-	}
 	if nFeat == 0 || nFeat > uint64(smart.NumFeatures()) {
 		return nil, fmt.Errorf("orfdisk: corrupt model (%d features)", nFeat)
 	}
+	if w, err = words(3 * nFeat); err != nil {
+		return nil, err
+	}
 	features := make([]int, nFeat)
+	min, max := make([]float64, nFeat), make([]float64, nFeat)
 	for i := range features {
-		v, err := readU64()
-		if err != nil {
-			return nil, fmt.Errorf("orfdisk: reading model: %w", err)
+		if w[i] >= uint64(smart.NumFeatures()) {
+			return nil, fmt.Errorf("orfdisk: corrupt model (feature index %d)", w[i])
 		}
-		if v >= uint64(smart.NumFeatures()) {
-			return nil, fmt.Errorf("orfdisk: corrupt model (feature index %d)", v)
-		}
-		features[i] = int(v)
-	}
-	min := make([]float64, nFeat)
-	max := make([]float64, nFeat)
-	for i := range min {
-		v, err := readU64()
-		if err != nil {
-			return nil, fmt.Errorf("orfdisk: reading model: %w", err)
-		}
-		min[i] = math.Float64frombits(v)
-	}
-	for i := range max {
-		v, err := readU64()
-		if err != nil {
-			return nil, fmt.Errorf("orfdisk: reading model: %w", err)
-		}
-		max[i] = math.Float64frombits(v)
+		features[i] = int(w[i])
+		min[i] = math.Float64frombits(w[nFeat+uint64(i)])
+		max[i] = math.Float64frombits(w[2*nFeat+uint64(i)])
 	}
 	forest, err := core.ReadForest(r)
 	if err != nil {
@@ -161,11 +128,10 @@ func LoadPredictor(r io.Reader) (*Predictor, error) {
 	return p, nil
 }
 
-// SaveState serializes the predictor's complete state: the model (as
-// SaveModel) plus the per-disk labeling queues. Unlike SaveModel, a
-// predictor restored from SaveState and fed the post-snapshot stream
-// reproduces an uninterrupted run bit for bit — the property the
-// serving engine's crash recovery relies on.
+// SaveState serializes the predictor's complete state: the model plus
+// the per-disk labeling queues. A predictor restored from SaveState and
+// fed the post-snapshot stream reproduces an uninterrupted run bit for
+// bit — the property the serving engine's crash recovery relies on.
 //
 // The queue section ("ODS3") is a uvarint disk count, then per tracked
 // disk, in serial order, the serial (uvarint length, bytes), a uvarint
@@ -181,7 +147,7 @@ func (p *Predictor) SaveState(w io.Writer) error {
 	if _, err := io.WriteString(w, stateMagic); err != nil {
 		return err
 	}
-	if err := p.SaveModel(w); err != nil {
+	if err := p.saveModel(w); err != nil {
 		return err
 	}
 	var sum uint32

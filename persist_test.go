@@ -28,7 +28,7 @@ func TestSaveLoadModelRoundTrip(t *testing.T) {
 	p.SetThreshold(0.62)
 
 	var buf bytes.Buffer
-	if err := p.SaveModel(&buf); err != nil {
+	if err := p.saveModel(&buf); err != nil {
 		t.Fatal(err)
 	}
 	q, err := LoadPredictor(&buf)
@@ -65,7 +65,7 @@ func TestLoadedPredictorKeepsLearning(t *testing.T) {
 		}
 	}
 	var buf bytes.Buffer
-	if err := p.SaveModel(&buf); err != nil {
+	if err := p.saveModel(&buf); err != nil {
 		t.Fatal(err)
 	}
 	q, err := LoadPredictor(&buf)
@@ -90,7 +90,7 @@ func TestLoadPredictorRejectsGarbage(t *testing.T) {
 	// An intact model file up to its forest, which starts with its magic.
 	p := NewPredictor(Config{ORF: ORFConfig{Trees: 2, Seed: 1}})
 	var model, forest bytes.Buffer
-	if err := p.SaveModel(&model); err != nil {
+	if err := p.saveModel(&model); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := p.forest.WriteTo(&forest); err != nil {
@@ -150,7 +150,7 @@ func TestSaveLoadStateRoundTrip(t *testing.T) {
 		t.Fatalf("queues not restored: %d/%d disks, %d/%d pending",
 			q.TrackedDisks(), p.TrackedDisks(), q.PendingSamples(), p.PendingSamples())
 	}
-	// Unlike SaveModel (queues dropped), SaveState must reproduce the
+	// Unlike the model alone (saveModel, queues dropped), SaveState must reproduce the
 	// uninterrupted run exactly when fed the remaining stream.
 	for _, o := range stream[cut:] {
 		if _, err := q.Ingest(o); err != nil {
@@ -229,7 +229,7 @@ func saveStateODS2(t testing.TB, p *Predictor) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	buf.WriteString(stateMagicV2)
-	if err := p.SaveModel(&buf); err != nil {
+	if err := p.saveModel(&buf); err != nil {
 		t.Fatal(err)
 	}
 	q0 := buf.Len()
@@ -277,7 +277,7 @@ func statePredictor(t testing.TB, seed uint64, cfg Config) (p *Predictor, modelL
 func queueOffset(t testing.TB, p *Predictor) int {
 	t.Helper()
 	var model bytes.Buffer
-	if err := p.SaveModel(&model); err != nil {
+	if err := p.saveModel(&model); err != nil {
 		t.Fatal(err)
 	}
 	return len(stateMagic) + model.Len()

@@ -484,6 +484,7 @@ type ModelStats struct {
 	NegSeen  int64  `json:"negatives_seen"`
 	Replaced int64  `json:"trees_replaced"`
 	Nodes    int    `json:"nodes"`
+	Leaves   int    `json:"leaves"`
 	Tracked  int    `json:"tracked_disks"`
 }
 
