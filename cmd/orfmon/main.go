@@ -14,7 +14,6 @@
 package main
 
 import (
-	"bytes"
 	"cmp"
 	"flag"
 	"fmt"
@@ -38,11 +37,10 @@ func main() {
 		lambdaN   = flag.Float64("lambdan", 0.02, "negative-class Poisson rate λn")
 		verbose   = flag.Bool("v", false, "print daily forest statistics")
 		dataDir   = flag.String("data", "", "keep the models' log in this directory and resume from it")
-		loadPath  = flag.String("load", "", "start each new drive model from a model file an earlier release's -save wrote")
 	)
 	flag.Parse()
 	m := &monitor{verbose: *verbose, known: map[string]bool{}, alarmed: map[string]bool{}, lastDay: -1}
-	err := m.run(*in, *loadPath, orfdisk.EngineConfig{
+	err := m.run(*in, orfdisk.EngineConfig{
 		Predictor: orfdisk.Config{
 			Threshold: *threshold,
 			ORF:       orfdisk.ORFConfig{Trees: *trees, LambdaNeg: *lambdaN},
@@ -60,13 +58,12 @@ func main() {
 // monitor turns the engine's live predictions into orfmon's report. A
 // disk alarms once until it fails or the process ends; a failure counts
 // as caught when its disk alarmed before it. known names the models the
-// engine has a shard for; a new one starts from seed, -load's model
-// file, or else as a fresh forest of freshNodes root nodes.
+// engine has a shard for; a new one starts as a fresh forest of
+// freshNodes root nodes.
 type monitor struct {
 	eng        *orfdisk.Engine
 	verbose    bool
 	known      map[string]bool
-	seed       []byte
 	freshNodes int
 	alarmed    map[string]bool
 	lastDay    int
@@ -74,7 +71,7 @@ type monitor struct {
 	samples, alarms, failures, caught int
 }
 
-func (m *monitor) run(in, loadPath string, cfg orfdisk.EngineConfig) (err error) {
+func (m *monitor) run(in string, cfg orfdisk.EngineConfig) (err error) {
 	var r io.Reader = os.Stdin
 	if in != "" {
 		f, err := os.Open(in)
@@ -87,16 +84,6 @@ func (m *monitor) run(in, loadPath string, cfg orfdisk.EngineConfig) (err error)
 	fr, err := smart.NewFastReaderSize(r, 1<<20)
 	if err != nil {
 		return err
-	}
-	if loadPath != "" {
-		if m.seed, err = os.ReadFile(loadPath); err != nil {
-			return err
-		}
-		p, err := orfdisk.LoadPredictor(bytes.NewReader(m.seed))
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "orfmon: new drive models start from a model with %d prior updates\n", p.Stats().Updates)
 	}
 	if m.eng, err = orfdisk.NewEngine(cfg); err != nil {
 		return err
@@ -144,17 +131,7 @@ func (m *monitor) ingest(batch []orfdisk.FleetObservation) (refused error) {
 			continue // a row without a model is routed by its serial
 		}
 		m.known[obs.Model] = true
-		if m.seed == nil {
-			fresh += m.freshNodes
-			continue
-		}
-		p, err := orfdisk.LoadPredictor(bytes.NewReader(m.seed))
-		if err == nil {
-			err = m.eng.Import(obs.Model, p)
-		}
-		if err != nil {
-			return err
-		}
+		fresh += m.freshNodes
 	}
 	if m.verbose && batch[0].Day != m.lastDay {
 		st := m.totals()

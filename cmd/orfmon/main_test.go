@@ -248,36 +248,6 @@ func TestDataResume(t *testing.T) {
 	sameDumps(t, dumps(t, split), dumps(t, whole))
 }
 
-// TestLoadModelFile: testdata/odp1.model is the file the previous
-// release's `orfmon -threshold 0.3 -trees 10 -save` wrote after the rows
-// of TestStdoutPinned's stream dated before 2013-06-08. -load starts the
-// one drive model of the rest of the stream from it, and orfmon prints
-// what the previous release's `orfmon -load` printed (SHA-256 of its
-// stdout). With -data, a run split in two on the same directory leaves
-// the state an uninterrupted one leaves, and -load does take effect.
-func TestLoadModelFile(t *testing.T) {
-	const model = "testdata/odp1.model"
-	_, rest := splitAt(t, fleet(t, "STA"), "2013-06-08")
-	pinned(t, "plain", orfmon(t, "-load", model, "-in", rest),
-		"25b3d137d1a110bbdcf860326180d374b030387f9da74c432caa313bb3f07bf3")
-	pinned(t, "-v", orfmon(t, "-load", model, "-v", "-in", rest),
-		"48995951eaade71b8b2fec408cf876626cd185587b656d8380a372b773c0dea4")
-
-	first, second := splitAt(t, rest, "2013-07-08")
-	whole, split, fresh := t.TempDir(), t.TempDir(), t.TempDir()
-	orfmon(t, "-load", model, "-data", whole, "-in", rest)
-	orfmon(t, "-load", model, "-data", split, "-in", first)
-	orfmon(t, "-load", model, "-data", split, "-in", second)
-	want := dumps(t, whole)
-	sameDumps(t, dumps(t, split), want)
-	orfmon(t, "-data", fresh, "-in", rest)
-	for model, d := range dumps(t, fresh) {
-		if bytes.Equal(d, want[model]) {
-			t.Errorf("model %s: -load left the state a fresh run leaves", model)
-		}
-	}
-}
-
 // TestExitCodes: a data directory the engine refuses to open, and a row
 // it refuses, exit 1 with the engine's error on stderr. The engine
 // applies the rest of the refused row's batch, and orfmon reports it.

@@ -4,12 +4,10 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
-	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -123,35 +121,54 @@ func TestRefusesPR20Log(t *testing.T) {
 	}
 }
 
+// ods2StateRecord is a state record for model whose state starts with
+// the ODS2 magic of releases before the previous one; the rest of it is
+// an ODS3 state.
+func ods2StateRecord(t testing.TB, model string) []byte {
+	t.Helper()
+	rec, err := appendStateRecord(nil, model, NewPredictor(engineTestConfig()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	copy(rec[2+len(model):], "ODS2") // after the kind and the model's name
+	return rec
+}
+
 // TestRefusesRetiredLayouts: what only releases before the previous one
-// wrote — a whole-catalog run (kind 8) in the log, or the PR 30
-// release's state files beside it — fails NewEngine, on a leader and on
-// a follower alike, with an error that names the kind or the file and
-// the remedy, and leaves the directory exactly as it found it, so that
-// the remedy still works. Each case adds to a copy of testdata/pr33_dir
-// in one place.
+// wrote — a whole-catalog run (kind 8) or an ODS2 state in the log, or
+// the PR 30 release's state files beside it — fails NewEngine, on a
+// leader and on a follower alike, with an error that names the kind,
+// the layout or the file and the remedy, and leaves the directory
+// exactly as it found it, so that the remedy still works. Each case adds
+// to a copy of testdata/pr42_dir in one place.
 func TestRefusesRetiredLayouts(t *testing.T) {
 	const pr30Remedy = "start the PR 33 release on it once, then this one"
 	file := func(rel string) func(t *testing.T, dir string) {
 		return func(t *testing.T, dir string) { writeRel(t, dir, rel, []byte("left by the PR 30 release")) }
+	}
+	record := func(payload []byte) func(t *testing.T, dir string) {
+		return func(t *testing.T, dir string) {
+			w, err := wal.Open(wal.Options{Dir: filepath.Join(dir, walDirName)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := w.Append(payload); err != nil {
+				t.Fatal(err)
+			}
+			if err := w.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
 	for _, tc := range []struct {
 		name   string
 		damage func(t *testing.T, dir string)
 		want   []string
 	}{
-		{"kind-8 tail", func(t *testing.T, dir string) {
-			w, err := wal.Open(wal.Options{Dir: filepath.Join(dir, walDirName)})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := w.Append([]byte{recCatalogRun, 1, 'M', 0}); err != nil {
-				t.Fatal(err)
-			}
-			if err := w.Close(); err != nil {
-				t.Fatal(err)
-			}
-		}, []string{"kind 8 is a retired whole-catalog run observe layout", "stop it cleanly"}},
+		{"kind-8 tail", record([]byte{recCatalogRun, 1, 'M', 0}),
+			[]string{"kind 8 is a retired whole-catalog run observe layout", "stop it cleanly"}},
+		{"ODS2 state", record(ods2StateRecord(t, "MODEL-0")),
+			[]string{"ODS2", "start the PR 42 release on this data directory and stop it cleanly"}},
 		{"snapshot file", file("snap-4d4f44454c2d31.snap"), []string{"snap-4d4f44454c2d31.snap", pr30Remedy}},
 		{"backfill cursor file", file("backfill-cursor"), []string{"backfill-cursor", pr30Remedy}},
 		{"seed install", file("seed-commit"), []string{"seed-commit", pr30Remedy}},
@@ -161,7 +178,7 @@ func TestRefusesRetiredLayouts(t *testing.T) {
 			for _, role := range []string{"leader", "follower"} {
 				t.Run(role, func(t *testing.T) {
 					dir := t.TempDir()
-					copyTree(t, filepath.Join("testdata", "pr33_dir"), dir)
+					copyTree(t, filepath.Join("testdata", "pr42_dir"), dir)
 					tc.damage(t, dir)
 					before := readTree(t, dir)
 					cfg := engineTestConfig()
@@ -206,24 +223,30 @@ func logKinds(t *testing.T, dir string) []byte {
 	}
 }
 
-// TestRecoversPR33Dir: testdata/pr33_dir is a leader directory the
-// previous release's binary left when it was SIGKILLed, running the
-// engineTestConfig forest at MinParentSize 10 so that its state records
-// hold split trees. On engineStream(t, 33, 2) it took two models through
-// an IngestBackfill with a cursor (rows 0-699), 256-row IngestBatches
-// with three failure rows among them (to row 2859) and a snapshot pass,
-// which truncated all of that behind its state and pass records; then it
-// logged an IngestBackfill without a cursor (300 rows), four more
-// batches with two failure rows among them and a retire (the kind
-// 11/10/2 tail). This release must read all of it, recover the state,
-// resume point and next sequence number that binary recovered from the
-// same bytes, and keep the directory to wal/ alone. The pinned hashes are
-// of that binary's state layout, ODS2, so each recovered model is hashed
-// through saveStateODS2; its own ODS3 dump must load back to the same
-// model.
-func TestRecoversPR33Dir(t *testing.T) {
+// TestRecoversPR42Dir: testdata/pr42_dir is a leader directory the
+// previous release's binary (PR 42) wrote and left without Close, as a
+// SIGKILL leaves it, running the engineTestConfig forest at
+// MinParentSize 10 so that its state records hold split trees. On
+// obs := engineStream(t, 33, 2) it ran
+//
+//   - IngestBackfill(obs[:700]) with the cursor {Day: obs[699].Day,
+//     Rows: 700, Files: a.csv at 700 rows, offset 1<<16};
+//   - IngestBatch over obs[700:2860] in 256-row batches, three failure
+//     rows among them;
+//   - Snapshot, which truncated all of that behind its state and pass
+//     records;
+//   - IngestBackfill(obs[2860:3160]) without a cursor;
+//   - IngestBatch over obs[3160:4184] in 256-row batches, two failure
+//     rows among them;
+//   - Retire("STA-000054") and a WAL Sync;
+//
+// so its log holds the kinds 12/13/11/10/2. This release must read all
+// of it, recover the state (each model's DumpModel SHA-256), resume
+// point and next sequence number that binary recovered from the same
+// bytes, and keep the directory to wal/ alone.
+func TestRecoversPR42Dir(t *testing.T) {
 	dir := t.TempDir()
-	copyTree(t, filepath.Join("testdata", "pr33_dir"), dir)
+	copyTree(t, filepath.Join("testdata", "pr42_dir"), dir)
 	if got, want := logKinds(t, dir), []byte{recState, recPass, recObserveBFRun, recObserveRun, recRetire}; !bytes.Equal(got, want) {
 		t.Fatalf("fixture log holds record kinds %v, want %v", got, want)
 	}
@@ -244,19 +267,11 @@ func TestRecoversPR33Dir(t *testing.T) {
 		t.Errorf("recovery skipped %d rows", n)
 	}
 	for model, want := range map[string]string{
-		"MODEL-0": "97b76a99609d2555f705667dd9b8e95bfc23839d965e5e9ca8a049383e6b66f6",
-		"MODEL-1": "f628ba149598484ca3e25a72dba12c27ab6e608ead00065c745206340ab19e8b",
+		"MODEL-0": "0699f3d56e3e4c707d2fd799d246c7a53ad702820069066f17edf749d6518b48",
+		"MODEL-1": "65ce177eb71fc51dbda46aa2ffeef56649f7d4b4f1a9cc8606a191190b5bbf45",
 	} {
-		dump := dumpModel(t, eng, model)
-		p, err := LoadPredictorState(bytes.NewReader(dump))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := fmt.Sprintf("%x", sha256.Sum256(saveStateODS2(t, p))); got != want {
+		if got := fmt.Sprintf("%x", sha256.Sum256(dumpModel(t, eng, model))); got != want {
 			t.Errorf("model %s state has SHA-256 %s, the previous release recovered %s", model, got, want)
-		}
-		if !bytes.Equal(saveState(t, p), dump) {
-			t.Errorf("model %s: its ODS3 dump does not load and save back to itself", model)
 		}
 	}
 	wantCur := BackfillCursor{Day: 9, Rows: 700, Files: []BackfillFilePos{{Name: "a.csv", Rows: 700, Off: 1 << 16}}}
@@ -288,141 +303,6 @@ func TestRecoversPR33Dir(t *testing.T) {
 	}
 	if cur, rowsAfter, ok := again.BackfillState(); !ok || rowsAfter != 300 || !reflect.DeepEqual(cur, wantCur) {
 		t.Errorf("reopened BackfillState %+v, %d, %v; want %+v, 300, true", cur, rowsAfter, ok, wantCur)
-	}
-}
-
-// stateLayouts returns the layout magic of every state record in dir's
-// log, in log order.
-func stateLayouts(t *testing.T, dir string) []string {
-	t.Helper()
-	cur, err := wal.OpenCursor(filepath.Join(dir, walDirName), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cur.Close()
-	var magics []string
-	for {
-		seq, p, err := cur.Next()
-		if err != nil {
-			return magics
-		}
-		rec, err := decodeRecord(p)
-		if err != nil {
-			t.Fatalf("record at seq %d: %v", seq, err)
-		}
-		if rec.kind == recState {
-			magics = append(magics, string(rec.state[:len(stateMagic)]))
-		}
-	}
-}
-
-// TestCleanStopResealsOlderStates: testdata/pr33_dir cut after its pass
-// record holds two state records in the previous layout (ODS2), the
-// pass, and nothing logged since. A clean stop must still run a pass, so
-// that the log then holds only current-layout states — the remedy the
-// release that stops reading ODS2 will name — and the models are as
-// recovery left them.
-func TestCleanStopResealsOlderStates(t *testing.T) {
-	dir := t.TempDir()
-	copyTree(t, filepath.Join("testdata", "pr33_dir"), dir)
-	seg := filepath.Join(dir, walDirName, "00000000000000000607.wal")
-	b, err := os.ReadFile(seg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for off := 0; ; {
-		_, payload, n := wal.ParseRecord(b[off:])
-		if n == 0 || off+n > len(b) {
-			t.Fatal("the fixture log holds no pass record")
-		}
-		if off += n; payload[0] == recPass {
-			b = b[:off]
-			break
-		}
-	}
-	if err := os.WriteFile(seg, b, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if got := stateLayouts(t, dir); !reflect.DeepEqual(got, []string{stateMagicV2, stateMagicV2}) {
-		t.Fatalf("the cut log holds states %v, want two ODS2", got)
-	}
-	cfg := EngineConfig{Predictor: engineTestConfig(), DataDir: dir}
-	dumps := map[string][]byte{}
-	for cycle := 0; cycle < 2; cycle++ {
-		eng, err := NewEngine(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, model := range eng.Models() {
-			dump := dumpModel(t, eng, model)
-			if want, ok := dumps[model]; ok && !bytes.Equal(dump, want) {
-				t.Errorf("model %s changed across a clean stop", model)
-			}
-			dumps[model] = dump
-		}
-		if err := eng.Close(); err != nil {
-			t.Fatal(err)
-		}
-		if got := stateLayouts(t, dir); !reflect.DeepEqual(got, []string{stateMagic, stateMagic}) {
-			t.Fatalf("after clean stop %d the log holds states %v, want two ODS3", cycle+1, got)
-		}
-	}
-	if len(dumps) != 2 {
-		t.Fatalf("recovered %d models, want 2", len(dumps))
-	}
-}
-
-// TestImportIsAStateRecord: Import makes a predictor a model's state,
-// routes included, and logs it as an ordinary state record, so replaying
-// the log with no pass since recovers the same state. A follower refuses
-// it.
-func TestImportIsAStateRecord(t *testing.T) {
-	obs := engineStream(t, 42, 1)
-	seed := NewPredictor(engineTestConfig())
-	for _, o := range obs[:600] {
-		if _, err := seed.Ingest(o.Observation); err != nil {
-			t.Fatal(err)
-		}
-	}
-	dir := t.TempDir()
-	leader, err := NewEngine(EngineConfig{Predictor: engineTestConfig(), DataDir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer leader.Close()
-	model := obs[0].Model
-	if err := leader.Import(model, seed); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(dumpModel(t, leader, model), saveState(t, seed)) {
-		t.Fatal("the imported state is not the predictor's")
-	}
-	// A serial the imported state tracks routes to the model.
-	rest := append([]FleetObservation(nil), obs[600:900]...)
-	rest[0].Model = ""
-	if !slices.Contains(seed.TrackedSerials(), rest[0].Serial) {
-		t.Fatalf("serial %s is not tracked by the imported state", rest[0].Serial)
-	}
-	leaderRecords(t, leader, rest)
-
-	replayed := t.TempDir()
-	copyTree(t, dir, replayed)
-	eng, err := NewEngine(EngineConfig{Predictor: engineTestConfig(), DataDir: replayed})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer eng.Close()
-	if !bytes.Equal(dumpModel(t, eng, model), dumpModel(t, leader, model)) {
-		t.Error("replaying the log does not recover the imported model")
-	}
-
-	follower, err := NewEngine(EngineConfig{Predictor: engineTestConfig(), DataDir: t.TempDir(), Follower: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer follower.Close()
-	if err := follower.Import(model, seed); !errors.Is(err, ErrNotLeader) {
-		t.Errorf("follower Import: %v, want ErrNotLeader", err)
 	}
 }
 

@@ -61,14 +61,10 @@ type Engine struct {
 	// the sequence number of the newest pass record written or replayed,
 	// passFirst that pass's first sequence number, and cut the cutoff a
 	// follower last truncated its log before (replication goroutine only).
-	// reseal says recovery read a state record in an older layout, so the
-	// next pass runs even with nothing logged since the last one: a clean
-	// stop rewrites every state in the current layout (under snapMu).
 	snapMu    sync.Mutex
 	lastPass  atomic.Uint64
 	passFirst atomic.Uint64
 	cut       uint64
-	reseal    bool
 
 	// bf is the bulk-backfill cursor state (see backfill_engine.go).
 	bf bfState
@@ -736,10 +732,9 @@ func (e *Engine) Importance(model string) (imp []FeatureImportance, ok bool) {
 //
 // A crash anywhere before the truncation leaves the previous pass's log
 // whole, so replay is correct at every step. A pass with nothing
-// appended since the previous pass record writes nothing, unless
-// recovery read a state in an older layout. A follower's log holds its
-// leader's records only, so there Snapshot is a no-op: the leader's
-// passes reach it through the stream. A no-op without a DataDir.
+// appended since the previous pass record writes nothing. A follower's
+// log holds its leader's records only, so there Snapshot is a no-op: the
+// leader's passes reach it through the stream. A no-op without a DataDir.
 func (e *Engine) Snapshot() error {
 	// Under snapMu: a follower Reset replaces e.wal under it.
 	e.snapMu.Lock()
@@ -749,7 +744,7 @@ func (e *Engine) Snapshot() error {
 	}
 	e.bf.gate.Lock()
 	defer e.bf.gate.Unlock()
-	if e.wal.NextSeq()-1 == e.lastPass.Load() && !e.reseal {
+	if e.wal.NextSeq()-1 == e.lastPass.Load() {
 		return nil
 	}
 	start := time.Now()
@@ -799,7 +794,6 @@ func (e *Engine) Snapshot() error {
 	}
 	e.lastPass.Store(seq)
 	e.passFirst.Store(first)
-	e.reseal = false
 	e.met.snapshots.Inc()
 	e.met.snapshotSeconds.Observe(time.Since(start).Seconds())
 	e.met.snapshotBytes.Set(float64(total))
@@ -903,40 +897,6 @@ func (e *Engine) replaceState(s *shardState, model string, p *Predictor) {
 	}
 	e.mu.Unlock()
 	s.p = p
-}
-
-// Import makes p the state of model's shard, routes and all, through
-// the door a state record comes in by (replaceState), and logs it as an
-// ordinary state record first when durable, so replay and followers
-// apply it like any other. It is how orfmon -load seeds a model from a
-// previous release's model file.
-func (e *Engine) Import(model string, p *Predictor) error {
-	if e.follower.Load() {
-		return ErrNotLeader
-	}
-	var (
-		ierr error
-		seq  uint64
-	)
-	if err := e.pool.Do(model, func(s *shardState) {
-		if e.wal != nil {
-			var rec []byte
-			if rec, ierr = appendStateRecord(nil, model, p); ierr == nil {
-				seq, ierr = e.wal.Append(rec)
-			}
-			if ierr != nil {
-				return
-			}
-		}
-		e.replaceState(s, model, p)
-		e.publish(s)
-	}); err != nil {
-		return err
-	}
-	if ierr != nil {
-		return ierr
-	}
-	return e.waitSyncAcks(seq)
 }
 
 // applyMode says which door an already-durable record came in by; the
@@ -1113,9 +1073,6 @@ func (e *Engine) applyRecords(mode applyMode, feed func(func(seq uint64, payload
 			if rec.kind == recState {
 				if r.state, err = LoadPredictorState(bytes.NewReader(rec.state)); err != nil {
 					return fmt.Errorf("orfdisk: state record at seq %d for model %q: %w", seq, rec.model, err)
-				}
-				if mode == applyRecovering && !bytes.HasPrefix(rec.state, []byte(stateMagic)) {
-					e.reseal = true // recovery runs in open, before any pass
 				}
 				r.walRecord.state = nil
 			}

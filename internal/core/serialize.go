@@ -3,7 +3,6 @@ package core
 import (
 	"bytes"
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -28,8 +27,7 @@ import (
 // passthrough) of fixed 8-byte fields, and the per-tree blocks are
 // encoded and decoded by forEachTree, on as many goroutines as the host
 // has cores at the time of the call. The format is internal and
-// versioned by the magic. "ORF1", the unframed layout of older releases,
-// is refused: the PR 29 release, the last that reads it, writes ORF2.
+// versioned by the magic.
 
 const magicV2 = "ORF2"
 
@@ -246,12 +244,7 @@ func ReadForest(src io.Reader) (*Forest, error) {
 	if _, err := io.ReadFull(src, head); err != nil {
 		return nil, fmt.Errorf("core: reading snapshot header: %w", err)
 	}
-	switch string(head) {
-	case magicV2:
-	case "ORF1":
-		return nil, errors.New("core: forest layout ORF1 is retired and this release does not read it; " +
-			"load it with the PR 29 release, the last that reads it, and save it again")
-	default:
+	if string(head) != magicV2 {
 		return nil, fmt.Errorf("core: bad snapshot magic %q", head)
 	}
 	var cb [1]byte

@@ -97,8 +97,8 @@ func TestSnapshotRejectsGarbage(t *testing.T) {
 		"empty":     {nil, "header"},
 		"bad magic": {[]byte("NOPE1234567890"), "bad snapshot magic"},
 		"truncated": {append([]byte(magicV2), 1, 2, 3), "header block"},
-		// The layout before ORF2 is refused on its magic, with the remedy.
-		"retired ORF1": {append([]byte("ORF1"), 1, 2, 3), "load it with the PR 29 release"},
+		// The layout before ORF2 is refused on its magic.
+		"retired ORF1": {append([]byte("ORF1"), 1, 2, 3), "bad snapshot magic"},
 	}
 	for name, tc := range cases {
 		if _, err := ReadForest(bytes.NewReader(tc.data)); err == nil || !strings.Contains(err.Error(), tc.want) {

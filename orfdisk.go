@@ -78,8 +78,8 @@ type Config struct {
 	// ORF holds the forest hyper-parameters (zero = paper defaults).
 	ORF ORFConfig
 	// Horizon is the prediction window in days (and the per-disk queue
-	// length); 0 selects the paper's 7. LoadPredictor takes a horizon
-	// above 65536 for damage.
+	// length); 0 selects the paper's 7. LoadPredictorState takes a
+	// horizon above 65536 for damage.
 	Horizon int
 	// Threshold is the alarm probability threshold; 0 selects 0.5.
 	Threshold float64

@@ -22,17 +22,20 @@ import (
 // queues. The engine keeps it in its log as state records (engine.go).
 //
 // The model alone, without the queues, is the "ODP1" prefix of a state.
-// Earlier releases also wrote it as a file of its own (orfmon -save);
-// LoadPredictor still reads one, for orfmon -load, for one release.
 
 const (
 	predictorMagic = "ODP1"
 	stateMagic     = "ODS3"
-	// stateMagicV2 is the previous release's layout, read for one release
-	// (the upgrade rule): its queued samples carry absolute days and
-	// values packed on their own.
-	stateMagicV2 = "ODS2"
 )
+
+// retiredStates maps each state layout of earlier releases to the remedy
+// its refusal names. Only the PR 42 release's clean stop rewrites the
+// states of a log with nothing logged since its last pass.
+var retiredStates = map[string]string{
+	"ODS1": "load it with the PR 29 release, the last that reads it, and save it again",
+	"ODS2": "start the PR 42 release on this data directory and stop it cleanly " +
+		"(that rewrites every state as ODS3), then start this one",
+}
 
 // saveModel writes the predictor's model, the "ODP1" prefix of a state,
 // to w: the magic, then as little-endian 64-bit words the horizon, the
@@ -56,10 +59,9 @@ func (p *Predictor) saveModel(w io.Writer) error {
 	return err
 }
 
-// LoadPredictor reads an "ODP1" model: a previous release's orfmon -save
-// file, or the prefix of a state. Labeling queues start empty; feed the
-// live stream as usual.
-func LoadPredictor(r io.Reader) (*Predictor, error) {
+// loadModel reads what saveModel wrote, the "ODP1" prefix of a state,
+// into a predictor whose labeling queues are empty.
+func loadModel(r io.Reader) (*Predictor, error) {
 	head := make([]byte, len(predictorMagic))
 	if _, err := io.ReadFull(r, head); err != nil {
 		return nil, fmt.Errorf("orfdisk: reading model header: %w", err)
@@ -193,23 +195,20 @@ func (p *Predictor) SaveState(w io.Writer) error {
 // reads r to its end: a state is the last thing in whatever holds it.
 // Damaged input is an "orfdisk: corrupt state" error, never a panic, and
 // every count and length in it is held against the bytes that are there
-// before anything is sized by it. It also reads the previous release's
-// "ODS2" layout; the "ODS1" layout of older releases is refused before
-// anything is parsed, with the remedy in the error.
+// before anything is sized by it. The layouts of earlier releases are
+// refused before anything is parsed, with the remedy in the error.
 func LoadPredictorState(r io.Reader) (*Predictor, error) {
 	head := make([]byte, len(stateMagic))
 	if _, err := io.ReadFull(r, head); err != nil {
 		return nil, fmt.Errorf("orfdisk: reading state header: %w", err)
 	}
-	switch string(head) {
-	case stateMagic, stateMagicV2:
-	case "ODS1":
-		return nil, errors.New("orfdisk: state layout ODS1 is retired and this release does not read it; " +
-			"load it with the PR 29 release, the last that reads it, and save it again")
-	default:
+	if remedy, ok := retiredStates[string(head)]; ok {
+		return nil, fmt.Errorf("orfdisk: state layout %s is retired and this release does not read it; %s", head, remedy)
+	}
+	if string(head) != stateMagic {
 		return nil, fmt.Errorf("orfdisk: bad state magic %q", head)
 	}
-	p, err := LoadPredictor(r)
+	p, err := loadModel(r)
 	if err != nil {
 		return nil, err
 	}
@@ -225,7 +224,7 @@ func LoadPredictorState(r io.Reader) (*Predictor, error) {
 	if sum != stored {
 		return nil, fmt.Errorf("orfdisk: corrupt state (queue section CRC %08x, stored %08x)", sum, stored)
 	}
-	states, err := decodeQueues(section[:n], uint64(p.horizon), uint64(len(p.features)), string(head) == stateMagic)
+	states, err := decodeQueues(section[:n], uint64(p.horizon), uint64(len(p.features)))
 	if err != nil {
 		return nil, fmt.Errorf("orfdisk: corrupt state (%w)", err)
 	}
@@ -236,10 +235,9 @@ func LoadPredictorState(r io.Reader) (*Predictor, error) {
 }
 
 // decodeQueues parses a queue section (its CRC verified and removed) of
-// disks with up to horizon samples of f features each; delta says each
-// sample after a disk's first is coded against the one before (ODS3),
-// not on its own (ODS2).
-func decodeQueues(b []byte, horizon, f uint64, delta bool) ([]labeling.QueueState, error) {
+// disks with up to horizon samples of f features each, each sample after
+// a disk's first coded against the one before.
+func decodeQueues(b []byte, horizon, f uint64) ([]labeling.QueueState, error) {
 	short := errors.New("queue section cut short")
 	uint := func() (uint64, error) {
 		v, n := binary.Uvarint(b)
@@ -294,9 +292,7 @@ func decodeQueues(b []byte, horizon, f uint64, delta bool) ([]labeling.QueueStat
 			if st.X[i], block, err = unpackValues(block[sz:], f, prev); err != nil {
 				return nil, err
 			}
-			if delta {
-				prev, prevDay = st.X[i], st.Days[i]
-			}
+			prev, prevDay = st.X[i], st.Days[i]
 		}
 		if len(block) != 0 {
 			return nil, fmt.Errorf("%d trailing bytes in a queue block", len(block))

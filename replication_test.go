@@ -341,10 +341,10 @@ func dumpModel(t *testing.T, e *Engine, model string) []byte {
 	return buf.Bytes()
 }
 
-// TestFollowerRefusesRetiredRun: a whole-catalog run (kind 8), as only
-// leaders older than the previous release log it, fails ApplyReplicated
-// with the retired-layout error before it reaches the follower's log or
-// shards.
+// TestFollowerRefusesRetiredRun: a whole-catalog run (kind 8) or an
+// ODS2 state, as only leaders older than the previous release log them,
+// fails ApplyReplicated with the retired-layout error before it reaches
+// the follower's log or shards.
 func TestFollowerRefusesRetiredRun(t *testing.T) {
 	leader, err := NewEngine(EngineConfig{Predictor: engineTestConfig(), DataDir: t.TempDir()})
 	if err != nil {
@@ -362,15 +362,24 @@ func TestFollowerRefusesRetiredRun(t *testing.T) {
 	}
 	model := follower.Models()[0]
 	next, state := follower.WAL().NextSeq(), dumpModel(t, follower, model)
-	err = follower.ApplyReplicated([]replica.Record{{Seq: next, Payload: []byte{recCatalogRun, 1, 'M', 0}}})
-	if err == nil || !strings.Contains(err.Error(), "kind 8 is a retired whole-catalog run observe layout") {
-		t.Fatalf("ApplyReplicated of a kind-8 record: %v; want the retired-layout error", err)
-	}
-	if got := follower.WAL().NextSeq(); got != next {
-		t.Errorf("NextSeq %d after the refusal, want %d", got, next)
-	}
-	if !bytes.Equal(dumpModel(t, follower, model), state) {
-		t.Error("the refused record changed the follower's model state")
+	for _, tc := range []struct {
+		name    string
+		payload []byte
+		want    string
+	}{
+		{"kind-8 record", []byte{recCatalogRun, 1, 'M', 0}, "kind 8 is a retired whole-catalog run observe layout"},
+		{"ODS2 state", ods2StateRecord(t, model), "ODS2 is retired and this release does not read it; start the PR 42 release"},
+	} {
+		err = follower.ApplyReplicated([]replica.Record{{Seq: next, Payload: tc.payload}})
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("ApplyReplicated of a %s: %v; want the retired-layout error", tc.name, err)
+		}
+		if got := follower.WAL().NextSeq(); got != next {
+			t.Errorf("%s: NextSeq %d after the refusal, want %d", tc.name, got, next)
+		}
+		if !bytes.Equal(dumpModel(t, follower, model), state) {
+			t.Errorf("the refused %s changed the follower's model state", tc.name)
+		}
 	}
 }
 
