@@ -66,6 +66,14 @@ const (
 	// length field cannot drive a multi-gigabyte allocation.
 	MaxBlockBytes = 1 << 30
 
+	// maxInflateRatio bounds how far a DEFLATE stream can expand: 258
+	// bytes per length/distance pair of at least 2 bits, 1032:1 at most
+	// (16 MiB of zeros at level 9 reach 1028:1). The header is not under
+	// the CRC, so a flate block claiming more raw bytes than this many
+	// times its stored bytes is corrupt, and inflate never allocates more
+	// than this many times the input it was given.
+	maxInflateRatio = 1032
+
 	streamMagic = "OFR1"
 
 	// defaultBlockBytes is the raw bytes buffered per stream-Writer
@@ -159,6 +167,9 @@ func parseHeader(hdr []byte) (rawLen, storedLen, crc uint32, err error) {
 		// The encoder stores raw whenever flate does not shrink the
 		// payload, so stored size never exceeds raw size.
 		return 0, 0, 0, fmt.Errorf("%w: stored size %d exceeds raw size %d", ErrCorrupt, storedLen, rawLen)
+	}
+	if storedLen < rawLen && uint64(rawLen) > maxInflateRatio*uint64(storedLen) {
+		return 0, 0, 0, fmt.Errorf("%w: raw size %d is more than %d bytes of DEFLATE can hold", ErrCorrupt, rawLen, storedLen)
 	}
 	return rawLen, storedLen, crc, nil
 }

@@ -2,9 +2,11 @@ package frame
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -128,6 +130,34 @@ func TestBlockCorruption(t *testing.T) {
 				t.Fatalf("codec %v: flip at %d undetected", c, i)
 			}
 		}
+	}
+}
+
+// TestInflateBoundedByStoredSize: the header's raw size is not under the
+// CRC, so a valid small flate block whose header claims 1 GiB must fail
+// before the decoder allocates anything near that — a few MB at most,
+// what its stored bytes could inflate to — while the most compressible
+// block the encoder writes still decodes.
+func TestInflateBoundedByStoredSize(t *testing.T) {
+	zeros := make([]byte, 4<<20)
+	enc := AppendBlock(nil, zeros, Flate)
+	if got, _, err := DecodeBlock(enc); err != nil || !bytes.Equal(got, zeros) {
+		t.Fatalf("%d zero bytes stored in %d: %v", len(zeros), len(enc)-blockHeaderSize, err)
+	}
+	small := AppendBlock(nil, bytes.Repeat([]byte("smart_5_raw,"), 200), Flate)
+	binary.LittleEndian.PutUint32(small, MaxBlockBytes)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, _, err := DecodeBlock(small)
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("a %d-byte flate block claiming %d raw bytes: %v, want ErrCorrupt", len(small), MaxBlockBytes, err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > 4<<20 {
+		t.Fatalf("rejecting it allocated %d bytes", got)
+	}
+	if _, err := ReadBlockRaw(bytes.NewReader(small), nil); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("ReadBlockRaw of the same block: %v, want ErrCorrupt", err)
 	}
 }
 

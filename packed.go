@@ -22,8 +22,9 @@ import (
 //	            payload; a decode error where the caller passes none
 //
 // A previous vector is passed where consecutive vectors are one disk's
-// consecutive samples (a saved state's queues), never in a run record,
-// whose rows are different disks.
+// consecutive samples (a saved state's queues) and in a run record,
+// whose rows after the first are coded against the row before them in
+// the run (another disk, so fewer values repeat).
 //
 // SMART telemetry is a 1-byte normalized value and a 6-byte raw counter
 // per attribute, so nearly every value is a small non-negative integer:
@@ -48,8 +49,9 @@ func packValues(buf []byte, vals, prev []float64) []byte {
 		buf = append(buf[:n], make([]byte, worst)...)
 	}
 	b := buf[n : n+worst]
-	// Two loops, so that the run record encoder's carries no check of a
-	// previous vector: in one shared loop that check cost it a fifth.
+	// Two loops, so that a vector coded on its own (a run's first row)
+	// carries no check of a previous vector: in one shared loop that
+	// check cost the encoder a fifth.
 	if prev == nil {
 		for k, v := range vals {
 			code, w, p := packValue(math.Float64bits(v))
