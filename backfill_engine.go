@@ -83,10 +83,11 @@ type bfState struct {
 	// enc is IngestBackfill's framing scratch (single in-flight call by
 	// contract — the loader is one goroutine), feats the feature list of
 	// each of the batch's models, and x the row being framed, projected
-	// onto its model's features.
+	// onto its model's features, and the row before it, which addRow codes
+	// the next row against: rows alternate between the two.
 	enc   recordBatch
 	feats map[string][]int
-	x     []float64
+	x     [2][]float64
 }
 
 // bfResume is the durable resume point: the newest cursor and the count
@@ -167,8 +168,9 @@ func (e *Engine) IngestBackfill(batch []FleetObservation, cur *BackfillCursor) e
 			feats := bf.feats[batch[lo].Model]
 			bf.enc.beginRun(recObserveBFRun, &batch[lo], feats, hi-lo)
 			for i := lo; i < hi; i++ {
-				bf.x = smart.AppendProject(bf.x[:0], batch[i].Values, feats)
-				bf.enc.addRow(&batch[i], bf.x)
+				x := &bf.x[i&1]
+				*x = smart.AppendProject((*x)[:0], batch[i].Values, feats)
+				bf.enc.addRow(&batch[i], *x)
 			}
 		}
 		if cur != nil {
