@@ -100,8 +100,8 @@ func (p *Predictor) Frozen() *FrozenModel { return p.frozen.Load() }
 // bit-identical to the score Predictor.Score produced at the freeze
 // moment. It allocates nothing in steady state and takes no locks.
 func (fm *FrozenModel) Score(values []float64) (float64, error) {
-	if len(values) != smart.NumFeatures() {
-		return 0, fmt.Errorf("orfdisk: %d values, want %d", len(values), smart.NumFeatures())
+	if err := checkCatalog(values); err != nil {
+		return 0, err
 	}
 	bp := fm.scratch.Get().(*[]float64)
 	defer fm.scratch.Put(bp)
@@ -132,9 +132,8 @@ func (fm *FrozenModel) Score(values []float64) (float64, error) {
 // sample.
 func (fm *FrozenModel) ScoreBatchInto(dst []float64, X [][]float64) ([]float64, error) {
 	for i := range X {
-		if len(X[i]) != smart.NumFeatures() {
-			return dst, fmt.Errorf("orfdisk: batch vector %d carries %d values, want %d",
-				i, len(X[i]), smart.NumFeatures())
+		if err := checkCatalog(X[i]); err != nil {
+			return dst, fmt.Errorf("batch vector %d: %w", i, err)
 		}
 	}
 	if cap(dst) < len(X) {

@@ -26,24 +26,21 @@ func AblationReplacement(c *Corpus, deployMonth int, targetFAR float64, base cor
 		{"ORF with replacement", false},
 		{"ORF without replacement", true},
 	}
+	disks := unscaled(c.AllDiskViews())
 	out := make([]Series, len(variants))
 	for vi, v := range variants {
 		cfg := base
 		cfg.Seed = seed
 		cfg.DisableReplacement = v.disable
-		runner := NewORFRunner(len(c.Features), smart.PredictionHorizonDays, cfg)
-		deployDay := deployMonth * smart.DaysPerMonth
-		cursor := runner.ConsumeThroughDay(c, 0, deployDay)
-		th := calibrate(c, runner.Scorer(), deployMonth-3, deployMonth, targetFAR)
+		orf := newORFStream(c, smart.PredictionHorizonDays, cfg)
+		orf.absorbUntil(deployMonth * smart.DaysPerMonth)
+		th := calibrate(disks, orf.scorer(), deployMonth-3, deployMonth, targetFAR)
 
 		s := Series{Name: v.name}
 		for month := deployMonth; month < c.Months(); month++ {
-			ds := monthDiskScores(c.AllDiskViews(), runner.Scorer(), month)
-			fdr, far := ds.Rates(th)
-			s.Months = append(s.Months, month+1)
-			s.FDR = append(s.FDR, fdr)
-			s.FAR = append(s.FAR, far)
-			cursor = runner.ConsumeThroughDay(c, cursor, (month+1)*smart.DaysPerMonth)
+			fdr, far := monthDiskScores(disks, orf.scorer(), month).Rates(th)
+			s.add(month+1, fdr, far)
+			orf.absorbUntil((month + 1) * smart.DaysPerMonth)
 		}
 		out[vi] = s
 	}

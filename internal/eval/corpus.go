@@ -4,8 +4,12 @@
 // simulation with offline update strategies (Figures 4-7), and the
 // feature-selection pipeline (Table 2).
 //
-// All protocols consume a Corpus: the materialized, scaled,
-// selected-feature view of one simulated fleet, split 70/30 by disk.
+// All protocols consume a Corpus: the materialized selected-feature
+// view of one simulated fleet, split 70/30 by disk. It holds every
+// vector twice: unscaled, as a disk reports it, for the ORF, which runs
+// the service's Predictor and scales online; and scaled by a min-max
+// scaler fitted on the whole training split, for the offline models and
+// the drift report (the paper's offline protocol, section 4.4).
 package eval
 
 import (
@@ -39,21 +43,23 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// Arrival is one chronological training observation: the scaled feature
+// Arrival is one chronological training observation: the feature
 // vector a disk reported on a day, plus whether this is the disk's
 // failure event.
 type Arrival struct {
 	DiskIdx int32 // index into Corpus.TrainDisks
 	Day     int32
 	Fail    bool
-	X       []float64
+	X       []float64 // scaled by Corpus.Scaler
+	Raw     []float64 // unscaled
 }
 
-// TestDisk is one held-out disk with its full scaled trajectory.
+// TestDisk is one held-out disk with its full trajectory.
 type TestDisk struct {
 	Meta dataset.DiskMeta
 	Days []int
-	X    [][]float64
+	X    [][]float64 // scaled by Corpus.Scaler
+	Raw  [][]float64 // unscaled
 }
 
 // Corpus is the materialized experiment view of one fleet.
@@ -67,7 +73,7 @@ type Corpus struct {
 	Scaler   *smart.Scaler
 
 	// TrainDisks and TrainArrivals hold the training split: per-disk
-	// metadata and the flat chronological stream of scaled observations.
+	// metadata and the flat chronological stream of observations.
 	TrainDisks    []dataset.DiskMeta
 	TrainArrivals []Arrival
 	// trainLastDay[i] is TrainDisks[i]'s last observed day.
@@ -80,7 +86,7 @@ type Corpus struct {
 }
 
 // BuildCorpus generates the fleet, splits it by disk, fits the min-max
-// scaler on the training split and materializes scaled trajectories.
+// scaler on the training split and materializes the trajectories.
 func BuildCorpus(opt Options) (*Corpus, error) {
 	opt = opt.withDefaults()
 	gen, err := dataset.New(opt.Profile, opt.Seed)
@@ -105,12 +111,12 @@ func BuildCorpus(opt Options) (*Corpus, error) {
 }
 
 // materialize fills the corpus from a disk split: it fits the min-max
-// scaler per Eq. 5 on the training split, flattens the scaled training
-// trajectories into the chronological arrival stream, and scales the
-// test trajectories. trajectory returns one disk's observation days and
-// its projected, unscaled feature vectors (which materialize scales in
-// place); it is called for every training disk, then every test disk,
-// in split order.
+// scaler per Eq. 5 on the training split, flattens the training
+// trajectories into the chronological arrival stream, and keeps a
+// scaled copy of every vector beside the unscaled one. trajectory
+// returns one disk's observation days and its projected, unscaled
+// feature vectors, which the corpus keeps; it is called for every
+// training disk, then every test disk, in split order.
 func (c *Corpus) materialize(split dataset.Split, trajectory func(dataset.DiskMeta) (days []int, xs [][]float64)) {
 	type rawDisk struct {
 		days []int
@@ -136,12 +142,12 @@ func (c *Corpus) materialize(split dataset.Split, trajectory func(dataset.DiskMe
 			c.trainLastDay[i] = rd.days[len(rd.days)-1]
 		}
 		for j, x := range rd.xs {
-			c.Scaler.Transform(x, x)
 			c.TrainArrivals = append(c.TrainArrivals, Arrival{
 				DiskIdx: int32(i),
 				Day:     int32(rd.days[j]),
 				Fail:    split.Train[i].Failed && j == len(rd.xs)-1,
-				X:       x,
+				X:       c.Scaler.Transform(x, nil),
+				Raw:     x,
 			})
 		}
 	}
@@ -155,10 +161,11 @@ func (c *Corpus) materialize(split dataset.Split, trajectory func(dataset.DiskMe
 	c.TestDisks = make([]TestDisk, 0, len(split.Test))
 	for _, m := range split.Test {
 		days, xs := trajectory(m)
-		for _, x := range xs {
-			c.Scaler.Transform(x, x)
+		d := TestDisk{Meta: m, Days: days, X: make([][]float64, len(xs)), Raw: xs}
+		for j, x := range xs {
+			d.X[j] = c.Scaler.Transform(x, nil)
 		}
-		c.TestDisks = append(c.TestDisks, TestDisk{Meta: m, Days: days, X: xs})
+		c.TestDisks = append(c.TestDisks, d)
 	}
 }
 
@@ -239,9 +246,21 @@ func (c *Corpus) AllDiskViews() []TestDisk {
 		v := &views[a.DiskIdx]
 		v.Days = append(v.Days, int(a.Day))
 		v.X = append(v.X, a.X)
+		v.Raw = append(v.Raw, a.Raw)
 	}
 	c.allDisks = append(views, c.TestDisks...)
 	return c.allDisks
+}
+
+// unscaled returns copies of disks whose X is their unscaled Raw: the
+// input the ORF's own running scaler expects.
+func unscaled(disks []TestDisk) []TestDisk {
+	out := make([]TestDisk, len(disks))
+	for i, d := range disks {
+		d.X = d.Raw
+		out[i] = d
+	}
+	return out
 }
 
 // String summarizes the corpus.

@@ -378,11 +378,12 @@ func min(a, b int) int {
 	return b
 }
 
-func TestORFRunnerLabeledCounts(t *testing.T) {
+func TestORFStreamLabeledCounts(t *testing.T) {
 	c := buildTestCorpus(t, 14)
-	runner := NewORFRunner(len(c.Features), smart.PredictionHorizonDays, core.Config{Trees: 5, MinParentSize: 100})
-	runner.ConsumeThroughDay(c, 0, c.Gen.Profile().Days())
-	pos, neg := runner.LabeledCounts()
+	orf := newORFStream(c, smart.PredictionHorizonDays, core.Config{Trees: 5, MinParentSize: 100})
+	orf.absorbUntil(c.Gen.Profile().Days())
+	st := orf.p.Stats()
+	pos, neg := int(st.PosSeen), int(st.NegSeen)
 	if pos == 0 || neg == 0 {
 		t.Fatalf("labeled counts %d pos / %d neg", pos, neg)
 	}

@@ -33,11 +33,7 @@ func HorizonSweep(c *Corpus, horizons []int, targetFAR float64,
 
 		// Offline RF with H-day labels.
 		X, y := c.offlineSetRangeH(0, c.Days, h)
-		for _, v := range y {
-			if v == 1 {
-				row.TrainPositives++
-			}
-		}
+		_, row.TrainPositives = countClasses(y)
 		if scorer, err := rf.Fit(X, y, seed+uint64(hi)); err == nil {
 			ds := scoreTestDisksH(c.TestDisks, scorer, h)
 			row.RFFDR, row.RFFAR = ds.FDRAtFAR(targetFAR)
@@ -46,9 +42,9 @@ func HorizonSweep(c *Corpus, horizons []int, targetFAR float64,
 		// ORF with an H-deep labeling queue over the same stream.
 		cfg := orfCfg
 		cfg.Seed = seed + uint64(1000+hi)
-		runner := NewORFRunner(len(c.Features), h, cfg)
-		runner.Consume(c, 0, len(c.TrainArrivals))
-		ds := scoreTestDisksH(c.TestDisks, runner.Scorer(), h)
+		orf := newORFStream(c, h, cfg)
+		orf.absorbUntil(c.Days)
+		ds := scoreTestDisksH(unscaled(c.TestDisks), orf.scorer(), h)
 		row.ORFFDR, row.ORFFAR = ds.FDRAtFAR(targetFAR)
 
 		rows = append(rows, row)

@@ -2,11 +2,12 @@ package eval
 
 import (
 	"fmt"
+	"sync"
 
+	"orfdisk"
 	"orfdisk/internal/core"
 	"orfdisk/internal/dtree"
 	"orfdisk/internal/forest"
-	"orfdisk/internal/labeling"
 	"orfdisk/internal/rng"
 	"orfdisk/internal/smart"
 	"orfdisk/internal/svm"
@@ -141,64 +142,65 @@ func (l SVMLearner) Fit(X [][]float64, y []int, seed uint64) (Scorer, error) {
 	return m.Decision, nil
 }
 
-// ORFRunner streams a corpus's training arrivals through the automatic
-// online label method (Algorithm 2) into an online random forest. It
-// exposes the forest's scorer at any point of the stream, which is how
-// the monthly protocols snapshot the model.
-type ORFRunner struct {
-	Forest  *core.Forest
-	labeler *labeling.Labeler
-	pos     int
-	neg     int
+// orfStream drives the service's Predictor over a corpus's training
+// stream: Algorithm 2 with the online min-max scaler, exactly as the
+// engine runs it for one drive model. Each unscaled arrival is laid into
+// a catalog-width row for Absorb, which gathers the same values back.
+type orfStream struct {
+	c      *Corpus
+	p      *orfdisk.Predictor
+	next   int       // the first arrival not yet absorbed
+	values []float64 // reused catalog-width row
 }
 
-// NewORFRunner creates a runner with the given ORF configuration over
-// dim-dimensional inputs, labeling a disk's last horizon days before its
-// failure positive (smart.PredictionHorizonDays in the paper).
-func NewORFRunner(dim, horizon int, cfg core.Config) *ORFRunner {
-	r := &ORFRunner{Forest: core.New(dim, cfg)}
-	r.labeler = labeling.NewLabeler(horizon, func(s labeling.Labeled) {
-		yi := 0
-		if s.Y == smart.Positive {
-			yi = 1
-			r.pos++
-		} else {
-			r.neg++
-		}
-		r.Forest.Update(s.X, yi)
-	})
-	return r
+// newORFStream creates the stream's predictor, labeling a disk's last
+// horizon days before its failure positive (smart.PredictionHorizonDays
+// in the paper).
+func newORFStream(c *Corpus, horizon int, cfg core.Config) *orfStream {
+	return &orfStream{
+		c:      c,
+		p:      orfdisk.NewPredictor(orfdisk.Config{Features: c.Features, Horizon: horizon, ORF: cfg}),
+		values: make([]float64, smart.NumFeatures()),
+	}
 }
 
-// Consume feeds arrivals[lo:hi] (a chronological slice of the corpus
-// stream) through the labeler into the forest.
-func (r *ORFRunner) Consume(c *Corpus, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		a := &c.TrainArrivals[i]
-		disk := c.TrainDisks[a.DiskIdx].Serial
-		r.labeler.Observe(disk, a.X, int(a.Day))
-		if a.Fail {
-			r.labeler.Fail(disk)
+// absorbUntil feeds the predictor every arrival with Day < day.
+func (s *orfStream) absorbUntil(day int) {
+	for ; s.next < len(s.c.TrainArrivals) && int(s.c.TrainArrivals[s.next].Day) < day; s.next++ {
+		a := &s.c.TrainArrivals[s.next]
+		layCatalog(s.values, s.c.Features, a.Raw)
+		obs := orfdisk.Observation{Serial: s.c.TrainDisks[a.DiskIdx].Serial, Day: int(a.Day), Failed: a.Fail, Values: s.values}
+		if err := s.p.Absorb(obs); err != nil {
+			panic(err) // values is catalog-width
 		}
 	}
 }
 
-// ConsumeThroughDay advances the stream cursor (the index into
-// TrainArrivals) through all arrivals with Day < day and returns the new
-// cursor.
-func (r *ORFRunner) ConsumeThroughDay(c *Corpus, cursor, day int) int {
-	hi := cursor
-	for hi < len(c.TrainArrivals) && int(c.TrainArrivals[hi].Day) < day {
-		hi++
+// scorer freezes the predictor and scores unscaled vectors (see
+// unscaled) through the snapshot, the service's /v1/predict path. It is
+// safe for concurrent use.
+func (s *orfStream) scorer() Scorer {
+	fm := s.p.Freeze()
+	rows := sync.Pool{New: func() any {
+		values := make([]float64, smart.NumFeatures())
+		return &values
+	}}
+	return func(x []float64) float64 {
+		values := rows.Get().(*[]float64)
+		defer rows.Put(values)
+		layCatalog(*values, s.c.Features, x)
+		score, err := fm.Score(*values)
+		if err != nil {
+			panic(err) // values is catalog-width
+		}
+		return score
 	}
-	r.Consume(c, cursor, hi)
-	return hi
 }
 
-// Scorer returns the forest's probability scorer. The forest must not be
-// updated while the scorer is in use.
-func (r *ORFRunner) Scorer() Scorer { return r.Forest.PredictProba }
-
-// LabeledCounts returns how many positive and negative samples the
-// labeler has released into the forest so far.
-func (r *ORFRunner) LabeledCounts() (pos, neg int) { return r.pos, r.neg }
+// layCatalog writes x, projected onto features, back into the catalog
+// row values. Positions outside features keep whatever they held.
+func layCatalog(values []float64, features []int, x []float64) {
+	for i, f := range features {
+		values[f] = x[i]
+	}
+}

@@ -100,21 +100,22 @@ func TestRFLearnerMaxRows(t *testing.T) {
 	}
 }
 
-func TestORFRunnerConsumeIdempotentCursor(t *testing.T) {
+func TestORFStreamAbsorbUntilIdempotentCursor(t *testing.T) {
 	c := buildTestCorpus(t, 30)
-	runner := NewORFRunner(len(c.Features), smart.PredictionHorizonDays, core.Config{Trees: 3, Seed: 1})
-	cur := runner.ConsumeThroughDay(c, 0, 50)
-	cur2 := runner.ConsumeThroughDay(c, cur, 50)
-	if cur2 != cur {
-		t.Fatalf("cursor advanced without new days: %d -> %d", cur, cur2)
+	orf := newORFStream(c, smart.PredictionHorizonDays, core.Config{Trees: 3, Seed: 1})
+	orf.absorbUntil(50)
+	cur := orf.next
+	orf.absorbUntil(50)
+	if orf.next != cur {
+		t.Fatalf("cursor advanced without new days: %d -> %d", cur, orf.next)
 	}
-	cur3 := runner.ConsumeThroughDay(c, cur2, 100)
-	if cur3 <= cur2 {
+	orf.absorbUntil(100)
+	if orf.next <= cur {
 		t.Fatal("cursor did not advance for later days")
 	}
 	// Cursor must end at the stream's end when consuming everything.
-	end := runner.ConsumeThroughDay(c, cur3, 1<<30)
-	if end != len(c.TrainArrivals) {
-		t.Fatalf("final cursor %d, want %d", end, len(c.TrainArrivals))
+	orf.absorbUntil(1 << 30)
+	if orf.next != len(c.TrainArrivals) {
+		t.Fatalf("final cursor %d, want %d", orf.next, len(c.TrainArrivals))
 	}
 }

@@ -66,39 +66,32 @@ func monthDiskScores(disks []TestDisk, scorer Scorer, month int) DiskScores {
 	for i := range disks {
 		d := &disks[i]
 		m := d.Meta
-		switch {
-		case m.Failed && m.FailDay >= mStart && m.FailDay < mEnd:
-			max := math.Inf(-1)
-			seen := false
-			for j, day := range d.Days {
-				if day > m.FailDay-smart.PredictionHorizonDays {
-					seen = true
-					if s := scorer(d.X[j]); s > max {
-						max = s
-					}
-				}
-			}
-			if seen {
-				ds.Failed = append(ds.Failed, max)
-			}
-		case m.Failed && m.FailDay < mEnd+smart.PredictionHorizonDays:
+		failed := m.Failed && m.FailDay >= mStart && m.FailDay < mEnd
+		if !failed && m.Failed && m.FailDay < mEnd+smart.PredictionHorizonDays {
 			// Failed before this month, or will fail within the horizon
 			// after it: not judgeable as a good disk this month.
 			continue
-		default:
-			max := math.Inf(-1)
-			seen := false
-			for j, day := range d.Days {
-				if day >= mStart && day < mEnd {
-					seen = true
-					if s := scorer(d.X[j]); s > max {
-						max = s
-					}
+		}
+		// A failing disk is judged on its final week, a good one on the
+		// month's samples.
+		lo, hi := mStart, mEnd
+		if failed {
+			lo, hi = m.FailDay-smart.PredictionHorizonDays+1, math.MaxInt
+		}
+		max := math.Inf(-1)
+		seen := false
+		for j, day := range d.Days {
+			if day >= lo && day < hi {
+				seen = true
+				if s := scorer(d.X[j]); s > max {
+					max = s
 				}
 			}
-			if seen {
-				ds.Good = append(ds.Good, max)
-			}
+		}
+		if seen && failed {
+			ds.Failed = append(ds.Failed, max)
+		} else if seen {
+			ds.Good = append(ds.Good, max)
 		}
 	}
 	return ds
@@ -114,12 +107,12 @@ func mergeScores(parts ...DiskScores) DiskScores {
 	return out
 }
 
-// calibrate returns the decision threshold hitting the FAR budget on the
-// months [from, to) (0-based).
-func calibrate(c *Corpus, scorer Scorer, from, to int, targetFAR float64) float64 {
+// calibrate returns the decision threshold hitting the FAR budget on
+// disks over the months [from, to) (0-based).
+func calibrate(disks []TestDisk, scorer Scorer, from, to int, targetFAR float64) float64 {
 	var parts []DiskScores
 	for m := from; m < to; m++ {
-		parts = append(parts, monthDiskScores(c.AllDiskViews(), scorer, m))
+		parts = append(parts, monthDiskScores(disks, scorer, m))
 	}
 	return mergeScores(parts...).ThresholdForFAR(targetFAR)
 }
@@ -139,13 +132,14 @@ func LongTerm(c *Corpus, opt LongTermOptions) []Series {
 	noUpdScorer, noUpdErr := opt.RF.Fit(X0, y0, opt.Seed+1)
 	var thNoUpd float64 = 0.5
 	if noUpdErr == nil {
-		thNoUpd = calibrate(c, noUpdScorer, calibFrom, opt.DeployMonth, opt.TargetFAR)
+		thNoUpd = calibrate(c.AllDiskViews(), noUpdScorer, calibFrom, opt.DeployMonth, opt.TargetFAR)
 	}
 
 	// --- deploy the ORF ---
-	runner := NewORFRunner(len(c.Features), smart.PredictionHorizonDays, opt.ORFConfig)
-	cursor := runner.ConsumeThroughDay(c, 0, deployDay)
-	thORF := calibrate(c, runner.Scorer(), calibFrom, opt.DeployMonth, opt.TargetFAR)
+	orf := newORFStream(c, smart.PredictionHorizonDays, opt.ORFConfig)
+	orf.absorbUntil(deployDay)
+	orfDisks := unscaled(c.AllDiskViews())
+	thORF := calibrate(orfDisks, orf.scorer(), calibFrom, opt.DeployMonth, opt.TargetFAR)
 
 	series := []Series{
 		{Name: "No updating"},
@@ -153,11 +147,14 @@ func LongTerm(c *Corpus, opt LongTermOptions) []Series {
 		{Name: "Accumulation"},
 		{Name: "ORF"},
 	}
-	record := func(s *Series, month int, ds DiskScores, th float64) {
-		fdr, far := ds.Rates(th)
-		s.Months = append(s.Months, month+1)
-		s.FDR = append(s.FDR, fdr)
-		s.FAR = append(s.FAR, far)
+	// record adds month's point to s: scorer's rates over disks at th, or
+	// NaN when the model could not be trained (err).
+	record := func(s *Series, month int, disks []TestDisk, scorer Scorer, err error, th float64) {
+		fdr, far := math.NaN(), math.NaN()
+		if err == nil {
+			fdr, far = monthDiskScores(disks, scorer, month).Rates(th)
+		}
+		s.add(month+1, fdr, far)
 	}
 
 	for month := opt.DeployMonth; month < opt.EndMonth; month++ {
@@ -165,36 +162,26 @@ func LongTerm(c *Corpus, opt LongTermOptions) []Series {
 
 		// No updating: frozen model, frozen threshold.
 		if noUpdErr == nil {
-			record(&series[0], month, monthDiskScores(c.AllDiskViews(), noUpdScorer, month), thNoUpd)
+			record(&series[0], month, c.AllDiskViews(), noUpdScorer, nil, thNoUpd)
 		}
 
 		// 1-month replacing: retrain on the previous month only. The
 		// frozen deployment threshold is reused — retraining refreshes
 		// the data fit, not the operating point.
 		Xr, yr := c.OfflineTrainingSetRange(mStart-smart.DaysPerMonth, mStart)
-		if scorer, err := opt.RF.Fit(Xr, yr, opt.Seed+uint64(10+month)); err == nil {
-			record(&series[1], month, monthDiskScores(c.AllDiskViews(), scorer, month), thNoUpd)
-		} else {
-			series[1].Months = append(series[1].Months, month+1)
-			series[1].FDR = append(series[1].FDR, math.NaN())
-			series[1].FAR = append(series[1].FAR, math.NaN())
-		}
+		scorer, err := opt.RF.Fit(Xr, yr, opt.Seed+uint64(10+month))
+		record(&series[1], month, c.AllDiskViews(), scorer, err, thNoUpd)
 
 		// Accumulation: retrain on everything so far.
 		Xa, ya := c.OfflineTrainingSet(mStart)
-		if scorer, err := opt.RF.Fit(Xa, ya, opt.Seed+uint64(1000+month)); err == nil {
-			record(&series[2], month, monthDiskScores(c.AllDiskViews(), scorer, month), thNoUpd)
-		} else {
-			series[2].Months = append(series[2].Months, month+1)
-			series[2].FDR = append(series[2].FDR, math.NaN())
-			series[2].FAR = append(series[2].FAR, math.NaN())
-		}
+		scorer, err = opt.RF.Fit(Xa, ya, opt.Seed+uint64(1000+month))
+		record(&series[2], month, c.AllDiskViews(), scorer, err, thNoUpd)
 
 		// ORF: evaluate with the state reached through month-1, then
 		// absorb the month's stream (Algorithm 2 keeps running; no
 		// retraining ever happens).
-		record(&series[3], month, monthDiskScores(c.AllDiskViews(), runner.Scorer(), month), thORF)
-		cursor = runner.ConsumeThroughDay(c, cursor, mStart+smart.DaysPerMonth)
+		record(&series[3], month, orfDisks, orf.scorer(), nil, thORF)
+		orf.absorbUntil(mStart + smart.DaysPerMonth)
 	}
 	return series
 }

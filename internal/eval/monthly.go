@@ -35,10 +35,7 @@ func (o MonthlyOptions) withDefaults(months int) MonthlyOptions {
 		o.StartMonth = 3
 	}
 	if o.EndMonth <= 0 || o.EndMonth > months {
-		o.EndMonth = months
-		if o.EndMonth > 21 {
-			o.EndMonth = 21
-		}
+		o.EndMonth = min(months, 21)
 	}
 	if o.TargetFAR <= 0 {
 		o.TargetFAR = 1.0
@@ -54,6 +51,13 @@ type Series struct {
 	FAR    []float64
 }
 
+// add appends one checkpoint to s.
+func (s *Series) add(month int, fdr, far float64) {
+	s.Months = append(s.Months, month)
+	s.FDR = append(s.FDR, fdr)
+	s.FAR = append(s.FAR, far)
+}
+
 // MonthlyConvergence runs the Figure 2/3 protocol and returns one series
 // per model, ORF first. Missing points (a learner that cannot train yet,
 // e.g. no positive samples in the first months) are NaN.
@@ -65,35 +69,28 @@ func MonthlyConvergence(c *Corpus, opt MonthlyOptions) []Series {
 		offSeries[i] = Series{Name: l.Name()}
 	}
 
-	runner := NewORFRunner(len(c.Features), smart.PredictionHorizonDays, opt.ORFConfig)
-	cursor := 0
+	orf := newORFStream(c, smart.PredictionHorizonDays, opt.ORFConfig)
+	orfDisks := unscaled(c.TestDisks)
 	for month := 1; month <= opt.EndMonth; month++ {
 		day := month * smart.DaysPerMonth
-		cursor = runner.ConsumeThroughDay(c, cursor, day)
+		orf.absorbUntil(day)
 		if month < opt.StartMonth {
 			continue
 		}
 
-		ds := ScoreTestDisks(c.TestDisks, runner.Scorer())
+		ds := ScoreTestDisks(orfDisks, orf.scorer())
 		fdr, far := ds.FDRAtFAR(opt.TargetFAR)
-		orfSeries.Months = append(orfSeries.Months, month)
-		orfSeries.FDR = append(orfSeries.FDR, fdr)
-		orfSeries.FAR = append(orfSeries.FAR, far)
+		orfSeries.add(month, fdr, far)
 
 		X, y := c.OfflineTrainingSet(day)
 		for i, l := range opt.Learners {
-			s := &offSeries[i]
-			s.Months = append(s.Months, month)
 			scorer, err := l.Fit(X, y, opt.Seed+uint64(month*100+i))
 			if err != nil {
-				s.FDR = append(s.FDR, math.NaN())
-				s.FAR = append(s.FAR, math.NaN())
+				offSeries[i].add(month, math.NaN(), math.NaN())
 				continue
 			}
-			dsl := ScoreTestDisks(c.TestDisks, scorer)
-			fdrL, farL := dsl.FDRAtFAR(opt.TargetFAR)
-			s.FDR = append(s.FDR, fdrL)
-			s.FAR = append(s.FAR, farL)
+			fdr, far := ScoreTestDisks(c.TestDisks, scorer).FDRAtFAR(opt.TargetFAR)
+			offSeries[i].add(month, fdr, far)
 		}
 	}
 	return append([]Series{orfSeries}, offSeries...)

@@ -10,9 +10,11 @@ import (
 	"orfdisk/internal/stats"
 )
 
-// Scorer maps a scaled feature vector to a failure score; higher means
-// more failure-like. Probabilities, decision values and log-odds all
-// qualify — only the ordering matters for operating-point tuning.
+// Scorer maps a feature vector to a failure score; higher means more
+// failure-like. The offline models take vectors scaled by the corpus's
+// fitted scaler, the ORF unscaled ones (see unscaled). Probabilities,
+// decision values and log-odds all qualify — only the ordering matters
+// for operating-point tuning.
 type Scorer func(x []float64) float64
 
 // DiskScores holds, per disk of the test set, the score that determines
@@ -44,15 +46,9 @@ func scoreTestDisksH(disks []TestDisk, scorer Scorer, horizon int) DiskScores {
 	results := make([]result, len(disks))
 	workers := runtime.GOMAXPROCS(0)
 	var wg sync.WaitGroup
-	chunk := (len(disks) + workers - 1) / workers
-	if chunk < 1 {
-		chunk = 1
-	}
+	chunk := max(1, (len(disks)+workers-1)/workers)
 	for lo := 0; lo < len(disks); lo += chunk {
-		hi := lo + chunk
-		if hi > len(disks) {
-			hi = len(disks)
-		}
+		hi := min(lo+chunk, len(disks))
 		wg.Add(1)
 		go func(lo, hi int) {
 			defer wg.Done()

@@ -72,16 +72,16 @@ func lambdaLabel(lambda float64) string {
 // method and is evaluated on the test disks at threshold 0.5.
 func Table4(c *Corpus, lambdaNs []float64, reps int, baseCfg core.Config, seed uint64) []LambdaResult {
 	out := make([]LambdaResult, 0, len(lambdaNs))
-	days := c.Days
+	disks := unscaled(c.TestDisks)
 	for li, ln := range lambdaNs {
 		var fdrs, fars []float64
 		for rep := 0; rep < reps; rep++ {
 			cfg := baseCfg
 			cfg.LambdaNeg = ln
 			cfg.Seed = seed + uint64(li*1000+rep)
-			runner := NewORFRunner(len(c.Features), smart.PredictionHorizonDays, cfg)
-			runner.ConsumeThroughDay(c, 0, days)
-			ds := ScoreTestDisks(c.TestDisks, runner.Scorer())
+			orf := newORFStream(c, smart.PredictionHorizonDays, cfg)
+			orf.absorbUntil(c.Days)
+			ds := ScoreTestDisks(disks, orf.scorer())
 			fdr, far := ds.Rates(0.5)
 			fdrs = append(fdrs, fdr)
 			fars = append(fars, far)

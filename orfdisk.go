@@ -186,11 +186,12 @@ func (p *Predictor) positionsIn(index, buf []int) (pos []int, ok bool) {
 	return pos, true
 }
 
-// checkCatalog is the one check Ingest, Absorb and the engine's doors make
-// of a caller's row: it carries the whole catalog.
+// checkCatalog is the one check every door that takes a caller's row
+// makes of it (Ingest, Absorb, Score, the frozen model's and the
+// engine's): it carries the whole catalog.
 func checkCatalog(values []float64) error {
 	if len(values) != smart.NumFeatures() {
-		return fmt.Errorf("orfdisk: observation carries %d values, want the %d-feature catalog",
+		return fmt.Errorf("orfdisk: %d values, want the %d-feature catalog",
 			len(values), smart.NumFeatures())
 	}
 	return nil
@@ -264,8 +265,8 @@ func (p *Predictor) Retire(serial string) { p.labeler.Retire(serial) }
 // projection buffer comes from (and returns to) the same free-list
 // Ingest recycles queue buffers through.
 func (p *Predictor) Score(values []float64) (float64, error) {
-	if len(values) != smart.NumFeatures() {
-		return 0, fmt.Errorf("orfdisk: %d values, want %d", len(values), smart.NumFeatures())
+	if err := checkCatalog(values); err != nil {
+		return 0, err
 	}
 	x := p.project(values, p.features)
 	score := p.forest.PredictProba(p.scaler.Transform(x, p.scaled))

@@ -131,14 +131,9 @@ func (e *Engine) ScoreBatch(model string, X [][]float64, dst []ScoreResult) ([]S
 		sc = &scoreBatchScratch{}
 	}
 	sc.X, sc.idx = sc.X[:0], sc.idx[:0]
-	want := CatalogSize()
 	for i, values := range X {
-		if len(values) != want {
-			dst[i] = ScoreResult{
-				UpdatesBehind: behind,
-				SnapshotAge:   age,
-				Err:           fmt.Errorf("orfdisk: %d values, want %d", len(values), want),
-			}
+		if err := checkCatalog(values); err != nil {
+			dst[i] = ScoreResult{UpdatesBehind: behind, SnapshotAge: age, Err: err}
 			continue
 		}
 		sc.X = append(sc.X, values)
