@@ -7,6 +7,7 @@ import (
 	"bytes"
 	"fmt"
 	"math"
+	"runtime"
 	"sort"
 	"testing"
 	"time"
@@ -270,27 +271,66 @@ func BenchmarkRecordCodec(b *testing.B) {
 	}
 }
 
-// BenchmarkStateCodec measures SaveState and LoadPredictorState on what
-// dominates a snapshot: the labeling queues of a 2,000-disk fleet, full
-// (7 days of the paper's 19 features each), beside a young forest.
-// state_bytes is the size of the saved state.
-func BenchmarkStateCodec(b *testing.B) {
+// codecFleet is a predictor that has absorbed a month of a 2,050-disk
+// fleet: 2,000 or more full queues (7 days of the paper's 19 features
+// each) beside a young forest.
+func codecFleet(tb testing.TB) *Predictor {
+	tb.Helper()
 	prof := dataset.STA(1)
 	prof.GoodDisks, prof.FailedDisks, prof.Months = 2050, 0, 1 // a few enter service after the month ends
 	g, err := dataset.New(prof, 23)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	p := NewPredictor(Config{ORF: ORFConfig{Seed: 1}})
 	err = g.Stream(func(s smart.Sample) error {
 		return p.Absorb(Observation{Serial: s.Serial, Day: s.Day, Failed: s.Failure, Values: s.Values})
 	})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	if p.TrackedDisks() < 2000 || p.PendingSamples() < 7*2000 {
-		b.Fatalf("%d disks, %d queued samples: want 2000 full queues", p.TrackedDisks(), p.PendingSamples())
+		tb.Fatalf("%d disks, %d queued samples: want 2000 full queues", p.TrackedDisks(), p.PendingSamples())
 	}
+	return p
+}
+
+// labelerBytesPerDisk is the heap p's labeling queues hold per tracked
+// disk: p's labeler is dropped and rebuilt from p's saved state, and the
+// HeapAlloc after a collection with the rebuilt one, less the HeapAlloc
+// after one without any, is divided by the disks it tracks. The serials
+// it keys by count (restored, they are its own). Nothing else may run
+// meanwhile: the tests and benchmarks of this package do not run in
+// parallel.
+func labelerBytesPerDisk(tb testing.TB, p *Predictor) float64 {
+	heap := func() int64 {
+		runtime.GC()
+		runtime.GC() // and what a sync.Pool kept through the first
+		var m runtime.MemStats
+		runtime.ReadMemStats(&m)
+		return int64(m.HeapAlloc)
+	}
+	state := saveState(tb, p)
+	queues := state[queueOffset(tb, p) : len(state)-4]
+	p.labeler = nil
+	without := heap()
+	p.bindLabeler()
+	if err := p.decodeQueues(queues); err != nil {
+		tb.Fatal(err)
+	}
+	with := heap()
+	runtime.KeepAlive(queues) // in both counts
+	return float64(with-without) / float64(p.TrackedDisks())
+}
+
+// BenchmarkStateCodec measures SaveState and LoadPredictorState on what
+// dominates a snapshot: the labeling queues of a 2,000-disk fleet
+// (codecFleet). state_bytes is the size of the saved state, queue_B/disk
+// what the live queues hold in memory per tracked disk
+// (labelerBytesPerDisk).
+func BenchmarkStateCodec(b *testing.B) {
+	p := codecFleet(b)
+	queueBytes := labelerBytesPerDisk(b, p)
 	var state bytes.Buffer
 	if err := p.SaveState(&state); err != nil {
 		b.Fatal(err)
@@ -305,6 +345,7 @@ func BenchmarkStateCodec(b *testing.B) {
 			}
 		}
 		b.ReportMetric(float64(state.Len()), "state_bytes")
+		b.ReportMetric(queueBytes, "queue_B/disk")
 	})
 	b.Run("load", func(b *testing.B) {
 		b.ReportAllocs()
@@ -314,6 +355,7 @@ func BenchmarkStateCodec(b *testing.B) {
 			}
 		}
 		b.ReportMetric(float64(state.Len()), "state_bytes")
+		b.ReportMetric(queueBytes, "queue_B/disk")
 	})
 }
 

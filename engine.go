@@ -14,6 +14,7 @@ import (
 	"orfdisk/internal/engine"
 	"orfdisk/internal/metrics"
 	"orfdisk/internal/replica"
+	"orfdisk/internal/smart"
 	"orfdisk/internal/wal"
 )
 
@@ -188,11 +189,11 @@ type shardState struct {
 	sinceFreeze int
 	lastFreeze  time.Time
 	// enc is the WAL-encoding scratch, reused so steady-state ingest
-	// allocates no record buffers, and xs (ingestSlice's projected rows)
-	// and pos (applyRecords' gather positions) the same for their
-	// callers. Only the shard's worker touches them.
+	// allocates no record buffers, and xs (ingestSlice's projected rows,
+	// back to back) and pos (applyRecords' gather positions) the same for
+	// their callers. Only the shard's worker touches them.
 	enc recordBatch
-	xs  [][]float64
+	xs  []float64
 	pos []int
 }
 
@@ -416,8 +417,8 @@ func (e *Engine) validate(obs FleetObservation) error {
 
 // applyRow applies one observation on its shard's worker, x being the
 // features the shard's predictor reads, projected from the row's values
-// (the labeling queue owns x from here on). Every door a row can come in
-// by (Ingest, IngestBatch, IngestBackfill, a follower's ApplyReplicated,
+// (the labeling queue copies x). Every door a row can come in by
+// (Ingest, IngestBatch, IngestBackfill, a follower's ApplyReplicated,
 // recovery replay) ends here, so model state and routing memory are a
 // function of the ordered record stream alone. The row is already
 // durable, which is what lets its route be committed: any earlier and a
@@ -465,9 +466,11 @@ func (e *Engine) applyRetire(s *shardState, serial string) {
 func (e *Engine) ingestSlice(s *shardState, batch []FleetObservation, idxs []int, res []BatchResult) uint64 {
 	xs := s.xs[:0]
 	for _, i := range idxs {
-		xs = append(xs, s.p.project(batch[i].Values, s.p.features))
+		xs = smart.AppendProject(xs, batch[i].Values, s.p.features)
 	}
-	defer func() { clear(xs); s.xs = xs[:0] }() // the queues own them now, or the free list does
+	s.xs = xs
+	nf := len(s.p.features)
+	row := func(j int) []float64 { return xs[j*nf : (j+1)*nf : (j+1)*nf] }
 	var first uint64
 	if e.wal != nil {
 		s.enc.reset()
@@ -475,7 +478,7 @@ func (e *Engine) ingestSlice(s *shardState, batch []FleetObservation, idxs []int
 			run := idxs[lo:min(lo+applyRunCap, len(idxs))]
 			s.enc.beginRun(recObserveRun, &batch[run[0]], s.p.features, len(run))
 			for j, i := range run {
-				s.enc.addRow(&batch[i], xs[lo+j])
+				s.enc.addRow(&batch[i], row(lo+j))
 			}
 		}
 		var err error
@@ -484,13 +487,12 @@ func (e *Engine) ingestSlice(s *shardState, batch []FleetObservation, idxs []int
 			for _, i := range idxs {
 				res[i].Err = err
 			}
-			s.p.free = append(s.p.free, xs...)
 			return 0
 		}
 	}
 	e.met.ingests.Add(uint64(len(idxs)))
 	for j, i := range idxs {
-		res[i].Prediction = e.applyRow(s, &batch[i], xs[j], true)
+		res[i].Prediction = e.applyRow(s, &batch[i], row(j), true)
 	}
 	// One cadence check per slice: snapshots publish at most once per
 	// shard slice, which is exactly the "every K updates" granularity the

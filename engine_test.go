@@ -20,6 +20,7 @@ import (
 	"time"
 
 	"orfdisk/internal/dataset"
+	"orfdisk/internal/packed"
 	"orfdisk/internal/smart"
 	"orfdisk/internal/wal"
 )
@@ -1503,27 +1504,27 @@ func TestApplyPathsAgree(t *testing.T) {
 func checkPackedRoundTrip(t *testing.T, vals, prev []float64) {
 	t.Helper()
 	tail := []byte{0xA5, 0x5A}
-	packed := packValues([]byte{0xEE}, vals, prev)
-	if packed[0] != 0xEE {
-		t.Fatalf("packValues overwrote the buffer it appends to")
+	enc := packed.Append([]byte{0xEE}, vals, prev)
+	if enc[0] != 0xEE {
+		t.Fatalf("packed.Append overwrote the buffer it appends to")
 	}
-	packed = packed[1:]
+	enc = enc[1:]
 	want := (len(vals) + 1) / 2
 	for i, v := range vals {
 		if u := math.Float64bits(v); u != 0 && prev != nil && math.Float64bits(prev[i]) == u {
 			continue
 		}
-		want += len(packValues(nil, []float64{v}, nil)) - 1
+		want += len(packed.Append(nil, []float64{v}, nil)) - 1
 	}
-	if len(packed) != want {
-		t.Fatalf("%d values packed into %d bytes, want codes + payloads = %d", len(vals), len(packed), want)
+	if len(enc) != want {
+		t.Fatalf("%d values packed into %d bytes, want codes + payloads = %d", len(vals), len(enc), want)
 	}
-	got, rest, err := unpackValues(append(packed[:len(packed):len(packed)], tail...), uint64(len(vals)), prev)
+	got, rest, err := packed.Decode(append(enc[:len(enc):len(enc)], tail...), uint64(len(vals)), prev)
 	if err != nil {
-		t.Fatalf("unpackValues(%v): %v", vals, err)
+		t.Fatalf("packed.Decode(%v): %v", vals, err)
 	}
 	if !bytes.Equal(rest, tail) {
-		t.Fatalf("unpackValues left % x, want the % x that followed the values", rest, tail)
+		t.Fatalf("packed.Decode left % x, want the % x that followed the values", rest, tail)
 	}
 	for i, v := range vals {
 		if math.Float64bits(got[i]) != math.Float64bits(v) {
@@ -1557,7 +1558,7 @@ func TestPackedValuesRoundTrip(t *testing.T) {
 		{1 << 47, 2}, {1<<48 - 1, 14}, {1 << 48, 2}, {0.5, 2}, {-1, 2},
 		{math.Copysign(0, -1), 1}, {415.3, 8}, {math.SmallestNonzeroFloat64, 8},
 	} {
-		if got := packValues(nil, []float64{tc.v}, nil)[0]; got != tc.code {
+		if got := packed.Append(nil, []float64{tc.v}, nil)[0]; got != tc.code {
 			t.Errorf("code of %v = %d, want %d", tc.v, got, tc.code)
 		}
 	}
@@ -1617,16 +1618,16 @@ func TestPackedValuesRepeat(t *testing.T) {
 		{"+Inf after -Inf", math.Inf(1), math.Inf(-1), 2, 2},
 		{"2^48-1 after 2^48-2", 1<<48 - 1, 1<<48 - 2, 14, 6},
 	} {
-		packed := packValues(nil, []float64{tc.v}, []float64{tc.prev})
-		if packed[0] != tc.code || len(packed)-1 != tc.payloadLen {
-			t.Errorf("%s: code %d with %d payload bytes, want %d with %d", tc.name, packed[0], len(packed)-1, tc.code, tc.payloadLen)
+		enc := packed.Append(nil, []float64{tc.v}, []float64{tc.prev})
+		if enc[0] != tc.code || len(enc)-1 != tc.payloadLen {
+			t.Errorf("%s: code %d with %d payload bytes, want %d with %d", tc.name, enc[0], len(enc)-1, tc.code, tc.payloadLen)
 		}
 		checkPackedRoundTrip(t, []float64{tc.v, tc.v, 7}, []float64{tc.prev, tc.prev, 7})
 	}
 	// A whole vector of repeats is its codes alone.
 	special := []float64{negZero, nan1, math.Inf(1), math.Inf(-1), math.SmallestNonzeroFloat64, 1<<48 - 1, 415.3}
-	if packed := packValues(nil, special, special); len(packed) != (len(special)+1)/2 {
-		t.Errorf("%d repeated values packed into %d bytes, want their %d code bytes", len(special), len(packed), (len(special)+1)/2)
+	if enc := packed.Append(nil, special, special); len(enc) != (len(special)+1)/2 {
+		t.Errorf("%d repeated values packed into %d bytes, want their %d code bytes", len(special), len(enc), (len(special)+1)/2)
 	}
 	checkPackedRoundTrip(t, special, slices.Clone(special))
 }
@@ -1634,8 +1635,8 @@ func TestPackedValuesRepeat(t *testing.T) {
 // TestUnpackValuesRejectsCorrupt: damaged packed values are an error,
 // and a count the bytes cannot back is refused before it is allocated.
 func TestUnpackValuesRejectsCorrupt(t *testing.T) {
-	good := packValues(nil, []float64{1, 415.3, 70000}, nil)
-	if _, _, err := unpackValues(good, 3, nil); err != nil {
+	good := packed.Append(nil, []float64{1, 415.3, 70000}, nil)
+	if _, _, err := packed.Decode(good, 3, nil); err != nil {
 		t.Fatal(err)
 	}
 	for name, tc := range map[string]struct {
@@ -1651,14 +1652,14 @@ func TestUnpackValuesRejectsCorrupt(t *testing.T) {
 		"count 2^62":                             {good, 1 << 62},
 		"empty":                                  {nil, 1},
 	} {
-		if _, _, err := unpackValues(tc.b, tc.nv, nil); err == nil {
+		if _, _, err := packed.Decode(tc.b, tc.nv, nil); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
 	}
-	if vals, rest, err := unpackValues(nil, 0, nil); err != nil || len(vals) != 0 || len(rest) != 0 {
+	if vals, rest, err := packed.Decode(nil, 0, nil); err != nil || len(vals) != 0 || len(rest) != 0 {
 		t.Errorf("zero values: %v, %v, %v", vals, rest, err)
 	}
-	if vals, _, err := unpackValues([]byte{0xF0}, 2, []float64{3, 4}); err != nil || vals[0] != 0 || vals[1] != 4 {
+	if vals, _, err := packed.Decode([]byte{0xF0}, 2, []float64{3, 4}); err != nil || vals[0] != 0 || vals[1] != 4 {
 		t.Errorf("code 15 against a previous vector: %v, %v", vals, err)
 	}
 }
@@ -1672,7 +1673,7 @@ func code15Run() []byte {
 	rec := appendRunRecord(nil, recObserveRun, []int{3, 0, 47, 5, 9}, []FleetObservation{
 		{Model: "ST4000DM000", Observation: Observation{Serial: "Z302T4N9", Day: 812, Values: vals}},
 	})
-	rec[len(rec)-len(packValues(nil, vals, nil))] |= 0x0F
+	rec[len(rec)-len(packed.Append(nil, vals, nil))] |= 0x0F
 	return rec
 }
 
@@ -1810,6 +1811,7 @@ func runBytesPerRow(obs []FleetObservation, write func([]byte, byte, []int, []Fl
 // FuzzUnpackValues: arbitrary bytes under any claimed count decode or
 // fail, never panic, with or without a previous vector (withPrev; its
 // values are prevBits' little-endian words, zero past their end). What
+// decodes is as long as packed.Len reads from its codes. What
 // decodes re-encodes against the same previous vector to values that
 // decode bit-equal, and nothing with code 15 among its codes decodes
 // without one.
@@ -1822,9 +1824,9 @@ func FuzzUnpackValues(f *testing.F) {
 		return b
 	}
 	prev := []float64{0, 1, 7, 256, 415.3, math.NaN(), 1<<48 - 1}
-	f.Add(packValues(nil, vals, nil), uint64(7), false, []byte(nil))
-	f.Add(packValues(nil, vals, prev), uint64(7), true, bitsOf(prev))
-	f.Add(packValues(nil, vals, prev), uint64(7), false, []byte(nil))
+	f.Add(packed.Append(nil, vals, nil), uint64(7), false, []byte(nil))
+	f.Add(packed.Append(nil, vals, prev), uint64(7), true, bitsOf(prev))
+	f.Add(packed.Append(nil, vals, prev), uint64(7), false, []byte(nil))
 	f.Add([]byte{0x0F}, uint64(1), false, []byte(nil))
 	f.Add([]byte{0xFF}, uint64(2), true, bitsOf([]float64{math.Copysign(0, -1)}))
 	f.Add([]byte{0x10}, uint64(1), false, []byte(nil))
@@ -1839,12 +1841,15 @@ func FuzzUnpackValues(f *testing.F) {
 				}
 			}
 		}
-		vals, rest, err := unpackValues(data, nv, prev)
+		vals, rest, err := packed.Decode(data, nv, prev)
 		if err != nil {
 			return
 		}
 		if uint64(len(vals)) != nv || len(rest) > len(data) {
 			t.Fatalf("%d values and %d bytes left from %d bytes claiming %d", len(vals), len(rest), len(data), nv)
+		}
+		if n := packed.Len(data, int(nv)); n != len(data)-len(rest) {
+			t.Fatalf("packed.Len says %d bytes, the decode took %d", n, len(data)-len(rest))
 		}
 		if prev == nil {
 			for i := uint64(0); i < nv; i++ {
@@ -1853,7 +1858,7 @@ func FuzzUnpackValues(f *testing.F) {
 				}
 			}
 		}
-		again, tail, err := unpackValues(packValues(nil, vals, prev), nv, prev)
+		again, tail, err := packed.Decode(packed.Append(nil, vals, prev), nv, prev)
 		if err != nil || len(tail) != 0 {
 			t.Fatalf("re-encoded values: %v, %d bytes left", err, len(tail))
 		}

@@ -527,6 +527,13 @@ func (m *merger) merge(ctx context.Context, chans []chan *chunk) error {
 // consume folds rows [lo, hi) of one chunk into the batch, submitting as
 // it fills; the chunk is done once its last row is merged.
 func (m *merger) consume(c *chunk, file, lo, hi int) error {
+	var span uint64 // bytes of the rows merged below, metered once
+	defer func() {
+		if m.in != nil && span > 0 {
+			m.in.bytes.Add(span)
+			m.in.byteMeter.Add(span)
+		}
+	}()
 	for i := lo; i < hi; i++ {
 		row := &c.rows[i]
 		if row.day < m.resumeDay {
@@ -559,11 +566,7 @@ func (m *merger) consume(c *chunk, file, lo, hi int) error {
 			},
 			Model: row.model,
 		})
-		if m.in != nil {
-			in := m.in
-			in.bytes.Add(uint64(delta))
-			in.byteMeter.Add(uint64(delta))
-		}
+		span += uint64(delta)
 		if len(m.batch) >= m.opts.BatchRows {
 			if err := m.submit(false); err != nil {
 				return err

@@ -16,6 +16,7 @@ import (
 	"orfdisk"
 	"orfdisk/internal/backfill"
 	"orfdisk/internal/dataset"
+	"orfdisk/internal/metrics"
 	"orfdisk/internal/smart"
 )
 
@@ -550,5 +551,31 @@ func TestRejectsCursorForMissingFile(t *testing.T) {
 	}
 	if _, err := backfill.Run(context.Background(), eng, files[:1], backfill.Options{}); err == nil {
 		t.Fatal("Run accepted a file set missing a cursor file")
+	}
+}
+
+// TestBytesMetered: backfill_bytes_total, which the merger adds to once
+// per day-span of a chunk rather than per row, ends equal to the bytes
+// the run reports, and both to the archive's size.
+func TestBytesMetered(t *testing.T) {
+	files := writeArchive(t, t.TempDir(), 3)
+	var size int64
+	for _, f := range files {
+		fi, err := os.Stat(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		size += fi.Size()
+	}
+	eng := newEngine(t, t.TempDir())
+	defer eng.Close()
+	reg := metrics.NewRegistry()
+	stats, err := backfill.Run(context.Background(), eng, files, backfill.Options{Metrics: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := reg.Counter("backfill_bytes_total", "").Value()
+	if got != uint64(stats.Bytes) || stats.Bytes != size {
+		t.Fatalf("backfill_bytes_total %d, Stats.Bytes %d, archive %d bytes", got, stats.Bytes, size)
 	}
 }

@@ -371,13 +371,6 @@ func TestSelectFeatures(t *testing.T) {
 	}
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 func TestORFStreamLabeledCounts(t *testing.T) {
 	c := buildTestCorpus(t, 14)
 	orf := newORFStream(c, smart.PredictionHorizonDays, core.Config{Trees: 5, MinParentSize: 100})

@@ -23,7 +23,7 @@ func TestQueueBasics(t *testing.T) {
 	if !q.Full() {
 		t.Fatal("queue should be full")
 	}
-	x, day := q.Dequeue()
+	x, day := q.Dequeue(nil)
 	if x[0] != 1 || day != 10 {
 		t.Fatalf("FIFO violated: got %v day %d", x, day)
 	}
@@ -40,14 +40,14 @@ func TestQueuePanics(t *testing.T) {
 		}()
 		q.Enqueue(vec(2), 1)
 	}()
-	q.Dequeue()
+	q.Dequeue(nil)
 	func() {
 		defer func() {
 			if recover() == nil {
 				t.Fatal("dequeue on empty queue did not panic")
 			}
 		}()
-		q.Dequeue()
+		q.Dequeue(nil)
 	}()
 	func() {
 		defer func() {
@@ -214,52 +214,59 @@ func TestNilUpdateSafe(t *testing.T) {
 	l.Fail("d")
 }
 
-func TestExportImportRoundTrip(t *testing.T) {
+// TestRestoreRoundTrip: a labeler rebuilt by walking another's queues
+// and restoring each sample tracks the same disks, in order, and goes on
+// exactly like the original.
+func TestRestoreRoundTrip(t *testing.T) {
 	out, upd := collect()
 	l := NewLabeler(3, upd)
 	l.Observe("b", vec(1), 0)
 	l.Observe("a", vec(2), 0)
 	l.Observe("a", vec(3), 1)
-	states := l.Export()
-	if len(states) != 2 || states[0].Disk != "a" || states[1].Disk != "b" {
-		t.Fatalf("export %+v", states)
-	}
-	if len(states[0].X) != 2 || states[0].Days[1] != 1 {
-		t.Fatalf("export lost samples: %+v", states[0])
-	}
 
 	m := NewLabeler(3, upd)
-	if err := m.Import(states); err != nil {
+	err := l.Walk(func(disk string, q *Queue) error {
+		for i := 0; i < q.Len(); i++ {
+			x, day := q.At(i)
+			if err := m.Restore(disk, x, day); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if m.ActiveDisks() != 2 || m.Pending() != 3 {
-		t.Fatalf("import: %d disks, %d pending", m.ActiveDisks(), m.Pending())
+	if d := m.Disks(); len(d) != 2 || d[0] != "a" || d[1] != "b" || m.Pending() != 3 {
+		t.Fatalf("restore: disks %v, %d pending", d, m.Pending())
 	}
-	// The imported queues must behave exactly like the originals:
+	if x, day := m.Queue("a").At(1); x[0] != 3 || day != 1 {
+		t.Fatalf("restored sample 1 of a is %v on day %d", x, day)
+	}
+	// The restored queues must behave exactly like the originals:
 	// two more observations on "a" overflow its horizon-3 queue.
 	*out = (*out)[:0]
 	m.Observe("a", vec(4), 2)
 	m.Observe("a", vec(5), 3)
 	if len(*out) != 1 || (*out)[0].X[0] != 2 || (*out)[0].Y != smart.Negative {
-		t.Fatalf("imported queue released %+v", *out)
+		t.Fatalf("restored queue released %+v", *out)
 	}
 }
 
-func TestImportRejectsBadState(t *testing.T) {
+// TestRestoreRejectsOverHorizon: a saved queue longer than the horizon
+// is refused, and the disk keeps the samples that fit.
+func TestRestoreRejectsOverHorizon(t *testing.T) {
 	l := NewLabeler(2, nil)
-	if err := l.Import([]QueueState{{Disk: "a", Days: []int{0}, X: nil}}); err == nil {
-		t.Fatal("mismatched days/samples accepted")
+	for day := 0; day < 2; day++ {
+		if err := l.Restore("a", vec(1), day); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if err := l.Import([]QueueState{{
-		Disk: "a", Days: []int{0, 1, 2}, X: [][]float64{vec(1), vec(2), vec(3)},
-	}}); err == nil {
+	if err := l.Restore("a", vec(1), 2); err == nil {
 		t.Fatal("over-horizon queue accepted")
 	}
-	if err := l.Import([]QueueState{
-		{Disk: "a", Days: []int{0}, X: [][]float64{vec(1)}},
-		{Disk: "a", Days: []int{0}, X: [][]float64{vec(1)}},
-	}); err == nil {
-		t.Fatal("duplicate disk accepted")
+	if l.Pending() != 2 {
+		t.Fatalf("%d pending after a refused restore, want 2", l.Pending())
 	}
 }
 
@@ -312,45 +319,42 @@ func TestFailedDiskQueueRecycledZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestExportIsDeepCopy verifies snapshots and live queues are isolated
-// in both directions after the ring-buffer conversion, and that Import
-// keeps the vectors it is handed instead of copying them.
-func TestExportIsDeepCopy(t *testing.T) {
+// TestQueueCopiesInAndOut: a queue keeps a copy of each sample it is
+// given and hands out copies, so neither the caller's vectors nor a
+// released one can change what stays queued.
+func TestQueueCopiesInAndOut(t *testing.T) {
 	out, update := collect()
 	l := NewLabeler(3, update)
-	l.Observe("a", []float64{1, 2}, 0)
-	l.Observe("a", []float64{3, 4}, 1)
-	snap := l.Export()
+	x := []float64{1, 2}
+	l.Observe("a", x, 0)
+	x[0] = 3
+	l.Observe("a", x, 1)
+	x[0] = 99 // the caller's vector is its own again
 
-	// Mutating the live labeler must not change the snapshot.
+	got, day := l.Queue("a").At(0)
+	if got[0] != 1 || day != 0 {
+		t.Fatalf("queued sample 0 is %v on day %d, want [1 2] on day 0", got, day)
+	}
+	got[0] = 42 // and so is a copy At hands out
+	if again, _ := l.Queue("a").At(0); again[0] != 1 {
+		t.Fatalf("mutating At's copy changed the queue: %v", again)
+	}
+
+	// The labeler's release scratch is recycled too: overwriting a
+	// released vector after its callback cannot reach the queue.
 	l.Observe("a", []float64{5, 6}, 2)
 	l.Observe("a", []float64{7, 8}, 3) // overflows: releases day-0 sample
-	if len(snap) != 1 || len(snap[0].X) != 2 {
-		t.Fatalf("snapshot shape changed: %+v", snap)
+	if len(*out) != 1 || (*out)[0].X[0] != 1 {
+		t.Fatalf("released %+v, want the day-0 sample", *out)
 	}
-	if snap[0].Days[0] != 0 || snap[0].X[0][0] != 1 || snap[0].X[1][0] != 3 {
-		t.Fatalf("snapshot content changed: %+v", snap[0])
-	}
-
-	// Mutating the snapshot must not change the live queues.
-	snap[0].X[0][0] = 99
-	snap[0].Days[0] = 99
+	(*out)[0].X[0] = -1
 	*out = (*out)[:0]
 	l.Fail("a") // releases days 1,2,3 as positives
-	if len(*out) != 3 || (*out)[0].X[0] != 3 || (*out)[0].Day != 1 {
-		t.Fatalf("live queue corrupted by snapshot mutation: %+v", *out)
+	if len(*out) != 3 || (*out)[0].Day != 1 {
+		t.Fatalf("released %+v", *out)
 	}
-
-	// Import, by contrast, takes ownership: the queued sample is the
-	// caller's vector itself, not a copy of it.
-	st := []QueueState{{Disk: "b", Days: []int{5}, X: [][]float64{{42}}}}
-	if err := l.Import(st); err != nil {
-		t.Fatal(err)
-	}
-	*out = (*out)[:0]
-	l.Fail("b")
-	if len(*out) != 1 || (*out)[0].X[0] != 42 || &(*out)[0].X[0] != &st[0].X[0][0] {
-		t.Fatalf("imported queue released %+v, not the imported vector", *out)
+	if x := (*out)[2].X; x[0] != 7 || x[1] != 8 {
+		t.Fatalf("last positive is %v, want [7 8]", x)
 	}
 }
 

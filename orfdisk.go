@@ -95,12 +95,10 @@ type Predictor struct {
 	threshold float64
 	horizon   int
 	scaled    []float64 // scratch buffer
-
-	// free recycles projected feature vectors: each Ingest clones the
-	// selected features out of the raw catalog vector for the labeling
-	// queue, and the clone comes back here when its sample is released,
-	// so the steady-state path allocates no projection buffers.
-	free [][]float64
+	// proj is project's scratch: a row's features gathered out of its
+	// values, which the labeling queue copies (packed) when it queues
+	// them.
+	proj []float64
 	// Read-path snapshot state (see Freeze/Frozen): the last published
 	// FrozenModel and the scratch pools its snapshots share. The pools
 	// are rebuilt whenever scorePoolDim disagrees with len(features), so
@@ -144,8 +142,7 @@ func NewPredictor(cfg Config) *Predictor {
 
 // bindLabeler wires the predictor's labeling queues to the forest.
 // Queued samples are stored raw and scaled at release time, so label
-// releases always use the freshest feature ranges. Released sample
-// buffers are recycled into the projection free-list.
+// releases always use the freshest feature ranges.
 func (p *Predictor) bindLabeler() {
 	p.labeler = labeling.NewLabeler(p.horizon, func(s labeling.Labeled) {
 		y := 0
@@ -153,22 +150,15 @@ func (p *Predictor) bindLabeler() {
 			y = 1
 		}
 		p.forest.Update(p.scaler.Transform(s.X, p.scaled), y)
-		p.free = append(p.free, s.X)
 	})
 }
 
-// project gathers the features p reads out of a row: pos[i] is where
-// feature i sits in values (p.features itself for a catalog vector). The
-// vector comes from the recycled free list when one is there, and the
-// labeling queue owns it until its sample is released.
+// project gathers the features p reads out of a row into p's scratch
+// vector, valid until the next project: pos[i] is where feature i sits
+// in values (p.features itself for a catalog vector).
 func (p *Predictor) project(values []float64, pos []int) []float64 {
-	if n := len(p.free); n > 0 {
-		x := p.free[n-1]
-		p.free[n-1] = nil
-		p.free = p.free[:n-1]
-		return smart.AppendProject(x[:0], values, pos)
-	}
-	return smart.Project(values, pos)
+	p.proj = smart.AppendProject(p.proj[:0], values, pos)
+	return p.proj
 }
 
 // positionsIn returns, appended to buf[:0], where each feature p reads
@@ -223,10 +213,11 @@ func (p *Predictor) Absorb(obs Observation) error {
 }
 
 // apply is Algorithm 2 for one observation whose features p has already
-// projected into x, which the labeling queue owns from here on. Ingest
-// and Absorb are a check, a projection and this; the engine applies the
-// vector it logged or gathered from a log record. score selects Ingest's
-// live prediction; without it the Prediction is zero.
+// projected into x, which the labeling queue copies and apply leaves
+// unchanged. Ingest and Absorb are a check, a projection and this; the
+// engine applies the vector it logged or gathered from a log record.
+// score selects Ingest's live prediction; without it the Prediction is
+// zero.
 func (p *Predictor) apply(obs *Observation, x []float64, score bool) Prediction {
 	p.scaler.Observe(x)
 	// Rotate the queue (an operating disk's oldest sample may be released
@@ -261,17 +252,14 @@ func (p *Predictor) apply(obs *Observation, x []float64, score bool) Prediction 
 func (p *Predictor) Retire(serial string) { p.labeler.Retire(serial) }
 
 // Score returns the current failure probability for a raw catalog vector
-// without updating any state. Steady state it allocates nothing: the
-// projection buffer comes from (and returns to) the same free-list
-// Ingest recycles queue buffers through.
+// without updating any state. Steady state it allocates nothing: it
+// projects into the same scratch Ingest does.
 func (p *Predictor) Score(values []float64) (float64, error) {
 	if err := checkCatalog(values); err != nil {
 		return 0, err
 	}
 	x := p.project(values, p.features)
-	score := p.forest.PredictProba(p.scaler.Transform(x, p.scaled))
-	p.free = append(p.free, x)
-	return score, nil
+	return p.forest.PredictProba(p.scaler.Transform(x, p.scaled)), nil
 }
 
 // SetThreshold changes the alarm threshold (e.g. after calibrating to a

@@ -11,6 +11,7 @@ import (
 
 	"orfdisk/internal/core"
 	"orfdisk/internal/labeling"
+	"orfdisk/internal/packed"
 	"orfdisk/internal/smart"
 )
 
@@ -140,11 +141,13 @@ func loadModel(r io.Reader) (*Predictor, error) {
 // sample count, a uvarint block length and the block — per sample,
 // oldest first, a varint day (the first sample's absolute, each later
 // one's the delta from the sample before) and the queued features as
-// packValues lays them out against the sample before (the first on
+// packed.Append lays them out against the sample before (the first on
 // their own) — and last a little-endian CRC-32 (IEEE) of the section
 // before it. A disk's consecutive days mostly repeat most of its SMART
 // values, and a repeat costs its half-byte code alone. Each disk is
-// built in a reused buffer and written with one Write.
+// built in a reused buffer and written with one Write. A queue holds
+// each sample packed on its own, which a packed.Recoder codes against
+// the sample before without decoding a value.
 func (p *Predictor) SaveState(w io.Writer) error {
 	if _, err := io.WriteString(w, stateMagic); err != nil {
 		return err
@@ -158,36 +161,39 @@ func (p *Predictor) SaveState(w io.Writer) error {
 		_, err := w.Write(b)
 		return err
 	}
-	disks := p.labeler.Disks()
-	buf := binary.AppendUvarint(nil, uint64(len(disks)))
+	buf := binary.AppendUvarint(nil, uint64(p.labeler.ActiveDisks()))
 	if err := write(buf); err != nil {
 		return err
 	}
 	var block []byte
-	for _, disk := range disks {
-		q := p.labeler.Queue(disk)
+	var rc packed.Recoder
+	err := p.labeler.Walk(func(disk string, q *labeling.Queue) error {
 		block = block[:0]
-		var prev []float64
+		rc.Reset()
 		prevDay := 0
-		for i := 0; i < q.Len(); i++ {
-			x, day := q.At(i)
-			if len(x) != len(p.features) {
+		err := q.Each(func(day, nv int, vals []byte) error {
+			if nv != len(p.features) {
 				return fmt.Errorf("orfdisk: queued sample of disk %q has %d features, want %d",
-					disk, len(x), len(p.features))
+					disk, nv, len(p.features))
 			}
-			block = packValues(binary.AppendVarint(block, int64(day-prevDay)), x, prev)
-			prev, prevDay = x, day
+			block, _ = rc.Append(binary.AppendVarint(block, int64(day-prevDay)), vals, nv)
+			prevDay = day
+			return nil
+		})
+		if err != nil {
+			return err
 		}
 		buf = binary.AppendUvarint(buf[:0], uint64(len(disk)))
 		buf = append(buf, disk...)
 		buf = binary.AppendUvarint(buf, uint64(q.Len()))
 		buf = binary.AppendUvarint(buf, uint64(len(block)))
 		buf = append(buf, block...)
-		if err := write(buf); err != nil {
-			return err
-		}
+		return write(buf)
+	})
+	if err != nil {
+		return err
 	}
-	_, err := w.Write(binary.LittleEndian.AppendUint32(buf[:0], sum))
+	_, err = w.Write(binary.LittleEndian.AppendUint32(buf[:0], sum))
 	return err
 }
 
@@ -224,20 +230,20 @@ func LoadPredictorState(r io.Reader) (*Predictor, error) {
 	if sum != stored {
 		return nil, fmt.Errorf("orfdisk: corrupt state (queue section CRC %08x, stored %08x)", sum, stored)
 	}
-	states, err := decodeQueues(section[:n], uint64(p.horizon), uint64(len(p.features)))
-	if err != nil {
+	if err := p.decodeQueues(section[:n]); err != nil {
 		return nil, fmt.Errorf("orfdisk: corrupt state (%w)", err)
-	}
-	if err := p.labeler.Import(states); err != nil {
-		return nil, err
 	}
 	return p, nil
 }
 
-// decodeQueues parses a queue section (its CRC verified and removed) of
-// disks with up to horizon samples of f features each, each sample after
-// a disk's first coded against the one before.
-func decodeQueues(b []byte, horizon, f uint64) ([]labeling.QueueState, error) {
+// decodeQueues restores a queue section (its CRC verified and removed)
+// into p's empty labeler: disks in ascending serial order with 1 to
+// horizon samples of p's features each, each sample after a disk's first
+// coded against the one before. Every sample is decoded into one scratch
+// vector — in place over the sample before, which is what a repeated
+// value is decoded from — and the queue packs its own copy.
+func (p *Predictor) decodeQueues(b []byte) error {
+	horizon, f := uint64(p.horizon), uint64(len(p.features))
 	short := errors.New("queue section cut short")
 	uint := func() (uint64, error) {
 		v, n := binary.Uvarint(b)
@@ -249,60 +255,70 @@ func decodeQueues(b []byte, horizon, f uint64) ([]labeling.QueueState, error) {
 	}
 	nDisks, err := uint()
 	if err != nil {
-		return nil, err
+		return err
 	}
-	var states []labeling.QueueState // grown by append: nDisks is only a claim
+	x := make([]float64, f)
+	prevDisk := ""
 	for d := uint64(0); d < nDisks; d++ {
 		n, err := uint()
 		if err != nil || n > uint64(len(b)) {
-			return nil, short
+			return short
 		}
-		st := labeling.QueueState{Disk: string(b[:n])}
+		disk := string(b[:n])
 		b = b[n:]
+		if d > 0 && disk <= prevDisk {
+			return fmt.Errorf("disk %q after %q: not in serial order", disk, prevDisk)
+		}
+		prevDisk = disk
 		if n, err = uint(); err != nil {
-			return nil, err
+			return err
 		}
 		if n > horizon {
-			return nil, fmt.Errorf("queue of %d > horizon %d", n, horizon)
+			return fmt.Errorf("queue of %d > horizon %d", n, horizon)
+		}
+		if n == 0 {
+			return fmt.Errorf("disk %q has an empty queue", disk)
 		}
 		size, err := uint()
 		if err != nil {
-			return nil, err
+			return err
 		}
 		// A sample is a day of 1 to MaxVarintLen64 bytes, a code per
 		// feature and at most 8 bytes of each.
 		if size < n*(1+(f+1)/2) || size > n*(binary.MaxVarintLen64+(f+1)/2+8*f) {
-			return nil, fmt.Errorf("%d-byte block for %d queued samples", size, n)
+			return fmt.Errorf("%d-byte block for %d queued samples", size, n)
 		}
 		if size > uint64(len(b)) {
-			return nil, short
+			return short
 		}
-		// The block is there, so n is backed by bytes and may size these.
-		st.Days, st.X = make([]int, n), make([][]float64, n)
 		block := b[:size]
 		b = b[size:]
-		var prev []float64
-		prevDay := 0
-		for i := range st.X {
-			day, sz := binary.Varint(block)
+		day := 0
+		for i := uint64(0); i < n; i++ {
+			delta, sz := binary.Varint(block)
 			if sz <= 0 {
-				return nil, errors.New("queued sample day")
+				return errors.New("queued sample day")
 			}
-			st.Days[i] = prevDay + int(day)
-			if st.X[i], block, err = unpackValues(block[sz:], f, prev); err != nil {
-				return nil, err
+			day += int(delta)
+			var prev []float64
+			if i > 0 {
+				prev = x
 			}
-			prev, prevDay = st.X[i], st.Days[i]
+			if block, err = packed.DecodeInto(x, block[sz:], prev); err != nil {
+				return err
+			}
+			if err := p.labeler.Restore(disk, x, day); err != nil {
+				return err
+			}
 		}
 		if len(block) != 0 {
-			return nil, fmt.Errorf("%d trailing bytes in a queue block", len(block))
+			return fmt.Errorf("%d trailing bytes in a queue block", len(block))
 		}
-		states = append(states, st)
 	}
 	if len(b) != 0 {
-		return nil, fmt.Errorf("%d trailing bytes after the queues", len(b))
+		return fmt.Errorf("%d trailing bytes after the queues", len(b))
 	}
-	return states, nil
+	return nil
 }
 
 // TrackedSerials returns the serials of all disks with live labeling

@@ -289,7 +289,7 @@ func checkStateDamage(t *testing.T, p *Predictor, q0 int, good []byte) {
 		}
 		return v, off + n
 	}
-	_, serialAt := uvarint(q0)
+	disks, serialAt := uvarint(q0)
 	serialLen, serial := uvarint(serialAt)
 	nAt := serial + int(serialLen)
 	n, sizeAt := uvarint(nAt)
@@ -335,6 +335,8 @@ func checkStateDamage(t *testing.T, p *Predictor, q0 int, good []byte) {
 		{"block length one short", "packed value", seal(splice(body, sizeAt, block, uv(size-1)))},
 		{"block length one over", "trailing bytes in a queue block", seal(splice(body, sizeAt, block, uv(size+1)))},
 		{"queue longer than the horizon", "> horizon", seal(splice(body, nAt, sizeAt, uv(1<<20)))},
+		{"empty queue", "empty queue", seal(splice(body, nAt, block+int(size), uv(0)))},
+		{"a disk twice", "not in serial order", seal(slices.Concat(body[:q0], uv(disks+1), body[serialAt:block+int(size)], body[serialAt:]))},
 		{"serial of 2^40 bytes", "cut short", seal(splice(body, serialAt, serial, uv(1<<40)))},
 		{"code 15 in a disk's first sample", "code 15", set(codes, body[codes]|0x0F)},
 		{"non-zero pad nibble", "pad", set(codes+len(p.features)/2, body[codes+len(p.features)/2]|0x10)},
@@ -386,6 +388,22 @@ func TestStateBytesPerDisk(t *testing.T) {
 	t.Logf("%v disks: %.1f B/disk", disks, perDisk)
 	if perDisk > maxPerDisk {
 		t.Errorf("queue section is %.1f B per tracked disk, want <= %.1f", perDisk, maxPerDisk)
+	}
+}
+
+// TestLabelerBytesPerDisk bounds the heap the labeling queues hold per
+// tracked disk on BenchmarkStateCodec's fleet (labelerBytesPerDisk). A
+// queue of one []float64 per sample held 1,477 B/disk there; packed,
+// the samples take ~30 B each.
+func TestLabelerBytesPerDisk(t *testing.T) {
+	if testing.Short() {
+		t.Skip("absorbs a 2,050-disk month")
+	}
+	const maxPerDisk = 550.0
+	perDisk := labelerBytesPerDisk(t, codecFleet(t))
+	t.Logf("%.1f B/disk", perDisk)
+	if perDisk > maxPerDisk {
+		t.Errorf("labeling queues hold %.1f B per tracked disk, want <= %.1f", perDisk, maxPerDisk)
 	}
 }
 

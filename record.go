@@ -6,6 +6,8 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+
+	"orfdisk/internal/packed"
 )
 
 // The record codec: the payloads the engine appends to its WAL, ships to
@@ -120,7 +122,7 @@ func (b *recordBatch) beginRun(kind byte, first *FleetObservation, index []int, 
 // the catalog values at the run's index list: a flags byte (with the
 // count of leading serial bytes shared with the previous row), the day
 // only where it differs from the run's, the rest of the serial as a
-// length-prefixed string, then the values as packValues lays them out
+// length-prefixed string, then the values as packed.Append lays them out
 // against the previous row's (row 0 against none). Each part is at most
 // as long as the same part coded on its own, as the previous release
 // wrote every row. vals must stay unchanged until the next addRow call
@@ -146,7 +148,7 @@ func (b *recordBatch) addRow(obs *FleetObservation, vals []float64) {
 	}
 	b.buf = binary.AppendUvarint(b.buf, uint64(len(obs.Serial)-shared))
 	b.buf = append(b.buf, obs.Serial[shared:]...)
-	b.buf = packValues(b.buf, vals, prev)
+	b.buf = packed.Append(b.buf, vals, prev)
 	b.row++
 	b.prevSerial, b.prev = obs.Serial, vals
 }
@@ -367,7 +369,7 @@ func decodeRun(b []byte) (model string, index []int, rows []FleetObservation, er
 		obs.Serial = serial.String()
 		obs.Values = slab[:width:width]
 		slab = slab[width:]
-		if b, err = unpackValuesInto(obs.Values, b, prev); err != nil {
+		if b, err = packed.DecodeInto(obs.Values, b, prev); err != nil {
 			return "", nil, nil, fmt.Errorf("orfdisk: run WAL record: row %d: %w", i, err)
 		}
 	}

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"orfdisk/internal/packed"
 	"orfdisk/internal/smart"
 )
 
@@ -59,7 +60,7 @@ func appendPlainRunRecord(buf []byte, kind byte, index []int, rows []FleetObserv
 		}
 		enc.buf = binary.AppendUvarint(enc.buf, uint64(len(o.Serial)))
 		enc.buf = append(enc.buf, o.Serial...)
-		enc.buf = packValues(enc.buf, o.Values, nil)
+		enc.buf = packed.Append(enc.buf, o.Values, nil)
 	}
 	return enc.buf
 }
