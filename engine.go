@@ -1,10 +1,10 @@
 package orfdisk
 
 import (
-	"bytes"
-	"context"
 	"fmt"
+	"io"
 	"log/slog"
+	"math"
 	"os"
 	"path/filepath"
 	"sync"
@@ -233,15 +233,6 @@ func newEngineMetrics(reg *metrics.Registry) engineMetrics {
 	}
 }
 
-// noopLogHandler discards every record (log/slog has no stdlib discard
-// handler until Go 1.24).
-type noopLogHandler struct{}
-
-func (noopLogHandler) Enabled(context.Context, slog.Level) bool  { return false }
-func (noopLogHandler) Handle(context.Context, slog.Record) error { return nil }
-func (noopLogHandler) WithAttrs([]slog.Attr) slog.Handler        { return noopLogHandler{} }
-func (noopLogHandler) WithGroup(string) slog.Handler             { return noopLogHandler{} }
-
 // NewEngine creates an engine, running crash recovery first when
 // cfg.DataDir is set.
 func NewEngine(cfg EngineConfig) (*Engine, error) {
@@ -257,7 +248,7 @@ func NewEngine(cfg EngineConfig) (*Engine, error) {
 	}
 	logger := cfg.Logger
 	if logger == nil {
-		logger = slog.New(noopLogHandler{})
+		logger = slog.New(slog.NewTextHandler(io.Discard, &slog.HandlerOptions{Level: slog.Level(math.MaxInt)}))
 	}
 	// Resolved once: every new predictor shares the list (none modifies
 	// it), and IngestBackfill frames runs under it.
@@ -1073,7 +1064,7 @@ func (e *Engine) applyRecords(mode applyMode, feed func(func(seq uint64, payload
 		} else {
 			r := runRecord{walRecord: rec, seq: seq}
 			if rec.kind == recState {
-				if r.state, err = LoadPredictorState(bytes.NewReader(rec.state)); err != nil {
+				if r.state, err = decodeState(rec.state); err != nil {
 					return fmt.Errorf("orfdisk: state record at seq %d for model %q: %w", seq, rec.model, err)
 				}
 				r.walRecord.state = nil

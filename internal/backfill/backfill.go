@@ -40,6 +40,7 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"math"
 	"sort"
 	"sync"
 	"time"
@@ -91,20 +92,13 @@ func (o Options) withDefaults() Options {
 		o.CheckpointEvery = 16
 	}
 	if o.Logger == nil {
-		o.Logger = slog.New(discardHandler{})
+		o.Logger = slog.New(slog.NewTextHandler(io.Discard, &slog.HandlerOptions{Level: slog.Level(math.MaxInt)}))
 	}
 	if o.ProgressEvery == 0 {
 		o.ProgressEvery = 5 * time.Second
 	}
 	return o
 }
-
-type discardHandler struct{}
-
-func (discardHandler) Enabled(context.Context, slog.Level) bool  { return false }
-func (discardHandler) Handle(context.Context, slog.Record) error { return nil }
-func (d discardHandler) WithAttrs([]slog.Attr) slog.Handler      { return d }
-func (d discardHandler) WithGroup(string) slog.Handler           { return d }
 
 // Stats summarizes one Run.
 type Stats struct {

@@ -1,12 +1,12 @@
 package core
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
 	"math"
 	"runtime"
+	"slices"
 	"sync"
 
 	"orfdisk/internal/frame"
@@ -28,23 +28,18 @@ import (
 // encoded and decoded by forEachTree, on as many goroutines as the host
 // has cores at the time of the call. The format is internal and
 // versioned by the magic.
+//
+// A forest's encoding is always whole in memory (it lives in a log
+// record), so the codec appends to and slices one []byte: AppendTo and
+// DecodeForest. The io wrappers WriteTo, WriteToRaw and ReadForest
+// remain for cmd/orfbench's twins.
 
 const magicV2 = "ORF2"
 
-type writer struct {
-	w   io.Writer
-	err error
-}
+// writer appends fixed 8-byte little-endian fields to buf.
+type writer struct{ buf []byte }
 
-func (w *writer) u64(v uint64) {
-	if w.err != nil {
-		return
-	}
-	var buf [8]byte
-	binary.LittleEndian.PutUint64(buf[:], v)
-	_, w.err = w.w.Write(buf[:])
-}
-
+func (w *writer) u64(v uint64)  { w.buf = binary.LittleEndian.AppendUint64(w.buf, v) }
 func (w *writer) i64(v int64)   { w.u64(uint64(v)) }
 func (w *writer) f64(v float64) { w.u64(math.Float64bits(v)) }
 func (w *writer) b(v bool)      { w.u64(boolU64(v)) }
@@ -55,23 +50,41 @@ func boolU64(v bool) uint64 {
 	return 0
 }
 
+// reader takes fixed 8-byte little-endian fields off the front of buf.
+// A read past its end returns zero and sets err, which stays set: a
+// caller checks it once after a run of reads.
 type reader struct {
-	r   io.Reader
+	buf []byte
 	err error
 }
 
 func (r *reader) u64() uint64 {
-	if r.err != nil {
+	if len(r.buf) < 8 {
+		r.buf, r.err = nil, io.ErrUnexpectedEOF
 		return 0
 	}
-	var buf [8]byte
-	_, r.err = io.ReadFull(r.r, buf[:])
-	return binary.LittleEndian.Uint64(buf[:])
+	v := binary.LittleEndian.Uint64(r.buf)
+	r.buf = r.buf[8:]
+	return v
 }
 
 func (r *reader) i64() int64   { return int64(r.u64()) }
 func (r *reader) f64() float64 { return math.Float64frombits(r.u64()) }
 func (r *reader) b() bool      { return r.u64() != 0 }
+
+// count reads a count of items of at least size bytes each and holds
+// it to [lo, hi] and to the bytes left, so a damaged count fails here
+// rather than sizing an allocation.
+func (r *reader) count(what string, size, lo, hi int64) (int64, error) {
+	n := r.i64()
+	if r.err != nil {
+		return 0, fmt.Errorf("core: reading %s: %w", what, r.err)
+	}
+	if n < lo || n > hi || n > int64(len(r.buf))/size {
+		return 0, fmt.Errorf("core: corrupt snapshot (%s %d)", what, n)
+	}
+	return n, nil
+}
 
 // writeHeader serializes the forest-level counters and config (the
 // header block's contents).
@@ -140,66 +153,69 @@ func (f *Forest) readHeader(r *reader) (Config, error) {
 	return c, nil
 }
 
-// WriteTo serializes the forest in the current v2 format: per-tree
-// blocks encoded by forEachTree, each flate-compressed and CRC-framed.
-// It must not run concurrently with Update.
-func (f *Forest) WriteTo(dst io.Writer) (int64, error) {
-	return f.writeToV2(dst, frame.Flate)
-}
-
-// WriteToRaw serializes the forest in the v2 layout with the
-// uncompressed passthrough codec: parallel and CRC-framed, but no
-// flate. Useful when the destination already compresses, or to trade
-// bytes for encode CPU.
-func (f *Forest) WriteToRaw(dst io.Writer) (int64, error) {
-	return f.writeToV2(dst, frame.Raw)
-}
-
-func (f *Forest) writeToV2(dst io.Writer, codec frame.Codec) (int64, error) {
-	var hdr bytes.Buffer
-	hw := &writer{w: &hdr}
-	f.writeHeader(hw)
-	if hw.err != nil {
-		return 0, hw.err
-	}
-
-	// Encode every tree into its own framed block. Flate at a fixed
-	// level is deterministic and each block starts from a fresh encoder
-	// state, so the concatenation in tree order is byte-identical no
-	// matter how many goroutines forEachTree spreads it over.
+// AppendTo appends the forest's encoding under codec to dst and returns
+// the extended slice. Each tree is encoded into its own framed block by
+// forEachTree; flate at a fixed level is deterministic and each block
+// starts from a fresh encoder state, so the concatenation in tree order
+// is byte-identical however many goroutines forEachTree spreads it
+// over. It must not run concurrently with Update.
+func (f *Forest) AppendTo(dst []byte, codec frame.Codec) []byte {
 	blocks := make([][]byte, len(f.trees))
-	err := forEachTree(len(f.trees), func(i int) error {
-		var buf bytes.Buffer
-		tw := &writer{w: &buf}
-		writeTree(tw, f.trees[i])
-		blocks[i] = frame.AppendBlock(nil, buf.Bytes(), codec)
-		return tw.err
+	forEachTree(len(f.trees), func(i int) error {
+		t := f.trees[i]
+		w := writer{buf: make([]byte, 0, t.encodedSize())}
+		writeTree(&w, t)
+		blocks[i] = frame.AppendBlock(nil, w.buf, codec)
+		return nil
 	})
-	if err != nil {
-		return 0, err
-	}
-
-	var total int64
-	write := func(b []byte) error {
-		n, err := dst.Write(b)
-		total += int64(n)
-		return err
-	}
-	if err := write([]byte(magicV2)); err != nil {
-		return total, err
-	}
-	if err := write([]byte{byte(codec)}); err != nil {
-		return total, err
-	}
-	if err := write(frame.AppendBlock(nil, hdr.Bytes(), codec)); err != nil {
-		return total, err
-	}
+	hdr := writer{buf: make([]byte, 0, 8*headerWords)}
+	f.writeHeader(&hdr)
+	dst = append(dst, magicV2...)
+	dst = frame.AppendBlock(append(dst, byte(codec)), hdr.buf, codec)
+	size := 0
 	for _, b := range blocks {
-		if err := write(b); err != nil {
-			return total, err
-		}
+		size += len(b)
 	}
-	return total, nil
+	dst = slices.Grow(dst, size)
+	for _, b := range blocks {
+		dst = append(dst, b...)
+	}
+	return dst
+}
+
+// WriteTo writes AppendTo(nil, frame.Flate) to dst. It, WriteToRaw and
+// ReadForest remain only for cmd/orfbench's twins.
+func (f *Forest) WriteTo(dst io.Writer) (int64, error) {
+	n, err := dst.Write(f.AppendTo(nil, frame.Flate))
+	return int64(n), err
+}
+
+// WriteToRaw writes AppendTo(nil, frame.Raw) to dst.
+func (f *Forest) WriteToRaw(dst io.Writer) (int64, error) {
+	n, err := dst.Write(f.AppendTo(nil, frame.Raw))
+	return int64(n), err
+}
+
+// ReadForest reads src to its end and decodes the forest at its front.
+func ReadForest(src io.Reader) (*Forest, error) {
+	b, err := io.ReadAll(src)
+	if err != nil {
+		return nil, fmt.Errorf("core: reading snapshot: %w", err)
+	}
+	f, _, err := DecodeForest(b)
+	return f, err
+}
+
+// Words per encoded header, tree header, node and pooled test.
+const headerWords, treeWords, nodeWords, testWords = 20, 10, 10, 6
+
+// encodedSize is the length of writeTree's encoding of t.
+func (t *onlineTree) encodedSize() int {
+	words := treeWords + nodeWords*len(t.nodes)
+	for i := range t.nodes {
+		words += testWords * len(t.nodes[i].tests)
+	}
+	return 8 * words
 }
 
 func writeTree(w *writer, t *onlineTree) {
@@ -238,44 +254,38 @@ func writeTree(w *writer, t *onlineTree) {
 	}
 }
 
-// ReadForest deserializes a forest written by WriteTo or WriteToRaw.
-func ReadForest(src io.Reader) (*Forest, error) {
-	head := make([]byte, len(magicV2))
-	if _, err := io.ReadFull(src, head); err != nil {
-		return nil, fmt.Errorf("core: reading snapshot header: %w", err)
+// DecodeForest decodes the forest AppendTo wrote at the front of b and
+// returns it with the rest of b. The forest shares no memory with b.
+// The tree blocks are split off b in order, then CRC-checked, inflated
+// and parsed by forEachTree.
+func DecodeForest(b []byte) (*Forest, []byte, error) {
+	if len(b) < len(magicV2)+1 {
+		return nil, b, fmt.Errorf("core: reading snapshot header: %w", io.ErrUnexpectedEOF)
 	}
-	if string(head) != magicV2 {
-		return nil, fmt.Errorf("core: bad snapshot magic %q", head)
+	if string(b[:len(magicV2)]) != magicV2 {
+		return nil, b, fmt.Errorf("core: bad snapshot magic %q", b[:len(magicV2)])
 	}
-	var cb [1]byte
-	if _, err := io.ReadFull(src, cb[:]); err != nil {
-		return nil, fmt.Errorf("core: reading snapshot codec: %w", err)
+	if c := frame.Codec(b[len(magicV2)]); c != frame.Raw && c != frame.Flate {
+		return nil, b, fmt.Errorf("core: unknown snapshot codec %d", c)
 	}
-	if c := frame.Codec(cb[0]); c != frame.Raw && c != frame.Flate {
-		return nil, fmt.Errorf("core: unknown snapshot codec %d", cb[0])
-	}
-	hdrBlk, err := frame.ReadBlockRaw(src, nil)
+	hdr, rest, err := frame.DecodeBlock(b[len(magicV2)+1:])
 	if err != nil {
-		return nil, fmt.Errorf("core: reading snapshot header block: %w", err)
-	}
-	hdrRaw, _, err := frame.DecodeBlock(hdrBlk)
-	if err != nil {
-		return nil, fmt.Errorf("core: decoding snapshot header block: %w", err)
+		return nil, b, fmt.Errorf("core: snapshot header block: %w", err)
 	}
 	f := &Forest{}
-	c, err := f.readHeader(&reader{r: bytes.NewReader(hdrRaw)})
+	c, err := f.readHeader(&reader{buf: hdr})
 	if err != nil {
-		return nil, err
+		return nil, b, err
 	}
-
-	// Pull every tree's framed block off the stream sequentially (cheap
-	// I/O), then CRC-check, inflate, and parse them with forEachTree —
-	// the expensive part of recovery, spread over this host's cores.
-	blocks := make([][]byte, c.Trees)
-	for i := range blocks {
-		if blocks[i], err = frame.ReadBlockRaw(src, nil); err != nil {
-			return nil, fmt.Errorf("core: reading tree block %d: %w", i, err)
+	// Grown by append: the header's tree count buys no allocation the
+	// blocks after it do not back.
+	var blocks [][]byte
+	for i := 0; i < c.Trees; i++ {
+		var blk []byte
+		if blk, rest, err = frame.SplitBlock(rest); err != nil {
+			return nil, b, fmt.Errorf("core: reading tree block %d: %w", i, err)
 		}
+		blocks = append(blocks, blk)
 	}
 	f.trees = make([]*onlineTree, c.Trees)
 	err = forEachTree(c.Trees, func(i int) error {
@@ -287,9 +297,9 @@ func ReadForest(src io.Reader) (*Forest, error) {
 		return nil
 	})
 	if err != nil {
-		return nil, err
+		return nil, b, err
 	}
-	return f, nil
+	return f, rest, nil
 }
 
 // forEachTree runs fn(i) for every i in [0, n) and returns the error of
@@ -333,17 +343,22 @@ func decodeTreeBlock(blk []byte, cfg Config, dim int) (*onlineTree, error) {
 	if err != nil {
 		return nil, err
 	}
-	br := bytes.NewReader(raw)
-	t, err := readTree(&reader{r: br}, cfg, dim)
+	r := &reader{buf: raw}
+	t, err := readTree(r, cfg, dim)
 	if err != nil {
 		return nil, err
 	}
-	if br.Len() != 0 {
-		return nil, fmt.Errorf("core: corrupt snapshot (%d trailing bytes in tree block)", br.Len())
+	if len(r.buf) != 0 {
+		return nil, fmt.Errorf("core: corrupt snapshot (%d trailing bytes in tree block)", len(r.buf))
 	}
 	return t, nil
 }
 
+// readTree parses one tree and holds it to the shape split gives every
+// tree: an internal node splits on a feature below dim and its children
+// come after it, every node but the root is the child of exactly one
+// node, and every pooled test reads a feature below dim. A tree of
+// another shape would index past a sample or walk forever.
 func readTree(r *reader, cfg Config, dim int) (*onlineTree, error) {
 	// Restored structure has never been frozen by this Forest: dirty so
 	// the first incremental Freeze re-flattens it.
@@ -355,14 +370,12 @@ func readTree(r *reader, cfg Config, dim int) (*onlineTree, error) {
 	t.oobSeenPos = r.b()
 	s0, s1, s2, s3 := r.u64(), r.u64(), r.u64(), r.u64()
 	t.r = rng.FromState(s0, s1, s2, s3)
-	nNodes := r.i64()
-	if r.err != nil {
-		return nil, fmt.Errorf("core: reading tree header: %w", r.err)
-	}
-	if nNodes <= 0 || nNodes > 1<<28 {
-		return nil, fmt.Errorf("core: corrupt snapshot (node count %d)", nNodes)
+	nNodes, err := r.count("node count", 8*nodeWords, 1, 1<<28)
+	if err != nil {
+		return nil, err
 	}
 	t.nodes = make([]oNode, nNodes)
+	parented := make([]bool, nNodes)
 	for i := range t.nodes {
 		n := &t.nodes[i]
 		n.feature = int32(r.i64())
@@ -374,12 +387,9 @@ func readTree(r *reader, cfg Config, dim int) (*onlineTree, error) {
 		n.wPos = r.f64()
 		n.splitGain = r.f64()
 		n.splitMass = r.f64()
-		nTests := r.i64()
-		if r.err != nil {
-			return nil, fmt.Errorf("core: reading node %d: %w", i, r.err)
-		}
-		if nTests < 0 || nTests > 1<<20 {
-			return nil, fmt.Errorf("core: corrupt snapshot (test count %d)", nTests)
+		nTests, err := r.count("test count", 8*testWords, 0, 1<<20)
+		if err != nil {
+			return nil, err
 		}
 		if nTests > 0 {
 			n.tests = make([]test, nTests)
@@ -391,19 +401,33 @@ func readTree(r *reader, cfg Config, dim int) (*onlineTree, error) {
 				s.lPos = r.f64()
 				s.rNeg = r.f64()
 				s.rPos = r.f64()
+				if s.feature < 0 || int(s.feature) >= dim {
+					return nil, fmt.Errorf("core: corrupt snapshot (node %d test %d feature %d, dim %d)",
+						i, j, s.feature, dim)
+				}
 			}
 		}
-		// Structural sanity: child pointers must stay in range.
-		if n.feature >= 0 {
-			if int64(n.left) >= nNodes || int64(n.right) >= nNodes ||
-				n.left <= 0 && n.right <= 0 {
+		if n.feature < 0 {
+			continue
+		}
+		if int(n.feature) >= dim {
+			return nil, fmt.Errorf("core: corrupt snapshot (node %d feature %d, dim %d)", i, n.feature, dim)
+		}
+		for _, c := range [2]int32{n.left, n.right} {
+			if c <= int32(i) || int64(c) >= nNodes || parented[c] {
 				return nil, fmt.Errorf("core: corrupt snapshot (node %d children %d/%d)",
 					i, n.left, n.right)
 			}
+			parented[c] = true
 		}
 	}
 	if r.err != nil {
 		return nil, fmt.Errorf("core: reading snapshot: %w", r.err)
+	}
+	for i := 1; i < len(parented); i++ {
+		if !parented[i] {
+			return nil, fmt.Errorf("core: corrupt snapshot (node %d has no parent)", i)
+		}
 	}
 	return t, nil
 }

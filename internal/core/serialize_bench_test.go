@@ -1,10 +1,9 @@
 package core
 
 import (
-	"bytes"
-	"io"
 	"testing"
 
+	"orfdisk/internal/frame"
 	"orfdisk/internal/rng"
 )
 
@@ -49,57 +48,50 @@ func snapForest(b *testing.B, reg snapRegime) *Forest {
 	return f
 }
 
-// snapVariants are the two on-disk codecs under comparison: orf2-flate
+// snapCodecs are the two on-disk codecs under comparison: orf2-flate
 // (parallel per-tree compression, the production format) and orf2-raw
 // (same parallel framing, passthrough codec — isolates the flate cost
 // and is the uncompressed size the ratio is read against).
-func snapVariants(f *Forest) []struct {
-	name string
-	fn   func(io.Writer) (int64, error)
-} {
-	return []struct {
-		name string
-		fn   func(io.Writer) (int64, error)
-	}{
-		{"orf2-flate", f.WriteTo},
-		{"orf2-raw", f.WriteToRaw},
-	}
+var snapCodecs = []struct {
+	name  string
+	codec frame.Codec
+}{
+	{"orf2-flate", frame.Flate},
+	{"orf2-raw", frame.Raw},
 }
 
+// BenchmarkSnapshotEncode appends the forest to a buffer reused across
+// iterations, as a snapshot pass does.
 func BenchmarkSnapshotEncode(b *testing.B) {
 	reg := snapBenchRegime()
 	f := snapForest(b, reg)
-	for _, v := range snapVariants(f) {
+	for _, v := range snapCodecs {
 		b.Run(v.name+"/"+reg.name, func(b *testing.B) {
-			var n int64
+			var buf []byte
 			for i := 0; i < b.N; i++ {
-				var err error
-				if n, err = v.fn(io.Discard); err != nil {
-					b.Fatal(err)
-				}
+				buf = f.AppendTo(buf[:0], v.codec)
 			}
-			b.SetBytes(n)
-			b.ReportMetric(float64(n), "snap_bytes")
+			b.SetBytes(int64(len(buf)))
+			b.ReportMetric(float64(len(buf)), "snap_bytes")
 		})
 	}
 }
 
+// BenchmarkSnapshotDecode decodes through DecodeForest, the path
+// recovery takes.
 func BenchmarkSnapshotDecode(b *testing.B) {
 	reg := snapBenchRegime()
 	f := snapForest(b, reg)
-	for _, v := range snapVariants(f) {
-		var buf bytes.Buffer
-		if _, err := v.fn(&buf); err != nil {
-			b.Fatal(err)
-		}
+	for _, v := range snapCodecs {
+		enc := f.AppendTo(nil, v.codec)
 		b.Run(v.name+"/"+reg.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := ReadForest(bytes.NewReader(buf.Bytes())); err != nil {
+				if _, _, err := DecodeForest(enc); err != nil {
 					b.Fatal(err)
 				}
 			}
-			b.SetBytes(int64(buf.Len()))
-			b.ReportMetric(float64(buf.Len()), "snap_bytes")
+			b.SetBytes(int64(len(enc)))
+			b.ReportMetric(float64(len(enc)), "snap_bytes")
 		})
 	}
 }

@@ -27,16 +27,22 @@ func trainForest(t testing.TB, seed uint64, n int) *Forest {
 	return f
 }
 
-func TestSnapshotRoundTripPredictions(t *testing.T) {
-	f := trainForest(t, 1, 3000)
-	var buf bytes.Buffer
-	if _, err := f.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	g, err := ReadForest(&buf)
+// decodeWhole decodes a forest that must take up all of b.
+func decodeWhole(t testing.TB, b []byte) *Forest {
+	t.Helper()
+	f, rest, err := DecodeForest(b)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if len(rest) != 0 {
+		t.Fatalf("%d bytes after the forest", len(rest))
+	}
+	return f
+}
+
+func TestSnapshotRoundTripPredictions(t *testing.T) {
+	f := trainForest(t, 1, 3000)
+	g := decodeWhole(t, f.AppendTo(nil, frame.Flate))
 	r := rng.New(99)
 	for i := 0; i < 200; i++ {
 		x, _ := streamSample(r, 0.3, 0.5)
@@ -47,6 +53,57 @@ func TestSnapshotRoundTripPredictions(t *testing.T) {
 	fs, gs := f.Stats(), g.Stats()
 	if fs != gs {
 		t.Fatalf("stats differ: %+v vs %+v", fs, gs)
+	}
+}
+
+// TestDecodeForestLeavesRest: DecodeForest returns what follows the
+// forest, and the forest shares no memory with its input.
+func TestDecodeForestLeavesRest(t *testing.T) {
+	f := trainForest(t, 4, 1500)
+	for _, codec := range []frame.Codec{frame.Flate, frame.Raw} {
+		enc := f.AppendTo([]byte("prefix"), codec)
+		want := f.AppendTo(nil, codec)
+		if !bytes.Equal(enc[len("prefix"):], want) {
+			t.Fatalf("%v: AppendTo after a prefix wrote other bytes", codec)
+		}
+		in := append(bytes.Clone(want), "tail"...)
+		g, rest, err := DecodeForest(in)
+		if err != nil || string(rest) != "tail" {
+			t.Fatalf("%v: rest %q, err %v", codec, rest, err)
+		}
+		for i := range in {
+			in[i] ^= 0xff
+		}
+		if got := g.AppendTo(nil, codec); !bytes.Equal(got, want) {
+			t.Fatalf("%v: decoded forest changed with its input", codec)
+		}
+	}
+}
+
+// TestWrappersMatchAppendTo: the io wrappers write and read what
+// AppendTo and DecodeForest do.
+func TestWrappersMatchAppendTo(t *testing.T) {
+	f := trainForest(t, 5, 1500)
+	for _, c := range []struct {
+		codec frame.Codec
+		write func(*Forest, io.Writer) (int64, error)
+	}{{frame.Flate, (*Forest).WriteTo}, {frame.Raw, (*Forest).WriteToRaw}} {
+		var buf bytes.Buffer
+		n, err := c.write(f, &buf)
+		if err != nil || n != int64(buf.Len()) {
+			t.Fatalf("%v: wrote %d (%d buffered): %v", c.codec, n, buf.Len(), err)
+		}
+		want := f.AppendTo(nil, c.codec)
+		if !bytes.Equal(buf.Bytes(), want) {
+			t.Fatalf("%v: io writer bytes differ from AppendTo's", c.codec)
+		}
+		g, err := ReadForest(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(g.AppendTo(nil, c.codec), want) {
+			t.Fatalf("%v: ReadForest round trip differs", c.codec)
+		}
 	}
 }
 
@@ -68,14 +125,7 @@ func TestSnapshotResumesIdenticalStream(t *testing.T) {
 		x, y := streamSample(stream2, 0.3, 0.5)
 		resumed.Update(x, y)
 	}
-	var buf bytes.Buffer
-	if _, err := resumed.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	restored, err := ReadForest(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
+	restored := decodeWhole(t, resumed.AppendTo(nil, frame.Flate))
 	for i := 700; i < 1500; i++ {
 		x, y := streamSample(stream2, 0.3, 0.5)
 		restored.Update(x, y)
@@ -101,7 +151,7 @@ func TestSnapshotRejectsGarbage(t *testing.T) {
 		"retired ORF1": {append([]byte("ORF1"), 1, 2, 3), "bad snapshot magic"},
 	}
 	for name, tc := range cases {
-		if _, err := ReadForest(bytes.NewReader(tc.data)); err == nil || !strings.Contains(err.Error(), tc.want) {
+		if _, _, err := DecodeForest(tc.data); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s snapshot: error %v, want one mentioning %q", name, err, tc.want)
 		}
 	}
@@ -109,17 +159,13 @@ func TestSnapshotRejectsGarbage(t *testing.T) {
 
 func TestSnapshotRejectsCorruptCounts(t *testing.T) {
 	f := trainForest(t, 3, 500)
-	var buf bytes.Buffer
-	if _, err := f.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	data := buf.Bytes()
+	data := f.AppendTo(nil, frame.Flate)
 	// Corrupt the tree count (config Trees field) to something absurd.
 	// Offset: magic(4) + 6 counters (48) = 52 is the Trees field.
 	for i := 52; i < 60; i++ {
 		data[i] = 0xff
 	}
-	if _, err := ReadForest(bytes.NewReader(data)); err == nil {
+	if _, _, err := DecodeForest(data); err == nil {
 		t.Fatal("corrupt tree count accepted")
 	}
 }
@@ -129,25 +175,11 @@ func TestSnapshotRejectsCorruptCounts(t *testing.T) {
 // v2 round trip must re-serialize to the same bytes.
 func TestSnapshotV2Deterministic(t *testing.T) {
 	f := trainForest(t, 12, 2000)
-	var a, b bytes.Buffer
-	if _, err := f.WriteTo(&a); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.WriteTo(&b); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a.Bytes(), b.Bytes()) {
+	a, b := f.AppendTo(nil, frame.Flate), f.AppendTo(nil, frame.Flate)
+	if !bytes.Equal(a, b) {
 		t.Fatal("two encodes of the same forest differ")
 	}
-	g, err := ReadForest(bytes.NewReader(a.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var c bytes.Buffer
-	if _, err := g.WriteTo(&c); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a.Bytes(), c.Bytes()) {
+	if c := decodeWhole(t, a).AppendTo(nil, frame.Flate); !bytes.Equal(a, c) {
 		t.Fatal("v2 round trip is not bit-identical")
 	}
 }
@@ -176,34 +208,19 @@ func TestSnapshotV2ParallelWorkers(t *testing.T) {
 		f.Update(x, y)
 	}
 
-	var a, b bytes.Buffer
-	if _, err := f.WriteTo(&a); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.WriteTo(&b); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a.Bytes(), b.Bytes()) {
+	a, b := f.AppendTo(nil, frame.Flate), f.AppendTo(nil, frame.Flate)
+	if !bytes.Equal(a, b) {
 		t.Fatal("two parallel encodes of the same forest differ")
 	}
-
-	g, err := ReadForest(bytes.NewReader(a.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var c bytes.Buffer
-	if _, err := g.WriteTo(&c); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a.Bytes(), c.Bytes()) {
+	if c := decodeWhole(t, a).AppendTo(nil, frame.Flate); !bytes.Equal(a, c) {
 		t.Fatal("parallel round trip is not bit-identical")
 	}
 
 	// Corruption inside a tree block must surface through the parallel
 	// decode's per-range error slice, not panic or pass.
-	bad := append([]byte(nil), a.Bytes()...)
+	bad := append([]byte(nil), a...)
 	bad[len(bad)-9] ^= 0x40
-	if _, err := ReadForest(bytes.NewReader(bad)); err == nil {
+	if _, _, err := DecodeForest(bad); err == nil {
 		t.Fatal("parallel decode accepted a corrupted tree block")
 	}
 }
@@ -216,11 +233,7 @@ func TestSnapshotBytesIgnoreHostCores(t *testing.T) {
 	var got [2][]byte
 	for i, procs := range []int{1, 4} {
 		setGOMAXPROCS(t, procs)
-		var buf bytes.Buffer
-		if _, err := trainForest(t, 16, 1500).WriteTo(&buf); err != nil {
-			t.Fatal(err)
-		}
-		got[i] = buf.Bytes()
+		got[i] = trainForest(t, 16, 1500).AppendTo(nil, frame.Flate)
 	}
 	if !bytes.Equal(got[0], got[1]) {
 		t.Fatal("snapshot bytes differ between GOMAXPROCS 1 and 4")
@@ -235,40 +248,37 @@ func TestSnapshotBytesIgnoreHostCores(t *testing.T) {
 func TestSnapshotFromBeforeReservedSlot(t *testing.T) {
 	for _, c := range []struct {
 		file  string
-		write func(*Forest, io.Writer) (int64, error)
+		codec frame.Codec
 	}{
-		{"testdata/pr19_workers4.orf2-flate", (*Forest).WriteTo},
-		{"testdata/pr19_workers4.orf2-raw", (*Forest).WriteToRaw},
+		{"testdata/pr19_workers4.orf2-flate", frame.Flate},
+		{"testdata/pr19_workers4.orf2-raw", frame.Raw},
 	} {
 		old, err := os.ReadFile(c.file)
 		if err != nil {
 			t.Fatal(err)
 		}
-		f, err := ReadForest(bytes.NewReader(old))
-		if err != nil {
-			t.Fatalf("%s: %v", c.file, err)
+		f, rest, err := DecodeForest(old)
+		if err != nil || len(rest) != 0 {
+			t.Fatalf("%s: %v (%d bytes after the forest)", c.file, err, len(rest))
 		}
 		const wantBits = 0x3fe7c8bc8bc8bc8c
 		if got := math.Float64bits(f.PredictProba([]float64{0.62, 0.58, 0.4})); got != wantBits {
 			t.Fatalf("%s: probe scores %#x, recorded %#x", c.file, got, uint64(wantBits))
 		}
-		var buf bytes.Buffer
-		if _, err := c.write(f, &buf); err != nil {
-			t.Fatal(err)
-		}
+		enc := f.AppendTo(nil, c.codec)
 		// Layout: magic, codec byte, header block, tree blocks.
 		afterHeader := func(snap []byte) []byte {
-			r := bytes.NewReader(snap[len(magicV2)+1:])
-			if _, err := frame.ReadBlockRaw(r, nil); err != nil {
+			_, rest, err := frame.SplitBlock(snap[len(magicV2)+1:])
+			if err != nil {
 				t.Fatalf("%s: header block: %v", c.file, err)
 			}
-			return snap[len(snap)-r.Len():]
+			return rest
 		}
-		if !bytes.Equal(buf.Bytes()[:len(magicV2)+1], old[:len(magicV2)+1]) ||
-			!bytes.Equal(afterHeader(buf.Bytes()), afterHeader(old)) {
+		if !bytes.Equal(enc[:len(magicV2)+1], old[:len(magicV2)+1]) ||
+			!bytes.Equal(afterHeader(enc), afterHeader(old)) {
 			t.Fatalf("%s: re-encoded tree blocks differ from the fixture's", c.file)
 		}
-		if bytes.Equal(buf.Bytes(), old) {
+		if bytes.Equal(enc, old) {
 			t.Fatalf("%s: header re-encoded unchanged; the fixture does not carry a worker count", c.file)
 		}
 	}
@@ -276,28 +286,15 @@ func TestSnapshotFromBeforeReservedSlot(t *testing.T) {
 
 func TestSnapshotV2Compresses(t *testing.T) {
 	f := trainForest(t, 13, 3000)
-	var raw, v2 bytes.Buffer
-	if _, err := f.WriteToRaw(&raw); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.WriteTo(&v2); err != nil {
-		t.Fatal(err)
-	}
-	if v2.Len()*2 > raw.Len() {
-		t.Fatalf("v2 snapshot %d bytes vs raw %d; want at least 2x smaller", v2.Len(), raw.Len())
+	raw, v2 := f.AppendTo(nil, frame.Raw), f.AppendTo(nil, frame.Flate)
+	if len(v2)*2 > len(raw) {
+		t.Fatalf("v2 snapshot %d bytes vs raw %d; want at least 2x smaller", len(v2), len(raw))
 	}
 }
 
 func TestSnapshotV2RawCodec(t *testing.T) {
 	f := trainForest(t, 14, 1500)
-	var raw bytes.Buffer
-	if _, err := f.WriteToRaw(&raw); err != nil {
-		t.Fatal(err)
-	}
-	g, err := ReadForest(bytes.NewReader(raw.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
+	g := decodeWhole(t, f.AppendTo(nil, frame.Raw))
 	if fs, gs := f.Stats(), g.Stats(); fs != gs {
 		t.Fatalf("stats differ after raw-codec round trip: %+v vs %+v", fs, gs)
 	}
@@ -305,21 +302,17 @@ func TestSnapshotV2RawCodec(t *testing.T) {
 
 func TestSnapshotV2RejectsCorruption(t *testing.T) {
 	f := trainForest(t, 15, 1500)
-	var buf bytes.Buffer
-	if _, err := f.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	enc := buf.Bytes()
+	enc := f.AppendTo(nil, frame.Flate)
 	// Flip one byte inside the last tree block: the frame CRC must
 	// catch it.
 	mut := append([]byte(nil), enc...)
 	mut[len(mut)-9] ^= 0x55
-	if _, err := ReadForest(bytes.NewReader(mut)); err == nil {
+	if _, _, err := DecodeForest(mut); err == nil {
 		t.Fatal("corrupt tree block accepted")
 	}
 	// Truncation anywhere must error, never hang or panic.
 	for _, n := range []int{4, 5, 16, len(enc) / 2, len(enc) - 3} {
-		if _, err := ReadForest(bytes.NewReader(enc[:n])); err == nil {
+		if _, _, err := DecodeForest(enc[:n]); err == nil {
 			t.Fatalf("truncated snapshot (%d/%d bytes) accepted", n, len(enc))
 		}
 	}
@@ -329,19 +322,102 @@ func TestSnapshotPreservesConfig(t *testing.T) {
 	cfg := Config{Trees: 5, NumTests: 7, MinParentSize: 33, MinGain: 0.07,
 		LambdaPos: 1.5, LambdaNeg: 0.04, MaxDepth: 9, Seed: 77}
 	f := New(4, cfg)
-	var buf bytes.Buffer
-	if _, err := f.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	g, err := ReadForest(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
+	g := decodeWhole(t, f.AppendTo(nil, frame.Flate))
 	want := cfg.withDefaults()
 	if g.Config() != want {
 		t.Fatalf("config not preserved:\n got %+v\nwant %+v", g.Config(), want)
 	}
 	if g.Dim() != 4 {
 		t.Fatalf("dim = %d", g.Dim())
+	}
+}
+
+// TestCodecAllocs bounds the allocations of AppendTo (into a reused
+// buffer) and DecodeForest per tree, counters that repeat on any host
+// (AllocsPerRun runs forEachTree on one goroutine). Measured on
+// trainForest(1, 3000), 8 trees: AppendTo 3.9 (flate) and 2.8 (raw) per
+// tree, DecodeForest 39.5 and 10.3, most of it the nodes' test pools
+// and, under flate, compress/flate's Huffman tables. When the codec
+// streamed 8-byte words through io.Writer and io.Reader, each word cost
+// an allocation: over 600 per tree either way.
+func TestCodecAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	f := trainForest(t, 1, 3000)
+	trees := float64(len(f.trees))
+	for _, c := range []struct {
+		codec          frame.Codec
+		append, decode float64 // per tree
+	}{
+		{frame.Flate, 6, 50},
+		{frame.Raw, 4, 14},
+	} {
+		enc := f.AppendTo(nil, c.codec)
+		buf := f.AppendTo(nil, c.codec)
+		if got := testing.AllocsPerRun(50, func() { buf = f.AppendTo(buf[:0], c.codec) }) / trees; got > c.append {
+			t.Errorf("%v: AppendTo allocates %.1f times per tree, want <= %v", c.codec, got, c.append)
+		}
+		if got := testing.AllocsPerRun(50, func() {
+			if _, _, err := DecodeForest(enc); err != nil {
+				t.Fatal(err)
+			}
+		}) / trees; got > c.decode {
+			t.Errorf("%v: DecodeForest allocates %.1f times per tree, want <= %v", c.codec, got, c.decode)
+		}
+	}
+}
+
+// misshapenTrees damage a trained tree into a shape split never makes.
+// Each encodes to CRC-valid blocks, and each loaded before readTree
+// checked the shape: scoring the first two panicked, the third never
+// returned, and updates through a bad test index past the sample.
+var misshapenTrees = []struct {
+	name, want string
+	damage     func(t *onlineTree)
+}{
+	{"split feature past dim", "node 0 feature 7", func(t *onlineTree) { t.nodes[0].feature = 7 }},
+	{"left child -1", "node 0 children -1/", func(t *onlineTree) { t.nodes[0].left = -1 }},
+	{"left child is the root", "node 0 children 0/", func(t *onlineTree) { t.nodes[0].left = 0 }},
+	{"a child of two nodes", "children", func(t *onlineTree) { t.nodes[0].right = t.nodes[0].left }},
+	{"test feature past dim", "feature 3, dim 3", func(t *onlineTree) { pooledTest(t).feature = 3 }},
+	{"negative test feature", "feature -1, dim 3", func(t *onlineTree) { pooledTest(t).feature = -1 }},
+}
+
+// pooledTest is the first test in t's first leaf that holds any.
+func pooledTest(t *onlineTree) *test {
+	for i := range t.nodes {
+		if len(t.nodes[i].tests) > 0 {
+			return &t.nodes[i].tests[0]
+		}
+	}
+	panic("no pooled test")
+}
+
+// misshapenForest is trainForest(6, 3000) with its first tree damaged.
+func misshapenForest(tb testing.TB, damage func(*onlineTree)) *Forest {
+	f := trainForest(tb, 6, 3000)
+	if f.trees[0].nodes[0].feature < 0 {
+		tb.Fatal("fixture: the first tree never split")
+	}
+	damage(f.trees[0])
+	return f
+}
+
+// TestDecodeRefusesMisshapenTrees: a tree whose shape split never makes
+// fails DecodeForest under either codec (the frame's CRC is valid; the
+// damage is in what it carries).
+func TestDecodeRefusesMisshapenTrees(t *testing.T) {
+	for _, tc := range misshapenTrees {
+		f := misshapenForest(t, tc.damage)
+		for _, codec := range []frame.Codec{frame.Flate, frame.Raw} {
+			_, _, err := DecodeForest(f.AppendTo(nil, codec))
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("%s (%v): error %v, want one mentioning %q", tc.name, codec, err, tc.want)
+			}
+		}
+	}
+	if _, _, err := DecodeForest(trainForest(t, 6, 3000).AppendTo(nil, frame.Raw)); err != nil {
+		t.Fatalf("the undamaged fixture: %v", err)
 	}
 }

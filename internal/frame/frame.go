@@ -29,6 +29,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"slices"
 	"sync"
 )
 
@@ -116,6 +117,8 @@ func AppendBlock(dst, raw []byte, c Codec) []byte {
 	if len(raw) > MaxBlockBytes {
 		panic(fmt.Sprintf("frame: %d-byte block exceeds MaxBlockBytes", len(raw)))
 	}
+	// Stored bytes never exceed raw ones: dst grows at most once.
+	dst = slices.Grow(dst, blockHeaderSize+len(raw))
 	start := len(dst)
 	var hdr [blockHeaderSize]byte
 	dst = append(dst, hdr[:]...)
@@ -179,10 +182,43 @@ func parseHeader(hdr []byte) (rawLen, storedLen, crc uint32, err error) {
 // uncompressed the returned payload aliases b; callers that outlive b
 // must copy. An end marker decodes as (nil, rest, io.EOF).
 func DecodeBlock(b []byte) (raw, rest []byte, err error) {
+	blk, rest, err := cut(b)
+	if err != nil {
+		return nil, rest, err
+	}
+	rawLen, storedLen, crc, _ := parseHeader(blk)
+	stored := blk[blockHeaderSize:]
+	if crc32.ChecksumIEEE(stored) != crc {
+		return nil, rest, fmt.Errorf("%w: CRC mismatch", ErrCorrupt)
+	}
+	if storedLen == rawLen {
+		return stored, rest, nil
+	}
+	raw, err = inflate(stored, rawLen)
+	return raw, rest, err
+}
+
+// SplitBlock splits the framed block (header plus stored bytes,
+// undecoded) at the front of b from the rest of b. It validates the
+// header but leaves the CRC and decompression to DecodeBlock, so
+// callers can fan blocks out to parallel decoders. The end marker is an
+// error here: a counted block sequence never holds one.
+func SplitBlock(b []byte) (blk, rest []byte, err error) {
+	blk, rest, err = cut(b)
+	if err == io.EOF {
+		return nil, b, fmt.Errorf("%w: unexpected end marker", ErrCorrupt)
+	}
+	return blk, rest, err
+}
+
+// cut splits the block at the front of b, its header validated, from
+// the rest of b. An end marker cuts as (nil, rest, io.EOF); on any
+// other error rest is b.
+func cut(b []byte) (blk, rest []byte, err error) {
 	if len(b) < blockHeaderSize {
 		return nil, b, fmt.Errorf("%w: %d-byte input shorter than block header", ErrCorrupt, len(b))
 	}
-	rawLen, storedLen, crc, err := parseHeader(b)
+	rawLen, storedLen, _, err := parseHeader(b)
 	if err != nil {
 		return nil, b, err
 	}
@@ -192,16 +228,8 @@ func DecodeBlock(b []byte) (raw, rest []byte, err error) {
 	if uint32(len(b)-blockHeaderSize) < storedLen {
 		return nil, b, fmt.Errorf("%w: truncated block (%d of %d stored bytes)", ErrCorrupt, len(b)-blockHeaderSize, storedLen)
 	}
-	stored := b[blockHeaderSize : blockHeaderSize+int(storedLen)]
-	rest = b[blockHeaderSize+int(storedLen):]
-	if crc32.ChecksumIEEE(stored) != crc {
-		return nil, rest, fmt.Errorf("%w: CRC mismatch", ErrCorrupt)
-	}
-	if storedLen == rawLen {
-		return stored, rest, nil
-	}
-	raw, err = inflate(stored, rawLen)
-	return raw, rest, err
+	n := blockHeaderSize + int(storedLen)
+	return b[:n:n], b[n:], nil
 }
 
 // inflate decompresses a flate-stored payload and verifies it produces
@@ -221,45 +249,6 @@ func inflate(stored []byte, rawLen uint32) ([]byte, error) {
 		return nil, fmt.Errorf("%w: block inflates past its declared size", ErrCorrupt)
 	}
 	return raw, nil
-}
-
-// ReadBlockRaw reads one complete framed block (header plus stored
-// bytes, undecoded) from r, appending to scratch and returning the
-// block. It validates structure but defers CRC and decompression to
-// DecodeBlock, so callers can fan blocks out to parallel decoders. The
-// end marker is rejected here (callers using counted block sequences
-// never expect one).
-func ReadBlockRaw(r io.Reader, scratch []byte) ([]byte, error) {
-	scratch = scratch[:0]
-	var hdr [blockHeaderSize]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		if err == io.EOF || err == io.ErrUnexpectedEOF {
-			return nil, fmt.Errorf("%w: truncated block header: %v", ErrCorrupt, err)
-		}
-		return nil, err
-	}
-	rawLen, storedLen, _, err := parseHeader(hdr[:])
-	if err != nil {
-		return nil, err
-	}
-	if rawLen == endMark {
-		return nil, fmt.Errorf("%w: unexpected end marker", ErrCorrupt)
-	}
-	scratch = append(scratch, hdr[:]...)
-	need := len(scratch) + int(storedLen)
-	if cap(scratch) < need {
-		grown := make([]byte, len(scratch), need)
-		copy(grown, scratch)
-		scratch = grown
-	}
-	scratch = scratch[:need]
-	if _, err := io.ReadFull(r, scratch[blockHeaderSize:]); err != nil {
-		if err == io.EOF || err == io.ErrUnexpectedEOF {
-			return nil, fmt.Errorf("%w: truncated block body: %v", ErrCorrupt, err)
-		}
-		return nil, err
-	}
-	return scratch, nil
 }
 
 // Writer frames and (optionally) compresses a byte stream onto an
@@ -368,7 +357,7 @@ type Reader struct {
 	r     io.Reader
 	codec Codec
 	cur   []byte // undelivered bytes of the current block
-	blk   []byte // ReadBlockRaw scratch
+	blk   []byte // the current block, header and stored bytes
 	done  bool
 	err   error
 }

@@ -83,32 +83,35 @@ func TestBlockSequence(t *testing.T) {
 	}
 }
 
-func TestReadBlockRaw(t *testing.T) {
+// TestSplitBlock: a block sequence splits into its blocks in order, each
+// decoding to its payload; the input's end, or an end marker, in the
+// middle of a counted sequence is an error.
+func TestSplitBlock(t *testing.T) {
 	payloads := testPayloads(t)
 	var enc []byte
 	for _, raw := range payloads {
 		enc = AppendBlock(enc, raw, Flate)
 	}
-	src := bytes.NewReader(enc)
-	var scratch []byte
+	rest := enc
 	for i, want := range payloads {
-		blk, err := ReadBlockRaw(src, scratch)
-		if err != nil {
+		var blk []byte
+		var err error
+		if blk, rest, err = SplitBlock(rest); err != nil {
 			t.Fatalf("block %d: %v", i, err)
 		}
-		got, rest, err := DecodeBlock(blk)
+		got, tail, err := DecodeBlock(blk)
 		if err != nil {
 			t.Fatalf("block %d decode: %v", i, err)
 		}
-		if len(rest) != 0 || !bytes.Equal(got, want) {
+		if len(tail) != 0 || !bytes.Equal(got, want) {
 			t.Fatalf("block %d: mismatch", i)
 		}
-		// got may alias blk (raw-stored blocks); only reuse the scratch
-		// after the decoded bytes are consumed, as real callers do.
-		scratch = blk
 	}
-	if _, err := ReadBlockRaw(src, scratch); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("EOF mid-sequence: got %v, want ErrCorrupt", err)
+	if _, _, err := SplitBlock(rest); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("end of input mid-sequence: got %v, want ErrCorrupt", err)
+	}
+	if _, _, err := SplitBlock(appendEndMarker(nil)); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("end marker mid-sequence: got %v, want ErrCorrupt", err)
 	}
 }
 
@@ -156,8 +159,8 @@ func TestInflateBoundedByStoredSize(t *testing.T) {
 	if got := after.TotalAlloc - before.TotalAlloc; got > 4<<20 {
 		t.Fatalf("rejecting it allocated %d bytes", got)
 	}
-	if _, err := ReadBlockRaw(bytes.NewReader(small), nil); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("ReadBlockRaw of the same block: %v, want ErrCorrupt", err)
+	if _, _, err := SplitBlock(small); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("SplitBlock of the same block: %v, want ErrCorrupt", err)
 	}
 }
 
@@ -167,8 +170,8 @@ func TestBlockTruncation(t *testing.T) {
 		if _, _, err := DecodeBlock(enc[:n]); err == nil {
 			t.Fatalf("truncation at %d undetected", n)
 		}
-		if _, err := ReadBlockRaw(bytes.NewReader(enc[:n]), nil); !errors.Is(err, ErrCorrupt) {
-			t.Fatalf("ReadBlockRaw truncation at %d: %v", n, err)
+		if _, _, err := SplitBlock(enc[:n]); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("SplitBlock truncation at %d: %v", n, err)
 		}
 	}
 }

@@ -325,18 +325,6 @@ func (l *Labeler) Retire(disk string) {
 	}
 }
 
-// RetireAll drops every tracked disk without labeling queued samples.
-// Use at end-of-stream: the final week of surviving disks cannot be
-// labeled.
-func (l *Labeler) RetireAll() {
-	for d, q := range l.queues {
-		delete(l.queues, d)
-		l.recycle(q)
-	}
-	clear(l.serials)
-	l.serials = l.serials[:0]
-}
-
 func (l *Labeler) release(s Labeled) {
 	if l.Update != nil {
 		l.Update(s)

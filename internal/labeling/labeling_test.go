@@ -177,20 +177,6 @@ func TestRetireDiscardsSilently(t *testing.T) {
 	}
 }
 
-func TestRetireAll(t *testing.T) {
-	out, upd := collect()
-	l := NewLabeler(3, upd)
-	l.Observe("a", vec(1), 0)
-	l.Observe("b", vec(2), 0)
-	l.RetireAll()
-	if l.ActiveDisks() != 0 || l.Pending() != 0 {
-		t.Fatal("RetireAll left state behind")
-	}
-	if len(*out) != 0 {
-		t.Fatal("RetireAll released samples")
-	}
-}
-
 func TestFailUnknownDiskIsNoop(t *testing.T) {
 	out, upd := collect()
 	l := NewLabeler(3, upd)

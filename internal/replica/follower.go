@@ -2,7 +2,9 @@ package replica
 
 import (
 	"errors"
+	"io"
 	"log/slog"
+	"math"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -77,7 +79,7 @@ func (c *FollowerConfig) fill() {
 		c.ReadTimeout = 10 * time.Second
 	}
 	if c.Logger == nil {
-		c.Logger = slog.New(discardHandler{})
+		c.Logger = slog.New(slog.NewTextHandler(io.Discard, &slog.HandlerOptions{Level: slog.Level(math.MaxInt)}))
 	}
 }
 

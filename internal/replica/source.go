@@ -1,10 +1,11 @@
 package replica
 
 import (
-	"context"
 	"encoding/binary"
 	"errors"
+	"io"
 	"log/slog"
+	"math"
 	"net"
 	"slices"
 	"sync"
@@ -43,16 +44,9 @@ func (c *SourceConfig) fill() {
 		c.Heartbeat = 500 * time.Millisecond
 	}
 	if c.Logger == nil {
-		c.Logger = slog.New(discardHandler{})
+		c.Logger = slog.New(slog.NewTextHandler(io.Discard, &slog.HandlerOptions{Level: slog.Level(math.MaxInt)}))
 	}
 }
-
-type discardHandler struct{}
-
-func (discardHandler) Enabled(context.Context, slog.Level) bool  { return false }
-func (discardHandler) Handle(context.Context, slog.Record) error { return nil }
-func (discardHandler) WithAttrs([]slog.Attr) slog.Handler        { return discardHandler{} }
-func (discardHandler) WithGroup(string) slog.Handler             { return discardHandler{} }
 
 type sourceMetrics struct {
 	records      *metrics.Counter

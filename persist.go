@@ -10,17 +10,22 @@ import (
 	"slices"
 
 	"orfdisk/internal/core"
+	"orfdisk/internal/frame"
 	"orfdisk/internal/labeling"
 	"orfdisk/internal/packed"
 	"orfdisk/internal/smart"
 )
 
-// Model persistence. A predictor's state (SaveState) captures everything
-// needed to keep predicting and learning after a process restart: the
-// forest (including its RNG streams, so the resumed stream is
-// bit-identical), the online scaler's feature ranges, the feature
-// selection, the horizon, the alarm threshold and the per-disk labeling
-// queues. The engine keeps it in its log as state records (engine.go).
+// Model persistence. A predictor's state captures everything needed to
+// keep predicting and learning after a process restart: the forest
+// (including its RNG streams, so the resumed stream is bit-identical),
+// the online scaler's feature ranges, the feature selection, the
+// horizon, the alarm threshold and the per-disk labeling queues. The
+// engine keeps it in its log as state records (engine.go), which it
+// writes with appendState and reads with decodeState: a state is always
+// whole in memory, so the codec appends to and slices one []byte.
+// SaveState and LoadPredictorState are those two around an io.Writer and
+// an io.Reader.
 //
 // The model alone, without the queues, is the "ODP1" prefix of a state.
 
@@ -38,12 +43,12 @@ var retiredStates = map[string]string{
 		"(that rewrites every state as ODS3), then start this one",
 }
 
-// saveModel writes the predictor's model, the "ODP1" prefix of a state,
-// to w: the magic, then as little-endian 64-bit words the horizon, the
-// threshold's bits, the feature count, the features and the scaler's
-// minima and maxima, then the forest.
-func (p *Predictor) saveModel(w io.Writer) error {
-	b := binary.LittleEndian.AppendUint64([]byte(predictorMagic), uint64(p.horizon))
+// appendModel appends the predictor's model, the "ODP1" prefix of a
+// state, to b: the magic, then as little-endian 64-bit words the
+// horizon, the threshold's bits, the feature count, the features and the
+// scaler's minima and maxima, then the forest.
+func (p *Predictor) appendModel(b []byte) []byte {
+	b = binary.LittleEndian.AppendUint64(append(b, predictorMagic...), uint64(p.horizon))
 	b = binary.LittleEndian.AppendUint64(b, math.Float64bits(p.threshold))
 	b = binary.LittleEndian.AppendUint64(b, uint64(len(p.features)))
 	for _, f := range p.features {
@@ -53,66 +58,53 @@ func (p *Predictor) saveModel(w io.Writer) error {
 	for _, v := range slices.Concat(min, max) {
 		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
 	}
-	if _, err := w.Write(b); err != nil {
-		return err
-	}
-	_, err := p.forest.WriteTo(w)
-	return err
+	return p.forest.AppendTo(b, frame.Flate)
 }
 
-// loadModel reads what saveModel wrote, the "ODP1" prefix of a state,
-// into a predictor whose labeling queues are empty.
-func loadModel(r io.Reader) (*Predictor, error) {
-	head := make([]byte, len(predictorMagic))
-	if _, err := io.ReadFull(r, head); err != nil {
-		return nil, fmt.Errorf("orfdisk: reading model header: %w", err)
+// decodeModel decodes what appendModel wrote at the front of b into a
+// predictor whose labeling queues are empty, and returns it with the
+// rest of b.
+func decodeModel(b []byte) (*Predictor, []byte, error) {
+	if len(b) < len(predictorMagic) {
+		return nil, nil, fmt.Errorf("orfdisk: reading model header: %w", io.ErrUnexpectedEOF)
 	}
-	if string(head) != predictorMagic {
-		return nil, fmt.Errorf("orfdisk: bad model magic %q", head)
+	if head := b[:len(predictorMagic)]; string(head) != predictorMagic {
+		return nil, nil, fmt.Errorf("orfdisk: bad model magic %q", head)
 	}
-	words := func(n uint64) ([]uint64, error) {
-		b := make([]byte, 8*n)
-		if _, err := io.ReadFull(r, b); err != nil {
-			return nil, fmt.Errorf("orfdisk: reading model: %w", err)
-		}
-		out := make([]uint64, n)
-		for i := range out {
-			out[i] = binary.LittleEndian.Uint64(b[8*i:])
-		}
-		return out, nil
+	b = b[len(predictorMagic):]
+	word := func(i uint64) uint64 { return binary.LittleEndian.Uint64(b[8*i:]) }
+	if len(b) < 8*3 {
+		return nil, nil, fmt.Errorf("orfdisk: reading model: %w", io.ErrUnexpectedEOF)
 	}
-	w, err := words(3)
-	if err != nil {
-		return nil, err
-	}
-	horizon, thBits, nFeat := w[0], w[1], w[2]
+	horizon, thBits, nFeat := word(0), word(1), word(2)
 	// The horizon sizes every disk's queue, so an absurd one must fail
 	// here, not in an allocation: 2^16 days is far past any disk's life.
 	if horizon == 0 || horizon > 1<<16 {
-		return nil, fmt.Errorf("orfdisk: corrupt model (horizon %d)", horizon)
+		return nil, nil, fmt.Errorf("orfdisk: corrupt model (horizon %d)", horizon)
 	}
 	if nFeat == 0 || nFeat > uint64(smart.NumFeatures()) {
-		return nil, fmt.Errorf("orfdisk: corrupt model (%d features)", nFeat)
+		return nil, nil, fmt.Errorf("orfdisk: corrupt model (%d features)", nFeat)
 	}
-	if w, err = words(3 * nFeat); err != nil {
-		return nil, err
+	if uint64(len(b)) < 8*(3+3*nFeat) {
+		return nil, nil, fmt.Errorf("orfdisk: reading model: %w", io.ErrUnexpectedEOF)
 	}
 	features := make([]int, nFeat)
 	min, max := make([]float64, nFeat), make([]float64, nFeat)
 	for i := range features {
-		if w[i] >= uint64(smart.NumFeatures()) {
-			return nil, fmt.Errorf("orfdisk: corrupt model (feature index %d)", w[i])
+		f := word(3 + uint64(i))
+		if f >= uint64(smart.NumFeatures()) {
+			return nil, nil, fmt.Errorf("orfdisk: corrupt model (feature index %d)", f)
 		}
-		features[i] = int(w[i])
-		min[i] = math.Float64frombits(w[nFeat+uint64(i)])
-		max[i] = math.Float64frombits(w[2*nFeat+uint64(i)])
+		features[i] = int(f)
+		min[i] = math.Float64frombits(word(3 + nFeat + uint64(i)))
+		max[i] = math.Float64frombits(word(3 + 2*nFeat + uint64(i)))
 	}
-	forest, err := core.ReadForest(r)
+	forest, rest, err := core.DecodeForest(b[8*(3+3*nFeat):])
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if forest.Dim() != int(nFeat) {
-		return nil, fmt.Errorf("orfdisk: corrupt model (forest dim %d, %d features)",
+		return nil, nil, fmt.Errorf("orfdisk: corrupt model (forest dim %d, %d features)",
 			forest.Dim(), nFeat)
 	}
 
@@ -125,46 +117,45 @@ func loadModel(r io.Reader) (*Predictor, error) {
 		scaled:    make([]float64, nFeat),
 	}
 	if err := p.scaler.Restore(min, max); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	p.bindLabeler()
-	return p, nil
+	return p, rest, nil
 }
 
-// SaveState serializes the predictor's complete state: the model plus
-// the per-disk labeling queues. A predictor restored from SaveState and
-// fed the post-snapshot stream reproduces an uninterrupted run bit for
-// bit — the property the serving engine's crash recovery relies on.
-//
-// The queue section ("ODS3") is a uvarint disk count, then per tracked
-// disk, in serial order, the serial (uvarint length, bytes), a uvarint
-// sample count, a uvarint block length and the block — per sample,
-// oldest first, a varint day (the first sample's absolute, each later
-// one's the delta from the sample before) and the queued features as
-// packed.Append lays them out against the sample before (the first on
-// their own) — and last a little-endian CRC-32 (IEEE) of the section
-// before it. A disk's consecutive days mostly repeat most of its SMART
-// values, and a repeat costs its half-byte code alone. Each disk is
-// built in a reused buffer and written with one Write. A queue holds
-// each sample packed on its own, which a packed.Recoder codes against
-// the sample before without decoding a value.
+// SaveState writes the predictor's complete state, the model plus the
+// per-disk labeling queues (appendState), to w in one Write. A predictor
+// restored from SaveState and fed the post-snapshot stream reproduces an
+// uninterrupted run bit for bit — the property the serving engine's
+// crash recovery relies on.
 func (p *Predictor) SaveState(w io.Writer) error {
-	if _, err := io.WriteString(w, stateMagic); err != nil {
+	b, err := p.appendState(nil)
+	if err != nil {
 		return err
 	}
-	if err := p.saveModel(w); err != nil {
-		return err
-	}
-	var sum uint32
-	write := func(b []byte) error {
-		sum = crc32.Update(sum, crc32.IEEETable, b)
-		_, err := w.Write(b)
-		return err
-	}
-	buf := binary.AppendUvarint(nil, uint64(p.labeler.ActiveDisks()))
-	if err := write(buf); err != nil {
-		return err
-	}
+	_, err = w.Write(b)
+	return err
+}
+
+// appendState appends the predictor's complete state to b: the "ODS3"
+// magic, the model (appendModel), then the queue section.
+//
+// The queue section is a uvarint disk count, then per tracked disk, in
+// serial order, the serial (uvarint length, bytes), a uvarint sample
+// count, a uvarint block length and the block — per sample, oldest
+// first, a varint day (the first sample's absolute, each later one's the
+// delta from the sample before) and the queued features as packed.Append
+// lays them out against the sample before (the first on their own) —
+// and last a little-endian CRC-32 (IEEE) of the section before it. A
+// disk's consecutive days mostly repeat most of its SMART values, and a
+// repeat costs its half-byte code alone. A queue holds each sample
+// packed on its own, which a packed.Recoder codes against the sample
+// before without decoding a value; each disk's block is built in one
+// reused buffer, then appended after its length.
+func (p *Predictor) appendState(b []byte) ([]byte, error) {
+	b = p.appendModel(append(b, stateMagic...))
+	section := len(b)
+	b = binary.AppendUvarint(b, uint64(p.labeler.ActiveDisks()))
 	var block []byte
 	var rc packed.Recoder
 	err := p.labeler.Walk(func(disk string, q *labeling.Queue) error {
@@ -183,44 +174,51 @@ func (p *Predictor) SaveState(w io.Writer) error {
 		if err != nil {
 			return err
 		}
-		buf = binary.AppendUvarint(buf[:0], uint64(len(disk)))
-		buf = append(buf, disk...)
-		buf = binary.AppendUvarint(buf, uint64(q.Len()))
-		buf = binary.AppendUvarint(buf, uint64(len(block)))
-		buf = append(buf, block...)
-		return write(buf)
+		b = binary.AppendUvarint(b, uint64(len(disk)))
+		b = append(b, disk...)
+		b = binary.AppendUvarint(b, uint64(q.Len()))
+		b = binary.AppendUvarint(b, uint64(len(block)))
+		b = append(b, block...)
+		return nil
 	})
 	if err != nil {
-		return err
+		return b, err
 	}
-	_, err = w.Write(binary.LittleEndian.AppendUint32(buf[:0], sum))
-	return err
+	return binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(b[section:])), nil
 }
 
 // LoadPredictorState reconstructs a predictor saved with SaveState. It
-// reads r to its end: a state is the last thing in whatever holds it.
-// Damaged input is an "orfdisk: corrupt state" error, never a panic, and
-// every count and length in it is held against the bytes that are there
-// before anything is sized by it. The layouts of earlier releases are
-// refused before anything is parsed, with the remedy in the error.
+// reads r to its end, a state being the last thing in whatever holds
+// it, and decodes it with decodeState: damaged input, and the layouts of
+// earlier releases, are an error, never a panic.
 func LoadPredictorState(r io.Reader) (*Predictor, error) {
-	head := make([]byte, len(stateMagic))
-	if _, err := io.ReadFull(r, head); err != nil {
-		return nil, fmt.Errorf("orfdisk: reading state header: %w", err)
+	b, err := io.ReadAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("orfdisk: reading state: %w", err)
 	}
+	return decodeState(b)
+}
+
+// decodeState decodes the state appendState wrote, which takes up all of
+// b. The predictor shares no memory with b. Damaged input is an
+// "orfdisk: corrupt state" error, never a panic, and every count and
+// length in it is held against the bytes that are there before anything
+// is sized by it. The layouts of earlier releases are refused before
+// anything is parsed, with the remedy in the error.
+func decodeState(b []byte) (*Predictor, error) {
+	if len(b) < len(stateMagic) {
+		return nil, fmt.Errorf("orfdisk: reading state header: %w", io.ErrUnexpectedEOF)
+	}
+	head := b[:len(stateMagic)]
 	if remedy, ok := retiredStates[string(head)]; ok {
 		return nil, fmt.Errorf("orfdisk: state layout %s is retired and this release does not read it; %s", head, remedy)
 	}
 	if string(head) != stateMagic {
 		return nil, fmt.Errorf("orfdisk: bad state magic %q", head)
 	}
-	p, err := loadModel(r)
+	p, section, err := decodeModel(b[len(stateMagic):])
 	if err != nil {
 		return nil, err
-	}
-	section, err := io.ReadAll(r)
-	if err != nil {
-		return nil, fmt.Errorf("orfdisk: reading queues: %w", err)
 	}
 	n := len(section) - 4
 	if n < 0 {

@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"orfdisk/internal/frame"
 	"orfdisk/internal/smart"
 )
 
@@ -52,7 +53,7 @@ func TestSaveLoadStateRoundTrip(t *testing.T) {
 		t.Fatalf("queues not restored: %d/%d disks, %d/%d pending",
 			q.TrackedDisks(), p.TrackedDisks(), q.PendingSamples(), p.PendingSamples())
 	}
-	// Unlike the model alone (saveModel, queues dropped), SaveState must reproduce the
+	// Unlike the model alone (appendModel, queues dropped), SaveState must reproduce the
 	// uninterrupted run exactly when fed the remaining stream.
 	for _, o := range stream[cut:] {
 		if _, err := q.Ingest(o); err != nil {
@@ -113,13 +114,9 @@ func TestSaveLoadModelRoundTrip(t *testing.T) {
 	}
 	p.SetThreshold(0.62)
 
-	var buf bytes.Buffer
-	if err := p.saveModel(&buf); err != nil {
-		t.Fatal(err)
-	}
-	q, err := loadModel(&buf)
-	if err != nil {
-		t.Fatal(err)
+	q, rest, err := decodeModel(p.appendModel(nil))
+	if err != nil || len(rest) != 0 {
+		t.Fatalf("%v (%d bytes after the model)", err, len(rest))
 	}
 	if q.Threshold() != 0.62 || q.Horizon() != p.Horizon() {
 		t.Fatalf("settings not restored: threshold %v horizon %d", q.Threshold(), q.Horizon())
@@ -150,13 +147,9 @@ func TestLoadedPredictorKeepsLearning(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	var buf bytes.Buffer
-	if err := p.saveModel(&buf); err != nil {
-		t.Fatal(err)
-	}
-	q, err := loadModel(&buf)
-	if err != nil {
-		t.Fatal(err)
+	q, rest, err := decodeModel(p.appendModel(nil))
+	if err != nil || len(rest) != 0 {
+		t.Fatalf("%v (%d bytes after the model)", err, len(rest))
 	}
 	before := q.Stats().Updates
 	// Queues are empty after load; two ingests fill the horizon-2 queue,
@@ -173,19 +166,13 @@ func TestLoadedPredictorKeepsLearning(t *testing.T) {
 }
 
 // TestLoadPredictorRejectsGarbage: the model part of a state, which
-// loadModel reads after the state magic, fails on a damaged header or a
-// forest under the retired ORF1 magic.
+// decodeModel reads after the state magic, fails on a damaged header or
+// a forest under the retired ORF1 magic.
 func TestLoadPredictorRejectsGarbage(t *testing.T) {
 	// An intact model up to its forest, which starts with its magic.
 	p := NewPredictor(Config{ORF: ORFConfig{Trees: 2, Seed: 1}})
-	var model, forest bytes.Buffer
-	if err := p.saveModel(&model); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := p.forest.WriteTo(&forest); err != nil {
-		t.Fatal(err)
-	}
-	head := model.String()[:model.Len()-forest.Len()]
+	model, forest := p.appendModel(nil), p.forest.AppendTo(nil, frame.Flate)
+	head := string(model[:len(model)-len(forest)])
 	cases := map[string]struct{ data, want string }{
 		"empty":               {"", "reading model header"},
 		"bad magic":           {"WHAT????????????", "bad model magic"},
@@ -193,7 +180,7 @@ func TestLoadPredictorRejectsGarbage(t *testing.T) {
 		"retired ORF1 forest": {head + "ORF1\x01\x02\x03", "bad snapshot magic"},
 	}
 	for name, tc := range cases {
-		if _, err := loadModel(strings.NewReader(tc.data)); err == nil || !strings.Contains(err.Error(), tc.want) {
+		if _, _, err := decodeModel([]byte(tc.data)); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s model: error %v, want one mentioning %q", name, err, tc.want)
 		}
 	}
@@ -216,11 +203,11 @@ func TestLoadPredictorStateRejectsGarbage(t *testing.T) {
 
 func saveState(t testing.TB, p *Predictor) []byte {
 	t.Helper()
-	var buf bytes.Buffer
-	if err := p.SaveState(&buf); err != nil {
+	b, err := p.appendState(nil)
+	if err != nil {
 		t.Fatal(err)
 	}
-	return buf.Bytes()
+	return b
 }
 
 // statePredictor is a trained predictor with live queues, and the number
@@ -248,11 +235,7 @@ func statePredictor(t testing.TB, seed uint64, cfg Config) (p *Predictor, modelL
 // after the magic and the model.
 func queueOffset(t testing.TB, p *Predictor) int {
 	t.Helper()
-	var model bytes.Buffer
-	if err := p.saveModel(&model); err != nil {
-		t.Fatal(err)
-	}
-	return len(stateMagic) + model.Len()
+	return len(stateMagic) + len(p.appendModel(nil))
 }
 
 // allocatedBy reports the bytes fn allocates (process-wide: the tests of
@@ -372,6 +355,102 @@ func checkStateDamage(t *testing.T, p *Predictor, q0 int, good []byte) {
 		if limit := intact + 16*uint64(len(tc.data)); got > limit {
 			t.Errorf("%s: allocated %d bytes loading %d, limit %d", tc.name, got, len(tc.data), limit)
 		}
+	}
+}
+
+// TestLoadPredictorStateRefusesMisshapenTrees: a state whose forest
+// carries a tree of a shape no forest writes, in a tree block with a
+// valid CRC, fails to load (internal/core's
+// TestDecodeRefusesMisshapenTrees has the same cases against
+// DecodeForest). The damage is cut into the first tree block's 8-byte
+// words: 10 of tree state, then per node 10 (feature, threshold, left,
+// right, ... the pool's size last) and 6 per pooled test (feature
+// first).
+func TestLoadPredictorStateRefusesMisshapenTrees(t *testing.T) {
+	p, _ := statePredictor(t, 9, Config{ORF: ORFConfig{Trees: 2, MinParentSize: 50, Seed: 3}})
+	good := saveState(t, p)
+	// The forest ends the model: magic, codec byte, header block, then
+	// the tree blocks.
+	forestAt := queueOffset(t, p) - len(p.forest.AppendTo(nil, frame.Flate))
+	_, trees, err := frame.SplitBlock(good[forestAt+len("ORF2")+1:])
+	if err != nil {
+		t.Fatal(err)
+	}
+	blk, after, err := frame.SplitBlock(trees)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, _, err := frame.DecodeBlock(blk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	word := func(i int) uint64 { return binary.LittleEndian.Uint64(raw[8*i:]) }
+	const root, feature, left, right, pool = 10, 0, 2, 3, 9
+	if int64(word(root+feature)) < 0 {
+		t.Fatal("fixture: the first tree never split")
+	}
+	firstTest := root
+	for word(firstTest+pool) == 0 {
+		firstTest += 10
+	}
+	firstTest += 10
+	with := func(i int, v int64) []byte {
+		b := slices.Clone(raw)
+		binary.LittleEndian.PutUint64(b[8*i:], uint64(v))
+		return slices.Concat(good[:len(good)-len(trees)], frame.AppendBlock(nil, b, frame.Raw), after)
+	}
+	dim := int64(len(p.features))
+	for _, tc := range []struct {
+		name string
+		data []byte
+	}{
+		{"split feature past dim", with(root+feature, dim)},
+		{"left child -1", with(root+left, -1)},
+		{"left child is the root", with(root+left, 0)},
+		{"a child of two nodes", with(root+right, int64(word(root+left)))},
+		{"test feature past dim", with(firstTest, dim)},
+		{"negative test feature", with(firstTest, -1)},
+	} {
+		_, err := LoadPredictorState(bytes.NewReader(tc.data))
+		if err == nil || !strings.Contains(err.Error(), "core: corrupt snapshot") {
+			t.Errorf("%s: error %v, want a corrupt snapshot", tc.name, err)
+		}
+	}
+	if _, err := LoadPredictorState(bytes.NewReader(with(root+feature, int64(word(root+feature))))); err != nil {
+		t.Fatalf("the re-framed intact tree: %v", err)
+	}
+}
+
+// TestStateCodecAllocs bounds the allocations of appendState (into a
+// reused buffer) and decodeState on a small fleet, counters that repeat
+// on any host. Measured on statePredictor(9), 164 disks and 5 trees:
+// appendState 32, about 6 a tree; decodeState 761, about 3 a disk (its
+// serial, its queue and the labeler's map) and 50 a tree (see
+// internal/core's TestCodecAllocs). When the codec streamed the model
+// through io.Writer and io.Reader 8 bytes at a time, each word cost an
+// allocation: 14,263 to save this state and 14,922 to load it.
+func TestStateCodecAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	const trees = 5
+	p, _ := statePredictor(t, 9, Config{ORF: ORFConfig{Trees: trees, MinParentSize: 50, Seed: 3}})
+	state := saveState(t, p)
+	buf := slices.Clone(state)
+	if got, limit := testing.AllocsPerRun(20, func() {
+		var err error
+		if buf, err = p.appendState(buf[:0]); err != nil {
+			t.Fatal(err)
+		}
+	}), float64(10*trees); got > limit {
+		t.Errorf("appendState allocates %v times, want <= %v", got, limit)
+	}
+	if got, limit := testing.AllocsPerRun(20, func() {
+		if _, err := decodeState(state); err != nil {
+			t.Fatal(err)
+		}
+	}), float64(4*p.TrackedDisks()+60*trees); got > limit {
+		t.Errorf("decodeState allocates %v times, want <= %v", got, limit)
 	}
 }
 

@@ -1,7 +1,6 @@
 package orfdisk
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -63,7 +62,7 @@ type walRecord struct {
 	run   []FleetObservation
 	index []int
 	cur   *BackfillCursor // a cursor's
-	state []byte          // a state's: what Predictor.SaveState wrote; aliases the payload
+	state []byte          // a state's: what Predictor.appendState wrote; aliases the payload
 	pass  *passRecord     // a pass's
 }
 
@@ -177,10 +176,7 @@ func (b *recordBatch) payloads() [][]byte {
 func appendStateRecord(buf []byte, model string, p *Predictor) ([]byte, error) {
 	buf = append(buf, recState)
 	buf = binary.AppendUvarint(buf, uint64(len(model)))
-	buf = append(buf, model...)
-	w := bytes.NewBuffer(buf)
-	err := p.SaveState(w)
-	return w.Bytes(), err
+	return p.appendState(append(buf, model...))
 }
 
 // appendPassRecord frames a pass record: the kind, first as a uvarint,
