@@ -46,13 +46,27 @@ e2e-smoke:
 # already run under plain `go test`; this is the part that mutates.
 # Minimizing a new find stops the exec count, for up to a minute by
 # default, so it is held to a second to leave the budget for fuzzing.
+# A target that still barely runs (a stall, or seeds too large to
+# mutate fast) fails: its final execs count must reach the floor
+# FUZZFLOORS gives it, and a target with no floor there fails too.
 FUZZTIME ?= 5s
+FUZZFLOORS = testdata/fuzz_floors.txt
 
 fuzz-smoke:
-	@set -e; for pkg in $$($(GO) list ./...); do \
+	@set -e; log=$$(mktemp); trap 'rm -f $$log' EXIT; \
+	for pkg in $$($(GO) list ./...); do \
 		for target in $$($(GO) test $$pkg -list '^Fuzz' | grep '^Fuzz' || true); do \
 			echo "fuzz $$pkg $$target"; \
-			$(GO) test $$pkg -run '^$$' -fuzz "^$$target\$$" -fuzztime $(FUZZTIME) -fuzzminimizetime 1s; \
+			$(GO) test $$pkg -run '^$$' -fuzz "^$$target\$$" -fuzztime $(FUZZTIME) -fuzzminimizetime 1s >$$log 2>&1 \
+				|| { cat $$log; exit 1; }; \
+			cat $$log; \
+			execs=$$(grep -o 'execs: [0-9]*' $$log | tail -n 1 | grep -o '[0-9]*$$' || echo 0); \
+			floor=$$(awk -v p=$$pkg -v t=$$target '$$1 == p && $$2 == t { print $$3 }' $(FUZZFLOORS)); \
+			if [ -z "$$floor" ]; then echo "fuzz-smoke: $$pkg $$target has no floor in $(FUZZFLOORS)"; exit 1; fi; \
+			if [ "$$execs" -lt "$$floor" ]; then \
+				echo "fuzz-smoke: $$pkg $$target ran $$execs executions, below its floor of $$floor"; exit 1; \
+			fi; \
+			echo "fuzz-smoke: $$pkg $$target ran $$execs executions (floor $$floor)"; \
 		done; \
 	done
 

@@ -193,10 +193,11 @@ func BenchmarkEngineIngestBatch(b *testing.B) {
 // day order, each row projected onto the paper's 19 features as a writer
 // frames it: run256 is the run record a shard slice of a batch becomes,
 // run1 the run of one a single Ingest writes. Encode frames into reused
-// scratch, as the engine does; decode is decodeRecord of the same
-// payloads. B/row is the mean payload per row — what a row costs on the
-// replication wire and, with the log's 16-byte frame header per record
-// (wal_B/row), in the WAL.
+// scratch and finishes the record through payloads (which entropy-codes
+// a run where that shortens it), as the engine does; decode is
+// decodeRecord of the same payloads. B/row is the mean payload per row
+// — what a row costs on the replication wire and, with the log's
+// 16-byte frame header per record (wal_B/row), in the WAL.
 func BenchmarkRecordCodec(b *testing.B) {
 	g, err := dataset.New(benchProfile(2), 17)
 	if err != nil {
@@ -238,8 +239,9 @@ func BenchmarkRecordCodec(b *testing.B) {
 		for lo := 0; lo < len(obs); lo += tc.rows {
 			enc.reset()
 			tc.frame(&enc, obs[lo:lo+tc.rows])
-			payloads = append(payloads, append([]byte(nil), enc.buf...))
-			total += len(enc.buf)
+			p := enc.payloads()[0]
+			payloads = append(payloads, append([]byte(nil), p...))
+			total += len(p)
 		}
 		report := func(b *testing.B) {
 			b.ReportMetric(float64(total)/float64(len(obs)), "B/row")
@@ -251,6 +253,7 @@ func BenchmarkRecordCodec(b *testing.B) {
 				lo := n % len(obs)
 				enc.reset()
 				tc.frame(&enc, obs[lo:lo+tc.rows])
+				enc.payloads()
 			}
 			report(b)
 		})

@@ -1047,7 +1047,7 @@ func (e *Engine) applyRecords(mode applyMode, feed func(func(seq uint64, payload
 		// A follower keeps the backfill resume point too, so that once
 		// promoted it can continue an interrupted backfill exactly like a
 		// restarted leader.
-		if rec.kind == recCursor || rec.kind == recObserveBFRun {
+		if rec.kind == recCursor || rec.kind == recObserveBFRun || rec.kind == recObserveBFCodedRun {
 			e.noteBackfill(uint64(len(rec.run)), rec.cur)
 		}
 		if rec.kind == recCursor || rec.kind == recPass {

@@ -1670,7 +1670,7 @@ func TestUnpackValuesRejectsCorrupt(t *testing.T) {
 // carries.
 func code15Run() []byte {
 	vals := []float64{0, 1, 100, 19512, 0.5}
-	rec := appendRunRecord(nil, recObserveRun, []int{3, 0, 47, 5, 9}, []FleetObservation{
+	rec := appendRowsRecord(nil, recObserveRun, []int{3, 0, 47, 5, 9}, []FleetObservation{
 		{Model: "ST4000DM000", Observation: Observation{Serial: "Z302T4N9", Day: 812, Values: vals}},
 	})
 	rec[len(rec)-len(packed.Append(nil, vals, nil))] |= 0x0F
@@ -1685,8 +1685,9 @@ func TestRunRecordRefusesCode15(t *testing.T) {
 	}
 }
 
-// TestRecordCodecAllocs: framing a run into warmed batch scratch
-// allocates nothing; decoding one allocates its rows, one values slab,
+// TestRecordCodecAllocs: framing and coding a run into warmed batch
+// scratch allocates nothing; decoding one, inflating it included,
+// allocates its rows, one values slab,
 // the model, the index list and a serial per row — not a values slice
 // per row.
 func TestRecordCodecAllocs(t *testing.T) {
@@ -1699,12 +1700,16 @@ func TestRecordCodecAllocs(t *testing.T) {
 		for i := range obs {
 			enc.addRow(&obs[i], obs[i].Values)
 		}
+		enc.payloads()
 	}
 	round()
 	if allocs := testing.AllocsPerRun(50, round); allocs != 0 {
 		t.Errorf("framing a %d-row run allocates %v times in steady state", len(obs), allocs)
 	}
 	payload := enc.payloads()[0]
+	if payload[0] != recObserveCodedRun {
+		t.Fatalf("a %d-row run framed as kind %d, want the coded kind %d", len(obs), payload[0], recObserveCodedRun)
+	}
 	if allocs := testing.AllocsPerRun(50, func() {
 		if _, err := decodeRecord(payload); err != nil {
 			t.Fatal(err)
@@ -1723,14 +1728,16 @@ func TestRecordCodecAllocs(t *testing.T) {
 // (whole-catalog runs), 118.48 (one-row records) and 194.71 (the v2
 // layout) on this stream.
 //
-// Most of the saving over rows coded on their own is the serial's, and
+// Most of the saving over rows coded on their own is the serial's (the
+// entropy stage, kinds 14/15, takes ~15 % more off the rows), and
 // orfgen's serials (STA-000123, reaching each run in sequence) are the
 // kindest case for it, so the stream is framed again with each run's
 // rows shuffled, and with every disk renamed to a serial shaped like a
 // real drive's (Z305B2QN: a fixed model prefix, a batch digit, then four
 // random characters) in shuffled and in sorted order. Each shape is
-// framed in both row codings; this one must be the shorter under every
-// shape, and no shape's mean may creep up unseen.
+// framed as this release writes it, uncoded (kinds 10/11 always) and
+// row by row; each must be shorter than the next under every shape, and
+// no shape's mean may creep up unseen.
 func TestRecordBytesPerRow(t *testing.T) {
 	obs := engineStream(t, 7, 2)
 	rng := rand.New(rand.NewSource(45))
@@ -1760,21 +1767,24 @@ func TestRecordBytesPerRow(t *testing.T) {
 		order   func([]FleetObservation)
 		maxMean float64
 	}{
-		{"generated serials, in sequence", obs, nil, 31},         // this implementation: 28.78 (40.11)
-		{"generated serials, shuffled", obs, shuffle, 31},        // 29.46 (40.11)
-		{"Z305B2QN serials, shuffled", driveShaped, shuffle, 34}, // 32.30 (38.11)
-		{"Z305B2QN serials, sorted", driveShaped, bySerial, 33},  // 31.58 (38.11)
+		{"generated serials, in sequence", obs, nil, 26},         // this implementation: 24.02 (28.78 uncoded, 40.11 row by row)
+		{"generated serials, shuffled", obs, shuffle, 26},        // 24.72 (29.46, 40.11)
+		{"Z305B2QN serials, shuffled", driveShaped, shuffle, 29}, // 27.53 (32.30, 38.11)
+		{"Z305B2QN serials, sorted", driveShaped, bySerial, 29},  // 26.94 (31.58, 38.11)
 	} {
-		// The same draws shuffle for both codings, so both see one order.
+		// The same draws shuffle for every coding, so all see one order.
 		state := rng.Int63()
 		rng.Seed(state)
 		coded, records := runBytesPerRow(tc.obs, appendRunRecord, tc.order)
 		rng.Seed(state)
+		uncoded, _ := runBytesPerRow(tc.obs, appendRowsRecord, tc.order)
+		rng.Seed(state)
 		plain, _ := runBytesPerRow(tc.obs, appendPlainRunRecord, tc.order)
-		t.Logf("%-31s %.2f B/row (+%.2f of frame headers), %.2f coded row by row (-%.1f %%)",
-			tc.name, coded, 16*float64(records)/float64(len(obs)), plain, 100*(1-coded/plain))
-		if coded >= plain || coded > tc.maxMean {
-			t.Errorf("%s: %.2f B/row, %.2f coded row by row; want less, and <= %.0f", tc.name, coded, plain, tc.maxMean)
+		t.Logf("%-31s %.2f B/row (+%.2f of frame headers), %.2f uncoded (-%.1f %%), %.2f coded row by row (-%.1f %%)",
+			tc.name, coded, 16*float64(records)/float64(len(obs)), uncoded, 100*(1-coded/uncoded), plain, 100*(1-coded/plain))
+		if coded >= uncoded || uncoded >= plain || coded > tc.maxMean {
+			t.Errorf("%s: %.2f B/row, %.2f uncoded, %.2f coded row by row; want each less than the next, and <= %.0f",
+				tc.name, coded, uncoded, plain, tc.maxMean)
 		}
 	}
 }
@@ -1897,6 +1907,16 @@ func FuzzDecodeRecord(f *testing.F) {
 	for _, w := range runWriters {
 		f.Add(w.write(nil, recObserveBFRun, index[1:], three))
 	}
+	// Coded runs of both kinds, then damaged ones: a row-byte count one
+	// short and one long of what the stream inflates to, a cut stream,
+	// another block type, and a stream whose rows break the row rules.
+	coded := appendCodedRunRecord(nil, recObserveRun, index, []FleetObservation{obs})
+	f.Add(coded)
+	f.Add(appendCodedRunRecord(nil, recObserveBFRun, index[1:], three))
+	for _, damaged := range codedRunDamage(coded) {
+		f.Add(damaged.b)
+	}
+	f.Add(codeRun(code15Run(), 0))
 	for _, kind := range []byte{recObserveV1, recObserveV2, recObserveBFV2, recObserve, recObserveBF, recCatalogRun, recCatalogBFRun} {
 		f.Add(append([]byte{kind}, one[1:]...))
 	}
@@ -1930,7 +1950,9 @@ func FuzzDecodeRecord(f *testing.F) {
 		var again []byte
 		switch rec.kind {
 		case recObserveRun, recObserveBFRun:
-			again = appendRunRecord(nil, rec.kind, rec.index, rec.run)
+			again = appendRowsRecord(nil, rec.kind, rec.index, rec.run)
+		case recObserveCodedRun, recObserveBFCodedRun:
+			again = appendCodedRunRecord(nil, rec.kind-codedRunDelta, rec.index, rec.run)
 		case recCursor:
 			again = appendCursorRecord(nil, *rec.cur)
 		case recRetire:

@@ -9,12 +9,15 @@ import (
 // FuzzReadForest throws arbitrary bytes at the snapshot decoder: it must
 // either reject them with an error or produce a forest whose predictions
 // do not panic. Seeded with a genuine snapshot so mutations explore the
-// format's neighborhood, and with the misshapen trees DecodeForest
-// refuses.
+// format's neighborhood, and with the misshapen trees and the bad
+// header configs DecodeForest refuses.
 func FuzzReadForest(f *testing.F) {
 	f.Add(trainForest(f, 1, 400).AppendTo(nil, frame.Flate))
 	for _, tc := range misshapenTrees {
 		f.Add(misshapenForest(f, tc.damage).AppendTo(nil, frame.Raw))
+	}
+	for _, tc := range badHeaders {
+		f.Add(badHeaderForest(f, tc.damage).AppendTo(nil, frame.Raw))
 	}
 	f.Add([]byte(nil))
 	f.Add([]byte("ORF1"))

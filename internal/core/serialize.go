@@ -150,6 +150,31 @@ func (f *Forest) readHeader(r *reader) (Config, error) {
 	if f.dim <= 0 || c.Trees <= 0 || c.Trees > 1<<20 {
 		return c, fmt.Errorf("core: corrupt snapshot (dim=%d trees=%d)", f.dim, c.Trees)
 	}
+	// The header is under its block's CRC but not beyond a writer's
+	// reach, and the model's next update acts on what it says: a leaf's
+	// test pool fills to NumTests (bounded as the tree reader bounds a
+	// node's tests), and the counts bound depths and ages a 32-bit int
+	// holds.
+	if c.NumTests < 1 || c.NumTests > 1<<20 {
+		return c, fmt.Errorf("core: corrupt snapshot (tests per leaf %d, want 1 to %d)", c.NumTests, 1<<20)
+	}
+	for _, v := range []struct {
+		name string
+		n    int
+	}{{"max depth", c.MaxDepth}, {"age threshold", c.AgeThreshold}, {"replace cooldown", c.ReplaceCooldown}} {
+		if v.n < 1 || v.n > math.MaxInt32 {
+			return c, fmt.Errorf("core: corrupt snapshot (%s %d, want 1 to %d)", v.name, v.n, math.MaxInt32)
+		}
+	}
+	for _, v := range []struct {
+		name string
+		x    float64
+	}{{"min parent size", c.MinParentSize}, {"min gain", c.MinGain}, {"positive rate", c.LambdaPos},
+		{"negative rate", c.LambdaNeg}, {"OOBE threshold", c.OOBEThreshold}, {"OOBE decay", c.OOBEDecay}} {
+		if !(v.x >= 0 && v.x <= math.MaxFloat64) {
+			return c, fmt.Errorf("core: corrupt snapshot (%s %v)", v.name, v.x)
+		}
+	}
 	return c, nil
 }
 

@@ -421,3 +421,49 @@ func TestDecodeRefusesMisshapenTrees(t *testing.T) {
 		t.Fatalf("the undamaged fixture: %v", err)
 	}
 }
+
+// badHeaders are configs a writer could put under a forest header's CRC
+// that no forest runs on; DecodeForest refuses each with an error naming
+// the field.
+var badHeaders = []struct {
+	name, want string
+	damage     func(c *Config)
+}{
+	{"tests per leaf 2^40", "tests per leaf 1099511627776", func(c *Config) { c.NumTests = 1 << 40 }},
+	{"tests per leaf 0", "tests per leaf 0", func(c *Config) { c.NumTests = 0 }},
+	{"max depth 0", "max depth 0", func(c *Config) { c.MaxDepth = 0 }},
+	{"max depth 2^40", "max depth 1099511627776", func(c *Config) { c.MaxDepth = 1 << 40 }},
+	{"age threshold -1", "age threshold -1", func(c *Config) { c.AgeThreshold = -1 }},
+	{"age threshold 2^40", "age threshold 1099511627776", func(c *Config) { c.AgeThreshold = 1 << 40 }},
+	{"replace cooldown 0", "replace cooldown 0", func(c *Config) { c.ReplaceCooldown = 0 }},
+	{"replace cooldown 2^62", "replace cooldown 4611686018427387904", func(c *Config) { c.ReplaceCooldown = 1 << 62 }},
+	{"min parent size NaN", "min parent size NaN", func(c *Config) { c.MinParentSize = math.NaN() }},
+	{"min gain -0.1", "min gain -0.1", func(c *Config) { c.MinGain = -0.1 }},
+	{"positive rate +Inf", "positive rate +Inf", func(c *Config) { c.LambdaPos = math.Inf(1) }},
+	{"negative rate -1", "negative rate -1", func(c *Config) { c.LambdaNeg = -1 }},
+	{"OOBE threshold -Inf", "OOBE threshold -Inf", func(c *Config) { c.OOBEThreshold = math.Inf(-1) }},
+	{"OOBE decay NaN", "OOBE decay NaN", func(c *Config) { c.OOBEDecay = math.NaN() }},
+}
+
+// badHeaderForest is a trained forest with damage done to its config,
+// past New's defaults, so that it encodes under a valid CRC.
+func badHeaderForest(t testing.TB, damage func(c *Config)) *Forest {
+	f := trainForest(t, 5, 300)
+	damage(&f.cfg)
+	return f
+}
+
+// TestDecodeForestRefusesBadConfig: a header whose config no forest runs
+// on fails the decode, in either codec, before any tree is read; the
+// undamaged forest decodes.
+func TestDecodeForestRefusesBadConfig(t *testing.T) {
+	decodeWhole(t, badHeaderForest(t, func(*Config) {}).AppendTo(nil, frame.Flate))
+	for _, tc := range badHeaders {
+		f := badHeaderForest(t, tc.damage)
+		for _, codec := range []frame.Codec{frame.Raw, frame.Flate} {
+			if _, _, err := DecodeForest(f.AppendTo(nil, codec)); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("%s (%v): error %v, want one mentioning %q", tc.name, codec, err, tc.want)
+			}
+		}
+	}
+}

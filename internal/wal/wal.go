@@ -73,8 +73,8 @@ type Options struct {
 	// would exceed this size. Default 8 MiB.
 	SegmentBytes int64
 	// SyncBytes forces an fsync once this many bytes (record headers
-	// included) have been appended since the last one. Default 6 KiB —
-	// about 200 observe rows at ~28 B a row, so a batch of that size or
+	// included) have been appended since the last one. Default 4 KiB —
+	// about 190 observe rows at ~22 B a row, so a batch of that size or
 	// more is on stable storage before its append returns.
 	SyncBytes int
 	// SyncInterval is the maximum time an appended record stays
@@ -91,7 +91,7 @@ func (o *Options) fill() {
 		o.SegmentBytes = 8 << 20
 	}
 	if o.SyncBytes <= 0 {
-		o.SyncBytes = 6 << 10
+		o.SyncBytes = 4 << 10
 	}
 	if o.SyncInterval <= 0 {
 		o.SyncInterval = 50 * time.Millisecond

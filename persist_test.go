@@ -5,11 +5,13 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"math"
 	"runtime"
 	"slices"
 	"strings"
 	"testing"
 
+	"orfdisk/internal/core"
 	"orfdisk/internal/frame"
 	"orfdisk/internal/smart"
 )
@@ -544,4 +546,35 @@ func FuzzLoadPredictorState(f *testing.F) {
 			t.Fatalf("allocated %d bytes for a %d-byte queue section (limit %d)", got, len(data), limit)
 		}
 	})
+}
+
+// TestStateRefusesBadForestConfig: a forest header's config, under a
+// valid CRC, that would have the model's next update fill every new
+// leaf's test pool without limit, or run on a non-finite rate, fails
+// both the forest decode and the whole state's load.
+func TestStateRefusesBadForestConfig(t *testing.T) {
+	for _, tc := range []struct {
+		name, want string
+		orf        ORFConfig
+	}{
+		{"tests per leaf 2^40", "tests per leaf 1099511627776", ORFConfig{NumTests: 1 << 40}},
+		{"max depth 2^40", "max depth 1099511627776", ORFConfig{MaxDepth: 1 << 40}},
+		{"age threshold 2^40", "age threshold 1099511627776", ORFConfig{AgeThreshold: 1 << 40}},
+		{"replace cooldown 2^40", "replace cooldown 1099511627776", ORFConfig{ReplaceCooldown: 1 << 40}},
+		{"min parent size NaN", "min parent size NaN", ORFConfig{MinParentSize: math.NaN()}},
+		{"positive rate +Inf", "positive rate +Inf", ORFConfig{LambdaPos: math.Inf(1)}},
+		{"OOBE decay NaN", "OOBE decay NaN", ORFConfig{OOBEDecay: math.NaN()}},
+	} {
+		tc.orf.Trees, tc.orf.Seed = 2, 1
+		if _, _, err := core.DecodeForest(core.New(3, tc.orf).AppendTo(nil, frame.Flate)); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: DecodeForest: %v, want an error mentioning %q", tc.name, err, tc.want)
+		}
+		var state bytes.Buffer
+		if err := NewPredictor(Config{ORF: tc.orf}).SaveState(&state); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := LoadPredictorState(&state); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: LoadPredictorState: %v, want an error mentioning %q", tc.name, err, tc.want)
+		}
+	}
 }

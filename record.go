@@ -4,8 +4,11 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"strings"
+	"sync"
 
+	"orfdisk/internal/huffman"
 	"orfdisk/internal/packed"
 )
 
@@ -29,6 +32,20 @@ const (
 	// Absorb.
 	recObserveRun   = 10
 	recObserveBFRun = 11
+	// A coded run (14 live, 15 backfill) is the same run with its row
+	// bytes — everything after the row count — entropy-coded: their
+	// length as a uvarint, then one literal-only DEFLATE stream of them
+	// (internal/huffman). The rows themselves are coded as in kinds
+	// 10/11, and a writer codes a run only when that makes it shorter.
+	recObserveCodedRun   = 14
+	recObserveBFCodedRun = 15
+	codedRunDelta        = recObserveCodedRun - recObserveRun
+	// minCodedRows is the row bytes under which endRun does not try:
+	// a dynamic block spends 15-30 B on its code lengths for a SMART
+	// row's byte mix, so a run that short (one row of the paper's 19
+	// features is ~56 B) does not come out shorter, and building the
+	// code would cost ~2 µs, ten times a single-row Ingest's framing.
+	minCodedRows = 64
 
 	// A snapshot pass (Engine.Snapshot) writes one state record per model
 	// — the model and its whole predictor state, covering every record of
@@ -90,9 +107,13 @@ type recordBatch struct {
 	row        int
 	prevSerial string
 	prev       []float64
+	// rowsAt is where the open run's row bytes start in buf (0 when no
+	// run is open), and huff the entropy coder endRun codes them with.
+	rowsAt int
+	huff   huffman.Encoder
 }
 
-func (b *recordBatch) reset() { b.buf, b.offs = b.buf[:0], b.offs[:0] }
+func (b *recordBatch) reset() { b.buf, b.offs, b.rowsAt = b.buf[:0], b.offs[:0], 0 }
 
 // beginRun opens a run record (kind 10 or 11) of rows observations (1 to
 // applyRunCap; the cap keeps a decoded run one crossing to its shard and
@@ -104,6 +125,7 @@ func (b *recordBatch) reset() { b.buf, b.offs = b.buf[:0], b.offs[:0] }
 // same bytes are the WAL payload on a leader, the record a replication
 // frame carries and what a follower appends to its own log.
 func (b *recordBatch) beginRun(kind byte, first *FleetObservation, index []int, rows int) {
+	b.endRun()
 	b.offs = append(b.offs, len(b.buf))
 	b.baseDay, b.row = first.Day, 0
 	b.buf = append(b.buf, kind)
@@ -115,6 +137,7 @@ func (b *recordBatch) beginRun(kind byte, first *FleetObservation, index []int, 
 		b.buf = binary.AppendUvarint(b.buf, uint64(j))
 	}
 	b.buf = binary.AppendUvarint(b.buf, uint64(rows))
+	b.rowsAt = len(b.buf)
 }
 
 // addRow appends obs to the open run with vals as its values, exactly
@@ -152,14 +175,40 @@ func (b *recordBatch) addRow(obs *FleetObservation, vals []float64) {
 	b.prevSerial, b.prev = obs.Serial, vals
 }
 
+// endRun closes the open run, if any: its row bytes become a coded
+// run's length and stream, and its kind the coded kind, when that is
+// shorter than the rows; otherwise, and for rows under minCodedRows
+// bytes, the run stays as framed. The stream
+// is written past the rows and then moved over them, so buf grows to
+// hold both once and never after.
+func (b *recordBatch) endRun() {
+	at, end := b.rowsAt, len(b.buf)
+	b.rowsAt = 0
+	if at == 0 || end-at < minCodedRows {
+		return
+	}
+	var n [binary.MaxVarintLen64]byte
+	prefix := n[:binary.PutUvarint(n[:], uint64(end-at))]
+	out, ok := b.huff.Append(b.buf, b.buf[at:end], end-at-len(prefix))
+	if !ok {
+		return
+	}
+	k := copy(out[at:], prefix)
+	k += copy(out[at+k:], out[end:])
+	b.buf = out[:at+k]
+	b.buf[b.offs[len(b.offs)-1]] += codedRunDelta
+}
+
 func (b *recordBatch) addCursor(c BackfillCursor) {
+	b.endRun()
 	b.offs = append(b.offs, len(b.buf))
 	b.buf = appendCursorRecord(b.buf, c)
 }
 
-// payloads returns one slice of the shared buffer per added record,
-// valid until the next reset.
+// payloads closes the open run and returns one slice of the shared
+// buffer per added record, valid until the next reset.
 func (b *recordBatch) payloads() [][]byte {
+	b.endRun()
 	b.payload = b.payload[:0]
 	for j, off := range b.offs {
 		end := len(b.buf)
@@ -245,7 +294,9 @@ func decodeRecord(b []byte) (walRecord, error) {
 	var err error
 	switch rec.kind {
 	case recObserveRun, recObserveBFRun:
-		rec.model, rec.index, rec.run, err = decodeRun(b)
+		rec.model, rec.index, rec.run, err = decodeRun(b, false)
+	case recObserveCodedRun, recObserveBFCodedRun:
+		rec.model, rec.index, rec.run, err = decodeRun(b, true)
 	case recCursor:
 		rec.cur, err = decodeCursorRecord(b)
 	case recRetire:
@@ -274,63 +325,112 @@ func decodeRecord(b []byte) (walRecord, error) {
 
 var errTruncatedRun = errors.New("orfdisk: truncated run WAL record")
 
-// decodeRun parses a run body (b excludes the kind byte; beginRun and
-// addRow give the layout). A run the previous release wrote, every row
-// coded on its own, is the case with no shared serial bytes and no code
-// 15, and decodes as it always did. Every count comes from the input and
-// is bounded by what b could hold before anything is allocated for it.
-// The rows' Values are carved from one slab, so a decoded run costs one
-// allocation for its values, not one per row, and one per serial.
-func decodeRun(b []byte) (model string, index []int, rows []FleetObservation, err error) {
-	if model, b, err = takeVarString(b); err != nil {
+// runBufs recycles the buffers coded runs inflate into: a decoded run
+// keeps none of their bytes.
+var runBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// decodeRun parses a run body (b excludes the kind byte; beginRun,
+// addRow and endRun give the layout), its row bytes entropy-coded if
+// coded. A run an older release wrote, every row coded on its own, is
+// the case with no shared serial bytes and no code 15, and decodes as it
+// always did. Every count comes from the input and is bounded by what
+// b could hold before anything is allocated for it. The rows' Values are
+// carved from one slab, so a decoded run costs one allocation for its
+// values, not one per row, and one per serial.
+func decodeRun(b []byte, coded bool) (model string, index []int, rows []FleetObservation, err error) {
+	model, base, index, nrows, b, err := cutRunHeader(b)
+	if err != nil {
 		return "", nil, nil, err
+	}
+	if coded {
+		buf := runBufs.Get().(*[]byte)
+		defer runBufs.Put(buf)
+		if b, err = inflateRows(buf, b); err != nil {
+			return "", nil, nil, err
+		}
+	}
+	if rows, err = decodeRows(b, model, base, len(index), nrows); err != nil {
+		return "", nil, nil, err
+	}
+	return model, index, rows, nil
+}
+
+// cutRunHeader parses a run's header: the model, the base day, the index
+// list and the row count, and returns the row bytes after it.
+func cutRunHeader(b []byte) (model string, base int64, index []int, nrows uint64, rest []byte, err error) {
+	if model, b, err = takeVarString(b); err != nil {
+		return "", 0, nil, 0, nil, err
 	}
 	base, n := binary.Varint(b)
 	if n <= 0 {
-		return "", nil, nil, errTruncatedRun
+		return "", 0, nil, 0, nil, errTruncatedRun
 	}
 	b = b[n:]
 	width, n := binary.Uvarint(b)
 	if n <= 0 {
-		return "", nil, nil, errTruncatedRun
+		return "", 0, nil, 0, nil, errTruncatedRun
 	}
 	b = b[n:]
 	if width > uint64(len(b)) { // an index is at least one byte
-		return "", nil, nil, fmt.Errorf("orfdisk: run WAL record lists %d indexes in %d bytes", width, len(b))
+		return "", 0, nil, 0, nil, fmt.Errorf("orfdisk: run WAL record lists %d indexes in %d bytes", width, len(b))
 	}
 	index = make([]int, width)
 	for i := range index {
 		j, n := binary.Uvarint(b)
 		if n <= 0 {
-			return "", nil, nil, errTruncatedRun
+			return "", 0, nil, 0, nil, errTruncatedRun
 		}
 		index[i], b = int(j), b[n:]
 	}
-	nrows, n := binary.Uvarint(b)
-	if n <= 0 {
-		return "", nil, nil, errTruncatedRun
+	if nrows, n = binary.Uvarint(b); n <= 0 {
+		return "", 0, nil, 0, nil, errTruncatedRun
 	}
-	b = b[n:]
+	return model, base, index, nrows, b[n:], nil
+}
+
+// inflateRows inflates a coded run's row bytes (their length, then the
+// stream) into *buf and returns them. huffman.Decode checks the length
+// against the stream before *buf grows: what a hostile length buys is
+// bounded by the record's own size.
+func inflateRows(buf *[]byte, b []byte) ([]byte, error) {
+	rawLen, n := binary.Uvarint(b)
+	if n <= 0 {
+		return nil, errTruncatedRun
+	}
+	if rawLen > math.MaxInt32 {
+		return nil, fmt.Errorf("orfdisk: coded run WAL record claims %d row bytes", rawLen)
+	}
+	raw, err := huffman.Decode((*buf)[:0], b[n:], int(rawLen))
+	if err != nil {
+		return nil, fmt.Errorf("orfdisk: coded run WAL record: %w", err)
+	}
+	*buf = raw
+	return raw, nil
+}
+
+// decodeRows parses nrows rows of width values each, the run's row bytes
+// b, against base day base.
+func decodeRows(b []byte, model string, base int64, width int, nrows uint64) ([]FleetObservation, error) {
 	// A row is at least its flags byte and its serial's length, a value at
-	// least its half-byte code (code 15 included); width is at most
-	// len(b), so the product cannot overflow.
+	// least its half-byte code (code 15 included); width is at most the
+	// record's length, so the product cannot overflow.
 	switch {
 	case nrows == 0:
-		return "", nil, nil, errors.New("orfdisk: run WAL record with no rows")
+		return nil, errors.New("orfdisk: run WAL record with no rows")
 	case nrows > applyRunCap:
-		return "", nil, nil, fmt.Errorf("orfdisk: run WAL record of %d rows, more than the %d a writer frames", nrows, applyRunCap)
+		return nil, fmt.Errorf("orfdisk: run WAL record of %d rows, more than the %d a writer frames", nrows, applyRunCap)
 	case nrows > uint64(len(b))/2:
-		return "", nil, nil, fmt.Errorf("orfdisk: run WAL record claims %d rows in %d bytes", nrows, len(b))
-	case width*nrows > 2*uint64(len(b)):
-		return "", nil, nil, fmt.Errorf("orfdisk: run WAL record claims %d rows of %d values in %d bytes", nrows, width, len(b))
+		return nil, fmt.Errorf("orfdisk: run WAL record claims %d rows in %d bytes", nrows, len(b))
+	case uint64(width)*nrows > 2*uint64(len(b)):
+		return nil, fmt.Errorf("orfdisk: run WAL record claims %d rows of %d values in %d bytes", nrows, width, len(b))
 	}
-	rows = make([]FleetObservation, nrows)
-	slab := make([]float64, width*nrows)
+	rows := make([]FleetObservation, nrows)
+	slab := make([]float64, uint64(width)*nrows)
 	for i := range rows {
 		obs := &rows[i]
 		obs.Model = model
 		if len(b) < 1 {
-			return "", nil, nil, errTruncatedRun
+			return nil, errTruncatedRun
 		}
 		flags := b[0]
 		b = b[1:]
@@ -341,7 +441,7 @@ func decodeRun(b []byte) (model string, index []int, rows []FleetObservation, er
 			prevSerial, prev = rows[i-1].Serial, rows[i-1].Values
 		}
 		if shared > len(prevSerial) {
-			return "", nil, nil, fmt.Errorf("orfdisk: run WAL record: row %d shares %d serial bytes with a %d-byte previous serial",
+			return nil, fmt.Errorf("orfdisk: run WAL record: row %d shares %d serial bytes with a %d-byte previous serial",
 				i, shared, len(prevSerial))
 		}
 		obs.Failed = flags&runRowFailed != 0
@@ -349,15 +449,16 @@ func decodeRun(b []byte) (model string, index []int, rows []FleetObservation, er
 		if flags&runRowDay != 0 {
 			delta, n := binary.Varint(b)
 			if n <= 0 {
-				return "", nil, nil, errTruncatedRun
+				return nil, errTruncatedRun
 			}
 			day, b = base+delta, b[n:]
 		}
 		obs.Day = int(day)
-		var suffix []byte
-		if suffix, b, err = takeVarBytes(b); err != nil {
-			return "", nil, nil, err
+		suffix, rest, err := takeVarBytes(b)
+		if err != nil {
+			return nil, err
 		}
+		b = rest
 		var serial strings.Builder
 		serial.Grow(shared + len(suffix))
 		serial.WriteString(prevSerial[:shared])
@@ -366,13 +467,13 @@ func decodeRun(b []byte) (model string, index []int, rows []FleetObservation, er
 		obs.Values = slab[:width:width]
 		slab = slab[width:]
 		if b, err = packed.DecodeInto(obs.Values, b, prev); err != nil {
-			return "", nil, nil, fmt.Errorf("orfdisk: run WAL record: row %d: %w", i, err)
+			return nil, fmt.Errorf("orfdisk: run WAL record: row %d: %w", i, err)
 		}
 	}
 	if len(b) != 0 {
-		return "", nil, nil, fmt.Errorf("orfdisk: %d trailing bytes in run WAL record", len(b))
+		return nil, fmt.Errorf("orfdisk: %d trailing bytes in run WAL record", len(b))
 	}
-	return model, index, rows, nil
+	return rows, nil
 }
 
 func takeVarString(b []byte) (string, []byte, error) {

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"orfdisk/internal/huffman"
 	"orfdisk/internal/packed"
 	"orfdisk/internal/smart"
 )
@@ -29,8 +30,22 @@ const (
 
 // appendRunRecord frames rows (one model, at most applyRunCap of them) as
 // one run record of kind (10 or 11) under index through the product
-// writer; each row's Values are already the catalog values at index.
+// writer, which codes it as kind 14 or 15 where that is shorter; each
+// row's Values are already the catalog values at index.
 func appendRunRecord(buf []byte, kind byte, index []int, rows []FleetObservation) []byte {
+	enc := recordBatch{buf: buf}
+	enc.beginRun(kind, &rows[0], index, len(rows))
+	for i := range rows {
+		enc.addRow(&rows[i], rows[i].Values)
+	}
+	enc.endRun()
+	return enc.buf
+}
+
+// appendRowsRecord frames rows as appendRunRecord does, but leaves the
+// run as kind 10 or 11 however long: the form a run takes when coding
+// does not shorten it, and the only one the previous release wrote.
+func appendRowsRecord(buf []byte, kind byte, index []int, rows []FleetObservation) []byte {
 	enc := recordBatch{buf: buf}
 	enc.beginRun(kind, &rows[0], index, len(rows))
 	for i := range rows {
@@ -39,8 +54,29 @@ func appendRunRecord(buf []byte, kind byte, index []int, rows []FleetObservation
 	return enc.buf
 }
 
-// appendPlainRunRecord frames rows as appendRunRecord does, but as the
-// previous release wrote every row: its whole serial (no shared bytes in
+// appendCodedRunRecord frames rows as appendRowsRecord does, then codes
+// the row bytes as kind 14 or 15 however long that makes the run.
+func appendCodedRunRecord(buf []byte, kind byte, index []int, rows []FleetObservation) []byte {
+	return codeRun(appendRowsRecord(buf, kind, index, rows), len(buf))
+}
+
+// codeRun turns the kind 10 or 11 run at rec[at:] into its kind 14 or 15
+// form, shorter or not.
+func codeRun(rec []byte, at int) []byte {
+	_, _, _, _, rows, err := cutRunHeader(rec[at+1:])
+	if err != nil {
+		panic(err)
+	}
+	out := slices.Clone(rec[:len(rec)-len(rows)])
+	out[at] += codedRunDelta
+	out = binary.AppendUvarint(out, uint64(len(rows)))
+	var h huffman.Encoder
+	out, _ = h.Append(out, rows, math.MaxInt)
+	return out
+}
+
+// appendPlainRunRecord frames rows as appendRowsRecord does, but as an
+// older release wrote every row: its whole serial (no shared bytes in
 // its flags) and its values packed on their own (no code 15).
 func appendPlainRunRecord(buf []byte, kind byte, index []int, rows []FleetObservation) []byte {
 	enc := recordBatch{buf: buf}
@@ -65,14 +101,18 @@ func appendPlainRunRecord(buf []byte, kind byte, index []int, rows []FleetObserv
 	return enc.buf
 }
 
-// runWriters are the two row codings a run record may hold: this
-// release's and the previous release's, which it still reads.
+// runWriters are the forms a run record may take: this release's
+// (coded where that is shorter), coded and uncoded whatever their
+// length, and the rows as an older release coded them, which this one
+// still reads.
 var runWriters = []struct {
 	name  string
 	write func(buf []byte, kind byte, index []int, rows []FleetObservation) []byte
 }{
 	{"this release's", appendRunRecord},
-	{"the previous release's", appendPlainRunRecord},
+	{"the entropy", appendCodedRunRecord},
+	{"the uncoded", appendRowsRecord},
+	{"the row-by-row", appendPlainRunRecord},
 }
 
 // projectRows returns rows with each row's Values replaced by the catalog
@@ -144,7 +184,7 @@ func randomRun(rng *rand.Rand, n int) []FleetObservation {
 }
 
 // TestRunRecordRoundTrip: random runs decode to the rows and index list
-// that went in, under both run kinds and both row codings.
+// that went in, under both run kinds in every form a run takes.
 func TestRunRecordRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(24))
 	for _, n := range []int{1, 1, 2, 3, 17, 64, 256, applyRunCap} {
@@ -158,11 +198,15 @@ func TestRunRecordRoundTrip(t *testing.T) {
 		index := rng.Perm(1 << 10)[:len(rows[0].Values)]
 		for _, kind := range []byte{recObserveRun, recObserveBFRun} {
 			for _, w := range runWriters {
-				rec, err := decodeRecord(w.write(nil, kind, index, rows))
+				b := w.write(nil, kind, index, rows)
+				rec, err := decodeRecord(b)
 				if err != nil {
 					t.Fatalf("%d rows of kind %d in %s coding: %v", n, kind, w.name, err)
 				}
-				if rec.kind != kind || rec.model != rows[0].Model || len(rec.run) != n || !slices.Equal(rec.index, index) {
+				if b[0] != kind && b[0] != kind+codedRunDelta {
+					t.Fatalf("%d rows of kind %d in %s coding written as kind %d", n, kind, w.name, b[0])
+				}
+				if rec.kind != b[0] || rec.model != rows[0].Model || len(rec.run) != n || !slices.Equal(rec.index, index) {
 					t.Fatalf("%d rows of kind %d in %s coding decode as kind %d, model %q, %d rows, index %v",
 						n, kind, w.name, rec.kind, rec.model, len(rec.run), rec.index)
 				}
@@ -177,28 +221,42 @@ func TestRunRecordRoundTrip(t *testing.T) {
 }
 
 // TestRunRecordNeverLongerThanPlain: over random runs, every row takes at
-// most the bytes the previous release's coding gave it — its serial
-// suffix and its values coded against the previous row are never longer
-// than the whole serial and the values on their own.
+// most the bytes the row-by-row coding gave it — its serial suffix and
+// its values coded against the previous row are never longer than the
+// whole serial and the values on their own — and a written run is never
+// longer than its uncoded kind 10/11 form.
 func TestRunRecordNeverLongerThanPlain(t *testing.T) {
 	rng := rand.New(rand.NewSource(45))
-	coded, plain := 0, 0
+	written, uncoded, plain, codedRuns := 0, 0, 0, 0
 	for range 200 {
 		rows := randomRun(rng, 1+rng.Intn(40))
 		index := make([]int, len(rows[0].Values))
-		var lastCoded, lastPlain int
+		var lastUncoded, lastPlain int
 		for k := 1; k <= len(rows); k++ {
-			c := len(appendRunRecord(nil, recObserveRun, index, rows[:k]))
+			u := len(appendRowsRecord(nil, recObserveRun, index, rows[:k]))
 			p := len(appendPlainRunRecord(nil, recObserveRun, index, rows[:k]))
-			if c-lastCoded > p-lastPlain {
-				t.Fatalf("row %d takes %d B, %d in the previous release's coding: %+v after %+v",
-					k-1, c-lastCoded, p-lastPlain, rows[k-1], rows[max(k-2, 0)])
+			if u-lastUncoded > p-lastPlain {
+				t.Fatalf("row %d takes %d B, %d in the row-by-row coding: %+v after %+v",
+					k-1, u-lastUncoded, p-lastPlain, rows[k-1], rows[max(k-2, 0)])
 			}
-			lastCoded, lastPlain = c, p
+			lastUncoded, lastPlain = u, p
 		}
-		coded, plain = coded+lastCoded, plain+lastPlain
+		for _, kind := range []byte{recObserveRun, recObserveBFRun} {
+			w := appendRunRecord(nil, kind, index, rows)
+			if len(w) > lastUncoded {
+				t.Fatalf("%d-row run written in %d B, %d uncoded", len(rows), len(w), lastUncoded)
+			}
+			if w[0] != kind {
+				codedRuns++
+			}
+			if kind == recObserveRun {
+				written += len(w)
+			}
+		}
+		uncoded, plain = uncoded+lastUncoded, plain+lastPlain
 	}
-	t.Logf("runs take %d B, %d B in the previous release's coding", coded, plain)
+	t.Logf("runs take %d B written, %d B uncoded, %d B in the row-by-row coding; %d of 400 coded",
+		written, uncoded, plain, codedRuns)
 }
 
 // TestRunRecordRowsAreIndependent: the rows of a decoded run share one
@@ -227,7 +285,7 @@ func TestRunRecordRejections(t *testing.T) {
 		rows[i].Values = []float64{1, 2, 3, 0.5}
 	}
 	index := []int{4, 5, 6, 7}
-	good := appendRunRecord(nil, recObserveRun, index, rows)
+	good := appendRowsRecord(nil, recObserveRun, index, rows)
 	plain := appendPlainRunRecord(nil, recObserveRun, index, rows)
 	for _, b := range [][]byte{good, plain} {
 		if _, err := decodeRecord(b); err != nil {
@@ -310,6 +368,97 @@ func TestRunRecordRejections(t *testing.T) {
 		allocs := testing.AllocsPerRun(20, func() { decodeRecord(hostile) })
 		if _, err := decodeRecord(hostile); err == nil || allocs > 8 {
 			t.Errorf("hostile count % x: err %v, %v allocations", hostile, err, allocs)
+		}
+	}
+}
+
+// codedRunDamage returns coded, a kind 14 or 15 run, damaged each way a
+// coded run's row bytes can be: a row-byte count one past and one short
+// of what its stream inflates to, its stream cut short of its end, and
+// its block type set to the reserved one.
+func codedRunDamage(coded []byte) []codedDamage {
+	_, _, _, _, body, err := cutRunHeader(coded[1:])
+	if err != nil {
+		panic(err)
+	}
+	header := coded[:len(coded)-len(body)]
+	rawLen, n := binary.Uvarint(body)
+	stream := body[n:]
+	frame := func(rawLen uint64, stream []byte) []byte {
+		return append(binary.AppendUvarint(slices.Clone(header), rawLen), stream...)
+	}
+	reserved := slices.Clone(stream)
+	reserved[0] |= 3 << 1
+	return []codedDamage{
+		{"a stream that inflates short of its count", frame(rawLen+1, stream), "ends after"},
+		{"a stream that inflates past its count", frame(rawLen-1, stream), "inflates past"},
+		{"a cut stream", frame(rawLen, stream[:len(stream)-1]), "cut short"},
+		{"a stream of the reserved block type", frame(rawLen, reserved), "orfdisk: coded run WAL record: huffman: corrupt stream: not a final dynamic block"},
+	}
+}
+
+type codedDamage struct {
+	name string
+	b    []byte
+	want string
+}
+
+// TestCodedRunRejections: a damaged coded run is a defined error, never a
+// panic or a short run, and a hostile row-byte count buys no allocation
+// (the count is checked against the stream's length first): none
+// allocates more than the intact run's decode, which holds its rows,
+// and its error.
+func TestCodedRunRejections(t *testing.T) {
+	rows := randomRun(rand.New(rand.NewSource(3)), 40)
+	index := make([]int, len(rows[0].Values))
+	coded := appendCodedRunRecord(nil, recObserveRun, index, rows)
+	var err error
+	// The least of a few tries: a GC may empty the pools meanwhile.
+	leastAllocated := func(b []byte) uint64 {
+		least := uint64(math.MaxUint64)
+		for range 3 {
+			least = min(least, allocatedBy(func() { _, err = decodeRecord(b) }))
+		}
+		return least
+	}
+	intact := leastAllocated(coded)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, _, _, _, body, _ := cutRunHeader(coded[1:])
+	header := coded[:len(coded)-len(body)]
+	rawLen, n := binary.Uvarint(body)
+	stream := body[n:]
+	claim := func(rawLen uint64) []byte {
+		return append(binary.AppendUvarint(slices.Clone(header), rawLen), stream...)
+	}
+	shared := append([]byte{recObserveRun, 1, 'M', 0, 1, 0, 2}, 0, 1, 'S', 0x00, 2<<runSharedShift, 0, 0x00)
+	cases := append(codedRunDamage(coded),
+		codedDamage{"a count past 1032 bytes a stream byte", claim(1033 * uint64(len(stream))), "literal stream"},
+		codedDamage{"a count past 8 bytes a stream byte", claim(8*uint64(len(stream)) + 1), "literal stream"},
+		codedDamage{"a count of 2^62", claim(1 << 62), "claims 4611686018427387904 row bytes"},
+		codedDamage{"no count", slices.Clone(header), "truncated"},
+		codedDamage{"a count and no stream", binary.AppendUvarint(slices.Clone(header), rawLen), "literal stream"},
+		codedDamage{"rows with code 15 on row 0", codeRun(code15Run(), 0), "code 15"},
+		codedDamage{"rows sharing past the serial", codeRun(shared, 0), "row 1 shares 2 serial bytes with a 1-byte previous serial"},
+		codedDamage{"rows with trailing bytes", codeRun(append(appendRowsRecord(nil, recObserveRun, index, rows), 0), 0), "trailing"},
+	)
+	for _, tc := range cases {
+		if tc.b[0] != recObserveCodedRun {
+			t.Fatalf("test bug: %s is kind %d", tc.name, tc.b[0])
+		}
+		least := leastAllocated(tc.b)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: error %v, want one mentioning %q", tc.name, err, tc.want)
+		}
+		if least > intact+1<<10 {
+			t.Errorf("%s: a %d-byte record allocated %d bytes, the intact run's decode %d", tc.name, len(tc.b), least, intact)
+		}
+	}
+	// Cut anywhere, in the header or the stream: an error, never a short run.
+	for cut := 1; cut < len(coded); cut++ {
+		if _, err := decodeRecord(coded[:cut]); err == nil {
+			t.Fatalf("decode of the %d-byte prefix of a %d-byte coded run succeeded", cut, len(coded))
 		}
 	}
 }
